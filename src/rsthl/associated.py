@@ -27,14 +27,12 @@ from .lightlike import (
     InducedObjects,
     SubmanifoldFrame,
     UmbilicityReport,
-    covariant_derivative,
     eta_einstein_solve,
     proportionality_factor,
-    ricci_action,
 )
 from .report import CheckEntry, residual_entry
 from .scalars import ONE, RationalFunction, ZERO, rf
-from .structure import CurvaturePair, associated_metric
+from .structure import CurvaturePair
 from .tensors import (
     LinearOperator,
     MultilinearForm,
@@ -73,7 +71,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     CrossCheckMismatch; agreement is recorded as entries.
     """
     s = f.model.structure
-    gt_ambient = associated_metric(s)
+    gt_ambient = s.g_tilde
     m = f.dim
     entries = []
 
@@ -132,7 +130,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     xi_t = f.radical_tangent()
     inv_mu = ONE / mu
     inv_mu2 = inv_mu * inv_mu
-    b_phi = obj.b_form.pull_slots(f.phi_p(), (1,))
+    b_phi = obj.b_phi
     gamma_formula = []
     for a in range(m):
         row = []
@@ -143,7 +141,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     conn_formula = Connection(f.tangent_frame, tuple(gamma_formula))
     h1_formula = obj.b_form.scale(inv_mu)
     h2_formula = (obj.b_form + b_phi).scale(-inv_mu)
-    phi_rad = f.phi_p().compose(obj.shape_rad)
+    phi_rad = f.phi_p.compose(obj.shape_rad)
     shape1_formula = phi_rad.scale(-inv_mu)
     shape2_formula = (obj.shape_rad - phi_rad).scale(inv_mu)
 
@@ -267,11 +265,8 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             mu: RationalFunction, curv: CurvatureTensor,
                             tilde_curv: CurvatureTensor) -> CheckEntry:
     m = f.dim
-    phi_p = f.phi_p()
     xi_t = f.radical_tangent()
-    b_phi = obj.b_form.pull_slots(phi_p, (1,))
-    cd_b = covariant_derivative(obj.conn, obj.b_form)
-    cd_b_phi = cd_b.pull_slots(phi_p, (2,))
+    b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
     tau = obj.tau.components
@@ -304,13 +299,10 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
                          mu: RationalFunction, ric: MultilinearForm,
                          tilde_ric: MultilinearForm) -> CheckEntry:
     m = f.dim
-    phi_p = f.phi_p()
     xi_idx = f.radical_index
-    b_phi = obj.b_form.pull_slots(phi_p, (1,))
+    b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
     b_n = obj.b_form.pull_slots(obj.shape_n, (0,))
-    b_n_phi = b_n.pull_slots(phi_p, (1,))
-    cd_b = covariant_derivative(obj.conn, obj.b_form)
-    cd_b_phi = cd_b.pull_slots(phi_p, (2,))
+    b_n_phi = b_n.pull_slots(f.phi_p, (1,))
     tr_n = obj.shape_n.trace()
     tau_xi = obj.tau.components[xi_idx]
     inv_mu2 = ONE / (mu * mu)
@@ -339,9 +331,9 @@ def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
                         mu: RationalFunction) -> CheckEntry:
     m = f.dim
     g = f.induced_form
-    gp = f.phi_pairing()
-    proj = f.projector()
-    phi_p = f.phi_p()
+    gp = f.phi_pairing
+    proj = f.projector
+    phi_p = f.phi_p
     xi_t = f.radical_tangent()
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
@@ -380,7 +372,7 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
     is the adopted one.
     """
     g = f.induced_form
-    gp = f.phi_pairing()
+    gp = f.phi_pairing
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     k1 = (nu - mg2 * 4) * (2 * (n - 2))
@@ -440,7 +432,7 @@ def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
                       gamma_screen: RationalFunction, mu: RationalFunction,
                       n: int) -> MultilinearForm:
     g = f.induced_form
-    gp = f.phi_pairing()
+    gp = f.phi_pairing
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     gap = nu - mg2 * 4
@@ -470,7 +462,8 @@ def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
                      tilde_ric: MultilinearForm, pair: CurvaturePair,
                      gamma_screen: RationalFunction, mu: RationalFunction,
                      n: int) -> CheckEntry:
-    direct = ricci_action(tilde_curv, tilde_ric)
+    """Ric~ must be tilde_curv.ricci: the action is read from the curvature."""
+    direct = tilde_curv.ricci_action
     closed = semisym_closed_24(f, pair, gamma_screen, mu, n)
     return residual_entry(
         "twin-ricci-action-closed-form", "eq-24", (direct - closed).is_zero(),
@@ -580,8 +573,9 @@ def theorem_aggregate(f: SubmanifoldFrame, curv: CurvatureTensor,
                       tilde_ric: MultilinearForm, assoc: AssociatedObjects,
                       pair: CurvaturePair, gamma_screen: RationalFunction,
                       mu: RationalFunction) -> TheoremAggregate:
-    sem = ricci_action(curv, ric).is_zero()
-    sem_twin = ricci_action(tilde_curv, tilde_ric).is_zero()
+    """ric and tilde_ric must be curv.ricci and tilde_curv.ricci."""
+    sem = curv.ricci_action.is_zero()
+    sem_twin = tilde_curv.ricci_action.is_zero()
     # Every invariant scalar is constant on each group of the family, so
     # exact solvability alone decides the Einstein-type assertions.
     try:

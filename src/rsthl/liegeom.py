@@ -19,15 +19,15 @@ X -> R(X, Y) Z, which is basis independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import report
 from .errors import DegenerateMetric
-from .scalars import HALF, ONE, ZERO, RationalFunction, rf
+from .scalars import HALF, ZERO, RationalFunction, rf
 from .tensors import (
     Covector,
     Frame,
-    LinearOperator,
     MultilinearForm,
     Vector,
     determinant,
@@ -188,19 +188,6 @@ class InvariantMetric:
             tuple(self.form.value(self.frame.basis_vector(i), v) for i in range(dim)),
         )
 
-    def direct_sum(self, other: "InvariantMetric") -> "InvariantMetric":
-        frame = Frame(self.frame.labels + other.frame.labels)
-        da = self.frame.dimension
-
-        def entry(i, j):
-            if i < da and j < da:
-                return self.entry(i, j)
-            if i >= da and j >= da:
-                return other.entry(i - da, j - da)
-            return ZERO
-
-        return InvariantMetric(MultilinearForm.from_function(frame, 2, entry))
-
     def __eq__(self, other):
         return isinstance(other, InvariantMetric) and self.form == other.form
 
@@ -318,6 +305,7 @@ class CurvatureTensor:
             lambda i, j, k, l: metric.value(self.entries[i][j][k], basis[l]),
         )
 
+    @cached_property
     def ricci(self) -> MultilinearForm:
         """Frame-coefficient trace over the first slot."""
         dim = self.frame.dimension
@@ -329,6 +317,26 @@ class CurvatureTensor:
             return acc
 
         return MultilinearForm.from_function(self.frame, 2, entry)
+
+    @cached_property
+    def ricci_action(self) -> MultilinearForm:
+        """The derivation action of this curvature on its own Ricci tensor."""
+        return ricci_action(self, self.ricci)
+
+
+def ricci_action(curv: CurvatureTensor, ric: MultilinearForm) -> MultilinearForm:
+    """The derivation action of the curvature on the Ricci tensor."""
+    frame = ric.frame
+    dim = frame.dimension
+
+    def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
+        first = sum((curv.entries[a][b][c].components[k] * ric.entry(k, d)
+                     for k in range(dim)), ZERO)
+        second = sum((curv.entries[a][b][d].components[k] * ric.entry(c, k)
+                      for k in range(dim)), ZERO)
+        return -(first + second)
+
+    return MultilinearForm.from_function(frame, 4, entry)
 
 
 def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:

@@ -14,11 +14,13 @@ basis.  Ambient objects stay on the frame of the underlying model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
     DecompositionInconsistent,
+    DegenerateMetric,
     InconsistentSystem,
     InvalidFrame,
     MuZero,
@@ -40,6 +42,7 @@ from .tensors import (
     LinearOperator,
     MultilinearForm,
     Vector,
+    _echelon,
     determinant,
     matrix_inverse,
     solve_affine,
@@ -119,7 +122,7 @@ class SubmanifoldFrame:
 
         columns = [list(v.components) for v in self.tangent_vectors]
         rank_rows = [[columns[j][i] for j in range(m)] for i in range(dim)]
-        if _column_rank(rank_rows, m) != m:
+        if len(_echelon(rank_rows, m)[1]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
 
         for idx, w in enumerate(self.tangent_vectors):
@@ -154,7 +157,7 @@ class SubmanifoldFrame:
         full_rows = [[full[j][i] for j in range(dim)] for i in range(dim)]
         try:
             self._full_inverse = matrix_inverse(full_rows)
-        except Exception as exc:
+        except DegenerateMetric as exc:
             raise InvalidFrame(
                 "the tangent basis and the transversals do not span the "
                 "ambient space") from exc
@@ -168,7 +171,6 @@ class SubmanifoldFrame:
         self.eta_bar = Covector(self.tangent_frame, tuple(
             amb_eta(v) for v in self.tangent_vectors))
         self.tangent_algebra = self._close_brackets()
-        self._phi_p: Optional[LinearOperator] = None
 
     @property
     def dim(self) -> int:
@@ -203,6 +205,7 @@ class SubmanifoldFrame:
                 f"{context} has transversal components N: {n_c}, L: {l_c}")
         return tangent
 
+    @cached_property
     def projector(self) -> LinearOperator:
         """Projection on the screen distribution along the radical."""
         xi_t = self.radical_tangent()
@@ -212,23 +215,23 @@ class SubmanifoldFrame:
             cols.append(basis - xi_t.scale(self.eta.components[a]))
         return LinearOperator.from_columns(self.tangent_frame, cols)
 
+    @cached_property
     def phi_p(self) -> LinearOperator:
         """The tangent operator X -> phi(PX); requires a phi-invariant screen."""
-        if self._phi_p is None:
-            phi = self.model.structure.phi
-            cols = []
-            for a in range(self.dim):
-                if a == self.radical_index:
-                    cols.append(Vector.zero(self.tangent_frame))
-                    continue
-                image = phi.apply(self.tangent_vectors[a])
-                try:
-                    cols.append(self.to_tangent(image, "the structure image of a screen vector"))
-                except DecompositionInconsistent as exc:
-                    raise NotRSTHL(str(exc)) from exc
-            self._phi_p = LinearOperator.from_columns(self.tangent_frame, cols)
-        return self._phi_p
+        phi = self.model.structure.phi
+        cols = []
+        for a in range(self.dim):
+            if a == self.radical_index:
+                cols.append(Vector.zero(self.tangent_frame))
+                continue
+            image = phi.apply(self.tangent_vectors[a])
+            try:
+                cols.append(self.to_tangent(image, "the structure image of a screen vector"))
+            except DecompositionInconsistent as exc:
+                raise NotRSTHL(str(exc)) from exc
+        return LinearOperator.from_columns(self.tangent_frame, cols)
 
+    @cached_property
     def phi_pairing(self) -> MultilinearForm:
         """Table of g(T_a, phi T_b) over the tangent basis."""
         g = self.model.metric
@@ -238,6 +241,7 @@ class SubmanifoldFrame:
             lambda a, b: g.value(self.tangent_vectors[a],
                                  phi.apply(self.tangent_vectors[b])))
 
+    @cached_property
     def phi_phi_pairing(self) -> MultilinearForm:
         """Table of g(phi T_a, phi T_b) over the tangent basis."""
         g = self.model.metric
@@ -264,25 +268,6 @@ class SubmanifoldFrame:
                     ) from exc
             table.append(tuple(row))
         return LieAlgebra(self.tangent_frame, tuple(table))
-
-
-def _column_rank(rows: list[list[RationalFunction]], width: int) -> int:
-    work = [row[:width] for row in rows]
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(work))
-                      if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = ONE / work[rank][col]
-        work[rank] = [c * inv for c in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [c - factor * p for c, p in zip(work[r], work[rank])]
-        rank += 1
-    return rank
 
 
 def _verify_transversal(model: LieModel, tangent_vectors, tangent_frame,
@@ -428,6 +413,25 @@ class InducedObjects:
     tau: Covector
     rho: Covector
     phi_form: Covector
+    frame: SubmanifoldFrame = field(repr=False, compare=False)
+
+    @cached_property
+    def b_phi(self) -> MultilinearForm:
+        """B(X, phi P Y)."""
+        return self.b_form.pull_slots(self.frame.phi_p, (1,))
+
+    @cached_property
+    def cd_b(self) -> MultilinearForm:
+        return covariant_derivative(self.conn, self.b_form)
+
+    @cached_property
+    def cd_b_phi(self) -> MultilinearForm:
+        """(nabla_X B)(Y, phi P Z)."""
+        return self.cd_b.pull_slots(self.frame.phi_p, (2,))
+
+    @cached_property
+    def cd_d(self) -> MultilinearForm:
+        return covariant_derivative(self.conn, self.d_form)
 
 
 def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedObjects:
@@ -498,7 +502,7 @@ def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedOb
     return InducedObjects(conn=conn, screen_gamma=tuple(screen_gamma),
                           b_form=b_form, c_form=c_form, d_form=d_form,
                           shape_rad=shape_rad, shape_n=shape_n, shape_l=shape_l,
-                          tau=tau, rho=rho, phi_form=phi_form)
+                          tau=tau, rho=rho, phi_form=phi_form, frame=f)
 
 
 def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[CheckEntry]:
@@ -555,7 +559,7 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
         "n-shape-screen-valued", anchor,
         all(obj.shape_n.matrix[xi_idx][a].is_zero() for a in range(m)),
         "the null transversal shape operator takes values in the screen"))
-    proj = f.projector()
+    proj = f.projector
     ok = all((obj.c_form.entry(a, b)
               - g.value(obj.shape_n.column(a), proj.column(b))).is_zero()
              for a in range(m) for b in range(m))
@@ -612,7 +616,7 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
     """Identities special to the certified class, with mu as the only input."""
     m = f.dim
     g = f.induced_form
-    phi_p = f.phi_p()
+    phi_p = f.phi_p
     entries = []
     inv_two_mu2 = ONE / (mu * mu * 2)
     inv_mu = ONE / mu
@@ -625,8 +629,7 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
     entries.append(residual_entry(
         "l-shape-from-radical-shape", "eq-2.7", res.is_zero(),
         "A_L = (1/mu) phi A*_xi"))
-    b_phi = obj.b_form.pull_slots(phi_p, (1,))
-    res2 = obj.d_form - b_phi.scale(inv_mu)
+    res2 = obj.d_form - obj.b_phi.scale(inv_mu)
     entries.append(residual_entry(
         "d-from-b", "eq-2.8", res2.is_zero(),
         "D(X, Y) = (1/mu) B(X, phi PY)"))
@@ -756,7 +759,7 @@ def screen_umbilical_entries(f: SubmanifoldFrame, obj: InducedObjects,
                 skipped("b-umbilic-multiple", "eq-17", reason)]
     gam = rep.gamma_screen
     entries = []
-    res = obj.shape_n - f.projector().scale(gam)
+    res = obj.shape_n - f.projector.scale(gam)
     entries.append(residual_entry(
         "n-shape-umbilic", "eq-17", res.is_zero(), "A_N X = gamma PX"))
     res2 = obj.b_form + f.induced_form.scale(mu * mu * gam * 2)
@@ -795,8 +798,7 @@ def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
                          induced_curv: CurvatureTensor) -> CheckEntry:
     """Master consistency check reassembling the ambient curvature."""
     m = f.dim
-    cd_b = covariant_derivative(obj.conn, obj.b_form)
-    cd_d = covariant_derivative(obj.conn, obj.d_form)
+    cd_b, cd_d = obj.cd_b, obj.cd_d
     ok = True
     for a in range(m):
         for b in range(m):
@@ -835,13 +837,13 @@ def curvature_form_15_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             pair: CurvaturePair) -> CheckEntry:
     m = f.dim
     g = f.induced_form
-    phi_p = f.phi_p()
-    proj = f.projector()
-    gp = f.phi_pairing()
-    gpp = f.phi_phi_pairing()
+    phi_p = f.phi_p
+    proj = f.projector
+    gp = f.phi_pairing
+    gpp = f.phi_phi_pairing
     xi_t = f.radical_tangent()
     nu, nut = pair.nu, pair.nu_tilde
-    b_phi = obj.b_form.pull_slots(phi_p, (1,))
+    b_phi = obj.b_phi
     phi_an = phi_p.compose(obj.shape_n)
     half = rf("1/2")
     ok = True
@@ -877,8 +879,8 @@ def codazzi_16_entry(f: SubmanifoldFrame, obj: InducedObjects,
                      pair: CurvaturePair, mu: RationalFunction) -> CheckEntry:
     m = f.dim
     g = f.induced_form
-    gp = f.phi_pairing()
-    cd_b = covariant_derivative(obj.conn, obj.b_form)
+    gp = f.phi_pairing
+    cd_b = obj.cd_b
     nu, nut = pair.nu, pair.nu_tilde
     mu2 = mu * mu
     ok = True
@@ -923,9 +925,9 @@ def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
                             mu: RationalFunction) -> CheckEntry:
     m = f.dim
     g = f.induced_form
-    gp = f.phi_pairing()
-    phi_p = f.phi_p()
-    proj = f.projector()
+    gp = f.phi_pairing
+    phi_p = f.phi_p
+    proj = f.projector
     xi_t = f.radical_tangent()
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
@@ -976,21 +978,6 @@ def ricci_symmetric_entry(ric: MultilinearForm) -> CheckEntry:
         "closedness of tau makes the induced Ricci tensor symmetric")
 
 
-def ricci_action(curv: CurvatureTensor, ric: MultilinearForm) -> MultilinearForm:
-    """The derivation action of the curvature on the Ricci tensor."""
-    frame = ric.frame
-    dim = frame.dimension
-
-    def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
-        first = sum((curv.entries[a][b][c].components[k] * ric.entry(k, d)
-                     for k in range(dim)), ZERO)
-        second = sum((curv.entries[a][b][d].components[k] * ric.entry(c, k)
-                      for k in range(dim)), ZERO)
-        return -(first + second)
-
-    return MultilinearForm.from_function(frame, 4, entry)
-
-
 def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
                       gamma_screen: RationalFunction, mu: RationalFunction,
                       n: int) -> MultilinearForm:
@@ -1014,7 +1001,8 @@ def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
                      ric: MultilinearForm, pair: CurvaturePair,
                      gamma_screen: RationalFunction, mu: RationalFunction,
                      n: int) -> CheckEntry:
-    direct = ricci_action(curv, ric)
+    """Ric must be curv.ricci: the action is read from the curvature."""
+    direct = curv.ricci_action
     closed = semisym_closed_23(f, pair, gamma_screen, mu, n)
     return residual_entry(
         "ricci-action-closed-form", "eq-23", (direct - closed).is_zero(),

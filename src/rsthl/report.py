@@ -60,10 +60,6 @@ def residual_entry(name: str, anchor: str, zero: bool, detail: str = "") -> Chec
 class CheckReport:
     entries: list[CheckEntry] = field(default_factory=list)
 
-    def add(self, entry: CheckEntry) -> CheckEntry:
-        self.entries.append(entry)
-        return entry
-
     def extend(self, entries) -> None:
         for e in entries:
             self.entries.append(e)

@@ -15,13 +15,12 @@ metric g_bar(X, phi Y) + eta_bar(X) eta_bar(Y) coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 from . import report
 from .errors import NoTotallyRealSection
 from .liegeom import Connection, InvariantMetric, LieAlgebra
-from .scalars import ONE, ZERO, RationalFunction
+from .scalars import ONE, RationalFunction
 from .tensors import (
     Covector,
     Frame,
@@ -49,6 +48,11 @@ class ACBMStructure:
     @property
     def n(self) -> int:
         return (self.frame.dimension - 1) // 2
+
+    @cached_property
+    def g_tilde(self) -> InvariantMetric:
+        """The associated B-metric."""
+        return associated_metric(self)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ def associated_metric(s: ACBMStructure) -> InvariantMetric:
 
 def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
     """g_tilde(X, phi Y) + eta_bar(X) eta_bar(Y) = -g_bar(X,Y) + 2 eta_bar eta_bar."""
-    g_tilde = associated_metric(s)
+    g_tilde = s.g_tilde
     frame = s.frame
     dim = frame.dimension
     basis = [frame.basis_vector(i) for i in range(dim)]

@@ -3,16 +3,18 @@
 Three stages run in order: the ambient stage certifies the structure and
 extracts the sectional invariants, the submanifold stage rebuilds both
 induced geometries and evaluates every catalogued identity, and the final
-stage aggregates the five equivalent assertions.  Geometry exceptions
-never escape a stage; they become failing entries, and the steps whose
-inputs are gone report one skipped entry each.
+stage aggregates the five equivalent assertions.  A suite runs the stages
+up to the last one it reports and builds only the geometry their steps
+read.  Geometry exceptions never escape a stage; they become failing
+entries, and the steps whose inputs are gone report one skipped entry each.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Optional
 
-from . import associated as twin
+from . import associated
 from . import lightlike
 from . import report
 from .builtin import factor_signature_entry
@@ -23,6 +25,8 @@ from .errors import (
     NotEtaEinstein,
 )
 from .liegeom import (
+    Connection,
+    CurvatureTensor,
     InvariantMetric,
     curvature,
     first_bianchi_violation,
@@ -33,14 +37,15 @@ from .liegeom import (
 from .model import ModelFile
 from .structure import (
     ACBMStructure,
+    CurvaturePair,
     LieModel,
     associated_compat_entry,
-    associated_metric,
     constant_curvature_residual,
     fit_curvature_pair,
     fundamental_tensor,
     validate_acbm,
 )
+from .tensors import MultilinearForm
 
 SUITES = ("ambient", "submanifold", "theorem46", "all")
 
@@ -57,6 +62,95 @@ _THEOREM_NAMES = (
     "assertion-scalar-identity",
     "assertion-equivalence",
 )
+
+
+class Geometry:
+    """The derived geometry of one model, each object built on first read.
+
+    A build that raises caches nothing, and the stage whose step read it
+    blocks, so no later step reads it again.  ``invariants`` is the one
+    slot the steps set: the fitted sectional pair, kept only while the
+    constant curvature form confirms it.
+    """
+
+    def __init__(self, model: ModelFile):
+        self.model = model
+        self.invariants: Optional[CurvaturePair] = None
+
+    @cached_property
+    def metric(self) -> InvariantMetric:
+        return InvariantMetric(self.model.metric_form)
+
+    @cached_property
+    def conn(self) -> Connection:
+        return levi_civita(self.model.algebra, self.metric)
+
+    @cached_property
+    def structure(self) -> ACBMStructure:
+        m = self.model
+        return ACBMStructure(m.frame, m.phi, m.xi_bar, m.eta_bar, self.metric)
+
+    @cached_property
+    def lie_model(self) -> LieModel:
+        return LieModel(self.model.algebra, self.structure)
+
+    @cached_property
+    def curv(self) -> CurvatureTensor:
+        return curvature(self.conn, self.model.algebra)
+
+    @cached_property
+    def r4(self) -> MultilinearForm:
+        return self.curv.lower(self.metric)
+
+    @cached_property
+    def pair(self) -> CurvaturePair:
+        return fit_curvature_pair(self.structure, self.r4)
+
+    @cached_property
+    def frame(self) -> lightlike.SubmanifoldFrame:
+        sub = self.model.submanifold
+        return lightlike.build_frame(self.lie_model, sub.screen_labels,
+                                     sub.screen, sub.rad, sub.l_vec, sub.n_vec)
+
+    @cached_property
+    def certification(self):
+        """The invariant mu and the certification entries."""
+        return lightlike.certify_ascreen_rsthl(self.frame)
+
+    @property
+    def mu(self):
+        return self.certification[0]
+
+    @cached_property
+    def induced(self) -> lightlike.InducedObjects:
+        return lightlike.gauss_weingarten(self.frame, self.conn)
+
+    @cached_property
+    def umbilicity(self) -> lightlike.UmbilicityReport:
+        return lightlike.umbilicity(self.frame, self.induced)
+
+    @property
+    def gamma(self):
+        """The screen umbilicity factor, None off the screen umbilical class."""
+        return self.umbilicity.gamma_screen
+
+    @cached_property
+    def curv_ind(self) -> CurvatureTensor:
+        return lightlike.induced_curvature(self.frame, self.induced)
+
+    @cached_property
+    def twin(self):
+        """The twin geometry and the entries of its three-route build."""
+        return associated.build_associated(self.frame, self.induced, self.mu,
+                                           self.conn)
+
+    @property
+    def assoc(self) -> associated.AssociatedObjects:
+        return self.twin[0]
+
+    @cached_property
+    def tcurv(self) -> CurvatureTensor:
+        return associated.tilde_curvature(self.frame, self.assoc)
 
 
 class _Stage:
@@ -84,27 +178,24 @@ class _Stage:
             self.blocked = True
 
 
-def _ambient_stage(model: ModelFile, ctx: dict) -> _Stage:
+def _ambient_stage(geo: Geometry) -> _Stage:
     st = _Stage()
-    alg = model.algebra
+    model = geo.model
     labels = model.frame.labels
-    dim = model.frame.dimension
 
     st.run("lie-algebra", "plumbing",
-           lambda: [validate_lie_algebra(alg)], block_on_fail=True)
+           lambda: [validate_lie_algebra(model.algebra)], block_on_fail=True)
 
     def metric_step():
-        ctx["metric"] = InvariantMetric(model.metric_form)
+        geo.metric  # raises on a degenerate table
         return [report.passed(
             "invariant-metric", "plumbing",
             "the metric table is symmetric and nondegenerate")]
     st.run("invariant-metric", "plumbing", metric_step)
 
     def koszul_step():
-        conn = levi_civita(alg, ctx["metric"])
-        ctx["conn"] = conn
-        tv = conn.torsion_violation(alg)
-        mv = conn.metric_violation(ctx["metric"])
+        tv = geo.conn.torsion_violation(model.algebra)
+        mv = geo.conn.metric_violation(geo.metric)
         return [
             report.residual_entry(
                 "ambient-torsion-free", "plumbing", tv is None,
@@ -120,45 +211,32 @@ def _ambient_stage(model: ModelFile, ctx: dict) -> _Stage:
 
     def structure_step():
         try:
-            s = ACBMStructure(model.frame, model.phi, model.xi_bar,
-                              model.eta_bar, ctx["metric"])
+            s = geo.structure
         except ValueError as exc:
             return [report.failed("structure-axioms", "sec-2-structure", str(exc))]
-        ctx["structure"] = s
-        ctx["lie_model"] = LieModel(alg, s)
         return validate_acbm(s)
     st.run("structure-axioms", "sec-2-structure", structure_step,
            block_on_fail=True)
 
-    def assoc_metric_step():
-        ctx["g_tilde"] = associated_metric(ctx["structure"])
-        return [associated_compat_entry(ctx["structure"])]
-    st.run("associated-metric", "sec-2-structure", assoc_metric_step,
+    st.run("associated-metric", "sec-2-structure",
+           lambda: [associated_compat_entry(geo.structure)], block_on_fail=True)
+
+    st.run("fundamental-tensor", "sec-2-f0",
+           lambda: [report.residual_entry(
+               "fundamental-tensor-vanishes", "sec-2-f0",
+               fundamental_tensor(geo.structure, geo.conn).is_zero(),
+               "the covariant derivative of the structure operator vanishes")],
            block_on_fail=True)
 
-    def f0_step():
-        ok = fundamental_tensor(ctx["structure"], ctx["conn"]).is_zero()
-        return [report.residual_entry(
-            "fundamental-tensor-vanishes", "sec-2-f0", ok,
-            "the covariant derivative of the structure operator vanishes")]
-    st.run("fundamental-tensor", "sec-2-f0", f0_step, block_on_fail=True)
-
-    def lc_step():
-        other = levi_civita(alg, ctx["g_tilde"])
-        same = all((other.gamma[i][j] - ctx["conn"].gamma[i][j]).is_zero()
-                   for i in range(dim) for j in range(dim))
-        return [report.residual_entry(
-            "connections-coincide", "sec-2-f0", same,
-            "both ambient metrics share one torsion free metric connection")]
-    st.run("lc-coincide", "sec-2-f0", lc_step)
+    st.run("lc-coincide", "sec-2-f0",
+           lambda: [report.residual_entry(
+               "connections-coincide", "sec-2-f0",
+               levi_civita(model.algebra, geo.structure.g_tilde) == geo.conn,
+               "both ambient metrics share one torsion free metric connection")])
 
     def curvature_step():
-        curv = curvature(ctx["conn"], alg)
-        ctx["curv"] = curv
-        r4 = curv.lower(ctx["metric"])
-        ctx["r4"] = r4
-        bv = first_bianchi_violation(curv)
-        sv = lowered_symmetry_violation(r4)
+        bv = first_bianchi_violation(geo.curv)
+        sv = lowered_symmetry_violation(geo.r4)
         return [
             report.residual_entry(
                 "first-bianchi", "plumbing", bv is None,
@@ -172,11 +250,10 @@ def _ambient_stage(model: ModelFile, ctx: dict) -> _Stage:
     st.run("curvature", "plumbing", curvature_step, block_on_fail=True)
 
     def twist_step():
-        r4 = ctx["r4"]
-        twisted = r4.pull_slots(model.phi, (3,))
-        lowered = ctx["curv"].lower(ctx["g_tilde"])
+        twisted = geo.r4.pull_slots(model.phi, (3,))
+        lowered = geo.curv.lower(geo.structure.g_tilde)
         ok = ((lowered - twisted).is_zero()
-              and (twisted - r4.pull_slots(model.phi, (2,))).is_zero())
+              and (twisted - geo.r4.pull_slots(model.phi, (2,))).is_zero())
         return [report.residual_entry(
             "twisted-lowering", "sec-4-twist", ok,
             "lowering the curvature with the twin metric twists either of "
@@ -185,24 +262,24 @@ def _ambient_stage(model: ModelFile, ctx: dict) -> _Stage:
 
     def fit_step():
         try:
-            pair = fit_curvature_pair(ctx["structure"], ctx["r4"])
+            pair = geo.pair
         except NoTotallyRealSection as exc:
             return [report.failed("sectional-fit", "thm-4.1", str(exc))]
-        ctx["pair"] = pair
+        geo.invariants = pair
         return [report.passed(
             "sectional-fit", "thm-4.1",
             f"nu = {pair.nu}, nu_tilde = {pair.nu_tilde}")]
     st.run("sectional-fit", "thm-4.1", fit_step)
 
     def form_step():
-        if "pair" not in ctx:
+        if geo.invariants is None:
             return [report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)]
-        res = constant_curvature_residual(ctx["structure"], ctx["r4"], ctx["pair"])
-        ok = res.is_zero()
+        ok = constant_curvature_residual(
+            geo.structure, geo.r4, geo.invariants).is_zero()
         if not ok:
             # the invariants fit one section only, so the closed forms
             # downstream would be meaningless
-            ctx.pop("pair")
+            geo.invariants = None
         return [report.residual_entry(
             "constant-curvature-form", "thm-4.1", ok,
             "the lowered curvature is the two-invariant combination of the "
@@ -214,106 +291,68 @@ def _ambient_stage(model: ModelFile, ctx: dict) -> _Stage:
     return st
 
 
-def _submanifold_stage(model: ModelFile, ctx: dict, blocked: bool) -> _Stage:
-    sub = model.submanifold
-    if sub is None:
-        st = _Stage(blocked=blocked)
+def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
+    st = _Stage(blocked)
+    if geo.model.submanifold is None:
         st.entries.append(report.skipped("submanifold-frame", "plumbing", _NO_SUB))
         return st
-    st = _Stage(blocked=blocked)
 
-    def needs(names_anchors, *, pair=False, gamma=False):
-        """Skip entries when a prerequisite is absent, else None."""
-        if pair and "pair" not in ctx:
-            return [report.skipped(n, a, _NO_PAIR) for n, a in names_anchors]
-        if gamma and ctx.get("gamma") is None:
-            return [report.skipped(n, a, _NO_GAMMA) for n, a in names_anchors]
-        return None
+    def closed_form(name, anchor, build, gamma=True, names=None):
+        """A step whose identity needs the sectional invariants, and the
+        umbilical factor gamma unless gamma is False."""
+        def step():
+            if geo.invariants is None:
+                reason = _NO_PAIR
+            elif gamma and geo.gamma is None:
+                reason = _NO_GAMMA
+            else:
+                return build()
+            return [report.skipped(n, anchor, reason) for n in names or (name,)]
+        st.run(name, anchor, step)
 
-    def frame_step():
-        ctx["f"] = lightlike.build_frame(
-            ctx["lie_model"], sub.screen_labels, sub.screen, sub.rad,
-            sub.l_vec, sub.n_vec)
-        return lightlike.validate_frame(ctx["f"])
-    st.run("submanifold-frame", "sec-2-splitting", frame_step,
-           block_on_fail=True)
-
-    def certify_step():
-        mu, entries = lightlike.certify_ascreen_rsthl(ctx["f"])
-        ctx["mu"] = mu
-        return entries
-    st.run("ascreen-certification", "sec-2-ascreen", certify_step,
-           block_on_fail=True)
-
-    def gw_step():
-        ctx["obj"] = lightlike.gauss_weingarten(ctx["f"], ctx["conn"])
-        return lightlike.induced_invariant_entries(ctx["f"], ctx["obj"])
-    st.run("gauss-weingarten", "sec-2-induced", gw_step)
-
+    st.run("submanifold-frame", "sec-2-splitting",
+           lambda: lightlike.validate_frame(geo.frame), block_on_fail=True)
+    st.run("ascreen-certification", "sec-2-ascreen",
+           lambda: geo.certification[1], block_on_fail=True)
+    st.run("gauss-weingarten", "sec-2-induced",
+           lambda: lightlike.induced_invariant_entries(geo.frame, geo.induced))
     st.run("structure-transfer", "eq-2.7",
-           lambda: lightlike.ascreen_f0_entries(ctx["f"], ctx["obj"], ctx["mu"]))
-
-    def umbilicity_step():
-        rep = lightlike.umbilicity(ctx["f"], ctx["obj"])
-        ctx["rep"] = rep
-        ctx["gamma"] = rep.gamma_screen
-        return [report.passed("umbilicity", "def-3.1", rep.describe())]
-    st.run("umbilicity", "def-3.1", umbilicity_step)
-
+           lambda: lightlike.ascreen_f0_entries(geo.frame, geo.induced, geo.mu))
+    st.run("umbilicity", "def-3.1",
+           lambda: [report.passed("umbilicity", "def-3.1",
+                                  geo.umbilicity.describe())])
     st.run("screen-umbilicity", "eq-17",
            lambda: lightlike.screen_umbilical_entries(
-               ctx["f"], ctx["obj"], ctx["rep"], ctx["mu"]))
-
-    def induced_curvature_step():
-        ctx["curv_ind"] = lightlike.induced_curvature(ctx["f"], ctx["obj"])
-        ctx["ric"] = ctx["curv_ind"].ricci()
-        return [lightlike.ricci_symmetric_entry(ctx["ric"])]
-    st.run("induced-curvature", "sec-3-ricci", induced_curvature_step)
-
+               geo.frame, geo.induced, geo.umbilicity, geo.mu))
+    st.run("induced-curvature", "sec-3-ricci",
+           lambda: [lightlike.ricci_symmetric_entry(geo.curv_ind.ricci)])
     st.run("gauss-relation", "sec-4-gauss",
            lambda: [lightlike.gauss_relation_entry(
-               ctx["f"], ctx["obj"], ctx["curv"], ctx["curv_ind"])])
-
-    def eq15_step():
-        sk = needs([("curvature-from-shape-terms", "eq-15")], pair=True)
-        return sk or [lightlike.curvature_form_15_entry(
-            ctx["f"], ctx["obj"], ctx["curv_ind"], ctx["pair"])]
-    st.run("curvature-from-shape-terms", "eq-15", eq15_step)
-
-    def eq16_step():
-        sk = needs([("b-derivative-balance", "eq-16")], pair=True)
-        return sk or [lightlike.codazzi_16_entry(
-            ctx["f"], ctx["obj"], ctx["pair"], ctx["mu"])]
-    st.run("b-derivative-balance", "eq-16", eq16_step)
-
-    def nu_tilde_step():
-        sk = needs([("twisted-sectional-vanishes", "thm-4.4")],
-                   pair=True, gamma=True)
-        return sk or [lightlike.nu_tilde_vanishes_entry(ctx["pair"])]
-    st.run("twisted-sectional-vanishes", "thm-4.4", nu_tilde_step)
-
-    def eq18_step():
-        sk = needs([("umbilic-factor-identity", "eq-18")], pair=True, gamma=True)
-        return sk or [lightlike.gamma_identity_18_entry(
-            ctx["obj"], ctx["f"], ctx["pair"], ctx["gamma"], ctx["mu"])]
-    st.run("umbilic-factor-identity", "eq-18", eq18_step)
-
-    def eq19_step():
-        sk = needs([("umbilic-curvature-form", "eq-19")], pair=True, gamma=True)
-        return sk or [lightlike.curvature_form_19_entry(
-            ctx["f"], ctx["curv_ind"], ctx["pair"], ctx["gamma"], ctx["mu"])]
-    st.run("umbilic-curvature-form", "eq-19", eq19_step)
-
-    def eq20_step():
-        sk = needs([("umbilic-ricci-form", "eq-20")], pair=True, gamma=True)
-        return sk or [lightlike.ricci_form_20_entry(
-            ctx["f"], ctx["ric"], ctx["pair"], ctx["gamma"], ctx["mu"],
-            ctx["lie_model"].structure.n)]
-    st.run("umbilic-ricci-form", "eq-20", eq20_step)
+               geo.frame, geo.induced, geo.curv, geo.curv_ind)])
+    closed_form("curvature-from-shape-terms", "eq-15",
+                lambda: [lightlike.curvature_form_15_entry(
+                    geo.frame, geo.induced, geo.curv_ind, geo.invariants)],
+                gamma=False)
+    closed_form("b-derivative-balance", "eq-16",
+                lambda: [lightlike.codazzi_16_entry(
+                    geo.frame, geo.induced, geo.invariants, geo.mu)],
+                gamma=False)
+    closed_form("twisted-sectional-vanishes", "thm-4.4",
+                lambda: [lightlike.nu_tilde_vanishes_entry(geo.invariants)])
+    closed_form("umbilic-factor-identity", "eq-18",
+                lambda: [lightlike.gamma_identity_18_entry(
+                    geo.induced, geo.frame, geo.invariants, geo.gamma, geo.mu)])
+    closed_form("umbilic-curvature-form", "eq-19",
+                lambda: [lightlike.curvature_form_19_entry(
+                    geo.frame, geo.curv_ind, geo.invariants, geo.gamma, geo.mu)])
+    closed_form("umbilic-ricci-form", "eq-20",
+                lambda: [lightlike.ricci_form_20_entry(
+                    geo.frame, geo.curv_ind.ricci, geo.invariants, geo.gamma,
+                    geo.mu, geo.structure.n)])
 
     def eta_step():
         try:
-            k, c = lightlike.eta_einstein_solve(ctx["f"], ctx["ric"])
+            k, c = lightlike.eta_einstein_solve(geo.frame, geo.curv_ind.ricci)
         except NotEtaEinstein as exc:
             return [report.failed("eta-einstein-solve", "sec-4-einstein", str(exc))]
         return [report.passed(
@@ -321,120 +360,98 @@ def _submanifold_stage(model: ModelFile, ctx: dict, blocked: bool) -> _Stage:
             f"Ric = ({k}) g + ({c}) eta x eta")]
     st.run("eta-einstein-solve", "sec-4-einstein", eta_step)
 
-    def eq23_step():
-        sk = needs([("ricci-action-closed-form", "eq-23")], pair=True, gamma=True)
-        return sk or [lightlike.semisym_23_entry(
-            ctx["f"], ctx["curv_ind"], ctx["ric"], ctx["pair"], ctx["gamma"],
-            ctx["mu"], ctx["lie_model"].structure.n)]
-    st.run("ricci-action-closed-form", "eq-23", eq23_step)
-
+    closed_form("ricci-action-closed-form", "eq-23",
+                lambda: [lightlike.semisym_23_entry(
+                    geo.frame, geo.curv_ind, geo.curv_ind.ricci, geo.invariants,
+                    geo.gamma, geo.mu, geo.structure.n)])
     st.run("umbilical-flatness", "cor-4.3",
-           lambda: [twin.umbilical_flatness_entry(
-               ctx["f"], ctx["rep"], ctx["curv_ind"], ctx["curv"])])
-
-    def twin_step():
-        assoc, entries = twin.build_associated(
-            ctx["f"], ctx["obj"], ctx["mu"], ctx["conn"])
-        ctx["assoc"] = assoc
-        ctx["tcurv"] = twin.tilde_curvature(ctx["f"], assoc)
-        ctx["tric"] = ctx["tcurv"].ricci()
-        return entries
-    st.run("twin-geometry", "thm-1.1", twin_step)
-
+           lambda: [associated.umbilical_flatness_entry(
+               geo.frame, geo.umbilicity, geo.curv_ind, geo.curv)])
+    st.run("twin-geometry", "thm-1.1", lambda: geo.twin[1])
     st.run("twin-curvature-transfer", "eq-13",
-           lambda: [twin.tilde_relation_13_entry(
-               ctx["f"], ctx["obj"], ctx["mu"], ctx["curv_ind"], ctx["tcurv"])])
-
+           lambda: [associated.tilde_relation_13_entry(
+               geo.frame, geo.induced, geo.mu, geo.curv_ind, geo.tcurv)])
     st.run("twin-ricci-transfer", "eq-14",
-           lambda: [twin.tilde_ricci_14_entry(
-               ctx["f"], ctx["obj"], ctx["mu"], ctx["ric"], ctx["tric"])])
-
-    def eq21_step():
-        sk = needs([("twin-umbilic-curvature-form", "eq-21")],
-                   pair=True, gamma=True)
-        return sk or [twin.tilde_form_21_entry(
-            ctx["f"], ctx["tcurv"], ctx["pair"], ctx["gamma"], ctx["mu"])]
-    st.run("twin-umbilic-curvature-form", "eq-21", eq21_step)
-
-    def eq22_step():
-        sk = needs([("twin-umbilic-ricci-form", "eq-22"),
-                    ("twin-ricci-last-term", "eq-22")], pair=True, gamma=True)
-        return sk or twin.tilde_ricci_22_entries(
-            ctx["f"], ctx["tric"], ctx["pair"], ctx["gamma"], ctx["mu"],
-            ctx["lie_model"].structure.n)
-    st.run("twin-umbilic-ricci-form", "eq-22", eq22_step)
+           lambda: [associated.tilde_ricci_14_entry(
+               geo.frame, geo.induced, geo.mu, geo.curv_ind.ricci,
+               geo.tcurv.ricci)])
+    closed_form("twin-umbilic-curvature-form", "eq-21",
+                lambda: [associated.tilde_form_21_entry(
+                    geo.frame, geo.tcurv, geo.invariants, geo.gamma, geo.mu)])
+    closed_form("twin-umbilic-ricci-form", "eq-22",
+                lambda: associated.tilde_ricci_22_entries(
+                    geo.frame, geo.tcurv.ricci, geo.invariants, geo.gamma,
+                    geo.mu, geo.structure.n),
+                names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
 
     def einstein_step():
         try:
-            lam = twin.einstein_solve(ctx["f"], ctx["assoc"], ctx["tric"])
+            lam = associated.einstein_solve(geo.frame, geo.assoc, geo.tcurv.ricci)
         except NotEinstein as exc:
             return [report.failed("einstein-solve", "sec-4-einstein", str(exc))]
         return [report.passed(
             "einstein-solve", "sec-4-einstein", f"Ric~ = ({lam}) g~")]
     st.run("einstein-solve", "sec-4-einstein", einstein_step)
 
-    def eq24_step():
-        sk = needs([("twin-ricci-action-closed-form", "eq-24")],
-                   pair=True, gamma=True)
-        return sk or [twin.semisym_24_entry(
-            ctx["f"], ctx["tcurv"], ctx["tric"], ctx["pair"], ctx["gamma"],
-            ctx["mu"], ctx["lie_model"].structure.n)]
-    st.run("twin-ricci-action-closed-form", "eq-24", eq24_step)
-
+    closed_form("twin-ricci-action-closed-form", "eq-24",
+                lambda: [associated.semisym_24_entry(
+                    geo.frame, geo.tcurv, geo.tcurv.ricci, geo.invariants,
+                    geo.gamma, geo.mu, geo.structure.n)])
     st.run("geodesic-correspondence", "prop-3.3",
-           lambda: twin.geodesic_correspondence_entries(
-               ctx["obj"], ctx["assoc"], ctx["rep"]))
-
+           lambda: associated.geodesic_correspondence_entries(
+               geo.induced, geo.assoc, geo.umbilicity))
     st.run("umbilical-curvature-transfer", "cor-3.5",
-           lambda: [twin.curvature_transfer_entry(
-               ctx["rep"], ctx["assoc"], ctx["curv_ind"], ctx["tcurv"],
-               ctx["ric"], ctx["tric"])])
+           lambda: [associated.curvature_transfer_entry(
+               geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv,
+               geo.curv_ind.ricci, geo.tcurv.ricci)])
     return st
 
 
-def _theorem_stage(model: ModelFile, ctx: dict, blocked: bool) -> _Stage:
+def _theorem_stage(geo: Geometry, blocked: bool) -> _Stage:
     st = _Stage()
 
     def step():
-        if model.submanifold is None:
-            return [report.skipped(n, "thm-4.6", _NO_SUB)
-                    for n in _THEOREM_NAMES]
-        if blocked or "tric" not in ctx:
-            return [report.skipped(n, "thm-4.6", _BLOCKED)
-                    for n in _THEOREM_NAMES]
-        if "pair" not in ctx:
-            return [report.skipped(n, "thm-4.6", _NO_PAIR)
-                    for n in _THEOREM_NAMES]
-        if ctx.get("gamma") is None:
-            return [report.skipped(
-                n, "thm-4.6", _NO_GAMMA + ", the theorem hypothesis fails")
-                for n in _THEOREM_NAMES]
-        if ctx["pair"].nu.is_zero():
-            return [report.skipped(
-                n, "thm-4.6",
-                "the sectional invariant nu vanishes, the theorem hypothesis fails")
-                for n in _THEOREM_NAMES]
-        agg = twin.theorem_aggregate(
-            ctx["f"], ctx["curv_ind"], ctx["ric"], ctx["tcurv"], ctx["tric"],
-            ctx["assoc"], ctx["pair"], ctx["gamma"], ctx["mu"])
-        return twin.theorem_entries(agg)
+        pair = geo.invariants
+        if geo.model.submanifold is None:
+            reason = _NO_SUB
+        elif blocked:
+            reason = _BLOCKED
+        elif pair is None:
+            reason = _NO_PAIR
+        elif geo.gamma is None:
+            reason = _NO_GAMMA + ", the theorem hypothesis fails"
+        elif pair.nu.is_zero():
+            reason = ("the sectional invariant nu vanishes, the theorem "
+                      "hypothesis fails")
+        else:
+            agg = associated.theorem_aggregate(
+                geo.frame, geo.curv_ind, geo.curv_ind.ricci, geo.tcurv,
+                geo.tcurv.ricci, geo.assoc, pair, geo.gamma, geo.mu)
+            return associated.theorem_entries(agg)
+        return [report.skipped(n, "thm-4.6", reason) for n in _THEOREM_NAMES]
     st.run("theorem-aggregate", "thm-4.6", step)
     return st
 
 
 def run_suite(model: ModelFile, suite: str = "all") -> report.CheckReport:
-    """Run the selected stages and collect one ordered report."""
+    """Run the stages the suite needs and collect one ordered report.
+
+    ``theorem46`` reports the theorem stage only, but runs every stage:
+    any earlier step can block or skip the theorem entries.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose one of {SUITES}")
-    ctx: dict = {}
-    st_a = _ambient_stage(model, ctx)
-    st_b = _submanifold_stage(model, ctx, st_a.blocked)
-    st_c = _theorem_stage(model, ctx, st_b.blocked)
+    geo = Geometry(model)
     rep = report.CheckReport()
-    if suite in ("ambient", "submanifold", "all"):
-        rep.extend(st_a.entries)
-    if suite in ("submanifold", "all"):
-        rep.extend(st_b.entries)
-    if suite in ("theorem46", "all"):
-        rep.extend(st_c.entries)
+    st = _ambient_stage(geo)
+    if suite != "theorem46":
+        rep.extend(st.entries)
+    if suite == "ambient":
+        return rep
+    st = _submanifold_stage(geo, st.blocked)
+    if suite != "theorem46":
+        rep.extend(st.entries)
+    if suite == "submanifold":
+        return rep
+    rep.extend(_theorem_stage(geo, st.blocked).entries)
     return rep

@@ -535,18 +535,6 @@ def matrix_inverse(
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def gram_inverse(form: MultilinearForm) -> MultilinearForm:
-    """Exact inverse of a symmetric arity-2 form; DegenerateMetric if singular."""
-    if form.arity != 2:
-        raise ValueError("gram_inverse needs an arity-2 form")
-    if not form.is_symmetric():
-        raise ValueError("gram_inverse needs a symmetric form")
-    inv = matrix_inverse(form.rows())
-    dim = form.frame.dimension
-    flat = tuple(inv[i][j] for i in range(dim) for j in range(dim))
-    return MultilinearForm(form.frame, 2, flat)
-
-
 def inertia(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of an exact symmetric matrix,
     computed by congruence diagonalization; no eigenvalues involved."""

@@ -1,17 +1,15 @@
 """Shared fixtures: the built-in worked model and its derived geometry.
 
-Everything is session scoped; the objects are immutable, so sharing them
-across test modules is safe and keeps the exact arithmetic cheap.
+Every derived object is read from one session-scoped ``Geometry``, the
+same object ``run_suite`` builds per call, so the derivation order is
+stated once.  The objects are immutable, so sharing them across test
+modules is safe and keeps the exact arithmetic cheap.
 """
 
 import pytest
 
-from rsthl.associated import build_associated, tilde_curvature
 from rsthl.builtin import example_model
-from rsthl.liegeom import curvature, levi_civita
-from rsthl.lightlike import (build_frame, certify_ascreen_rsthl,
-                             gauss_weingarten, induced_curvature, umbilicity)
-from rsthl.structure import fit_curvature_pair
+from rsthl.suite import Geometry
 
 
 @pytest.fixture(scope="session")
@@ -20,69 +18,70 @@ def model():
 
 
 @pytest.fixture(scope="session")
-def lm(model):
-    return model.lie_model()
+def geometry(model):
+    return Geometry(model)
 
 
 @pytest.fixture(scope="session")
-def ambient_conn(lm):
-    return levi_civita(lm.algebra, lm.metric)
+def lm(geometry):
+    return geometry.lie_model
 
 
 @pytest.fixture(scope="session")
-def ambient_r4(lm, ambient_conn):
-    return curvature(ambient_conn, lm.algebra).lower(lm.metric)
+def ambient_conn(geometry):
+    return geometry.conn
 
 
 @pytest.fixture(scope="session")
-def pair(lm, ambient_r4):
-    return fit_curvature_pair(lm.structure, ambient_r4)
+def ambient_r4(geometry):
+    return geometry.r4
 
 
 @pytest.fixture(scope="session")
-def frame(model, lm):
-    sub = model.submanifold
-    return build_frame(lm, sub.screen_labels, sub.screen, sub.rad,
-                       sub.l_vec, sub.n_vec)
+def pair(geometry):
+    return geometry.pair
 
 
 @pytest.fixture(scope="session")
-def mu(frame):
-    value, _ = certify_ascreen_rsthl(frame)
-    return value
+def frame(geometry):
+    return geometry.frame
 
 
 @pytest.fixture(scope="session")
-def induced(frame, ambient_conn):
-    return gauss_weingarten(frame, ambient_conn)
+def mu(geometry):
+    return geometry.mu
 
 
 @pytest.fixture(scope="session")
-def ureport(frame, induced):
-    return umbilicity(frame, induced)
+def induced(geometry):
+    return geometry.induced
 
 
 @pytest.fixture(scope="session")
-def icurv(frame, induced):
-    return induced_curvature(frame, induced)
+def ureport(geometry):
+    return geometry.umbilicity
 
 
 @pytest.fixture(scope="session")
-def iric(icurv):
-    return icurv.ricci()
+def icurv(geometry):
+    return geometry.curv_ind
 
 
 @pytest.fixture(scope="session")
-def twin(frame, induced, mu, ambient_conn):
-    assoc, _ = build_associated(frame, induced, mu, ambient_conn)
-    return assoc
+def iric(geometry):
+    return geometry.curv_ind.ricci
 
 
 @pytest.fixture(scope="session")
-def tcurv(frame, twin):
-    return tilde_curvature(frame, twin)
+def twin(geometry):
+    return geometry.assoc
 
 
 @pytest.fixture(scope="session")
-def tric(tcurv):
-    return tcurv.ricci()
+def tcurv(geometry):
+    return geometry.tcurv
+
+
+@pytest.fixture(scope="session")
+def tric(geometry):
+    return geometry.tcurv.ricci

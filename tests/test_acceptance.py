@@ -19,14 +19,13 @@ from rsthl.builtin import (EXPECTED_FACTOR_TABLE, example_model,
 from rsthl.errors import DegenerateMetric
 from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
                            first_bianchi_violation, levi_civita,
-                           lowered_symmetry_violation)
+                           lowered_symmetry_violation, ricci_action)
 from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, curvature_form_19_entry,
                              eta_einstein_solve, gamma_identity_18_entry,
                              gauss_relation_entry, gauss_weingarten,
-                             induced_curvature, ricci_action,
-                             ricci_form_20_entry, semisym_23_entry,
-                             umbilicity, validate_frame)
+                             induced_curvature, ricci_form_20_entry,
+                             semisym_23_entry, umbilicity, validate_frame)
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (CurvaturePair, LieModel, associated_metric,
                              constant_curvature_residual, fundamental_tensor)
@@ -263,8 +262,8 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, lm):
         ("Gauss relation on the abelian variant", gauss0.status == "pass"))
     assoc0, _ = build_associated(f0, obj0, mu0, conn0)
     tcurv0 = tilde_curvature(f0, assoc0)
-    ric0 = curv0.ricci()
-    tric0 = tcurv0.ricci()
+    ric0 = curv0.ricci
+    tric0 = tcurv0.ricci
     rep0 = umbilicity(f0, obj0)
     geo0 = geodesic_correspondence_entries(obj0, assoc0, rep0)
     transfer0 = curvature_transfer_entry(rep0, assoc0, curv0, tcurv0, ric0,

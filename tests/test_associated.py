@@ -1,22 +1,21 @@
 """The twin metric geometry: normals, induced objects, curvature transfer,
 and the equivalence aggregate, on the worked model and on a flat variant."""
 
+import dataclasses
+
 import pytest
 
 from rsthl.associated import (build_associated, curvature_transfer_entry,
                               einstein_solve, geodesic_correspondence_entries,
                               semisym_24_entry, theorem_aggregate,
-                              theorem_entries, tilde_curvature,
+                              theorem_entries,
                               tilde_form_21_entry, tilde_relation_13_entry,
                               tilde_ricci_14_entry, tilde_ricci_22_entries,
                               twin_umbilicity, umbilical_flatness_entry)
 from rsthl.errors import NotEinstein
-from rsthl.liegeom import LieAlgebra, curvature, levi_civita
-from rsthl.lightlike import (build_frame, certify_ascreen_rsthl,
-                             gauss_weingarten, induced_curvature,
-                             ricci_action, umbilicity)
+from rsthl.liegeom import LieAlgebra, curvature, ricci_action
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.structure import LieModel, fit_curvature_pair
+from rsthl.suite import Geometry
 from rsthl.tensors import MultilinearForm, Vector
 
 BUILD_NAMES = (
@@ -191,29 +190,19 @@ def test_theorem_aggregate(frame, icurv, iric, tcurv, tric, twin, pair,
 
 
 @pytest.fixture(scope="module")
-def flat(model, lm):
+def flat(model):
     """The same frame and structure over the abelian bracket table.
 
     Every fundamental form vanishes, so the totally geodesic and totally
     umbilical transfer statements take their non-vacuous branches.
     """
-    abelian = LieAlgebra.from_table(model.frame, {})
-    flat_lm = LieModel(abelian, lm.structure)
-    conn = levi_civita(abelian, flat_lm.metric)
-    sub = model.submanifold
-    f = build_frame(flat_lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-    mu_value, _ = certify_ascreen_rsthl(f)
-    obj = gauss_weingarten(f, conn)
-    rep = umbilicity(f, obj)
-    assoc, entries = build_associated(f, obj, mu_value, conn)
-    curv = induced_curvature(f, obj)
-    tcurv = tilde_curvature(f, assoc)
-    r4 = curvature(conn, abelian).lower(flat_lm.metric)
-    pair = fit_curvature_pair(flat_lm.structure, r4)
-    return {"conn": conn, "frame": f, "mu": mu_value, "obj": obj, "rep": rep,
-            "assoc": assoc, "build_entries": entries, "curv": curv,
-            "ric": curv.ricci(), "tcurv": tcurv, "tric": tcurv.ricci(),
-            "pair": pair}
+    geo = Geometry(dataclasses.replace(
+        model, algebra=LieAlgebra.from_table(model.frame, {})))
+    return {"conn": geo.conn, "frame": geo.frame, "mu": geo.mu,
+            "obj": geo.induced, "rep": geo.umbilicity, "assoc": geo.assoc,
+            "build_entries": geo.twin[1], "curv": geo.curv_ind,
+            "ric": geo.curv_ind.ricci, "tcurv": geo.tcurv,
+            "tric": geo.tcurv.ricci, "pair": geo.pair}
 
 
 def test_flat_variant_is_totally_geodesic(flat):

@@ -98,7 +98,7 @@ def test_heisenberg_connection_and_curvature():
     # classical curvature of the Heisenberg group
     curv = curvature(conn, alg)
     assert curv.basis_value(0, 1, 1) == Vector.from_map(F3, {"e1": "-3/4"})
-    ric = curv.ricci()
+    ric = curv.ricci
     assert ric.entry(0, 0) == rf("-1/2")
     assert ric.entry(1, 1) == rf("-1/2")
     assert ric.entry(2, 2) == rf("1/2")

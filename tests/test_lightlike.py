@@ -6,15 +6,15 @@ import pytest
 from rsthl.errors import (DecompositionInconsistent, InvalidFrame,
                           NotAscreen, NotEtaEinstein, NotRSTHL,
                           RadicalRankNotOne, ScreenDegenerate)
-from rsthl.liegeom import curvature, first_bianchi_violation
+from rsthl.liegeom import curvature, first_bianchi_violation, ricci_action
 from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              covariant_derivative, curvature_form_15_entry,
                              curvature_form_19_entry, eta_einstein_solve,
                              gamma_identity_18_entry, gauss_relation_entry,
                              induced_invariant_entries, nu_tilde_vanishes_entry,
-                             proportionality_factor, ricci_action,
-                             ricci_form_20_entry, ricci_symmetric_entry,
+                             proportionality_factor, ricci_form_20_entry,
+                             ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
                              solve_transversal, umbilicity, validate_frame)
 from rsthl.scalars import MU, ONE, ZERO, rf
@@ -93,9 +93,9 @@ def test_frame_splitting_helpers(model, frame):
     assert t.is_zero() and n_c == ZERO and l_c == ONE
     with pytest.raises(DecompositionInconsistent):
         frame.to_tangent(ambient(model, {"X1": 1}), "a test vector")
-    proj = frame.projector()
+    proj = frame.projector
     assert proj.apply(tangent(frame, {"E1": 1, "xi": 3})) == tangent(frame, {"E1": 1})
-    phi_p = frame.phi_p()
+    phi_p = frame.phi_p
     assert phi_p.apply(tangent(frame, {"E1": 1})) == tangent(frame, {"E2": 1})
     assert phi_p.apply(tangent(frame, {"E2": 1})) == tangent(frame, {"E1": -1})
     assert phi_p.column(2).is_zero()
@@ -109,12 +109,12 @@ def test_induced_metric_and_pairings(frame):
     assert g.entry(1, 1) == rf(-1)
     assert g.entry(0, 1) == ZERO
     assert all(g.entry(a, 2) == ZERO for a in range(3))
-    gp = frame.phi_pairing()
+    gp = frame.phi_pairing
     assert gp.entry(0, 1) == rf(-1)
     assert gp.entry(1, 0) == rf(-1)
     assert gp.is_symmetric()
     assert gp.entry(2, 2) == ZERO
-    gpp = frame.phi_phi_pairing()
+    gpp = frame.phi_phi_pairing
     assert gpp.entry(0, 0) == rf(-1)
     assert gpp.entry(1, 1) == ONE
 

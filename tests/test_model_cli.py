@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rsthl import liegeom, lightlike, structure, suite
 from rsthl.builtin import example_model
 from rsthl.cli import main
 from rsthl.errors import ModelError
@@ -174,6 +175,43 @@ def test_suite_sizes(model):
     assert len(rep.entries) == 114
     assert rep.ok
     assert rep.counts == {"pass": 114, "fail": 0, "skipped": 0}
+
+
+def test_suite_builds_each_shared_table_once(model, monkeypatch):
+    calls = {}
+
+    def count(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        calls[key] = 0
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(structure, "associated_metric", "associated_metric")
+    count(lightlike, "covariant_derivative", "covariant_derivative")
+    count(liegeom, "ricci_action", "ricci_action")
+    count(lightlike.SubmanifoldFrame.phi_pairing, "func", "phi_pairing")
+    count(lightlike, "build_frame", "build_frame")
+    run_suite(model, "all")
+    assert calls == {"associated_metric": 1, "covariant_derivative": 2,
+                     "ricci_action": 2, "phi_pairing": 1, "build_frame": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    run_suite(model, "ambient")
+    assert calls["build_frame"] == 0
+
+
+def test_suite_finds_its_stages_by_name(model, monkeypatch):
+    # the span tracer in bench/tracing.py rebinds the stage functions
+    seen = []
+    for name in ("_ambient_stage", "_submanifold_stage", "_theorem_stage"):
+        def traced(*args, _stage=getattr(suite, name), _name=name):
+            seen.append(_name)
+            return _stage(*args)
+        monkeypatch.setattr(suite, name, traced)
+    assert len(run_suite(model, "theorem46").entries) == 6
+    assert seen == ["_ambient_stage", "_submanifold_stage", "_theorem_stage"]
 
 
 def test_suite_rejects_unknown_name(model):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,10 @@ from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
                            first_bianchi_violation, levi_civita,
                            lowered_symmetry_violation, validate_lie_algebra)
 from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
+from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import run_suite
-from rsthl.tensors import Frame, MultilinearForm, Vector
+from rsthl.tensors import Covector, Frame, LinearOperator, MultilinearForm, Vector
 
 small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero_rationals = small_rationals.filter(lambda f: f != 0)
@@ -104,7 +106,14 @@ def test_suite_green_under_adapted_frame_changes(p, q, r, s, c, t):
     assert rep.counts == {"pass": 114, "fail": 0, "skipped": 0}
 
 
-def test_screen_radical_mixing_breaks_ascreen():
+def edited_example(edit):
+    """The built-in model after an edit of its JSON description."""
+    obj = json.loads(dumps_model(example_model()))
+    edit(obj)
+    return model_from_json_obj(obj)
+
+
+def screen_radical_mixing():
     # moving the screen off the structure plane changes ltr(TM), so the
     # distinguished vector field no longer lies in Rad + ltr
     m = example_model()
@@ -112,7 +121,59 @@ def test_screen_radical_mixing_breaks_ascreen():
               m.submanifold.screen[1])
     sub = SubmanifoldData(("E1", "E2"), screen, m.submanifold.rad,
                           m.submanifold.l_vec, None)
-    rep = run_suite(dataclasses.replace(m, submanifold=sub))
+    return dataclasses.replace(m, submanifold=sub)
+
+
+def degenerate_metric():
+    return edited_example(lambda obj: obj["metric"].update({"E,E": 0}))
+
+
+def jacobi_violation():
+    return edited_example(lambda obj: obj.update(
+        brackets={"X1,X2": {"X3": 1}, "X1,X3": {"X1": 1}}))
+
+
+def zero_brackets():
+    return edited_example(lambda obj: obj.update(brackets={}))
+
+
+def no_submanifold():
+    return edited_example(lambda obj: obj.pop("submanifold"))
+
+
+def reeb_sheared():
+    """The built-in model in the frame e'_a = e_a + E, e'_E = E.
+
+    Every frame vector meets the Reeb direction, so no frame pair spans a
+    section orthogonal to it and the sectional fit fails.
+    """
+    m = example_model()
+    basis = [m.frame.basis_vector(i) for i in range(m.frame.dimension)]
+    new = [b + basis[-1] for b in basis[:-1]] + [basis[-1]]
+
+    def coords(v):
+        """Old components to components in the sheared frame."""
+        c = v.components
+        return Vector(m.frame, c[:-1] + (c[-1] - sum(c[:-1], ZERO),))
+
+    sub = m.submanifold
+    return dataclasses.replace(
+        m,
+        algebra=LieAlgebra(m.frame, tuple(
+            tuple(coords(m.algebra.bracket(x, y)) for y in new) for x in new)),
+        metric_form=MultilinearForm.from_function(
+            m.frame, 2, lambda i, j: m.metric_form.value(new[i], new[j])),
+        phi=LinearOperator.from_columns(
+            m.frame, [coords(m.phi.apply(x)) for x in new]),
+        xi_bar=coords(m.xi_bar),
+        eta_bar=Covector(m.frame, tuple(m.eta_bar(x) for x in new)),
+        submanifold=SubmanifoldData(
+            sub.screen_labels, tuple(coords(v) for v in sub.screen),
+            coords(sub.rad), coords(sub.l_vec), None))
+
+
+def test_screen_radical_mixing_breaks_ascreen():
+    rep = run_suite(screen_radical_mixing())
     assert not rep.ok
     failures = [e for e in rep.entries if e.status == "fail"]
     assert [e.name for e in failures] == ["ascreen-certification"]
@@ -120,9 +181,7 @@ def test_screen_radical_mixing_breaks_ascreen():
 
 
 def test_degenerate_metric_fails_cleanly():
-    obj = json.loads(dumps_model(example_model()))
-    obj["metric"]["E,E"] = 0
-    rep = run_suite(model_from_json_obj(obj))
+    rep = run_suite(degenerate_metric())
     assert not rep.ok
     assert rep.counts == {"pass": 1, "fail": 1, "skipped": 42}
     failed = [e for e in rep.entries if e.status == "fail"]
@@ -133,9 +192,7 @@ def test_degenerate_metric_fails_cleanly():
 
 
 def test_jacobi_violation_blocks_suite():
-    obj = json.loads(dumps_model(example_model()))
-    obj["brackets"] = {"X1,X2": {"X3": 1}, "X1,X3": {"X1": 1}}
-    rep = run_suite(model_from_json_obj(obj))
+    rep = run_suite(jacobi_violation())
     assert not rep.ok
     assert rep.counts == {"pass": 0, "fail": 1, "skipped": 43}
     assert rep.entries[0].name == "lie-algebra"
@@ -146,9 +203,7 @@ def test_totally_geodesic_suite_counts():
     # zero brackets: both fundamental forms vanish, the correspondence and
     # flatness statements take their non-vacuous branches, and the theorem
     # stage skips because the sectional invariant vanishes
-    obj = json.loads(dumps_model(example_model()))
-    obj["brackets"] = {}
-    rep = run_suite(model_from_json_obj(obj))
+    rep = run_suite(zero_brackets())
     assert rep.ok
     assert rep.counts == {"pass": 108, "fail": 0, "skipped": 6}
     skipped = [e for e in rep.entries if e.status == "skipped"]
@@ -165,3 +220,21 @@ def test_totally_geodesic_suite_counts():
 
 def test_suite_output_is_deterministic(model):
     assert run_suite(model).to_json() == run_suite(model).to_json()
+
+
+@pytest.mark.parametrize("build", [
+    degenerate_metric, jacobi_violation, screen_radical_mixing, zero_brackets,
+    no_submanifold, reeb_sheared], ids=lambda build: build.__name__)
+def test_suites_slice_the_full_report(build):
+    """Each suite reports a slice of ``all``, details included, also when
+    a stage stops early, although it builds only what it reports."""
+    m = build()
+    full = run_suite(m, "all").entries
+
+    def sliced(entries):
+        return CheckReport(list(entries)).to_json()
+
+    ambient = run_suite(m, "ambient")
+    assert ambient.to_json() == sliced(full[:len(ambient.entries)])
+    assert run_suite(m, "submanifold").to_json() == sliced(full[:-6])
+    assert run_suite(m, "theorem46").to_json() == sliced(full[-6:])
