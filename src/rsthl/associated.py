@@ -12,6 +12,7 @@ closed-form curvature identities of the catalog as exact residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -38,6 +39,7 @@ from .tensors import (
     MultilinearForm,
     Vector,
     determinant,
+    first_nonzero,
     inertia,
     matrix_inverse,
     pick_regular_sample,
@@ -57,6 +59,13 @@ class AssociatedObjects:
     h2: MultilinearForm
     shape_n1: LinearOperator
     shape_n2: LinearOperator
+
+    @cached_property
+    def twin_umbilicity(self) -> tuple[Optional[RationalFunction],
+                                       Optional[RationalFunction]]:
+        """Proportionality factors of h1 and h2 against the twin metric."""
+        return (proportionality_factor(self.h1, self.metric.form),
+                proportionality_factor(self.h2, self.metric.form))
 
 
 def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
@@ -177,36 +186,31 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     h1_direct = MultilinearForm(f.tangent_frame, 2, tuple(h1_entries))
     h2_direct = MultilinearForm(f.tangent_frame, 2, tuple(h2_entries))
 
-    tangency = True
-    shape1_cols = []
-    shape2_cols = []
-    for a in range(m):
-        t1, c11, c12 = split(ambient_conn.nabla(f.tangent_vectors[a], n1))
-        t2, c21, c22 = split(ambient_conn.nabla(f.tangent_vectors[a], n2))
-        if not (c11.is_zero() and c12.is_zero() and c21.is_zero() and c22.is_zero()):
-            tangency = False
-        shape1_cols.append(-t1)
-        shape2_cols.append(-t2)
-    shape1_direct = LinearOperator.from_columns(f.tangent_frame, shape1_cols)
-    shape2_direct = LinearOperator.from_columns(f.tangent_frame, shape2_cols)
+    weingarten = [[split(ambient_conn.nabla(t, n)) for t in f.tangent_vectors]
+                  for n in (n1, n2)]
+    shape1_direct, shape2_direct = (
+        LinearOperator.from_columns(f.tangent_frame, [-t for t, _, _ in cols])
+        for cols in weingarten)
+    tangency = all(c1.is_zero() and c2.is_zero()
+                   for cols in weingarten for _, c1, c2 in cols)
     entries.append(residual_entry(
         "twin-weingarten-tangency", "sec-2-twin", tangency,
         "the derivatives of both normals are purely tangent"))
 
     conn_koszul = levi_civita(f.tangent_algebra, gt)
 
-    for a in range(m):
-        for b in range(m):
-            if not (conn_formula.gamma[a][b] - conn_direct.gamma[a][b]).is_zero():
-                la, lb = f.tangent_frame.labels[a], f.tangent_frame.labels[b]
-                raise CrossCheckMismatch(
-                    f"twin connection from the conversion formula and from the "
-                    f"ambient split differ at ({la}, {lb})")
-            if not (conn_koszul.gamma[a][b] - conn_direct.gamma[a][b]).is_zero():
-                la, lb = f.tangent_frame.labels[a], f.tangent_frame.labels[b]
-                raise CrossCheckMismatch(
-                    f"twin connection from the Koszul formula and from the "
-                    f"ambient split differ at ({la}, {lb})")
+    # the first mismatch in row-major order, the conversion formula first
+    routes = (("conversion formula", conn_formula), ("Koszul formula", conn_koszul))
+    mismatches = [
+        (at, rank) for rank, (_, conn) in enumerate(routes)
+        if (at := first_nonzero(
+            lambda a, b: conn.gamma[a][b] - conn_direct.gamma[a][b], m, 2)) is not None]
+    if mismatches:
+        (a, b), rank = min(mismatches)
+        la, lb = f.tangent_frame.labels[a], f.tangent_frame.labels[b]
+        raise CrossCheckMismatch(
+            f"twin connection from the {routes[rank][0]} and from the "
+            f"ambient split differ at ({la}, {lb})")
     entries.append(residual_entry(
         "twin-connection-formula", "eq-2.11", True,
         "the twin connection equals the induced connection plus the "
@@ -237,16 +241,11 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     entries.append(residual_entry(
         "twin-h2-symmetric", "sec-2-twin", h2_direct.is_symmetric(),
         "h2 is symmetric"))
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            basis_b = f.tangent_frame.basis_vector(b)
-            if not (h1_direct.entry(a, b)
-                    - gt.value(shape1_direct.column(a), basis_b)).is_zero():
-                ok = False
-            if not (h2_direct.entry(a, b)
-                    + gt.value(shape2_direct.column(a), basis_b)).is_zero():
-                ok = False
+    basis = f.tangent_frame.basis_vector
+    dualities = (
+        lambda a, b: h1_direct.entry(a, b) - gt.value(shape1_direct.column(a), basis(b)),
+        lambda a, b: h2_direct.entry(a, b) + gt.value(shape2_direct.column(a), basis(b)))
+    ok = all(first_nonzero(residual, m, 2) is None for residual in dualities)
     entries.append(residual_entry(
         "twin-shape-duality", "sec-2-twin", ok,
         "h1(X, Y) = g~(A~_N1 X, Y) and h2(X, Y) = -g~(A~_N2 X, Y)"))
@@ -270,27 +269,24 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
     tau = obj.tau.components
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                rhs = curv.entries[a][b][c]
-                rhs = rhs + obj.shape_n.column(a).scale(
-                    obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2)
-                rhs = rhs - obj.shape_n.column(b).scale(
-                    obj.b_form.entry(a, c) + b_phi.entry(a, c) * 2)
-                coeff = half * (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
-                                + tau[a] * obj.b_form.entry(b, c)
-                                - tau[b] * obj.b_form.entry(a, c))
-                coeff = coeff + (tau[a] * b_phi.entry(b, c)
-                                 - tau[b] * b_phi.entry(a, c)
-                                 + cd_b_phi.entry(a, b, c)
-                                 - cd_b_phi.entry(b, a, c))
-                rhs = rhs + xi_t.scale(inv_mu2 * coeff)
-                if not (tilde_curv.entries[a][b][c] - rhs).is_zero():
-                    ok = False
+
+    def residual(a: int, b: int, c: int) -> Vector:
+        rhs = curv.entries[a][b][c]
+        rhs = rhs + obj.shape_n.column(a).scale(
+            obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2)
+        rhs = rhs - obj.shape_n.column(b).scale(
+            obj.b_form.entry(a, c) + b_phi.entry(a, c) * 2)
+        coeff = half * (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
+                        + tau[a] * obj.b_form.entry(b, c)
+                        - tau[b] * obj.b_form.entry(a, c))
+        coeff = coeff + (tau[a] * b_phi.entry(b, c)
+                         - tau[b] * b_phi.entry(a, c)
+                         + cd_b_phi.entry(a, b, c)
+                         - cd_b_phi.entry(b, a, c))
+        return tilde_curv.entries[a][b][c] - (rhs + xi_t.scale(inv_mu2 * coeff))
+
     return residual_entry(
-        "twin-curvature-transfer", "eq-13", ok,
+        "twin-curvature-transfer", "eq-13", first_nonzero(residual, m, 3) is None,
         "the twin curvature equals the induced curvature plus shape and "
         "derivative corrections")
 
@@ -307,22 +303,21 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
     tau_xi = obj.tau.components[xi_idx]
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
-    ok = True
-    for b in range(m):
-        for c in range(m):
-            rhs = ric.entry(b, c)
-            rhs = rhs + (obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2) * tr_n
-            rhs = rhs - b_n.entry(b, c) - b_n_phi.entry(b, c) * 2
-            rhs = rhs + inv_mu2 * half * (
-                cd_b.entry(xi_idx, b, c) - cd_b.entry(b, xi_idx, c)
-                + tau_xi * obj.b_form.entry(b, c))
-            rhs = rhs + inv_mu2 * (
-                cd_b_phi.entry(xi_idx, b, c) - cd_b_phi.entry(b, xi_idx, c)
-                + tau_xi * b_phi.entry(b, c))
-            if not (tilde_ric.entry(b, c) - rhs).is_zero():
-                ok = False
+
+    def residual(b: int, c: int) -> RationalFunction:
+        rhs = ric.entry(b, c)
+        rhs = rhs + (obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2) * tr_n
+        rhs = rhs - b_n.entry(b, c) - b_n_phi.entry(b, c) * 2
+        rhs = rhs + inv_mu2 * half * (
+            cd_b.entry(xi_idx, b, c) - cd_b.entry(b, xi_idx, c)
+            + tau_xi * obj.b_form.entry(b, c))
+        rhs = rhs + inv_mu2 * (
+            cd_b_phi.entry(xi_idx, b, c) - cd_b_phi.entry(b, xi_idx, c)
+            + tau_xi * b_phi.entry(b, c))
+        return tilde_ric.entry(b, c) - rhs
+
     return residual_entry(
-        "twin-ricci-transfer", "eq-14", ok,
+        "twin-ricci-transfer", "eq-14", first_nonzero(residual, m, 2) is None,
         "the twin Ricci tensor equals the induced one plus trace corrections")
 
 
@@ -339,25 +334,23 @@ def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
     mg2 = mu * mu * gamma_screen * gamma_screen
     coeff = nu - mg2 * 4
     eb = f.eta_bar.components
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                rhs = proj.column(a).scale(
-                    coeff * g.entry(b, c) - mg2 * 4 * gp.entry(b, c)
-                    - nu * eb[b] * eb[c])
-                rhs = rhs - proj.column(b).scale(
-                    coeff * g.entry(a, c) - mg2 * 4 * gp.entry(a, c)
-                    - nu * eb[a] * eb[c])
-                rhs = rhs - phi_p.column(a).scale(coeff * gp.entry(b, c))
-                rhs = rhs + phi_p.column(b).scale(coeff * gp.entry(a, c))
-                rhs = rhs + xi_t.scale(
-                    nu * (gp.entry(a, c) * f.eta.components[b]
-                          - gp.entry(b, c) * f.eta.components[a]))
-                if not (tilde_curv.entries[a][b][c] - rhs).is_zero():
-                    ok = False
+
+    def residual(a: int, b: int, c: int) -> Vector:
+        rhs = proj.column(a).scale(
+            coeff * g.entry(b, c) - mg2 * 4 * gp.entry(b, c)
+            - nu * eb[b] * eb[c])
+        rhs = rhs - proj.column(b).scale(
+            coeff * g.entry(a, c) - mg2 * 4 * gp.entry(a, c)
+            - nu * eb[a] * eb[c])
+        rhs = rhs - phi_p.column(a).scale(coeff * gp.entry(b, c))
+        rhs = rhs + phi_p.column(b).scale(coeff * gp.entry(a, c))
+        rhs = rhs + xi_t.scale(
+            nu * (gp.entry(a, c) * f.eta.components[b]
+                  - gp.entry(b, c) * f.eta.components[a]))
+        return tilde_curv.entries[a][b][c] - rhs
+
     return residual_entry(
-        "twin-umbilic-curvature-form", "eq-21", ok,
+        "twin-umbilic-curvature-form", "eq-21", first_nonzero(residual, m, 3) is None,
         "the twin curvature collapses to the screen umbilical normal form")
 
 
@@ -459,23 +452,14 @@ def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
 
 
 def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
-                     tilde_ric: MultilinearForm, pair: CurvaturePair,
-                     gamma_screen: RationalFunction, mu: RationalFunction,
-                     n: int) -> CheckEntry:
-    """Ric~ must be tilde_curv.ricci: the action is read from the curvature."""
+                     pair: CurvaturePair, gamma_screen: RationalFunction,
+                     mu: RationalFunction, n: int) -> CheckEntry:
+    """The action of tilde_curv on its own Ricci tensor against eq. (24)."""
     direct = tilde_curv.ricci_action
     closed = semisym_closed_24(f, pair, gamma_screen, mu, n)
     return residual_entry(
         "twin-ricci-action-closed-form", "eq-24", (direct - closed).is_zero(),
         "the twin curvature action on Ric~ matches its closed form")
-
-
-def twin_umbilicity(assoc: AssociatedObjects) -> tuple[Optional[RationalFunction],
-                                                       Optional[RationalFunction]]:
-    """Proportionality factors of h1 and h2 against the twin metric."""
-    a1 = proportionality_factor(assoc.h1, assoc.metric.form)
-    a2 = proportionality_factor(assoc.h2, assoc.metric.form)
-    return a1, a2
 
 
 def geodesic_correspondence_entries(obj: InducedObjects,
@@ -485,7 +469,7 @@ def geodesic_correspondence_entries(obj: InducedObjects,
     tg_first = obj.b_form.is_zero() and obj.d_form.is_zero()
     tg_twin = assoc.h1.is_zero() and assoc.h2.is_zero()
     stg = obj.c_form.is_zero()
-    a1, a2 = twin_umbilicity(assoc)
+    a1, a2 = assoc.twin_umbilicity
     tu_twin = a1 is not None and a2 is not None
     entries = [residual_entry(
         "geodesic-correspondence", "prop-3.3", tg_first == tg_twin,
@@ -508,23 +492,17 @@ def geodesic_correspondence_entries(obj: InducedObjects,
 
 
 def curvature_transfer_entry(rep: UmbilicityReport, assoc: AssociatedObjects,
-                             curv: CurvatureTensor, tilde_curv: CurvatureTensor,
-                             ric: MultilinearForm, tilde_ric: MultilinearForm
+                             curv: CurvatureTensor, tilde_curv: CurvatureTensor
                              ) -> CheckEntry:
-    a1, a2 = twin_umbilicity(assoc)
-    tu_twin = a1 is not None and a2 is not None
-    if not rep.totally_umbilical and not tu_twin:
+    a1, a2 = assoc.twin_umbilicity
+    if not rep.totally_umbilical and (a1 is None or a2 is None):
         return residual_entry(
             "umbilical-curvature-transfer", "cor-3.5", True,
             "vacuous, neither induced metric is totally umbilical")
-    frames_equal = True
-    m = ric.frame.dimension
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if not (curv.entries[a][b][c] - tilde_curv.entries[a][b][c]).is_zero():
-                    frames_equal = False
-    ok = frames_equal and (ric - tilde_ric).is_zero()
+    ok = (first_nonzero(
+        lambda a, b, c: curv.entries[a][b][c] - tilde_curv.entries[a][b][c],
+        curv.frame.dimension, 3) is None
+        and (curv.ricci - tilde_curv.ricci).is_zero())
     return residual_entry(
         "umbilical-curvature-transfer", "cor-3.5", ok,
         "a totally umbilical metric forces R = R~ and Ric = Ric~")
@@ -539,14 +517,10 @@ def umbilical_flatness_entry(f: SubmanifoldFrame, rep: UmbilicityReport,
         return residual_entry(
             "umbilical-flatness", "cor-4.3", True,
             "vacuous, the first metric is not totally umbilical")
-    m = f.dim
-    flat = all(curv.entries[a][b][c].is_zero()
-               for a in range(m) for b in range(m) for c in range(m))
-    dim = f.model.frame.dimension
-    amb_flat = all(ambient_curv.entries[a][b][c].is_zero()
-                   for a in range(dim) for b in range(dim) for c in range(dim))
+    flat = all(first_nonzero(lambda a, b, c: r.entries[a][b][c], dim, 3) is None
+               for r, dim in ((curv, f.dim), (ambient_curv, f.model.frame.dimension)))
     return residual_entry(
-        "umbilical-flatness", "cor-4.3", flat and amb_flat,
+        "umbilical-flatness", "cor-4.3", flat,
         "a totally umbilical submanifold and its ambient space are flat")
 
 
@@ -569,23 +543,22 @@ class TheoremAggregate:
 
 
 def theorem_aggregate(f: SubmanifoldFrame, curv: CurvatureTensor,
-                      ric: MultilinearForm, tilde_curv: CurvatureTensor,
-                      tilde_ric: MultilinearForm, assoc: AssociatedObjects,
+                      tilde_curv: CurvatureTensor, assoc: AssociatedObjects,
                       pair: CurvaturePair, gamma_screen: RationalFunction,
                       mu: RationalFunction) -> TheoremAggregate:
-    """ric and tilde_ric must be curv.ricci and tilde_curv.ricci."""
+    """Decide the five assertions for curv, tilde_curv and their Ricci tensors."""
     sem = curv.ricci_action.is_zero()
     sem_twin = tilde_curv.ricci_action.is_zero()
     # Every invariant scalar is constant on each group of the family, so
     # exact solvability alone decides the Einstein-type assertions.
     try:
-        eta_values = eta_einstein_solve(f, ric)
+        eta_values = eta_einstein_solve(f, curv.ricci)
         eta_ok = True
     except NotEtaEinstein:
         eta_ok = False
         eta_values = None
     try:
-        ein_value = einstein_solve(f, assoc, tilde_ric)
+        ein_value = einstein_solve(f, assoc, tilde_curv.ricci)
         ein_ok = True
     except NotEinstein:
         ein_ok = False

@@ -21,7 +21,7 @@ from typing import Optional
 from . import report
 from .liegeom import InvariantMetric, LieAlgebra, levi_civita
 from .model import ModelFile, model_from_json_obj
-from .tensors import Frame, LinearOperator, Vector
+from .tensors import Frame, LinearOperator, Vector, first_nonzero
 
 FACTOR_LABELS = ("X1", "X2", "X3", "X4")
 AMBIENT_LABELS = ("X1", "X2", "X3", "X4", "E")
@@ -77,27 +77,23 @@ def _factor_j(frame: Frame) -> LinearOperator:
 def _matches_expected_table(alg: LieAlgebra, metric: InvariantMetric) -> bool:
     conn = levi_civita(alg, metric)
     frame = alg.frame
-    dim = frame.dimension
-    for i in range(dim):
-        for j in range(dim):
-            key = (frame.labels[i], frame.labels[j])
-            expected = Vector.from_map(frame, EXPECTED_FACTOR_TABLE.get(key, {}))
-            if not (conn.nabla_basis(i, j) - expected).is_zero():
-                return False
-    return True
+
+    def residual(i: int, j: int) -> Vector:
+        key = (frame.labels[i], frame.labels[j])
+        expected = Vector.from_map(frame, EXPECTED_FACTOR_TABLE.get(key, {}))
+        return conn.nabla_basis(i, j) - expected
+
+    return first_nonzero(residual, frame.dimension, 2) is None
 
 
 def _anti_compatible(metric: InvariantMetric, j_op: LinearOperator) -> bool:
     # g(JX, JY) = -g(X, Y) on the factor
     frame = metric.frame
-    dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            lhs = metric.value(j_op.apply(basis[a]), j_op.apply(basis[b]))
-            if not (lhs + metric.entry(a, b)).is_zero():
-                return False
-    return True
+    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
+    return first_nonzero(
+        lambda a, b: metric.value(j_op.apply(basis[a]), j_op.apply(basis[b]))
+        + metric.entry(a, b),
+        frame.dimension, 2) is None
 
 
 def factor_signature_entry() -> report.CheckEntry:

@@ -31,6 +31,7 @@ from .tensors import (
     MultilinearForm,
     Vector,
     determinant,
+    first_nonzero,
     matrix_inverse,
 )
 
@@ -88,55 +89,31 @@ def validate_lie_algebra(alg: LieAlgebra) -> report.CheckEntry:
     """Antisymmetry and the Jacobi identity; names the first violation."""
     dim = alg.frame.dimension
     labels = alg.frame.labels
-    for i in range(dim):
-        for j in range(i, dim):
-            res = alg.brackets[i][j] + alg.brackets[j][i]
-            if not res.is_zero():
-                return report.failed(
-                    "lie-algebra",
-                    "plumbing",
-                    f"antisymmetry fails at ({labels[i]}, {labels[j]})",
-                )
+    at = first_nonzero(lambda i, j: alg.brackets[i][j] + alg.brackets[j][i],
+                       dim, 2)
+    if at is not None:
+        return report.failed(
+            "lie-algebra",
+            "plumbing",
+            f"antisymmetry fails at ({', '.join(labels[i] for i in at)})",
+        )
     basis = [alg.frame.basis_vector(i) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                res = (
-                    alg.bracket(alg.brackets[i][j], basis[k])
-                    + alg.bracket(alg.brackets[j][k], basis[i])
-                    + alg.bracket(alg.brackets[k][i], basis[j])
-                )
-                if not res.is_zero():
-                    return report.failed(
-                        "lie-algebra",
-                        "plumbing",
-                        f"Jacobi fails at ({labels[i]}, {labels[j]}, {labels[k]})",
-                    )
+
+    def jacobiator(i: int, j: int, k: int) -> Vector:
+        return (
+            alg.bracket(alg.brackets[i][j], basis[k])
+            + alg.bracket(alg.brackets[j][k], basis[i])
+            + alg.bracket(alg.brackets[k][i], basis[j])
+        )
+
+    at = first_nonzero(jacobiator, dim, 3, increasing=True)
+    if at is not None:
+        return report.failed(
+            "lie-algebra",
+            "plumbing",
+            f"Jacobi fails at ({', '.join(labels[i] for i in at)})",
+        )
     return report.passed("lie-algebra", "plumbing", "antisymmetry and Jacobi hold")
-
-
-def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Block assembly of two bracket tables on the concatenated frame."""
-    labels = a.frame.labels + b.frame.labels
-    frame = Frame(labels)
-    da, db = a.frame.dimension, b.frame.dimension
-    dim = da + db
-
-    def lift_a(v: Vector) -> Vector:
-        return Vector(frame, v.components + (ZERO,) * db)
-
-    def lift_b(v: Vector) -> Vector:
-        return Vector(frame, (ZERO,) * da + v.components)
-
-    zero = Vector.zero(frame)
-    rows = [[zero for _ in range(dim)] for _ in range(dim)]
-    for i in range(da):
-        for j in range(da):
-            rows[i][j] = lift_a(a.brackets[i][j])
-    for i in range(db):
-        for j in range(db):
-            rows[da + i][da + j] = lift_b(b.brackets[i][j])
-    return LieAlgebra(frame, tuple(tuple(r) for r in rows))
 
 
 class InvariantMetric:
@@ -216,26 +193,17 @@ class Connection:
         return out
 
     def torsion_violation(self, alg: LieAlgebra) -> Optional[tuple[int, int]]:
-        dim = self.frame.dimension
-        for i in range(dim):
-            for j in range(dim):
-                res = self.gamma[i][j] - self.gamma[j][i] - alg.brackets[i][j]
-                if not res.is_zero():
-                    return (i, j)
-        return None
+        return first_nonzero(
+            lambda i, j: self.gamma[i][j] - self.gamma[j][i] - alg.brackets[i][j],
+            self.frame.dimension, 2)
 
     def metric_violation(self, metric: InvariantMetric) -> Optional[tuple[int, int, int]]:
         dim = self.frame.dimension
         basis = [self.frame.basis_vector(i) for i in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    res = metric.value(self.gamma[i][j], basis[k]) + metric.value(
-                        basis[j], self.gamma[i][k]
-                    )
-                    if not res.is_zero():
-                        return (i, j, k)
-        return None
+        return first_nonzero(
+            lambda i, j, k: metric.value(self.gamma[i][j], basis[k])
+            + metric.value(basis[j], self.gamma[i][k]),
+            dim, 3)
 
 
 def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> Connection:
@@ -361,32 +329,28 @@ def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
 
 
 def first_bianchi_violation(curv: CurvatureTensor) -> Optional[tuple[int, int, int]]:
-    dim = curv.frame.dimension
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                res = (
-                    curv.entries[i][j][k]
-                    + curv.entries[j][k][i]
-                    + curv.entries[k][i][j]
-                )
-                if not res.is_zero():
-                    return (i, j, k)
-    return None
+    e = curv.entries
+    return first_nonzero(lambda i, j, k: e[i][j][k] + e[j][k][i] + e[k][i][j],
+                         curv.frame.dimension, 3)
 
 
 def lowered_symmetry_violation(r4: MultilinearForm) -> Optional[str]:
-    """First failure of the pair symmetries of a lowered curvature table."""
-    dim = r4.frame.dimension
-    rng = range(dim)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if not (r4.entry(i, j, k, l) + r4.entry(j, i, k, l)).is_zero():
-                        return f"antisymmetry in the first pair at {(i, j, k, l)}"
-                    if not (r4.entry(i, j, k, l) + r4.entry(i, j, l, k)).is_zero():
-                        return f"antisymmetry in the last pair at {(i, j, k, l)}"
-                    if not (r4.entry(i, j, k, l) - r4.entry(k, l, i, j)).is_zero():
-                        return f"pair exchange at {(i, j, k, l)}"
-    return None
+    """First failure of the pair symmetries of a lowered curvature table.
+
+    Index tuples are taken in row-major order, and at one tuple the
+    symmetries in the order listed below.
+    """
+    e = r4.entry
+    symmetries = (
+        ("antisymmetry in the first pair",
+         lambda i, j, k, l: e(i, j, k, l) + e(j, i, k, l)),
+        ("antisymmetry in the last pair",
+         lambda i, j, k, l: e(i, j, k, l) + e(i, j, l, k)),
+        ("pair exchange", lambda i, j, k, l: e(i, j, k, l) - e(k, l, i, j)),
+    )
+    found = [(at, rank) for rank, (_, residual) in enumerate(symmetries)
+             if (at := first_nonzero(residual, r4.frame.dimension, 4)) is not None]
+    if not found:
+        return None
+    at, rank = min(found)
+    return f"{symmetries[rank][0]} at {at}"

@@ -44,6 +44,7 @@ from .tensors import (
     Vector,
     _echelon,
     determinant,
+    first_nonzero,
     matrix_inverse,
     solve_affine,
     solve_unique,
@@ -379,16 +380,16 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
         "phi-of-transversal", anchor,
         (s.phi.apply(f.l_vec) + f.rad.scale(half_inv) - f.n_vec.scale(mu)).is_zero(),
         "phi(L) = -(1/2mu) xi + mu N"))
-    invariant = True
-    for a in range(f.dim - 1):
-        image = s.phi.apply(f.tangent_vectors[a])
-        t_part, i_n, i_l = f.decompose_full(image)
-        if (not i_n.is_zero() or not i_l.is_zero()
-                or not t_part.components[f.radical_index].is_zero()):
-            invariant = False
-            break
+
+    def off_screen(a: int) -> Vector:
+        """The part of phi(S_a) along the radical and the two transversals."""
+        t_part, i_n, i_l = f.decompose_full(s.phi.apply(f.tangent_vectors[a]))
+        return (f.rad.scale(t_part.components[f.radical_index])
+                + f.n_vec.scale(i_n) + f.l_vec.scale(i_l))
+
     entries.append(residual_entry(
-        "screen-phi-invariance", anchor, invariant,
+        "screen-phi-invariance", anchor,
+        first_nonzero(off_screen, f.dim - 1, 1) is None,
         "the structure operator preserves the screen distribution"))
     eta_match = all((f.eta_bar.components[a] - mu * f.eta.components[a]).is_zero()
                     for a in range(f.dim))
@@ -536,19 +537,16 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
         "radical-shape-kills-radical", anchor,
         obj.shape_rad.column(xi_idx).is_zero(),
         "the radical shape operator annihilates xi"))
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            lhs = g.value(obj.shape_rad.column(a), f.tangent_frame.basis_vector(b))
-            rhs = g.value(f.tangent_frame.basis_vector(a), obj.shape_rad.column(b))
-            if not (lhs - rhs).is_zero():
-                ok = False
+    basis = f.tangent_frame.basis_vector
+    ok = first_nonzero(
+        lambda a, b: g.value(obj.shape_rad.column(a), basis(b))
+        - g.value(basis(a), obj.shape_rad.column(b)), m, 2) is None
     entries.append(residual_entry(
         "radical-shape-self-adjoint", anchor, ok,
         "the radical shape operator is self-adjoint for the induced metric"))
-    ok = all((obj.b_form.entry(a, b)
-              - g.value(obj.shape_rad.column(a), f.tangent_frame.basis_vector(b))).is_zero()
-             for a in range(m) for b in range(m))
+    ok = first_nonzero(
+        lambda a, b: obj.b_form.entry(a, b)
+        - g.value(obj.shape_rad.column(a), basis(b)), m, 2) is None
     entries.append(residual_entry(
         "b-from-radical-shape", anchor, ok, "B(X, Y) = g(A*_xi X, Y)"))
     entries.append(residual_entry(
@@ -560,29 +558,25 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
         all(obj.shape_n.matrix[xi_idx][a].is_zero() for a in range(m)),
         "the null transversal shape operator takes values in the screen"))
     proj = f.projector
-    ok = all((obj.c_form.entry(a, b)
-              - g.value(obj.shape_n.column(a), proj.column(b))).is_zero()
-             for a in range(m) for b in range(m))
+    ok = first_nonzero(
+        lambda a, b: obj.c_form.entry(a, b)
+        - g.value(obj.shape_n.column(a), proj.column(b)), m, 2) is None
     entries.append(residual_entry(
         "c-from-n-shape", anchor, ok, "C(X, PY) = g(A_N X, PY)"))
     eps = f.epsilon
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            d_proj = sum((proj.matrix[k][b] * obj.d_form.entry(a, k)
-                          for k in range(m)), ZERO)
-            if not (eps * d_proj - g.value(obj.shape_l.column(a), proj.column(b))).is_zero():
-                ok = False
+
+    def d_from_l_shape(a: int, b: int) -> RationalFunction:
+        d_proj = sum((proj.matrix[k][b] * obj.d_form.entry(a, k)
+                      for k in range(m)), ZERO)
+        return eps * d_proj - g.value(obj.shape_l.column(a), proj.column(b))
+
     entries.append(residual_entry(
-        "d-from-l-shape", anchor, ok, "eps D(X, PY) = g(A_L X, PY)"))
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            lhs = eps * obj.d_form.entry(a, b)
-            rhs = (g.value(obj.shape_l.column(a), proj.column(b))
-                   - obj.phi_form.components[a] * f.eta.components[b])
-            if not (lhs - rhs).is_zero():
-                ok = False
+        "d-from-l-shape", anchor, first_nonzero(d_from_l_shape, m, 2) is None,
+        "eps D(X, PY) = g(A_L X, PY)"))
+    ok = first_nonzero(
+        lambda a, b: eps * obj.d_form.entry(a, b)
+        - (g.value(obj.shape_l.column(a), proj.column(b))
+           - obj.phi_form.components[a] * f.eta.components[b]), m, 2) is None
     entries.append(residual_entry(
         "d-split", anchor, ok, "eps D(X, Y) = g(A_L X, PY) - phi(X) eta(Y)"))
     amb_g = f.model.metric
@@ -590,21 +584,18 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
               - eps * obj.rho.components[a]).is_zero() for a in range(m))
     entries.append(residual_entry(
         "l-shape-duality", anchor, ok, "g(A_L X, N) = eps rho(X)"))
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                dg = -(g.value(obj.conn.gamma[a][b], f.tangent_frame.basis_vector(c))
-                       + g.value(f.tangent_frame.basis_vector(b), obj.conn.gamma[a][c]))
-                rhs = (obj.b_form.entry(a, b) * f.eta.components[c]
-                       + obj.b_form.entry(a, c) * f.eta.components[b])
-                if not (dg - rhs).is_zero():
-                    ok = False
+
+    def metric_deviation(a: int, b: int, c: int) -> RationalFunction:
+        dg = -(g.value(obj.conn.gamma[a][b], basis(c))
+               + g.value(basis(b), obj.conn.gamma[a][c]))
+        return dg - (obj.b_form.entry(a, b) * f.eta.components[c]
+                     + obj.b_form.entry(a, c) * f.eta.components[b])
+
     entries.append(residual_entry(
-        "metric-deviation", anchor, ok,
+        "metric-deviation", anchor, first_nonzero(metric_deviation, m, 3) is None,
         "(nabla_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y)"))
-    ok = all(obj.tau(f.tangent_algebra.bracket_basis(a, b)).is_zero()
-             for a in range(m) for b in range(m))
+    ok = first_nonzero(
+        lambda a, b: obj.tau(f.tangent_algebra.bracket_basis(a, b)), m, 2) is None
     entries.append(residual_entry(
         "tau-closed", anchor, ok,
         "d tau = 0, hence the induced Ricci tensor is symmetric"))
@@ -645,20 +636,15 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
     entries.append(residual_entry(
         "rho-vanishes", "eq-2.9", obj.rho.is_zero(), "rho = 0"))
 
-    ok = True
-    for a in range(m):
-        for s in range(m - 1):
-            image = phi_p.column(s)
-            first = Vector.zero(f.tangent_frame)
-            for s2 in range(m - 1):
-                coeff = image.components[s2]
-                if not coeff.is_zero():
-                    first = first + obj.screen_gamma[a][s2].scale(coeff)
-            res_v = first - phi_p.apply(obj.screen_gamma[a][s])
-            if not res_v.is_zero():
-                ok = False
+    def phi_p_derivative(a: int) -> LinearOperator:
+        """nabla*_a (phi P) - (phi P) nabla*_a, the screen connection
+        along T_a taken as an operator that kills the radical."""
+        nabla_a = LinearOperator.from_columns(
+            f.tangent_frame, obj.screen_gamma[a] + (Vector.zero(f.tangent_frame),))
+        return nabla_a.compose(phi_p) - phi_p.compose(nabla_a)
+
     entries.append(residual_entry(
-        "screen-phi-parallel", "eq-2.10", ok,
+        "screen-phi-parallel", "eq-2.10", first_nonzero(phi_p_derivative, m, 1) is None,
         "the screen connection makes the restricted structure operator parallel"))
 
     for name, op in (("radical-shape-phi-commute", obj.shape_rad),
@@ -799,35 +785,32 @@ def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
     """Master consistency check reassembling the ambient curvature."""
     m = f.dim
     cd_b, cd_d = obj.cd_b, obj.cd_d
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                lhs = ambient_curv.apply(f.tangent_vectors[a],
-                                         f.tangent_vectors[b],
-                                         f.tangent_vectors[c])
-                tangent = f.embed(induced_curv.entries[a][b][c])
-                tangent = tangent + f.embed(obj.shape_n.column(b)).scale(
-                    obj.b_form.entry(a, c))
-                tangent = tangent - f.embed(obj.shape_n.column(a)).scale(
-                    obj.b_form.entry(b, c))
-                tangent = tangent + f.embed(obj.shape_l.column(b)).scale(
-                    obj.d_form.entry(a, c))
-                tangent = tangent - f.embed(obj.shape_l.column(a)).scale(
-                    obj.d_form.entry(b, c))
-                n_coeff = (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
-                           + obj.tau.components[a] * obj.b_form.entry(b, c)
-                           - obj.tau.components[b] * obj.b_form.entry(a, c)
-                           + obj.phi_form.components[a] * obj.d_form.entry(b, c)
-                           - obj.phi_form.components[b] * obj.d_form.entry(a, c))
-                l_coeff = (cd_d.entry(a, b, c) - cd_d.entry(b, a, c)
-                           + obj.rho.components[a] * obj.b_form.entry(b, c)
-                           - obj.rho.components[b] * obj.b_form.entry(a, c))
-                rhs = tangent + f.n_vec.scale(n_coeff) + f.l_vec.scale(l_coeff)
-                if not (lhs - rhs).is_zero():
-                    ok = False
+
+    def residual(a: int, b: int, c: int) -> Vector:
+        lhs = ambient_curv.apply(f.tangent_vectors[a],
+                                 f.tangent_vectors[b],
+                                 f.tangent_vectors[c])
+        tangent = f.embed(induced_curv.entries[a][b][c])
+        tangent = tangent + f.embed(obj.shape_n.column(b)).scale(
+            obj.b_form.entry(a, c))
+        tangent = tangent - f.embed(obj.shape_n.column(a)).scale(
+            obj.b_form.entry(b, c))
+        tangent = tangent + f.embed(obj.shape_l.column(b)).scale(
+            obj.d_form.entry(a, c))
+        tangent = tangent - f.embed(obj.shape_l.column(a)).scale(
+            obj.d_form.entry(b, c))
+        n_coeff = (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
+                   + obj.tau.components[a] * obj.b_form.entry(b, c)
+                   - obj.tau.components[b] * obj.b_form.entry(a, c)
+                   + obj.phi_form.components[a] * obj.d_form.entry(b, c)
+                   - obj.phi_form.components[b] * obj.d_form.entry(a, c))
+        l_coeff = (cd_d.entry(a, b, c) - cd_d.entry(b, a, c)
+                   + obj.rho.components[a] * obj.b_form.entry(b, c)
+                   - obj.rho.components[b] * obj.b_form.entry(a, c))
+        return lhs - (tangent + f.n_vec.scale(n_coeff) + f.l_vec.scale(l_coeff))
+
     return residual_entry(
-        "gauss-relation", "sec-4-gauss", ok,
+        "gauss-relation", "sec-4-gauss", first_nonzero(residual, m, 3) is None,
         "the ambient curvature splits into induced curvature, shape terms "
         "and derivative terms of the fundamental forms")
 
@@ -846,31 +829,28 @@ def curvature_form_15_entry(f: SubmanifoldFrame, obj: InducedObjects,
     b_phi = obj.b_phi
     phi_an = phi_p.compose(obj.shape_n)
     half = rf("1/2")
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                rhs = obj.shape_n.column(b).scale(-obj.b_form.entry(a, c))
-                rhs = rhs + phi_an.column(b).scale(b_phi.entry(a, c) * 2)
-                rhs = rhs + obj.shape_n.column(a).scale(obj.b_form.entry(b, c))
-                rhs = rhs - phi_an.column(a).scale(b_phi.entry(b, c) * 2)
-                rhs = rhs - proj.column(a).scale(
-                    nu * gpp.entry(b, c) + nut * gp.entry(b, c))
-                rhs = rhs + proj.column(b).scale(
-                    nu * gpp.entry(a, c) + nut * gp.entry(a, c))
-                rhs = rhs - phi_p.column(a).scale(
-                    nu * gp.entry(b, c) - nut * gpp.entry(b, c))
-                rhs = rhs + phi_p.column(b).scale(
-                    nu * gp.entry(a, c) - nut * gpp.entry(a, c))
-                coeff = (nu * (g.entry(b, c) * f.eta.components[a]
-                               - g.entry(a, c) * f.eta.components[b])
-                         - nut * (gp.entry(b, c) * f.eta.components[a]
-                                  - gp.entry(a, c) * f.eta.components[b]))
-                rhs = rhs + xi_t.scale(half * coeff)
-                if not (curv.entries[a][b][c] - rhs).is_zero():
-                    ok = False
+
+    def residual(a: int, b: int, c: int) -> Vector:
+        rhs = obj.shape_n.column(b).scale(-obj.b_form.entry(a, c))
+        rhs = rhs + phi_an.column(b).scale(b_phi.entry(a, c) * 2)
+        rhs = rhs + obj.shape_n.column(a).scale(obj.b_form.entry(b, c))
+        rhs = rhs - phi_an.column(a).scale(b_phi.entry(b, c) * 2)
+        rhs = rhs - proj.column(a).scale(
+            nu * gpp.entry(b, c) + nut * gp.entry(b, c))
+        rhs = rhs + proj.column(b).scale(
+            nu * gpp.entry(a, c) + nut * gp.entry(a, c))
+        rhs = rhs - phi_p.column(a).scale(
+            nu * gp.entry(b, c) - nut * gpp.entry(b, c))
+        rhs = rhs + phi_p.column(b).scale(
+            nu * gp.entry(a, c) - nut * gpp.entry(a, c))
+        coeff = (nu * (g.entry(b, c) * f.eta.components[a]
+                       - g.entry(a, c) * f.eta.components[b])
+                 - nut * (gp.entry(b, c) * f.eta.components[a]
+                          - gp.entry(a, c) * f.eta.components[b]))
+        return curv.entries[a][b][c] - (rhs + xi_t.scale(half * coeff))
+
     return residual_entry(
-        "curvature-from-shape-terms", "eq-15", ok,
+        "curvature-from-shape-terms", "eq-15", first_nonzero(residual, m, 3) is None,
         "the induced curvature is rebuilt from shape operators and the "
         "two sectional invariants")
 
@@ -883,21 +863,19 @@ def codazzi_16_entry(f: SubmanifoldFrame, obj: InducedObjects,
     cd_b = obj.cd_b
     nu, nut = pair.nu, pair.nu_tilde
     mu2 = mu * mu
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                lhs = (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
-                       + obj.tau.components[a] * obj.b_form.entry(b, c)
-                       - obj.tau.components[b] * obj.b_form.entry(a, c))
-                rhs = mu2 * (nu * (g.entry(a, c) * f.eta.components[b]
-                                   - g.entry(b, c) * f.eta.components[a])
-                             - nut * (gp.entry(a, c) * f.eta.components[b]
-                                      - gp.entry(b, c) * f.eta.components[a]))
-                if not (lhs - rhs).is_zero():
-                    ok = False
+
+    def residual(a: int, b: int, c: int) -> RationalFunction:
+        lhs = (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
+               + obj.tau.components[a] * obj.b_form.entry(b, c)
+               - obj.tau.components[b] * obj.b_form.entry(a, c))
+        rhs = mu2 * (nu * (g.entry(a, c) * f.eta.components[b]
+                           - g.entry(b, c) * f.eta.components[a])
+                     - nut * (gp.entry(a, c) * f.eta.components[b]
+                              - gp.entry(b, c) * f.eta.components[a]))
+        return lhs - rhs
+
     return residual_entry(
-        "b-derivative-balance", "eq-16", ok,
+        "b-derivative-balance", "eq-16", first_nonzero(residual, m, 3) is None,
         "the skew derivative of B matches mu^2 times the sectional terms")
 
 
@@ -935,23 +913,21 @@ def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
     coeff_b = mg2 * 4 - nu
     half = rf("1/2")
     eb = f.eta_bar.components
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                rhs = proj.column(a).scale(
-                    coeff_a * g.entry(b, c) - nu * eb[b] * eb[c])
-                rhs = rhs - proj.column(b).scale(
-                    coeff_a * g.entry(a, c) - nu * eb[a] * eb[c])
-                rhs = rhs + phi_p.column(a).scale(coeff_b * gp.entry(b, c))
-                rhs = rhs - phi_p.column(b).scale(coeff_b * gp.entry(a, c))
-                rhs = rhs + xi_t.scale(
-                    half * nu * (g.entry(b, c) * f.eta.components[a]
-                                 - g.entry(a, c) * f.eta.components[b]))
-                if not (curv.entries[a][b][c] - rhs).is_zero():
-                    ok = False
+
+    def residual(a: int, b: int, c: int) -> Vector:
+        rhs = proj.column(a).scale(
+            coeff_a * g.entry(b, c) - nu * eb[b] * eb[c])
+        rhs = rhs - proj.column(b).scale(
+            coeff_a * g.entry(a, c) - nu * eb[a] * eb[c])
+        rhs = rhs + phi_p.column(a).scale(coeff_b * gp.entry(b, c))
+        rhs = rhs - phi_p.column(b).scale(coeff_b * gp.entry(a, c))
+        rhs = rhs + xi_t.scale(
+            half * nu * (g.entry(b, c) * f.eta.components[a]
+                         - g.entry(a, c) * f.eta.components[b]))
+        return curv.entries[a][b][c] - rhs
+
     return residual_entry(
-        "umbilic-curvature-form", "eq-19", ok,
+        "umbilic-curvature-form", "eq-19", first_nonzero(residual, m, 3) is None,
         "the induced curvature collapses to the screen umbilical normal form")
 
 
@@ -998,10 +974,9 @@ def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
 
 
 def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
-                     ric: MultilinearForm, pair: CurvaturePair,
-                     gamma_screen: RationalFunction, mu: RationalFunction,
-                     n: int) -> CheckEntry:
-    """Ric must be curv.ricci: the action is read from the curvature."""
+                     pair: CurvaturePair, gamma_screen: RationalFunction,
+                     mu: RationalFunction, n: int) -> CheckEntry:
+    """The action of curv on its own Ricci tensor against eq. (23)."""
     direct = curv.ricci_action
     closed = semisym_closed_23(f, pair, gamma_screen, mu, n)
     return residual_entry(

@@ -28,6 +28,7 @@ from .tensors import (
     MultilinearForm,
     Vector,
     determinant,
+    first_nonzero,
     inertia,
     pick_regular_sample,
 )
@@ -147,19 +148,11 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
         )
     )
 
-    bmetric_ok = True
-    for i in range(dim):
-        for j in range(dim):
-            res = (
-                s.metric.value(s.phi.column(i), s.phi.column(j))
-                + s.metric.entry(i, j)
-                - s.eta_bar.components[i] * s.eta_bar.components[j]
-            )
-            if not res.is_zero():
-                bmetric_ok = False
-                break
-        if not bmetric_ok:
-            break
+    bmetric_ok = first_nonzero(
+        lambda i, j: s.metric.value(s.phi.column(i), s.phi.column(j))
+        + s.metric.entry(i, j)
+        - s.eta_bar.components[i] * s.eta_bar.components[j],
+        dim, 2) is None
     out.append(
         report.residual_entry(
             "b-metric",
@@ -222,14 +215,13 @@ def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
     frame = s.frame
     dim = frame.dimension
     basis = [frame.basis_vector(i) for i in range(dim)]
-    ok = True
-    for i in range(dim):
-        for j in range(dim):
-            ee = s.eta_bar.components[i] * s.eta_bar.components[j]
-            lhs = g_tilde.value(basis[i], s.phi.column(j)) + ee
-            rhs = -s.metric.entry(i, j) + ee + ee
-            if not (lhs - rhs).is_zero():
-                ok = False
+
+    def residual(i: int, j: int) -> RationalFunction:
+        ee = s.eta_bar.components[i] * s.eta_bar.components[j]
+        lhs = g_tilde.value(basis[i], s.phi.column(j)) + ee
+        return lhs - (-s.metric.entry(i, j) + ee + ee)
+
+    ok = first_nonzero(residual, dim, 2) is None
     return report.residual_entry(
         "associated-metric-twist",
         "sec-2-structure",
@@ -253,10 +245,6 @@ def fundamental_tensor(s: ACBMStructure, conn: Connection) -> MultilinearForm:
     return MultilinearForm.from_function(
         frame, 3, lambda i, j, k: s.metric.value(nabla_phi[i][j], basis[k])
     )
-
-
-def is_f0(s: ACBMStructure, conn: Connection) -> bool:
-    return fundamental_tensor(s, conn).is_zero()
 
 
 def pi_tensors(s: ACBMStructure) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:

@@ -362,8 +362,8 @@ def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
 
     closed_form("ricci-action-closed-form", "eq-23",
                 lambda: [lightlike.semisym_23_entry(
-                    geo.frame, geo.curv_ind, geo.curv_ind.ricci, geo.invariants,
-                    geo.gamma, geo.mu, geo.structure.n)])
+                    geo.frame, geo.curv_ind, geo.invariants, geo.gamma, geo.mu,
+                    geo.structure.n)])
     st.run("umbilical-flatness", "cor-4.3",
            lambda: [associated.umbilical_flatness_entry(
                geo.frame, geo.umbilicity, geo.curv_ind, geo.curv)])
@@ -395,15 +395,14 @@ def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
 
     closed_form("twin-ricci-action-closed-form", "eq-24",
                 lambda: [associated.semisym_24_entry(
-                    geo.frame, geo.tcurv, geo.tcurv.ricci, geo.invariants,
-                    geo.gamma, geo.mu, geo.structure.n)])
+                    geo.frame, geo.tcurv, geo.invariants, geo.gamma, geo.mu,
+                    geo.structure.n)])
     st.run("geodesic-correspondence", "prop-3.3",
            lambda: associated.geodesic_correspondence_entries(
                geo.induced, geo.assoc, geo.umbilicity))
     st.run("umbilical-curvature-transfer", "cor-3.5",
            lambda: [associated.curvature_transfer_entry(
-               geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv,
-               geo.curv_ind.ricci, geo.tcurv.ricci)])
+               geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv)])
     return st
 
 
@@ -425,8 +424,8 @@ def _theorem_stage(geo: Geometry, blocked: bool) -> _Stage:
                       "hypothesis fails")
         else:
             agg = associated.theorem_aggregate(
-                geo.frame, geo.curv_ind, geo.curv_ind.ricci, geo.tcurv,
-                geo.tcurv.ricci, geo.assoc, pair, geo.gamma, geo.mu)
+                geo.frame, geo.curv_ind, geo.tcurv, geo.assoc, pair,
+                geo.gamma, geo.mu)
             return associated.theorem_entries(agg)
         return [report.skipped(n, "thm-4.6", reason) for n in _THEOREM_NAMES]
     st.run("theorem-aggregate", "thm-4.6", step)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DegenerateMetric,
@@ -405,6 +406,21 @@ class LinearOperator:
 def _same_frame(a, b):
     if a.frame != b.frame:
         raise ValueError("objects live on different frames")
+
+
+def first_nonzero(residual: Callable[..., object], dim: int, arity: int,
+                  increasing: bool = False) -> Optional[tuple[int, ...]]:
+    """The first index tuple whose residual is nonzero, or None.
+
+    ``residual`` maps ``arity`` indices in ``range(dim)`` to a scalar, a
+    vector or an operator.  Tuples are visited in row-major order, the
+    order of the nested loops ``for i: for j: ...``, and the scan stops at
+    the first nonzero residual.  With ``increasing`` only the tuples
+    i < j < ... are visited, which suffices for an alternating residual.
+    """
+    tuples = (combinations(range(dim), arity) if increasing
+              else product(range(dim), repeat=arity))
+    return next((idx for idx in tuples if not residual(*idx).is_zero()), None)
 
 
 # --- exact linear algebra -------------------------------------------------

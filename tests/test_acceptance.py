@@ -184,19 +184,16 @@ def test_criterion_08_semisymmetry_both_metrics(frame, icurv, iric, tcurv,
                                                 tric, twin, pair, ureport,
                                                 mu):
     gamma = ureport.gamma_screen
-    agg = theorem_aggregate(frame, icurv, iric, tcurv, tric, twin, pair,
-                            gamma, mu)
+    agg = theorem_aggregate(frame, icurv, tcurv, twin, pair, gamma, mu)
     checks = [
         ("curvature action on Ric vanishes",
          ricci_action(icurv, iric).is_zero()),
         ("twin curvature action on twin Ric vanishes",
          ricci_action(tcurv, tric).is_zero()),
         ("closed-form consequence for the induced metric",
-         semisym_23_entry(frame, icurv, iric, pair, gamma, mu,
-                          2).status == "pass"),
+         semisym_23_entry(frame, icurv, pair, gamma, mu, 2).status == "pass"),
         ("closed-form consequence for the twin metric",
-         semisym_24_entry(frame, tcurv, tric, pair, gamma, mu,
-                          2).status == "pass"),
+         semisym_24_entry(frame, tcurv, pair, gamma, mu, 2).status == "pass"),
         ("all five equivalent assertions are true",
          agg.all_equal() and agg.ricci_semisymmetric),
         ("aggregate constants", agg.eta_constants == (rf(4), rf(-8))
@@ -266,8 +263,7 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, lm):
     tric0 = tcurv0.ricci
     rep0 = umbilicity(f0, obj0)
     geo0 = geodesic_correspondence_entries(obj0, assoc0, rep0)
-    transfer0 = curvature_transfer_entry(rep0, assoc0, curv0, tcurv0, ric0,
-                                         tric0)
+    transfer0 = curvature_transfer_entry(rep0, assoc0, curv0, tcurv0)
     flat0 = umbilical_flatness_entry(f0, rep0, curv0,
                                      curvature(conn0, abelian))
     dim0 = f0.dim

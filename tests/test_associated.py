@@ -11,7 +11,7 @@ from rsthl.associated import (build_associated, curvature_transfer_entry,
                               theorem_entries,
                               tilde_form_21_entry, tilde_relation_13_entry,
                               tilde_ricci_14_entry, tilde_ricci_22_entries,
-                              twin_umbilicity, umbilical_flatness_entry)
+                              umbilical_flatness_entry)
 from rsthl.errors import NotEinstein
 from rsthl.liegeom import LieAlgebra, curvature, ricci_action
 from rsthl.scalars import MU, ONE, ZERO, rf
@@ -139,8 +139,7 @@ def test_umbilic_normal_forms(frame, ureport, pair, mu, tcurv, tric):
 
 def test_twin_ricci_action(frame, ureport, pair, mu, tcurv, tric):
     assert ricci_action(tcurv, tric).is_zero()
-    entry = semisym_24_entry(frame, tcurv, tric, pair,
-                             ureport.gamma_screen, mu, 2)
+    entry = semisym_24_entry(frame, tcurv, pair, ureport.gamma_screen, mu, 2)
     assert entry.status == "pass"
     assert (entry.name, entry.anchor) == ("twin-ricci-action-closed-form",
                                           "eq-24")
@@ -149,7 +148,7 @@ def test_twin_ricci_action(frame, ureport, pair, mu, tcurv, tric):
 def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
                                                icurv, iric, tcurv, tric,
                                                ambient_conn, lm):
-    assert twin_umbilicity(twin) == (None, None)
+    assert twin.twin_umbilicity == (None, None)
     entries = geodesic_correspondence_entries(induced, twin, ureport)
     assert [e.name for e in entries] == [
         "geodesic-correspondence", "umbilical-collapse",
@@ -157,7 +156,7 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
     assert all(e.status == "pass" for e in entries)
     assert entries[1].detail == "vacuous, the first metric is not totally umbilical"
     assert entries[2].detail == "vacuous, the twin metric is not totally umbilical"
-    transfer = curvature_transfer_entry(ureport, twin, icurv, tcurv, iric, tric)
+    transfer = curvature_transfer_entry(ureport, twin, icurv, tcurv)
     assert transfer.status == "pass"
     assert transfer.detail == "vacuous, neither induced metric is totally umbilical"
     flatness = umbilical_flatness_entry(
@@ -166,9 +165,8 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
     assert flatness.detail == "vacuous, the first metric is not totally umbilical"
 
 
-def test_theorem_aggregate(frame, icurv, iric, tcurv, tric, twin, pair,
-                           ureport, mu):
-    agg = theorem_aggregate(frame, icurv, iric, tcurv, tric, twin, pair,
+def test_theorem_aggregate(frame, icurv, tcurv, twin, pair, ureport, mu):
+    agg = theorem_aggregate(frame, icurv, tcurv, twin, pair,
                             ureport.gamma_screen, mu)
     assert agg.ricci_semisymmetric
     assert agg.twin_ricci_semisymmetric
@@ -233,8 +231,7 @@ def test_flat_variant_collapse_statements(flat):
     assert entries[2].detail == \
         "a totally umbilical twin metric collapses everything to geodesic"
     transfer = curvature_transfer_entry(flat["rep"], flat["assoc"],
-                                        flat["curv"], flat["tcurv"],
-                                        flat["ric"], flat["tric"])
+                                        flat["curv"], flat["tcurv"])
     assert transfer.status == "pass"
     assert transfer.detail == \
         "a totally umbilical metric forces R = R~ and Ric = Ric~"
@@ -256,13 +253,13 @@ def test_flat_variant_curvature_agrees(flat):
     assert (flat["ric"] - flat["tric"]).is_zero()
     assert flat["pair"].nu == ZERO
     assert flat["pair"].nu_tilde == ZERO
-    assert twin_umbilicity(flat["assoc"]) == (ZERO, ZERO)
+    assert flat["assoc"].twin_umbilicity == (ZERO, ZERO)
 
 
 def test_flat_variant_theorem(flat):
-    agg = theorem_aggregate(flat["frame"], flat["curv"], flat["ric"],
-                            flat["tcurv"], flat["tric"], flat["assoc"],
-                            flat["pair"], flat["rep"].gamma_screen, flat["mu"])
+    agg = theorem_aggregate(flat["frame"], flat["curv"], flat["tcurv"],
+                            flat["assoc"], flat["pair"],
+                            flat["rep"].gamma_screen, flat["mu"])
     assert agg.all_equal()
     assert agg.ricci_semisymmetric
     assert agg.eta_constants == (ZERO, ZERO)

@@ -6,8 +6,7 @@ from rsthl.builtin import (EXPECTED_FACTOR_TABLE, FACTOR_LABELS,
                            factor_algebra, factor_signature_entry)
 from rsthl.errors import DegenerateMetric
 from rsthl.liegeom import (Connection, CurvatureTensor, InvariantMetric,
-                           LieAlgebra, curvature, direct_sum,
-                           first_bianchi_violation, levi_civita,
+                           LieAlgebra, curvature, first_bianchi_violation, levi_civita,
                            lowered_symmetry_violation, validate_lie_algebra)
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.tensors import Frame, MultilinearForm, Vector
@@ -17,6 +16,22 @@ F3 = Frame(("e1", "e2", "e3"))
 
 def heisenberg():
     return LieAlgebra.from_table(F3, {("e1", "e2"): {"e3": 1}})
+
+
+def direct_sum(a, b):
+    """Block assembly of two bracket tables on the concatenated frame."""
+    frame = Frame(a.frame.labels + b.frame.labels)
+    da, db = a.frame.dimension, b.frame.dimension
+    zero = Vector.zero(frame)
+    rows = [[zero] * (da + db) for _ in range(da + db)]
+    for i in range(da):
+        for j in range(da):
+            rows[i][j] = Vector(frame, a.brackets[i][j].components + (ZERO,) * db)
+    for i in range(db):
+        for j in range(db):
+            rows[da + i][da + j] = Vector(
+                frame, (ZERO,) * da + b.brackets[i][j].components)
+    return LieAlgebra(frame, tuple(tuple(r) for r in rows))
 
 
 def test_from_table_antisymmetrizes():
@@ -115,6 +130,21 @@ def test_nabla_is_bilinear_over_constants():
     assert conn.nabla(v, w) == conn.nabla_basis(0, 1).scale(2 * MU)
 
 
+def curvature_with(cells):
+    """A curvature table on F3, zero except R(e_i, e_j) e_k = v for each
+    (i, j, k): v in cells."""
+    zero = Vector.zero(F3)
+    return CurvatureTensor(F3, tuple(
+        tuple(tuple(cells.get((i, j, k), zero) for k in range(3))
+              for j in range(3)) for i in range(3)))
+
+
+def form_with(cells):
+    """An arity-4 table on F3, zero except at the given index tuples."""
+    return MultilinearForm.from_function(
+        F3, 4, lambda *idx: rf(cells.get(idx, 0)))
+
+
 def test_violation_reporting():
     alg = heisenberg()
     zero_conn = Connection(F3, tuple(
@@ -125,6 +155,20 @@ def test_violation_reporting():
               for j in range(3)) for i in range(3)))
     g = InvariantMetric.diagonal(F3, (1, 1, 1))
     assert bad.metric_violation(g) == (0, 0, 1)
+    assert first_bianchi_violation(
+        curvature_with({(0, 1, 2): F3.basis_vector(0)})) == (0, 1, 2)
+    assert first_bianchi_violation(
+        curvature_with({(2, 1, 0): F3.basis_vector(1)})) == (0, 2, 1)
+    # the earliest tuple in row-major order wins over the check order ...
+    assert lowered_symmetry_violation(form_with({(0, 1, 2, 0): 1})) == \
+        "antisymmetry in the last pair at (0, 1, 0, 2)"
+    # ... and at one tuple the first pair is checked first
+    assert lowered_symmetry_violation(form_with({(0, 0, 0, 0): 1})) == \
+        "antisymmetry in the first pair at (0, 0, 0, 0)"
+    skew = {(0, 1, 0, 2): 1, (1, 0, 0, 2): -1, (0, 1, 2, 0): -1,
+            (1, 0, 2, 0): 1}
+    assert lowered_symmetry_violation(form_with(skew)) == \
+        "pair exchange at (0, 1, 0, 2)"
 
 
 def test_curvature_apply_matches_basis_values():

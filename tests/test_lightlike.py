@@ -266,7 +266,7 @@ def test_curvature_identities(frame, induced, icurv, iric, pair, mu):
         gamma_identity_18_entry(induced, frame, pair, gamma, mu),
         curvature_form_19_entry(frame, icurv, pair, gamma, mu),
         ricci_form_20_entry(frame, iric, pair, gamma, mu, 2),
-        semisym_23_entry(frame, icurv, iric, pair, gamma, mu, 2),
+        semisym_23_entry(frame, icurv, pair, gamma, mu, 2),
     ]
     for entry in checks:
         assert entry.status == "pass", entry.name

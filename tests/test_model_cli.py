@@ -1,11 +1,13 @@
 """Model file schema errors, round trips, suite slicing, and the CLI."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rsthl import liegeom, lightlike, structure, suite
+from rsthl import associated, liegeom, lightlike, structure, suite
 from rsthl.builtin import example_model
 from rsthl.cli import main
 from rsthl.errors import ModelError
@@ -194,12 +196,25 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     count(liegeom, "ricci_action", "ricci_action")
     count(lightlike.SubmanifoldFrame.phi_pairing, "func", "phi_pairing")
     count(lightlike, "build_frame", "build_frame")
+    # associated imports the function by name, so both bindings count
+    count(lightlike, "proportionality_factor", "proportionality_factor")
+    count(associated, "proportionality_factor", "proportionality_factor")
     run_suite(model, "all")
+    # proportionality_factor: b, d and c against g, then h1 and h2 against g~
     assert calls == {"associated_metric": 1, "covariant_derivative": 2,
-                     "ricci_action": 2, "phi_pairing": 1, "build_frame": 1}
+                     "ricci_action": 2, "phi_pairing": 1, "build_frame": 1,
+                     "proportionality_factor": 5}
     calls.update(dict.fromkeys(calls, 0))
     run_suite(model, "ambient")
     assert calls["build_frame"] == 0
+
+
+def test_every_anchor_is_catalogued(model):
+    catalog = Path(__file__).resolve().parents[1] / "docs" / "identities.md"
+    headings = set(re.findall(r"^## (\S+)$",
+                              catalog.read_text(encoding="utf-8"), re.M))
+    anchors = {e.anchor for e in run_suite(model, "all").entries}
+    assert anchors - headings == set()
 
 
 def test_suite_finds_its_stages_by_name(model, monkeypatch):

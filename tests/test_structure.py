@@ -8,9 +8,14 @@ from rsthl.liegeom import InvariantMetric, LieAlgebra, curvature, levi_civita
 from rsthl.scalars import ONE, ZERO, rf
 from rsthl.structure import (ACBMStructure, associated_compat_entry,
                              associated_metric, constant_curvature_residual,
-                             fit_curvature_pair, fundamental_tensor, is_f0,
+                             fit_curvature_pair, fundamental_tensor,
                              pi_tensors, signature_at_sample, validate_acbm)
 from rsthl.tensors import Covector, Frame, LinearOperator, Vector
+
+def is_f0(s, conn):
+    """Whether the structure is of the zero class for this connection."""
+    return fundamental_tensor(s, conn).is_zero()
+
 
 AXIOM_NAMES = ("phi-squared", "eta-of-xi", "eta-after-phi", "phi-of-xi",
                "phi-rank", "b-metric", "eta-is-metric-dual", "xi-unit",

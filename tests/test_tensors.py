@@ -9,8 +9,9 @@ from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.tensors import (Covector, Frame, LinearOperator, MultilinearForm,
-                           Vector, determinant, inertia, matrix_inverse,
-                           pick_regular_sample, solve_affine, solve_unique)
+                           Vector, determinant, first_nonzero, inertia,
+                           matrix_inverse, pick_regular_sample, solve_affine,
+                           solve_unique)
 
 F3 = Frame(("e1", "e2", "e3"))
 
@@ -35,6 +36,21 @@ def test_vector_arithmetic():
     assert (-v).components == (rf(-2), ZERO, -MU)
     assert v.scale(MU).components == (2 * MU, ZERO, MU * MU)
     assert Vector.zero(F3).is_zero()
+
+
+def test_first_nonzero_scans_in_row_major_order():
+    seen = []
+
+    def residual(i, j, k):
+        seen.append((i, j, k))
+        return rf(1) if (i, j, k) in {(1, 0, 2), (2, 1, 0)} else ZERO
+
+    assert first_nonzero(residual, 3, 3) == (1, 0, 2)
+    assert seen == sorted(seen) and seen[-1] == (1, 0, 2)
+    assert first_nonzero(residual, 3, 3, increasing=True) is None
+    assert first_nonzero(lambda i, j: F3.basis_vector(i) if i > j else
+                         Vector.zero(F3), 3, 2) == (1, 0)
+    assert first_nonzero(lambda i: ZERO, 3, 1) is None
 
 
 def test_covector_applies_to_vectors():
