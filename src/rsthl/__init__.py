@@ -6,145 +6,10 @@ in one parameter, so every reported residual is an exact zero or an exact
 nonzero value, never a floating point approximation.
 """
 
-from .errors import (
-    CrossCheckMismatch,
-    DecompositionInconsistent,
-    DegenerateMetric,
-    GeometryError,
-    InconsistentSystem,
-    InvalidFrame,
-    ModelError,
-    MuZero,
-    NoSuchN,
-    NoTotallyRealSection,
-    NotAscreen,
-    NotEinstein,
-    NotEtaEinstein,
-    NotRSTHL,
-    RadicalRankNotOne,
-    ScalarDomainError,
-    ScalarParseError,
-    ScreenDegenerate,
-    UnderdeterminedSystem,
-)
-from .scalars import HALF, MU, ONE, ZERO, RationalFunction, rf
-from .tensors import (
-    Covector,
-    Frame,
-    LinearOperator,
-    MultilinearForm,
-    Vector,
-)
-from .liegeom import (
-    Connection,
-    CurvatureTensor,
-    InvariantMetric,
-    LieAlgebra,
-    curvature,
-    levi_civita,
-    validate_lie_algebra,
-)
-from .structure import (
-    ACBMStructure,
-    CurvaturePair,
-    LieModel,
-    associated_metric,
-    fit_curvature_pair,
-    fundamental_tensor,
-    validate_acbm,
-)
-from .lightlike import (
-    InducedObjects,
-    SubmanifoldFrame,
-    UmbilicityReport,
-    build_frame,
-    certify_ascreen_rsthl,
-    gauss_weingarten,
-    induced_curvature,
-    solve_transversal,
-    umbilicity,
-)
-from .associated import (
-    AssociatedObjects,
-    TheoremAggregate,
-    build_associated,
-    theorem_aggregate,
-    tilde_curvature,
-)
-from .report import CheckEntry, CheckReport
-from .model import ModelFile, SubmanifoldData, load_model, save_model
-from .builtin import example_model, factor_signature_entry
-from .suite import SUITES, run_suite
+from .builtin import example_model
+from .model import load_model
+from .suite import run_suite
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ACBMStructure",
-    "AssociatedObjects",
-    "CheckEntry",
-    "CheckReport",
-    "Connection",
-    "Covector",
-    "CrossCheckMismatch",
-    "CurvaturePair",
-    "CurvatureTensor",
-    "DecompositionInconsistent",
-    "DegenerateMetric",
-    "Frame",
-    "GeometryError",
-    "HALF",
-    "InconsistentSystem",
-    "InducedObjects",
-    "InvalidFrame",
-    "InvariantMetric",
-    "LieAlgebra",
-    "LieModel",
-    "LinearOperator",
-    "MU",
-    "ModelError",
-    "ModelFile",
-    "MuZero",
-    "MultilinearForm",
-    "NoSuchN",
-    "NoTotallyRealSection",
-    "NotAscreen",
-    "NotEinstein",
-    "NotEtaEinstein",
-    "NotRSTHL",
-    "ONE",
-    "RadicalRankNotOne",
-    "RationalFunction",
-    "SUITES",
-    "ScalarDomainError",
-    "ScalarParseError",
-    "ScreenDegenerate",
-    "SubmanifoldData",
-    "SubmanifoldFrame",
-    "TheoremAggregate",
-    "UmbilicityReport",
-    "UnderdeterminedSystem",
-    "Vector",
-    "ZERO",
-    "associated_metric",
-    "build_associated",
-    "build_frame",
-    "certify_ascreen_rsthl",
-    "curvature",
-    "example_model",
-    "factor_signature_entry",
-    "fit_curvature_pair",
-    "fundamental_tensor",
-    "gauss_weingarten",
-    "induced_curvature",
-    "levi_civita",
-    "load_model",
-    "rf",
-    "run_suite",
-    "save_model",
-    "solve_transversal",
-    "theorem_aggregate",
-    "tilde_curvature",
-    "umbilicity",
-    "validate_acbm",
-    "validate_lie_algebra",
-]
+__all__ = ["example_model", "load_model", "run_suite"]

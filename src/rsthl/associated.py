@@ -28,20 +28,19 @@ from .lightlike import (
     InducedObjects,
     SubmanifoldFrame,
     UmbilicityReport,
+    adapted_coordinates,
     eta_einstein_solve,
     proportionality_factor,
 )
 from .report import CheckEntry, residual_entry
-from .scalars import ONE, RationalFunction, ZERO, rf
+from .scalars import ONE, RationalFunction, rf
 from .structure import CurvaturePair
 from .tensors import (
-    LinearOperator,
     MultilinearForm,
     Vector,
     determinant,
     first_nonzero,
     inertia,
-    matrix_inverse,
     pick_regular_sample,
     solve_unique,
 )
@@ -57,8 +56,8 @@ class AssociatedObjects:
     conn: Connection
     h1: MultilinearForm
     h2: MultilinearForm
-    shape_n1: LinearOperator
-    shape_n2: LinearOperator
+    shape_n1: MultilinearForm
+    shape_n2: MultilinearForm
 
     @cached_property
     def twin_umbilicity(self) -> tuple[Optional[RationalFunction],
@@ -119,7 +118,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     avoid = [rad_norm]
     if screen_rows:
         avoid.append(determinant(screen_rows))
-    sample = pick_regular_sample(avoid)
+    sample = pick_regular_sample(
+        avoid, must_be_defined=[e for row in screen_rows for e in row])
     entries.append(residual_entry(
         "twin-radical-spacelike", "thm-1.1",
         rad_norm.eval_at(sample) > 0,
@@ -136,60 +136,44 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     entries.append(residual_entry(
         "twin-screen-signature", "thm-1.1", ok, detail))
 
+    tf = f.tangent_frame
     xi_t = f.radical_tangent()
     inv_mu = ONE / mu
     inv_mu2 = inv_mu * inv_mu
     b_phi = obj.b_phi
-    gamma_formula = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            coeff = inv_mu2 * (obj.b_form.entry(a, b) * rf("1/2") + b_phi.entry(a, b))
-            row.append(obj.conn.gamma[a][b] + xi_t.scale(coeff))
-        gamma_formula.append(tuple(row))
-    conn_formula = Connection(f.tangent_frame, tuple(gamma_formula))
+    conn_formula = Connection(tf, MultilinearForm.from_cells(
+        tf, 3,
+        lambda a, b: obj.conn.gamma.cell(a, b) + xi_t.scale(
+            inv_mu2 * (obj.b_form.entry(a, b) * rf("1/2") + b_phi.entry(a, b)))))
     h1_formula = obj.b_form.scale(inv_mu)
     h2_formula = (obj.b_form + b_phi).scale(-inv_mu)
-    phi_rad = f.phi_p.compose(obj.shape_rad)
+    phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
     shape1_formula = phi_rad.scale(-inv_mu)
     shape2_formula = (obj.shape_rad - phi_rad).scale(inv_mu)
 
-    dim = f.model.frame.dimension
-    full = [list(v.components) for v in f.tangent_vectors + (n1, n2)]
-    full_rows = [[full[j][i] for j in range(dim)] for i in range(dim)]
     try:
-        full_inverse = matrix_inverse(full_rows)
+        coordinates = adapted_coordinates(f.tangent_vectors + (n1, n2))
     except DegenerateMetric as exc:
         raise CrossCheckMismatch(
             "the tangent space and the twin normals do not span the ambient "
             "space") from exc
 
     def split(v: Vector) -> tuple[Vector, RationalFunction, RationalFunction]:
-        coeffs = [sum((full_inverse[r][i] * v.components[i]
-                       for i in range(dim)), ZERO) for r in range(dim)]
-        return (Vector(f.tangent_frame, tuple(coeffs[:m])),
-                coeffs[m], coeffs[m + 1])
+        coeffs = coordinates.apply(v).components
+        return Vector(tf, coeffs[:m]), coeffs[m], coeffs[m + 1]
 
-    gamma_direct = []
-    h1_entries = []
-    h2_entries = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            v = ambient_conn.nabla(f.tangent_vectors[a], f.tangent_vectors[b])
-            tangent, c1, c2 = split(v)
-            row.append(tangent)
-            h1_entries.append(c1)
-            h2_entries.append(c2)
-        gamma_direct.append(tuple(row))
-    conn_direct = Connection(f.tangent_frame, tuple(gamma_direct))
-    h1_direct = MultilinearForm(f.tangent_frame, 2, tuple(h1_entries))
-    h2_direct = MultilinearForm(f.tangent_frame, 2, tuple(h2_entries))
+    nabla = ambient_conn.gamma.apply
+    gauss = [[split(nabla(t, u)) for u in f.tangent_vectors]
+             for t in f.tangent_vectors]
+    conn_direct = Connection(tf, MultilinearForm.from_cells(
+        tf, 3, lambda a, b: gauss[a][b][0]))
+    h1_direct = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][1])
+    h2_direct = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][2])
 
-    weingarten = [[split(ambient_conn.nabla(t, n)) for t in f.tangent_vectors]
+    weingarten = [[split(nabla(t, n)) for t in f.tangent_vectors]
                   for n in (n1, n2)]
     shape1_direct, shape2_direct = (
-        LinearOperator.from_columns(f.tangent_frame, [-t for t, _, _ in cols])
+        MultilinearForm.from_cells(tf, 2, lambda a: -cols[a][0])
         for cols in weingarten)
     tangency = all(c1.is_zero() and c2.is_zero()
                    for cols in weingarten for _, c1, c2 in cols)
@@ -204,7 +188,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     mismatches = [
         (at, rank) for rank, (_, conn) in enumerate(routes)
         if (at := first_nonzero(
-            lambda a, b: conn.gamma[a][b] - conn_direct.gamma[a][b], m, 2)) is not None]
+            lambda a, b: conn.gamma.cell(a, b) - conn_direct.gamma.cell(a, b),
+            m, 2)) is not None]
     if mismatches:
         (a, b), rank = min(mismatches)
         la, lb = f.tangent_frame.labels[a], f.tangent_frame.labels[b]
@@ -243,8 +228,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
         "h2 is symmetric"))
     basis = f.tangent_frame.basis_vector
     dualities = (
-        lambda a, b: h1_direct.entry(a, b) - gt.value(shape1_direct.column(a), basis(b)),
-        lambda a, b: h2_direct.entry(a, b) + gt.value(shape2_direct.column(a), basis(b)))
+        lambda a, b: h1_direct.entry(a, b) - gt.value(shape1_direct.cell(a), basis(b)),
+        lambda a, b: h2_direct.entry(a, b) + gt.value(shape2_direct.cell(a), basis(b)))
     ok = all(first_nonzero(residual, m, 2) is None for residual in dualities)
     entries.append(residual_entry(
         "twin-shape-duality", "sec-2-twin", ok,
@@ -268,13 +253,13 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
     b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
-    tau = obj.tau.components
+    tau = obj.tau.entries
 
     def residual(a: int, b: int, c: int) -> Vector:
-        rhs = curv.entries[a][b][c]
-        rhs = rhs + obj.shape_n.column(a).scale(
+        rhs = curv.table.cell(a, b, c)
+        rhs = rhs + obj.shape_n.cell(a).scale(
             obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2)
-        rhs = rhs - obj.shape_n.column(b).scale(
+        rhs = rhs - obj.shape_n.cell(b).scale(
             obj.b_form.entry(a, c) + b_phi.entry(a, c) * 2)
         coeff = half * (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
                         + tau[a] * obj.b_form.entry(b, c)
@@ -283,7 +268,7 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
                          - tau[b] * b_phi.entry(a, c)
                          + cd_b_phi.entry(a, b, c)
                          - cd_b_phi.entry(b, a, c))
-        return tilde_curv.entries[a][b][c] - (rhs + xi_t.scale(inv_mu2 * coeff))
+        return tilde_curv.table.cell(a, b, c) - (rhs + xi_t.scale(inv_mu2 * coeff))
 
     return residual_entry(
         "twin-curvature-transfer", "eq-13", first_nonzero(residual, m, 3) is None,
@@ -300,7 +285,7 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
     b_n = obj.b_form.pull_slots(obj.shape_n, (0,))
     b_n_phi = b_n.pull_slots(f.phi_p, (1,))
     tr_n = obj.shape_n.trace()
-    tau_xi = obj.tau.components[xi_idx]
+    tau_xi = obj.tau.entries[xi_idx]
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
 
@@ -333,21 +318,21 @@ def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     coeff = nu - mg2 * 4
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
 
     def residual(a: int, b: int, c: int) -> Vector:
-        rhs = proj.column(a).scale(
+        rhs = proj.cell(a).scale(
             coeff * g.entry(b, c) - mg2 * 4 * gp.entry(b, c)
             - nu * eb[b] * eb[c])
-        rhs = rhs - proj.column(b).scale(
+        rhs = rhs - proj.cell(b).scale(
             coeff * g.entry(a, c) - mg2 * 4 * gp.entry(a, c)
             - nu * eb[a] * eb[c])
-        rhs = rhs - phi_p.column(a).scale(coeff * gp.entry(b, c))
-        rhs = rhs + phi_p.column(b).scale(coeff * gp.entry(a, c))
+        rhs = rhs - phi_p.cell(a).scale(coeff * gp.entry(b, c))
+        rhs = rhs + phi_p.cell(b).scale(coeff * gp.entry(a, c))
         rhs = rhs + xi_t.scale(
-            nu * (gp.entry(a, c) * f.eta.components[b]
-                  - gp.entry(b, c) * f.eta.components[a]))
-        return tilde_curv.entries[a][b][c] - rhs
+            nu * (gp.entry(a, c) * f.eta.entries[b]
+                  - gp.entry(b, c) * f.eta.entries[a]))
+        return tilde_curv.table.cell(a, b, c) - rhs
 
     return residual_entry(
         "twin-umbilic-curvature-form", "eq-21", first_nonzero(residual, m, 3) is None,
@@ -370,7 +355,7 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
     mg2 = mu * mu * gamma_screen * gamma_screen
     k1 = (nu - mg2 * 4) * (2 * (n - 2))
     k2 = -(nu + mg2 * (4 * (2 * n - 3)))
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
 
     def build(last: RationalFunction) -> MultilinearForm:
         return MultilinearForm.from_function(
@@ -431,7 +416,7 @@ def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
     gap = nu - mg2 * 4
     factor1 = nu * gap * (2 * n - 3)
     factor2 = gap * (2 * (n - 2))
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
 
     def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
         term1 = (gp.entry(a, d) * eb[b] * eb[c]
@@ -499,17 +484,13 @@ def curvature_transfer_entry(rep: UmbilicityReport, assoc: AssociatedObjects,
         return residual_entry(
             "umbilical-curvature-transfer", "cor-3.5", True,
             "vacuous, neither induced metric is totally umbilical")
-    ok = (first_nonzero(
-        lambda a, b, c: curv.entries[a][b][c] - tilde_curv.entries[a][b][c],
-        curv.frame.dimension, 3) is None
-        and (curv.ricci - tilde_curv.ricci).is_zero())
+    ok = curv.table == tilde_curv.table and (curv.ricci - tilde_curv.ricci).is_zero()
     return residual_entry(
         "umbilical-curvature-transfer", "cor-3.5", ok,
         "a totally umbilical metric forces R = R~ and Ric = Ric~")
 
 
-def umbilical_flatness_entry(f: SubmanifoldFrame, rep: UmbilicityReport,
-                             curv: CurvatureTensor,
+def umbilical_flatness_entry(rep: UmbilicityReport, curv: CurvatureTensor,
                              ambient_curv: CurvatureTensor) -> CheckEntry:
     """A totally umbilical submanifold of a space with both sectional
     invariants constant must be flat, together with its ambient space."""
@@ -517,8 +498,7 @@ def umbilical_flatness_entry(f: SubmanifoldFrame, rep: UmbilicityReport,
         return residual_entry(
             "umbilical-flatness", "cor-4.3", True,
             "vacuous, the first metric is not totally umbilical")
-    flat = all(first_nonzero(lambda a, b, c: r.entries[a][b][c], dim, 3) is None
-               for r, dim in ((curv, f.dim), (ambient_curv, f.model.frame.dimension)))
+    flat = curv.table.is_zero() and ambient_curv.table.is_zero()
     return residual_entry(
         "umbilical-flatness", "cor-4.3", flat,
         "a totally umbilical submanifold and its ambient space are flat")

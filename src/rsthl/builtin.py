@@ -21,7 +21,7 @@ from typing import Optional
 from . import report
 from .liegeom import InvariantMetric, LieAlgebra, levi_civita
 from .model import ModelFile, model_from_json_obj
-from .tensors import Frame, LinearOperator, Vector, first_nonzero
+from .tensors import Frame, MultilinearForm, Vector, first_nonzero
 
 FACTOR_LABELS = ("X1", "X2", "X3", "X4")
 AMBIENT_LABELS = ("X1", "X2", "X3", "X4", "E")
@@ -67,11 +67,10 @@ def factor_algebra() -> LieAlgebra:
     return LieAlgebra.from_table(frame, table)
 
 
-def _factor_j(frame: Frame) -> LinearOperator:
-    columns = [Vector.zero(frame) for _ in range(frame.dimension)]
-    for src, entries in FACTOR_J.items():
-        columns[frame.index(src)] = Vector.from_map(frame, entries)
-    return LinearOperator.from_columns(frame, columns)
+def _factor_j(frame: Frame) -> MultilinearForm:
+    return MultilinearForm.from_cells(
+        frame, 2,
+        lambda j: Vector.from_map(frame, FACTOR_J.get(frame.labels[j], {})))
 
 
 def _matches_expected_table(alg: LieAlgebra, metric: InvariantMetric) -> bool:
@@ -81,19 +80,16 @@ def _matches_expected_table(alg: LieAlgebra, metric: InvariantMetric) -> bool:
     def residual(i: int, j: int) -> Vector:
         key = (frame.labels[i], frame.labels[j])
         expected = Vector.from_map(frame, EXPECTED_FACTOR_TABLE.get(key, {}))
-        return conn.nabla_basis(i, j) - expected
+        return conn.gamma.cell(i, j) - expected
 
     return first_nonzero(residual, frame.dimension, 2) is None
 
 
-def _anti_compatible(metric: InvariantMetric, j_op: LinearOperator) -> bool:
+def _anti_compatible(metric: InvariantMetric, j_op: MultilinearForm) -> bool:
     # g(JX, JY) = -g(X, Y) on the factor
-    frame = metric.frame
-    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
-    return first_nonzero(
-        lambda a, b: metric.value(j_op.apply(basis[a]), j_op.apply(basis[b]))
-        + metric.entry(a, b),
-        frame.dimension, 2) is None
+    g_jj = metric.form.pull_all(j_op)
+    return first_nonzero(lambda a, b: g_jj.entry(a, b) + metric.entry(a, b),
+                         metric.frame.dimension, 2) is None
 
 
 def factor_signature_entry() -> report.CheckEntry:

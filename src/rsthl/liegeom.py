@@ -26,7 +26,6 @@ from . import report
 from .errors import DegenerateMetric
 from .scalars import HALF, ZERO, RationalFunction, rf
 from .tensors import (
-    Covector,
     Frame,
     MultilinearForm,
     Vector,
@@ -39,18 +38,15 @@ from .tensors import (
 @dataclass(frozen=True)
 class LieAlgebra:
     frame: Frame
-    brackets: tuple[tuple[Vector, ...], ...]  # brackets[i][j] = [e_i, e_j]
+    brackets: MultilinearForm  # brackets.cell(i, j) = [e_i, e_j]
 
     def __post_init__(self):
-        dim = self.frame.dimension
-        if len(self.brackets) != dim or any(len(r) != dim for r in self.brackets):
+        if self.brackets.frame != self.frame or self.brackets.arity != 3:
             raise ValueError("bracket table shape does not match the frame")
 
     @classmethod
     def abelian(cls, frame: Frame) -> "LieAlgebra":
-        zero = Vector.zero(frame)
-        dim = frame.dimension
-        return cls(frame, tuple(tuple(zero for _ in range(dim)) for _ in range(dim)))
+        return cls(frame, MultilinearForm.zero(frame, 3))
 
     @classmethod
     def from_table(cls, frame: Frame, table: dict) -> "LieAlgebra":
@@ -65,32 +61,16 @@ class LieAlgebra:
             v = Vector.from_map(frame, entries)
             rows[i][j] = rows[i][j] + v
             rows[j][i] = rows[j][i] - v
-        return cls(frame, tuple(tuple(r) for r in rows))
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.brackets[i][j]
-
-    def bracket(self, v: Vector, w: Vector) -> Vector:
-        out = Vector.zero(self.frame)
-        dim = self.frame.dimension
-        for i in range(dim):
-            a = v.components[i]
-            if a.is_zero():
-                continue
-            for j in range(dim):
-                b = w.components[j]
-                if b.is_zero():
-                    continue
-                out = out + self.brackets[i][j].scale(a * b)
-        return out
+        return cls(frame, MultilinearForm.from_cells(
+            frame, 3, lambda i, j: rows[i][j]))
 
 
 def validate_lie_algebra(alg: LieAlgebra) -> report.CheckEntry:
     """Antisymmetry and the Jacobi identity; names the first violation."""
     dim = alg.frame.dimension
     labels = alg.frame.labels
-    at = first_nonzero(lambda i, j: alg.brackets[i][j] + alg.brackets[j][i],
-                       dim, 2)
+    br = alg.brackets
+    at = first_nonzero(lambda i, j: br.cell(i, j) + br.cell(j, i), dim, 2)
     if at is not None:
         return report.failed(
             "lie-algebra",
@@ -101,9 +81,9 @@ def validate_lie_algebra(alg: LieAlgebra) -> report.CheckEntry:
 
     def jacobiator(i: int, j: int, k: int) -> Vector:
         return (
-            alg.bracket(alg.brackets[i][j], basis[k])
-            + alg.bracket(alg.brackets[j][k], basis[i])
-            + alg.bracket(alg.brackets[k][i], basis[j])
+            br.apply(br.cell(i, j), basis[k])
+            + br.apply(br.cell(j, k), basis[i])
+            + br.apply(br.cell(k, i), basis[j])
         )
 
     at = first_nonzero(jacobiator, dim, 3, increasing=True)
@@ -127,12 +107,14 @@ class InvariantMetric:
         self.form = form
         self.frame = form.frame
         try:
-            self._inverse = tuple(tuple(r) for r in matrix_inverse(form.rows()))
+            inverse = matrix_inverse(form.rows())
         except DegenerateMetric:
             raise DegenerateMetric(
                 "metric has zero determinant on frame "
                 f"{form.frame.labels}"
             ) from None
+        self.inverse = MultilinearForm(
+            self.frame, 2, tuple(c for row in inverse for c in row))
 
     @classmethod
     def diagonal(cls, frame: Frame, diag: Sequence) -> "InvariantMetric":
@@ -149,21 +131,15 @@ class InvariantMetric:
     def entry(self, i: int, j: int) -> RationalFunction:
         return self.form.entry(i, j)
 
-    def inverse_entry(self, i: int, j: int) -> RationalFunction:
-        return self._inverse[i][j]
-
     def value(self, v: Vector, w: Vector) -> RationalFunction:
         return self.form.value(v, w)
 
     def determinant(self) -> RationalFunction:
         return determinant(self.form.rows())
 
-    def lower(self, v: Vector) -> Covector:
-        dim = self.frame.dimension
-        return Covector(
-            self.frame,
-            tuple(self.form.value(self.frame.basis_vector(i), v) for i in range(dim)),
-        )
+    def lower(self, v: Vector) -> MultilinearForm:
+        """The one-form g(v, .)."""
+        return MultilinearForm(self.frame, 1, self.form.apply(v).components)
 
     def __eq__(self, other):
         return isinstance(other, InvariantMetric) and self.form == other.form
@@ -172,119 +148,48 @@ class InvariantMetric:
 @dataclass(frozen=True)
 class Connection:
     frame: Frame
-    gamma: tuple[tuple[Vector, ...], ...]  # gamma[i][j] = nabla_{e_i} e_j
-
-    def nabla_basis(self, i: int, j: int) -> Vector:
-        return self.gamma[i][j]
-
-    def nabla(self, v: Vector, w: Vector) -> Vector:
-        """Covariant derivative for constant-coefficient arguments."""
-        out = Vector.zero(self.frame)
-        dim = self.frame.dimension
-        for i in range(dim):
-            a = v.components[i]
-            if a.is_zero():
-                continue
-            for j in range(dim):
-                b = w.components[j]
-                if b.is_zero():
-                    continue
-                out = out + self.gamma[i][j].scale(a * b)
-        return out
+    gamma: MultilinearForm  # gamma.cell(i, j) = nabla_{e_i} e_j
 
     def torsion_violation(self, alg: LieAlgebra) -> Optional[tuple[int, int]]:
+        g, br = self.gamma, alg.brackets
         return first_nonzero(
-            lambda i, j: self.gamma[i][j] - self.gamma[j][i] - alg.brackets[i][j],
+            lambda i, j: g.cell(i, j) - g.cell(j, i) - br.cell(i, j),
             self.frame.dimension, 2)
 
     def metric_violation(self, metric: InvariantMetric) -> Optional[tuple[int, int, int]]:
-        dim = self.frame.dimension
-        basis = [self.frame.basis_vector(i) for i in range(dim)]
+        low = self.gamma.pull_slots(metric.form, (2,))  # g(nabla_i e_j, e_k)
         return first_nonzero(
-            lambda i, j, k: metric.value(self.gamma[i][j], basis[k])
-            + metric.value(basis[j], self.gamma[i][k]),
-            dim, 3)
+            lambda i, j, k: low.entry(i, j, k) + low.entry(i, k, j),
+            self.frame.dimension, 3)
 
 
 def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> Connection:
     """Unique torsion-free metric connection via the reduced Koszul formula."""
-    frame = alg.frame
-    dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
-    gamma = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            rhs = []
-            for k in range(dim):
-                val = (
-                    metric.value(alg.brackets[i][j], basis[k])
-                    - metric.value(alg.brackets[j][k], basis[i])
-                    + metric.value(alg.brackets[k][i], basis[j])
-                ) * HALF
-                rhs.append(val)
-            comps = []
-            for k in range(dim):
-                acc = ZERO
-                for l in range(dim):
-                    ge = metric.inverse_entry(k, l)
-                    if not ge.is_zero() and not rhs[l].is_zero():
-                        acc = acc + ge * rhs[l]
-                comps.append(acc)
-            row.append(Vector(frame, tuple(comps)))
-        gamma.append(tuple(row))
-    return Connection(frame, tuple(gamma))
+    low = alg.brackets.pull_slots(metric.form, (2,))  # g([e_i, e_j], e_k)
+    koszul = MultilinearForm.from_function(
+        alg.frame, 3,
+        lambda i, j, k: (low.entry(i, j, k) - low.entry(j, k, i)
+                         + low.entry(k, i, j)) * HALF)
+    return Connection(alg.frame, koszul.pull_slots(metric.inverse, (2,)))
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
     frame: Frame
-    entries: tuple[tuple[tuple[Vector, ...], ...], ...]  # entries[i][j][k] = R(e_i,e_j)e_k
-
-    def basis_value(self, i: int, j: int, k: int) -> Vector:
-        return self.entries[i][j][k]
-
-    def apply(self, x: Vector, y: Vector, z: Vector) -> Vector:
-        out = Vector.zero(self.frame)
-        dim = self.frame.dimension
-        for i in range(dim):
-            a = x.components[i]
-            if a.is_zero():
-                continue
-            for j in range(dim):
-                b = y.components[j]
-                if b.is_zero():
-                    continue
-                ab = a * b
-                for k in range(dim):
-                    c = z.components[k]
-                    if c.is_zero():
-                        continue
-                    out = out + self.entries[i][j][k].scale(ab * c)
-        return out
+    table: MultilinearForm  # table.cell(i, j, k) = R(e_i, e_j) e_k
 
     def lower(self, metric: InvariantMetric) -> MultilinearForm:
         """R(X,Y,Z,W) = g(R(X,Y)Z, W) as an arity-4 table."""
-        frame = self.frame
-        basis = [frame.basis_vector(i) for i in range(frame.dimension)]
-        return MultilinearForm.from_function(
-            frame,
-            4,
-            lambda i, j, k, l: metric.value(self.entries[i][j][k], basis[l]),
-        )
+        return self.table.pull_slots(metric.form, (3,))
 
     @cached_property
     def ricci(self) -> MultilinearForm:
         """Frame-coefficient trace over the first slot."""
         dim = self.frame.dimension
-
-        def entry(j, k):
-            acc = ZERO
-            for i in range(dim):
-                acc = acc + self.entries[i][j][k].components[i]
-            return acc
-
-        return MultilinearForm.from_function(self.frame, 2, entry)
+        return MultilinearForm.from_function(
+            self.frame, 2,
+            lambda j, k: sum((self.table.entry(i, j, k, i) for i in range(dim)),
+                             ZERO))
 
     @cached_property
     def ricci_action(self) -> MultilinearForm:
@@ -294,43 +199,35 @@ class CurvatureTensor:
 
 def ricci_action(curv: CurvatureTensor, ric: MultilinearForm) -> MultilinearForm:
     """The derivation action of the curvature on the Ricci tensor."""
-    frame = ric.frame
-    dim = frame.dimension
+    return derivation_action(curv.table, ric)
 
-    def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
-        first = sum((curv.entries[a][b][c].components[k] * ric.entry(k, d)
-                     for k in range(dim)), ZERO)
-        second = sum((curv.entries[a][b][d].components[k] * ric.entry(c, k)
-                      for k in range(dim)), ZERO)
-        return -(first + second)
 
-    return MultilinearForm.from_function(frame, 4, entry)
+def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> MultilinearForm:
+    """The operators ops(..., .) acting as derivations on a bilinear form:
+    the table of -form(ops(..., x), y) - form(x, ops(..., y))."""
+    arity = ops.arity
+    first = MultilinearForm.from_cells(
+        form.frame, arity, lambda *idx: form.apply(ops.cell(*idx)))
+    second = ops.pull_slots(form, (arity - 1,))  # form(y, ops(..., x))
+    return MultilinearForm.from_function(
+        form.frame, arity,
+        lambda *idx: -(first.entry(*idx) + second.entry(*idx[:-2], idx[-1], idx[-2])))
 
 
 def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
     frame = conn.frame
-    dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
-    rows = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            cell = []
-            for k in range(dim):
-                v = (
-                    conn.nabla(basis[i], conn.gamma[j][k])
-                    - conn.nabla(basis[j], conn.gamma[i][k])
-                    - conn.nabla(alg.brackets[i][j], basis[k])
-                )
-                cell.append(v)
-            plane.append(tuple(cell))
-        rows.append(tuple(plane))
-    return CurvatureTensor(frame, tuple(rows))
+    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
+    g, br = conn.gamma, alg.brackets
+    return CurvatureTensor(frame, MultilinearForm.from_cells(
+        frame, 4,
+        lambda i, j, k: (g.apply(basis[i], g.cell(j, k))
+                         - g.apply(basis[j], g.cell(i, k))
+                         - g.apply(br.cell(i, j), basis[k]))))
 
 
 def first_bianchi_violation(curv: CurvatureTensor) -> Optional[tuple[int, int, int]]:
-    e = curv.entries
-    return first_nonzero(lambda i, j, k: e[i][j][k] + e[j][k][i] + e[k][i][j],
+    e = curv.table.cell
+    return first_nonzero(lambda i, j, k: e(i, j, k) + e(j, k, i) + e(k, i, j),
                          curv.frame.dimension, 3)
 
 

@@ -32,14 +32,18 @@ from .errors import (
     ScreenDegenerate,
     UnderdeterminedSystem,
 )
-from .liegeom import Connection, CurvatureTensor, LieAlgebra, curvature
+from .liegeom import (
+    Connection,
+    CurvatureTensor,
+    LieAlgebra,
+    curvature,
+    derivation_action,
+)
 from .report import CheckEntry, residual_entry, skipped
 from .scalars import ONE, RationalFunction, ZERO, rf
 from .structure import CurvaturePair, LieModel
 from .tensors import (
-    Covector,
     Frame,
-    LinearOperator,
     MultilinearForm,
     Vector,
     _echelon,
@@ -63,17 +67,8 @@ def solve_transversal(model: LieModel, screen: tuple[Vector, ...], rad: Vector,
     quadratic one is then linear in t because rad is null.
     """
     g = model.metric
-    dim = model.frame.dimension
-    basis = [model.frame.basis_vector(i) for i in range(dim)]
-    rows = []
-    rhs = []
-    for w in screen:
-        rows.append([g.value(basis[i], w) for i in range(dim)])
-        rhs.append(ZERO)
-    rows.append([g.value(basis[i], l_vec) for i in range(dim)])
-    rhs.append(ZERO)
-    rows.append([g.value(basis[i], rad) for i in range(dim)])
-    rhs.append(ONE)
+    rows = [list(g.lower(w).entries) for w in (*screen, l_vec, rad)]
+    rhs = [ZERO] * (len(screen) + 1) + [ONE]
     try:
         particular, kernel = solve_affine(rows, rhs)
     except (InconsistentSystem, UnderdeterminedSystem) as exc:
@@ -153,11 +148,9 @@ class SubmanifoldFrame:
                                 rad, l_vec, n_vec)
         self.n_vec = n_vec
 
-        full = [list(v.components)
-                for v in self.tangent_vectors + (n_vec, l_vec)]
-        full_rows = [[full[j][i] for j in range(dim)] for i in range(dim)]
         try:
-            self._full_inverse = matrix_inverse(full_rows)
+            self._coordinates = adapted_coordinates(
+                self.tangent_vectors + (n_vec, l_vec))
         except DegenerateMetric as exc:
             raise InvalidFrame(
                 "the tangent basis and the transversals do not span the "
@@ -166,11 +159,11 @@ class SubmanifoldFrame:
         self.induced_form = MultilinearForm.from_function(
             self.tangent_frame, 2,
             lambda a, b: g.value(self.tangent_vectors[a], self.tangent_vectors[b]))
-        self.eta = Covector(self.tangent_frame, tuple(
+        self.eta = MultilinearForm(self.tangent_frame, 1, tuple(
             g.value(v, n_vec) for v in self.tangent_vectors))
         amb_eta = model.structure.eta_bar
-        self.eta_bar = Covector(self.tangent_frame, tuple(
-            amb_eta(v) for v in self.tangent_vectors))
+        self.eta_bar = MultilinearForm(self.tangent_frame, 1, tuple(
+            amb_eta.value(v) for v in self.tangent_vectors))
         self.tangent_algebra = self._close_brackets()
 
     @property
@@ -193,9 +186,7 @@ class SubmanifoldFrame:
 
     def decompose_full(self, v: Vector) -> tuple[Vector, RationalFunction, RationalFunction]:
         """Split an ambient vector over the basis (tangent..., N, L)."""
-        coeffs = [sum((self._full_inverse[r][i] * v.components[i]
-                       for i in range(len(v.components))), ZERO)
-                  for r in range(len(v.components))]
+        coeffs = self._coordinates.apply(v).components
         tangent = Vector(self.tangent_frame, tuple(coeffs[:self.dim]))
         return tangent, coeffs[self.dim], coeffs[self.dim + 1]
 
@@ -207,30 +198,28 @@ class SubmanifoldFrame:
         return tangent
 
     @cached_property
-    def projector(self) -> LinearOperator:
+    def projector(self) -> MultilinearForm:
         """Projection on the screen distribution along the radical."""
         xi_t = self.radical_tangent()
-        cols = []
-        for a in range(self.dim):
-            basis = self.tangent_frame.basis_vector(a)
-            cols.append(basis - xi_t.scale(self.eta.components[a]))
-        return LinearOperator.from_columns(self.tangent_frame, cols)
+        return MultilinearForm.from_cells(
+            self.tangent_frame, 2,
+            lambda a: self.tangent_frame.basis_vector(a)
+            - xi_t.scale(self.eta.entries[a]))
 
     @cached_property
-    def phi_p(self) -> LinearOperator:
+    def phi_p(self) -> MultilinearForm:
         """The tangent operator X -> phi(PX); requires a phi-invariant screen."""
         phi = self.model.structure.phi
-        cols = []
-        for a in range(self.dim):
+
+        def column(a: int) -> Vector:
             if a == self.radical_index:
-                cols.append(Vector.zero(self.tangent_frame))
-                continue
+                return Vector.zero(self.tangent_frame)
             image = phi.apply(self.tangent_vectors[a])
             try:
-                cols.append(self.to_tangent(image, "the structure image of a screen vector"))
+                return self.to_tangent(image, "the structure image of a screen vector")
             except DecompositionInconsistent as exc:
                 raise NotRSTHL(str(exc)) from exc
-        return LinearOperator.from_columns(self.tangent_frame, cols)
+        return MultilinearForm.from_cells(self.tangent_frame, 2, column)
 
     @cached_property
     def phi_pairing(self) -> MultilinearForm:
@@ -253,22 +242,30 @@ class SubmanifoldFrame:
                                  phi.apply(self.tangent_vectors[b])))
 
     def _close_brackets(self) -> LieAlgebra:
-        alg = self.model.algebra
-        table = []
-        for a in range(self.dim):
-            row = []
-            for b in range(self.dim):
-                amb = alg.bracket(self.tangent_vectors[a], self.tangent_vectors[b])
-                try:
-                    row.append(self.to_tangent(amb, "a bracket of tangent vectors"))
-                except DecompositionInconsistent as exc:
-                    la = self.tangent_frame.labels[a]
-                    lb = self.tangent_frame.labels[b]
-                    raise InvalidFrame(
-                        f"the bracket [{la}, {lb}] leaves the tangent space: {exc}"
-                    ) from exc
-            table.append(tuple(row))
-        return LieAlgebra(self.tangent_frame, tuple(table))
+        brackets = self.model.algebra.brackets
+
+        def bracket(a: int, b: int) -> Vector:
+            amb = brackets.apply(self.tangent_vectors[a], self.tangent_vectors[b])
+            try:
+                return self.to_tangent(amb, "a bracket of tangent vectors")
+            except DecompositionInconsistent as exc:
+                la = self.tangent_frame.labels[a]
+                lb = self.tangent_frame.labels[b]
+                raise InvalidFrame(
+                    f"the bracket [{la}, {lb}] leaves the tangent space: {exc}"
+                ) from exc
+        return LieAlgebra(self.tangent_frame, MultilinearForm.from_cells(
+            self.tangent_frame, 3, bracket))
+
+
+def adapted_coordinates(basis: tuple[Vector, ...]) -> MultilinearForm:
+    """The operator taking an ambient vector to its coefficients over the
+    given basis; raises DegenerateMetric when the basis is not one."""
+    frame = basis[0].frame
+    dim = frame.dimension
+    inverse = matrix_inverse(
+        [[basis[j].components[i] for j in range(dim)] for i in range(dim)])
+    return MultilinearForm.from_function(frame, 2, lambda i, r: inverse[r][i])
 
 
 def _verify_transversal(model: LieModel, tangent_vectors, tangent_frame,
@@ -360,17 +357,17 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
         "reeb-split", anchor, (s.xi_bar - reeb).is_zero(),
         "the distinguished field splits as (1/2mu) xi + mu N"))
     entries.append(residual_entry(
-        "eta-of-radical", anchor, (s.eta_bar(f.rad) - mu).is_zero(),
+        "eta-of-radical", anchor, (s.eta_bar.value(f.rad) - mu).is_zero(),
         "eta(xi) = mu"))
     entries.append(residual_entry(
         "transversal-unit", anchor, (f.epsilon - 1).is_zero(),
         "g(L, L) = 1"))
     entries.append(residual_entry(
-        "eta-of-transversal", anchor, s.eta_bar(f.l_vec).is_zero(),
+        "eta-of-transversal", anchor, s.eta_bar.value(f.l_vec).is_zero(),
         "eta(L) = 0"))
     entries.append(residual_entry(
         "eta-of-null-transversal", anchor,
-        (s.eta_bar(f.n_vec) - half_inv).is_zero(),
+        (s.eta_bar.value(f.n_vec) - half_inv).is_zero(),
         "eta(N) = 1/(2 mu)"))
     entries.append(residual_entry(
         "phi-of-null-transversal", anchor,
@@ -391,8 +388,7 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
         "screen-phi-invariance", anchor,
         first_nonzero(off_screen, f.dim - 1, 1) is None,
         "the structure operator preserves the screen distribution"))
-    eta_match = all((f.eta_bar.components[a] - mu * f.eta.components[a]).is_zero()
-                    for a in range(f.dim))
+    eta_match = (f.eta_bar - f.eta.scale(mu)).is_zero()
     entries.append(residual_entry(
         "eta-proportionality", anchor, eta_match,
         "the restricted dual form equals mu times the transversal dual"))
@@ -404,16 +400,16 @@ class InducedObjects:
     """Induced connection, fundamental forms and shape operators."""
 
     conn: Connection
-    screen_gamma: tuple[tuple[Vector, ...], ...]
+    screen_gamma: MultilinearForm  # screen_gamma.cell(a, b) = nabla*_{T_a} P T_b
     b_form: MultilinearForm
     c_form: MultilinearForm
     d_form: MultilinearForm
-    shape_rad: LinearOperator
-    shape_n: LinearOperator
-    shape_l: LinearOperator
-    tau: Covector
-    rho: Covector
-    phi_form: Covector
+    shape_rad: MultilinearForm
+    shape_n: MultilinearForm
+    shape_l: MultilinearForm
+    tau: MultilinearForm
+    rho: MultilinearForm
+    phi_form: MultilinearForm
     frame: SubmanifoldFrame = field(repr=False, compare=False)
 
     @cached_property
@@ -438,69 +434,43 @@ class InducedObjects:
 def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedObjects:
     """Split the ambient derivatives over (tangent, N, L)."""
     m = f.dim
+    tf = f.tangent_frame
     xi_t = f.radical_tangent()
-    gamma = []
-    b_entries = []
-    d_entries = []
-    for a in range(m):
-        row_g = []
-        for b in range(m):
-            v = ambient_conn.nabla(f.tangent_vectors[a], f.tangent_vectors[b])
-            tangent, n_c, l_c = f.decompose_full(v)
-            row_g.append(tangent)
-            b_entries.append(n_c)
-            d_entries.append(l_c)
-        gamma.append(tuple(row_g))
-    conn = Connection(f.tangent_frame, tuple(gamma))
-    b_form = MultilinearForm(f.tangent_frame, 2, tuple(b_entries))
-    d_form = MultilinearForm(f.tangent_frame, 2, tuple(d_entries))
+    nabla = ambient_conn.gamma.apply
 
-    tau_c = []
-    rho_c = []
-    shape_n_cols = []
-    for a in range(m):
-        v = ambient_conn.nabla(f.tangent_vectors[a], f.n_vec)
-        tangent, n_c, l_c = f.decompose_full(v)
-        shape_n_cols.append(-tangent)
-        tau_c.append(n_c)
-        rho_c.append(l_c)
-    tau = Covector(f.tangent_frame, tuple(tau_c))
-    rho = Covector(f.tangent_frame, tuple(rho_c))
-    shape_n = LinearOperator.from_columns(f.tangent_frame, shape_n_cols)
+    def split_all(vectors):
+        """Rows (a, b) of the splits of nabla_{T_a} vectors[b]."""
+        return [[f.decompose_full(nabla(t, v)) for v in vectors]
+                for t in f.tangent_vectors]
 
-    phi_c = []
-    shape_l_cols = []
-    for a in range(m):
-        v = ambient_conn.nabla(f.tangent_vectors[a], f.l_vec)
-        tangent, n_c, l_c = f.decompose_full(v)
-        if not l_c.is_zero():
-            raise DecompositionInconsistent(
-                "the derivative of L has an L component, the ambient "
-                "connection is not metric")
-        shape_l_cols.append(-tangent)
-        phi_c.append(n_c)
-    phi_form = Covector(f.tangent_frame, tuple(phi_c))
-    shape_l = LinearOperator.from_columns(f.tangent_frame, shape_l_cols)
+    gauss = split_all(f.tangent_vectors)
+    conn = Connection(tf, MultilinearForm.from_cells(
+        tf, 3, lambda a, b: gauss[a][b][0]))
+    b_form = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][1])
+    d_form = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][2])
 
-    c_entries = []
-    screen_gamma = []
-    for a in range(m):
-        row_s = []
-        for b in range(m):
-            c_val = gamma[a][b].components[m - 1] if b != m - 1 else ZERO
-            c_entries.append(c_val)
-            if b != m - 1:
-                row_s.append(gamma[a][b] - xi_t.scale(gamma[a][b].components[m - 1]))
-        screen_gamma.append(tuple(row_s))
-    c_form = MultilinearForm(f.tangent_frame, 2, tuple(c_entries))
+    along_n, along_l = zip(*split_all((f.n_vec, f.l_vec)))
+    if any(not l_c.is_zero() for _, _, l_c in along_l):
+        raise DecompositionInconsistent(
+            "the derivative of L has an L component, the ambient "
+            "connection is not metric")
+    shape_n = MultilinearForm.from_cells(tf, 2, lambda a: -along_n[a][0])
+    tau = MultilinearForm.from_function(tf, 1, lambda a: along_n[a][1])
+    rho = MultilinearForm.from_function(tf, 1, lambda a: along_n[a][2])
+    shape_l = MultilinearForm.from_cells(tf, 2, lambda a: -along_l[a][0])
+    phi_form = MultilinearForm.from_function(tf, 1, lambda a: along_l[a][1])
 
-    shape_rad_cols = []
-    for a in range(m):
-        col = -gamma[a][m - 1] - xi_t.scale(tau_c[a])
-        shape_rad_cols.append(col)
-    shape_rad = LinearOperator.from_columns(f.tangent_frame, shape_rad_cols)
+    rad = m - 1
+    c_form = MultilinearForm.from_function(
+        tf, 2, lambda a, b: conn.gamma.entry(a, b, rad) if b != rad else ZERO)
+    screen_gamma = MultilinearForm.from_cells(
+        tf, 3,
+        lambda a, b: conn.gamma.cell(a, b) - xi_t.scale(c_form.entry(a, b))
+        if b != rad else Vector.zero(tf))
+    shape_rad = MultilinearForm.from_cells(
+        tf, 2, lambda a: -conn.gamma.cell(a, rad) - xi_t.scale(tau.entries[a]))
 
-    return InducedObjects(conn=conn, screen_gamma=tuple(screen_gamma),
+    return InducedObjects(conn=conn, screen_gamma=screen_gamma,
                           b_form=b_form, c_form=c_form, d_form=d_form,
                           shape_rad=shape_rad, shape_n=shape_n, shape_l=shape_l,
                           tau=tau, rho=rho, phi_form=phi_form, frame=f)
@@ -530,72 +500,70 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
         "B(X, xi) = 0"))
     entries.append(residual_entry(
         "d-radical-slot", anchor,
-        all((obj.d_form.entry(a, xi_idx) + obj.phi_form.components[a]).is_zero()
+        all((obj.d_form.entry(a, xi_idx) + obj.phi_form.entries[a]).is_zero()
             for a in range(m)),
         "D(X, xi) = -phi(X)"))
     entries.append(residual_entry(
         "radical-shape-kills-radical", anchor,
-        obj.shape_rad.column(xi_idx).is_zero(),
+        obj.shape_rad.cell(xi_idx).is_zero(),
         "the radical shape operator annihilates xi"))
-    basis = f.tangent_frame.basis_vector
+    g_rad = g.pull_slots(obj.shape_rad, (0,))  # g(A*_xi T_a, T_b)
     ok = first_nonzero(
-        lambda a, b: g.value(obj.shape_rad.column(a), basis(b))
-        - g.value(basis(a), obj.shape_rad.column(b)), m, 2) is None
+        lambda a, b: g_rad.entry(a, b) - g_rad.entry(b, a), m, 2) is None
     entries.append(residual_entry(
         "radical-shape-self-adjoint", anchor, ok,
         "the radical shape operator is self-adjoint for the induced metric"))
     ok = first_nonzero(
-        lambda a, b: obj.b_form.entry(a, b)
-        - g.value(obj.shape_rad.column(a), basis(b)), m, 2) is None
+        lambda a, b: obj.b_form.entry(a, b) - g_rad.entry(a, b), m, 2) is None
     entries.append(residual_entry(
         "b-from-radical-shape", anchor, ok, "B(X, Y) = g(A*_xi X, Y)"))
     entries.append(residual_entry(
         "radical-shape-screen-valued", anchor,
-        all(obj.shape_rad.matrix[xi_idx][a].is_zero() for a in range(m)),
+        all(obj.shape_rad.entry(a, xi_idx).is_zero() for a in range(m)),
         "the radical shape operator takes values in the screen"))
     entries.append(residual_entry(
         "n-shape-screen-valued", anchor,
-        all(obj.shape_n.matrix[xi_idx][a].is_zero() for a in range(m)),
+        all(obj.shape_n.entry(a, xi_idx).is_zero() for a in range(m)),
         "the null transversal shape operator takes values in the screen"))
     proj = f.projector
     ok = first_nonzero(
         lambda a, b: obj.c_form.entry(a, b)
-        - g.value(obj.shape_n.column(a), proj.column(b)), m, 2) is None
+        - g.value(obj.shape_n.cell(a), proj.cell(b)), m, 2) is None
     entries.append(residual_entry(
         "c-from-n-shape", anchor, ok, "C(X, PY) = g(A_N X, PY)"))
     eps = f.epsilon
 
-    def d_from_l_shape(a: int, b: int) -> RationalFunction:
-        d_proj = sum((proj.matrix[k][b] * obj.d_form.entry(a, k)
-                      for k in range(m)), ZERO)
-        return eps * d_proj - g.value(obj.shape_l.column(a), proj.column(b))
-
+    d_proj = obj.d_form.pull_slots(proj, (1,))
+    g_l_proj = g.pull_slots(obj.shape_l, (0,)).pull_slots(proj, (1,))  # g(A_L T_a, P T_b)
+    ok = first_nonzero(
+        lambda a, b: eps * d_proj.entry(a, b) - g_l_proj.entry(a, b), m, 2) is None
     entries.append(residual_entry(
-        "d-from-l-shape", anchor, first_nonzero(d_from_l_shape, m, 2) is None,
-        "eps D(X, PY) = g(A_L X, PY)"))
+        "d-from-l-shape", anchor, ok, "eps D(X, PY) = g(A_L X, PY)"))
     ok = first_nonzero(
         lambda a, b: eps * obj.d_form.entry(a, b)
-        - (g.value(obj.shape_l.column(a), proj.column(b))
-           - obj.phi_form.components[a] * f.eta.components[b]), m, 2) is None
+        - (g_l_proj.entry(a, b)
+           - obj.phi_form.entries[a] * f.eta.entries[b]), m, 2) is None
     entries.append(residual_entry(
         "d-split", anchor, ok, "eps D(X, Y) = g(A_L X, PY) - phi(X) eta(Y)"))
     amb_g = f.model.metric
-    ok = all((amb_g.value(f.embed(obj.shape_l.column(a)), f.n_vec)
-              - eps * obj.rho.components[a]).is_zero() for a in range(m))
+    ok = all((amb_g.value(f.embed(obj.shape_l.cell(a)), f.n_vec)
+              - eps * obj.rho.entries[a]).is_zero() for a in range(m))
     entries.append(residual_entry(
         "l-shape-duality", anchor, ok, "g(A_L X, N) = eps rho(X)"))
 
+    low = obj.conn.gamma.pull_slots(g, (2,))  # g(nabla_{T_a} T_b, T_c)
+    eta = f.eta.entries
+
     def metric_deviation(a: int, b: int, c: int) -> RationalFunction:
-        dg = -(g.value(obj.conn.gamma[a][b], basis(c))
-               + g.value(basis(b), obj.conn.gamma[a][c]))
-        return dg - (obj.b_form.entry(a, b) * f.eta.components[c]
-                     + obj.b_form.entry(a, c) * f.eta.components[b])
+        dg = -(low.entry(a, b, c) + low.entry(a, c, b))
+        return dg - (obj.b_form.entry(a, b) * eta[c]
+                     + obj.b_form.entry(a, c) * eta[b])
 
     entries.append(residual_entry(
         "metric-deviation", anchor, first_nonzero(metric_deviation, m, 3) is None,
         "(nabla_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y)"))
     ok = first_nonzero(
-        lambda a, b: obj.tau(f.tangent_algebra.bracket_basis(a, b)), m, 2) is None
+        lambda a, b: obj.tau.value(f.tangent_algebra.brackets.cell(a, b)), m, 2) is None
     entries.append(residual_entry(
         "tau-closed", anchor, ok,
         "d tau = 0, hence the induced Ricci tensor is symmetric"))
@@ -616,7 +584,7 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
     entries.append(residual_entry(
         "n-shape-from-radical-shape", "eq-2.7", res.is_zero(),
         "A_N = -(1/2mu^2) A*_xi"))
-    res = obj.shape_l - phi_p.compose(obj.shape_rad).scale(inv_mu)
+    res = obj.shape_l - phi_p.pull_slots(obj.shape_rad, (0,)).scale(inv_mu)
     entries.append(residual_entry(
         "l-shape-from-radical-shape", "eq-2.7", res.is_zero(),
         "A_L = (1/mu) phi A*_xi"))
@@ -636,21 +604,21 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
     entries.append(residual_entry(
         "rho-vanishes", "eq-2.9", obj.rho.is_zero(), "rho = 0"))
 
-    def phi_p_derivative(a: int) -> LinearOperator:
-        """nabla*_a (phi P) - (phi P) nabla*_a, the screen connection
-        along T_a taken as an operator that kills the radical."""
-        nabla_a = LinearOperator.from_columns(
-            f.tangent_frame, obj.screen_gamma[a] + (Vector.zero(f.tangent_frame),))
-        return nabla_a.compose(phi_p) - phi_p.compose(nabla_a)
+    basis = f.tangent_frame.basis_vector
+    sg = obj.screen_gamma
+
+    def phi_p_derivative(a: int, b: int) -> Vector:
+        """nabla*_{T_a} (phi P T_b) - phi P (nabla*_{T_a} P T_b)."""
+        return sg.apply(basis(a), phi_p.cell(b)) - phi_p.apply(sg.cell(a, b))
 
     entries.append(residual_entry(
-        "screen-phi-parallel", "eq-2.10", first_nonzero(phi_p_derivative, m, 1) is None,
+        "screen-phi-parallel", "eq-2.10", first_nonzero(phi_p_derivative, m, 2) is None,
         "the screen connection makes the restricted structure operator parallel"))
 
     for name, op in (("radical-shape-phi-commute", obj.shape_rad),
                      ("n-shape-phi-commute", obj.shape_n),
                      ("l-shape-phi-commute", obj.shape_l)):
-        ok = all((op.apply(phi_p.column(s)) - phi_p.apply(op.column(s))).is_zero()
+        ok = all((op.apply(phi_p.cell(s)) - phi_p.apply(op.cell(s))).is_zero()
                  for s in range(m - 1))
         entries.append(residual_entry(
             name, "sec-2-commuting", ok,
@@ -767,16 +735,7 @@ def covariant_derivative(conn: Connection, form: MultilinearForm) -> Multilinear
     """
     if form.arity != 2:
         raise ValueError("only bilinear forms are differentiated here")
-    dim = form.frame.dimension
-
-    def entry(a: int, b: int, c: int) -> RationalFunction:
-        left = sum((conn.gamma[a][b].components[k] * form.entry(k, c)
-                    for k in range(dim)), ZERO)
-        right = sum((conn.gamma[a][c].components[k] * form.entry(b, k)
-                     for k in range(dim)), ZERO)
-        return -(left + right)
-
-    return MultilinearForm.from_function(form.frame, 3, entry)
+    return derivation_action(conn.gamma, form)
 
 
 def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
@@ -787,26 +746,26 @@ def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
     cd_b, cd_d = obj.cd_b, obj.cd_d
 
     def residual(a: int, b: int, c: int) -> Vector:
-        lhs = ambient_curv.apply(f.tangent_vectors[a],
-                                 f.tangent_vectors[b],
-                                 f.tangent_vectors[c])
-        tangent = f.embed(induced_curv.entries[a][b][c])
-        tangent = tangent + f.embed(obj.shape_n.column(b)).scale(
+        lhs = ambient_curv.table.apply(f.tangent_vectors[a],
+                                       f.tangent_vectors[b],
+                                       f.tangent_vectors[c])
+        tangent = f.embed(induced_curv.table.cell(a, b, c))
+        tangent = tangent + f.embed(obj.shape_n.cell(b)).scale(
             obj.b_form.entry(a, c))
-        tangent = tangent - f.embed(obj.shape_n.column(a)).scale(
+        tangent = tangent - f.embed(obj.shape_n.cell(a)).scale(
             obj.b_form.entry(b, c))
-        tangent = tangent + f.embed(obj.shape_l.column(b)).scale(
+        tangent = tangent + f.embed(obj.shape_l.cell(b)).scale(
             obj.d_form.entry(a, c))
-        tangent = tangent - f.embed(obj.shape_l.column(a)).scale(
+        tangent = tangent - f.embed(obj.shape_l.cell(a)).scale(
             obj.d_form.entry(b, c))
         n_coeff = (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
-                   + obj.tau.components[a] * obj.b_form.entry(b, c)
-                   - obj.tau.components[b] * obj.b_form.entry(a, c)
-                   + obj.phi_form.components[a] * obj.d_form.entry(b, c)
-                   - obj.phi_form.components[b] * obj.d_form.entry(a, c))
+                   + obj.tau.entries[a] * obj.b_form.entry(b, c)
+                   - obj.tau.entries[b] * obj.b_form.entry(a, c)
+                   + obj.phi_form.entries[a] * obj.d_form.entry(b, c)
+                   - obj.phi_form.entries[b] * obj.d_form.entry(a, c))
         l_coeff = (cd_d.entry(a, b, c) - cd_d.entry(b, a, c)
-                   + obj.rho.components[a] * obj.b_form.entry(b, c)
-                   - obj.rho.components[b] * obj.b_form.entry(a, c))
+                   + obj.rho.entries[a] * obj.b_form.entry(b, c)
+                   - obj.rho.entries[b] * obj.b_form.entry(a, c))
         return lhs - (tangent + f.n_vec.scale(n_coeff) + f.l_vec.scale(l_coeff))
 
     return residual_entry(
@@ -827,27 +786,27 @@ def curvature_form_15_entry(f: SubmanifoldFrame, obj: InducedObjects,
     xi_t = f.radical_tangent()
     nu, nut = pair.nu, pair.nu_tilde
     b_phi = obj.b_phi
-    phi_an = phi_p.compose(obj.shape_n)
+    phi_an = phi_p.pull_slots(obj.shape_n, (0,))
     half = rf("1/2")
 
     def residual(a: int, b: int, c: int) -> Vector:
-        rhs = obj.shape_n.column(b).scale(-obj.b_form.entry(a, c))
-        rhs = rhs + phi_an.column(b).scale(b_phi.entry(a, c) * 2)
-        rhs = rhs + obj.shape_n.column(a).scale(obj.b_form.entry(b, c))
-        rhs = rhs - phi_an.column(a).scale(b_phi.entry(b, c) * 2)
-        rhs = rhs - proj.column(a).scale(
+        rhs = obj.shape_n.cell(b).scale(-obj.b_form.entry(a, c))
+        rhs = rhs + phi_an.cell(b).scale(b_phi.entry(a, c) * 2)
+        rhs = rhs + obj.shape_n.cell(a).scale(obj.b_form.entry(b, c))
+        rhs = rhs - phi_an.cell(a).scale(b_phi.entry(b, c) * 2)
+        rhs = rhs - proj.cell(a).scale(
             nu * gpp.entry(b, c) + nut * gp.entry(b, c))
-        rhs = rhs + proj.column(b).scale(
+        rhs = rhs + proj.cell(b).scale(
             nu * gpp.entry(a, c) + nut * gp.entry(a, c))
-        rhs = rhs - phi_p.column(a).scale(
+        rhs = rhs - phi_p.cell(a).scale(
             nu * gp.entry(b, c) - nut * gpp.entry(b, c))
-        rhs = rhs + phi_p.column(b).scale(
+        rhs = rhs + phi_p.cell(b).scale(
             nu * gp.entry(a, c) - nut * gpp.entry(a, c))
-        coeff = (nu * (g.entry(b, c) * f.eta.components[a]
-                       - g.entry(a, c) * f.eta.components[b])
-                 - nut * (gp.entry(b, c) * f.eta.components[a]
-                          - gp.entry(a, c) * f.eta.components[b]))
-        return curv.entries[a][b][c] - (rhs + xi_t.scale(half * coeff))
+        coeff = (nu * (g.entry(b, c) * f.eta.entries[a]
+                       - g.entry(a, c) * f.eta.entries[b])
+                 - nut * (gp.entry(b, c) * f.eta.entries[a]
+                          - gp.entry(a, c) * f.eta.entries[b]))
+        return curv.table.cell(a, b, c) - (rhs + xi_t.scale(half * coeff))
 
     return residual_entry(
         "curvature-from-shape-terms", "eq-15", first_nonzero(residual, m, 3) is None,
@@ -866,12 +825,12 @@ def codazzi_16_entry(f: SubmanifoldFrame, obj: InducedObjects,
 
     def residual(a: int, b: int, c: int) -> RationalFunction:
         lhs = (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
-               + obj.tau.components[a] * obj.b_form.entry(b, c)
-               - obj.tau.components[b] * obj.b_form.entry(a, c))
-        rhs = mu2 * (nu * (g.entry(a, c) * f.eta.components[b]
-                           - g.entry(b, c) * f.eta.components[a])
-                     - nut * (gp.entry(a, c) * f.eta.components[b]
-                              - gp.entry(b, c) * f.eta.components[a]))
+               + obj.tau.entries[a] * obj.b_form.entry(b, c)
+               - obj.tau.entries[b] * obj.b_form.entry(a, c))
+        rhs = mu2 * (nu * (g.entry(a, c) * f.eta.entries[b]
+                           - g.entry(b, c) * f.eta.entries[a])
+                     - nut * (gp.entry(a, c) * f.eta.entries[b]
+                              - gp.entry(b, c) * f.eta.entries[a]))
         return lhs - rhs
 
     return residual_entry(
@@ -889,7 +848,7 @@ def nu_tilde_vanishes_entry(pair: CurvaturePair) -> CheckEntry:
 def gamma_identity_18_entry(obj: InducedObjects, f: SubmanifoldFrame,
                             pair: CurvaturePair, gamma_screen: RationalFunction,
                             mu: RationalFunction) -> CheckEntry:
-    tau_xi = obj.tau.components[f.radical_index]
+    tau_xi = obj.tau.entries[f.radical_index]
     residual = (pair.nu + tau_xi * gamma_screen * 2
                 - mu * mu * gamma_screen * gamma_screen * 4)
     return residual_entry(
@@ -912,19 +871,19 @@ def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
     coeff_a = nu - mg2 * 2
     coeff_b = mg2 * 4 - nu
     half = rf("1/2")
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
 
     def residual(a: int, b: int, c: int) -> Vector:
-        rhs = proj.column(a).scale(
+        rhs = proj.cell(a).scale(
             coeff_a * g.entry(b, c) - nu * eb[b] * eb[c])
-        rhs = rhs - proj.column(b).scale(
+        rhs = rhs - proj.cell(b).scale(
             coeff_a * g.entry(a, c) - nu * eb[a] * eb[c])
-        rhs = rhs + phi_p.column(a).scale(coeff_b * gp.entry(b, c))
-        rhs = rhs - phi_p.column(b).scale(coeff_b * gp.entry(a, c))
+        rhs = rhs + phi_p.cell(a).scale(coeff_b * gp.entry(b, c))
+        rhs = rhs - phi_p.cell(b).scale(coeff_b * gp.entry(a, c))
         rhs = rhs + xi_t.scale(
-            half * nu * (g.entry(b, c) * f.eta.components[a]
-                         - g.entry(a, c) * f.eta.components[b]))
-        return curv.entries[a][b][c] - rhs
+            half * nu * (g.entry(b, c) * f.eta.entries[a]
+                         - g.entry(a, c) * f.eta.entries[b]))
+        return curv.table.cell(a, b, c) - rhs
 
     return residual_entry(
         "umbilic-curvature-form", "eq-19", first_nonzero(residual, m, 3) is None,
@@ -939,7 +898,7 @@ def ricci_form_20_entry(f: SubmanifoldFrame, ric: MultilinearForm,
     mg2 = mu * mu * gamma_screen * gamma_screen
     k = nu * rf(f"{4 * n - 7}/2") - mg2 * (2 * (2 * n - 5))
     c = -(nu * (2 * (n - 1)))
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
     expected = MultilinearForm.from_function(
         f.tangent_frame, 2,
         lambda a, b: k * g.entry(a, b) + c * eb[a] * eb[b])
@@ -961,7 +920,7 @@ def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     factor = nu * (nu * rf("1/2") - mg2 * 2) * (2 * n - 5)
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
 
     def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
         inner = (g.entry(a, d) * eb[b] * eb[c]
@@ -988,7 +947,7 @@ def eta_einstein_solve(f: SubmanifoldFrame, ric: MultilinearForm
                        ) -> tuple[RationalFunction, RationalFunction]:
     """Solve Ric = k g + c (eta x eta) exactly over the tangent frame."""
     g = f.induced_form
-    eb = f.eta_bar.components
+    eb = f.eta_bar.entries
     rows = []
     rhs = []
     for a in range(f.dim):

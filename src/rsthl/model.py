@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ModelError, ScalarParseError
-from .liegeom import InvariantMetric, LieAlgebra
+from .liegeom import LieAlgebra
 from .scalars import RationalFunction, ZERO, rf
-from .structure import ACBMStructure, LieModel
-from .tensors import Covector, Frame, LinearOperator, MultilinearForm, Vector
+from .tensors import Frame, MultilinearForm, Vector
 
 _TOP_KEYS = ("frame", "parameters", "brackets", "metric", "structure", "submanifold")
 _SUPPORTED_PARAMETERS = ("mu",)
@@ -45,17 +44,10 @@ class ModelFile:
     parameters: tuple[str, ...]
     algebra: LieAlgebra
     metric_form: MultilinearForm
-    phi: LinearOperator
+    phi: MultilinearForm
     xi_bar: Vector
-    eta_bar: Covector
+    eta_bar: MultilinearForm
     submanifold: Optional[SubmanifoldData]
-
-    def lie_model(self) -> LieModel:
-        """Package the parsed data; raises DegenerateMetric on a bad metric."""
-        metric = InvariantMetric(self.metric_form)
-        structure = ACBMStructure(self.frame, self.phi, self.xi_bar,
-                                  self.eta_bar, metric)
-        return LieModel(self.algebra, structure)
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -142,19 +134,13 @@ def model_from_json_obj(obj) -> ModelFile:
             raise ModelError(f"brackets.{key}", "duplicate bracket pair")
         vec = _parse_vector(value, frame, f"brackets.{key}", mu_allowed)
         table[pair] = vec if i < j else -vec
-    rows = []
-    for i in range(frame.dimension):
-        row = []
-        for j in range(frame.dimension):
-            if i == j:
-                row.append(Vector.zero(frame))
-            elif (min(i, j), max(i, j)) in table:
-                v = table[(min(i, j), max(i, j))]
-                row.append(v if i < j else -v)
-            else:
-                row.append(Vector.zero(frame))
-        rows.append(tuple(row))
-    algebra = LieAlgebra(frame, tuple(rows))
+
+    def bracket(i: int, j: int) -> Vector:
+        v = table.get((min(i, j), max(i, j)))
+        if v is None:
+            return Vector.zero(frame)
+        return v if i < j else -v
+    algebra = LieAlgebra(frame, MultilinearForm.from_cells(frame, 3, bracket))
 
     metric_obj = _expect_mapping(top["metric"], "metric")
     entries = [[ZERO] * frame.dimension for _ in range(frame.dimension)]
@@ -187,7 +173,7 @@ def model_from_json_obj(obj) -> ModelFile:
             raise ModelError(f"structure.phi.{label}", "unknown frame label")
         columns[frame.index(label)] = _parse_vector(
             value, frame, f"structure.phi.{label}", mu_allowed)
-    phi = LinearOperator.from_columns(frame, columns)
+    phi = MultilinearForm.from_cells(frame, 2, lambda j: columns[j])
     xi_bar = _parse_vector(structure_obj["xi"], frame, "structure.xi", mu_allowed)
     eta_map = _expect_mapping(structure_obj["eta"], "structure.eta")
     eta_components = [ZERO] * frame.dimension
@@ -196,7 +182,7 @@ def model_from_json_obj(obj) -> ModelFile:
             raise ModelError(f"structure.eta.{label}", "unknown frame label")
         eta_components[frame.index(label)] = _parse_scalar(
             value, f"structure.eta.{label}", mu_allowed)
-    eta_bar = Covector(frame, tuple(eta_components))
+    eta_bar = MultilinearForm(frame, 1, tuple(eta_components))
 
     submanifold = None
     if "submanifold" in top:
@@ -240,7 +226,7 @@ def model_to_json_obj(m: ModelFile) -> dict:
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            v = m.algebra.brackets[i][j]
+            v = m.algebra.brackets.cell(i, j)
             if not v.is_zero():
                 brackets[f"{frame.labels[i]},{frame.labels[j]}"] = _vector_to_obj(v)
     metric = {}
@@ -251,11 +237,11 @@ def model_to_json_obj(m: ModelFile) -> dict:
                 metric[f"{frame.labels[i]},{frame.labels[j]}"] = str(e)
     phi = {}
     for j in range(dim):
-        col = m.phi.column(j)
+        col = m.phi.cell(j)
         if not col.is_zero():
             phi[frame.labels[j]] = _vector_to_obj(col)
     eta = {frame.labels[i]: str(c)
-           for i, c in enumerate(m.eta_bar.components) if not c.is_zero()}
+           for i, c in enumerate(m.eta_bar.entries) if not c.is_zero()}
     obj = {
         "frame": {"labels": list(frame.labels)},
         "parameters": list(m.parameters),

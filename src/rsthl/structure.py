@@ -22,9 +22,7 @@ from .errors import NoTotallyRealSection
 from .liegeom import Connection, InvariantMetric, LieAlgebra
 from .scalars import ONE, RationalFunction
 from .tensors import (
-    Covector,
     Frame,
-    LinearOperator,
     MultilinearForm,
     Vector,
     determinant,
@@ -37,9 +35,9 @@ from .tensors import (
 @dataclass(frozen=True)
 class ACBMStructure:
     frame: Frame
-    phi: LinearOperator
+    phi: MultilinearForm  # an operator: phi.cell(j) = phi(e_j)
     xi_bar: Vector
-    eta_bar: Covector
+    eta_bar: MultilinearForm  # a one-form
     metric: InvariantMetric
 
     def __post_init__(self):
@@ -88,8 +86,8 @@ class CurvaturePair:
 def signature_at_sample(metric: InvariantMetric) -> tuple[int, int, int]:
     """Inertia of the Gram matrix at a rational mu avoiding every denominator
     root and every determinant root, found by exact search over integers."""
-    avoid = [determinant(metric.form.rows())]
-    sample = pick_regular_sample(avoid)
+    sample = pick_regular_sample([determinant(metric.form.rows())],
+                                 must_be_defined=metric.form.entries)
     rows = [
         [e.eval_at(sample) for e in row]
         for row in metric.form.rows()
@@ -102,13 +100,13 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
     out = []
     frame = s.frame
     dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
     n = s.n
+    eta = s.eta_bar.entries
 
-    phi_sq = s.phi.compose(s.phi)
-    reconstruction = phi_sq + LinearOperator.identity(frame) - LinearOperator.outer(
-        s.xi_bar, s.eta_bar
-    )
+    phi_sq = s.phi.pull_slots(s.phi, (0,))
+    outer = MultilinearForm.from_function(
+        frame, 2, lambda j, i: s.xi_bar.components[i] * eta[j])
+    reconstruction = phi_sq + MultilinearForm.identity(frame) - outer
     out.append(
         report.residual_entry(
             "phi-squared",
@@ -121,11 +119,11 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
         report.residual_entry(
             "eta-of-xi",
             "sec-2-structure",
-            (s.eta_bar(s.xi_bar) - ONE).is_zero(),
+            (s.eta_bar.value(s.xi_bar) - ONE).is_zero(),
             "eta_bar(xi_bar) = 1",
         )
     )
-    eta_phi = all(s.eta_bar(s.phi.column(j)).is_zero() for j in range(dim))
+    eta_phi = all(s.eta_bar.value(s.phi.cell(j)).is_zero() for j in range(dim))
     out.append(
         report.residual_entry(
             "eta-after-phi", "sec-2-structure", eta_phi, "eta_bar after phi vanishes"
@@ -148,10 +146,9 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
         )
     )
 
+    g_phi_phi = s.metric.form.pull_all(s.phi)
     bmetric_ok = first_nonzero(
-        lambda i, j: s.metric.value(s.phi.column(i), s.phi.column(j))
-        + s.metric.entry(i, j)
-        - s.eta_bar.components[i] * s.eta_bar.components[j],
+        lambda i, j: g_phi_phi.entry(i, j) + s.metric.entry(i, j) - eta[i] * eta[j],
         dim, 2) is None
     out.append(
         report.residual_entry(
@@ -162,10 +159,7 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
         )
     )
 
-    eta_dual = all(
-        (s.eta_bar.components[i] - s.metric.value(basis[i], s.xi_bar)).is_zero()
-        for i in range(dim)
-    )
+    eta_dual = (s.eta_bar - s.metric.lower(s.xi_bar)).is_zero()
     out.append(
         report.residual_entry(
             "eta-is-metric-dual",
@@ -197,31 +191,23 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
 
 def associated_metric(s: ACBMStructure) -> InvariantMetric:
     """g_tilde(X, Y) = g_bar(X, phi Y) + eta_bar(X) eta_bar(Y)."""
-    frame = s.frame
-    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
-
-    def entry(i, j):
-        return (
-            s.metric.value(basis[i], s.phi.column(j))
-            + s.eta_bar.components[i] * s.eta_bar.components[j]
-        )
-
-    return InvariantMetric(MultilinearForm.from_function(frame, 2, entry))
+    g_phi = s.metric.form.pull_slots(s.phi, (1,))
+    eta = s.eta_bar.entries
+    return InvariantMetric(MultilinearForm.from_function(
+        s.frame, 2, lambda i, j: g_phi.entry(i, j) + eta[i] * eta[j]))
 
 
 def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
     """g_tilde(X, phi Y) + eta_bar(X) eta_bar(Y) = -g_bar(X,Y) + 2 eta_bar eta_bar."""
-    g_tilde = s.g_tilde
-    frame = s.frame
-    dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
+    gt_phi = s.g_tilde.form.pull_slots(s.phi, (1,))
+    eta = s.eta_bar.entries
 
     def residual(i: int, j: int) -> RationalFunction:
-        ee = s.eta_bar.components[i] * s.eta_bar.components[j]
-        lhs = g_tilde.value(basis[i], s.phi.column(j)) + ee
+        ee = eta[i] * eta[j]
+        lhs = gt_phi.entry(i, j) + ee
         return lhs - (-s.metric.entry(i, j) + ee + ee)
 
-    ok = first_nonzero(residual, dim, 2) is None
+    ok = first_nonzero(residual, s.frame.dimension, 2) is None
     return report.residual_entry(
         "associated-metric-twist",
         "sec-2-structure",
@@ -233,18 +219,12 @@ def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
 def fundamental_tensor(s: ACBMStructure, conn: Connection) -> MultilinearForm:
     """F(X,Y,Z) = g_bar((nabla_X phi) Y, Z) on the frame."""
     frame = s.frame
-    dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
-    nabla_phi = [
-        [
-            conn.nabla(basis[i], s.phi.column(j)) - s.phi.apply(conn.gamma[i][j])
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    return MultilinearForm.from_function(
-        frame, 3, lambda i, j, k: s.metric.value(nabla_phi[i][j], basis[k])
-    )
+    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
+    nabla_phi = MultilinearForm.from_cells(
+        frame, 3,
+        lambda i, j: conn.gamma.apply(basis[i], s.phi.cell(j))
+        - s.phi.apply(conn.gamma.cell(i, j)))
+    return nabla_phi.pull_slots(s.metric.form, (2,))
 
 
 def pi_tensors(s: ACBMStructure) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
@@ -258,18 +238,14 @@ def pi_tensors(s: ACBMStructure) -> tuple[MultilinearForm, MultilinearForm, Mult
     p1 = MultilinearForm.from_function(frame, 4, pi1)
     p2 = p1.pull_slots(s.phi, (2, 3))
 
-    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
-    gphi = [
-        [g.value(basis[i], s.phi.column(j)) for j in range(frame.dimension)]
-        for i in range(frame.dimension)
-    ]
+    gphi = g.form.pull_slots(s.phi, (1,)).entry
 
     def pi3(i, j, k, l):
         return (
-            -g.entry(j, k) * gphi[i][l]
-            + g.entry(i, k) * gphi[j][l]
-            - gphi[j][k] * g.entry(i, l)
-            + gphi[i][k] * g.entry(j, l)
+            -g.entry(j, k) * gphi(i, l)
+            + g.entry(i, k) * gphi(j, l)
+            - gphi(j, k) * g.entry(i, l)
+            + gphi(i, k) * g.entry(j, l)
         )
 
     p3 = MultilinearForm.from_function(frame, 4, pi3)

@@ -366,7 +366,7 @@ def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
                     geo.structure.n)])
     st.run("umbilical-flatness", "cor-4.3",
            lambda: [associated.umbilical_flatness_entry(
-               geo.frame, geo.umbilicity, geo.curv_ind, geo.curv)])
+               geo.umbilicity, geo.curv_ind, geo.curv)])
     st.run("twin-geometry", "thm-1.1", lambda: geo.twin[1])
     st.run("twin-curvature-transfer", "eq-13",
            lambda: [associated.tilde_relation_13_entry(

@@ -2,10 +2,18 @@
 
 Tensors are stored as explicit component tables against a fixed labeled
 frame (dimension at most five here), so every operation reduces to field
-arithmetic on finitely many entries.  The linear solvers use fraction-free
-(Bareiss-style) elimination: each update is a two-term cross-multiplication
-divided by the previous pivot, which keeps intermediate entries small and
-every division exact.
+arithmetic on finitely many entries.  There is one table type,
+``MultilinearForm``: flat and row-major, of any arity k >= 1.  A
+scalar-valued tensor reads every slot as a lower index.  A vector-valued
+tensor reads its last slot as the upper index, so entry(i1, ..., l) is
+the e_l coefficient of its value at (e_i1, ...): a one-form has arity 1,
+an operator X -> A X arity 2 with entry(j, l) the e_l coefficient of
+A e_j, the brackets [e_i, e_j] and a connection nabla_{e_i} e_j arity 3,
+and a curvature R(e_i, e_j) e_k arity 4.
+
+The linear solvers use fraction-free (Bareiss-style) elimination: each
+update is a two-term cross-multiplication divided by the previous pivot,
+which keeps intermediate entries small and every division exact.
 """
 
 from __future__ import annotations
@@ -106,42 +114,12 @@ class Vector:
 
 
 @dataclass(frozen=True)
-class Covector:
-    frame: Frame
-    components: tuple[RationalFunction, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.frame.dimension:
-            raise ValueError("component count does not match the frame")
-
-    @classmethod
-    def from_map(cls, frame: Frame, entries: dict) -> "Covector":
-        comps = [ZERO] * frame.dimension
-        for label, value in entries.items():
-            comps[frame.index(label)] = rf(value)
-        return cls(frame, tuple(comps))
-
-    def __call__(self, v: Vector) -> RationalFunction:
-        _same_frame(self, v)
-        out = ZERO
-        for a, b in zip(self.components, v.components):
-            out = out + a * b
-        return out
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def scale(self, s) -> "Covector":
-        s = rf(s)
-        return Covector(self.frame, tuple(s * c for c in self.components))
-
-
-@dataclass(frozen=True)
 class MultilinearForm:
-    """A covariant tensor of arity 2, 3, or 4 as a flat component table.
+    """A tensor of arity k >= 1 as a flat component table.
 
     Components are stored row-major: entry(i1, ..., ik) sits at the flat
-    offset ((i1*d + i2)*d + ...) for frame dimension d.
+    offset ((i1*d + i2)*d + ...) for frame dimension d.  See the module
+    docstring for how a vector-valued tensor reads its last slot.
     """
 
     frame: Frame
@@ -149,8 +127,8 @@ class MultilinearForm:
     entries: tuple[RationalFunction, ...]
 
     def __post_init__(self):
-        if self.arity not in (2, 3, 4):
-            raise ValueError("supported arities are 2, 3, 4")
+        if self.arity < 1:
+            raise ValueError("a table needs at least one slot")
         if len(self.entries) != self.frame.dimension ** self.arity:
             raise ValueError("entry count does not match frame and arity")
 
@@ -158,21 +136,31 @@ class MultilinearForm:
     def from_function(
         cls, frame: Frame, arity: int, fn: Callable[..., RationalFunction]
     ) -> "MultilinearForm":
-        dim = frame.dimension
-        idx = [0] * arity
+        return cls(frame, arity, tuple(
+            fn(*idx) for idx in product(range(frame.dimension), repeat=arity)))
+
+    @classmethod
+    def from_cells(
+        cls, frame: Frame, arity: int, fn: Callable[..., Vector]
+    ) -> "MultilinearForm":
+        """The vector-valued table whose cell at (i1, ..., i(k-1)) is
+        fn(i1, ..., i(k-1))."""
         flat = []
-        total = dim ** arity
-        for off in range(total):
-            rem = off
-            for s in range(arity - 1, -1, -1):
-                idx[s] = rem % dim
-                rem //= dim
-            flat.append(fn(*idx))
+        for idx in product(range(frame.dimension), repeat=arity - 1):
+            v = fn(*idx)
+            if v.frame != frame:
+                raise ValueError("objects live on different frames")
+            flat.extend(v.components)
         return cls(frame, arity, tuple(flat))
 
     @classmethod
     def zero(cls, frame: Frame, arity: int) -> "MultilinearForm":
         return cls(frame, arity, (ZERO,) * frame.dimension ** arity)
+
+    @classmethod
+    def identity(cls, frame: Frame) -> "MultilinearForm":
+        """The identity operator."""
+        return cls.from_function(frame, 2, lambda i, j: ONE if i == j else ZERO)
 
     def _offset(self, idx: Sequence[int]) -> int:
         off = 0
@@ -185,24 +173,48 @@ class MultilinearForm:
             raise ValueError("index count does not match arity")
         return self.entries[self._offset(idx)]
 
+    def cell(self, *idx: int) -> Vector:
+        """The vector at (e_i1, ..., e_i(k-1)), the last slot read as upper."""
+        if len(idx) != self.arity - 1:
+            raise ValueError("index count does not match arity")
+        dim = self.frame.dimension
+        off = self._offset(idx) * dim
+        return Vector(self.frame, self.entries[off:off + dim])
+
+    def _contract(self, vectors: Sequence[Vector]) -> list[RationalFunction]:
+        """The entries left after substituting vectors into the leading slots.
+
+        Slots are contracted one at a time, and a zero component or a zero
+        entry costs no scalar operation.
+        """
+        dim = self.frame.dimension
+        table = self.entries
+        for v in vectors:
+            _same_frame(self, v)
+            block = len(table) // dim
+            out = [ZERO] * block
+            for i, c in enumerate(v.components):
+                if c.is_zero():
+                    continue
+                base = i * block
+                for r in range(block):
+                    t = table[base + r]
+                    if not t.is_zero():
+                        acc = out[r]
+                        out[r] = t * c if acc.is_zero() else acc + t * c
+            table = out
+        return table
+
     def value(self, *vectors: Vector) -> RationalFunction:
         if len(vectors) != self.arity:
             raise ValueError("argument count does not match arity")
-        dim = self.frame.dimension
-        table = self.entries
-        for v in reversed(vectors):
-            _same_frame(self, v)
-            comps = v.components
-            out = []
-            for base in range(0, len(table), dim):
-                acc = ZERO
-                for i in range(dim):
-                    t = table[base + i]
-                    if not t.is_zero():
-                        acc = acc + t * comps[i]
-                out.append(acc)
-            table = out
-        return table[0]
+        return self._contract(vectors)[0]
+
+    def apply(self, *vectors: Vector) -> Vector:
+        """The vector T(v1, ..., v(k-1)), the last slot read as upper."""
+        if len(vectors) != self.arity - 1:
+            raise ValueError("argument count does not match arity")
+        return Vector(self.frame, tuple(self._contract(vectors)))
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
         self._compatible(other)
@@ -240,9 +252,17 @@ class MultilinearForm:
             for j in range(i)
         )
 
-    def pull_slots(self, op: "LinearOperator", slots: Iterable[int]) -> "MultilinearForm":
-        """Substitute op into the given slots: T'(.., X_s, ..) = T(.., op X_s, ..)."""
+    def pull_slots(self, op: "MultilinearForm", slots: Iterable[int]) -> "MultilinearForm":
+        """Substitute the operator op into the given slots:
+        T'(.., X_s, ..) = T(.., op X_s, ..).
+
+        Pulling an operator A into slot 0 of an operator B gives B after A;
+        pulling a metric into the upper slot of a vector-valued table
+        lowers that slot.
+        """
         _same_frame(self, op)
+        if op.arity != 2:
+            raise ValueError("only an arity-2 table can be pulled into a slot")
         dim = self.frame.dimension
         table = list(self.entries)
         for slot in slots:
@@ -255,14 +275,14 @@ class MultilinearForm:
                     for i in range(dim):
                         acc = ZERO
                         for a in range(dim):
-                            m = op.matrix[a][i]
+                            m = op.entries[i * dim + a]
                             if not m.is_zero() and not cells[a].is_zero():
                                 acc = acc + cells[a] * m
                         out[base + i * stride + rest] = acc
             table = out
         return MultilinearForm(self.frame, self.arity, tuple(table))
 
-    def pull_all(self, op: "LinearOperator") -> "MultilinearForm":
+    def pull_all(self, op: "MultilinearForm") -> "MultilinearForm":
         return self.pull_slots(op, range(self.arity))
 
     def _compatible(self, other: "MultilinearForm"):
@@ -276,130 +296,12 @@ class MultilinearForm:
         dim = self.frame.dimension
         return [list(self.entries[i * dim : (i + 1) * dim]) for i in range(dim)]
 
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """A (1,1) tensor; matrix[i][j] is the e_i coefficient of op(e_j)."""
-
-    frame: Frame
-    matrix: tuple[tuple[RationalFunction, ...], ...]
-
-    def __post_init__(self):
-        dim = self.frame.dimension
-        if len(self.matrix) != dim or any(len(r) != dim for r in self.matrix):
-            raise ValueError("matrix shape does not match the frame")
-
-    @classmethod
-    def identity(cls, frame: Frame) -> "LinearOperator":
-        dim = frame.dimension
-        return cls(
-            frame,
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
-            ),
-        )
-
-    @classmethod
-    def zero(cls, frame: Frame) -> "LinearOperator":
-        dim = frame.dimension
-        return cls(frame, ((ZERO,) * dim,) * dim)
-
-    @classmethod
-    def from_columns(cls, frame: Frame, columns: Sequence[Vector]) -> "LinearOperator":
-        if len(columns) != frame.dimension:
-            raise ValueError("need one column per frame label")
-        dim = frame.dimension
-        return cls(
-            frame,
-            tuple(tuple(columns[j].components[i] for j in range(dim)) for i in range(dim)),
-        )
-
-    @classmethod
-    def outer(cls, v: Vector, w: Covector) -> "LinearOperator":
-        _same_frame(v, w)
-        dim = v.frame.dimension
-        return cls(
-            v.frame,
-            tuple(
-                tuple(v.components[i] * w.components[j] for j in range(dim))
-                for i in range(dim)
-            ),
-        )
-
-    def column(self, j: int) -> Vector:
-        return Vector(self.frame, tuple(row[j] for row in self.matrix))
-
-    def apply(self, v: Vector) -> Vector:
-        _same_frame(self, v)
-        dim = self.frame.dimension
-        out = []
-        for i in range(dim):
-            acc = ZERO
-            row = self.matrix[i]
-            for j in range(dim):
-                if not row[j].is_zero() and not v.components[j].is_zero():
-                    acc = acc + row[j] * v.components[j]
-            out.append(acc)
-        return Vector(self.frame, tuple(out))
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """Matrix of self after other: (self.compose(other))(v) = self(other(v))."""
-        _same_frame(self, other)
-        dim = self.frame.dimension
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                acc = ZERO
-                for k in range(dim):
-                    a = self.matrix[i][k]
-                    b = other.matrix[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return LinearOperator(self.frame, tuple(rows))
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        _same_frame(self, other)
-        return LinearOperator(
-            self.frame,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.matrix, other.matrix)
-            ),
-        )
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        _same_frame(self, other)
-        return LinearOperator(
-            self.frame,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.matrix, other.matrix)
-            ),
-        )
-
-    def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.frame, tuple(tuple(-c for c in r) for r in self.matrix))
-
-    def scale(self, s) -> "LinearOperator":
-        s = rf(s)
-        return LinearOperator(
-            self.frame, tuple(tuple(s * c for c in r) for r in self.matrix)
-        )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.matrix for c in row)
-
     def trace(self) -> RationalFunction:
-        out = ZERO
-        for i in range(self.frame.dimension):
-            out = out + self.matrix[i][i]
-        return out
+        """The trace of an operator."""
+        return sum((self.entry(i, i) for i in range(self.frame.dimension)), ZERO)
 
     def rank(self) -> int:
-        _, pivots = _echelon([list(r) for r in self.matrix], self.frame.dimension)
+        _, pivots = _echelon(self.rows(), self.frame.dimension)
         return len(pivots)
 
 
@@ -413,7 +315,7 @@ def first_nonzero(residual: Callable[..., object], dim: int, arity: int,
     """The first index tuple whose residual is nonzero, or None.
 
     ``residual`` maps ``arity`` indices in ``range(dim)`` to a scalar, a
-    vector or an operator.  Tuples are visited in row-major order, the
+    vector or a table.  Tuples are visited in row-major order, the
     order of the nested loops ``for i: for j: ...``, and the scan stops at
     the first nonzero residual.  With ``increasing`` only the tuples
     i < j < ... are visited, which suffices for an alternating residual.
@@ -600,15 +502,21 @@ def inertia(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
 
 
 def pick_regular_sample(
-    must_not_vanish: Iterable[RationalFunction], start: int = 1
+    must_not_vanish: Iterable[RationalFunction], start: int = 1,
+    must_be_defined: Iterable[RationalFunction] = (),
 ) -> Fraction:
     """Smallest integer >= start at which every given scalar is defined and
-    nonzero; used to specialize mu before signature counting."""
-    scalars = [s for s in must_not_vanish]
+    each one in ``must_not_vanish`` is nonzero; used to specialize mu
+    before signature counting, where ``must_be_defined`` holds the
+    entries that are evaluated there."""
+    nonzero = list(must_not_vanish)
+    defined = list(must_be_defined)
     for k in range(start, start + 1000):
         x = Fraction(k)
         try:
-            if all(s.eval_at(x) != 0 for s in scalars):
+            for s in defined:
+                s.eval_at(x)
+            if all(s.eval_at(x) != 0 for s in nonzero):
                 return x
         except ScalarDomainError:
             continue

@@ -74,31 +74,31 @@ def test_twin_fundamental_forms(twin):
 
 
 def test_twin_shape_operators(frame, twin):
-    assert twin.shape_n1.column(0) == tangent(frame, {"E2": 2})
-    assert twin.shape_n1.column(1) == tangent(frame, {"E1": -2})
-    assert twin.shape_n1.column(2).is_zero()
-    assert twin.shape_n2.column(0) == tangent(frame, {"E1": -2, "E2": 2})
-    assert twin.shape_n2.column(1) == tangent(frame, {"E1": -2, "E2": -2})
-    assert twin.shape_n2.column(2).is_zero()
+    assert twin.shape_n1.cell(0) == tangent(frame, {"E2": 2})
+    assert twin.shape_n1.cell(1) == tangent(frame, {"E1": -2})
+    assert twin.shape_n1.cell(2).is_zero()
+    assert twin.shape_n2.cell(0) == tangent(frame, {"E1": -2, "E2": 2})
+    assert twin.shape_n2.cell(1) == tangent(frame, {"E1": -2, "E2": -2})
+    assert twin.shape_n2.cell(2).is_zero()
 
 
 def test_twin_connection_table(frame, twin):
     conn = twin.conn
     two_over_mu = 2 * (ONE / MU)
-    assert conn.nabla_basis(0, 0).is_zero()
-    assert conn.nabla_basis(1, 1).is_zero()
-    assert conn.nabla_basis(0, 1) == tangent(frame, {"xi": two_over_mu})
-    assert conn.nabla_basis(1, 0) == tangent(frame, {"xi": two_over_mu})
-    assert conn.nabla_basis(0, 2) == tangent(frame, {"E1": 2 * MU})
-    assert conn.nabla_basis(1, 2) == tangent(frame, {"E2": 2 * MU})
+    assert conn.gamma.cell(0, 0).is_zero()
+    assert conn.gamma.cell(1, 1).is_zero()
+    assert conn.gamma.cell(0, 1) == tangent(frame, {"xi": two_over_mu})
+    assert conn.gamma.cell(1, 0) == tangent(frame, {"xi": two_over_mu})
+    assert conn.gamma.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
+    assert conn.gamma.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
     for j in range(3):
-        assert conn.nabla_basis(2, j).is_zero()
+        assert conn.gamma.cell(2, j).is_zero()
 
 
 def test_twin_curvature_values(frame, tcurv):
-    assert tcurv.basis_value(0, 1, 0) == tangent(frame, {"E1": 4})
-    assert tcurv.basis_value(0, 1, 1) == tangent(frame, {"E2": -4})
-    assert tcurv.basis_value(0, 2, 2) == tangent(frame, {"E1": -4 * MU * MU})
+    assert tcurv.table.cell(0, 1, 0) == tangent(frame, {"E1": 4})
+    assert tcurv.table.cell(0, 1, 1) == tangent(frame, {"E2": -4})
+    assert tcurv.table.cell(0, 2, 2) == tangent(frame, {"E1": -4 * MU * MU})
 
 
 def test_twin_ricci_is_einstein(frame, twin, tric):
@@ -160,7 +160,7 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
     assert transfer.status == "pass"
     assert transfer.detail == "vacuous, neither induced metric is totally umbilical"
     flatness = umbilical_flatness_entry(
-        frame, ureport, icurv, curvature(ambient_conn, lm.algebra))
+        ureport, icurv, curvature(ambient_conn, lm.algebra))
     assert flatness.status == "pass"
     assert flatness.detail == "vacuous, the first metric is not totally umbilical"
 
@@ -236,8 +236,7 @@ def test_flat_variant_collapse_statements(flat):
     assert transfer.detail == \
         "a totally umbilical metric forces R = R~ and Ric = Ric~"
     ambient_curv = curvature(flat["conn"], flat["frame"].model.algebra)
-    flatness = umbilical_flatness_entry(flat["frame"], flat["rep"],
-                                        flat["curv"], ambient_curv)
+    flatness = umbilical_flatness_entry(flat["rep"], flat["curv"], ambient_curv)
     assert flatness.status == "pass"
     assert flatness.detail == \
         "a totally umbilical submanifold and its ambient space are flat"
@@ -248,8 +247,8 @@ def test_flat_variant_curvature_agrees(flat):
     for a in range(m):
         for b in range(m):
             for c in range(m):
-                assert flat["curv"].entries[a][b][c].is_zero()
-                assert flat["tcurv"].entries[a][b][c].is_zero()
+                assert flat["curv"].table.cell(a, b, c).is_zero()
+                assert flat["tcurv"].table.cell(a, b, c).is_zero()
     assert (flat["ric"] - flat["tric"]).is_zero()
     assert flat["pair"].nu == ZERO
     assert flat["pair"].nu_tilde == ZERO

@@ -22,24 +22,23 @@ def direct_sum(a, b):
     """Block assembly of two bracket tables on the concatenated frame."""
     frame = Frame(a.frame.labels + b.frame.labels)
     da, db = a.frame.dimension, b.frame.dimension
-    zero = Vector.zero(frame)
-    rows = [[zero] * (da + db) for _ in range(da + db)]
-    for i in range(da):
-        for j in range(da):
-            rows[i][j] = Vector(frame, a.brackets[i][j].components + (ZERO,) * db)
-    for i in range(db):
-        for j in range(db):
-            rows[da + i][da + j] = Vector(
-                frame, (ZERO,) * da + b.brackets[i][j].components)
-    return LieAlgebra(frame, tuple(tuple(r) for r in rows))
+
+    def bracket(i, j):
+        if i < da and j < da:
+            return Vector(frame, a.brackets.cell(i, j).components + (ZERO,) * db)
+        if i >= da and j >= da:
+            return Vector(
+                frame, (ZERO,) * da + b.brackets.cell(i - da, j - da).components)
+        return Vector.zero(frame)
+    return LieAlgebra(frame, MultilinearForm.from_cells(frame, 3, bracket))
 
 
 def test_from_table_antisymmetrizes():
     alg = heisenberg()
     e3 = F3.basis_vector(2)
-    assert alg.bracket_basis(0, 1) == e3
-    assert alg.bracket_basis(1, 0) == -e3
-    assert alg.bracket_basis(0, 0).is_zero()
+    assert alg.brackets.cell(0, 1) == e3
+    assert alg.brackets.cell(1, 0) == -e3
+    assert alg.brackets.cell(0, 0).is_zero()
     # either key order is accepted
     alg2 = LieAlgebra.from_table(F3, {("e2", "e1"): {"e3": -1}})
     assert alg2.brackets == alg.brackets
@@ -51,8 +50,8 @@ def test_bracket_bilinearity():
     alg = heisenberg()
     v = Vector.from_map(F3, {"e1": MU})
     w = Vector.from_map(F3, {"e2": 2})
-    assert alg.bracket(v, w) == Vector.from_map(F3, {"e3": 2 * MU})
-    assert alg.bracket(w, v) == Vector.from_map(F3, {"e3": -2 * MU})
+    assert alg.brackets.apply(v, w) == Vector.from_map(F3, {"e3": 2 * MU})
+    assert alg.brackets.apply(w, v) == Vector.from_map(F3, {"e3": -2 * MU})
 
 
 def test_validate_accepts_heisenberg_and_abelian():
@@ -74,7 +73,8 @@ def test_validate_names_antisymmetry_violation():
     zero = Vector.zero(F3)
     e3 = F3.basis_vector(2)
     rows = ((zero, e3, zero), (zero, zero, zero), (zero, zero, zero))
-    entry = validate_lie_algebra(LieAlgebra(F3, rows))
+    entry = validate_lie_algebra(LieAlgebra(
+        F3, MultilinearForm.from_cells(F3, 3, lambda i, j: rows[i][j])))
     assert entry.status == "fail"
     assert entry.detail == "antisymmetry fails at (e1, e2)"
 
@@ -88,16 +88,16 @@ def test_invariant_metric_validation():
     assert "e1" in str(err.value)
     g = InvariantMetric.diagonal(F3, (1, -1, MU))
     assert g.entry(1, 1) == rf(-1)
-    assert g.inverse_entry(2, 2) == ONE / MU
+    assert g.inverse.entry(2, 2) == ONE / MU
     assert g.determinant() == -MU
     eta = g.lower(Vector.from_map(F3, {"e3": 1}))
-    assert eta.components == (ZERO, ZERO, MU)
+    assert eta.entries == (ZERO, ZERO, MU)
 
 
 def test_abelian_connection_is_zero():
     g = InvariantMetric.diagonal(F3, (1, 1, -1))
     conn = levi_civita(LieAlgebra.abelian(F3), g)
-    assert all(conn.gamma[i][j].is_zero() for i in range(3) for j in range(3))
+    assert all(conn.gamma.cell(i, j).is_zero() for i in range(3) for j in range(3))
 
 
 def test_heisenberg_connection_and_curvature():
@@ -107,12 +107,12 @@ def test_heisenberg_connection_and_curvature():
     assert conn.torsion_violation(alg) is None
     assert conn.metric_violation(g) is None
     half = rf("1/2")
-    assert conn.nabla_basis(0, 1) == Vector.from_map(F3, {"e3": half})
-    assert conn.nabla_basis(0, 2) == Vector.from_map(F3, {"e2": -half})
-    assert conn.nabla_basis(2, 1) == Vector.from_map(F3, {"e1": half})
+    assert conn.gamma.cell(0, 1) == Vector.from_map(F3, {"e3": half})
+    assert conn.gamma.cell(0, 2) == Vector.from_map(F3, {"e2": -half})
+    assert conn.gamma.cell(2, 1) == Vector.from_map(F3, {"e1": half})
     # classical curvature of the Heisenberg group
     curv = curvature(conn, alg)
-    assert curv.basis_value(0, 1, 1) == Vector.from_map(F3, {"e1": "-3/4"})
+    assert curv.table.cell(0, 1, 1) == Vector.from_map(F3, {"e1": "-3/4"})
     ric = curv.ricci
     assert ric.entry(0, 0) == rf("-1/2")
     assert ric.entry(1, 1) == rf("-1/2")
@@ -127,16 +127,15 @@ def test_nabla_is_bilinear_over_constants():
     conn = levi_civita(alg, InvariantMetric.diagonal(F3, (1, 1, 1)))
     v = Vector.from_map(F3, {"e1": 2})
     w = Vector.from_map(F3, {"e2": MU})
-    assert conn.nabla(v, w) == conn.nabla_basis(0, 1).scale(2 * MU)
+    assert conn.gamma.apply(v, w) == conn.gamma.cell(0, 1).scale(2 * MU)
 
 
 def curvature_with(cells):
     """A curvature table on F3, zero except R(e_i, e_j) e_k = v for each
     (i, j, k): v in cells."""
     zero = Vector.zero(F3)
-    return CurvatureTensor(F3, tuple(
-        tuple(tuple(cells.get((i, j, k), zero) for k in range(3))
-              for j in range(3)) for i in range(3)))
+    return CurvatureTensor(F3, MultilinearForm.from_cells(
+        F3, 4, lambda i, j, k: cells.get((i, j, k), zero)))
 
 
 def form_with(cells):
@@ -147,12 +146,11 @@ def form_with(cells):
 
 def test_violation_reporting():
     alg = heisenberg()
-    zero_conn = Connection(F3, tuple(
-        tuple(Vector.zero(F3) for _ in range(3)) for _ in range(3)))
+    zero_conn = Connection(F3, MultilinearForm.zero(F3, 3))
     assert zero_conn.torsion_violation(alg) == (0, 1)
-    bad = Connection(F3, tuple(
-        tuple(F3.basis_vector(1) if (i, j) == (0, 0) else Vector.zero(F3)
-              for j in range(3)) for i in range(3)))
+    bad = Connection(F3, MultilinearForm.from_cells(
+        F3, 3, lambda i, j: F3.basis_vector(1) if (i, j) == (0, 0)
+        else Vector.zero(F3)))
     g = InvariantMetric.diagonal(F3, (1, 1, 1))
     assert bad.metric_violation(g) == (0, 0, 1)
     assert first_bianchi_violation(
@@ -177,7 +175,7 @@ def test_curvature_apply_matches_basis_values():
     curv = curvature(conn, alg)
     x = Vector.from_map(F3, {"e1": 2})
     y = Vector.from_map(F3, {"e2": 1})
-    assert curv.apply(x, y, y) == curv.basis_value(0, 1, 1).scale(2)
+    assert curv.table.apply(x, y, y) == curv.table.cell(0, 1, 1).scale(2)
 
 
 def test_factor_connection_matches_frozen_table():
@@ -188,7 +186,7 @@ def test_factor_connection_matches_frozen_table():
     seen = {}
     for i in range(4):
         for j in range(4):
-            v = conn.nabla_basis(i, j)
+            v = conn.gamma.cell(i, j)
             if not v.is_zero():
                 seen[(frame.labels[i], frame.labels[j])] = {
                     frame.labels[k]: c for k, c in enumerate(v.components)
@@ -202,7 +200,7 @@ def test_factor_connection_rejects_alternating_signs():
     alg = factor_algebra()
     conn = levi_civita(alg, InvariantMetric.diagonal(alg.frame, (1, -1, 1, -1)))
     # nabla_{X2} X1 = 2 X4 fails under the alternating signature
-    assert conn.nabla_basis(1, 0) != Vector.from_map(alg.frame, {"X4": 2})
+    assert conn.gamma.cell(1, 0) != Vector.from_map(alg.frame, {"X4": 2})
 
 
 def test_factor_signature_adjudication_entry():
@@ -222,8 +220,8 @@ def test_ambient_connection_kills_the_central_direction(lm, ambient_conn):
     dim = lm.frame.dimension
     e_idx = lm.frame.index("E")
     for i in range(dim):
-        assert ambient_conn.nabla_basis(e_idx, i).is_zero()
-        assert ambient_conn.nabla_basis(i, e_idx).is_zero()
+        assert ambient_conn.gamma.cell(e_idx, i).is_zero()
+        assert ambient_conn.gamma.cell(i, e_idx).is_zero()
     assert ambient_conn.torsion_violation(lm.algebra) is None
     assert ambient_conn.metric_violation(lm.metric) is None
 

@@ -19,7 +19,7 @@ from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
                              solve_transversal, umbilicity, validate_frame)
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import ACBMStructure, LieModel
-from rsthl.tensors import LinearOperator, MultilinearForm, Vector
+from rsthl.tensors import MultilinearForm, Vector
 
 CERTIFICATION_NAMES = (
     "radical-phi-image", "reeb-split", "eta-of-radical", "transversal-unit",
@@ -98,9 +98,9 @@ def test_frame_splitting_helpers(model, frame):
     phi_p = frame.phi_p
     assert phi_p.apply(tangent(frame, {"E1": 1})) == tangent(frame, {"E2": 1})
     assert phi_p.apply(tangent(frame, {"E2": 1})) == tangent(frame, {"E1": -1})
-    assert phi_p.column(2).is_zero()
-    assert frame.eta.components == (ZERO, ZERO, ONE)
-    assert frame.eta_bar.components == (ZERO, ZERO, MU)
+    assert phi_p.cell(2).is_zero()
+    assert frame.eta.entries == (ZERO, ZERO, ONE)
+    assert frame.eta_bar.entries == (ZERO, ZERO, MU)
 
 
 def test_induced_metric_and_pairings(frame):
@@ -121,22 +121,22 @@ def test_induced_metric_and_pairings(frame):
 
 def test_tangent_brackets_close(frame):
     alg = frame.tangent_algebra
-    assert alg.bracket_basis(0, 2) == tangent(frame, {"E1": 2 * MU})
-    assert alg.bracket_basis(1, 2) == tangent(frame, {"E2": 2 * MU})
-    assert alg.bracket_basis(0, 1).is_zero()
+    assert alg.brackets.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
+    assert alg.brackets.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
+    assert alg.brackets.cell(0, 1).is_zero()
 
 
 def test_induced_connection_table(frame, induced):
     conn = induced.conn
     inv_mu = ONE / MU
-    assert conn.nabla_basis(0, 0) == tangent(frame, {"xi": inv_mu})
-    assert conn.nabla_basis(1, 1) == tangent(frame, {"xi": -inv_mu})
-    assert conn.nabla_basis(0, 1).is_zero()
-    assert conn.nabla_basis(1, 0).is_zero()
-    assert conn.nabla_basis(0, 2) == tangent(frame, {"E1": 2 * MU})
-    assert conn.nabla_basis(1, 2) == tangent(frame, {"E2": 2 * MU})
+    assert conn.gamma.cell(0, 0) == tangent(frame, {"xi": inv_mu})
+    assert conn.gamma.cell(1, 1) == tangent(frame, {"xi": -inv_mu})
+    assert conn.gamma.cell(0, 1).is_zero()
+    assert conn.gamma.cell(1, 0).is_zero()
+    assert conn.gamma.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
+    assert conn.gamma.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
     for j in range(3):
-        assert conn.nabla_basis(2, j).is_zero()
+        assert conn.gamma.cell(2, j).is_zero()
 
 
 def test_fundamental_form_tables(induced):
@@ -158,15 +158,15 @@ def test_fundamental_form_tables(induced):
 
 def test_shape_operator_tables(frame, induced):
     inv_mu = ONE / MU
-    assert induced.shape_n.matrix == ((inv_mu, ZERO, ZERO),
-                                      (ZERO, inv_mu, ZERO),
-                                      (ZERO, ZERO, ZERO))
-    assert induced.shape_rad.column(0) == tangent(frame, {"E1": -2 * MU})
-    assert induced.shape_rad.column(1) == tangent(frame, {"E2": -2 * MU})
-    assert induced.shape_rad.column(2).is_zero()
-    assert induced.shape_l.column(0) == tangent(frame, {"E2": -2})
-    assert induced.shape_l.column(1) == tangent(frame, {"E1": 2})
-    assert induced.shape_l.column(2).is_zero()
+    assert induced.shape_n.entries == (inv_mu, ZERO, ZERO,
+                                       ZERO, inv_mu, ZERO,
+                                       ZERO, ZERO, ZERO)
+    assert induced.shape_rad.cell(0) == tangent(frame, {"E1": -2 * MU})
+    assert induced.shape_rad.cell(1) == tangent(frame, {"E2": -2 * MU})
+    assert induced.shape_rad.cell(2).is_zero()
+    assert induced.shape_l.cell(0) == tangent(frame, {"E2": -2})
+    assert induced.shape_l.cell(1) == tangent(frame, {"E1": 2})
+    assert induced.shape_l.cell(2).is_zero()
 
 
 def test_transversal_one_forms_vanish(induced):
@@ -223,15 +223,15 @@ def test_screen_umbilical_entries(frame, induced, ureport, mu):
 
 
 def test_induced_curvature_values(frame, icurv):
-    assert icurv.basis_value(0, 1, 0) == tangent(frame, {"E2": -2})
-    assert icurv.basis_value(0, 1, 1) == tangent(frame, {"E1": -2})
-    assert icurv.basis_value(0, 2, 2) == tangent(frame, {"E1": -4 * MU * MU})
+    assert icurv.table.cell(0, 1, 0) == tangent(frame, {"E2": -2})
+    assert icurv.table.cell(0, 1, 1) == tangent(frame, {"E1": -2})
+    assert icurv.table.cell(0, 2, 2) == tangent(frame, {"E1": -4 * MU * MU})
     assert first_bianchi_violation(icurv) is None
 
 
 def test_induced_ricci_is_eta_einstein(frame, iric):
     g = frame.induced_form
-    eb = frame.eta_bar.components
+    eb = frame.eta_bar.entries
     expected = MultilinearForm.from_function(
         frame.tangent_frame, 2,
         lambda a, b: 4 * g.entry(a, b) - 8 * eb[a] * eb[b])
@@ -342,10 +342,10 @@ def modified_structure(lm, phi=None, xi_bar=None):
 
 def test_not_rsthl_when_radical_image_leaves_the_line(model, lm):
     s = lm.structure
-    cols = [s.phi.column(j) for j in range(5)]
+    cols = [s.phi.cell(j) for j in range(5)]
     cols[model.frame.index("X3")] = ambient(model, {"X1": -1, "X2": -1})
     bad_lm = modified_structure(
-        lm, phi=LinearOperator.from_columns(model.frame, cols))
+        lm, phi=MultilinearForm.from_cells(model.frame, 2, cols.__getitem__))
     sub = model.submanifold
     f = build_frame(bad_lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(NotRSTHL, match="not the screen transversal line"):
@@ -354,10 +354,10 @@ def test_not_rsthl_when_radical_image_leaves_the_line(model, lm):
 
 def test_not_rsthl_when_phi_kills_the_radical(model, lm):
     s = lm.structure
-    cols = [s.phi.column(j) for j in range(5)]
+    cols = [s.phi.cell(j) for j in range(5)]
     cols[model.frame.index("X3")] = Vector.zero(model.frame)
     bad_lm = modified_structure(
-        lm, phi=LinearOperator.from_columns(model.frame, cols))
+        lm, phi=MultilinearForm.from_cells(model.frame, 2, cols.__getitem__))
     sub = model.submanifold
     f = build_frame(bad_lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(NotRSTHL, match="kills the radical"):

@@ -4,6 +4,7 @@ specializations, and graceful suite degradation on broken inputs."""
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +18,9 @@ from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import run_suite
-from rsthl.tensors import Covector, Frame, LinearOperator, MultilinearForm, Vector
+from rsthl.tensors import Frame, MultilinearForm, Vector
+
+DATA = Path(__file__).parent / "data"
 
 small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero_rationals = small_rationals.filter(lambda f: f != 0)
@@ -47,7 +50,7 @@ def test_abelian_family_is_flat(dim, diag):
     conn = levi_civita(alg, metric)
     for i in range(dim):
         for j in range(dim):
-            assert conn.nabla_basis(i, j).is_zero()
+            assert conn.gamma.cell(i, j).is_zero()
     assert_koszul_clean(alg, metric)
 
 
@@ -77,12 +80,19 @@ def test_solvable_family_koszul(weights, diag):
     assert_koszul_clean(alg, diagonal_metric(frame, diag))
 
 
+def golden(name):
+    """A stored ``run_suite(model, "all").to_json()`` report."""
+    return (DATA / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_suite_green_across_specializations():
     for value in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3),
                   Fraction(7, 5)):
         rep = run_suite(example_model(value))
         assert rep.ok, f"mu = {value}"
         assert rep.counts == {"pass": 114, "fail": 0, "skipped": 0}
+        if value == Fraction(7, 5):
+            assert rep.to_json() == golden("example47_mu_7_5")
 
 
 @given(p=st.integers(-2, 2), q=st.integers(-2, 2), r=st.integers(-2, 2),
@@ -93,8 +103,7 @@ def test_suite_green_under_adapted_frame_changes(p, q, r, s, c, t):
     every identity residual at zero."""
     assume(p * s - q * r != 0)
     m = example_model()
-    scaled = LieAlgebra(m.frame, tuple(
-        tuple(v.scale(rf(t)) for v in row) for row in m.algebra.brackets))
+    scaled = LieAlgebra(m.frame, m.algebra.brackets.scale(rf(t)))
     screen = (Vector.from_map(m.frame, {"X2": rf(p), "X4": rf(r)}),
               Vector.from_map(m.frame, {"X2": rf(q), "X4": rf(s)}))
     sub = SubmanifoldData(("E1", "E2"), screen,
@@ -159,17 +168,49 @@ def reeb_sheared():
     sub = m.submanifold
     return dataclasses.replace(
         m,
-        algebra=LieAlgebra(m.frame, tuple(
-            tuple(coords(m.algebra.bracket(x, y)) for y in new) for x in new)),
+        algebra=LieAlgebra(m.frame, MultilinearForm.from_cells(
+            m.frame, 3,
+            lambda i, j: coords(m.algebra.brackets.apply(new[i], new[j])))),
         metric_form=MultilinearForm.from_function(
             m.frame, 2, lambda i, j: m.metric_form.value(new[i], new[j])),
-        phi=LinearOperator.from_columns(
-            m.frame, [coords(m.phi.apply(x)) for x in new]),
+        phi=MultilinearForm.from_cells(
+            m.frame, 2, lambda j: coords(m.phi.apply(new[j]))),
         xi_bar=coords(m.xi_bar),
-        eta_bar=Covector(m.frame, tuple(m.eta_bar(x) for x in new)),
+        eta_bar=MultilinearForm.from_function(
+            m.frame, 1, lambda i: m.eta_bar.value(new[i])),
         submanifold=SubmanifoldData(
             sub.screen_labels, tuple(coords(v) for v in sub.screen),
             coords(sub.rad), coords(sub.l_vec), None))
+
+
+POLE_METRIC = {"X1,X1": "1/(mu - 1)", "X2,X2": "mu - 1",
+               "X3,X3": "-1/(mu - 1)", "X4,X4": "1 - mu", "E,E": 1}
+
+
+def test_signature_checks_avoid_metric_poles():
+    """The metric's determinant is 1, so it vanishes nowhere, but its
+    entries have a pole at mu = 1; the signature is sampled elsewhere."""
+    def ambient_statuses(metric):
+        m = edited_example(lambda obj: obj.update(metric=metric))
+        return [(e.name, e.status) for e in run_suite(m, "ambient").entries]
+
+    at_two = {key: str(rf(value).eval_at(2)) for key, value in POLE_METRIC.items()}
+    statuses = ambient_statuses(POLE_METRIC)
+    assert statuses == ambient_statuses(at_two)
+    assert len(statuses) == 22
+    assert all(status == "pass" for _, status in statuses)
+
+
+def test_twin_signature_avoids_screen_poles():
+    """A screen basis whose twin Gram entries have a pole at mu = 1, while
+    their determinant is -1."""
+    m = edited_example(lambda obj: obj["submanifold"].update(screen={
+        "E1": {"X2": "1/(mu - 1)", "X4": 1}, "E2": {"X4": "mu - 1"}}))
+    rep = run_suite(m)
+    assert rep.counts == {"pass": 114, "fail": 0, "skipped": 0}
+    by_name = {e.name: e for e in rep.entries}
+    assert by_name["twin-screen-signature"].detail == \
+        "screen signature at mu = 2 is (1, 1)"
 
 
 def test_screen_radical_mixing_breaks_ascreen():
@@ -219,7 +260,9 @@ def test_totally_geodesic_suite_counts():
 
 
 def test_suite_output_is_deterministic(model):
-    assert run_suite(model).to_json() == run_suite(model).to_json()
+    first = run_suite(model).to_json()
+    assert first == run_suite(model).to_json()
+    assert first == golden("example47")
 
 
 @pytest.mark.parametrize("build", [
@@ -229,7 +272,9 @@ def test_suites_slice_the_full_report(build):
     """Each suite reports a slice of ``all``, details included, also when
     a stage stops early, although it builds only what it reports."""
     m = build()
-    full = run_suite(m, "all").entries
+    full_report = run_suite(m, "all")
+    assert full_report.to_json() == golden(build.__name__)
+    full = full_report.entries
 
     def sliced(entries):
         return CheckReport(list(entries)).to_json()

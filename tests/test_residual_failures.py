@@ -28,41 +28,32 @@ from rsthl.scalars import ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
                              associated_compat_entry, validate_acbm)
 from rsthl.suite import run_suite
-from rsthl.tensors import Covector, LinearOperator, MultilinearForm, Vector
+from rsthl.tensors import MultilinearForm, Vector
 
 
 def passes(entries, name):
     return {e.name: e.status for e in entries}[name] == PASS
 
 
-def bump_curvature(curv):
-    """curv with R(T_0, T_1) T_0 moved by T_1, which keeps its Ricci trace."""
-    cells = [[list(row) for row in plane] for plane in curv.entries]
-    cells[0][1][0] = cells[0][1][0] + curv.frame.basis_vector(1)
-    return CurvatureTensor(curv.frame, tuple(
-        tuple(tuple(row) for row in plane) for plane in cells))
-
-
 def bump_form(form, *idx):
-    """form with the entry at idx raised by one."""
+    """form with the entry at idx raised by one; on a vector-valued table
+    the last index names the component of the cell that moves."""
     return MultilinearForm.from_function(
         form.frame, form.arity,
         lambda *at: form.entry(*at) + ONE if at == idx else form.entry(*at))
 
 
-def bump_operator(op, i, j):
-    """op with matrix[i][j] raised by one."""
-    rows = [list(r) for r in op.matrix]
-    rows[i][j] = rows[i][j] + ONE
-    return LinearOperator(op.frame, tuple(tuple(r) for r in rows))
+def bump_curvature(curv):
+    """curv with R(T_0, T_1) T_0 moved by T_1, which keeps its Ricci trace."""
+    return CurvatureTensor(curv.frame, bump_form(curv.table, 0, 1, 0, 1))
 
 
 def with_phi_column(s, label, image):
     """The structure s with phi(label) replaced by the given vector."""
     frame = s.frame
-    cols = [s.phi.column(j) for j in range(frame.dimension)]
+    cols = [s.phi.cell(j) for j in range(frame.dimension)]
     cols[frame.index(label)] = Vector.from_map(frame, image)
-    return ACBMStructure(frame, LinearOperator.from_columns(frame, cols),
+    return ACBMStructure(frame, MultilinearForm.from_cells(frame, 2, cols.__getitem__),
                          s.xi_bar, s.eta_bar, s.metric)
 
 
@@ -88,16 +79,13 @@ def induced_invariant(name, **changes):
 
 
 def skewed_induced_connection(obj):
-    gamma = [list(row) for row in obj.conn.gamma]
-    gamma[0][0] = gamma[0][0] + obj.conn.frame.basis_vector(0)
-    return Connection(obj.conn.frame, tuple(tuple(row) for row in gamma))
+    # nabla_{T_0} T_0 gains a T_0 part
+    return Connection(obj.conn.frame, bump_form(obj.conn.gamma, 0, 0, 0))
 
 
 def screen_phi_parallel(geo):
-    obj = geo.induced
-    rows = [list(row) for row in obj.screen_gamma]
-    rows[0][0] = rows[0][0] + geo.frame.tangent_frame.basis_vector(1)
-    obj = induced_with(geo, screen_gamma=tuple(tuple(r) for r in rows))
+    # nabla*_{T_0} T_0 gains a T_1 part
+    obj = induced_with(geo, screen_gamma=bump_form(geo.induced.screen_gamma, 0, 0, 1))
     return passes(ascreen_f0_entries(geo.frame, obj, geo.mu), "screen-phi-parallel")
 
 
@@ -148,9 +136,7 @@ def twin_shape_duality(geo):
     # normals see it, since no tangent vector has an X1 component
     frame = geo.model.frame
     x1, x2 = frame.index("X1"), frame.index("X2")
-    gamma = [list(row) for row in geo.conn.gamma]
-    gamma[x2][x1] = gamma[x2][x1] + frame.basis_vector(x2)
-    conn = Connection(frame, tuple(tuple(row) for row in gamma))
+    conn = Connection(frame, bump_form(geo.conn.gamma, x2, x1, x2))
     _, entries = build_associated(geo.frame, geo.induced, geo.mu, conn)
     return passes(entries, "twin-shape-duality")
 
@@ -173,7 +159,7 @@ def curvature_transfer(geo):
 def umbilical_flatness(geo):
     flat = suite.Geometry(dataclasses.replace(
         geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {})))
-    entry = umbilical_flatness_entry(flat.frame, flat.umbilicity,
+    entry = umbilical_flatness_entry(flat.umbilicity,
                                      bump_curvature(flat.curv_ind), flat.curv)
     return entry.status == PASS
 
@@ -209,20 +195,20 @@ CASES = {
     "screen-phi-invariance": screen_phi_invariance,
     "radical-shape-self-adjoint": induced_invariant(
         "radical-shape-self-adjoint",
-        shape_rad=lambda obj: bump_operator(obj.shape_rad, 0, 1)),
+        shape_rad=lambda obj: bump_form(obj.shape_rad, 1, 0)),
     "b-from-radical-shape": induced_invariant(
         "b-from-radical-shape", b_form=lambda obj: bump_form(obj.b_form, 0, 0)),
     "c-from-n-shape": induced_invariant(
         "c-from-n-shape", c_form=lambda obj: bump_form(obj.c_form, 0, 0)),
     "d-from-l-shape": induced_invariant(
-        "d-from-l-shape", shape_l=lambda obj: bump_operator(obj.shape_l, 0, 0)),
+        "d-from-l-shape", shape_l=lambda obj: bump_form(obj.shape_l, 0, 0)),
     "d-split": induced_invariant(
         "d-split", d_form=lambda obj: bump_form(obj.d_form, 0, 2)),
     "metric-deviation": induced_invariant(
         "metric-deviation", conn=skewed_induced_connection),
     "tau-closed": induced_invariant(
         "tau-closed",
-        tau=lambda obj: Covector(obj.tau.frame, (ONE,) + obj.tau.components[1:])),
+        tau=lambda obj: MultilinearForm(obj.tau.frame, 1, (ONE,) + obj.tau.entries[1:])),
     "screen-phi-parallel": screen_phi_parallel,
     "gauss-relation": gauss_relation,
     "curvature-from-shape-terms": curvature_form_15,

@@ -5,12 +5,18 @@ import pytest
 
 from rsthl.errors import NoTotallyRealSection
 from rsthl.liegeom import InvariantMetric, LieAlgebra, curvature, levi_civita
-from rsthl.scalars import ONE, ZERO, rf
+from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (ACBMStructure, associated_compat_entry,
                              associated_metric, constant_curvature_residual,
                              fit_curvature_pair, fundamental_tensor,
                              pi_tensors, signature_at_sample, validate_acbm)
-from rsthl.tensors import Covector, Frame, LinearOperator, Vector
+from rsthl.tensors import Frame, MultilinearForm, Vector
+
+
+def operator(frame, columns):
+    """The operator table sending e_j to columns[j]."""
+    return MultilinearForm.from_cells(frame, 2, lambda j: columns[j])
+
 
 def is_f0(s, conn):
     """Whether the structure is of the zero class for this connection."""
@@ -35,8 +41,8 @@ def test_validate_acbm_all_axioms_pass(lm):
 def test_structure_needs_odd_dimension():
     frame = Frame(("a", "b"))
     with pytest.raises(ValueError, match="odd dimension"):
-        ACBMStructure(frame, LinearOperator.zero(frame), Vector.zero(frame),
-                      Covector(frame, (ZERO, ZERO)),
+        ACBMStructure(frame, MultilinearForm.zero(frame, 2), Vector.zero(frame),
+                      MultilinearForm(frame, 1, (ZERO, ZERO)),
                       InvariantMetric.diagonal(frame, (1, 1)))
 
 
@@ -47,9 +53,9 @@ def test_n_counts_structure_planes(lm):
 def test_perturbed_phi_fails_phi_squared(lm):
     s = lm.structure
     frame = s.frame
-    cols = list(s.phi.column(j) for j in range(frame.dimension))
+    cols = list(s.phi.cell(j) for j in range(frame.dimension))
     cols[0] = cols[0] + frame.basis_vector(0)
-    bad = ACBMStructure(frame, LinearOperator.from_columns(frame, cols),
+    bad = ACBMStructure(frame, operator(frame, cols),
                         s.xi_bar, s.eta_bar, s.metric)
     by_name = {e.name: e for e in validate_acbm(bad)}
     assert by_name["phi-squared"].status == "fail"
@@ -68,6 +74,15 @@ def test_wrong_signature_is_reported(lm):
 
 def test_signature_at_sample(lm):
     assert signature_at_sample(lm.metric) == (3, 2, 0)
+
+
+def test_signature_sample_avoids_entry_poles():
+    # the determinant is 1, but the entries have a pole at mu = 1
+    inv = ONE / (MU - 1)
+    g = InvariantMetric.diagonal(Frame(("a", "b", "c", "d", "e")),
+                                 (inv, MU - 1, -inv, 1 - MU, 1))
+    assert g.determinant() == ONE
+    assert signature_at_sample(g) == (3, 2, 0)
 
 
 def test_associated_metric_values(lm):
@@ -104,15 +119,16 @@ def test_twin_connection_coincides(lm, ambient_conn):
     dim = lm.frame.dimension
     for i in range(dim):
         for j in range(dim):
-            assert (twin_conn.gamma[i][j] - ambient_conn.gamma[i][j]).is_zero()
+            assert (twin_conn.gamma.cell(i, j)
+                    - ambient_conn.gamma.cell(i, j)).is_zero()
 
 
 def test_non_parallel_phi_is_not_f0(lm, ambient_conn):
     s = lm.structure
     frame = s.frame
-    cols = list(s.phi.column(j) for j in range(frame.dimension))
+    cols = list(s.phi.cell(j) for j in range(frame.dimension))
     cols[frame.index("X2")] = cols[frame.index("X2")].scale(2)
-    bad = ACBMStructure(frame, LinearOperator.from_columns(frame, cols),
+    bad = ACBMStructure(frame, operator(frame, cols),
                         s.xi_bar, s.eta_bar, s.metric)
     f = fundamental_tensor(bad, ambient_conn)
     assert not is_f0(bad, ambient_conn)
@@ -145,12 +161,12 @@ def test_closed_form_rejects_wrong_curvature(lm, ambient_r4, pair):
 
 def test_no_totally_real_section():
     frame = Frame(("e1", "e2", "e3"))
-    phi = LinearOperator.from_columns(frame, (
+    phi = operator(frame, (
         Vector.from_map(frame, {"e2": 1}),
         Vector.from_map(frame, {"e1": -1}),
         Vector.zero(frame)))
     s = ACBMStructure(frame, phi, Vector.from_map(frame, {"e3": 1}),
-                      Covector.from_map(frame, {"e3": 1}),
+                      MultilinearForm(frame, 1, (ZERO, ZERO, ONE)),
                       InvariantMetric.diagonal(frame, (1, -1, 1)))
     alg = LieAlgebra.abelian(frame)
     r4 = curvature(levi_civita(alg, s.metric), alg).lower(s.metric)

@@ -1,6 +1,7 @@
-"""Frames, vectors, multilinear forms, operators and exact linear algebra."""
+"""Frames, vectors, component tables and exact linear algebra."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,12 +9,17 @@ from hypothesis import given, strategies as st
 from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import (Covector, Frame, LinearOperator, MultilinearForm,
-                           Vector, determinant, first_nonzero, inertia,
-                           matrix_inverse, pick_regular_sample, solve_affine,
-                           solve_unique)
+from rsthl.tensors import (Frame, MultilinearForm, Vector, determinant,
+                           first_nonzero, inertia, matrix_inverse,
+                           pick_regular_sample, solve_affine, solve_unique)
 
 F3 = Frame(("e1", "e2", "e3"))
+
+
+def operator(*columns):
+    """The operator table on F3 sending e_j to the j-th given vector map."""
+    cells = [Vector.from_map(F3, c) for c in columns]
+    return MultilinearForm.from_cells(F3, 2, cells.__getitem__)
 
 
 def test_frame_validation():
@@ -54,11 +60,11 @@ def test_first_nonzero_scans_in_row_major_order():
 
 
 def test_covector_applies_to_vectors():
-    eta = Covector.from_map(F3, {"e2": 1, "e3": MU})
+    eta = MultilinearForm(F3, 1, Vector.from_map(F3, {"e2": 1, "e3": MU}).components)
     v = Vector.from_map(F3, {"e2": 3, "e3": 1})
-    assert eta(v) == 3 + MU
+    assert eta.value(v) == 3 + MU
     assert not eta.is_zero()
-    assert eta.scale(2)(v) == 6 + 2 * MU
+    assert eta.scale(2).value(v) == 6 + 2 * MU
 
 
 def test_form_entry_value_and_symmetry():
@@ -79,10 +85,7 @@ def test_form_algebra_and_pull_slots():
     g = MultilinearForm.from_function(
         F3, 2, lambda i, j: ONE if i == j else ZERO)
     # op maps e1 -> e2, e2 -> -e1, e3 -> 0
-    op = LinearOperator.from_columns(F3, (
-        Vector.from_map(F3, {"e2": 1}),
-        Vector.from_map(F3, {"e1": -1}),
-        Vector.zero(F3)))
+    op = operator({"e2": 1}, {"e1": -1}, {})
     pulled = g.pull_slots(op, (1,))
     assert pulled.entry(0, 1) == rf(-1)
     assert pulled.entry(1, 0) == ONE
@@ -96,27 +99,94 @@ def test_form_algebra_and_pull_slots():
 
 
 def test_operator_matrix_convention():
-    # matrix[i][j] is the e_i coefficient of op(e_j)
-    op = LinearOperator.from_columns(F3, (
-        Vector.from_map(F3, {"e2": 1}),
-        Vector.from_map(F3, {"e1": -1}),
-        Vector.zero(F3)))
-    assert op.matrix[1][0] == ONE
-    assert op.matrix[0][1] == rf(-1)
-    assert op.column(0).components == (ZERO, ONE, ZERO)
+    # entry(j, i) is the e_i coefficient of op(e_j)
+    op = operator({"e2": 1}, {"e1": -1}, {})
+    assert op.entry(0, 1) == ONE
+    assert op.entry(1, 0) == rf(-1)
+    assert op.cell(0).components == (ZERO, ONE, ZERO)
     v = Vector.from_map(F3, {"e1": 1, "e2": 1})
     assert op.apply(v).components == (rf(-1), ONE, ZERO)
-    sq = op.compose(op)
+    sq = op.pull_slots(op, (0,))
     assert sq.apply(Vector.from_map(F3, {"e1": 1})).components == (rf(-1), ZERO, ZERO)
     assert op.trace() == ZERO
     assert op.rank() == 2
-    assert LinearOperator.identity(F3).rank() == 3
-    assert LinearOperator.zero(F3).is_zero()
-    eta = Covector.from_map(F3, {"e3": 1})
-    out = LinearOperator.outer(Vector.from_map(F3, {"e1": 1}), eta)
+    assert MultilinearForm.identity(F3).rank() == 3
+    assert MultilinearForm.zero(F3, 2).is_zero()
+    e1, eta = Vector.from_map(F3, {"e1": 1}), (ZERO, ZERO, ONE)
+    out = MultilinearForm.from_function(F3, 2, lambda j, i: e1.components[i] * eta[j])
     assert out.apply(Vector.from_map(F3, {"e3": 2})).components == (rf(2), ZERO, ZERO)
     assert (op - op).is_zero()
     assert (op + (-op)).is_zero()
+
+
+# Hand-made tables of every arity, with zero entries and mu-dependent ones.
+def sample_table(arity):
+    return MultilinearForm.from_function(
+        F3, arity,
+        lambda *idx: rf(sum((s + 1) * i for s, i in enumerate(idx)) % 4 - 1)
+        * (MU if idx[0] == 2 else ONE))
+
+
+SAMPLE_VECTORS = (Vector.from_map(F3, {"e1": 1, "e3": MU}),
+                  Vector.from_map(F3, {"e1": 2, "e2": -1}),
+                  Vector.from_map(F3, {"e2": 1, "e3": "1/2"}),
+                  Vector.from_map(F3, {"e3": -3}))
+
+
+def contraction(table, vectors, idx_tail=()):
+    """sum over the leading indices of v1_i1 ... vk_ik T(i1, ..., ik, tail)."""
+    total = ZERO
+    for idx in product(range(3), repeat=len(vectors)):
+        coeff = ONE
+        for v, i in zip(vectors, idx):
+            coeff = coeff * v.components[i]
+        total = total + coeff * table.entry(*idx, *idx_tail)
+    return total
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_cell_apply_and_value_follow_the_components(arity):
+    t = sample_table(arity)
+    for idx in product(range(3), repeat=arity - 1):
+        assert t.cell(*idx).components == tuple(t.entry(*idx, l) for l in range(3))
+    leading = SAMPLE_VECTORS[:arity - 1]
+    assert t.apply(*leading).components == tuple(
+        contraction(t, leading, (l,)) for l in range(3))
+    assert t.value(*SAMPLE_VECTORS[:arity]) == contraction(t, SAMPLE_VECTORS[:arity])
+    with pytest.raises(ValueError):
+        t.apply(*SAMPLE_VECTORS[:arity])
+    with pytest.raises(ValueError):
+        t.cell(*range(arity))
+
+
+def test_composition_by_pull_slots():
+    # neither operator is symmetric, and they do not commute
+    a = operator({"e1": 1, "e2": 2}, {"e3": 3}, {"e1": MU, "e2": -1})
+    b = operator({"e2": 1}, {"e1": -1, "e3": 1}, {"e3": "1/2"})
+    assert not a.is_symmetric()
+    a_after_b = a.pull_slots(b, (0,))
+    for j, i in product(range(3), repeat=2):
+        assert a_after_b.entry(j, i) == sum(
+            (b.entry(j, k) * a.entry(k, i) for k in range(3)), ZERO)
+    for v in SAMPLE_VECTORS:
+        assert a_after_b.apply(v) == a.apply(b.apply(v))
+    assert a_after_b != b.pull_slots(a, (0,))
+    # a form with an operator in one slot: T'(x, y) = T(x, A y)
+    t = sample_table(2)
+    x, y = SAMPLE_VECTORS[:2]
+    assert t.pull_slots(a, (1,)).value(x, y) == t.value(x, a.apply(y))
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_lowering_by_pull_slots(arity):
+    g = MultilinearForm.from_function(
+        F3, 2, lambda i, j: [[ONE, ONE, ZERO], [ONE, ZERO, ZERO],
+                             [ZERO, ZERO, MU]][i][j])
+    t = sample_table(arity)
+    lowered = t.pull_slots(g, (arity - 1,))
+    basis = [F3.basis_vector(i) for i in range(3)]
+    for idx in product(range(3), repeat=arity):
+        assert lowered.entry(*idx) == g.value(t.cell(*idx[:-1]), basis[idx[-1]])
 
 
 def test_determinant_exact():
@@ -175,5 +245,8 @@ def test_pick_regular_sample():
     assert pick_regular_sample([MU - 1, MU - 2]) == Fraction(3)
     assert pick_regular_sample([ONE / (MU - 1)]) == Fraction(2)
     assert pick_regular_sample([MU], start=5) == Fraction(5)
+    # entries that are evaluated must be defined, though they may vanish
+    assert pick_regular_sample([ONE], must_be_defined=[ONE / (MU - 1), ZERO]) == 2
+    assert pick_regular_sample([MU - 1], must_be_defined=[ONE / (MU - 2)]) == 3
     with pytest.raises(ScalarDomainError):
         (ONE / (MU - 1)).eval_at(1)
