@@ -38,9 +38,11 @@ from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
     Vector,
+    curvature_product,
     determinant,
     first_nonzero,
     inertia,
+    outer,
     pick_regular_sample,
     solve_unique,
 )
@@ -248,30 +250,22 @@ def tilde_curvature(f: SubmanifoldFrame, assoc: AssociatedObjects) -> CurvatureT
 def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             mu: RationalFunction, curv: CurvatureTensor,
                             tilde_curv: CurvatureTensor) -> CheckEntry:
-    m = f.dim
     xi_t = f.radical_tangent()
     b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
-    tau = obj.tau.entries
-
-    def residual(a: int, b: int, c: int) -> Vector:
-        rhs = curv.table.cell(a, b, c)
-        rhs = rhs + obj.shape_n.cell(a).scale(
-            obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2)
-        rhs = rhs - obj.shape_n.cell(b).scale(
-            obj.b_form.entry(a, c) + b_phi.entry(a, c) * 2)
-        coeff = half * (cd_b.entry(a, b, c) - cd_b.entry(b, a, c)
-                        + tau[a] * obj.b_form.entry(b, c)
-                        - tau[b] * obj.b_form.entry(a, c))
-        coeff = coeff + (tau[a] * b_phi.entry(b, c)
-                         - tau[b] * b_phi.entry(a, c)
-                         + cd_b_phi.entry(a, b, c)
-                         - cd_b_phi.entry(b, a, c))
-        return tilde_curv.table.cell(a, b, c) - (rhs + xi_t.scale(inv_mu2 * coeff))
-
+    skew_derivative = MultilinearForm.from_cells(
+        f.tangent_frame, 4,
+        lambda a, b, c: xi_t.scale(inv_mu2 * (
+            half * (cd_b.entry(a, b, c) - cd_b.entry(b, a, c))
+            + cd_b_phi.entry(a, b, c) - cd_b_phi.entry(b, a, c))))
+    rhs = (curv.table
+           + curvature_product(obj.shape_n, obj.b_form + b_phi.scale(2))
+           + curvature_product(outer(obj.tau, xi_t),
+                               (obj.b_form.scale(half) + b_phi).scale(inv_mu2))
+           + skew_derivative)
     return residual_entry(
-        "twin-curvature-transfer", "eq-13", first_nonzero(residual, m, 3) is None,
+        "twin-curvature-transfer", "eq-13", tilde_curv.table == rhs,
         "the twin curvature equals the induced curvature plus shape and "
         "derivative corrections")
 
@@ -309,33 +303,17 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
 def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
                         pair: CurvaturePair, gamma_screen: RationalFunction,
                         mu: RationalFunction) -> CheckEntry:
-    m = f.dim
     g = f.induced_form
     gp = f.phi_pairing
-    proj = f.projector
-    phi_p = f.phi_p
-    xi_t = f.radical_tangent()
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     coeff = nu - mg2 * 4
-    eb = f.eta_bar.entries
-
-    def residual(a: int, b: int, c: int) -> Vector:
-        rhs = proj.cell(a).scale(
-            coeff * g.entry(b, c) - mg2 * 4 * gp.entry(b, c)
-            - nu * eb[b] * eb[c])
-        rhs = rhs - proj.cell(b).scale(
-            coeff * g.entry(a, c) - mg2 * 4 * gp.entry(a, c)
-            - nu * eb[a] * eb[c])
-        rhs = rhs - phi_p.cell(a).scale(coeff * gp.entry(b, c))
-        rhs = rhs + phi_p.cell(b).scale(coeff * gp.entry(a, c))
-        rhs = rhs + xi_t.scale(
-            nu * (gp.entry(a, c) * f.eta.entries[b]
-                  - gp.entry(b, c) * f.eta.entries[a]))
-        return tilde_curv.table.cell(a, b, c) - rhs
-
+    rhs = (curvature_product(f.projector, g.scale(coeff) - gp.scale(mg2 * 4)
+                             - outer(f.eta_bar, f.eta_bar).scale(nu))
+           - curvature_product(f.phi_p, gp.scale(coeff))
+           - curvature_product(outer(f.eta, f.radical_tangent()), gp.scale(nu)))
     return residual_entry(
-        "twin-umbilic-curvature-form", "eq-21", first_nonzero(residual, m, 3) is None,
+        "twin-umbilic-curvature-form", "eq-21", tilde_curv.table == rhs,
         "the twin curvature collapses to the screen umbilical normal form")
 
 
@@ -355,18 +333,10 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
     mg2 = mu * mu * gamma_screen * gamma_screen
     k1 = (nu - mg2 * 4) * (2 * (n - 2))
     k2 = -(nu + mg2 * (4 * (2 * n - 3)))
-    eb = f.eta_bar.entries
-
-    def build(last: RationalFunction) -> MultilinearForm:
-        return MultilinearForm.from_function(
-            f.tangent_frame, 2,
-            lambda a, b: (k1 * g.entry(a, b) + k2 * gp.entry(a, b)
-                          + last * eb[a] * eb[b]))
-
-    literal = build(rf(-2 * (n - 1)))
-    adopted = build(-(nu * (2 * (n - 1))))
-    match_adopted = (tilde_ric - adopted).is_zero()
-    match_literal = (tilde_ric - literal).is_zero()
+    base = g.scale(k1) + gp.scale(k2)
+    eta_eta = outer(f.eta_bar, f.eta_bar)
+    match_adopted = tilde_ric == base + eta_eta.scale(-(nu * (2 * (n - 1))))
+    match_literal = tilde_ric == base + eta_eta.scale(rf(-2 * (n - 1)))
     entries = [residual_entry(
         "twin-umbilic-ricci-form", "eq-22", match_adopted,
         "Ric~ = 2(n-2)(nu - 4mu^2 gamma^2) g - [nu + 4(2n-3) mu^2 gamma^2] "
@@ -414,26 +384,11 @@ def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     gap = nu - mg2 * 4
-    factor1 = nu * gap * (2 * n - 3)
-    factor2 = gap * (2 * (n - 2))
-    eb = f.eta_bar.entries
-
-    def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
-        term1 = (gp.entry(a, d) * eb[b] * eb[c]
-                 - gp.entry(b, d) * eb[a] * eb[c]
-                 + gp.entry(a, c) * eb[b] * eb[d]
-                 - gp.entry(b, c) * eb[a] * eb[d])
-        inner = mg2 * 4 * (gp.entry(a, c) * g.entry(b, d)
-                           - gp.entry(b, c) * g.entry(a, d)
-                           + gp.entry(a, d) * g.entry(b, c)
-                           - gp.entry(b, d) * g.entry(a, c))
-        inner = inner + nu * (g.entry(b, c) * eb[a] * eb[d]
-                              - g.entry(a, c) * eb[b] * eb[d]
-                              + g.entry(b, d) * eb[a] * eb[c]
-                              - g.entry(a, d) * eb[b] * eb[c])
-        return factor1 * term1 - factor2 * inner
-
-    return MultilinearForm.from_function(f.tangent_frame, 4, entry)
+    eta_eta = outer(f.eta_bar, f.eta_bar)
+    u = eta_eta.scale(nu * gap * (2 * n - 3))
+    v = (gp.scale(mg2 * 4) + eta_eta.scale(nu)).scale(gap * (2 * (n - 2)))
+    return (curvature_product(gp, u) - curvature_product(u, gp)
+            + curvature_product(g, v) - curvature_product(v, g))
 
 
 def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
@@ -443,7 +398,7 @@ def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
     direct = tilde_curv.ricci_action
     closed = semisym_closed_24(f, pair, gamma_screen, mu, n)
     return residual_entry(
-        "twin-ricci-action-closed-form", "eq-24", (direct - closed).is_zero(),
+        "twin-ricci-action-closed-form", "eq-24", direct == closed,
         "the twin curvature action on Ric~ matches its closed form")
 
 

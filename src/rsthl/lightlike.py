@@ -47,9 +47,11 @@ from .tensors import (
     MultilinearForm,
     Vector,
     _echelon,
+    curvature_product,
     determinant,
     first_nonzero,
     matrix_inverse,
+    outer,
     solve_affine,
     solve_unique,
 )
@@ -539,10 +541,7 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
         lambda a, b: eps * d_proj.entry(a, b) - g_l_proj.entry(a, b), m, 2) is None
     entries.append(residual_entry(
         "d-from-l-shape", anchor, ok, "eps D(X, PY) = g(A_L X, PY)"))
-    ok = first_nonzero(
-        lambda a, b: eps * obj.d_form.entry(a, b)
-        - (g_l_proj.entry(a, b)
-           - obj.phi_form.entries[a] * f.eta.entries[b]), m, 2) is None
+    ok = obj.d_form.scale(eps) == g_l_proj - outer(obj.phi_form, f.eta)
     entries.append(residual_entry(
         "d-split", anchor, ok, "eps D(X, Y) = g(A_L X, PY) - phi(X) eta(Y)"))
     amb_g = f.model.metric
@@ -777,39 +776,19 @@ def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
 def curvature_form_15_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             curv: CurvatureTensor,
                             pair: CurvaturePair) -> CheckEntry:
-    m = f.dim
     g = f.induced_form
-    phi_p = f.phi_p
-    proj = f.projector
     gp = f.phi_pairing
     gpp = f.phi_phi_pairing
-    xi_t = f.radical_tangent()
     nu, nut = pair.nu, pair.nu_tilde
-    b_phi = obj.b_phi
-    phi_an = phi_p.pull_slots(obj.shape_n, (0,))
-    half = rf("1/2")
-
-    def residual(a: int, b: int, c: int) -> Vector:
-        rhs = obj.shape_n.cell(b).scale(-obj.b_form.entry(a, c))
-        rhs = rhs + phi_an.cell(b).scale(b_phi.entry(a, c) * 2)
-        rhs = rhs + obj.shape_n.cell(a).scale(obj.b_form.entry(b, c))
-        rhs = rhs - phi_an.cell(a).scale(b_phi.entry(b, c) * 2)
-        rhs = rhs - proj.cell(a).scale(
-            nu * gpp.entry(b, c) + nut * gp.entry(b, c))
-        rhs = rhs + proj.cell(b).scale(
-            nu * gpp.entry(a, c) + nut * gp.entry(a, c))
-        rhs = rhs - phi_p.cell(a).scale(
-            nu * gp.entry(b, c) - nut * gpp.entry(b, c))
-        rhs = rhs + phi_p.cell(b).scale(
-            nu * gp.entry(a, c) - nut * gpp.entry(a, c))
-        coeff = (nu * (g.entry(b, c) * f.eta.entries[a]
-                       - g.entry(a, c) * f.eta.entries[b])
-                 - nut * (gp.entry(b, c) * f.eta.entries[a]
-                          - gp.entry(a, c) * f.eta.entries[b]))
-        return curv.table.cell(a, b, c) - (rhs + xi_t.scale(half * coeff))
-
+    phi_an = f.phi_p.pull_slots(obj.shape_n, (0,))
+    rhs = (curvature_product(obj.shape_n, obj.b_form)
+           - curvature_product(phi_an, obj.b_phi.scale(2))
+           - curvature_product(f.projector, gpp.scale(nu) + gp.scale(nut))
+           - curvature_product(f.phi_p, gp.scale(nu) - gpp.scale(nut))
+           + curvature_product(outer(f.eta, f.radical_tangent()),
+                               (g.scale(nu) - gp.scale(nut)).scale(rf("1/2"))))
     return residual_entry(
-        "curvature-from-shape-terms", "eq-15", first_nonzero(residual, m, 3) is None,
+        "curvature-from-shape-terms", "eq-15", curv.table == rhs,
         "the induced curvature is rebuilt from shape operators and the "
         "two sectional invariants")
 
@@ -860,33 +839,16 @@ def gamma_identity_18_entry(obj: InducedObjects, f: SubmanifoldFrame,
 def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
                             pair: CurvaturePair, gamma_screen: RationalFunction,
                             mu: RationalFunction) -> CheckEntry:
-    m = f.dim
     g = f.induced_form
-    gp = f.phi_pairing
-    phi_p = f.phi_p
-    proj = f.projector
-    xi_t = f.radical_tangent()
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
-    coeff_a = nu - mg2 * 2
-    coeff_b = mg2 * 4 - nu
-    half = rf("1/2")
-    eb = f.eta_bar.entries
-
-    def residual(a: int, b: int, c: int) -> Vector:
-        rhs = proj.cell(a).scale(
-            coeff_a * g.entry(b, c) - nu * eb[b] * eb[c])
-        rhs = rhs - proj.cell(b).scale(
-            coeff_a * g.entry(a, c) - nu * eb[a] * eb[c])
-        rhs = rhs + phi_p.cell(a).scale(coeff_b * gp.entry(b, c))
-        rhs = rhs - phi_p.cell(b).scale(coeff_b * gp.entry(a, c))
-        rhs = rhs + xi_t.scale(
-            half * nu * (g.entry(b, c) * f.eta.entries[a]
-                         - g.entry(a, c) * f.eta.entries[b]))
-        return curv.table.cell(a, b, c) - rhs
-
+    rhs = (curvature_product(f.projector, g.scale(nu - mg2 * 2)
+                             - outer(f.eta_bar, f.eta_bar).scale(nu))
+           + curvature_product(f.phi_p, f.phi_pairing.scale(mg2 * 4 - nu))
+           + curvature_product(outer(f.eta, f.radical_tangent()),
+                               g.scale(rf("1/2") * nu)))
     return residual_entry(
-        "umbilic-curvature-form", "eq-19", first_nonzero(residual, m, 3) is None,
+        "umbilic-curvature-form", "eq-19", curv.table == rhs,
         "the induced curvature collapses to the screen umbilical normal form")
 
 
@@ -898,12 +860,9 @@ def ricci_form_20_entry(f: SubmanifoldFrame, ric: MultilinearForm,
     mg2 = mu * mu * gamma_screen * gamma_screen
     k = nu * rf(f"{4 * n - 7}/2") - mg2 * (2 * (2 * n - 5))
     c = -(nu * (2 * (n - 1)))
-    eb = f.eta_bar.entries
-    expected = MultilinearForm.from_function(
-        f.tangent_frame, 2,
-        lambda a, b: k * g.entry(a, b) + c * eb[a] * eb[b])
+    expected = g.scale(k) + outer(f.eta_bar, f.eta_bar).scale(c)
     return residual_entry(
-        "umbilic-ricci-form", "eq-20", (ric - expected).is_zero(),
+        "umbilic-ricci-form", "eq-20", ric == expected,
         "Ric = [((4n-7)/2) nu - 2(2n-5) mu^2 gamma^2] g - 2(n-1) nu eta x eta")
 
 
@@ -920,16 +879,8 @@ def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     factor = nu * (nu * rf("1/2") - mg2 * 2) * (2 * n - 5)
-    eb = f.eta_bar.entries
-
-    def entry(a: int, b: int, c: int, d: int) -> RationalFunction:
-        inner = (g.entry(a, d) * eb[b] * eb[c]
-                 - g.entry(b, d) * eb[a] * eb[c]
-                 + g.entry(a, c) * eb[b] * eb[d]
-                 - g.entry(b, c) * eb[a] * eb[d])
-        return factor * inner
-
-    return MultilinearForm.from_function(f.tangent_frame, 4, entry)
+    eta_eta = outer(f.eta_bar, f.eta_bar).scale(factor)
+    return curvature_product(g, eta_eta) - curvature_product(eta_eta, g)
 
 
 def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
@@ -939,23 +890,17 @@ def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
     direct = curv.ricci_action
     closed = semisym_closed_23(f, pair, gamma_screen, mu, n)
     return residual_entry(
-        "ricci-action-closed-form", "eq-23", (direct - closed).is_zero(),
+        "ricci-action-closed-form", "eq-23", direct == closed,
         "the curvature action on Ric matches its closed form")
 
 
 def eta_einstein_solve(f: SubmanifoldFrame, ric: MultilinearForm
                        ) -> tuple[RationalFunction, RationalFunction]:
     """Solve Ric = k g + c (eta x eta) exactly over the tangent frame."""
-    g = f.induced_form
-    eb = f.eta_bar.entries
-    rows = []
-    rhs = []
-    for a in range(f.dim):
-        for b in range(f.dim):
-            rows.append([g.entry(a, b), eb[a] * eb[b]])
-            rhs.append(ric.entry(a, b))
+    rows = [[g, ee] for g, ee in zip(
+        f.induced_form.entries, outer(f.eta_bar, f.eta_bar).entries)]
     try:
-        k, c = solve_unique(rows, rhs)
+        k, c = solve_unique(rows, ric.entries)
     except InconsistentSystem as exc:
         raise NotEtaEinstein(
             "the Ricci tensor is not a combination of the metric and the "

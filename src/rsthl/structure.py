@@ -25,9 +25,10 @@ from .tensors import (
     Frame,
     MultilinearForm,
     Vector,
+    curvature_product,
     determinant,
-    first_nonzero,
     inertia,
+    outer,
     pick_regular_sample,
 )
 
@@ -101,12 +102,10 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
     frame = s.frame
     dim = frame.dimension
     n = s.n
-    eta = s.eta_bar.entries
 
     phi_sq = s.phi.pull_slots(s.phi, (0,))
-    outer = MultilinearForm.from_function(
-        frame, 2, lambda j, i: s.xi_bar.components[i] * eta[j])
-    reconstruction = phi_sq + MultilinearForm.identity(frame) - outer
+    reconstruction = (phi_sq + MultilinearForm.identity(frame)
+                      - outer(s.eta_bar, s.xi_bar))
     out.append(
         report.residual_entry(
             "phi-squared",
@@ -137,19 +136,18 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
             "phi(xi_bar) = 0",
         )
     )
+    rank = s.phi.rank()
     out.append(
         report.residual_entry(
             "phi-rank",
             "sec-2-structure",
-            s.phi.rank() == 2 * n,
-            f"rank phi = {s.phi.rank()}, expected {2 * n}",
+            rank == 2 * n,
+            f"rank phi = {rank}, expected {2 * n}",
         )
     )
 
-    g_phi_phi = s.metric.form.pull_all(s.phi)
-    bmetric_ok = first_nonzero(
-        lambda i, j: g_phi_phi.entry(i, j) + s.metric.entry(i, j) - eta[i] * eta[j],
-        dim, 2) is None
+    bmetric_ok = (s.metric.form.pull_all(s.phi) + s.metric.form
+                  == outer(s.eta_bar, s.eta_bar))
     out.append(
         report.residual_entry(
             "b-metric",
@@ -191,23 +189,15 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
 
 def associated_metric(s: ACBMStructure) -> InvariantMetric:
     """g_tilde(X, Y) = g_bar(X, phi Y) + eta_bar(X) eta_bar(Y)."""
-    g_phi = s.metric.form.pull_slots(s.phi, (1,))
-    eta = s.eta_bar.entries
-    return InvariantMetric(MultilinearForm.from_function(
-        s.frame, 2, lambda i, j: g_phi.entry(i, j) + eta[i] * eta[j]))
+    return InvariantMetric(s.metric.form.pull_slots(s.phi, (1,))
+                           + outer(s.eta_bar, s.eta_bar))
 
 
 def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
     """g_tilde(X, phi Y) + eta_bar(X) eta_bar(Y) = -g_bar(X,Y) + 2 eta_bar eta_bar."""
-    gt_phi = s.g_tilde.form.pull_slots(s.phi, (1,))
-    eta = s.eta_bar.entries
-
-    def residual(i: int, j: int) -> RationalFunction:
-        ee = eta[i] * eta[j]
-        lhs = gt_phi.entry(i, j) + ee
-        return lhs - (-s.metric.entry(i, j) + ee + ee)
-
-    ok = first_nonzero(residual, s.frame.dimension, 2) is None
+    ee = outer(s.eta_bar, s.eta_bar)
+    ok = (s.g_tilde.form.pull_slots(s.phi, (1,)) + ee
+          == ee.scale(2) - s.metric.form)
     return report.residual_entry(
         "associated-metric-twist",
         "sec-2-structure",
@@ -227,42 +217,26 @@ def fundamental_tensor(s: ACBMStructure, conn: Connection) -> MultilinearForm:
     return nabla_phi.pull_slots(s.metric.form, (2,))
 
 
-def pi_tensors(s: ACBMStructure) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
-    """The three basic curvature-type tensors built from g_bar and phi."""
-    frame = s.frame
-    g = s.metric
-
-    def pi1(i, j, k, l):
-        return g.entry(j, k) * g.entry(i, l) - g.entry(i, k) * g.entry(j, l)
-
-    p1 = MultilinearForm.from_function(frame, 4, pi1)
-    p2 = p1.pull_slots(s.phi, (2, 3))
-
-    gphi = g.form.pull_slots(s.phi, (1,)).entry
-
-    def pi3(i, j, k, l):
-        return (
-            -g.entry(j, k) * gphi(i, l)
-            + g.entry(i, k) * gphi(j, l)
-            - gphi(j, k) * g.entry(i, l)
-            + gphi(i, k) * g.entry(j, l)
-        )
-
-    p3 = MultilinearForm.from_function(frame, 4, pi3)
-    return p1, p2, p3
-
-
 def constant_curvature_residual(
     s: ACBMStructure, r4: MultilinearForm, pair: CurvaturePair
 ) -> MultilinearForm:
     """Residual of the two-curvature closed form for the lowered curvature:
 
-        R = nu [pi_1 after phi - pi_2] + nu_tilde [pi_3 after phi].
+        R = nu [pi_1 after phi - pi_2] + nu_tilde [pi_3 after phi],
+
+    where pi_1 = P(g, g), pi_2 = P(g phi, g phi) and
+    pi_3 = -P(g phi, g) - P(g, g phi) for the curvature product P.  Phi
+    pulled into every slot of P(a, b) is P of a and b with phi pulled into
+    both of their slots.
     """
-    p1, p2, p3 = pi_tensors(s)
-    model = (p1.pull_all(s.phi) - p2).scale(pair.nu) + p3.pull_all(s.phi).scale(
-        pair.nu_tilde
-    )
+    nu, nu_tilde = pair.nu, pair.nu_tilde
+    g_phi = s.metric.form.pull_slots(s.phi, (1,))
+    g_2 = s.metric.form.pull_all(s.phi)
+    g_phi_2 = g_phi.pull_all(s.phi)
+    model = (curvature_product(g_2.scale(nu), g_2)
+             - curvature_product(g_phi.scale(nu), g_phi)
+             - curvature_product(g_phi_2.scale(nu_tilde), g_2)
+             - curvature_product(g_2.scale(nu_tilde), g_phi_2))
     return r4 - model
 
 

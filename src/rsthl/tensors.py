@@ -11,6 +11,13 @@ an operator X -> A X arity 2 with entry(j, l) the e_l coefficient of
 A e_j, the brackets [e_i, e_j] and a connection nabla_{e_i} e_j arity 3,
 and a curvature R(e_i, e_j) e_k arity 4.
 
+Every curvature closed form is a sum of curvature products
+P(a, b)(i, j, k, l) = b(j, k) a(i, l) - b(i, k) a(j, l) of two arity-2
+tables (``curvature_product``): with an operator a it is the tensor
+(X, Y, Z) -> b(Y, Z) aX - b(X, Z) aY, with a bilinear form a the same
+tensor lowered.  ``outer`` builds the rank-one tables u (x) v such
+products often take, for example the operator X -> eta(X) xi.
+
 The linear solvers use fraction-free (Bareiss-style) elimination: each
 update is a two-term cross-multiplication divided by the previous pivot,
 which keeps intermediate entries small and every division exact.
@@ -308,6 +315,51 @@ class MultilinearForm:
 def _same_frame(a, b):
     if a.frame != b.frame:
         raise ValueError("objects live on different frames")
+
+
+def _components(x) -> tuple[RationalFunction, ...]:
+    return x.components if isinstance(x, Vector) else x.entries
+
+
+def outer(u, v) -> MultilinearForm:
+    """The arity-2 table with entry(i, j) = u(i) v(j).
+
+    u and v are one-forms or vectors; a vector enters as its components,
+    so outer(eta, xi) is the operator X -> eta(X) xi.
+    """
+    _same_frame(u, v)
+    return MultilinearForm(u.frame, 2, tuple(
+        ZERO if a.is_zero() or b.is_zero() else a * b
+        for a in _components(u) for b in _components(v)))
+
+
+def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
+    """The arity-4 table with entry(i, j, k, l) = b(j, k) a(i, l) - b(i, k) a(j, l).
+
+    For an operator a this is the curvature-type tensor
+    (X, Y, Z) -> b(Y, Z) aX - b(X, Z) aY; for a bilinear form a it is the
+    same tensor lowered.  P(a, b) + P(b, a) is the Kulkarni-Nomizu product
+    up to its sign convention.  Zero entries of a and b cost no scalar operation.
+    """
+    _same_frame(a, b)
+    if a.arity != 2 or b.arity != 2:
+        raise ValueError("the curvature product takes two arity-2 tables")
+    dim = a.frame.dimension
+    pairs = list(product(range(dim), repeat=2))
+    a_nz = [(i, l, c) for (i, l), c in zip(pairs, a.entries) if not c.is_zero()]
+    b_nz = [(j, k, c) for (j, k), c in zip(pairs, b.entries) if not c.is_zero()]
+    out = [ZERO] * dim ** 4
+
+    def add(off: int, t: RationalFunction):
+        out[off] = t if out[off].is_zero() else out[off] + t
+
+    for i, l, ac in a_nz:
+        for j, k, bc in b_nz:
+            if i != j:
+                t = bc * ac
+                add(((i * dim + j) * dim + k) * dim + l, t)
+                add(((j * dim + i) * dim + k) * dim + l, -t)
+    return MultilinearForm(a.frame, 4, tuple(out))
 
 
 def first_nonzero(residual: Callable[..., object], dim: int, arity: int,

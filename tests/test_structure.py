@@ -6,11 +6,14 @@ import pytest
 from rsthl.errors import NoTotallyRealSection
 from rsthl.liegeom import InvariantMetric, LieAlgebra, curvature, levi_civita
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.structure import (ACBMStructure, associated_compat_entry,
-                             associated_metric, constant_curvature_residual,
-                             fit_curvature_pair, fundamental_tensor,
-                             pi_tensors, signature_at_sample, validate_acbm)
+from rsthl.structure import (ACBMStructure, CurvaturePair,
+                             associated_compat_entry, associated_metric,
+                             constant_curvature_residual, fit_curvature_pair,
+                             fundamental_tensor, signature_at_sample,
+                             validate_acbm)
+from rsthl.suite import Geometry
 from rsthl.tensors import Frame, MultilinearForm, Vector
+from test_properties import reeb_sheared
 
 
 def operator(frame, columns):
@@ -21,6 +24,32 @@ def operator(frame, columns):
 def is_f0(s, conn):
     """Whether the structure is of the zero class for this connection."""
     return fundamental_tensor(s, conn).is_zero()
+
+
+def pi_tensors(s):
+    """The three basic curvature-type tensors of thm-4.1, entry by entry:
+    the reference for the curvature products of the closed form."""
+    frame = s.frame
+    g = s.metric
+
+    def pi1(i, j, k, l):
+        return g.entry(j, k) * g.entry(i, l) - g.entry(i, k) * g.entry(j, l)
+
+    p1 = MultilinearForm.from_function(frame, 4, pi1)
+    p2 = p1.pull_slots(s.phi, (2, 3))
+
+    gphi = g.form.pull_slots(s.phi, (1,)).entry
+
+    def pi3(i, j, k, l):
+        return (
+            -g.entry(j, k) * gphi(i, l)
+            + g.entry(i, k) * gphi(j, l)
+            - gphi(j, k) * g.entry(i, l)
+            + gphi(i, k) * g.entry(j, l)
+        )
+
+    p3 = MultilinearForm.from_function(frame, 4, pi3)
+    return p1, p2, p3
 
 
 AXIOM_NAMES = ("phi-squared", "eta-of-xi", "eta-after-phi", "phi-of-xi",
@@ -146,6 +175,23 @@ def test_pi_tensor_values(lm):
     # pi_3(X1, X2, X2, X3) = -g(X2,X2) g(X1, phi X3) = -1 * -1
     assert p3.entry(x1, x2, x2, x3) == ONE
     assert p3.entry(x1, x2, x2, x1) == ZERO
+
+
+@pytest.mark.parametrize("build", [None, reeb_sheared],
+                         ids=["example47", "reeb_sheared"])
+def test_closed_form_matches_pi_tensors(build, geometry):
+    """At invariants the worked model does not have, the closed form
+    equals nu (pi_1 o phi - pi_2) + nu~ (pi_3 o phi) from the reference
+    tensors, so every curvature product carries its own sign."""
+    geo = geometry if build is None else Geometry(build())
+    s, r4 = geo.structure, geo.r4
+    p1, p2, p3 = pi_tensors(s)
+    nu_part = p1.pull_all(s.phi) - p2
+    nu_tilde_part = p3.pull_all(s.phi)
+    for nu, nu_tilde in ((3, "5/7"), (0, 1), (MU, "-1/2")):
+        pair = CurvaturePair(rf(nu), rf(nu_tilde))
+        expected = r4 - nu_part.scale(pair.nu) - nu_tilde_part.scale(pair.nu_tilde)
+        assert constant_curvature_residual(s, r4, pair) == expected
 
 
 def test_fit_curvature_pair_and_closed_form(lm, ambient_r4, pair):

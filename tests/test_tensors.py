@@ -4,15 +4,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import (Frame, MultilinearForm, Vector, determinant,
-                           first_nonzero, inertia, matrix_inverse,
-                           pick_regular_sample, solve_affine, solve_unique)
+from rsthl.tensors import (Frame, MultilinearForm, Vector, curvature_product,
+                           determinant, first_nonzero, inertia, matrix_inverse,
+                           outer, pick_regular_sample, solve_affine,
+                           solve_unique)
 
+F2 = Frame(("f1", "f2"))
 F3 = Frame(("e1", "e2", "e3"))
 
 
@@ -187,6 +189,77 @@ def test_lowering_by_pull_slots(arity):
     basis = [F3.basis_vector(i) for i in range(3)]
     for idx in product(range(3), repeat=arity):
         assert lowered.entry(*idx) == g.value(t.cell(*idx[:-1]), basis[idx[-1]])
+
+
+def table2(frame, rows):
+    """The arity-2 table with entry(i, j) = rows[i][j]."""
+    return MultilinearForm(frame, 2, tuple(rf(c) for row in rows for c in row))
+
+
+def vectors(frame, *rows):
+    return [Vector(frame, tuple(rf(c) for c in row)) for row in rows]
+
+
+def test_outer_matches_components():
+    u = MultilinearForm(F3, 1, (rf(2), ZERO, MU))
+    v = Vector.from_map(F3, {"e1": -1, "e2": "1/3"})
+    for t, left, right in ((outer(u, v), u.entries, v.components),
+                           (outer(v, u), v.components, u.entries)):
+        for i, j in product(range(3), repeat=2):
+            assert t.entry(i, j) == left[i] * right[j]
+    # a one-form times a vector is the operator X -> u(X) v
+    for x in SAMPLE_VECTORS:
+        assert outer(u, v).apply(x) == v.scale(u.value(x))
+    with pytest.raises(ValueError):
+        outer(u, Vector.zero(F2))
+
+
+# (a, b, g, test vectors): a and b are not symmetric, g is a metric
+PRODUCT_CASES = [
+    (table2(F2, [[1, 2], [0, -3]]), table2(F2, [[0, 1], ["1/2", 2]]),
+     table2(F2, [[0, 1], [1, 2]]), vectors(F2, [1, 0], [2, -1], [0, 3])),
+    (table2(F3, [[1, 2, 0], [0, -1, MU], [3, 0, 1]]),
+     table2(F3, [[0, 1, 2], [-1, 0, 0], [MU, 1, "1/3"]]),
+     table2(F3, [[1, 1, 0], [1, 0, 0], [0, 0, MU]]),
+     vectors(F3, [1, 0, MU], [2, -1, 0], [0, 1, "1/2"])),
+]
+
+
+@pytest.mark.parametrize("a, b, g, vs", PRODUCT_CASES, ids=["dim2", "dim3"])
+def test_curvature_product_matches_component_sums(a, b, g, vs):
+    assert not a.is_symmetric() and not b.is_symmetric()
+    dim = a.frame.dimension
+    p = curvature_product(a, b)
+    for i, j, k, l in product(range(dim), repeat=4):
+        assert p.entry(i, j, k, l) == (b.entry(j, k) * a.entry(i, l)
+                                       - b.entry(i, k) * a.entry(j, l))
+    # read with a as an operator: (X, Y, Z) -> b(Y, Z) aX - b(X, Z) aY
+    for x, y, z in product(vs, repeat=3):
+        assert p.apply(x, y, z) == (a.apply(x).scale(b.value(y, z))
+                                    - a.apply(y).scale(b.value(x, z)))
+    # read with a as a form: lowering P(A, b) with g is P(g(A ., .), b)
+    assert p.pull_slots(g, (3,)) == curvature_product(a.pull_slots(g, (1,)), b)
+    with pytest.raises(ValueError):
+        curvature_product(a, sample_table(3))
+
+
+@given(dim=st.integers(2, 3),
+       values=st.lists(st.integers(-3, 3), min_size=18, max_size=18))
+@settings(max_examples=30, deadline=None)
+def test_curvature_product_symmetries(dim, values):
+    """P(a, b) is antisymmetric in its first two slots, and its cyclic sum
+    over the first three slots (first Bianchi) vanishes for symmetric b."""
+    frame = F2 if dim == 2 else F3
+    n = dim * dim
+    a = MultilinearForm(frame, 2, tuple(rf(v) for v in values[:n]))
+    c = MultilinearForm(frame, 2, tuple(rf(v) for v in values[9:9 + n]))
+    p = curvature_product(a, c)
+    b = c + MultilinearForm.from_function(frame, 2, lambda i, j: c.entry(j, i))
+    q = curvature_product(a, b)
+    for i, j, k, l in product(range(dim), repeat=4):
+        assert p.entry(i, j, k, l) == -p.entry(j, i, k, l)
+        assert (q.entry(i, j, k, l) + q.entry(j, k, i, l)
+                + q.entry(k, i, j, l)).is_zero()
 
 
 def test_determinant_exact():
