@@ -20,7 +20,6 @@ from .errors import (
     DegenerateMetric,
     InconsistentSystem,
     NotEinstein,
-    NotEtaEinstein,
     UnderdeterminedSystem,
 )
 from .liegeom import Connection, CurvatureTensor, InvariantMetric, curvature, levi_civita
@@ -29,18 +28,16 @@ from .lightlike import (
     SubmanifoldFrame,
     UmbilicityReport,
     adapted_coordinates,
-    eta_einstein_solve,
     proportionality_factor,
 )
-from .report import CheckEntry, residual_entry
-from .scalars import ONE, RationalFunction, rf
+from .report import CheckEntry, compare, passed, residual_suffix
+from .scalars import ONE, ZERO, RationalFunction, rf
 from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
     Vector,
     curvature_product,
     determinant,
-    first_nonzero,
     inertia,
     outer,
     pick_regular_sample,
@@ -83,62 +80,58 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     s = f.model.structure
     gt_ambient = s.g_tilde
     m = f.dim
-    entries = []
+    tf = f.tangent_frame
+    zero_form = MultilinearForm.zero(tf, 1)
 
     n1 = s.xi_bar - f.l_vec
     n2 = s.xi_bar.scale(rf(2)) - f.n_vec.scale(mu * 2) - f.l_vec
-    entries.append(residual_entry(
-        "twin-normal-one-unit", "thm-1.1",
-        (gt_ambient.value(n1, n1) - 1).is_zero(), "g~(N1, N1) = 1"))
-    entries.append(residual_entry(
-        "twin-normal-two-unit", "thm-1.1",
-        (gt_ambient.value(n2, n2) + 1).is_zero(), "g~(N2, N2) = -1"))
-    entries.append(residual_entry(
-        "twin-normals-orthogonal", "thm-1.1",
-        gt_ambient.value(n1, n2).is_zero(), "g~(N1, N2) = 0"))
-    ok = all(gt_ambient.value(n, t).is_zero()
-             for n in (n1, n2) for t in f.tangent_vectors)
-    entries.append(residual_entry(
-        "twin-normals-transverse", "thm-1.1", ok,
-        "both normals are g~-orthogonal to the tangent space"))
+
+    def on_tangent(n: Vector) -> MultilinearForm:
+        """The one-form X -> g~(n, X) on the tangent frame."""
+        return MultilinearForm(tf, 1, tuple(
+            gt_ambient.value(n, t) for t in f.tangent_vectors))
 
     gt_form = MultilinearForm.from_function(
-        f.tangent_frame, 2,
+        tf, 2,
         lambda a, b: gt_ambient.value(f.tangent_vectors[a], f.tangent_vectors[b]))
     gt = InvariantMetric(gt_form)
-    entries.append(residual_entry(
-        "twin-metric-nondegenerate", "thm-1.1", True,
-        "the twin metric restricts without kernel to the tangent space"))
-
     xi_idx = f.radical_index
     rad_norm = gt_form.entry(xi_idx, xi_idx)
+    entries = [
+        compare("twin-normal-one-unit", "thm-1.1", gt_ambient.value(n1, n1), ONE,
+                "g~(N1, N1) = 1"),
+        compare("twin-normal-two-unit", "thm-1.1", gt_ambient.value(n2, n2), -ONE,
+                "g~(N2, N2) = -1"),
+        compare("twin-normals-orthogonal", "thm-1.1", gt_ambient.value(n1, n2), ZERO,
+                "g~(N1, N2) = 0"),
+        compare("twin-normals-transverse", "thm-1.1",
+                (on_tangent(n1), on_tangent(n2)), (zero_form, zero_form),
+                "both normals are g~-orthogonal to the tangent space"),
+        passed("twin-metric-nondegenerate", "thm-1.1",
+               "the twin metric restricts without kernel to the tangent space"),
+        compare("twin-splitting-orthogonal", "thm-1.1", gt_form.at(xi_idx),
+                f.eta.scale(rad_norm), "screen and radical are g~-orthogonal"),
+    ]
     screen_rows = [[gt_form.entry(a, b) for b in range(m - 1)] for a in range(m - 1)]
-    ok = all(gt_form.entry(a, xi_idx).is_zero() for a in range(m - 1))
-    entries.append(residual_entry(
-        "twin-splitting-orthogonal", "thm-1.1", ok,
-        "screen and radical are g~-orthogonal"))
     avoid = [rad_norm]
     if screen_rows:
         avoid.append(determinant(screen_rows))
     sample = pick_regular_sample(
         avoid, must_be_defined=[e for row in screen_rows for e in row])
-    entries.append(residual_entry(
-        "twin-radical-spacelike", "thm-1.1",
-        rad_norm.eval_at(sample) > 0,
+    entries.append(compare(
+        "twin-radical-spacelike", "thm-1.1", rad_norm.eval_at(sample) > 0, True,
         f"g~(xi, xi) = {rad_norm} is positive at mu = {sample}"))
     if screen_rows:
         pos, neg, zero = inertia([[e.eval_at(sample) for e in row]
                                   for row in screen_rows])
         half = (m - 1) // 2
-        ok = (pos, neg, zero) == (half, half, 0)
-        detail = f"screen signature at mu = {sample} is ({pos}, {neg})"
+        entries.append(compare(
+            "twin-screen-signature", "thm-1.1", (pos, neg, zero), (half, half, 0),
+            f"screen signature at mu = {sample} is ({pos}, {neg})"))
     else:
-        ok = True
-        detail = "the screen is zero-dimensional"
-    entries.append(residual_entry(
-        "twin-screen-signature", "thm-1.1", ok, detail))
+        entries.append(passed("twin-screen-signature", "thm-1.1",
+                              "the screen is zero-dimensional"))
 
-    tf = f.tangent_frame
     xi_t = f.radical_tangent()
     inv_mu = ONE / mu
     inv_mu2 = inv_mu * inv_mu
@@ -177,65 +170,43 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     shape1_direct, shape2_direct = (
         MultilinearForm.from_cells(tf, 2, lambda a: -cols[a][0])
         for cols in weingarten)
-    tangency = all(c1.is_zero() and c2.is_zero()
-                   for cols in weingarten for _, c1, c2 in cols)
-    entries.append(residual_entry(
-        "twin-weingarten-tangency", "sec-2-twin", tangency,
-        "the derivatives of both normals are purely tangent"))
 
     conn_koszul = levi_civita(f.tangent_algebra, gt)
-
-    # the first mismatch in row-major order, the conversion formula first
-    routes = (("conversion formula", conn_formula), ("Koszul formula", conn_koszul))
-    mismatches = [
-        (at, rank) for rank, (_, conn) in enumerate(routes)
-        if (at := first_nonzero(
-            lambda a, b: conn.gamma.cell(a, b) - conn_direct.gamma.cell(a, b),
-            m, 2)) is not None]
-    if mismatches:
-        (a, b), rank = min(mismatches)
-        la, lb = f.tangent_frame.labels[a], f.tangent_frame.labels[b]
-        raise CrossCheckMismatch(
-            f"twin connection from the {routes[rank][0]} and from the "
-            f"ambient split differ at ({la}, {lb})")
-    entries.append(residual_entry(
-        "twin-connection-formula", "eq-2.11", True,
-        "the twin connection equals the induced connection plus the "
-        "radical correction term"))
-    entries.append(residual_entry(
-        "twin-connection-koszul", "plumbing", True,
-        "the Koszul formula for the restricted twin metric returns the "
-        "same connection"))
-
-    entries.append(residual_entry(
-        "twin-second-form-one", "eq-2.12",
-        (h1_direct - h1_formula).is_zero(), "h1 = (1/mu) B"))
-    entries.append(residual_entry(
-        "twin-second-form-two", "eq-2.12",
-        (h2_direct - h2_formula).is_zero(),
-        "h2 = -(1/mu)(B + B(., phi P.))"))
-    entries.append(residual_entry(
-        "twin-shape-one", "eq-2.12",
-        (shape1_direct - shape1_formula).is_zero(),
-        "A~_N1 = -(1/mu) phi A*_xi"))
-    entries.append(residual_entry(
-        "twin-shape-two", "eq-2.12",
-        (shape2_direct - shape2_formula).is_zero(),
-        "A~_N2 = (1/mu)(A*_xi - phi A*_xi)"))
-    entries.append(residual_entry(
-        "twin-h1-symmetric", "sec-2-twin", h1_direct.is_symmetric(),
-        "h1 is symmetric"))
-    entries.append(residual_entry(
-        "twin-h2-symmetric", "sec-2-twin", h2_direct.is_symmetric(),
-        "h2 is symmetric"))
-    basis = f.tangent_frame.basis_vector
-    dualities = (
-        lambda a, b: h1_direct.entry(a, b) - gt.value(shape1_direct.cell(a), basis(b)),
-        lambda a, b: h2_direct.entry(a, b) + gt.value(shape2_direct.cell(a), basis(b)))
-    ok = all(first_nonzero(residual, m, 2) is None for residual in dualities)
-    entries.append(residual_entry(
-        "twin-shape-duality", "sec-2-twin", ok,
-        "h1(X, Y) = g~(A~_N1 X, Y) and h2(X, Y) = -g~(A~_N2 X, Y)"))
+    for route, conn in (("conversion formula", conn_formula),
+                        ("Koszul formula", conn_koszul)):
+        if conn.gamma != conn_direct.gamma:
+            raise CrossCheckMismatch(
+                f"twin connection from the {route} and from the ambient split "
+                "differ" + residual_suffix(conn.gamma, conn_direct.gamma))
+    entries += [
+        # the N1 and N2 parts of the derivatives of both normals
+        compare("twin-weingarten-tangency", "sec-2-twin",
+                tuple(MultilinearForm(tf, 1, tuple(part[k] for part in cols))
+                      for cols in weingarten for k in (1, 2)), (zero_form,) * 4,
+                "the derivatives of both normals are purely tangent"),
+        passed("twin-connection-formula", "eq-2.11",
+               "the twin connection equals the induced connection plus the "
+               "radical correction term"),
+        passed("twin-connection-koszul", "plumbing",
+               "the Koszul formula for the restricted twin metric returns the "
+               "same connection"),
+        compare("twin-second-form-one", "eq-2.12", h1_direct, h1_formula,
+                "h1 = (1/mu) B"),
+        compare("twin-second-form-two", "eq-2.12", h2_direct, h2_formula,
+                "h2 = -(1/mu)(B + B(., phi P.))"),
+        compare("twin-shape-one", "eq-2.12", shape1_direct, shape1_formula,
+                "A~_N1 = -(1/mu) phi A*_xi"),
+        compare("twin-shape-two", "eq-2.12", shape2_direct, shape2_formula,
+                "A~_N2 = (1/mu)(A*_xi - phi A*_xi)"),
+        compare("twin-h1-symmetric", "sec-2-twin", h1_direct, h1_direct.permute((1, 0)),
+                "h1 is symmetric"),
+        compare("twin-h2-symmetric", "sec-2-twin", h2_direct, h2_direct.permute((1, 0)),
+                "h2 is symmetric"),
+        compare("twin-shape-duality", "sec-2-twin", (h1_direct, h2_direct),
+                (gt_form.pull_slots(shape1_direct, (0,)),
+                 -gt_form.pull_slots(shape2_direct, (0,))),
+                "h1(X, Y) = g~(A~_N1 X, Y) and h2(X, Y) = -g~(A~_N2 X, Y)"),
+    ]
 
     assoc = AssociatedObjects(metric=gt, n1=n1, n2=n2, conn=conn_direct,
                               h1=h1_direct, h2=h2_direct,
@@ -250,22 +221,17 @@ def tilde_curvature(f: SubmanifoldFrame, assoc: AssociatedObjects) -> CurvatureT
 def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             mu: RationalFunction, curv: CurvatureTensor,
                             tilde_curv: CurvatureTensor) -> CheckEntry:
-    xi_t = f.radical_tangent()
-    b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
+    b_phi = obj.b_phi
     inv_mu2 = ONE / (mu * mu)
     half = rf("1/2")
-    skew_derivative = MultilinearForm.from_cells(
-        f.tangent_frame, 4,
-        lambda a, b, c: xi_t.scale(inv_mu2 * (
-            half * (cd_b.entry(a, b, c) - cd_b.entry(b, a, c))
-            + cd_b_phi.entry(a, b, c) - cd_b_phi.entry(b, a, c))))
     rhs = (curv.table
            + curvature_product(obj.shape_n, obj.b_form + b_phi.scale(2))
-           + curvature_product(outer(obj.tau, xi_t),
+           + curvature_product(outer(obj.tau, f.radical_tangent()),
                                (obj.b_form.scale(half) + b_phi).scale(inv_mu2))
-           + skew_derivative)
-    return residual_entry(
-        "twin-curvature-transfer", "eq-13", tilde_curv.table == rhs,
+           + outer((obj.cd_b.scale(half) + obj.cd_b_phi).skew().scale(inv_mu2),
+                   f.radical_tangent()))
+    return compare(
+        "twin-curvature-transfer", "eq-13", tilde_curv.table, rhs,
         "the twin curvature equals the induced curvature plus shape and "
         "derivative corrections")
 
@@ -273,30 +239,18 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
 def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
                          mu: RationalFunction, ric: MultilinearForm,
                          tilde_ric: MultilinearForm) -> CheckEntry:
-    m = f.dim
     xi_idx = f.radical_index
-    b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
-    b_n = obj.b_form.pull_slots(obj.shape_n, (0,))
-    b_n_phi = b_n.pull_slots(f.phi_p, (1,))
-    tr_n = obj.shape_n.trace()
+    b_form, b_phi = obj.b_form, obj.b_phi
+    b_n = b_form.pull_slots(obj.shape_n, (0,))
     tau_xi = obj.tau.entries[xi_idx]
     inv_mu2 = ONE / (mu * mu)
-    half = rf("1/2")
-
-    def residual(b: int, c: int) -> RationalFunction:
-        rhs = ric.entry(b, c)
-        rhs = rhs + (obj.b_form.entry(b, c) + b_phi.entry(b, c) * 2) * tr_n
-        rhs = rhs - b_n.entry(b, c) - b_n_phi.entry(b, c) * 2
-        rhs = rhs + inv_mu2 * half * (
-            cd_b.entry(xi_idx, b, c) - cd_b.entry(b, xi_idx, c)
-            + tau_xi * obj.b_form.entry(b, c))
-        rhs = rhs + inv_mu2 * (
-            cd_b_phi.entry(xi_idx, b, c) - cd_b_phi.entry(b, xi_idx, c)
-            + tau_xi * b_phi.entry(b, c))
-        return tilde_ric.entry(b, c) - rhs
-
-    return residual_entry(
-        "twin-ricci-transfer", "eq-14", first_nonzero(residual, m, 2) is None,
+    rhs = (ric + (b_form + b_phi.scale(2)).scale(obj.shape_n.trace())
+           - b_n - b_n.pull_slots(f.phi_p, (1,)).scale(2)
+           + (obj.cd_b.skew().at(xi_idx) + b_form.scale(tau_xi)).scale(
+               inv_mu2 * rf("1/2"))
+           + (obj.cd_b_phi.skew().at(xi_idx) + b_phi.scale(tau_xi)).scale(inv_mu2))
+    return compare(
+        "twin-ricci-transfer", "eq-14", tilde_ric, rhs,
         "the twin Ricci tensor equals the induced one plus trace corrections")
 
 
@@ -312,8 +266,8 @@ def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
                              - outer(f.eta_bar, f.eta_bar).scale(nu))
            - curvature_product(f.phi_p, gp.scale(coeff))
            - curvature_product(outer(f.eta, f.radical_tangent()), gp.scale(nu)))
-    return residual_entry(
-        "twin-umbilic-curvature-form", "eq-21", tilde_curv.table == rhs,
+    return compare(
+        "twin-umbilic-curvature-form", "eq-21", tilde_curv.table, rhs,
         "the twin curvature collapses to the screen umbilical normal form")
 
 
@@ -335,12 +289,9 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
     k2 = -(nu + mg2 * (4 * (2 * n - 3)))
     base = g.scale(k1) + gp.scale(k2)
     eta_eta = outer(f.eta_bar, f.eta_bar)
-    match_adopted = tilde_ric == base + eta_eta.scale(-(nu * (2 * (n - 1))))
+    adopted = base + eta_eta.scale(-(nu * (2 * (n - 1))))
+    match_adopted = tilde_ric == adopted
     match_literal = tilde_ric == base + eta_eta.scale(rf(-2 * (n - 1)))
-    entries = [residual_entry(
-        "twin-umbilic-ricci-form", "eq-22", match_adopted,
-        "Ric~ = 2(n-2)(nu - 4mu^2 gamma^2) g - [nu + 4(2n-3) mu^2 gamma^2] "
-        "g(., phi .) - 2(n-1) nu eta x eta")]
     if match_adopted and match_literal:
         detail = ("the direct twin Ricci tensor matches both readings of the "
                   "last coefficient, they coincide because nu = 1")
@@ -352,9 +303,11 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
                   "without the sectional factor")
     else:
         detail = "the direct twin Ricci tensor matches neither reading"
-    entries.append(residual_entry(
-        "twin-ricci-last-term", "eq-22", match_adopted, detail))
-    return entries
+    return [compare(
+        "twin-umbilic-ricci-form", "eq-22", tilde_ric, adopted,
+        "Ric~ = 2(n-2)(nu - 4mu^2 gamma^2) g - [nu + 4(2n-3) mu^2 gamma^2] "
+        "g(., phi .) - 2(n-1) nu eta x eta"),
+        compare("twin-ricci-last-term", "eq-22", tilde_ric, adopted, detail)]
 
 
 def einstein_solve(f: SubmanifoldFrame, assoc: AssociatedObjects,
@@ -397,8 +350,8 @@ def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
     """The action of tilde_curv on its own Ricci tensor against eq. (24)."""
     direct = tilde_curv.ricci_action
     closed = semisym_closed_24(f, pair, gamma_screen, mu, n)
-    return residual_entry(
-        "twin-ricci-action-closed-form", "eq-24", direct == closed,
+    return compare(
+        "twin-ricci-action-closed-form", "eq-24", direct, closed,
         "the twin curvature action on Ric~ matches its closed form")
 
 
@@ -411,23 +364,18 @@ def geodesic_correspondence_entries(obj: InducedObjects,
     stg = obj.c_form.is_zero()
     a1, a2 = assoc.twin_umbilicity
     tu_twin = a1 is not None and a2 is not None
-    entries = [residual_entry(
-        "geodesic-correspondence", "prop-3.3", tg_first == tg_twin,
+    entries = [compare(
+        "geodesic-correspondence", "prop-3.3", tg_first, tg_twin,
         "both submanifolds are totally geodesic together")]
-    if rep.totally_umbilical:
-        ok = tg_first and stg and tg_twin
-        detail = "a totally umbilical first metric collapses everything to geodesic"
-    else:
-        ok = True
-        detail = "vacuous, the first metric is not totally umbilical"
-    entries.append(residual_entry("umbilical-collapse", "prop-3.3", ok, detail))
-    if tu_twin:
-        ok = tg_twin and stg and tg_first
-        detail = "a totally umbilical twin metric collapses everything to geodesic"
-    else:
-        ok = True
-        detail = "vacuous, the twin metric is not totally umbilical"
-    entries.append(residual_entry("twin-umbilical-collapse", "prop-3.3", ok, detail))
+    for name, umbilical, kind in (("umbilical-collapse", rep.totally_umbilical, "first"),
+                                  ("twin-umbilical-collapse", tu_twin, "twin")):
+        if umbilical:
+            entries.append(compare(
+                name, "prop-3.3", (tg_first, stg, tg_twin), (True, True, True),
+                f"a totally umbilical {kind} metric collapses everything to geodesic"))
+        else:
+            entries.append(passed(
+                name, "prop-3.3", f"vacuous, the {kind} metric is not totally umbilical"))
     return entries
 
 
@@ -436,12 +384,12 @@ def curvature_transfer_entry(rep: UmbilicityReport, assoc: AssociatedObjects,
                              ) -> CheckEntry:
     a1, a2 = assoc.twin_umbilicity
     if not rep.totally_umbilical and (a1 is None or a2 is None):
-        return residual_entry(
-            "umbilical-curvature-transfer", "cor-3.5", True,
+        return passed(
+            "umbilical-curvature-transfer", "cor-3.5",
             "vacuous, neither induced metric is totally umbilical")
-    ok = curv.table == tilde_curv.table and (curv.ricci - tilde_curv.ricci).is_zero()
-    return residual_entry(
-        "umbilical-curvature-transfer", "cor-3.5", ok,
+    return compare(
+        "umbilical-curvature-transfer", "cor-3.5", (curv.table, curv.ricci),
+        (tilde_curv.table, tilde_curv.ricci),
         "a totally umbilical metric forces R = R~ and Ric = Ric~")
 
 
@@ -450,12 +398,13 @@ def umbilical_flatness_entry(rep: UmbilicityReport, curv: CurvatureTensor,
     """A totally umbilical submanifold of a space with both sectional
     invariants constant must be flat, together with its ambient space."""
     if not rep.totally_umbilical:
-        return residual_entry(
-            "umbilical-flatness", "cor-4.3", True,
+        return passed(
+            "umbilical-flatness", "cor-4.3",
             "vacuous, the first metric is not totally umbilical")
-    flat = curv.table.is_zero() and ambient_curv.table.is_zero()
-    return residual_entry(
-        "umbilical-flatness", "cor-4.3", flat,
+    return compare(
+        "umbilical-flatness", "cor-4.3", (curv.table, ambient_curv.table),
+        (MultilinearForm.zero(curv.frame, 4),
+         MultilinearForm.zero(ambient_curv.frame, 4)),
         "a totally umbilical submanifold and its ambient space are flat")
 
 
@@ -477,64 +426,55 @@ class TheoremAggregate:
         return len(set(values)) == 1
 
 
-def theorem_aggregate(f: SubmanifoldFrame, curv: CurvatureTensor,
-                      tilde_curv: CurvatureTensor, assoc: AssociatedObjects,
+def theorem_aggregate(curv: CurvatureTensor, tilde_curv: CurvatureTensor,
                       pair: CurvaturePair, gamma_screen: RationalFunction,
-                      mu: RationalFunction) -> TheoremAggregate:
-    """Decide the five assertions for curv, tilde_curv and their Ricci tensors."""
-    sem = curv.ricci_action.is_zero()
-    sem_twin = tilde_curv.ricci_action.is_zero()
-    # Every invariant scalar is constant on each group of the family, so
-    # exact solvability alone decides the Einstein-type assertions.
-    try:
-        eta_values = eta_einstein_solve(f, curv.ricci)
-        eta_ok = True
-    except NotEtaEinstein:
-        eta_ok = False
-        eta_values = None
-    try:
-        ein_value = einstein_solve(f, assoc, tilde_curv.ricci)
-        ein_ok = True
-    except NotEinstein:
-        ein_ok = False
-        ein_value = None
-    scalar = (pair.nu - mu * mu * gamma_screen * gamma_screen * 4).is_zero()
+                      mu: RationalFunction,
+                      eta_constants: Optional[tuple[RationalFunction, RationalFunction]],
+                      einstein_constant: Optional[RationalFunction]) -> TheoremAggregate:
+    """Decide the five assertions for curv, tilde_curv and their Ricci tensors.
+
+    eta_constants and einstein_constant are the solutions of the two
+    Einstein-type systems (``eta_einstein_solve``, ``einstein_solve``), None
+    where a system has none.  Every invariant scalar is constant on each
+    group of the family, so exact solvability alone decides those assertions.
+    """
     return TheoremAggregate(
-        ricci_semisymmetric=sem, twin_ricci_semisymmetric=sem_twin,
-        eta_einstein=eta_ok, einstein=ein_ok, scalar_identity=scalar,
-        eta_constants=eta_values, einstein_constant=ein_value)
+        ricci_semisymmetric=curv.ricci_action.is_zero(),
+        twin_ricci_semisymmetric=tilde_curv.ricci_action.is_zero(),
+        eta_einstein=eta_constants is not None,
+        einstein=einstein_constant is not None,
+        scalar_identity=pair.nu == mu * mu * gamma_screen * gamma_screen * 4,
+        eta_constants=eta_constants, einstein_constant=einstein_constant)
 
 
 def theorem_entries(agg: TheoremAggregate) -> list[CheckEntry]:
     entries = [
-        residual_entry(
-            "assertion-ricci-semisymmetric", "thm-4.6", agg.ricci_semisymmetric,
-            "(i) the curvature action annihilates the induced Ricci tensor"),
-        residual_entry(
-            "assertion-twin-ricci-semisymmetric", "thm-4.6",
-            agg.twin_ricci_semisymmetric,
-            "(ii) the twin curvature action annihilates the twin Ricci tensor"),
+        compare("assertion-ricci-semisymmetric", "thm-4.6", agg.ricci_semisymmetric,
+                True, "(i) the curvature action annihilates the induced Ricci tensor"),
+        compare("assertion-twin-ricci-semisymmetric", "thm-4.6",
+                agg.twin_ricci_semisymmetric, True,
+                "(ii) the twin curvature action annihilates the twin Ricci tensor"),
     ]
     if agg.eta_constants is not None:
         k, c = agg.eta_constants
         detail = f"(iii) Ric = k g + c eta x eta with k = {k}, c = {c}"
     else:
         detail = "(iii) the induced Ricci tensor admits no such decomposition"
-    entries.append(residual_entry(
-        "assertion-eta-einstein", "thm-4.6", agg.eta_einstein, detail))
+    entries.append(compare(
+        "assertion-eta-einstein", "thm-4.6", agg.eta_einstein, True, detail))
     if agg.einstein_constant is not None:
         detail = f"(iv) Ric~ = lambda g~ with lambda = {agg.einstein_constant}"
     else:
         detail = "(iv) the twin Ricci tensor is not proportional to the twin metric"
-    entries.append(residual_entry(
-        "assertion-einstein", "thm-4.6", agg.einstein, detail))
-    entries.append(residual_entry(
-        "assertion-scalar-identity", "thm-4.6", agg.scalar_identity,
+    entries.append(compare(
+        "assertion-einstein", "thm-4.6", agg.einstein, True, detail))
+    entries.append(compare(
+        "assertion-scalar-identity", "thm-4.6", agg.scalar_identity, True,
         "(v) nu = 4 mu^2 gamma^2"))
     truths = (agg.ricci_semisymmetric, agg.twin_ricci_semisymmetric,
               agg.eta_einstein, agg.einstein, agg.scalar_identity)
-    entries.append(residual_entry(
-        "assertion-equivalence", "thm-4.6", agg.all_equal(),
+    entries.append(compare(
+        "assertion-equivalence", "thm-4.6", agg.all_equal(), True,
         "all five assertions carry the same truth value: "
         + ", ".join(str(t).lower() for t in truths)))
     return entries

@@ -21,7 +21,7 @@ from typing import Optional
 from . import report
 from .liegeom import InvariantMetric, LieAlgebra, levi_civita
 from .model import ModelFile, model_from_json_obj
-from .tensors import Frame, MultilinearForm, Vector, first_nonzero
+from .tensors import Frame, MultilinearForm, Vector
 
 FACTOR_LABELS = ("X1", "X2", "X3", "X4")
 AMBIENT_LABELS = ("X1", "X2", "X3", "X4", "E")
@@ -73,23 +73,22 @@ def _factor_j(frame: Frame) -> MultilinearForm:
         lambda j: Vector.from_map(frame, FACTOR_J.get(frame.labels[j], {})))
 
 
-def _matches_expected_table(alg: LieAlgebra, metric: InvariantMetric) -> bool:
-    conn = levi_civita(alg, metric)
+def _matches_expected_table(alg: LieAlgebra,
+                            metric: InvariantMetric) -> report.CheckEntry:
     frame = alg.frame
+    expected = MultilinearForm.from_cells(
+        frame, 3, lambda i, j: Vector.from_map(
+            frame, EXPECTED_FACTOR_TABLE.get((frame.labels[i], frame.labels[j]), {})))
+    return report.compare("factor-table", "example-4.7",
+                          levi_civita(alg, metric).gamma, expected,
+                          "the connection table is the fixed one")
 
-    def residual(i: int, j: int) -> Vector:
-        key = (frame.labels[i], frame.labels[j])
-        expected = Vector.from_map(frame, EXPECTED_FACTOR_TABLE.get(key, {}))
-        return conn.gamma.cell(i, j) - expected
 
-    return first_nonzero(residual, frame.dimension, 2) is None
-
-
-def _anti_compatible(metric: InvariantMetric, j_op: MultilinearForm) -> bool:
-    # g(JX, JY) = -g(X, Y) on the factor
-    g_jj = metric.form.pull_all(j_op)
-    return first_nonzero(lambda a, b: g_jj.entry(a, b) + metric.entry(a, b),
-                         metric.frame.dimension, 2) is None
+def _anti_compatible(metric: InvariantMetric,
+                     j_op: MultilinearForm) -> report.CheckEntry:
+    return report.compare("factor-anti-compatibility", "example-4.7",
+                          metric.form.pull_all(j_op), -metric.form,
+                          "g(JX, JY) = -g(X, Y) on the factor")
 
 
 def factor_signature_entry() -> report.CheckEntry:
@@ -104,9 +103,8 @@ def factor_signature_entry() -> report.CheckEntry:
     verdicts = []
     for signs in SIGN_CANDIDATES:
         metric = InvariantMetric.diagonal(frame, signs)
-        verdicts.append(
-            (_matches_expected_table(alg, metric), _anti_compatible(metric, j_op))
-        )
+        entries = (_matches_expected_table(alg, metric), _anti_compatible(metric, j_op))
+        verdicts.append(tuple(e.status == report.PASS for e in entries))
     first_ok = verdicts[0] == (True, True)
     second_out = verdicts[1] != (True, True)
     detail = (

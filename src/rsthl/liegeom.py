@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import report
 from .errors import DegenerateMetric
@@ -150,17 +150,21 @@ class Connection:
     frame: Frame
     gamma: MultilinearForm  # gamma.cell(i, j) = nabla_{e_i} e_j
 
-    def torsion_violation(self, alg: LieAlgebra) -> Optional[tuple[int, int]]:
-        g, br = self.gamma, alg.brackets
-        return first_nonzero(
-            lambda i, j: g.cell(i, j) - g.cell(j, i) - br.cell(i, j),
-            self.frame.dimension, 2)
 
-    def metric_violation(self, metric: InvariantMetric) -> Optional[tuple[int, int, int]]:
-        low = self.gamma.pull_slots(metric.form, (2,))  # g(nabla_i e_j, e_k)
-        return first_nonzero(
-            lambda i, j, k: low.entry(i, j, k) + low.entry(i, k, j),
-            self.frame.dimension, 3)
+def koszul_entries(conn: Connection, alg: LieAlgebra,
+                   metric: InvariantMetric) -> list[report.CheckEntry]:
+    """Torsion freedom, nabla_X Y - nabla_Y X = [X, Y], and metric
+    compatibility, g(nabla_X Y, Z) + g(Y, nabla_X Z) = 0."""
+    low = conn.gamma.pull_slots(metric.form, (2,))  # g(nabla_i e_j, e_k)
+    return [
+        report.compare("ambient-torsion-free", "plumbing",
+                       conn.gamma.skew(), alg.brackets,
+                       "the Koszul connection is torsion free"),
+        report.compare("ambient-metric-compatible", "plumbing",
+                       low + low.permute((0, 2, 1)),
+                       MultilinearForm.zero(conn.frame, 3),
+                       "the Koszul connection preserves the metric"),
+    ]
 
 
 def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> Connection:
@@ -225,29 +229,18 @@ def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
                          - g.apply(br.cell(i, j), basis[k]))))
 
 
-def first_bianchi_violation(curv: CurvatureTensor) -> Optional[tuple[int, int, int]]:
-    e = curv.table.cell
-    return first_nonzero(lambda i, j, k: e(i, j, k) + e(j, k, i) + e(k, i, j),
-                         curv.frame.dimension, 3)
-
-
-def lowered_symmetry_violation(r4: MultilinearForm) -> Optional[str]:
-    """First failure of the pair symmetries of a lowered curvature table.
-
-    Index tuples are taken in row-major order, and at one tuple the
-    symmetries in the order listed below.
-    """
-    e = r4.entry
-    symmetries = (
-        ("antisymmetry in the first pair",
-         lambda i, j, k, l: e(i, j, k, l) + e(j, i, k, l)),
-        ("antisymmetry in the last pair",
-         lambda i, j, k, l: e(i, j, k, l) + e(i, j, l, k)),
-        ("pair exchange", lambda i, j, k, l: e(i, j, k, l) - e(k, l, i, j)),
-    )
-    found = [(at, rank) for rank, (_, residual) in enumerate(symmetries)
-             if (at := first_nonzero(residual, r4.frame.dimension, 4)) is not None]
-    if not found:
-        return None
-    at, rank = min(found)
-    return f"{symmetries[rank][0]} at {at}"
+def curvature_entries(curv: CurvatureTensor,
+                      r4: MultilinearForm) -> list[report.CheckEntry]:
+    """The first Bianchi identity and the symmetries of the lowered table:
+    antisymmetry in the first pair, in the last pair, and pair exchange."""
+    t = curv.table
+    zero = MultilinearForm.zero(curv.frame, 4)
+    return [
+        report.compare("first-bianchi", "plumbing",
+                       t + t.permute((1, 2, 0, 3)) + t.permute((2, 0, 1, 3)), zero,
+                       "the cyclic curvature sum vanishes"),
+        report.compare("curvature-symmetries", "plumbing",
+                       (r4 + r4.permute((1, 0, 2, 3)), r4 + r4.permute((0, 1, 3, 2)),
+                        r4 - r4.permute((2, 3, 0, 1))), (zero, zero, zero),
+                       "slot antisymmetries and the pair symmetry hold"),
+    ]

@@ -6,7 +6,8 @@ induced geometries and evaluates every catalogued identity, and the final
 stage aggregates the five equivalent assertions.  A suite runs the stages
 up to the last one it reports and builds only the geometry their steps
 read.  Geometry exceptions never escape a stage; they become failing
-entries, and the steps whose inputs are gone report one skipped entry each.
+entries, and the steps whose inputs are gone report one skipped entry
+each, naming the first failing entry that blocked them.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .liegeom import (
     CurvatureTensor,
     InvariantMetric,
     curvature,
-    first_bianchi_violation,
+    curvature_entries,
+    koszul_entries,
     levi_civita,
-    lowered_symmetry_violation,
     validate_lie_algebra,
 )
 from .model import ModelFile
@@ -49,7 +50,6 @@ from .tensors import MultilinearForm
 
 SUITES = ("ambient", "submanifold", "theorem46", "all")
 
-_BLOCKED = "blocked by an earlier failure"
 _NO_PAIR = "the ambient sectional invariants are unavailable"
 _NO_GAMMA = "the screen distribution is not totally umbilical"
 _NO_SUB = "the model declares no submanifold"
@@ -152,36 +152,55 @@ class Geometry:
     def tcurv(self) -> CurvatureTensor:
         return associated.tilde_curvature(self.frame, self.assoc)
 
+    @cached_property
+    def eta_einstein(self):
+        """(k, c) with Ric = k g + c eta x eta, or None, and the reason."""
+        return _solved(lambda: lightlike.eta_einstein_solve(
+            self.frame, self.curv_ind.ricci), NotEtaEinstein)
+
+    @cached_property
+    def einstein(self):
+        """lambda with Ric~ = lambda g~, or None, and the reason."""
+        return _solved(lambda: associated.einstein_solve(
+            self.frame, self.assoc, self.tcurv.ricci), NotEinstein)
+
+
+def _solved(solve, error):
+    """(solve(), None), or (None, the message) when solve raises error."""
+    try:
+        return solve(), None
+    except error as exc:
+        return None, str(exc)
+
 
 class _Stage:
     """Ordered steps with blocking: a step that blows up fails and all
-    later steps of the stage degrade to one skipped entry each."""
+    later steps of the stage degrade to one skipped entry each, whose
+    reason names the first failing entry of the blocking step."""
 
-    def __init__(self, blocked: bool = False):
+    def __init__(self, blocker: Optional[str] = None):
         self.entries: list[report.CheckEntry] = []
-        self.blocked = blocked
+        self.blocker = blocker  # the skip reason once a step has blocked
 
     def run(self, name: str, anchor: str,
             fn: Callable[[], list[report.CheckEntry]],
             block_on_fail: bool = False) -> None:
-        if self.blocked:
-            self.entries.append(report.skipped(name, anchor, _BLOCKED))
+        if self.blocker:
+            self.entries.append(report.skipped(name, anchor, self.blocker))
             return
         try:
             new = fn()
         except GeometryError as exc:
-            self.entries.append(report.failed(name, anchor, str(exc)))
-            self.blocked = True
-            return
+            new, block_on_fail = [report.failed(name, anchor, str(exc))], True
         self.entries.extend(new)
-        if block_on_fail and any(e.status == report.FAIL for e in new):
-            self.blocked = True
+        failed = [e for e in new if e.status == report.FAIL]
+        if block_on_fail and failed:
+            self.blocker = f"blocked by {failed[0].name} (fail)"
 
 
 def _ambient_stage(geo: Geometry) -> _Stage:
     st = _Stage()
     model = geo.model
-    labels = model.frame.labels
 
     st.run("lie-algebra", "plumbing",
            lambda: [validate_lie_algebra(model.algebra)], block_on_fail=True)
@@ -193,21 +212,9 @@ def _ambient_stage(geo: Geometry) -> _Stage:
             "the metric table is symmetric and nondegenerate")]
     st.run("invariant-metric", "plumbing", metric_step)
 
-    def koszul_step():
-        tv = geo.conn.torsion_violation(model.algebra)
-        mv = geo.conn.metric_violation(geo.metric)
-        return [
-            report.residual_entry(
-                "ambient-torsion-free", "plumbing", tv is None,
-                "the Koszul connection is torsion free" if tv is None
-                else f"torsion at ({labels[tv[0]]}, {labels[tv[1]]})"),
-            report.residual_entry(
-                "ambient-metric-compatible", "plumbing", mv is None,
-                "the Koszul connection preserves the metric" if mv is None
-                else "deviation at "
-                     f"({labels[mv[0]]}, {labels[mv[1]]}, {labels[mv[2]]})"),
-        ]
-    st.run("koszul", "plumbing", koszul_step, block_on_fail=True)
+    st.run("koszul", "plumbing",
+           lambda: koszul_entries(geo.conn, model.algebra, geo.metric),
+           block_on_fail=True)
 
     def structure_step():
         try:
@@ -222,40 +229,29 @@ def _ambient_stage(geo: Geometry) -> _Stage:
            lambda: [associated_compat_entry(geo.structure)], block_on_fail=True)
 
     st.run("fundamental-tensor", "sec-2-f0",
-           lambda: [report.residual_entry(
+           lambda: [report.compare(
                "fundamental-tensor-vanishes", "sec-2-f0",
-               fundamental_tensor(geo.structure, geo.conn).is_zero(),
+               fundamental_tensor(geo.structure, geo.conn),
+               MultilinearForm.zero(model.frame, 3),
                "the covariant derivative of the structure operator vanishes")],
            block_on_fail=True)
 
     st.run("lc-coincide", "sec-2-f0",
-           lambda: [report.residual_entry(
+           lambda: [report.compare(
                "connections-coincide", "sec-2-f0",
-               levi_civita(model.algebra, geo.structure.g_tilde) == geo.conn,
+               levi_civita(model.algebra, geo.structure.g_tilde).gamma,
+               geo.conn.gamma,
                "both ambient metrics share one torsion free metric connection")])
 
-    def curvature_step():
-        bv = first_bianchi_violation(geo.curv)
-        sv = lowered_symmetry_violation(geo.r4)
-        return [
-            report.residual_entry(
-                "first-bianchi", "plumbing", bv is None,
-                "the cyclic curvature sum vanishes" if bv is None
-                else "violation at "
-                     f"({labels[bv[0]]}, {labels[bv[1]]}, {labels[bv[2]]})"),
-            report.residual_entry(
-                "curvature-symmetries", "plumbing", sv is None,
-                sv or "slot antisymmetries and the pair symmetry hold"),
-        ]
-    st.run("curvature", "plumbing", curvature_step, block_on_fail=True)
+    st.run("curvature", "plumbing", lambda: curvature_entries(geo.curv, geo.r4),
+           block_on_fail=True)
 
     def twist_step():
         twisted = geo.r4.pull_slots(model.phi, (3,))
-        lowered = geo.curv.lower(geo.structure.g_tilde)
-        ok = ((lowered - twisted).is_zero()
-              and (twisted - geo.r4.pull_slots(model.phi, (2,))).is_zero())
-        return [report.residual_entry(
-            "twisted-lowering", "sec-4-twist", ok,
+        return [report.compare(
+            "twisted-lowering", "sec-4-twist",
+            (geo.curv.lower(geo.structure.g_tilde), twisted),
+            (twisted, geo.r4.pull_slots(model.phi, (2,))),
             "lowering the curvature with the twin metric twists either of "
             "the last two slots")]
     st.run("twisted-lowering", "sec-4-twist", twist_step)
@@ -274,16 +270,12 @@ def _ambient_stage(geo: Geometry) -> _Stage:
     def form_step():
         if geo.invariants is None:
             return [report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)]
-        ok = constant_curvature_residual(
-            geo.structure, geo.r4, geo.invariants).is_zero()
-        if not ok:
+        entry = constant_curvature_residual(geo.structure, geo.r4, geo.invariants)
+        if entry.status == report.FAIL:
             # the invariants fit one section only, so the closed forms
             # downstream would be meaningless
             geo.invariants = None
-        return [report.residual_entry(
-            "constant-curvature-form", "thm-4.1", ok,
-            "the lowered curvature is the two-invariant combination of the "
-            "basic curvature tensors")]
+        return [entry]
     st.run("constant-curvature-form", "thm-4.1", form_step)
 
     st.run("signature-audit", "example-4.7",
@@ -291,8 +283,8 @@ def _ambient_stage(geo: Geometry) -> _Stage:
     return st
 
 
-def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
-    st = _Stage(blocked)
+def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
+    st = _Stage(blocker)
     if geo.model.submanifold is None:
         st.entries.append(report.skipped("submanifold-frame", "plumbing", _NO_SUB))
         return st
@@ -351,10 +343,10 @@ def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
                     geo.mu, geo.structure.n)])
 
     def eta_step():
-        try:
-            k, c = lightlike.eta_einstein_solve(geo.frame, geo.curv_ind.ricci)
-        except NotEtaEinstein as exc:
-            return [report.failed("eta-einstein-solve", "sec-4-einstein", str(exc))]
+        values, reason = geo.eta_einstein
+        if values is None:
+            return [report.failed("eta-einstein-solve", "sec-4-einstein", reason)]
+        k, c = values
         return [report.passed(
             "eta-einstein-solve", "sec-4-einstein",
             f"Ric = ({k}) g + ({c}) eta x eta")]
@@ -385,10 +377,9 @@ def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
                 names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
 
     def einstein_step():
-        try:
-            lam = associated.einstein_solve(geo.frame, geo.assoc, geo.tcurv.ricci)
-        except NotEinstein as exc:
-            return [report.failed("einstein-solve", "sec-4-einstein", str(exc))]
+        lam, reason = geo.einstein
+        if lam is None:
+            return [report.failed("einstein-solve", "sec-4-einstein", reason)]
         return [report.passed(
             "einstein-solve", "sec-4-einstein", f"Ric~ = ({lam}) g~")]
     st.run("einstein-solve", "sec-4-einstein", einstein_step)
@@ -406,15 +397,15 @@ def _submanifold_stage(geo: Geometry, blocked: bool) -> _Stage:
     return st
 
 
-def _theorem_stage(geo: Geometry, blocked: bool) -> _Stage:
+def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
     st = _Stage()
 
     def step():
         pair = geo.invariants
         if geo.model.submanifold is None:
             reason = _NO_SUB
-        elif blocked:
-            reason = _BLOCKED
+        elif blocker:
+            reason = blocker
         elif pair is None:
             reason = _NO_PAIR
         elif geo.gamma is None:
@@ -424,8 +415,8 @@ def _theorem_stage(geo: Geometry, blocked: bool) -> _Stage:
                       "hypothesis fails")
         else:
             agg = associated.theorem_aggregate(
-                geo.frame, geo.curv_ind, geo.tcurv, geo.assoc, pair,
-                geo.gamma, geo.mu)
+                geo.curv_ind, geo.tcurv, pair, geo.gamma, geo.mu,
+                geo.eta_einstein[0], geo.einstein[0])
             return associated.theorem_entries(agg)
         return [report.skipped(n, "thm-4.6", reason) for n in _THEOREM_NAMES]
     st.run("theorem-aggregate", "thm-4.6", step)
@@ -447,10 +438,10 @@ def run_suite(model: ModelFile, suite: str = "all") -> report.CheckReport:
         rep.extend(st.entries)
     if suite == "ambient":
         return rep
-    st = _submanifold_stage(geo, st.blocked)
+    st = _submanifold_stage(geo, st.blocker)
     if suite != "theorem46":
         rep.extend(st.entries)
     if suite == "submanifold":
         return rep
-    rep.extend(_theorem_stage(geo, st.blocked).entries)
+    rep.extend(_theorem_stage(geo, st.blocker).entries)
     return rep

@@ -18,6 +18,12 @@ tables (``curvature_product``): with an operator a it is the tensor
 tensor lowered.  ``outer`` builds the rank-one tables u (x) v such
 products often take, for example the operator X -> eta(X) xi.
 
+Identities are decided on whole tables.  ``permute`` reorders the slots
+of a table, so a symmetry T(X, Y) = T(Y, X) reads
+``t == t.permute((1, 0))`` and the first Bianchi sum is the curvature
+table plus two cyclic permutations of it; ``skew`` subtracts the swap of
+the first two slots and ``at`` fixes the first slot at a frame vector.
+
 The linear solvers use fraction-free (Bareiss-style) elimination: each
 update is a two-term cross-multiplication divided by the previous pivot,
 which keeps intermediate entries small and every division exact.
@@ -252,12 +258,34 @@ class MultilinearForm:
     def is_symmetric(self) -> bool:
         if self.arity != 2:
             raise ValueError("symmetry test is for arity 2")
+        return self == self.permute((1, 0))
+
+    def permute(self, order: Sequence[int]) -> "MultilinearForm":
+        """The table whose entry at (i_0, ..., i_(k-1)) is this table's
+        entry at (i_order[0], ..., i_order[k-1]).
+
+        So permute((1, 0, 2)) of a connection is (X, Y) -> nabla_Y X, and
+        permuting by the inverse order undoes a permutation.
+        """
+        if sorted(order) != list(range(self.arity)):
+            raise ValueError("order is not a permutation of the slots")
         dim = self.frame.dimension
-        return all(
-            self.entries[i * dim + j] == self.entries[j * dim + i]
-            for i in range(dim)
-            for j in range(i)
-        )
+        strides = [dim ** (self.arity - 1 - s) for s in range(self.arity)]
+        return MultilinearForm(self.frame, self.arity, tuple(
+            self.entries[sum(idx[o] * st for o, st in zip(order, strides))]
+            for idx in product(range(dim), repeat=self.arity)))
+
+    def skew(self) -> "MultilinearForm":
+        """T(X, Y, ...) - T(Y, X, ...): the part skew in the first two slots."""
+        return self - self.permute((1, 0) + tuple(range(2, self.arity)))
+
+    def at(self, i: int) -> "MultilinearForm":
+        """The arity k-1 table T(e_i, ...), the first slot fixed."""
+        if self.arity < 2:
+            raise ValueError("fixing a slot needs arity 2 or more")
+        block = self.frame.dimension ** (self.arity - 1)
+        return MultilinearForm(self.frame, self.arity - 1,
+                               self.entries[i * block:(i + 1) * block])
 
     def pull_slots(self, op: "MultilinearForm", slots: Iterable[int]) -> "MultilinearForm":
         """Substitute the operator op into the given slots:
@@ -322,13 +350,14 @@ def _components(x) -> tuple[RationalFunction, ...]:
 
 
 def outer(u, v) -> MultilinearForm:
-    """The arity-2 table with entry(i, j) = u(i) v(j).
+    """The table u (x) v with entry(i..., j...) = u(i...) v(j...).
 
-    u and v are one-forms or vectors; a vector enters as its components,
-    so outer(eta, xi) is the operator X -> eta(X) xi.
+    u and v are tables of any arity or vectors; a vector enters as its
+    components, so outer(eta, xi) is the operator X -> eta(X) xi.
     """
     _same_frame(u, v)
-    return MultilinearForm(u.frame, 2, tuple(
+    arity = sum(x.arity if isinstance(x, MultilinearForm) else 1 for x in (u, v))
+    return MultilinearForm(u.frame, arity, tuple(
         ZERO if a.is_zero() or b.is_zero() else a * b
         for a in _components(u) for b in _components(v)))
 

@@ -14,6 +14,7 @@ from rsthl.associated import (build_associated, curvature_transfer_entry,
                               umbilical_flatness_entry)
 from rsthl.errors import NotEinstein
 from rsthl.liegeom import LieAlgebra, curvature, ricci_action
+from rsthl.lightlike import eta_einstein_solve
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.suite import Geometry
 from rsthl.tensors import MultilinearForm, Vector
@@ -166,8 +167,9 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
 
 
 def test_theorem_aggregate(frame, icurv, tcurv, twin, pair, ureport, mu):
-    agg = theorem_aggregate(frame, icurv, tcurv, twin, pair,
-                            ureport.gamma_screen, mu)
+    agg = theorem_aggregate(icurv, tcurv, pair, ureport.gamma_screen, mu,
+                            eta_einstein_solve(frame, icurv.ricci),
+                            einstein_solve(frame, twin, tcurv.ricci))
     assert agg.ricci_semisymmetric
     assert agg.twin_ricci_semisymmetric
     assert agg.eta_einstein
@@ -256,9 +258,10 @@ def test_flat_variant_curvature_agrees(flat):
 
 
 def test_flat_variant_theorem(flat):
-    agg = theorem_aggregate(flat["frame"], flat["curv"], flat["tcurv"],
-                            flat["assoc"], flat["pair"],
-                            flat["rep"].gamma_screen, flat["mu"])
+    agg = theorem_aggregate(
+        flat["curv"], flat["tcurv"], flat["pair"], flat["rep"].gamma_screen,
+        flat["mu"], eta_einstein_solve(flat["frame"], flat["curv"].ricci),
+        einstein_solve(flat["frame"], flat["assoc"], flat["tcurv"].ricci))
     assert agg.all_equal()
     assert agg.ricci_semisymmetric
     assert agg.eta_constants == (ZERO, ZERO)

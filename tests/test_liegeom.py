@@ -6,12 +6,17 @@ from rsthl.builtin import (EXPECTED_FACTOR_TABLE, FACTOR_LABELS,
                            factor_algebra, factor_signature_entry)
 from rsthl.errors import DegenerateMetric
 from rsthl.liegeom import (Connection, CurvatureTensor, InvariantMetric,
-                           LieAlgebra, curvature, first_bianchi_violation, levi_civita,
-                           lowered_symmetry_violation, validate_lie_algebra)
+                           LieAlgebra, curvature, curvature_entries,
+                           koszul_entries, levi_civita, validate_lie_algebra)
+from rsthl.report import PASS
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.tensors import Frame, MultilinearForm, Vector
 
 F3 = Frame(("e1", "e2", "e3"))
+
+
+def all_pass(entries):
+    return all(e.status == PASS for e in entries)
 
 
 def heisenberg():
@@ -104,8 +109,7 @@ def test_heisenberg_connection_and_curvature():
     alg = heisenberg()
     g = InvariantMetric.diagonal(F3, (1, 1, 1))
     conn = levi_civita(alg, g)
-    assert conn.torsion_violation(alg) is None
-    assert conn.metric_violation(g) is None
+    assert all_pass(koszul_entries(conn, alg, g))
     half = rf("1/2")
     assert conn.gamma.cell(0, 1) == Vector.from_map(F3, {"e3": half})
     assert conn.gamma.cell(0, 2) == Vector.from_map(F3, {"e2": -half})
@@ -118,8 +122,7 @@ def test_heisenberg_connection_and_curvature():
     assert ric.entry(1, 1) == rf("-1/2")
     assert ric.entry(2, 2) == rf("1/2")
     assert ric.entry(0, 1) == ZERO
-    assert first_bianchi_violation(curv) is None
-    assert lowered_symmetry_violation(curv.lower(g)) is None
+    assert all_pass(curvature_entries(curv, curv.lower(g)))
 
 
 def test_nabla_is_bilinear_over_constants():
@@ -144,29 +147,58 @@ def form_with(cells):
         F3, 4, lambda *idx: rf(cells.get(idx, 0)))
 
 
+def suffix(entry, statement):
+    """The residual suffix of a failing entry after its statement."""
+    assert entry.status == "fail"
+    assert entry.detail.startswith(statement)
+    return entry.detail[len(statement):]
+
+
+TORSION = "the Koszul connection is torsion free"
+METRIC = "the Koszul connection preserves the metric"
+BIANCHI = "the cyclic curvature sum vanishes"
+SYMMETRIES = "slot antisymmetries and the pair symmetry hold"
+
+
 def test_violation_reporting():
     alg = heisenberg()
+    g = InvariantMetric.diagonal(F3, (1, 1, 1))
     zero_conn = Connection(F3, MultilinearForm.zero(F3, 3))
-    assert zero_conn.torsion_violation(alg) == (0, 1)
+    # nabla_e1 e2 - nabla_e2 e1 = 0 misses [e1, e2] = e3
+    torsion, metric = koszul_entries(zero_conn, alg, g)
+    assert suffix(torsion, TORSION) == \
+        "; the residual at (e1, e2, e3) is -1, 2 of 27 components nonzero"
+    assert metric.status == PASS
     bad = Connection(F3, MultilinearForm.from_cells(
         F3, 3, lambda i, j: F3.basis_vector(1) if (i, j) == (0, 0)
         else Vector.zero(F3)))
-    g = InvariantMetric.diagonal(F3, (1, 1, 1))
-    assert bad.metric_violation(g) == (0, 0, 1)
-    assert first_bianchi_violation(
-        curvature_with({(0, 1, 2): F3.basis_vector(0)})) == (0, 1, 2)
-    assert first_bianchi_violation(
-        curvature_with({(2, 1, 0): F3.basis_vector(1)})) == (0, 2, 1)
-    # the earliest tuple in row-major order wins over the check order ...
-    assert lowered_symmetry_violation(form_with({(0, 1, 2, 0): 1})) == \
-        "antisymmetry in the last pair at (0, 1, 0, 2)"
-    # ... and at one tuple the first pair is checked first
-    assert lowered_symmetry_violation(form_with({(0, 0, 0, 0): 1})) == \
-        "antisymmetry in the first pair at (0, 0, 0, 0)"
+    assert suffix(koszul_entries(bad, alg, g)[1], METRIC) == \
+        "; the residual at (e1, e1, e2) is 1, 2 of 27 components nonzero"
+
+    # the cyclic sum is nonzero at the three rotations of the bad cell
+    def bianchi(cells):
+        return curvature_entries(curvature_with(cells), form_with({}))
+    bianchi_entry, symmetries = bianchi({(0, 1, 2): F3.basis_vector(0)})
+    assert suffix(bianchi_entry, BIANCHI) == \
+        "; the residual at (e1, e2, e3, e1) is 1, 3 of 81 components nonzero"
+    assert symmetries.status == PASS
+    assert suffix(bianchi({(2, 1, 0): F3.basis_vector(1)})[0], BIANCHI) == \
+        "; the residual at (e1, e3, e2, e2) is 1, 3 of 81 components nonzero"
+
+    def symmetry(cells):
+        return suffix(curvature_entries(curvature_with({}), form_with(cells))[1],
+                      SYMMETRIES)
+    # the symmetries are taken in order: first pair, last pair, exchange
+    assert symmetry({(0, 1, 2, 0): 1}) == \
+        "; the residual at (e1, e2, e3, e1) is 1, 2 of 81 components nonzero"
+    assert symmetry({(0, 0, 0, 0): 1}) == \
+        "; the residual at (e1, e1, e1, e1) is 2, 1 of 81 components nonzero"
+    assert symmetry({(0, 1, 0, 0): 1, (1, 0, 0, 0): -1}) == \
+        "; the residual at (e1, e2, e1, e1) is 2, 2 of 81 components nonzero"
     skew = {(0, 1, 0, 2): 1, (1, 0, 0, 2): -1, (0, 1, 2, 0): -1,
             (1, 0, 2, 0): 1}
-    assert lowered_symmetry_violation(form_with(skew)) == \
-        "pair exchange at (0, 1, 0, 2)"
+    assert symmetry(skew) == \
+        "; the residual at (e1, e2, e1, e3) is 1, 8 of 81 components nonzero"
 
 
 def test_curvature_apply_matches_basis_values():
@@ -222,11 +254,9 @@ def test_ambient_connection_kills_the_central_direction(lm, ambient_conn):
     for i in range(dim):
         assert ambient_conn.gamma.cell(e_idx, i).is_zero()
         assert ambient_conn.gamma.cell(i, e_idx).is_zero()
-    assert ambient_conn.torsion_violation(lm.algebra) is None
-    assert ambient_conn.metric_violation(lm.metric) is None
+    assert all_pass(koszul_entries(ambient_conn, lm.algebra, lm.metric))
 
 
 def test_ambient_curvature_invariants(lm, ambient_conn, ambient_r4):
     curv = curvature(ambient_conn, lm.algebra)
-    assert first_bianchi_violation(curv) is None
-    assert lowered_symmetry_violation(ambient_r4) is None
+    assert all_pass(curvature_entries(curv, ambient_r4))

@@ -199,11 +199,15 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     # associated imports the function by name, so both bindings count
     count(lightlike, "proportionality_factor", "proportionality_factor")
     count(associated, "proportionality_factor", "proportionality_factor")
+    # solved once for their suite steps and reused by the theorem stage
+    count(lightlike, "eta_einstein_solve", "eta_einstein_solve")
+    count(associated, "einstein_solve", "einstein_solve")
     run_suite(model, "all")
     # proportionality_factor: b, d and c against g, then h1 and h2 against g~
     assert calls == {"associated_metric": 1, "covariant_derivative": 2,
                      "ricci_action": 2, "phi_pairing": 1, "build_frame": 1,
-                     "proportionality_factor": 5}
+                     "proportionality_factor": 5, "eta_einstein_solve": 1,
+                     "einstein_solve": 1}
     calls.update(dict.fromkeys(calls, 0))
     run_suite(model, "ambient")
     assert calls["build_frame"] == 0

@@ -1,9 +1,9 @@
 """Every folded residual check fails on a perturbed input.
 
 The worked model satisfies all of these identities, so the suites alone
-would stay green if a residual scan never reported a nonzero component.
-Each case below changes one input of one check and asserts the check
-fails.
+would stay green if a comparison never reported a nonzero residual.
+Each case below changes one input of one check and asserts that its
+entry fails with the exact residual suffix.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
                              gauss_relation_entry, induced_invariant_entries)
-from rsthl.report import PASS
+from rsthl.report import FAIL
 from rsthl.scalars import ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
                              associated_compat_entry, validate_acbm)
@@ -31,8 +31,8 @@ from rsthl.suite import run_suite
 from rsthl.tensors import MultilinearForm, Vector
 
 
-def passes(entries, name):
-    return {e.name: e.status for e in entries}[name] == PASS
+def entry_named(entries, name):
+    return {e.name: e for e in entries}[name]
 
 
 def bump_form(form, *idx):
@@ -68,13 +68,13 @@ def screen_phi_invariance(geo):
                   with_phi_column(geo.structure, "X2", {"X4": 1, "E": 1}))
     sub = model.submanifold
     f = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-    return passes(certify_ascreen_rsthl(f)[1], "screen-phi-invariance")
+    return entry_named(certify_ascreen_rsthl(f)[1], "screen-phi-invariance")
 
 
 def induced_invariant(name, **changes):
     def case(geo):
         obj = induced_with(geo, **{k: fn(geo.induced) for k, fn in changes.items()})
-        return passes(induced_invariant_entries(geo.frame, obj), name)
+        return entry_named(induced_invariant_entries(geo.frame, obj), name)
     return case
 
 
@@ -86,49 +86,50 @@ def skewed_induced_connection(obj):
 def screen_phi_parallel(geo):
     # nabla*_{T_0} T_0 gains a T_1 part
     obj = induced_with(geo, screen_gamma=bump_form(geo.induced.screen_gamma, 0, 0, 1))
-    return passes(ascreen_f0_entries(geo.frame, obj, geo.mu), "screen-phi-parallel")
+    return entry_named(ascreen_f0_entries(geo.frame, obj, geo.mu),
+                       "screen-phi-parallel")
 
 
 def gauss_relation(geo):
     entry = gauss_relation_entry(geo.frame, geo.induced, geo.curv,
                                  bump_curvature(geo.curv_ind))
-    return entry.status == PASS
+    return entry
 
 
 def curvature_form_15(geo):
     entry = curvature_form_15_entry(geo.frame, geo.induced,
                                     bump_curvature(geo.curv_ind), geo.pair)
-    return entry.status == PASS
+    return entry
 
 
 def codazzi_16(geo):
     pair = CurvaturePair(geo.pair.nu + 1, geo.pair.nu_tilde)
-    return codazzi_16_entry(geo.frame, geo.induced, pair, geo.mu).status == PASS
+    return codazzi_16_entry(geo.frame, geo.induced, pair, geo.mu)
 
 
 def curvature_form_19(geo):
     entry = curvature_form_19_entry(geo.frame, bump_curvature(geo.curv_ind),
                                     geo.pair, geo.gamma, geo.mu)
-    return entry.status == PASS
+    return entry
 
 
 def tilde_relation_13(geo):
     entry = tilde_relation_13_entry(geo.frame, geo.induced, geo.mu,
                                     geo.curv_ind, bump_curvature(geo.tcurv))
-    return entry.status == PASS
+    return entry
 
 
 def tilde_ricci_14(geo):
     entry = tilde_ricci_14_entry(geo.frame, geo.induced, geo.mu,
                                  geo.curv_ind.ricci,
                                  bump_form(geo.tcurv.ricci, 0, 0))
-    return entry.status == PASS
+    return entry
 
 
 def tilde_form_21(geo):
     entry = tilde_form_21_entry(geo.frame, bump_curvature(geo.tcurv),
                                 geo.pair, geo.gamma, geo.mu)
-    return entry.status == PASS
+    return entry
 
 
 def twin_shape_duality(geo):
@@ -138,7 +139,7 @@ def twin_shape_duality(geo):
     x1, x2 = frame.index("X1"), frame.index("X2")
     conn = Connection(frame, bump_form(geo.conn.gamma, x2, x1, x2))
     _, entries = build_associated(geo.frame, geo.induced, geo.mu, conn)
-    return passes(entries, "twin-shape-duality")
+    return entry_named(entries, "twin-shape-duality")
 
 
 def curvature_transfer(geo):
@@ -153,7 +154,7 @@ def curvature_transfer(geo):
         geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {}))
     with mock.patch.object(suite, "Geometry", Perturbed):
         entries = run_suite(flat, "submanifold").entries
-    return passes(entries, "umbilical-curvature-transfer")
+    return entry_named(entries, "umbilical-curvature-transfer")
 
 
 def umbilical_flatness(geo):
@@ -161,7 +162,7 @@ def umbilical_flatness(geo):
         geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {})))
     entry = umbilical_flatness_entry(flat.umbilicity,
                                      bump_curvature(flat.curv_ind), flat.curv)
-    return entry.status == PASS
+    return entry
 
 
 def doubled_phi(s):
@@ -169,11 +170,11 @@ def doubled_phi(s):
 
 
 def b_metric(geo):
-    return passes(validate_acbm(doubled_phi(geo.structure)), "b-metric")
+    return entry_named(validate_acbm(doubled_phi(geo.structure)), "b-metric")
 
 
 def associated_twist(geo):
-    return associated_compat_entry(doubled_phi(geo.structure)).status == PASS
+    return associated_compat_entry(doubled_phi(geo.structure))
 
 
 ALTERNATING = (1, -1, 1, -1)
@@ -227,6 +228,60 @@ CASES = {
 }
 
 
+# the residual suffix each perturbed entry reports
+SUFFIXES = {
+    "screen-phi-invariance":
+        "; the residual at (E) is 1, 1 of 5 components nonzero",
+    "radical-shape-self-adjoint":
+        "; the residual at (E1, E2) is -1, 2 of 9 components nonzero",
+    "b-from-radical-shape":
+        "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "c-from-n-shape":
+        "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "d-from-l-shape":
+        "; the residual at (E1, E1) is -1, 1 of 9 components nonzero",
+    "d-split":
+        "; the residual at (E1, xi) is 1, 1 of 9 components nonzero",
+    "metric-deviation":
+        "; the residual at (E1, E1, E1) is -2, 1 of 27 components nonzero",
+    "tau-closed":
+        "; the residual at (E1, xi) is 2*mu, 2 of 9 components nonzero",
+    "screen-phi-parallel":
+        "; the residual at (E1, E1, E1) is 1, 2 of 27 components nonzero",
+    "gauss-relation":
+        "; the residual at (E1, E2, E1, E2) is -1, 1 of 81 components nonzero",
+    "curvature-from-shape-terms":
+        "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "b-derivative-balance":
+        "; the residual at (E1, xi, E1) is -mu^2, 4 of 27 components nonzero",
+    "umbilic-curvature-form":
+        "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "twin-curvature-transfer":
+        "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "twin-ricci-transfer":
+        "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "twin-umbilic-curvature-form":
+        "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "twin-shape-duality":
+        "; the residual at (E1, E2) is 1, 1 of 9 components nonzero",
+    "umbilical-curvature-transfer":
+        "; the residual at (E1, E2, E1, E2) is -1, 1 of 81 components nonzero",
+    "umbilical-flatness":
+        "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "b-metric":
+        "; the residual at (X1, X1) is -3, 4 of 25 components nonzero",
+    "associated-metric-twist":
+        "; the residual at (X1, X1) is -3, 4 of 25 components nonzero",
+    "factor-table":
+        "; the residual at (X1, X2, X4) is -2, 7 of 64 components nonzero",
+    "factor-anti-compatibility":
+        "; the residual at (X1, X1) is 2, 4 of 16 components nonzero",
+}
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_perturbed_input_fails_the_check(name, geometry):
-    assert not CASES[name](geometry)
+    entry = CASES[name](geometry)
+    assert entry.status == FAIL
+    _, sep, residual = entry.detail.partition("; the residual")
+    assert sep + residual == SUFFIXES[name]

@@ -8,6 +8,7 @@ from rsthl.liegeom import InvariantMetric, LieAlgebra, curvature, levi_civita
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (ACBMStructure, CurvaturePair,
                              associated_compat_entry, associated_metric,
+                             constant_curvature_form,
                              constant_curvature_residual, fit_curvature_pair,
                              fundamental_tensor, signature_at_sample,
                              validate_acbm)
@@ -190,19 +191,25 @@ def test_closed_form_matches_pi_tensors(build, geometry):
     nu_tilde_part = p3.pull_all(s.phi)
     for nu, nu_tilde in ((3, "5/7"), (0, 1), (MU, "-1/2")):
         pair = CurvaturePair(rf(nu), rf(nu_tilde))
-        expected = r4 - nu_part.scale(pair.nu) - nu_tilde_part.scale(pair.nu_tilde)
-        assert constant_curvature_residual(s, r4, pair) == expected
+        expected = nu_part.scale(pair.nu) + nu_tilde_part.scale(pair.nu_tilde)
+        assert constant_curvature_form(s, pair) == expected
 
 
 def test_fit_curvature_pair_and_closed_form(lm, ambient_r4, pair):
     assert pair.nu == rf(4)
     assert pair.nu_tilde == ZERO
-    assert constant_curvature_residual(lm.structure, ambient_r4, pair).is_zero()
+    assert constant_curvature_form(lm.structure, pair) == ambient_r4
+    entry = constant_curvature_residual(lm.structure, ambient_r4, pair)
+    assert (entry.name, entry.status) == ("constant-curvature-form", "pass")
 
 
 def test_closed_form_rejects_wrong_curvature(lm, ambient_r4, pair):
-    res = constant_curvature_residual(lm.structure, ambient_r4.scale(2), pair)
-    assert not res.is_zero()
+    entry = constant_curvature_residual(lm.structure, ambient_r4.scale(2), pair)
+    assert entry.status == "fail"
+    # the residual 2 R - R is R, nonzero at R(X1, X2, X1, X2) = -4 first
+    assert entry.detail.endswith(
+        "basic curvature tensors; the residual at (X1, X2, X1, X2) is -4, "
+        "32 of 625 components nonzero")
 
 
 def test_no_totally_real_section():

@@ -214,6 +214,50 @@ def test_outer_matches_components():
         outer(u, Vector.zero(F2))
 
 
+def test_outer_takes_tables_of_any_arity():
+    u = table2(F2, [[1, 2], [0, MU]])
+    v = Vector.from_map(F2, {"f1": 3, "f2": "-1/2"})
+    uv, vu = outer(u, v), outer(v, u)
+    assert uv.arity == vu.arity == 3
+    for i, j, k in product(range(2), repeat=3):
+        assert uv.entry(i, j, k) == u.entry(i, j) * v.components[k]
+        assert vu.entry(i, j, k) == v.components[i] * u.entry(j, k)
+
+
+def random_table(arity, seed):
+    """A table on F3 whose entries run through small constants and mu."""
+    values = [ZERO, ONE, rf(-2), MU, rf("1/3") * MU + 1]
+    return MultilinearForm(F3, arity, tuple(
+        values[(seed * 7 + 3 * off + off * off) % len(values)]
+        for off in range(3 ** arity)))
+
+
+@pytest.mark.parametrize("order", [(0,), (1, 0), (2, 0, 1), (1, 2, 0, 3),
+                                   (3, 1, 0, 2)])
+def test_permute_matches_its_entry_definition(order):
+    t = random_table(len(order), seed=len(order))
+    p = t.permute(order)
+    for idx in product(range(3), repeat=len(order)):
+        assert p.entry(*idx) == t.entry(*(idx[o] for o in order))
+    inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
+    assert p.permute(inverse) == t
+    assert t.permute(inverse).permute(order) == t
+    with pytest.raises(ValueError):
+        t.permute(tuple(range(len(order) + 1)))
+
+
+def test_skew_and_at():
+    t = random_table(3, seed=2)
+    skew, row = t.skew(), t.at(1)
+    for i, j, k in product(range(3), repeat=3):
+        assert skew.entry(i, j, k) == t.entry(i, j, k) - t.entry(j, i, k)
+    for j, k in product(range(3), repeat=2):
+        assert row.entry(j, k) == t.entry(1, j, k)
+    assert row.arity == 2
+    with pytest.raises(ValueError):
+        random_table(1, seed=0).at(0)
+
+
 # (a, b, g, test vectors): a and b are not symmetric, g is a metric
 PRODUCT_CASES = [
     (table2(F2, [[1, 2], [0, -3]]), table2(F2, [[0, 1], ["1/2", 2]]),
