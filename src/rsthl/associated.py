@@ -7,6 +7,8 @@ into a semi-Riemannian submanifold of codimension two with two genuine
 normals.  This module rebuilds that geometry along three independent
 routes, cross-checks them against each other, and evaluates the
 closed-form curvature identities of the catalog as exact residuals.
+The direct route is the ``lightlike.Splitting`` over (tangent, N1, N2),
+the twin counterpart of the frame's splitting over (tangent, N, L).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .liegeom import Connection, CurvatureTensor, InvariantMetric, curvature, le
 from .lightlike import (
     InducedObjects,
     SubmanifoldFrame,
+    Splitting,
     UmbilicityReport,
-    adapted_coordinates,
     proportionality_factor,
 )
 from .report import CheckEntry, compare, passed, residual_suffix
@@ -72,10 +74,10 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     """Construct the twin geometry three ways and insist they agree.
 
     Route one evaluates the catalogued conversion formulas from the first
-    fundamental form.  Route two splits the ambient derivatives over the
-    tangent space and the two normals.  Route three runs the Koszul
-    formula for the restricted twin metric.  Any disagreement raises
-    CrossCheckMismatch; agreement is recorded as entries.
+    fundamental form.  Route two splits the ambient connection and its
+    derivatives of the normals over (tangent, N1, N2).  Route three runs
+    the Koszul formula for the restricted twin metric.  Any disagreement
+    raises CrossCheckMismatch; agreement is recorded as entries.
     """
     s = f.model.structure
     gt_ambient = s.g_tilde
@@ -86,14 +88,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     n1 = s.xi_bar - f.l_vec
     n2 = s.xi_bar.scale(rf(2)) - f.n_vec.scale(mu * 2) - f.l_vec
 
-    def on_tangent(n: Vector) -> MultilinearForm:
-        """The one-form X -> g~(n, X) on the tangent frame."""
-        return MultilinearForm(tf, 1, tuple(
-            gt_ambient.value(n, t) for t in f.tangent_vectors))
-
-    gt_form = MultilinearForm.from_function(
-        tf, 2,
-        lambda a, b: gt_ambient.value(f.tangent_vectors[a], f.tangent_vectors[b]))
+    restrict = f.splitting.restrict  # restriction reads the tangent vectors only
+    gt_form = restrict(gt_ambient.form)
     gt = InvariantMetric(gt_form)
     xi_idx = f.radical_index
     rad_norm = gt_form.entry(xi_idx, xi_idx)
@@ -105,7 +101,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
         compare("twin-normals-orthogonal", "thm-1.1", gt_ambient.value(n1, n2), ZERO,
                 "g~(N1, N2) = 0"),
         compare("twin-normals-transverse", "thm-1.1",
-                (on_tangent(n1), on_tangent(n2)), (zero_form, zero_form),
+                (restrict(gt_ambient.lower(n1)), restrict(gt_ambient.lower(n2))),
+                (zero_form, zero_form),
                 "both normals are g~-orthogonal to the tangent space"),
         passed("twin-metric-nondegenerate", "thm-1.1",
                "the twin metric restricts without kernel to the tangent space"),
@@ -147,29 +144,15 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     shape2_formula = (obj.shape_rad - phi_rad).scale(inv_mu)
 
     try:
-        coordinates = adapted_coordinates(f.tangent_vectors + (n1, n2))
+        twin = Splitting(tf, f.tangent_vectors, (n1, n2))
     except DegenerateMetric as exc:
         raise CrossCheckMismatch(
             "the tangent space and the twin normals do not span the ambient "
             "space") from exc
-
-    def split(v: Vector) -> tuple[Vector, RationalFunction, RationalFunction]:
-        coeffs = coordinates.apply(v).components
-        return Vector(tf, coeffs[:m]), coeffs[m], coeffs[m + 1]
-
-    nabla = ambient_conn.gamma.apply
-    gauss = [[split(nabla(t, u)) for u in f.tangent_vectors]
-             for t in f.tangent_vectors]
-    conn_direct = Connection(tf, MultilinearForm.from_cells(
-        tf, 3, lambda a, b: gauss[a][b][0]))
-    h1_direct = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][1])
-    h2_direct = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][2])
-
-    weingarten = [[split(nabla(t, n)) for t in f.tangent_vectors]
-                  for n in (n1, n2)]
-    shape1_direct, shape2_direct = (
-        MultilinearForm.from_cells(tf, 2, lambda a: -cols[a][0])
-        for cols in weingarten)
+    gamma_direct, h1_direct, h2_direct = twin.split(ambient_conn.gamma)
+    conn_direct = Connection(tf, gamma_direct)
+    weingarten = [twin.split(ambient_conn.derivative(n)) for n in (n1, n2)]
+    shape1_direct, shape2_direct = (-parts[0] for parts in weingarten)
 
     conn_koszul = levi_civita(f.tangent_algebra, gt)
     for route, conn in (("conversion formula", conn_formula),
@@ -181,8 +164,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     entries += [
         # the N1 and N2 parts of the derivatives of both normals
         compare("twin-weingarten-tangency", "sec-2-twin",
-                tuple(MultilinearForm(tf, 1, tuple(part[k] for part in cols))
-                      for cols in weingarten for k in (1, 2)), (zero_form,) * 4,
+                tuple(p for parts in weingarten for p in parts[1:]), (zero_form,) * 4,
                 "the derivatives of both normals are purely tangent"),
         passed("twin-connection-formula", "eq-2.11",
                "the twin connection equals the induced connection plus the "

@@ -150,6 +150,11 @@ class Connection:
     frame: Frame
     gamma: MultilinearForm  # gamma.cell(i, j) = nabla_{e_i} e_j
 
+    def derivative(self, v: Vector) -> MultilinearForm:
+        """The operator X -> nabla_X v."""
+        return MultilinearForm.from_cells(
+            self.frame, 2, lambda i: self.gamma.at(i).apply(v))
+
 
 def koszul_entries(conn: Connection, alg: LieAlgebra,
                    metric: InvariantMetric) -> list[report.CheckEntry]:

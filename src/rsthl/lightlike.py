@@ -10,12 +10,17 @@ evaluates the closed-form curvature identities from the catalog in
 All tangent-space objects live on a dedicated frame whose last label is
 ``"xi"`` (the radical direction); the preceding labels name the screen
 basis.  Ambient objects stay on the frame of the underlying model.
+
+Tangent-space objects are read from ambient tables through the frame's
+``Splitting`` over (tangent, N, L), see "Splitting" in the catalog's
+Conventions; ``associated`` splits over the twin normals (N1, N2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 from .errors import (
@@ -90,8 +95,62 @@ def solve_transversal(model: LieModel, screen: tuple[Vector, ...], rad: Vector,
     return n0 + rad.scale(t)
 
 
+class Splitting:
+    """The adapted basis (T_1, ..., T_m, V1, V2): tangent vectors and a
+    transversal pair, inverted once.
+
+    ``split`` reads a vector-valued ambient table on tangent arguments as
+    a tangent-valued table plus one coefficient table per transversal;
+    ``restrict`` reads a scalar-valued ambient form on tangent arguments.
+    Raises DegenerateMetric when the vectors are not a basis.
+    """
+
+    def __init__(self, tangent_frame: Frame, tangent: tuple[Vector, ...],
+                 transversals: tuple[Vector, Vector]):
+        self.tangent_frame = tangent_frame
+        self.tangent = tangent
+        basis = tangent + transversals
+        dim = basis[0].frame.dimension
+        inverse = matrix_inverse(
+            [[basis[j].components[i] for j in range(dim)] for i in range(dim)])
+        self._coordinates = MultilinearForm.from_function(
+            basis[0].frame, 2, lambda i, r: inverse[r][i])
+
+    def coefficients(self, v: Vector) -> tuple[RationalFunction, ...]:
+        """The coefficients of an ambient vector over (T_1, ..., T_m, V1, V2)."""
+        return self._coordinates.apply(v).components
+
+    def split(self, table: MultilinearForm
+              ) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
+        """The tangent part (arity k) and the V1 and V2 parts (arity k - 1)
+        of an arity-k vector-valued table, on the tangent frame."""
+        m = self.tangent_frame.dimension
+        rows = [self.coefficients(table.apply(*args))
+                for args in product(self.tangent, repeat=table.arity - 1)]
+        tangent = tuple(c for row in rows for c in row[:m])
+        return (MultilinearForm(self.tangent_frame, table.arity, tangent),
+                *(MultilinearForm(self.tangent_frame, table.arity - 1,
+                                  tuple(row[k] for row in rows)) for k in (m, m + 1)))
+
+    def restrict(self, form: MultilinearForm) -> MultilinearForm:
+        """A scalar-valued ambient form on tangent arguments."""
+        return MultilinearForm(self.tangent_frame, form.arity, tuple(
+            form.value(*args) for args in product(self.tangent, repeat=form.arity)))
+
+
+def require_tangent(parts: tuple[MultilinearForm, ...], idx: tuple[int, ...],
+                    context: str) -> None:
+    """Raise DecompositionInconsistent when the cell idx of a split over
+    (N, L) has an N or L part."""
+    n_c, l_c = parts[1].entry(*idx), parts[2].entry(*idx)
+    if not n_c.is_zero() or not l_c.is_zero():
+        raise DecompositionInconsistent(
+            f"{context} has transversal components N: {n_c}, L: {l_c}")
+
+
 class SubmanifoldFrame:
-    """Adapted frame (screen basis, radical, transversals) with cached splittings."""
+    """Adapted frame (screen basis, radical, transversals) with its
+    splitting over (tangent, N, L)."""
 
     def __init__(self, model: LieModel, screen_labels: tuple[str, ...],
                  screen: tuple[Vector, ...], rad: Vector, l_vec: Vector,
@@ -150,21 +209,16 @@ class SubmanifoldFrame:
         self.n_vec = n_vec
 
         try:
-            self._coordinates = adapted_coordinates(
-                self.tangent_vectors + (n_vec, l_vec))
+            self.splitting = Splitting(self.tangent_frame, self.tangent_vectors,
+                                       (n_vec, l_vec))
         except DegenerateMetric as exc:
             raise InvalidFrame(
                 "the tangent basis and the transversals do not span the "
                 "ambient space") from exc
 
-        self.induced_form = MultilinearForm.from_function(
-            self.tangent_frame, 2,
-            lambda a, b: g.value(self.tangent_vectors[a], self.tangent_vectors[b]))
-        self.eta = MultilinearForm(self.tangent_frame, 1, tuple(
-            g.value(v, n_vec) for v in self.tangent_vectors))
-        amb_eta = model.structure.eta_bar
-        self.eta_bar = MultilinearForm(self.tangent_frame, 1, tuple(
-            amb_eta.value(v) for v in self.tangent_vectors))
+        self.induced_form = self.splitting.restrict(g.form)
+        self.eta = self.splitting.restrict(g.lower(n_vec))
+        self.eta_bar = self.splitting.restrict(model.structure.eta_bar)
         self.tangent_algebra = self._close_brackets()
 
     @property
@@ -178,26 +232,6 @@ class SubmanifoldFrame:
     def radical_tangent(self) -> Vector:
         return self.tangent_frame.basis_vector(self.radical_index)
 
-    def embed(self, v: Vector) -> Vector:
-        out = Vector.zero(self.model.frame)
-        for a, c in enumerate(v.components):
-            if not c.is_zero():
-                out = out + self.tangent_vectors[a].scale(c)
-        return out
-
-    def decompose_full(self, v: Vector) -> tuple[Vector, RationalFunction, RationalFunction]:
-        """Split an ambient vector over the basis (tangent..., N, L)."""
-        coeffs = self._coordinates.apply(v).components
-        tangent = Vector(self.tangent_frame, tuple(coeffs[:self.dim]))
-        return tangent, coeffs[self.dim], coeffs[self.dim + 1]
-
-    def to_tangent(self, v: Vector, context: str) -> Vector:
-        tangent, n_c, l_c = self.decompose_full(v)
-        if not n_c.is_zero() or not l_c.is_zero():
-            raise DecompositionInconsistent(
-                f"{context} has transversal components N: {n_c}, L: {l_c}")
-        return tangent
-
     @cached_property
     def projector(self) -> MultilinearForm:
         """Projection on the screen distribution along the radical."""
@@ -210,63 +244,40 @@ class SubmanifoldFrame:
     @cached_property
     def phi_p(self) -> MultilinearForm:
         """The tangent operator X -> phi(PX); requires a phi-invariant screen."""
-        phi = self.model.structure.phi
-
-        def column(a: int) -> Vector:
-            if a == self.radical_index:
-                return Vector.zero(self.tangent_frame)
-            image = phi.apply(self.tangent_vectors[a])
+        parts = self.splitting.split(self.model.structure.phi)
+        for a in range(self.radical_index):
             try:
-                return self.to_tangent(image, "the structure image of a screen vector")
+                require_tangent(parts, (a,), "the structure image of a screen vector")
             except DecompositionInconsistent as exc:
                 raise NotRSTHL(str(exc)) from exc
-        return MultilinearForm.from_cells(self.tangent_frame, 2, column)
+        # phi(xi) = mu L is transversal, and P kills xi
+        return MultilinearForm(self.tangent_frame, 2,
+                               parts[0].entries[:-self.dim] + (ZERO,) * self.dim)
 
     @cached_property
     def phi_pairing(self) -> MultilinearForm:
         """Table of g(T_a, phi T_b) over the tangent basis."""
-        g = self.model.metric
-        phi = self.model.structure.phi
-        return MultilinearForm.from_function(
-            self.tangent_frame, 2,
-            lambda a, b: g.value(self.tangent_vectors[a],
-                                 phi.apply(self.tangent_vectors[b])))
+        g = self.model.metric.form
+        return self.splitting.restrict(g.pull_slots(self.model.structure.phi, (1,)))
 
     @cached_property
     def phi_phi_pairing(self) -> MultilinearForm:
         """Table of g(phi T_a, phi T_b) over the tangent basis."""
-        g = self.model.metric
-        phi = self.model.structure.phi
-        return MultilinearForm.from_function(
-            self.tangent_frame, 2,
-            lambda a, b: g.value(phi.apply(self.tangent_vectors[a]),
-                                 phi.apply(self.tangent_vectors[b])))
+        g = self.model.metric.form
+        return self.splitting.restrict(g.pull_all(self.model.structure.phi))
 
     def _close_brackets(self) -> LieAlgebra:
-        brackets = self.model.algebra.brackets
-
-        def bracket(a: int, b: int) -> Vector:
-            amb = brackets.apply(self.tangent_vectors[a], self.tangent_vectors[b])
+        parts = self.splitting.split(self.model.algebra.brackets)
+        for a, b in product(range(self.dim), repeat=2):
             try:
-                return self.to_tangent(amb, "a bracket of tangent vectors")
+                require_tangent(parts, (a, b), "a bracket of tangent vectors")
             except DecompositionInconsistent as exc:
                 la = self.tangent_frame.labels[a]
                 lb = self.tangent_frame.labels[b]
                 raise InvalidFrame(
                     f"the bracket [{la}, {lb}] leaves the tangent space: {exc}"
                 ) from exc
-        return LieAlgebra(self.tangent_frame, MultilinearForm.from_cells(
-            self.tangent_frame, 3, bracket))
-
-
-def adapted_coordinates(basis: tuple[Vector, ...]) -> MultilinearForm:
-    """The operator taking an ambient vector to its coefficients over the
-    given basis; raises DegenerateMetric when the basis is not one."""
-    frame = basis[0].frame
-    dim = frame.dimension
-    inverse = matrix_inverse(
-        [[basis[j].components[i] for j in range(dim)] for i in range(dim)])
-    return MultilinearForm.from_function(frame, 2, lambda i, r: inverse[r][i])
+        return LieAlgebra(self.tangent_frame, parts[0])
 
 
 def _verify_transversal(model: LieModel, tangent_vectors, tangent_frame,
@@ -293,7 +304,7 @@ def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
 def validate_frame(f: SubmanifoldFrame) -> list[CheckEntry]:
     """Report-friendly restatement of the constraints enforced at build time."""
     g = f.model.metric
-    gram = [[g.value(x, y) for y in f.screen] for x in f.screen]
+    gram = [row[:-1] for row in f.induced_form.rows()[:-1]]
     return [
         compare("radical-isotropy", "sec-2-splitting",
                 f.induced_form.cell(f.radical_index), Vector.zero(f.tangent_frame),
@@ -331,10 +342,8 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     if mu.is_zero():
         raise MuZero("the proportionality factor mu vanishes")
 
-    tangent, n_c, l_c = f.decompose_full(s.xi_bar)
-    screen_part = any(not tangent.components[a].is_zero()
-                      for a in range(f.dim - 1))
-    if screen_part or not l_c.is_zero():
+    coeffs = f.splitting.coefficients(s.xi_bar)
+    if any(not c.is_zero() for c in coeffs[:f.dim - 1] + coeffs[f.dim + 1:]):
         raise NotAscreen(
             "the distinguished vector field leaves the plane spanned by the "
             "radical and its null transversal")
@@ -344,9 +353,11 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     # phi(S_a) against its screen part: the residual is its part along
     # the radical and the two transversals
     images = tuple(s.phi.apply(v) for v in f.screen)
+    phi_t = f.splitting.split(s.phi)[0]
     screen_parts = tuple(
-        f.embed(Vector(f.tangent_frame, t.components[:-1] + (ZERO,)))
-        for t, _, _ in map(f.decompose_full, images))
+        sum((v.scale(phi_t.entry(a, c)) for c, v in enumerate(f.screen)),
+            Vector.zero(f.model.frame))
+        for a in range(len(f.screen)))
     entries = [
         passed("radical-phi-image", anchor, f"phi(xi) = ({mu}) L"),
         compare("reeb-split", anchor, s.xi_bar,
@@ -407,35 +418,21 @@ class InducedObjects:
 
 
 def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedObjects:
-    """Split the ambient derivatives over (tangent, N, L)."""
-    m = f.dim
+    """Split the ambient connection (Gauss) and its derivatives of N and L
+    (Weingarten) over (tangent, N, L)."""
     tf = f.tangent_frame
     xi_t = f.radical_tangent()
-    nabla = ambient_conn.gamma.apply
-
-    def split_all(vectors):
-        """Rows (a, b) of the splits of nabla_{T_a} vectors[b]."""
-        return [[f.decompose_full(nabla(t, v)) for v in vectors]
-                for t in f.tangent_vectors]
-
-    gauss = split_all(f.tangent_vectors)
-    conn = Connection(tf, MultilinearForm.from_cells(
-        tf, 3, lambda a, b: gauss[a][b][0]))
-    b_form = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][1])
-    d_form = MultilinearForm.from_function(tf, 2, lambda a, b: gauss[a][b][2])
-
-    along_n, along_l = zip(*split_all((f.n_vec, f.l_vec)))
-    if any(not l_c.is_zero() for _, _, l_c in along_l):
+    gamma, b_form, d_form = f.splitting.split(ambient_conn.gamma)
+    conn = Connection(tf, gamma)
+    along_n, tau, rho = f.splitting.split(ambient_conn.derivative(f.n_vec))
+    along_l, phi_form, l_part = f.splitting.split(ambient_conn.derivative(f.l_vec))
+    if not l_part.is_zero():
         raise DecompositionInconsistent(
             "the derivative of L has an L component, the ambient "
             "connection is not metric")
-    shape_n = MultilinearForm.from_cells(tf, 2, lambda a: -along_n[a][0])
-    tau = MultilinearForm.from_function(tf, 1, lambda a: along_n[a][1])
-    rho = MultilinearForm.from_function(tf, 1, lambda a: along_n[a][2])
-    shape_l = MultilinearForm.from_cells(tf, 2, lambda a: -along_l[a][0])
-    phi_form = MultilinearForm.from_function(tf, 1, lambda a: along_l[a][1])
+    shape_n, shape_l = -along_n, -along_l
 
-    rad = m - 1
+    rad = f.radical_index
     c_form = MultilinearForm.from_function(
         tf, 2, lambda a, b: conn.gamma.entry(a, b, rad) if b != rad else ZERO)
     screen_gamma = MultilinearForm.from_cells(
@@ -666,13 +663,7 @@ def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
     R-bar(T_a, T_b) T_c splits over (tangent, N, L) into three tables: the
     Gauss equation and the two Codazzi equations.
     """
-    t = f.tangent_vectors
-    split = [f.decompose_full(ambient_curv.table.apply(x, y, z))
-             for x in t for y in t for z in t]
-    tangent = MultilinearForm.from_cells(
-        f.tangent_frame, 4, lambda a, b, c: split[(a * f.dim + b) * f.dim + c][0])
-    n_part, l_part = (MultilinearForm(f.tangent_frame, 3, tuple(p[k] for p in split))
-                      for k in (1, 2))
+    tangent, n_part, l_part = f.splitting.split(ambient_curv.table)
     b, d = obj.b_form, obj.d_form
     return compare(
         "gauss-relation", "sec-4-gauss", (tangent, n_part, l_part),

@@ -174,13 +174,16 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return RationalFunction(
+            _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
+            _pmul(self.den, other.den),
+        )
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)

@@ -257,6 +257,14 @@ def test_ambient_connection_kills_the_central_direction(lm, ambient_conn):
     assert all_pass(koszul_entries(ambient_conn, lm.algebra, lm.metric))
 
 
+def test_connection_derivative_of_a_vector(lm, ambient_conn):
+    v = Vector.from_map(lm.frame, {"X1": 1, "X3": MU, "E": -2})
+    nabla_v = ambient_conn.derivative(v)
+    for i in range(lm.frame.dimension):
+        x = lm.frame.basis_vector(i)
+        assert nabla_v.apply(x) == ambient_conn.gamma.apply(x, v)
+
+
 def test_ambient_curvature_invariants(lm, ambient_conn, ambient_r4):
     curv = curvature(ambient_conn, lm.algebra)
     assert all_pass(curvature_entries(curv, ambient_r4))

@@ -13,8 +13,8 @@ from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
                              curvature_form_19_entry, eta_einstein_solve,
                              gamma_identity_18_entry, gauss_relation_entry,
                              induced_invariant_entries, nu_tilde_vanishes_entry,
-                             proportionality_factor, ricci_form_20_entry,
-                             ricci_symmetric_entry,
+                             proportionality_factor, require_tangent,
+                             ricci_form_20_entry, ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
                              solve_transversal, umbilicity, validate_frame)
 from rsthl.scalars import MU, ONE, ZERO, rf
@@ -88,11 +88,15 @@ def test_frame_splitting_helpers(model, frame):
     assert frame.dim == 3
     assert frame.radical_index == 2
     assert frame.epsilon == ONE
-    assert frame.embed(tangent(frame, {"E1": 1})) == ambient(model, {"X2": 1})
-    t, n_c, l_c = frame.decompose_full(ambient(model, {"X1": 1}))
-    assert t.is_zero() and n_c == ZERO and l_c == ONE
-    with pytest.raises(DecompositionInconsistent):
-        frame.to_tangent(ambient(model, {"X1": 1}), "a test vector")
+    split = frame.splitting
+    # coefficients over (E1, E2, xi, N, L): E1 is X2 and L is X1
+    assert split.coefficients(ambient(model, {"X2": 1})) == (ONE,) + (ZERO,) * 4
+    assert split.coefficients(ambient(model, {"X1": 1})) == (ZERO,) * 4 + (ONE,)
+    # phi(xi) = mu L is transversal, phi(E1) = E2 is tangent
+    parts = split.split(model.phi)
+    require_tangent(parts, (0,), "a test vector")
+    with pytest.raises(DecompositionInconsistent, match="N: 0, L: mu"):
+        require_tangent(parts, (2,), "a test vector")
     proj = frame.projector
     assert proj.apply(tangent(frame, {"E1": 1, "xi": 3})) == tangent(frame, {"E1": 1})
     phi_p = frame.phi_p

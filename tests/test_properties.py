@@ -4,6 +4,7 @@ specializations, and graceful suite degradation on broken inputs."""
 import dataclasses
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsthl.builtin import example_model
+from rsthl.lightlike import Splitting
 from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
                            curvature_entries, koszul_entries, levi_civita,
                            validate_lie_algebra)
 from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
-from rsthl.suite import run_suite
+from rsthl.suite import Geometry, run_suite
 from rsthl.tensors import Frame, MultilinearForm, Vector
 
 DATA = Path(__file__).parent / "data"
@@ -94,12 +96,14 @@ def test_suite_green_across_specializations():
             assert rep.to_json() == golden("example47_mu_7_5")
 
 
-@given(p=st.integers(-2, 2), q=st.integers(-2, 2), r=st.integers(-2, 2),
-       s=st.integers(-2, 2), c=nonzero_rationals, t=nonzero_rationals)
-@settings(max_examples=5, deadline=None)
-def test_suite_green_under_adapted_frame_changes(p, q, r, s, c, t):
-    """Screen basis changes, radical rescaling and bracket rescaling leave
-    every identity residual at zero."""
+FRAME_CHANGES = dict(p=st.integers(-2, 2), q=st.integers(-2, 2),
+                     r=st.integers(-2, 2), s=st.integers(-2, 2),
+                     c=nonzero_rationals, t=nonzero_rationals)
+
+
+def adapted_frame_change(p, q, r, s, c, t):
+    """The built-in model with screen basis (p X2 + r X4, q X2 + s X4),
+    the radical scaled by c and the brackets by t."""
     assume(p * s - q * r != 0)
     m = example_model()
     scaled = LieAlgebra(m.frame, m.algebra.brackets.scale(rf(t)))
@@ -108,8 +112,15 @@ def test_suite_green_under_adapted_frame_changes(p, q, r, s, c, t):
     sub = SubmanifoldData(("E1", "E2"), screen,
                           m.submanifold.rad.scale(rf(c)),
                           m.submanifold.l_vec, None)
-    changed = dataclasses.replace(m, algebra=scaled, submanifold=sub)
-    rep = run_suite(changed)
+    return dataclasses.replace(m, algebra=scaled, submanifold=sub)
+
+
+@given(**FRAME_CHANGES)
+@settings(max_examples=5, deadline=None)
+def test_suite_green_under_adapted_frame_changes(p, q, r, s, c, t):
+    """Screen basis changes, radical rescaling and bracket rescaling leave
+    every identity residual at zero."""
+    rep = run_suite(adapted_frame_change(p, q, r, s, c, t))
     assert rep.ok
     assert rep.counts == {"pass": 114, "fail": 0, "skipped": 0}
 
@@ -186,6 +197,46 @@ def reeb_sheared():
         submanifold=SubmanifoldData(
             sub.screen_labels, tuple(coords(v) for v in sub.screen),
             coords(sub.rad), coords(sub.l_vec), None))
+
+
+def assert_splits_reconstruct(geo):
+    """Re-embedding the tangent part of a split and adding each transversal
+    part times its transversal gives the ambient table back on tangent
+    arguments.  Checked for the connection, bracket, structure and
+    curvature tables, over (N, L) and over the twin normals
+    N1 = xi_bar - L and N2 = 2 xi_bar - 2 mu N - L."""
+    f, s = geo.frame, geo.structure
+    twin_pair = (s.xi_bar - f.l_vec,
+                 s.xi_bar.scale(rf(2)) - f.n_vec.scale(geo.mu * 2) - f.l_vec)
+    splittings = ((f.splitting, (f.n_vec, f.l_vec)),
+                  (Splitting(f.tangent_frame, f.tangent_vectors, twin_pair), twin_pair))
+    m = f.dim
+    for table in (geo.conn.gamma, geo.model.algebra.brackets, geo.model.phi,
+                  geo.curv.table):
+        want = [table.apply(*args)
+                for args in product(f.tangent_vectors, repeat=table.arity - 1)]
+        for splitting, pair in splittings:
+            tangent, first, second = splitting.split(table)
+            basis = f.tangent_vectors + pair
+            for k, value in enumerate(want):
+                coeffs = tangent.entries[k * m:(k + 1) * m] + (
+                    first.entries[k], second.entries[k])
+                rebuilt = Vector.zero(table.frame)
+                for c, v in zip(coeffs, basis):
+                    if not c.is_zero():
+                        rebuilt = rebuilt + v.scale(c)
+                assert rebuilt == value, (table.arity, k)
+
+
+def test_split_reconstructs_ambient_tables(geometry):
+    assert_splits_reconstruct(geometry)
+    assert_splits_reconstruct(Geometry(reeb_sheared()))
+
+
+@given(**FRAME_CHANGES)
+@settings(max_examples=2, deadline=None)
+def test_split_reconstructs_under_adapted_frame_changes(p, q, r, s, c, t):
+    assert_splits_reconstruct(Geometry(adapted_frame_change(p, q, r, s, c, t)))
 
 
 POLE_METRIC = {"X1,X1": "1/(mu - 1)", "X2,X2": "mu - 1",

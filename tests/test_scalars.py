@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rsthl.errors import ScalarDomainError, ScalarParseError
 from rsthl.scalars import HALF, MU, ONE, ZERO, RationalFunction, rf
@@ -85,6 +85,14 @@ def test_eval_commutes_with_add_and_mul(x, y):
     assert (x + y).eval_at(t) == x.eval_at(t) + y.eval_at(t)
     assert (x * y).eval_at(t) == x.eval_at(t) * y.eval_at(t)
     assert (x - y).eval_at(t) == x.eval_at(t) - y.eval_at(t)
+
+
+@given(rationals(), rationals(), st.fractions(max_denominator=5))
+@settings(max_examples=50)
+def test_subtraction_is_addition_of_the_negation(x, y, c):
+    assert x - y == x + (-y)
+    assert c - x == rf(c) + (-x)
+    assert (x - y).den[-1] == 1
 
 
 @given(polys(), polys(), polys())
