@@ -39,11 +39,9 @@ from .tensors import (
     MultilinearForm,
     Vector,
     curvature_product,
-    determinant,
-    inertia,
     outer,
-    pick_regular_sample,
-    solve_unique,
+    signature_at_sample,
+    solve_combination,
 )
 
 
@@ -109,18 +107,12 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
         compare("twin-splitting-orthogonal", "thm-1.1", gt_form.at(xi_idx),
                 f.eta.scale(rad_norm), "screen and radical are g~-orthogonal"),
     ]
-    screen_rows = [[gt_form.entry(a, b) for b in range(m - 1)] for a in range(m - 1)]
-    avoid = [rad_norm]
-    if screen_rows:
-        avoid.append(determinant(screen_rows))
-    sample = pick_regular_sample(
-        avoid, must_be_defined=[e for row in screen_rows for e in row])
+    screen_rows = [row[:-1] for row in gt_form.rows()[:-1]]
+    sample, (pos, neg, zero) = signature_at_sample(screen_rows, (rad_norm,))
     entries.append(compare(
         "twin-radical-spacelike", "thm-1.1", rad_norm.eval_at(sample) > 0, True,
         f"g~(xi, xi) = {rad_norm} is positive at mu = {sample}"))
     if screen_rows:
-        pos, neg, zero = inertia([[e.eval_at(sample) for e in row]
-                                  for row in screen_rows])
         half = (m - 1) // 2
         entries.append(compare(
             "twin-screen-signature", "thm-1.1", (pos, neg, zero), (half, half, 0),
@@ -295,14 +287,8 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
 def einstein_solve(f: SubmanifoldFrame, assoc: AssociatedObjects,
                    tilde_ric: MultilinearForm) -> RationalFunction:
     """Solve Ric~ = lambda g~ exactly over the tangent frame."""
-    rows = []
-    rhs = []
-    for a in range(f.dim):
-        for b in range(f.dim):
-            rows.append([assoc.metric.entry(a, b)])
-            rhs.append(tilde_ric.entry(a, b))
     try:
-        (lam,) = solve_unique(rows, rhs)
+        (lam,) = solve_combination(tilde_ric, assoc.metric.form)
     except InconsistentSystem as exc:
         raise NotEinstein(
             "the twin Ricci tensor is not proportional to the twin metric") from exc

@@ -51,13 +51,13 @@ from .tensors import (
     Frame,
     MultilinearForm,
     Vector,
-    _echelon,
     curvature_product,
     determinant,
     matrix_inverse,
     outer,
+    rank,
     solve_affine,
-    solve_unique,
+    solve_combination,
 )
 
 
@@ -83,13 +83,12 @@ def solve_transversal(model: LieModel, screen: tuple[Vector, ...], rad: Vector,
         raise NoSuchN(
             "the orthogonality conditions leave a transversal freedom of "
             f"dimension {len(kernel)}, expected 1")
-    direction = Vector(model.frame, kernel[0])
-    pivot = next((i for i, c in enumerate(rad.components) if not c.is_zero()), None)
-    if pivot is None:
-        raise NoSuchN("the radical vector vanishes")
-    ratio = direction.components[pivot] / rad.components[pivot]
-    if not (direction - rad.scale(ratio)).is_zero():
-        raise NoSuchN("the transversal freedom is not along the radical direction")
+    # the frame has checked that rad, one of the tangent vectors, is nonzero
+    try:
+        solve_combination(Vector(model.frame, kernel[0]), rad)
+    except InconsistentSystem as exc:
+        raise NoSuchN(
+            "the transversal freedom is not along the radical direction") from exc
     n0 = Vector(model.frame, particular)
     t = g.value(n0, n0) * rf("-1/2")
     return n0 + rad.scale(t)
@@ -176,9 +175,7 @@ class SubmanifoldFrame:
         self.tangent_frame = Frame(self.screen_labels + (RADICAL_LABEL,))
         self.tangent_vectors = self.screen + (rad,)
 
-        columns = [list(v.components) for v in self.tangent_vectors]
-        rank_rows = [[columns[j][i] for j in range(m)] for i in range(dim)]
-        if len(_echelon(rank_rows, m)[1]) != m:
+        if rank([v.components for v in self.tangent_vectors]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
 
         for idx, w in enumerate(self.tangent_vectors):
@@ -188,7 +185,7 @@ class SubmanifoldFrame:
                     f"the radical vector is not isotropic against {label}")
 
         screen_gram = [[g.value(x, y) for y in self.screen] for x in self.screen]
-        if screen_gram and determinant(screen_gram).is_zero():
+        if determinant(screen_gram).is_zero():
             raise ScreenDegenerate("the metric degenerates on the screen distribution")
 
         eps = g.value(l_vec, l_vec)
@@ -242,9 +239,14 @@ class SubmanifoldFrame:
             - xi_t.scale(self.eta.entries[a]))
 
     @cached_property
+    def phi_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
+        """The structure operator on tangent vectors, split over (tangent, N, L)."""
+        return self.splitting.split(self.model.structure.phi)
+
+    @cached_property
     def phi_p(self) -> MultilinearForm:
         """The tangent operator X -> phi(PX); requires a phi-invariant screen."""
-        parts = self.splitting.split(self.model.structure.phi)
+        parts = self.phi_parts
         for a in range(self.radical_index):
             try:
                 require_tangent(parts, (a,), "the structure image of a screen vector")
@@ -310,7 +312,7 @@ def validate_frame(f: SubmanifoldFrame) -> list[CheckEntry]:
                 f.induced_form.cell(f.radical_index), Vector.zero(f.tangent_frame),
                 "the radical direction is orthogonal to the whole tangent space"),
         compare("screen-nondegeneracy", "sec-2-splitting",
-                not gram or not determinant(gram).is_zero(), True,
+                not determinant(gram).is_zero(), True,
                 "the induced metric restricts without kernel to the screen"),
         compare("transversal-normalization", "sec-2-splitting",
                 f.epsilon * f.epsilon, ONE, f"g(L, L) = {f.epsilon}"),
@@ -333,12 +335,12 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     phi_xi = s.phi.apply(f.rad)
     if phi_xi.is_zero():
         raise NotRSTHL("the structure operator kills the radical direction")
-    pivot = next((i for i, c in enumerate(f.l_vec.components) if not c.is_zero()), None)
-    if pivot is None:
-        raise NotRSTHL("the screen transversal vector vanishes")
-    mu = phi_xi.components[pivot] / f.l_vec.components[pivot]
-    if not (phi_xi - f.l_vec.scale(mu)).is_zero():
-        raise NotRSTHL("the image of the radical is not the screen transversal line")
+    # the frame has checked that L is unit, so it is nonzero
+    try:
+        (mu,) = solve_combination(phi_xi, f.l_vec)
+    except InconsistentSystem as exc:
+        raise NotRSTHL(
+            "the image of the radical is not the screen transversal line") from exc
     if mu.is_zero():
         raise MuZero("the proportionality factor mu vanishes")
 
@@ -353,7 +355,7 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     # phi(S_a) against its screen part: the residual is its part along
     # the radical and the two transversals
     images = tuple(s.phi.apply(v) for v in f.screen)
-    phi_t = f.splitting.split(s.phi)[0]
+    phi_t = f.phi_parts[0]
     screen_parts = tuple(
         sum((v.scale(phi_t.entry(a, c)) for c, v in enumerate(f.screen)),
             Vector.zero(f.model.frame))
@@ -589,20 +591,11 @@ class UmbilicityReport:
 def proportionality_factor(table: MultilinearForm, metric: MultilinearForm
                            ) -> Optional[RationalFunction]:
     """The exact factor making table = factor * metric, or None."""
-    factor = None
-    dim = table.frame.dimension
-    for a in range(dim):
-        for b in range(dim):
-            if not metric.entry(a, b).is_zero():
-                factor = table.entry(a, b) / metric.entry(a, b)
-                break
-        if factor is not None:
-            break
-    if factor is None:
+    try:
+        (factor,) = solve_combination(table, metric)
+    except (InconsistentSystem, UnderdeterminedSystem):
         return None
-    if (table - metric.scale(factor)).is_zero():
-        return factor
-    return None
+    return factor
 
 
 def umbilicity(f: SubmanifoldFrame, obj: InducedObjects) -> UmbilicityReport:
@@ -785,10 +778,8 @@ def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
 def eta_einstein_solve(f: SubmanifoldFrame, ric: MultilinearForm
                        ) -> tuple[RationalFunction, RationalFunction]:
     """Solve Ric = k g + c (eta x eta) exactly over the tangent frame."""
-    rows = [[g, ee] for g, ee in zip(
-        f.induced_form.entries, outer(f.eta_bar, f.eta_bar).entries)]
     try:
-        k, c = solve_unique(rows, ric.entries)
+        k, c = solve_combination(ric, f.induced_form, outer(f.eta_bar, f.eta_bar))
     except InconsistentSystem as exc:
         raise NotEtaEinstein(
             "the Ricci tensor is not a combination of the metric and the "

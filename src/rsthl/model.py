@@ -175,14 +175,8 @@ def model_from_json_obj(obj) -> ModelFile:
             value, frame, f"structure.phi.{label}", mu_allowed)
     phi = MultilinearForm.from_cells(frame, 2, lambda j: columns[j])
     xi_bar = _parse_vector(structure_obj["xi"], frame, "structure.xi", mu_allowed)
-    eta_map = _expect_mapping(structure_obj["eta"], "structure.eta")
-    eta_components = [ZERO] * frame.dimension
-    for label, value in eta_map.items():
-        if label not in frame.labels:
-            raise ModelError(f"structure.eta.{label}", "unknown frame label")
-        eta_components[frame.index(label)] = _parse_scalar(
-            value, f"structure.eta.{label}", mu_allowed)
-    eta_bar = MultilinearForm(frame, 1, tuple(eta_components))
+    eta_bar = MultilinearForm(frame, 1, _parse_vector(
+        structure_obj["eta"], frame, "structure.eta", mu_allowed).components)
 
     submanifold = None
     if "submanifold" in top:

@@ -26,10 +26,8 @@ from .tensors import (
     MultilinearForm,
     Vector,
     curvature_product,
-    determinant,
-    inertia,
     outer,
-    pick_regular_sample,
+    signature_at_sample,
 )
 
 
@@ -84,24 +82,12 @@ class CurvaturePair:
     nu_tilde: RationalFunction
 
 
-def signature_at_sample(metric: InvariantMetric) -> tuple[int, int, int]:
-    """Inertia of the Gram matrix at a rational mu avoiding every denominator
-    root and every determinant root, found by exact search over integers."""
-    sample = pick_regular_sample([determinant(metric.form.rows())],
-                                 must_be_defined=metric.form.entries)
-    rows = [
-        [e.eval_at(sample) for e in row]
-        for row in metric.form.rows()
-    ]
-    return inertia(rows)
-
-
 def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
     """All defining axioms, each as one report entry."""
     frame, n, g = s.frame, s.n, s.metric
     anchor = "sec-2-structure"
     rank = s.phi.rank()
-    pos, neg, zero = signature_at_sample(g)
+    _, (pos, neg, zero) = signature_at_sample(g.form.rows())
     return [
         report.compare("phi-squared", anchor,
                        s.phi.pull_slots(s.phi, (0,)) + MultilinearForm.identity(frame),

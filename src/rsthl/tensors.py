@@ -24,9 +24,14 @@ of a table, so a symmetry T(X, Y) = T(Y, X) reads
 table plus two cyclic permutations of it; ``skew`` subtracts the swap of
 the first two slots and ``at`` fixes the first slot at a frame vector.
 
-The linear solvers use fraction-free (Bareiss-style) elimination: each
-update is a two-term cross-multiplication divided by the previous pivot,
-which keeps intermediate entries small and every division exact.
+Only this module eliminates, solves or samples mu.  Its one
+fraction-free (Bareiss-style) elimination serves the determinant (the
+last pivot), the rank and every solver: each update is a two-term
+cross-multiplication divided by the previous pivot, which keeps
+intermediate entries small and every division exact.  Each coefficient
+of one table over others (mu, the umbilicity factors, the Einstein
+constants) is one ``solve_combination``, and each signature over Q(mu)
+is read at one integer sample by ``signature_at_sample``.
 """
 
 from __future__ import annotations
@@ -336,8 +341,7 @@ class MultilinearForm:
         return sum((self.entry(i, i) for i in range(self.frame.dimension)), ZERO)
 
     def rank(self) -> int:
-        _, pivots = _echelon(self.rows(), self.frame.dimension)
-        return len(pivots)
+        return rank(self.rows())
 
 
 def _same_frame(a, b):
@@ -410,53 +414,53 @@ def first_nonzero(residual: Callable[..., object], dim: int, arity: int,
 
 
 def _echelon(rows: list[list[RationalFunction]], pivot_cols_limit: int):
-    """Fraction-free forward elimination; pivots only in the first
-    pivot_cols_limit columns.  Returns (matrix, pivot column list)."""
+    """Fraction-free forward elimination in place; pivots only in the
+    first pivot_cols_limit columns.  Returns (matrix, pivot column list,
+    row-swap count).  Updates start right of the pivot column: below the
+    pivot row the columns left of it are already zero."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
+    swaps = 0
     prev = ONE
     r = 0
     for c in range(min(pivot_cols_limit, ncols)):
         p = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            swaps += 1
         pivot = rows[r][c]
         for i in range(r + 1, nrows):
             factor = rows[i][c]
-            for j in range(ncols):
+            for j in range(c + 1, ncols):
                 rows[i][j] = (rows[i][j] * pivot - factor * rows[r][j]) / prev
+            rows[i][c] = ZERO
         prev = pivot
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, swaps
+
+
+def rank(rows: Sequence[Sequence[RationalFunction]]) -> int:
+    """The rank of a matrix given by its rows."""
+    ncols = len(rows[0]) if rows else 0
+    return len(_echelon([list(r) for r in rows], ncols)[1])
 
 
 def determinant(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
+    """The determinant, the last Bareiss pivot; 1 for the empty matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n):
-        p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if p is None:
-            return ZERO
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k]
-            for j in range(k, n):
-                m[i][j] = (m[i][j] * pivot - factor * m[k][j]) / prev
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    ech, pivots, swaps = _echelon([list(r) for r in rows], n)
+    if len(pivots) < n:
+        return ZERO
+    det = ech[-1][-1] if n else ONE
+    return -det if swaps % 2 else det
 
 
 def _back_substitute(ech, pivots, n_unknowns, rhs_col, free_values=None):
@@ -481,13 +485,28 @@ def solve_unique(
     """Solve A x = b, demanding exactly one solution."""
     n = len(a_rows[0])
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    ech, pivots = _echelon(aug, n)
+    ech, pivots, _ = _echelon(aug, n)
     for r in range(len(pivots), len(ech)):
         if not ech[r][n].is_zero():
             raise InconsistentSystem("linear system has no solution")
     if len(pivots) < n:
         raise UnderdeterminedSystem("linear system has a free variable")
     return _back_substitute(ech, pivots, n, n)
+
+
+def solve_combination(target, *basis) -> tuple[RationalFunction, ...]:
+    """The unique c with target = c_1 basis_1 + c_2 basis_2 + ..., for
+    vectors or tables of one size read as flat component lists.
+
+    Raises InconsistentSystem when the target is no such combination and
+    UnderdeterminedSystem when the basis is linearly dependent.
+    """
+    want = _components(target)
+    for b in basis:
+        _same_frame(target, b)
+        if len(_components(b)) != len(want):
+            raise ValueError("the target and the basis terms differ in size")
+    return solve_unique(list(zip(*map(_components, basis))), want)
 
 
 def solve_affine(
@@ -497,7 +516,7 @@ def solve_affine(
     """Solve A x = b; returns (particular solution, kernel basis)."""
     n = len(a_rows[0])
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    ech, pivots = _echelon(aug, n)
+    ech, pivots, _ = _echelon(aug, n)
     for r in range(len(pivots), len(ech)):
         if not ech[r][n].is_zero():
             raise InconsistentSystem("linear system has no solution")
@@ -527,7 +546,7 @@ def matrix_inverse(
         list(row) + [ONE if i == j else ZERO for j in range(n)]
         for i, row in enumerate(rows)
     ]
-    ech, pivots = _echelon(aug, n)
+    ech, pivots, _ = _echelon(aug, n)
     if len(pivots) < n:
         raise DegenerateMetric("matrix is singular")
     cols = [_back_substitute(ech, pivots, n, n + j) for j in range(n)]
@@ -583,16 +602,16 @@ def inertia(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
 
 
 def pick_regular_sample(
-    must_not_vanish: Iterable[RationalFunction], start: int = 1,
+    must_not_vanish: Iterable[RationalFunction],
     must_be_defined: Iterable[RationalFunction] = (),
 ) -> Fraction:
-    """Smallest integer >= start at which every given scalar is defined and
+    """Smallest positive integer at which every given scalar is defined and
     each one in ``must_not_vanish`` is nonzero; used to specialize mu
     before signature counting, where ``must_be_defined`` holds the
     entries that are evaluated there."""
     nonzero = list(must_not_vanish)
     defined = list(must_be_defined)
-    for k in range(start, start + 1000):
+    for k in range(1, 1001):
         x = Fraction(k)
         try:
             for s in defined:
@@ -602,3 +621,14 @@ def pick_regular_sample(
         except ScalarDomainError:
             continue
     raise RuntimeError("no regular sample found in range")
+
+
+def signature_at_sample(rows: Sequence[Sequence[RationalFunction]],
+                        must_not_vanish: Iterable[RationalFunction] = ()
+                        ) -> tuple[Fraction, tuple[int, int, int]]:
+    """The sample mu and the inertia of a symmetric matrix there: the
+    smallest positive integer at which every entry is defined and neither
+    the determinant nor a scalar of ``must_not_vanish`` vanishes."""
+    sample = pick_regular_sample([*must_not_vanish, determinant(rows)],
+                                 must_be_defined=[e for row in rows for e in row])
+    return sample, inertia([[e.eval_at(sample) for e in row] for row in rows])

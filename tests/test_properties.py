@@ -8,7 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from rsthl.builtin import example_model
@@ -115,8 +115,12 @@ def adapted_frame_change(p, q, r, s, c, t):
     return dataclasses.replace(m, algebra=scaled, submanifold=sub)
 
 
+# every example builds a whole geometry, so these tests do not shrink
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
 @given(**FRAME_CHANGES)
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5, deadline=None, phases=NO_SHRINK)
 def test_suite_green_under_adapted_frame_changes(p, q, r, s, c, t):
     """Screen basis changes, radical rescaling and bracket rescaling leave
     every identity residual at zero."""
@@ -234,7 +238,7 @@ def test_split_reconstructs_ambient_tables(geometry):
 
 
 @given(**FRAME_CHANGES)
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2, deadline=None, phases=NO_SHRINK)
 def test_split_reconstructs_under_adapted_frame_changes(p, q, r, s, c, t):
     assert_splits_reconstruct(Geometry(adapted_frame_change(p, q, r, s, c, t)))
 

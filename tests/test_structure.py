@@ -10,10 +10,9 @@ from rsthl.structure import (ACBMStructure, CurvaturePair,
                              associated_compat_entry, associated_metric,
                              constant_curvature_form,
                              constant_curvature_residual, fit_curvature_pair,
-                             fundamental_tensor, signature_at_sample,
-                             validate_acbm)
+                             fundamental_tensor, validate_acbm)
 from rsthl.suite import Geometry
-from rsthl.tensors import Frame, MultilinearForm, Vector
+from rsthl.tensors import Frame, MultilinearForm, Vector, signature_at_sample
 from test_properties import reeb_sheared
 
 
@@ -103,7 +102,7 @@ def test_wrong_signature_is_reported(lm):
 
 
 def test_signature_at_sample(lm):
-    assert signature_at_sample(lm.metric) == (3, 2, 0)
+    assert signature_at_sample(lm.metric.form.rows()) == (1, (3, 2, 0))
 
 
 def test_signature_sample_avoids_entry_poles():
@@ -112,7 +111,7 @@ def test_signature_sample_avoids_entry_poles():
     g = InvariantMetric.diagonal(Frame(("a", "b", "c", "d", "e")),
                                  (inv, MU - 1, -inv, 1 - MU, 1))
     assert g.determinant() == ONE
-    assert signature_at_sample(g) == (3, 2, 0)
+    assert signature_at_sample(g.form.rows()) == (2, (3, 2, 0))
 
 
 def test_associated_metric_values(lm):
@@ -129,7 +128,7 @@ def test_associated_metric_values(lm):
         assert gt.entry(i, e) == ZERO
     assert gt.entry(x1, x2) == ZERO
     # the twin pairing is nondegenerate with split signature plus the unit
-    assert signature_at_sample(gt) == (3, 2, 0)
+    assert signature_at_sample(gt.form.rows())[1] == (3, 2, 0)
 
 
 def test_associated_compat_entry(lm):

@@ -1,7 +1,9 @@
 """Frames, vectors, component tables and exact linear algebra."""
 
+import ast
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import (Frame, MultilinearForm, Vector, curvature_product,
-                           determinant, first_nonzero, inertia, matrix_inverse,
-                           outer, pick_regular_sample, solve_affine,
-                           solve_unique)
+from rsthl.tensors import (Frame, MultilinearForm, Vector, _echelon,
+                           curvature_product, determinant, first_nonzero,
+                           inertia, matrix_inverse, outer, pick_regular_sample,
+                           signature_at_sample, solve_affine,
+                           solve_combination, solve_unique)
 
 F2 = Frame(("f1", "f2"))
 F3 = Frame(("e1", "e2", "e3"))
@@ -312,6 +315,35 @@ def test_determinant_exact():
     assert determinant([[ZERO, ONE], [ZERO, MU]]) == ZERO
     rows3 = [[rf(2), ZERO, ZERO], [ZERO, MU, ZERO], [ZERO, ZERO, rf(-1)]]
     assert determinant(rows3) == -2 * MU
+    assert determinant([]) == ONE
+
+
+def leibniz(rows):
+    """The determinant as the signed sum over permutations."""
+    total = ZERO
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                         if perm[i] > perm[j])
+        term = ONE
+        for i, p in enumerate(perm):
+            term = term * rows[i][p]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("rows, swaps", [
+    # zero leading entries force an odd and an even number of row swaps
+    ([[0, "mu", 1], [1, 2, 0], [3, 1, "mu"]], 1),
+    ([[0, "mu", 0], [0, 0, 2], [1, 0, 1]], 2),
+    ([[0, 1, 2, "mu"], [0, 0, 1, 1], [1, "mu", 0, 2], [2, 0, "mu", 1]], 2),
+    ([[0, "mu", 0, 1], [0, 0, 1, 0], [0, 0, 0, 2], [3, 0, 0, 0]], 3),
+    # singular: the last two rows are proportional
+    ([[0, "mu", 1, 0], [0, 1, "mu", 0], [1, 0, 0, 1], [2, 0, 0, 2]], 1),
+])
+def test_determinant_matches_leibniz_under_row_swaps(rows, swaps):
+    rows = [[rf(x) for x in row] for row in rows]
+    assert _echelon([list(r) for r in rows], len(rows))[2] == swaps
+    assert determinant(rows) == leibniz(rows)
 
 
 def test_solve_unique():
@@ -323,6 +355,28 @@ def test_solve_unique():
         solve_unique([[ONE, ONE], [ONE, ONE]], [ZERO, ONE])
     with pytest.raises(UnderdeterminedSystem):
         solve_unique([[ONE, ONE], [2 * ONE, 2 * ONE]], [ONE, rf(2)])
+
+
+def test_solve_combination_of_vectors_and_tables():
+    v = Vector.from_map(F3, {"e1": 1, "e3": MU})
+    w = Vector.from_map(F3, {"e2": 1})
+    assert solve_combination(v.scale(MU - 1), v) == (MU - 1,)
+    assert solve_combination(v.scale(2) - w, v, w) == (rf(2), rf(-1))
+    g = MultilinearForm.identity(F3)
+    ee = outer(MultilinearForm(F3, 1, (ZERO, ZERO, ONE)),
+               MultilinearForm(F3, 1, (ZERO, ZERO, ONE)))
+    assert solve_combination(g.scale(MU), g) == (MU,)
+    assert solve_combination(g.scale(3) + ee.scale(MU), g, ee) == (rf(3), MU)
+    with pytest.raises(InconsistentSystem):
+        solve_combination(w, v)
+    with pytest.raises(InconsistentSystem):
+        solve_combination(g.permute((1, 0)) + operator({"e2": 1}, {}, {}), g, ee)
+    with pytest.raises(UnderdeterminedSystem):
+        solve_combination(v, v, v.scale(MU))
+    with pytest.raises(UnderdeterminedSystem):
+        solve_combination(MultilinearForm.zero(F3, 2), MultilinearForm.zero(F3, 2))
+    with pytest.raises(ValueError):
+        solve_combination(v, g)
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))
@@ -361,9 +415,34 @@ def test_inertia_signature():
 def test_pick_regular_sample():
     assert pick_regular_sample([MU - 1, MU - 2]) == Fraction(3)
     assert pick_regular_sample([ONE / (MU - 1)]) == Fraction(2)
-    assert pick_regular_sample([MU], start=5) == Fraction(5)
     # entries that are evaluated must be defined, though they may vanish
     assert pick_regular_sample([ONE], must_be_defined=[ONE / (MU - 1), ZERO]) == 2
     assert pick_regular_sample([MU - 1], must_be_defined=[ONE / (MU - 2)]) == 3
     with pytest.raises(ScalarDomainError):
         (ONE / (MU - 1)).eval_at(1)
+
+
+def test_signature_at_sample_avoids_must_not_vanish():
+    rows = [[MU - 1, ZERO], [ZERO, -ONE]]
+    # the determinant vanishes at mu = 1, the extra scalar at mu = 2
+    assert signature_at_sample(rows) == (2, (1, 1, 0))
+    assert signature_at_sample(rows, (MU - 2,)) == (3, (1, 1, 0))
+    assert signature_at_sample([], (MU - 1,)) == (2, (0, 0, 0))
+
+
+def test_only_tensors_eliminates_and_samples():
+    """Elimination, inertia and mu sampling stay private to tensors.py."""
+    private = {"_echelon", "inertia", "pick_regular_sample"}
+    package = Path(__file__).resolve().parents[1] / "src" / "rsthl"
+    leaks = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tensors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        if names & private:
+            leaks[path.name] = sorted(names & private)
+    assert leaks == {}
