@@ -37,7 +37,6 @@ from .scalars import ONE, ZERO, RationalFunction, rf
 from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
-    Vector,
     curvature_product,
     outer,
     signature_at_sample,
@@ -50,8 +49,8 @@ class AssociatedObjects:
     """The twin metric with its normals, connection and second forms."""
 
     metric: InvariantMetric
-    n1: Vector
-    n2: Vector
+    n1: MultilinearForm  # the twin normals, vectors
+    n2: MultilinearForm
     conn: Connection
     h1: MultilinearForm
     h2: MultilinearForm
@@ -86,7 +85,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     n1 = s.xi_bar - f.l_vec
     n2 = s.xi_bar.scale(rf(2)) - f.n_vec.scale(mu * 2) - f.l_vec
 
-    restrict = f.splitting.restrict  # restriction reads the tangent vectors only
+    restrict = f.restrict
     gt_form = restrict(gt_ambient.form)
     gt = InvariantMetric(gt_form)
     xi_idx = f.radical_index

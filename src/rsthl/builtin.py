@@ -21,7 +21,7 @@ from typing import Optional
 from . import report
 from .liegeom import InvariantMetric, LieAlgebra, levi_civita
 from .model import ModelFile, model_from_json_obj
-from .tensors import Frame, MultilinearForm, Vector
+from .tensors import Frame, MultilinearForm
 
 FACTOR_LABELS = ("X1", "X2", "X3", "X4")
 AMBIENT_LABELS = ("X1", "X2", "X3", "X4", "E")
@@ -70,14 +70,14 @@ def factor_algebra() -> LieAlgebra:
 def _factor_j(frame: Frame) -> MultilinearForm:
     return MultilinearForm.from_cells(
         frame, 2,
-        lambda j: Vector.from_map(frame, FACTOR_J.get(frame.labels[j], {})))
+        lambda j: MultilinearForm.from_map(frame, FACTOR_J.get(frame.labels[j], {})))
 
 
 def _matches_expected_table(alg: LieAlgebra,
                             metric: InvariantMetric) -> report.CheckEntry:
     frame = alg.frame
     expected = MultilinearForm.from_cells(
-        frame, 3, lambda i, j: Vector.from_map(
+        frame, 3, lambda i, j: MultilinearForm.from_map(
             frame, EXPECTED_FACTOR_TABLE.get((frame.labels[i], frame.labels[j]), {})))
     return report.compare("factor-table", "example-4.7",
                           levi_civita(alg, metric).gamma, expected,

@@ -41,10 +41,6 @@ class ScreenDegenerate(InvalidFrame):
     """The induced metric restricted to the screen basis is degenerate."""
 
 
-class NoSuchN(InvalidFrame):
-    """The defining system for the lightlike transversal N is unsolvable."""
-
-
 class NotRSTHL(GeometryError):
     """phi of the radical generator does not span the screen transversal."""
 

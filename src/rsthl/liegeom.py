@@ -28,7 +28,6 @@ from .scalars import HALF, ZERO, RationalFunction, rf
 from .tensors import (
     Frame,
     MultilinearForm,
-    Vector,
     determinant,
     first_nonzero,
     matrix_inverse,
@@ -53,12 +52,13 @@ class LieAlgebra:
         """Build from {(label_i, label_j): {label_k: scalar}} with i-j given
         in either order; the antisymmetric counterpart is filled in."""
         dim = frame.dimension
-        rows = [[Vector.zero(frame) for _ in range(dim)] for _ in range(dim)]
+        zero = MultilinearForm.zero(frame, 1)
+        rows = [[zero] * dim for _ in range(dim)]
         for (li, lj), entries in table.items():
             i, j = frame.index(li), frame.index(lj)
             if i == j:
                 raise ValueError(f"bracket of {li} with itself must be omitted")
-            v = Vector.from_map(frame, entries)
+            v = MultilinearForm.from_map(frame, entries)
             rows[i][j] = rows[i][j] + v
             rows[j][i] = rows[j][i] - v
         return cls(frame, MultilinearForm.from_cells(
@@ -79,7 +79,7 @@ def validate_lie_algebra(alg: LieAlgebra) -> report.CheckEntry:
         )
     basis = [alg.frame.basis_vector(i) for i in range(dim)]
 
-    def jacobiator(i: int, j: int, k: int) -> Vector:
+    def jacobiator(i: int, j: int, k: int) -> MultilinearForm:
         return (
             br.apply(br.cell(i, j), basis[k])
             + br.apply(br.cell(j, k), basis[i])
@@ -131,15 +131,15 @@ class InvariantMetric:
     def entry(self, i: int, j: int) -> RationalFunction:
         return self.form.entry(i, j)
 
-    def value(self, v: Vector, w: Vector) -> RationalFunction:
+    def value(self, v: MultilinearForm, w: MultilinearForm) -> RationalFunction:
         return self.form.value(v, w)
 
     def determinant(self) -> RationalFunction:
         return determinant(self.form.rows())
 
-    def lower(self, v: Vector) -> MultilinearForm:
+    def lower(self, v: MultilinearForm) -> MultilinearForm:
         """The one-form g(v, .)."""
-        return MultilinearForm(self.frame, 1, self.form.apply(v).components)
+        return self.form.apply(v)
 
     def __eq__(self, other):
         return isinstance(other, InvariantMetric) and self.form == other.form
@@ -150,7 +150,7 @@ class Connection:
     frame: Frame
     gamma: MultilinearForm  # gamma.cell(i, j) = nabla_{e_i} e_j
 
-    def derivative(self, v: Vector) -> MultilinearForm:
+    def derivative(self, v: MultilinearForm) -> MultilinearForm:
         """The operator X -> nabla_X v."""
         return MultilinearForm.from_cells(
             self.frame, 2, lambda i: self.gamma.at(i).apply(v))

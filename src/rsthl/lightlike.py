@@ -25,11 +25,9 @@ from typing import Optional
 
 from .errors import (
     DecompositionInconsistent,
-    DegenerateMetric,
     InconsistentSystem,
     InvalidFrame,
     MuZero,
-    NoSuchN,
     NotAscreen,
     NotEtaEinstein,
     NotRSTHL,
@@ -50,9 +48,9 @@ from .structure import CurvaturePair, LieModel
 from .tensors import (
     Frame,
     MultilinearForm,
-    Vector,
     curvature_product,
     determinant,
+    first_nonzero,
     matrix_inverse,
     outer,
     rank,
@@ -64,32 +62,24 @@ from .tensors import (
 RADICAL_LABEL = "xi"
 
 
-def solve_transversal(model: LieModel, screen: tuple[Vector, ...], rad: Vector,
-                      l_vec: Vector) -> Vector:
+def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
+                      rad: MultilinearForm, l_vec: MultilinearForm) -> MultilinearForm:
     """Solve for the null transversal N dual to the radical direction.
 
     N is pinned down by g(N, S) = 0, g(N, L) = 0, g(N, rad) = 1 and
     g(N, N) = 0.  The linear conditions leave a line N0 + t*rad; the
     quadratic one is then linear in t because rad is null.
+
+    The frame's checks make the linear system consistent with exactly that
+    line as its kernel: the screen, L and rad are independent (the tangent
+    vectors are, and L is unit and orthogonal to all of them), g is
+    nondegenerate, and rad is null and orthogonal to the screen, L and
+    itself.
     """
     g = model.metric
     rows = [list(g.lower(w).entries) for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
-    try:
-        particular, kernel = solve_affine(rows, rhs)
-    except (InconsistentSystem, UnderdeterminedSystem) as exc:
-        raise NoSuchN(str(exc)) from exc
-    if len(kernel) != 1:
-        raise NoSuchN(
-            "the orthogonality conditions leave a transversal freedom of "
-            f"dimension {len(kernel)}, expected 1")
-    # the frame has checked that rad, one of the tangent vectors, is nonzero
-    try:
-        solve_combination(Vector(model.frame, kernel[0]), rad)
-    except InconsistentSystem as exc:
-        raise NoSuchN(
-            "the transversal freedom is not along the radical direction") from exc
-    n0 = Vector(model.frame, particular)
+    n0 = MultilinearForm(model.frame, 1, solve_affine(rows, rhs)[0])
     t = g.value(n0, n0) * rf("-1/2")
     return n0 + rad.scale(t)
 
@@ -99,25 +89,26 @@ class Splitting:
     transversal pair, inverted once.
 
     ``split`` reads a vector-valued ambient table on tangent arguments as
-    a tangent-valued table plus one coefficient table per transversal;
-    ``restrict`` reads a scalar-valued ambient form on tangent arguments.
-    Raises DegenerateMetric when the vectors are not a basis.
+    a tangent-valued table plus one coefficient table per transversal.
+    Raises DegenerateMetric when the vectors are not a basis.  Restricting
+    a scalar-valued form needs no transversal, so it is
+    ``SubmanifoldFrame.restrict``.
     """
 
-    def __init__(self, tangent_frame: Frame, tangent: tuple[Vector, ...],
-                 transversals: tuple[Vector, Vector]):
+    def __init__(self, tangent_frame: Frame, tangent: tuple[MultilinearForm, ...],
+                 transversals: tuple[MultilinearForm, MultilinearForm]):
         self.tangent_frame = tangent_frame
         self.tangent = tangent
         basis = tangent + transversals
         dim = basis[0].frame.dimension
         inverse = matrix_inverse(
-            [[basis[j].components[i] for j in range(dim)] for i in range(dim)])
+            [[basis[j].entries[i] for j in range(dim)] for i in range(dim)])
         self._coordinates = MultilinearForm.from_function(
             basis[0].frame, 2, lambda i, r: inverse[r][i])
 
-    def coefficients(self, v: Vector) -> tuple[RationalFunction, ...]:
+    def coefficients(self, v: MultilinearForm) -> tuple[RationalFunction, ...]:
         """The coefficients of an ambient vector over (T_1, ..., T_m, V1, V2)."""
-        return self._coordinates.apply(v).components
+        return self._coordinates.apply(v).entries
 
     def split(self, table: MultilinearForm
               ) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
@@ -130,11 +121,6 @@ class Splitting:
         return (MultilinearForm(self.tangent_frame, table.arity, tangent),
                 *(MultilinearForm(self.tangent_frame, table.arity - 1,
                                   tuple(row[k] for row in rows)) for k in (m, m + 1)))
-
-    def restrict(self, form: MultilinearForm) -> MultilinearForm:
-        """A scalar-valued ambient form on tangent arguments."""
-        return MultilinearForm(self.tangent_frame, form.arity, tuple(
-            form.value(*args) for args in product(self.tangent, repeat=form.arity)))
 
 
 def require_tangent(parts: tuple[MultilinearForm, ...], idx: tuple[int, ...],
@@ -149,11 +135,18 @@ def require_tangent(parts: tuple[MultilinearForm, ...], idx: tuple[int, ...],
 
 class SubmanifoldFrame:
     """Adapted frame (screen basis, radical, transversals) with its
-    splitting over (tangent, N, L)."""
+    splitting over (tangent, N, L).
+
+    The metric checks read the induced form and the restriction of g(L, .)
+    (``restrict`` needs the tangent vectors only), in the order of the
+    build-time errors.  The splitting then cannot fail: g(N, xi) = 1 puts N
+    outside the span of the tangent space and L, and g(L, L) = +-1 with L
+    orthogonal to the tangent space puts L outside that span.
+    """
 
     def __init__(self, model: LieModel, screen_labels: tuple[str, ...],
-                 screen: tuple[Vector, ...], rad: Vector, l_vec: Vector,
-                 n_vec: Optional[Vector] = None):
+                 screen: tuple[MultilinearForm, ...], rad: MultilinearForm,
+                 l_vec: MultilinearForm, n_vec: Optional[MultilinearForm] = None):
         if len(screen_labels) != len(screen):
             raise InvalidFrame("screen labels and screen vectors differ in number")
         if RADICAL_LABEL in screen_labels:
@@ -175,16 +168,17 @@ class SubmanifoldFrame:
         self.tangent_frame = Frame(self.screen_labels + (RADICAL_LABEL,))
         self.tangent_vectors = self.screen + (rad,)
 
-        if rank([v.components for v in self.tangent_vectors]) != m:
+        if rank([v.entries for v in self.tangent_vectors]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
 
-        for idx, w in enumerate(self.tangent_vectors):
-            if not g.value(rad, w).is_zero():
-                label = self.tangent_frame.labels[idx]
-                raise RadicalRankNotOne(
-                    f"the radical vector is not isotropic against {label}")
+        labels = self.tangent_frame.labels
+        self.induced_form = self.restrict(g.form)
+        at = first_nonzero(self.induced_form.at(self.radical_index).entry, m, 1)
+        if at is not None:
+            raise RadicalRankNotOne(
+                f"the radical vector is not isotropic against {labels[at[0]]}")
 
-        screen_gram = [[g.value(x, y) for y in self.screen] for x in self.screen]
+        screen_gram = [row[:-1] for row in self.induced_form.rows()[:-1]]
         if determinant(screen_gram).is_zero():
             raise ScreenDegenerate("the metric degenerates on the screen distribution")
 
@@ -192,11 +186,10 @@ class SubmanifoldFrame:
         if not (eps - 1).is_zero() and not (eps + 1).is_zero():
             raise InvalidFrame("the screen transversal vector is not unit")
         self.epsilon = eps
-        for idx, w in enumerate(self.tangent_vectors):
-            if not g.value(l_vec, w).is_zero():
-                label = self.tangent_frame.labels[idx]
-                raise InvalidFrame(
-                    f"the screen transversal is not orthogonal to {label}")
+        at = first_nonzero(self.restrict(g.lower(l_vec)).entry, m, 1)
+        if at is not None:
+            raise InvalidFrame(
+                f"the screen transversal is not orthogonal to {labels[at[0]]}")
 
         if n_vec is None:
             n_vec = solve_transversal(model, self.screen, rad, l_vec)
@@ -204,19 +197,17 @@ class SubmanifoldFrame:
             _verify_transversal(model, self.tangent_vectors, self.tangent_frame,
                                 rad, l_vec, n_vec)
         self.n_vec = n_vec
-
-        try:
-            self.splitting = Splitting(self.tangent_frame, self.tangent_vectors,
-                                       (n_vec, l_vec))
-        except DegenerateMetric as exc:
-            raise InvalidFrame(
-                "the tangent basis and the transversals do not span the "
-                "ambient space") from exc
-
-        self.induced_form = self.splitting.restrict(g.form)
-        self.eta = self.splitting.restrict(g.lower(n_vec))
-        self.eta_bar = self.splitting.restrict(model.structure.eta_bar)
+        self.splitting = Splitting(self.tangent_frame, self.tangent_vectors,
+                                   (n_vec, l_vec))
+        self.eta = self.restrict(g.lower(n_vec))
+        self.eta_bar = self.restrict(model.structure.eta_bar)
         self.tangent_algebra = self._close_brackets()
+
+    def restrict(self, form: MultilinearForm) -> MultilinearForm:
+        """A scalar-valued ambient form on tangent arguments."""
+        return MultilinearForm(self.tangent_frame, form.arity, tuple(
+            form.value(*args)
+            for args in product(self.tangent_vectors, repeat=form.arity)))
 
     @property
     def dim(self) -> int:
@@ -226,7 +217,7 @@ class SubmanifoldFrame:
     def radical_index(self) -> int:
         return self.dim - 1
 
-    def radical_tangent(self) -> Vector:
+    def radical_tangent(self) -> MultilinearForm:
         return self.tangent_frame.basis_vector(self.radical_index)
 
     @cached_property
@@ -260,13 +251,13 @@ class SubmanifoldFrame:
     def phi_pairing(self) -> MultilinearForm:
         """Table of g(T_a, phi T_b) over the tangent basis."""
         g = self.model.metric.form
-        return self.splitting.restrict(g.pull_slots(self.model.structure.phi, (1,)))
+        return self.restrict(g.pull_slots(self.model.structure.phi, (1,)))
 
     @cached_property
     def phi_phi_pairing(self) -> MultilinearForm:
         """Table of g(phi T_a, phi T_b) over the tangent basis."""
         g = self.model.metric.form
-        return self.splitting.restrict(g.pull_all(self.model.structure.phi))
+        return self.restrict(g.pull_all(self.model.structure.phi))
 
     def _close_brackets(self) -> LieAlgebra:
         parts = self.splitting.split(self.model.algebra.brackets)
@@ -283,7 +274,8 @@ class SubmanifoldFrame:
 
 
 def _verify_transversal(model: LieModel, tangent_vectors, tangent_frame,
-                        rad: Vector, l_vec: Vector, n_vec: Vector) -> None:
+                        rad: MultilinearForm, l_vec: MultilinearForm,
+                        n_vec: MultilinearForm) -> None:
     g = model.metric
     if not (g.value(n_vec, rad) - 1).is_zero():
         raise InvalidFrame("the given transversal N does not pair to 1 with the radical")
@@ -298,7 +290,7 @@ def _verify_transversal(model: LieModel, tangent_vectors, tangent_frame,
 
 
 def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
-                n_vec: Optional[Vector] = None) -> SubmanifoldFrame:
+                n_vec: Optional[MultilinearForm] = None) -> SubmanifoldFrame:
     return SubmanifoldFrame(model, tuple(screen_labels), tuple(screen),
                             rad, l_vec, n_vec)
 
@@ -309,7 +301,8 @@ def validate_frame(f: SubmanifoldFrame) -> list[CheckEntry]:
     gram = [row[:-1] for row in f.induced_form.rows()[:-1]]
     return [
         compare("radical-isotropy", "sec-2-splitting",
-                f.induced_form.cell(f.radical_index), Vector.zero(f.tangent_frame),
+                f.induced_form.cell(f.radical_index),
+                MultilinearForm.zero(f.tangent_frame, 1),
                 "the radical direction is orthogonal to the whole tangent space"),
         compare("screen-nondegeneracy", "sec-2-splitting",
                 not determinant(gram).is_zero(), True,
@@ -358,7 +351,7 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     phi_t = f.phi_parts[0]
     screen_parts = tuple(
         sum((v.scale(phi_t.entry(a, c)) for c, v in enumerate(f.screen)),
-            Vector.zero(f.model.frame))
+            MultilinearForm.zero(f.model.frame, 1))
         for a in range(len(f.screen)))
     entries = [
         passed("radical-phi-image", anchor, f"phi(xi) = ({mu}) L"),
@@ -440,7 +433,7 @@ def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedOb
     screen_gamma = MultilinearForm.from_cells(
         tf, 3,
         lambda a, b: conn.gamma.cell(a, b) - xi_t.scale(c_form.entry(a, b))
-        if b != rad else Vector.zero(tf))
+        if b != rad else MultilinearForm.zero(tf, 1))
     shape_rad = MultilinearForm.from_cells(
         tf, 2, lambda a: -conn.gamma.cell(a, rad) - xi_t.scale(tau.entries[a]))
 
@@ -483,7 +476,7 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
         compare("d-radical-slot", anchor, radical_slot(obj.d_form), -obj.phi_form,
                 "D(X, xi) = -phi(X)"),
         compare("radical-shape-kills-radical", anchor,
-                obj.shape_rad.cell(f.radical_index), Vector.zero(tf),
+                obj.shape_rad.cell(f.radical_index), MultilinearForm.zero(tf, 1),
                 "the radical shape operator annihilates xi"),
         compare("radical-shape-self-adjoint", anchor, g_rad, g_rad.permute((1, 0)),
                 "the radical shape operator is self-adjoint for the induced metric"),
@@ -561,7 +554,7 @@ class UmbilicityReport:
     beta: Optional[RationalFunction]
     delta: Optional[RationalFunction]
     gamma_screen: Optional[RationalFunction]
-    mean_curvature: Optional[Vector]
+    mean_curvature: Optional[MultilinearForm]  # a vector
     totally_geodesic: bool
     totally_umbilical: bool
     proper_totally_umbilical: bool

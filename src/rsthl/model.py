@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import ModelError, ScalarParseError
 from .liegeom import LieAlgebra
 from .scalars import RationalFunction, ZERO, rf
-from .tensors import Frame, MultilinearForm, Vector
+from .tensors import Frame, MultilinearForm
 
 _TOP_KEYS = ("frame", "parameters", "brackets", "metric", "structure", "submanifold")
 _SUPPORTED_PARAMETERS = ("mu",)
@@ -23,13 +23,14 @@ _SUPPORTED_PARAMETERS = ("mu",)
 
 @dataclass(frozen=True)
 class SubmanifoldData:
-    """Raw frame data of a submanifold: screen basis, radical, transversals."""
+    """Raw frame data of a submanifold: screen basis, radical, transversals,
+    each vector an arity-1 table."""
 
     screen_labels: tuple[str, ...]
-    screen: tuple[Vector, ...]
-    rad: Vector
-    l_vec: Vector
-    n_vec: Optional[Vector]
+    screen: tuple[MultilinearForm, ...]
+    rad: MultilinearForm
+    l_vec: MultilinearForm
+    n_vec: Optional[MultilinearForm]
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class ModelFile:
     algebra: LieAlgebra
     metric_form: MultilinearForm
     phi: MultilinearForm
-    xi_bar: Vector
+    xi_bar: MultilinearForm  # a vector
     eta_bar: MultilinearForm
     submanifold: Optional[SubmanifoldData]
 
@@ -76,7 +77,7 @@ def _parse_scalar(value, path: str, mu_allowed: bool) -> RationalFunction:
     return scalar
 
 
-def _parse_vector(obj, frame: Frame, path: str, mu_allowed: bool) -> Vector:
+def _parse_vector(obj, frame: Frame, path: str, mu_allowed: bool) -> MultilinearForm:
     mapping = _expect_mapping(obj, path)
     components = [ZERO] * frame.dimension
     for label, value in mapping.items():
@@ -84,7 +85,7 @@ def _parse_vector(obj, frame: Frame, path: str, mu_allowed: bool) -> Vector:
             raise ModelError(f"{path}.{label}", "unknown frame label")
         components[frame.index(label)] = _parse_scalar(
             value, f"{path}.{label}", mu_allowed)
-    return Vector(frame, tuple(components))
+    return MultilinearForm(frame, 1, tuple(components))
 
 
 def _parse_pair_key(key: str, frame: Frame, path: str) -> tuple[int, int]:
@@ -124,7 +125,7 @@ def model_from_json_obj(obj) -> ModelFile:
     mu_allowed = "mu" in parameters
 
     brackets_obj = _expect_mapping(top["brackets"], "brackets")
-    table: dict[tuple[int, int], Vector] = {}
+    table: dict[tuple[int, int], MultilinearForm] = {}
     for key, value in brackets_obj.items():
         i, j = _parse_pair_key(key, frame, "brackets")
         if i == j:
@@ -135,10 +136,10 @@ def model_from_json_obj(obj) -> ModelFile:
         vec = _parse_vector(value, frame, f"brackets.{key}", mu_allowed)
         table[pair] = vec if i < j else -vec
 
-    def bracket(i: int, j: int) -> Vector:
+    def bracket(i: int, j: int) -> MultilinearForm:
         v = table.get((min(i, j), max(i, j)))
         if v is None:
-            return Vector.zero(frame)
+            return MultilinearForm.zero(frame, 1)
         return v if i < j else -v
     algebra = LieAlgebra(frame, MultilinearForm.from_cells(frame, 3, bracket))
 
@@ -167,7 +168,7 @@ def model_from_json_obj(obj) -> ModelFile:
         if key not in structure_obj:
             raise ModelError("structure", f"missing required key {key!r}")
     phi_obj = _expect_mapping(structure_obj["phi"], "structure.phi")
-    columns = [Vector.zero(frame) for _ in range(frame.dimension)]
+    columns = [MultilinearForm.zero(frame, 1)] * frame.dimension
     for label, value in phi_obj.items():
         if label not in frame.labels:
             raise ModelError(f"structure.phi.{label}", "unknown frame label")
@@ -175,8 +176,7 @@ def model_from_json_obj(obj) -> ModelFile:
             value, frame, f"structure.phi.{label}", mu_allowed)
     phi = MultilinearForm.from_cells(frame, 2, lambda j: columns[j])
     xi_bar = _parse_vector(structure_obj["xi"], frame, "structure.xi", mu_allowed)
-    eta_bar = MultilinearForm(frame, 1, _parse_vector(
-        structure_obj["eta"], frame, "structure.eta", mu_allowed).components)
+    eta_bar = _parse_vector(structure_obj["eta"], frame, "structure.eta", mu_allowed)
 
     submanifold = None
     if "submanifold" in top:
@@ -209,9 +209,10 @@ def model_from_json_obj(obj) -> ModelFile:
                      eta_bar=eta_bar, submanifold=submanifold)
 
 
-def _vector_to_obj(v: Vector) -> dict:
+def _vector_to_obj(v: MultilinearForm) -> dict:
+    """A vector or one-form as {label: scalar string}, zero entries omitted."""
     return {v.frame.labels[i]: str(c)
-            for i, c in enumerate(v.components) if not c.is_zero()}
+            for i, c in enumerate(v.entries) if not c.is_zero()}
 
 
 def model_to_json_obj(m: ModelFile) -> dict:
@@ -234,8 +235,6 @@ def model_to_json_obj(m: ModelFile) -> dict:
         col = m.phi.cell(j)
         if not col.is_zero():
             phi[frame.labels[j]] = _vector_to_obj(col)
-    eta = {frame.labels[i]: str(c)
-           for i, c in enumerate(m.eta_bar.entries) if not c.is_zero()}
     obj = {
         "frame": {"labels": list(frame.labels)},
         "parameters": list(m.parameters),
@@ -244,7 +243,7 @@ def model_to_json_obj(m: ModelFile) -> dict:
         "structure": {
             "phi": phi,
             "xi": _vector_to_obj(m.xi_bar),
-            "eta": eta,
+            "eta": _vector_to_obj(m.eta_bar),
         },
     }
     if m.submanifold is not None:

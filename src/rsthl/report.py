@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .scalars import RationalFunction
-from .tensors import MultilinearForm, Vector
+from .tensors import MultilinearForm
 
 PASS = "pass"
 FAIL = "fail"
@@ -69,28 +69,24 @@ def compare(name: str, anchor: str, got, want, detail: str = "") -> CheckEntry:
 def residual_suffix(got, want) -> str:
     """Where and by how much got differs from want, as a detail suffix.
 
-    For a table or a vector: the first nonzero component of got - want in
-    row-major order, named in the frame labels of got (the upper slot of a
-    vector-valued table included), its value and the count of nonzero
-    components.  For a scalar: the residual got - want.  For a tuple: the
-    first member pair that differs.  Other values (truth values, ranks,
-    signatures) give no suffix, their statements carry them.
+    For a table, a vector (arity 1) included: the first nonzero component
+    of got - want in row-major order, named in the frame labels of got (the
+    upper slot of a vector-valued table included), its value and the count
+    of nonzero components.  For a scalar: the residual got - want.  For a
+    tuple: the first member pair that differs.  Other values (truth values,
+    ranks, signatures) give no suffix, their statements carry them.
     """
     if isinstance(got, tuple):
         return next((residual_suffix(g, w) for g, w in zip(got, want) if g != w), "")
     if isinstance(got, RationalFunction):
         return f"; the residual is {got - want}"
-    if not isinstance(got, (MultilinearForm, Vector)):
+    if not isinstance(got, MultilinearForm):
         return ""
-    residual = got - want
-    if isinstance(got, Vector):
-        comps, arity = residual.components, 1
-    else:
-        comps, arity = residual.entries, got.arity
+    comps = (got - want).entries
     nonzero = [off for off, c in enumerate(comps) if not c.is_zero()]
     labels = got.frame.labels
     at, off = [], nonzero[0]
-    for _ in range(arity):
+    for _ in range(got.arity):
         off, i = divmod(off, len(labels))
         at.insert(0, labels[i])
     return (f"; the residual at ({', '.join(at)}) is {comps[nonzero[0]]}, "

@@ -199,6 +199,8 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ScalarDomainError("division by zero")
+        if other.is_one():
+            return self
         return RationalFunction(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):

@@ -24,7 +24,6 @@ from .scalars import ONE, RationalFunction
 from .tensors import (
     Frame,
     MultilinearForm,
-    Vector,
     curvature_product,
     outer,
     signature_at_sample,
@@ -35,7 +34,7 @@ from .tensors import (
 class ACBMStructure:
     frame: Frame
     phi: MultilinearForm  # an operator: phi.cell(j) = phi(e_j)
-    xi_bar: Vector
+    xi_bar: MultilinearForm  # a vector
     eta_bar: MultilinearForm  # a one-form
     metric: InvariantMetric
 
@@ -96,8 +95,8 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
                        "eta_bar(xi_bar) = 1"),
         report.compare("eta-after-phi", anchor, s.eta_bar.pull_slots(s.phi, (0,)),
                        MultilinearForm.zero(frame, 1), "eta_bar after phi vanishes"),
-        report.compare("phi-of-xi", anchor, s.phi.apply(s.xi_bar), Vector.zero(frame),
-                       "phi(xi_bar) = 0"),
+        report.compare("phi-of-xi", anchor, s.phi.apply(s.xi_bar),
+                       MultilinearForm.zero(frame, 1), "phi(xi_bar) = 0"),
         report.compare("phi-rank", anchor, rank, 2 * n,
                        f"rank phi = {rank}, expected {2 * n}"),
         report.compare("b-metric", anchor, g.form.pull_all(s.phi) + g.form,

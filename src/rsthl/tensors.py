@@ -6,10 +6,12 @@ arithmetic on finitely many entries.  There is one table type,
 ``MultilinearForm``: flat and row-major, of any arity k >= 1.  A
 scalar-valued tensor reads every slot as a lower index.  A vector-valued
 tensor reads its last slot as the upper index, so entry(i1, ..., l) is
-the e_l coefficient of its value at (e_i1, ...): a one-form has arity 1,
-an operator X -> A X arity 2 with entry(j, l) the e_l coefficient of
-A e_j, the brackets [e_i, e_j] and a connection nabla_{e_i} e_j arity 3,
-and a curvature R(e_i, e_j) e_k arity 4.
+the e_l coefficient of its value at (e_i1, ...): a vector has arity 1
+(entry(l) is its e_l component), an operator X -> A X arity 2 with
+entry(j, l) the e_l coefficient of A e_j, the brackets [e_i, e_j] and a
+connection nabla_{e_i} e_j arity 3, and a curvature R(e_i, e_j) e_k
+arity 4.  A one-form is an arity-1 table too, read as lower; ``cell``,
+``apply`` and ``Frame.basis_vector`` return vectors as arity-1 tables.
 
 Every curvature closed form is a sum of curvature products
 P(a, b)(i, j, k, l) = b(j, k) a(i, l) - b(i, k) a(j, l) of two arity-2
@@ -72,63 +74,10 @@ class Frame:
         except ValueError:
             raise KeyError(f"no frame label {label!r}") from None
 
-    def basis_vector(self, i: int) -> "Vector":
+    def basis_vector(self, i: int) -> "MultilinearForm":
         comps = [ZERO] * self.dimension
         comps[i] = ONE
-        return Vector(self, tuple(comps))
-
-
-@dataclass(frozen=True)
-class Vector:
-    frame: Frame
-    components: tuple[RationalFunction, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.frame.dimension:
-            raise ValueError("component count does not match the frame")
-
-    @classmethod
-    def from_map(cls, frame: Frame, entries: dict) -> "Vector":
-        comps = [ZERO] * frame.dimension
-        for label, value in entries.items():
-            comps[frame.index(label)] = rf(value)
-        return cls(frame, tuple(comps))
-
-    @classmethod
-    def zero(cls, frame: Frame) -> "Vector":
-        return cls(frame, (ZERO,) * frame.dimension)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def scale(self, s) -> "Vector":
-        s = rf(s)
-        return Vector(self.frame, tuple(s * c for c in self.components))
-
-    def __add__(self, other: "Vector") -> "Vector":
-        _same_frame(self, other)
-        return Vector(
-            self.frame,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        _same_frame(self, other)
-        return Vector(
-            self.frame,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.frame, tuple(-c for c in self.components))
-
-    def __str__(self):
-        parts = [
-            f"{c}*{label}"
-            for c, label in zip(self.components, self.frame.labels)
-            if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
+        return MultilinearForm(self, 1, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -158,17 +107,25 @@ class MultilinearForm:
             fn(*idx) for idx in product(range(frame.dimension), repeat=arity)))
 
     @classmethod
+    def from_map(cls, frame: Frame, entries: dict) -> "MultilinearForm":
+        """The vector (an arity-1 table) with the given components by label."""
+        comps = [ZERO] * frame.dimension
+        for label, value in entries.items():
+            comps[frame.index(label)] = rf(value)
+        return cls(frame, 1, tuple(comps))
+
+    @classmethod
     def from_cells(
-        cls, frame: Frame, arity: int, fn: Callable[..., Vector]
+        cls, frame: Frame, arity: int, fn: Callable[..., "MultilinearForm"]
     ) -> "MultilinearForm":
-        """The vector-valued table whose cell at (i1, ..., i(k-1)) is
-        fn(i1, ..., i(k-1))."""
+        """The vector-valued table whose cell at (i1, ..., i(k-1)) is the
+        vector fn(i1, ..., i(k-1))."""
         flat = []
         for idx in product(range(frame.dimension), repeat=arity - 1):
             v = fn(*idx)
             if v.frame != frame:
                 raise ValueError("objects live on different frames")
-            flat.extend(v.components)
+            flat.extend(v.entries)
         return cls(frame, arity, tuple(flat))
 
     @classmethod
@@ -191,15 +148,15 @@ class MultilinearForm:
             raise ValueError("index count does not match arity")
         return self.entries[self._offset(idx)]
 
-    def cell(self, *idx: int) -> Vector:
+    def cell(self, *idx: int) -> "MultilinearForm":
         """The vector at (e_i1, ..., e_i(k-1)), the last slot read as upper."""
         if len(idx) != self.arity - 1:
             raise ValueError("index count does not match arity")
         dim = self.frame.dimension
         off = self._offset(idx) * dim
-        return Vector(self.frame, self.entries[off:off + dim])
+        return MultilinearForm(self.frame, 1, self.entries[off:off + dim])
 
-    def _contract(self, vectors: Sequence[Vector]) -> list[RationalFunction]:
+    def _contract(self, vectors: Sequence["MultilinearForm"]) -> list[RationalFunction]:
         """The entries left after substituting vectors into the leading slots.
 
         Slots are contracted one at a time, and a zero component or a zero
@@ -211,7 +168,7 @@ class MultilinearForm:
             _same_frame(self, v)
             block = len(table) // dim
             out = [ZERO] * block
-            for i, c in enumerate(v.components):
+            for i, c in enumerate(v.entries):
                 if c.is_zero():
                     continue
                 base = i * block
@@ -223,16 +180,16 @@ class MultilinearForm:
             table = out
         return table
 
-    def value(self, *vectors: Vector) -> RationalFunction:
+    def value(self, *vectors: "MultilinearForm") -> RationalFunction:
         if len(vectors) != self.arity:
             raise ValueError("argument count does not match arity")
         return self._contract(vectors)[0]
 
-    def apply(self, *vectors: Vector) -> Vector:
+    def apply(self, *vectors: "MultilinearForm") -> "MultilinearForm":
         """The vector T(v1, ..., v(k-1)), the last slot read as upper."""
         if len(vectors) != self.arity - 1:
             raise ValueError("argument count does not match arity")
-        return Vector(self.frame, tuple(self._contract(vectors)))
+        return MultilinearForm(self.frame, 1, tuple(self._contract(vectors)))
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
         self._compatible(other)
@@ -349,21 +306,16 @@ def _same_frame(a, b):
         raise ValueError("objects live on different frames")
 
 
-def _components(x) -> tuple[RationalFunction, ...]:
-    return x.components if isinstance(x, Vector) else x.entries
-
-
-def outer(u, v) -> MultilinearForm:
+def outer(u: MultilinearForm, v: MultilinearForm) -> MultilinearForm:
     """The table u (x) v with entry(i..., j...) = u(i...) v(j...).
 
-    u and v are tables of any arity or vectors; a vector enters as its
-    components, so outer(eta, xi) is the operator X -> eta(X) xi.
+    A vector v is an arity-1 table read as upper in the last slot, so
+    outer(eta, xi) is the operator X -> eta(X) xi.
     """
     _same_frame(u, v)
-    arity = sum(x.arity if isinstance(x, MultilinearForm) else 1 for x in (u, v))
-    return MultilinearForm(u.frame, arity, tuple(
+    return MultilinearForm(u.frame, u.arity + v.arity, tuple(
         ZERO if a.is_zero() or b.is_zero() else a * b
-        for a in _components(u) for b in _components(v)))
+        for a in u.entries for b in v.entries))
 
 
 def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
@@ -399,10 +351,10 @@ def first_nonzero(residual: Callable[..., object], dim: int, arity: int,
                   increasing: bool = False) -> Optional[tuple[int, ...]]:
     """The first index tuple whose residual is nonzero, or None.
 
-    ``residual`` maps ``arity`` indices in ``range(dim)`` to a scalar, a
-    vector or a table.  Tuples are visited in row-major order, the
-    order of the nested loops ``for i: for j: ...``, and the scan stops at
-    the first nonzero residual.  With ``increasing`` only the tuples
+    ``residual`` maps ``arity`` indices in ``range(dim)`` to a scalar or a
+    table.  Tuples are visited in row-major order, the order of the nested
+    loops ``for i: for j: ...``, and the scan stops at the first nonzero
+    residual.  With ``increasing`` only the tuples
     i < j < ... are visited, which suffices for an alternating residual.
     """
     tuples = (combinations(range(dim), arity) if increasing
@@ -494,19 +446,19 @@ def solve_unique(
     return _back_substitute(ech, pivots, n, n)
 
 
-def solve_combination(target, *basis) -> tuple[RationalFunction, ...]:
+def solve_combination(target: MultilinearForm,
+                      *basis: MultilinearForm) -> tuple[RationalFunction, ...]:
     """The unique c with target = c_1 basis_1 + c_2 basis_2 + ..., for
-    vectors or tables of one size read as flat component lists.
+    tables of one size read as flat entry lists.
 
     Raises InconsistentSystem when the target is no such combination and
     UnderdeterminedSystem when the basis is linearly dependent.
     """
-    want = _components(target)
     for b in basis:
         _same_frame(target, b)
-        if len(_components(b)) != len(want):
+        if len(b.entries) != len(target.entries):
             raise ValueError("the target and the basis terms differ in size")
-    return solve_unique(list(zip(*map(_components, basis))), want)
+    return solve_unique(list(zip(*(b.entries for b in basis))), target.entries)
 
 
 def solve_affine(

@@ -30,7 +30,7 @@ from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (CurvaturePair, LieModel, associated_metric,
                              constant_curvature_form, fundamental_tensor)
 from rsthl.suite import run_suite
-from rsthl.tensors import Frame, MultilinearForm, Vector
+from rsthl.tensors import Frame, MultilinearForm
 
 
 def record(num, label, checks):
@@ -49,7 +49,7 @@ def test_criterion_01_factor_connection_table():
     checks = []
     for i, la in enumerate(frame.labels):
         for j, lb in enumerate(frame.labels):
-            expected = Vector.from_map(
+            expected = MultilinearForm.from_map(
                 frame, EXPECTED_FACTOR_TABLE.get((la, lb), {}))
             checks.append(
                 (f"nabla({la}, {lb})", conn.gamma.cell(i, j) == expected))
@@ -92,7 +92,7 @@ def test_criterion_04_frame_reconstruction_and_certification(
     sub = model.submanifold
     f = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     half = ONE / (rf(2) * MU)
-    expected_n = Vector.from_map(model.frame, {"X3": half, "E": half})
+    expected_n = MultilinearForm.from_map(model.frame, {"X3": half, "E": half})
     value, cert = certify_ascreen_rsthl(f)
     obj = gauss_weingarten(f, ambient_conn)
     s = lm.structure

@@ -17,7 +17,7 @@ from rsthl.liegeom import LieAlgebra, curvature, ricci_action
 from rsthl.lightlike import eta_einstein_solve
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.suite import Geometry
-from rsthl.tensors import MultilinearForm, Vector
+from rsthl.tensors import MultilinearForm
 
 BUILD_NAMES = (
     "twin-normal-one-unit", "twin-normal-two-unit", "twin-normals-orthogonal",
@@ -31,7 +31,7 @@ BUILD_NAMES = (
 
 
 def tangent(frame, entries):
-    return Vector.from_map(frame.tangent_frame, entries)
+    return MultilinearForm.from_map(frame.tangent_frame, entries)
 
 
 def test_build_associated_entries(frame, induced, mu, ambient_conn):
@@ -46,8 +46,8 @@ def test_build_associated_entries(frame, induced, mu, ambient_conn):
 
 
 def test_twin_normals(model, twin):
-    assert twin.n1 == Vector.from_map(model.frame, {"X1": -1, "E": 1})
-    assert twin.n2 == Vector.from_map(model.frame, {"X1": -1, "X3": -1, "E": 1})
+    assert twin.n1 == MultilinearForm.from_map(model.frame, {"X1": -1, "E": 1})
+    assert twin.n2 == MultilinearForm.from_map(model.frame, {"X1": -1, "X3": -1, "E": 1})
 
 
 def test_twin_metric_table(twin):

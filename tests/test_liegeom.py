@@ -10,7 +10,7 @@ from rsthl.liegeom import (Connection, CurvatureTensor, InvariantMetric,
                            koszul_entries, levi_civita, validate_lie_algebra)
 from rsthl.report import PASS
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import Frame, MultilinearForm, Vector
+from rsthl.tensors import Frame, MultilinearForm
 
 F3 = Frame(("e1", "e2", "e3"))
 
@@ -30,11 +30,12 @@ def direct_sum(a, b):
 
     def bracket(i, j):
         if i < da and j < da:
-            return Vector(frame, a.brackets.cell(i, j).components + (ZERO,) * db)
+            return MultilinearForm(
+                frame, 1, a.brackets.cell(i, j).entries + (ZERO,) * db)
         if i >= da and j >= da:
-            return Vector(
-                frame, (ZERO,) * da + b.brackets.cell(i - da, j - da).components)
-        return Vector.zero(frame)
+            return MultilinearForm(
+                frame, 1, (ZERO,) * da + b.brackets.cell(i - da, j - da).entries)
+        return MultilinearForm.zero(frame, 1)
     return LieAlgebra(frame, MultilinearForm.from_cells(frame, 3, bracket))
 
 
@@ -53,10 +54,10 @@ def test_from_table_antisymmetrizes():
 
 def test_bracket_bilinearity():
     alg = heisenberg()
-    v = Vector.from_map(F3, {"e1": MU})
-    w = Vector.from_map(F3, {"e2": 2})
-    assert alg.brackets.apply(v, w) == Vector.from_map(F3, {"e3": 2 * MU})
-    assert alg.brackets.apply(w, v) == Vector.from_map(F3, {"e3": -2 * MU})
+    v = MultilinearForm.from_map(F3, {"e1": MU})
+    w = MultilinearForm.from_map(F3, {"e2": 2})
+    assert alg.brackets.apply(v, w) == MultilinearForm.from_map(F3, {"e3": 2 * MU})
+    assert alg.brackets.apply(w, v) == MultilinearForm.from_map(F3, {"e3": -2 * MU})
 
 
 def test_validate_accepts_heisenberg_and_abelian():
@@ -75,7 +76,7 @@ def test_validate_names_jacobi_violation():
 
 
 def test_validate_names_antisymmetry_violation():
-    zero = Vector.zero(F3)
+    zero = MultilinearForm.zero(F3, 1)
     e3 = F3.basis_vector(2)
     rows = ((zero, e3, zero), (zero, zero, zero), (zero, zero, zero))
     entry = validate_lie_algebra(LieAlgebra(
@@ -95,7 +96,7 @@ def test_invariant_metric_validation():
     assert g.entry(1, 1) == rf(-1)
     assert g.inverse.entry(2, 2) == ONE / MU
     assert g.determinant() == -MU
-    eta = g.lower(Vector.from_map(F3, {"e3": 1}))
+    eta = g.lower(MultilinearForm.from_map(F3, {"e3": 1}))
     assert eta.entries == (ZERO, ZERO, MU)
 
 
@@ -111,12 +112,12 @@ def test_heisenberg_connection_and_curvature():
     conn = levi_civita(alg, g)
     assert all_pass(koszul_entries(conn, alg, g))
     half = rf("1/2")
-    assert conn.gamma.cell(0, 1) == Vector.from_map(F3, {"e3": half})
-    assert conn.gamma.cell(0, 2) == Vector.from_map(F3, {"e2": -half})
-    assert conn.gamma.cell(2, 1) == Vector.from_map(F3, {"e1": half})
+    assert conn.gamma.cell(0, 1) == MultilinearForm.from_map(F3, {"e3": half})
+    assert conn.gamma.cell(0, 2) == MultilinearForm.from_map(F3, {"e2": -half})
+    assert conn.gamma.cell(2, 1) == MultilinearForm.from_map(F3, {"e1": half})
     # classical curvature of the Heisenberg group
     curv = curvature(conn, alg)
-    assert curv.table.cell(0, 1, 1) == Vector.from_map(F3, {"e1": "-3/4"})
+    assert curv.table.cell(0, 1, 1) == MultilinearForm.from_map(F3, {"e1": "-3/4"})
     ric = curv.ricci
     assert ric.entry(0, 0) == rf("-1/2")
     assert ric.entry(1, 1) == rf("-1/2")
@@ -128,15 +129,15 @@ def test_heisenberg_connection_and_curvature():
 def test_nabla_is_bilinear_over_constants():
     alg = heisenberg()
     conn = levi_civita(alg, InvariantMetric.diagonal(F3, (1, 1, 1)))
-    v = Vector.from_map(F3, {"e1": 2})
-    w = Vector.from_map(F3, {"e2": MU})
+    v = MultilinearForm.from_map(F3, {"e1": 2})
+    w = MultilinearForm.from_map(F3, {"e2": MU})
     assert conn.gamma.apply(v, w) == conn.gamma.cell(0, 1).scale(2 * MU)
 
 
 def curvature_with(cells):
     """A curvature table on F3, zero except R(e_i, e_j) e_k = v for each
     (i, j, k): v in cells."""
-    zero = Vector.zero(F3)
+    zero = MultilinearForm.zero(F3, 1)
     return CurvatureTensor(F3, MultilinearForm.from_cells(
         F3, 4, lambda i, j, k: cells.get((i, j, k), zero)))
 
@@ -171,7 +172,7 @@ def test_violation_reporting():
     assert metric.status == PASS
     bad = Connection(F3, MultilinearForm.from_cells(
         F3, 3, lambda i, j: F3.basis_vector(1) if (i, j) == (0, 0)
-        else Vector.zero(F3)))
+        else MultilinearForm.zero(F3, 1)))
     assert suffix(koszul_entries(bad, alg, g)[1], METRIC) == \
         "; the residual at (e1, e1, e2) is 1, 2 of 27 components nonzero"
 
@@ -205,8 +206,8 @@ def test_curvature_apply_matches_basis_values():
     alg = heisenberg()
     conn = levi_civita(alg, InvariantMetric.diagonal(F3, (1, 1, 1)))
     curv = curvature(conn, alg)
-    x = Vector.from_map(F3, {"e1": 2})
-    y = Vector.from_map(F3, {"e2": 1})
+    x = MultilinearForm.from_map(F3, {"e1": 2})
+    y = MultilinearForm.from_map(F3, {"e2": 1})
     assert curv.table.apply(x, y, y) == curv.table.cell(0, 1, 1).scale(2)
 
 
@@ -221,7 +222,7 @@ def test_factor_connection_matches_frozen_table():
             v = conn.gamma.cell(i, j)
             if not v.is_zero():
                 seen[(frame.labels[i], frame.labels[j])] = {
-                    frame.labels[k]: c for k, c in enumerate(v.components)
+                    frame.labels[k]: c for k, c in enumerate(v.entries)
                     if not c.is_zero()}
     expected = {key: {k: rf(c) for k, c in val.items()}
                 for key, val in EXPECTED_FACTOR_TABLE.items()}
@@ -232,7 +233,7 @@ def test_factor_connection_rejects_alternating_signs():
     alg = factor_algebra()
     conn = levi_civita(alg, InvariantMetric.diagonal(alg.frame, (1, -1, 1, -1)))
     # nabla_{X2} X1 = 2 X4 fails under the alternating signature
-    assert conn.gamma.cell(1, 0) != Vector.from_map(alg.frame, {"X4": 2})
+    assert conn.gamma.cell(1, 0) != MultilinearForm.from_map(alg.frame, {"X4": 2})
 
 
 def test_factor_signature_adjudication_entry():
@@ -258,7 +259,7 @@ def test_ambient_connection_kills_the_central_direction(lm, ambient_conn):
 
 
 def test_connection_derivative_of_a_vector(lm, ambient_conn):
-    v = Vector.from_map(lm.frame, {"X1": 1, "X3": MU, "E": -2})
+    v = MultilinearForm.from_map(lm.frame, {"X1": 1, "X3": MU, "E": -2})
     nabla_v = ambient_conn.derivative(v)
     for i in range(lm.frame.dimension):
         x = lm.frame.basis_vector(i)

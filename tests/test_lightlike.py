@@ -1,8 +1,11 @@
 """The half lightlike frame, its induced objects, and the curvature
 identities, pinned against independently derived tables."""
 
+import json
+
 import pytest
 
+from rsthl.builtin import example_model
 from rsthl.errors import (DecompositionInconsistent, InvalidFrame,
                           NotAscreen, NotEtaEinstein, NotRSTHL,
                           RadicalRankNotOne, ScreenDegenerate)
@@ -17,9 +20,11 @@ from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
                              ricci_form_20_entry, ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
                              solve_transversal, umbilicity, validate_frame)
+from rsthl.model import dumps_model, model_from_json_obj
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import ACBMStructure, LieModel
-from rsthl.tensors import MultilinearForm, Vector
+from rsthl.suite import run_suite
+from rsthl.tensors import MultilinearForm
 
 CERTIFICATION_NAMES = (
     "radical-phi-image", "reeb-split", "eta-of-radical", "transversal-unit",
@@ -42,11 +47,11 @@ ASCREEN_NAMES = (
 
 
 def tangent(frame, entries):
-    return Vector.from_map(frame.tangent_frame, entries)
+    return MultilinearForm.from_map(frame.tangent_frame, entries)
 
 
 def ambient(model, entries):
-    return Vector.from_map(model.frame, entries)
+    return MultilinearForm.from_map(model.frame, entries)
 
 
 def test_solve_transversal_recovers_n(model, lm):
@@ -318,6 +323,32 @@ def test_transversal_vector_constraints(model, lm):
                     ambient(model, {"X2": 1}))
 
 
+HALF_INV_MU = "1/(2*mu)"
+
+
+@pytest.mark.parametrize("edit, detail", [
+    ({"screen": {"E1": {"X2": 1, "E": 1}, "E2": {"X4": 1}}},
+     "the radical vector is not isotropic against E1"),
+    ({"xi": {"X3": "-mu", "E": "2*mu"}},
+     "the radical vector is not isotropic against xi"),
+    ({"L": {"X2": 1}}, "the screen transversal is not orthogonal to E1"),
+    ({"L": {"E": 1}}, "the screen transversal is not orthogonal to xi"),
+    ({"screen": {"E1": {"X2": 1, "X4": 1}, "E2": {"X1": 1, "X3": -1, "E": 1}}},
+     "the metric degenerates on the screen distribution"),
+    ({"N": {"X1": 1, "X3": HALF_INV_MU, "E": HALF_INV_MU}},
+     "the given transversal N is not null"),
+], ids=["radical-vs-E1", "radical-vs-xi", "L-vs-E1", "L-vs-xi",
+        "degenerate-screen", "N-not-null"])
+def test_frame_errors_in_the_submanifold_report(edit, detail):
+    """A frame edit of the model file fails ``submanifold-frame`` with the
+    build-time error text, the first offending label named."""
+    obj = json.loads(dumps_model(example_model()))
+    obj["submanifold"].update(edit)
+    entries = run_suite(model_from_json_obj(obj), "submanifold").entries
+    frame_entries = [e for e in entries if e.name == "submanifold-frame"]
+    assert [(e.status, e.detail) for e in frame_entries] == [("fail", detail)]
+
+
 def test_frame_shape_validation(model, lm):
     sub = model.submanifold
     with pytest.raises(InvalidFrame, match="screen vectors"):
@@ -361,7 +392,7 @@ def test_not_rsthl_when_radical_image_leaves_the_line(model, lm):
 def test_not_rsthl_when_phi_kills_the_radical(model, lm):
     s = lm.structure
     cols = [s.phi.cell(j) for j in range(5)]
-    cols[model.frame.index("X3")] = Vector.zero(model.frame)
+    cols[model.frame.index("X3")] = MultilinearForm.zero(model.frame, 1)
     bad_lm = modified_structure(
         lm, phi=MultilinearForm.from_cells(model.frame, 2, cols.__getitem__))
     sub = model.submanifold

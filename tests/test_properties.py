@@ -20,7 +20,7 @@ from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import Geometry, run_suite
-from rsthl.tensors import Frame, MultilinearForm, Vector
+from rsthl.tensors import Frame, MultilinearForm
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,8 +107,8 @@ def adapted_frame_change(p, q, r, s, c, t):
     assume(p * s - q * r != 0)
     m = example_model()
     scaled = LieAlgebra(m.frame, m.algebra.brackets.scale(rf(t)))
-    screen = (Vector.from_map(m.frame, {"X2": rf(p), "X4": rf(r)}),
-              Vector.from_map(m.frame, {"X2": rf(q), "X4": rf(s)}))
+    screen = (MultilinearForm.from_map(m.frame, {"X2": rf(p), "X4": rf(r)}),
+              MultilinearForm.from_map(m.frame, {"X2": rf(q), "X4": rf(s)}))
     sub = SubmanifoldData(("E1", "E2"), screen,
                           m.submanifold.rad.scale(rf(c)),
                           m.submanifold.l_vec, None)
@@ -182,8 +182,8 @@ def reeb_sheared():
 
     def coords(v):
         """Old components to components in the sheared frame."""
-        c = v.components
-        return Vector(m.frame, c[:-1] + (c[-1] - sum(c[:-1], ZERO),))
+        c = v.entries
+        return MultilinearForm(m.frame, 1, c[:-1] + (c[-1] - sum(c[:-1], ZERO),))
 
     sub = m.submanifold
     return dataclasses.replace(
@@ -225,7 +225,7 @@ def assert_splits_reconstruct(geo):
             for k, value in enumerate(want):
                 coeffs = tangent.entries[k * m:(k + 1) * m] + (
                     first.entries[k], second.entries[k])
-                rebuilt = Vector.zero(table.frame)
+                rebuilt = MultilinearForm.zero(table.frame, 1)
                 for c, v in zip(coeffs, basis):
                     if not c.is_zero():
                         rebuilt = rebuilt + v.scale(c)

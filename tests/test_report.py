@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rsthl.report import FAIL, PASS, compare, passed, residual_suffix
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import Frame, MultilinearForm, Vector
+from rsthl.tensors import Frame, MultilinearForm
 
 F3 = Frame(("e1", "e2", "e3"))
 
@@ -36,8 +36,8 @@ def test_scalar_suffix_is_got_minus_want():
 
 
 def test_vector_suffix_names_the_frame_label():
-    got = Vector.from_map(F3, {"e1": 1, "e2": 5, "e3": 2})
-    want = Vector.from_map(F3, {"e1": 1, "e2": 2})
+    got = MultilinearForm.from_map(F3, {"e1": 1, "e2": 5, "e3": 2})
+    want = MultilinearForm.from_map(F3, {"e1": 1, "e2": 2})
     assert residual_suffix(got, want) == \
         "; the residual at (e2) is 3, 2 of 3 components nonzero"
 

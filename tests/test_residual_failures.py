@@ -28,7 +28,7 @@ from rsthl.scalars import ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
                              associated_compat_entry, validate_acbm)
 from rsthl.suite import run_suite
-from rsthl.tensors import MultilinearForm, Vector
+from rsthl.tensors import MultilinearForm
 
 
 def entry_named(entries, name):
@@ -52,7 +52,7 @@ def with_phi_column(s, label, image):
     """The structure s with phi(label) replaced by the given vector."""
     frame = s.frame
     cols = [s.phi.cell(j) for j in range(frame.dimension)]
-    cols[frame.index(label)] = Vector.from_map(frame, image)
+    cols[frame.index(label)] = MultilinearForm.from_map(frame, image)
     return ACBMStructure(frame, MultilinearForm.from_cells(frame, 2, cols.__getitem__),
                          s.xi_bar, s.eta_bar, s.metric)
 

@@ -113,6 +113,15 @@ def test_multiplicative_inverse(x):
     assert (x / x).is_one()
 
 
+@given(rationals(), rationals().filter(lambda y: not y.is_zero()))
+@settings(max_examples=50)
+def test_division_is_multiplication_by_the_inverse(x, y):
+    assert x / y == x * (ONE / y)
+    # a unit divisor returns the dividend itself, no new scalar
+    assert x / ONE is x
+    assert x / 1 is x
+
+
 def test_pole_raises():
     with pytest.raises(ScalarDomainError):
         rf("1/(mu - 1)").eval_at(1)

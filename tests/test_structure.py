@@ -12,7 +12,7 @@ from rsthl.structure import (ACBMStructure, CurvaturePair,
                              constant_curvature_residual, fit_curvature_pair,
                              fundamental_tensor, validate_acbm)
 from rsthl.suite import Geometry
-from rsthl.tensors import Frame, MultilinearForm, Vector, signature_at_sample
+from rsthl.tensors import Frame, MultilinearForm, signature_at_sample
 from test_properties import reeb_sheared
 
 
@@ -70,7 +70,8 @@ def test_validate_acbm_all_axioms_pass(lm):
 def test_structure_needs_odd_dimension():
     frame = Frame(("a", "b"))
     with pytest.raises(ValueError, match="odd dimension"):
-        ACBMStructure(frame, MultilinearForm.zero(frame, 2), Vector.zero(frame),
+        ACBMStructure(frame, MultilinearForm.zero(frame, 2),
+                      MultilinearForm.zero(frame, 1),
                       MultilinearForm(frame, 1, (ZERO, ZERO)),
                       InvariantMetric.diagonal(frame, (1, 1)))
 
@@ -214,10 +215,10 @@ def test_closed_form_rejects_wrong_curvature(lm, ambient_r4, pair):
 def test_no_totally_real_section():
     frame = Frame(("e1", "e2", "e3"))
     phi = operator(frame, (
-        Vector.from_map(frame, {"e2": 1}),
-        Vector.from_map(frame, {"e1": -1}),
-        Vector.zero(frame)))
-    s = ACBMStructure(frame, phi, Vector.from_map(frame, {"e3": 1}),
+        MultilinearForm.from_map(frame, {"e2": 1}),
+        MultilinearForm.from_map(frame, {"e1": -1}),
+        MultilinearForm.zero(frame, 1)))
+    s = ACBMStructure(frame, phi, MultilinearForm.from_map(frame, {"e3": 1}),
                       MultilinearForm(frame, 1, (ZERO, ZERO, ONE)),
                       InvariantMetric.diagonal(frame, (1, -1, 1)))
     alg = LieAlgebra.abelian(frame)

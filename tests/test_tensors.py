@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
+from rsthl import tensors
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import (Frame, MultilinearForm, Vector, _echelon,
+from rsthl.tensors import (Frame, MultilinearForm, _echelon,
                            curvature_product, determinant, first_nonzero,
                            inertia, matrix_inverse, outer, pick_regular_sample,
                            signature_at_sample, solve_affine,
@@ -23,7 +24,7 @@ F3 = Frame(("e1", "e2", "e3"))
 
 def operator(*columns):
     """The operator table on F3 sending e_j to the j-th given vector map."""
-    cells = [Vector.from_map(F3, c) for c in columns]
+    cells = [MultilinearForm.from_map(F3, c) for c in columns]
     return MultilinearForm.from_cells(F3, 2, cells.__getitem__)
 
 
@@ -36,17 +37,55 @@ def test_frame_validation():
     assert F3.index("e2") == 1
     with pytest.raises(KeyError):
         F3.index("e9")
-    assert F3.basis_vector(0).components == (ONE, ZERO, ZERO)
+    assert F3.basis_vector(0).entries == (ONE, ZERO, ZERO)
+
+
+def test_vectors_are_arity_one_tables():
+    v = MultilinearForm.from_map(F3, {"e2": 3, "e3": MU})
+    assert v == MultilinearForm(F3, 1, (ZERO, rf(3), MU))
+    assert F3.basis_vector(2) == MultilinearForm(F3, 1, (ZERO, ZERO, ONE))
+    assert MultilinearForm.from_map(F3, {}) == MultilinearForm.zero(F3, 1)
+    with pytest.raises(KeyError):
+        MultilinearForm.from_map(F3, {"e9": 1})
+    op = operator({"e2": 1}, {"e1": -1}, {"e3": MU})
+    t = sample_table(3)
+    for got in (op.cell(1), op.apply(v), t.cell(0, 2), t.apply(v, F3.basis_vector(0))):
+        assert (type(got), got.frame, got.arity) == (MultilinearForm, F3, 1)
+    assert op.apply(v) == MultilinearForm.from_map(F3, {"e1": -3, "e3": MU * MU})
+    # the outer product of two vectors is the arity-2 table u(i) v(j)
+    uv = outer(v, F3.basis_vector(0))
+    assert uv.arity == 2
+    assert uv == MultilinearForm(F3, 2, (ZERO,) * 3 + (rf(3), ZERO, ZERO)
+                                 + (MU, ZERO, ZERO))
+    # a vector target is solved over vector terms
+    assert solve_combination(v, F3.basis_vector(1), F3.basis_vector(2)) == (rf(3), MU)
+
+
+def test_no_module_defines_or_imports_vector():
+    """A vector is an arity-1 MultilinearForm; there is no second type."""
+    assert not hasattr(tensors, "Vector")
+    package = Path(__file__).resolve().parents[1] / "src" / "rsthl"
+    named = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        names |= {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if "Vector" in names:
+            named[path.name] = "Vector"
+    assert named == {}
 
 
 def test_vector_arithmetic():
-    v = Vector.from_map(F3, {"e1": 2, "e3": MU})
-    w = Vector.from_map(F3, {"e1": -2})
-    assert (v + w).components == (ZERO, ZERO, MU)
+    v = MultilinearForm.from_map(F3, {"e1": 2, "e3": MU})
+    w = MultilinearForm.from_map(F3, {"e1": -2})
+    assert (v + w).entries == (ZERO, ZERO, MU)
     assert (v - v).is_zero()
-    assert (-v).components == (rf(-2), ZERO, -MU)
-    assert v.scale(MU).components == (2 * MU, ZERO, MU * MU)
-    assert Vector.zero(F3).is_zero()
+    assert (-v).entries == (rf(-2), ZERO, -MU)
+    assert v.scale(MU).entries == (2 * MU, ZERO, MU * MU)
+    assert MultilinearForm.zero(F3, 1).is_zero()
 
 
 def test_first_nonzero_scans_in_row_major_order():
@@ -60,13 +99,13 @@ def test_first_nonzero_scans_in_row_major_order():
     assert seen == sorted(seen) and seen[-1] == (1, 0, 2)
     assert first_nonzero(residual, 3, 3, increasing=True) is None
     assert first_nonzero(lambda i, j: F3.basis_vector(i) if i > j else
-                         Vector.zero(F3), 3, 2) == (1, 0)
+                         MultilinearForm.zero(F3, 1), 3, 2) == (1, 0)
     assert first_nonzero(lambda i: ZERO, 3, 1) is None
 
 
 def test_covector_applies_to_vectors():
-    eta = MultilinearForm(F3, 1, Vector.from_map(F3, {"e2": 1, "e3": MU}).components)
-    v = Vector.from_map(F3, {"e2": 3, "e3": 1})
+    eta = MultilinearForm.from_map(F3, {"e2": 1, "e3": MU})
+    v = MultilinearForm.from_map(F3, {"e2": 3, "e3": 1})
     assert eta.value(v) == 3 + MU
     assert not eta.is_zero()
     assert eta.scale(2).value(v) == 6 + 2 * MU
@@ -77,8 +116,8 @@ def test_form_entry_value_and_symmetry():
         F3, 2, lambda i, j: MU if i == j == 0 else (ONE if i == j else ZERO))
     assert g.entry(0, 0) == MU
     assert g.is_symmetric()
-    v = Vector.from_map(F3, {"e1": 1, "e2": 2})
-    w = Vector.from_map(F3, {"e1": 1, "e2": -1})
+    v = MultilinearForm.from_map(F3, {"e1": 1, "e2": 2})
+    w = MultilinearForm.from_map(F3, {"e1": 1, "e2": -1})
     # bilinearity over the field: g(v, w) = mu*1 + 2*(-1)
     assert g.value(v, w) == MU - 2
     skew = MultilinearForm.from_function(
@@ -108,18 +147,20 @@ def test_operator_matrix_convention():
     op = operator({"e2": 1}, {"e1": -1}, {})
     assert op.entry(0, 1) == ONE
     assert op.entry(1, 0) == rf(-1)
-    assert op.cell(0).components == (ZERO, ONE, ZERO)
-    v = Vector.from_map(F3, {"e1": 1, "e2": 1})
-    assert op.apply(v).components == (rf(-1), ONE, ZERO)
+    assert op.cell(0).entries == (ZERO, ONE, ZERO)
+    v = MultilinearForm.from_map(F3, {"e1": 1, "e2": 1})
+    assert op.apply(v).entries == (rf(-1), ONE, ZERO)
     sq = op.pull_slots(op, (0,))
-    assert sq.apply(Vector.from_map(F3, {"e1": 1})).components == (rf(-1), ZERO, ZERO)
+    e1 = MultilinearForm.from_map(F3, {"e1": 1})
+    assert sq.apply(e1).entries == (rf(-1), ZERO, ZERO)
     assert op.trace() == ZERO
     assert op.rank() == 2
     assert MultilinearForm.identity(F3).rank() == 3
     assert MultilinearForm.zero(F3, 2).is_zero()
-    e1, eta = Vector.from_map(F3, {"e1": 1}), (ZERO, ZERO, ONE)
-    out = MultilinearForm.from_function(F3, 2, lambda j, i: e1.components[i] * eta[j])
-    assert out.apply(Vector.from_map(F3, {"e3": 2})).components == (rf(2), ZERO, ZERO)
+    eta = (ZERO, ZERO, ONE)
+    out = MultilinearForm.from_function(F3, 2, lambda j, i: e1.entries[i] * eta[j])
+    e3 = MultilinearForm.from_map(F3, {"e3": 2})
+    assert out.apply(e3).entries == (rf(2), ZERO, ZERO)
     assert (op - op).is_zero()
     assert (op + (-op)).is_zero()
 
@@ -132,10 +173,10 @@ def sample_table(arity):
         * (MU if idx[0] == 2 else ONE))
 
 
-SAMPLE_VECTORS = (Vector.from_map(F3, {"e1": 1, "e3": MU}),
-                  Vector.from_map(F3, {"e1": 2, "e2": -1}),
-                  Vector.from_map(F3, {"e2": 1, "e3": "1/2"}),
-                  Vector.from_map(F3, {"e3": -3}))
+SAMPLE_VECTORS = (MultilinearForm.from_map(F3, {"e1": 1, "e3": MU}),
+                  MultilinearForm.from_map(F3, {"e1": 2, "e2": -1}),
+                  MultilinearForm.from_map(F3, {"e2": 1, "e3": "1/2"}),
+                  MultilinearForm.from_map(F3, {"e3": -3}))
 
 
 def contraction(table, vectors, idx_tail=()):
@@ -144,7 +185,7 @@ def contraction(table, vectors, idx_tail=()):
     for idx in product(range(3), repeat=len(vectors)):
         coeff = ONE
         for v, i in zip(vectors, idx):
-            coeff = coeff * v.components[i]
+            coeff = coeff * v.entries[i]
         total = total + coeff * table.entry(*idx, *idx_tail)
     return total
 
@@ -153,9 +194,9 @@ def contraction(table, vectors, idx_tail=()):
 def test_cell_apply_and_value_follow_the_components(arity):
     t = sample_table(arity)
     for idx in product(range(3), repeat=arity - 1):
-        assert t.cell(*idx).components == tuple(t.entry(*idx, l) for l in range(3))
+        assert t.cell(*idx).entries == tuple(t.entry(*idx, l) for l in range(3))
     leading = SAMPLE_VECTORS[:arity - 1]
-    assert t.apply(*leading).components == tuple(
+    assert t.apply(*leading).entries == tuple(
         contraction(t, leading, (l,)) for l in range(3))
     assert t.value(*SAMPLE_VECTORS[:arity]) == contraction(t, SAMPLE_VECTORS[:arity])
     with pytest.raises(ValueError):
@@ -200,31 +241,31 @@ def table2(frame, rows):
 
 
 def vectors(frame, *rows):
-    return [Vector(frame, tuple(rf(c) for c in row)) for row in rows]
+    return [MultilinearForm(frame, 1, tuple(rf(c) for c in row)) for row in rows]
 
 
 def test_outer_matches_components():
     u = MultilinearForm(F3, 1, (rf(2), ZERO, MU))
-    v = Vector.from_map(F3, {"e1": -1, "e2": "1/3"})
-    for t, left, right in ((outer(u, v), u.entries, v.components),
-                           (outer(v, u), v.components, u.entries)):
+    v = MultilinearForm.from_map(F3, {"e1": -1, "e2": "1/3"})
+    for t, left, right in ((outer(u, v), u.entries, v.entries),
+                           (outer(v, u), v.entries, u.entries)):
         for i, j in product(range(3), repeat=2):
             assert t.entry(i, j) == left[i] * right[j]
     # a one-form times a vector is the operator X -> u(X) v
     for x in SAMPLE_VECTORS:
         assert outer(u, v).apply(x) == v.scale(u.value(x))
     with pytest.raises(ValueError):
-        outer(u, Vector.zero(F2))
+        outer(u, MultilinearForm.zero(F2, 1))
 
 
 def test_outer_takes_tables_of_any_arity():
     u = table2(F2, [[1, 2], [0, MU]])
-    v = Vector.from_map(F2, {"f1": 3, "f2": "-1/2"})
+    v = MultilinearForm.from_map(F2, {"f1": 3, "f2": "-1/2"})
     uv, vu = outer(u, v), outer(v, u)
     assert uv.arity == vu.arity == 3
     for i, j, k in product(range(2), repeat=3):
-        assert uv.entry(i, j, k) == u.entry(i, j) * v.components[k]
-        assert vu.entry(i, j, k) == v.components[i] * u.entry(j, k)
+        assert uv.entry(i, j, k) == u.entry(i, j) * v.entries[k]
+        assert vu.entry(i, j, k) == v.entries[i] * u.entry(j, k)
 
 
 def random_table(arity, seed):
@@ -358,8 +399,8 @@ def test_solve_unique():
 
 
 def test_solve_combination_of_vectors_and_tables():
-    v = Vector.from_map(F3, {"e1": 1, "e3": MU})
-    w = Vector.from_map(F3, {"e2": 1})
+    v = MultilinearForm.from_map(F3, {"e1": 1, "e3": MU})
+    w = MultilinearForm.from_map(F3, {"e2": 1})
     assert solve_combination(v.scale(MU - 1), v) == (MU - 1,)
     assert solve_combination(v.scale(2) - w, v, w) == (rf(2), rf(-1))
     g = MultilinearForm.identity(F3)
