@@ -175,10 +175,8 @@ def koszul_entries(conn: Connection, alg: LieAlgebra,
 def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> Connection:
     """Unique torsion-free metric connection via the reduced Koszul formula."""
     low = alg.brackets.pull_slots(metric.form, (2,))  # g([e_i, e_j], e_k)
-    koszul = MultilinearForm.from_function(
-        alg.frame, 3,
-        lambda i, j, k: (low.entry(i, j, k) - low.entry(j, k, i)
-                         + low.entry(k, i, j)) * HALF)
+    # g(nabla_i e_j, e_k) = (low(i, j, k) - low(j, k, i) + low(k, i, j)) / 2
+    koszul = (low - low.permute((1, 2, 0)) + low.permute((2, 0, 1))).scale(HALF)
     return Connection(alg.frame, koszul.pull_slots(metric.inverse, (2,)))
 
 
@@ -218,9 +216,7 @@ def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> Multilinea
     first = MultilinearForm.from_cells(
         form.frame, arity, lambda *idx: form.apply(ops.cell(*idx)))
     second = ops.pull_slots(form, (arity - 1,))  # form(y, ops(..., x))
-    return MultilinearForm.from_function(
-        form.frame, arity,
-        lambda *idx: -(first.entry(*idx) + second.entry(*idx[:-2], idx[-1], idx[-2])))
+    return -(first + second.permute(tuple(range(arity - 2)) + (arity - 1, arity - 2)))
 
 
 def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:

@@ -141,7 +141,9 @@ class SubmanifoldFrame:
     (``restrict`` needs the tangent vectors only), in the order of the
     build-time errors.  The splitting then cannot fail: g(N, xi) = 1 puts N
     outside the span of the tangent space and L, and g(L, L) = +-1 with L
-    orthogonal to the tangent space puts L outside that span.
+    orthogonal to the tangent space puts L outside that span.  The
+    determinant of the screen Gram block is kept as ``screen_determinant``,
+    so ``validate_frame`` restates it without a second elimination.
     """
 
     def __init__(self, model: LieModel, screen_labels: tuple[str, ...],
@@ -178,8 +180,9 @@ class SubmanifoldFrame:
             raise RadicalRankNotOne(
                 f"the radical vector is not isotropic against {labels[at[0]]}")
 
-        screen_gram = [row[:-1] for row in self.induced_form.rows()[:-1]]
-        if determinant(screen_gram).is_zero():
+        self.screen_determinant = determinant(
+            [row[:-1] for row in self.induced_form.rows()[:-1]])
+        if self.screen_determinant.is_zero():
             raise ScreenDegenerate("the metric degenerates on the screen distribution")
 
         eps = g.value(l_vec, l_vec)
@@ -298,14 +301,13 @@ def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
 def validate_frame(f: SubmanifoldFrame) -> list[CheckEntry]:
     """Report-friendly restatement of the constraints enforced at build time."""
     g = f.model.metric
-    gram = [row[:-1] for row in f.induced_form.rows()[:-1]]
     return [
         compare("radical-isotropy", "sec-2-splitting",
                 f.induced_form.cell(f.radical_index),
                 MultilinearForm.zero(f.tangent_frame, 1),
                 "the radical direction is orthogonal to the whole tangent space"),
         compare("screen-nondegeneracy", "sec-2-splitting",
-                not determinant(gram).is_zero(), True,
+                not f.screen_determinant.is_zero(), True,
                 "the induced metric restricts without kernel to the screen"),
         compare("transversal-normalization", "sec-2-splitting",
                 f.epsilon * f.epsilon, ONE, f"g(L, L) = {f.epsilon}"),

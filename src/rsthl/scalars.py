@@ -5,6 +5,18 @@ stored as a pair of coprime polynomials with a monic denominator, so equality
 and zero tests are exact decisions.  The parameter is treated as a constant
 with respect to differentiation: directional derivatives of scalars along
 invariant frames vanish identically.
+
+Most scalars of a model are zero or constant, so the operators return early
+on trivial operands: a zero summand returns the other operand (negated for
+``0 - y``), a zero factor returns ``ZERO`` and a unit factor or divisor the
+other operand, ``0 / y`` is ``ZERO`` and ``-0`` is itself; the ints 0 and 1
+coerce to ``ZERO`` and ``ONE``.  Two polynomials add and subtract without
+cross-multiplying, and the constructor skips the polynomial gcd when
+numerator or denominator is constant (the gcd is then a unit) and does not
+re-coerce coefficients that are already ``Fraction``s.  Each shortcut
+relies on one invariant: every stored value is canonical, so the operand it
+returns is already the canonical result, and equality stays a comparison of
+coefficients.  Every new value is still built by the constructor.
 """
 
 from __future__ import annotations
@@ -19,6 +31,10 @@ Coeffs = tuple[Fraction, ...]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _fraction(c) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
 
 
 def _trim(cs) -> Coeffs:
@@ -104,17 +120,20 @@ class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=(_F1,)):
-        num = _trim(tuple(Fraction(c) for c in num))
-        den = _trim(tuple(Fraction(c) for c in den))
+        num = _trim(tuple(_fraction(c) for c in num))
+        den = _trim(tuple(_fraction(c) for c in den))
         if not den:
             raise ScalarDomainError("zero denominator")
         if not num:
             den = (_F1,)
         else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
+            # a constant part makes the gcd a unit, so only the monic
+            # normalization is left
+            if len(num) > 1 and len(den) > 1:
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num = _pdivmod(num, g)[0]
+                    den = _pdivmod(den, g)[0]
             lead = den[-1]
             if lead != 1:
                 inv = 1 / lead
@@ -163,6 +182,12 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RationalFunction(_padd(self.num, other.num))
         return RationalFunction(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -174,6 +199,12 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RationalFunction(_padd(self.num, _pneg(other.num)))
         return RationalFunction(
             _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
             _pmul(self.den, other.den),
@@ -189,6 +220,12 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        if not self.num or not other.num:
+            return ZERO
         return RationalFunction(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -199,6 +236,8 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ScalarDomainError("division by zero")
+        if not self.num:
+            return ZERO
         if other.is_one():
             return self
         return RationalFunction(_pmul(self.num, other.den), _pmul(self.den, other.num))
@@ -210,6 +249,8 @@ class RationalFunction:
         return other / self
 
     def __neg__(self):
+        if not self.num:
+            return self
         return RationalFunction(_pneg(self.num), self.den)
 
     def __pow__(self, exponent: int):
@@ -261,6 +302,10 @@ def _coerce(value):
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, (int, Fraction)):
+        if value == 0:
+            return ZERO
+        if value == 1:
+            return ONE
         return RationalFunction((Fraction(value),))
     return NotImplemented
 

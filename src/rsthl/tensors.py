@@ -192,27 +192,29 @@ class MultilinearForm:
         return MultilinearForm(self.frame, 1, tuple(self._contract(vectors)))
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
+        """The entrywise sum; a zero entry on either side costs no scalar
+        operation."""
         self._compatible(other)
-        return MultilinearForm(
-            self.frame,
-            self.arity,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        return MultilinearForm(self.frame, self.arity, tuple(
+            b if a.is_zero() else a if b.is_zero() else a + b
+            for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "MultilinearForm") -> "MultilinearForm":
         self._compatible(other)
-        return MultilinearForm(
-            self.frame,
-            self.arity,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
+        return MultilinearForm(self.frame, self.arity, tuple(
+            a if b.is_zero() else -b if a.is_zero() else a - b
+            for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "MultilinearForm":
-        return MultilinearForm(self.frame, self.arity, tuple(-c for c in self.entries))
+        return MultilinearForm(self.frame, self.arity, tuple(
+            c if c.is_zero() else -c for c in self.entries))
 
     def scale(self, s) -> "MultilinearForm":
         s = rf(s)
-        return MultilinearForm(self.frame, self.arity, tuple(s * c for c in self.entries))
+        if s.is_zero():
+            return MultilinearForm.zero(self.frame, self.arity)
+        return MultilinearForm(self.frame, self.arity, tuple(
+            c if c.is_zero() else s * c for c in self.entries))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.entries)
@@ -274,7 +276,8 @@ class MultilinearForm:
                         for a in range(dim):
                             m = op.entries[i * dim + a]
                             if not m.is_zero() and not cells[a].is_zero():
-                                acc = acc + cells[a] * m
+                                t = cells[a] * m
+                                acc = t if acc.is_zero() else acc + t
                         out[base + i * stride + rest] = acc
             table = out
         return MultilinearForm(self.frame, self.arity, tuple(table))
@@ -369,7 +372,9 @@ def _echelon(rows: list[list[RationalFunction]], pivot_cols_limit: int):
     """Fraction-free forward elimination in place; pivots only in the
     first pivot_cols_limit columns.  Returns (matrix, pivot column list,
     row-swap count).  Updates start right of the pivot column: below the
-    pivot row the columns left of it are already zero."""
+    pivot row the columns left of it are already zero.  An update whose
+    two products both vanish leaves its zero entry as it is; a zero factor
+    alone still scales the entry by pivot/prev."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -387,7 +392,10 @@ def _echelon(rows: list[list[RationalFunction]], pivot_cols_limit: int):
         for i in range(r + 1, nrows):
             factor = rows[i][c]
             for j in range(c + 1, ncols):
-                rows[i][j] = (rows[i][j] * pivot - factor * rows[r][j]) / prev
+                x, y = rows[i][j], rows[r][j]
+                if x.is_zero() and (factor.is_zero() or y.is_zero()):
+                    continue
+                rows[i][j] = (x * pivot - factor * y) / prev
             rows[i][c] = ZERO
         prev = pivot
         pivots.append(c)

@@ -288,6 +288,22 @@ def test_cli_example_specialized(capsys):
     assert "verdict: pass (114 passed, 0 failed, 0 skipped)" in out
 
 
+def test_cli_specialized_and_symbolic_reports_agree(tmp_path, capsys):
+    """At mu = 7/5 most scalars are constants, the case the scalar fast
+    paths shortcut most; the entries and their verdicts match the
+    symbolic run."""
+    verdicts = []
+    for extra in ([], ["--mu", "7/5"]):
+        path = tmp_path / "report.json"
+        assert main(["example47", "--suite", "all", "--report", str(path), *extra]) == 0
+        entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
+        verdicts.append([(e["name"], e["status"]) for e in entries])
+    capsys.readouterr()
+    symbolic, specialized = verdicts
+    assert len(symbolic) == 114
+    assert specialized == symbolic
+
+
 def test_cli_rejects_zero_mu(capsys):
     assert main(["example47", "--mu", "0"]) == 2
     err = capsys.readouterr().err

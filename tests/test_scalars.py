@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(mu): canonical form, parsing, printing, evaluation."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,102 @@ def test_division_is_multiplication_by_the_inverse(x, y):
     # a unit divisor returns the dividend itself, no new scalar
     assert x / ONE is x
     assert x / 1 is x
+
+
+def field_elements():
+    """Zero, one, constants, polynomials and proper fractions."""
+    return st.one_of(st.just(ZERO), st.just(ONE),
+                     st.fractions(max_denominator=5).map(rf),
+                     polys(), rationals())
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    return out
+
+
+def reference(op, x, y):
+    """x op y through the general constructor: cross-multiplied parts."""
+    if op == "+":
+        return RationalFunction(ref_add(ref_mul(x.num, y.den), ref_mul(y.num, x.den)),
+                                ref_mul(x.den, y.den))
+    if op == "-":
+        return RationalFunction(ref_add(ref_mul(x.num, y.den), ref_mul(y.num, x.den), -1),
+                                ref_mul(x.den, y.den))
+    if op == "*":
+        return RationalFunction(ref_mul(x.num, y.num), ref_mul(x.den, y.den))
+    return RationalFunction(ref_mul(x.num, y.den), ref_mul(x.den, y.num))
+
+
+def ref_gcd_degree(a, b):
+    """The degree of gcd(a, b) by Euclid's algorithm on coefficient lists."""
+    a, b = list(a), list(b)
+    while b:
+        while a and len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def assert_canonical(x):
+    assert all(type(c) is Fraction for c in x.num + x.den)
+    assert x.den and x.den[-1] == 1
+    assert not x.num or x.num[-1] != 0
+    if not x.num:
+        assert x.den == (Fraction(1),)
+    else:
+        assert ref_gcd_degree(x.num, x.den) == 0
+
+
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+@given(field_elements(), field_elements())
+def test_operators_match_the_general_constructor_path(x, y):
+    for op, apply in OPERATIONS.items():
+        if op == "/" and y.is_zero():
+            continue
+        got, want = apply(x, y), reference(op, x, y)
+        assert_canonical(got)
+        assert (got.num, got.den) == (want.num, want.den)
+    neg = -x
+    assert_canonical(neg)
+    assert neg == RationalFunction([-c for c in x.num], x.den)
+
+
+@given(field_elements())
+def test_trivial_operands_return_the_operand_itself(x):
+    assert x + ZERO is x
+    assert x - ZERO is x
+    assert ZERO * x is ZERO
+    assert x * ZERO is ZERO
+    assert x * ONE is x
+    # with a zero or a one x, these return the interned operand instead
+    assert ZERO + x == x
+    assert ONE * x == x
+    assert x + 0 is x
+    assert x * 1 is x
+    assert -ZERO is ZERO
+    if not x.is_zero():
+        assert ZERO / x is ZERO
 
 
 def test_pole_raises():

@@ -1,6 +1,7 @@
 """Frames, vectors, component tables and exact linear algebra."""
 
 import ast
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
 from rsthl import tensors
-from rsthl.scalars import MU, ONE, ZERO, rf
+from rsthl.scalars import MU, ONE, ZERO, RationalFunction, rf
 from rsthl.tensors import (Frame, MultilinearForm, _echelon,
                            curvature_product, determinant, first_nonzero,
                            inertia, matrix_inverse, outer, pick_regular_sample,
@@ -298,6 +299,60 @@ def test_skew_and_at():
     for j, k in product(range(3), repeat=2):
         assert row.entry(j, k) == t.entry(1, j, k)
     assert row.arity == 2
+
+
+F5 = Frame(("x1", "x2", "x3", "x4", "x5"))
+SCALAR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                    "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def count_scalar_operators(monkeypatch) -> list:
+    """A list that gains one item per RationalFunction operator call."""
+    calls = []
+    for name in SCALAR_OPERATORS:
+        def counted(*args, _op=getattr(RationalFunction, name)):
+            calls.append(_op.__name__)
+            return _op(*args)
+        monkeypatch.setattr(RationalFunction, name, counted)
+    return calls
+
+
+def sparse_table(rng, count):
+    """A 625-entry arity-4 table on F5 with at most count nonzero entries."""
+    values = (ONE, rf(-2), MU, ONE / (MU + 1), rf("1/3") * MU + 1)
+    entries = [ZERO] * 5 ** 4
+    for _ in range(count):
+        entries[rng.randrange(len(entries))] = rng.choice(values)
+    return MultilinearForm(F5, 4, tuple(entries))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_sums_spend_no_operator_on_zero_entries(monkeypatch, seed):
+    rng = random.Random(seed)
+    a = sparse_table(rng, 30)
+    b = a if seed == 0 else sparse_table(rng, 20 * seed)
+    k = sum(1 for t in (a, b) for c in t.entries if not c.is_zero())
+    want_sum = tuple(x + y for x, y in zip(a.entries, b.entries))
+    want_diff = tuple(x - y for x, y in zip(a.entries, b.entries))
+    calls = count_scalar_operators(monkeypatch)
+    got_sum = a + b
+    assert len(calls) <= k
+    calls.clear()
+    got_diff = a - b
+    assert len(calls) <= k
+    assert got_sum.entries == want_sum
+    assert got_diff.entries == want_diff
+
+
+def test_scaling_a_zero_table_spends_no_operator(monkeypatch):
+    zero = MultilinearForm.zero(F5, 4)
+    table = sparse_table(random.Random(7), 10)
+    calls = count_scalar_operators(monkeypatch)
+    assert zero.scale(MU) == zero
+    assert table.scale(0) == zero
+    assert calls == []
+    assert -zero == zero
+    assert calls == []
     with pytest.raises(ValueError):
         random_table(1, seed=0).at(0)
 
