@@ -16,6 +16,7 @@ in the metric sense.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import report
@@ -91,11 +92,14 @@ def _anti_compatible(metric: InvariantMetric,
                           "g(JX, JY) = -g(X, Y) on the factor")
 
 
+@cache
 def factor_signature_entry() -> report.CheckEntry:
     """Adjudicates the factor metric signs against the fixed data.
 
     Exactly one diagonal sign pattern must reproduce the fixed connection
     table and anti-commute with J; the other candidate must fail both.
+    The verdict depends on built-in constants only, so it is derived once
+    per process.
     """
     alg = factor_algebra()
     frame = alg.frame

@@ -57,10 +57,6 @@ class DecompositionInconsistent(GeometryError):
     """A Gauss-Weingarten split produced components that violate its frame."""
 
 
-class NoTotallyRealSection(GeometryError):
-    """No frame pair spans a nondegenerate totally real section."""
-
-
 class CrossCheckMismatch(GeometryError):
     """Two independent constructions of the same object disagree."""
 

@@ -79,7 +79,7 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     g = model.metric
     rows = [list(g.lower(w).entries) for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
-    n0 = MultilinearForm(model.frame, 1, solve_affine(rows, rhs)[0])
+    n0 = MultilinearForm(model.frame, 1, solve_affine(rows, rhs))
     t = g.value(n0, n0) * rf("-1/2")
     return n0 + rad.scale(t)
 

@@ -9,7 +9,9 @@ metric g_bar satisfying
 with g_bar of signature (n+1, n) on dimension 2n+1.  The structure is of the
 zero class when the fundamental tensor F(X,Y,Z) = g_bar((nabla_X phi)Y, Z)
 vanishes; then the Levi-Civita connections of g_bar and of the associated
-metric g_bar(X, phi Y) + eta_bar(X) eta_bar(Y) coincide.
+metric g_bar(X, phi Y) + eta_bar(X) eta_bar(Y) coincide.  The sectional
+invariants (nu, nu_tilde) are one exact solve of the lowered curvature
+against the two basic curvature tensors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import report
-from .errors import NoTotallyRealSection
+from .errors import InconsistentSystem, UnderdeterminedSystem
 from .liegeom import Connection, InvariantMetric, LieAlgebra
 from .scalars import ONE, RationalFunction
 from .tensors import (
@@ -27,6 +29,7 @@ from .tensors import (
     curvature_product,
     outer,
     signature_at_sample,
+    solve_combination,
 )
 
 
@@ -74,8 +77,8 @@ class LieModel:
 
 @dataclass(frozen=True)
 class CurvaturePair:
-    """The two sectional curvatures of a totally real section orthogonal to
-    xi_bar: nu along the section, nu_tilde for its phi-twisted companion."""
+    """The two sectional invariants of thm-4.1: the lowered curvature is
+    nu A + nu_tilde B for the basic curvature tensors A and B."""
 
     nu: RationalFunction
     nu_tilde: RationalFunction
@@ -145,7 +148,8 @@ def constant_curvature_form(s: ACBMStructure, pair: CurvaturePair) -> Multilinea
     where pi_1 = P(g, g), pi_2 = P(g phi, g phi) and
     pi_3 = -P(g phi, g) - P(g, g phi) for the curvature product P.  Phi
     pulled into every slot of P(a, b) is P of a and b with phi pulled into
-    both of their slots.
+    both of their slots.  At (1, 0) and (0, 1) it is the basic curvature
+    tensor A, respectively B.
     """
     nu, nu_tilde = pair.nu, pair.nu_tilde
     g_phi = s.metric.form.pull_slots(s.phi, (1,))
@@ -157,44 +161,39 @@ def constant_curvature_form(s: ACBMStructure, pair: CurvaturePair) -> Multilinea
             - curvature_product(g_2.scale(nu_tilde), g_phi_2))
 
 
-def constant_curvature_residual(s: ACBMStructure, r4: MultilinearForm,
+def constant_curvature_residual(r4: MultilinearForm,
+                                basis: tuple[MultilinearForm, MultilinearForm],
                                 pair: CurvaturePair) -> report.CheckEntry:
-    """The lowered curvature r4 against ``constant_curvature_form``; on a
+    """The lowered curvature r4 against nu A + nu_tilde B for the basis
+    (A, B) of ``constant_curvature_form`` at (1, 0) and (0, 1); on a
     mismatch the entry reports the residual r4 minus the form.
 
     ``bench/tracing.py`` times this step by this name.
     """
+    a, b = basis
     return report.compare(
-        "constant-curvature-form", "thm-4.1", r4, constant_curvature_form(s, pair),
+        "constant-curvature-form", "thm-4.1", r4,
+        a.scale(pair.nu) + b.scale(pair.nu_tilde),
         "the lowered curvature is the two-invariant combination of the "
         "basic curvature tensors")
 
 
-def fit_curvature_pair(s: ACBMStructure, r4: MultilinearForm) -> CurvaturePair:
-    """Extract (nu, nu_tilde) from the first totally real frame section
-    orthogonal to xi_bar, scanning index pairs lexicographically."""
-    frame = s.frame
-    dim = frame.dimension
-    basis = [frame.basis_vector(i) for i in range(dim)]
-    g = s.metric
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            x, y = basis[i], basis[j]
-            if not g.value(x, s.xi_bar).is_zero():
-                continue
-            if not g.value(y, s.xi_bar).is_zero():
-                continue
-            denom = g.value(x, x) * g.value(y, y) - g.value(x, y) ** 2
-            if denom.is_zero():
-                continue
-            px, py = s.phi.apply(x), s.phi.apply(y)
-            if not all(
-                g.value(u, v).is_zero() for u in (px, py) for v in (x, y)
-            ):
-                continue
-            nu = r4.value(x, y, y, x) / denom
-            nu_tilde = r4.value(x, y, y, px) / denom
-            return CurvaturePair(nu=nu, nu_tilde=nu_tilde)
-    raise NoTotallyRealSection(
-        "no frame pair spans a nondegenerate totally real section orthogonal to xi_bar"
-    )
+def fit_curvature_pair(r4: MultilinearForm,
+                       basis: tuple[MultilinearForm, MultilinearForm]
+                       ) -> CurvaturePair:
+    """Solve r4 = nu A + nu_tilde B exactly for the basis (A, B).
+
+    The pair does not depend on the frame.  Raises InconsistentSystem when
+    r4 is no such combination and UnderdeterminedSystem when A and B are
+    linearly dependent, as they are in dimension 3.
+    """
+    try:
+        return CurvaturePair(*solve_combination(r4, *basis))
+    except InconsistentSystem as exc:
+        raise InconsistentSystem(
+            "the lowered curvature is no combination nu A + nu~ B of the "
+            "basic curvature tensors") from exc
+    except UnderdeterminedSystem as exc:
+        raise UnderdeterminedSystem(
+            "the basic curvature tensors A and B are linearly dependent, "
+            "so nu and nu~ are not determined") from exc

@@ -21,9 +21,10 @@ from . import report
 from .builtin import factor_signature_entry
 from .errors import (
     GeometryError,
-    NoTotallyRealSection,
+    InconsistentSystem,
     NotEinstein,
     NotEtaEinstein,
+    UnderdeterminedSystem,
 )
 from .liegeom import (
     Connection,
@@ -36,11 +37,13 @@ from .liegeom import (
     validate_lie_algebra,
 )
 from .model import ModelFile
+from .scalars import ONE, ZERO
 from .structure import (
     ACBMStructure,
     CurvaturePair,
     LieModel,
     associated_compat_entry,
+    constant_curvature_form,
     constant_curvature_residual,
     fit_curvature_pair,
     fundamental_tensor,
@@ -68,14 +71,14 @@ class Geometry:
     """The derived geometry of one model, each object built on first read.
 
     A build that raises caches nothing, and the stage whose step read it
-    blocks, so no later step reads it again.  ``invariants`` is the one
-    slot the steps set: the fitted sectional pair, kept only while the
-    constant curvature form confirms it.
+    blocks, so no later step reads it again.  The exact solves whose
+    failure is a verdict (the sectional invariants, eta-Einstein and
+    Einstein) cache their value, or None and the reason.  No step sets
+    anything here.
     """
 
     def __init__(self, model: ModelFile):
         self.model = model
-        self.invariants: Optional[CurvaturePair] = None
 
     @cached_property
     def metric(self) -> InvariantMetric:
@@ -103,8 +106,22 @@ class Geometry:
         return self.curv.lower(self.metric)
 
     @cached_property
-    def pair(self) -> CurvaturePair:
-        return fit_curvature_pair(self.structure, self.r4)
+    def curvature_basis(self) -> tuple[MultilinearForm, MultilinearForm]:
+        """The basic curvature tensors A and B of thm-4.1: the constant
+        curvature form at (nu, nu_tilde) = (1, 0) and at (0, 1)."""
+        return (constant_curvature_form(self.structure, CurvaturePair(ONE, ZERO)),
+                constant_curvature_form(self.structure, CurvaturePair(ZERO, ONE)))
+
+    @cached_property
+    def sectional(self):
+        """(nu, nu_tilde) with r4 = nu A + nu_tilde B, or None, and the reason."""
+        return _solved(lambda: fit_curvature_pair(self.r4, self.curvature_basis),
+                       (InconsistentSystem, UnderdeterminedSystem))
+
+    @property
+    def pair(self) -> Optional[CurvaturePair]:
+        """The sectional invariants, None when the fit fails."""
+        return self.sectional[0]
 
     @cached_property
     def frame(self) -> lightlike.SubmanifoldFrame:
@@ -257,25 +274,18 @@ def _ambient_stage(geo: Geometry) -> _Stage:
     st.run("twisted-lowering", "sec-4-twist", twist_step)
 
     def fit_step():
-        try:
-            pair = geo.pair
-        except NoTotallyRealSection as exc:
-            return [report.failed("sectional-fit", "thm-4.1", str(exc))]
-        geo.invariants = pair
+        pair, reason = geo.sectional
+        if pair is None:
+            return [report.failed("sectional-fit", "thm-4.1", reason)]
         return [report.passed(
             "sectional-fit", "thm-4.1",
             f"nu = {pair.nu}, nu_tilde = {pair.nu_tilde}")]
     st.run("sectional-fit", "thm-4.1", fit_step)
 
     def form_step():
-        if geo.invariants is None:
+        if geo.pair is None:
             return [report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)]
-        entry = constant_curvature_residual(geo.structure, geo.r4, geo.invariants)
-        if entry.status == report.FAIL:
-            # the invariants fit one section only, so the closed forms
-            # downstream would be meaningless
-            geo.invariants = None
-        return [entry]
+        return [constant_curvature_residual(geo.r4, geo.curvature_basis, geo.pair)]
     st.run("constant-curvature-form", "thm-4.1", form_step)
 
     st.run("signature-audit", "example-4.7",
@@ -293,7 +303,7 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
         """A step whose identity needs the sectional invariants, and the
         umbilical factor gamma unless gamma is False."""
         def step():
-            if geo.invariants is None:
+            if geo.pair is None:
                 reason = _NO_PAIR
             elif gamma and geo.gamma is None:
                 reason = _NO_GAMMA
@@ -323,23 +333,23 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
                geo.frame, geo.induced, geo.curv, geo.curv_ind)])
     closed_form("curvature-from-shape-terms", "eq-15",
                 lambda: [lightlike.curvature_form_15_entry(
-                    geo.frame, geo.induced, geo.curv_ind, geo.invariants)],
+                    geo.frame, geo.induced, geo.curv_ind, geo.pair)],
                 gamma=False)
     closed_form("b-derivative-balance", "eq-16",
                 lambda: [lightlike.codazzi_16_entry(
-                    geo.frame, geo.induced, geo.invariants, geo.mu)],
+                    geo.frame, geo.induced, geo.pair, geo.mu)],
                 gamma=False)
     closed_form("twisted-sectional-vanishes", "thm-4.4",
-                lambda: [lightlike.nu_tilde_vanishes_entry(geo.invariants)])
+                lambda: [lightlike.nu_tilde_vanishes_entry(geo.pair)])
     closed_form("umbilic-factor-identity", "eq-18",
                 lambda: [lightlike.gamma_identity_18_entry(
-                    geo.induced, geo.frame, geo.invariants, geo.gamma, geo.mu)])
+                    geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu)])
     closed_form("umbilic-curvature-form", "eq-19",
                 lambda: [lightlike.curvature_form_19_entry(
-                    geo.frame, geo.curv_ind, geo.invariants, geo.gamma, geo.mu)])
+                    geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu)])
     closed_form("umbilic-ricci-form", "eq-20",
                 lambda: [lightlike.ricci_form_20_entry(
-                    geo.frame, geo.curv_ind.ricci, geo.invariants, geo.gamma,
+                    geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
                     geo.mu, geo.structure.n)])
 
     def eta_step():
@@ -354,7 +364,7 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
 
     closed_form("ricci-action-closed-form", "eq-23",
                 lambda: [lightlike.semisym_23_entry(
-                    geo.frame, geo.curv_ind, geo.invariants, geo.gamma, geo.mu,
+                    geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
                     geo.structure.n)])
     st.run("umbilical-flatness", "cor-4.3",
            lambda: [associated.umbilical_flatness_entry(
@@ -369,10 +379,10 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
                geo.tcurv.ricci)])
     closed_form("twin-umbilic-curvature-form", "eq-21",
                 lambda: [associated.tilde_form_21_entry(
-                    geo.frame, geo.tcurv, geo.invariants, geo.gamma, geo.mu)])
+                    geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu)])
     closed_form("twin-umbilic-ricci-form", "eq-22",
                 lambda: associated.tilde_ricci_22_entries(
-                    geo.frame, geo.tcurv.ricci, geo.invariants, geo.gamma,
+                    geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma,
                     geo.mu, geo.structure.n),
                 names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
 
@@ -386,7 +396,7 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
 
     closed_form("twin-ricci-action-closed-form", "eq-24",
                 lambda: [associated.semisym_24_entry(
-                    geo.frame, geo.tcurv, geo.invariants, geo.gamma, geo.mu,
+                    geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
                     geo.structure.n)])
     st.run("geodesic-correspondence", "prop-3.3",
            lambda: associated.geodesic_correspondence_entries(
@@ -401,21 +411,20 @@ def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
     st = _Stage()
 
     def step():
-        pair = geo.invariants
         if geo.model.submanifold is None:
             reason = _NO_SUB
         elif blocker:
             reason = blocker
-        elif pair is None:
+        elif geo.pair is None:
             reason = _NO_PAIR
         elif geo.gamma is None:
             reason = _NO_GAMMA + ", the theorem hypothesis fails"
-        elif pair.nu.is_zero():
+        elif geo.pair.nu.is_zero():
             reason = ("the sectional invariant nu vanishes, the theorem "
                       "hypothesis fails")
         else:
             agg = associated.theorem_aggregate(
-                geo.curv_ind, geo.tcurv, pair, geo.gamma, geo.mu,
+                geo.curv_ind, geo.tcurv, geo.pair, geo.gamma, geo.mu,
                 geo.eta_einstein[0], geo.einstein[0])
             return associated.theorem_entries(agg)
         return [report.skipped(n, "thm-4.6", reason) for n in _THEOREM_NAMES]

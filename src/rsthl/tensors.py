@@ -423,11 +423,9 @@ def determinant(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
     return -det if swaps % 2 else det
 
 
-def _back_substitute(ech, pivots, n_unknowns, rhs_col, free_values=None):
+def _back_substitute(ech, pivots, n_unknowns, rhs_col):
+    """The solution of an echelon system whose free variables are zero."""
     x = [ZERO] * n_unknowns
-    if free_values:
-        for col, val in free_values.items():
-            x[col] = val
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
         acc = ech[r][rhs_col]
@@ -438,17 +436,25 @@ def _back_substitute(ech, pivots, n_unknowns, rhs_col, free_values=None):
     return tuple(x)
 
 
-def solve_unique(
-    a_rows: Sequence[Sequence[RationalFunction]],
-    b: Sequence[RationalFunction],
-) -> tuple[RationalFunction, ...]:
-    """Solve A x = b, demanding exactly one solution."""
+def _eliminate(a_rows, b):
+    """The echelon form of [A | b] and its pivot columns; raises
+    InconsistentSystem when A x = b has no solution."""
     n = len(a_rows[0])
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
     ech, pivots, _ = _echelon(aug, n)
     for r in range(len(pivots), len(ech)):
         if not ech[r][n].is_zero():
             raise InconsistentSystem("linear system has no solution")
+    return ech, pivots
+
+
+def solve_unique(
+    a_rows: Sequence[Sequence[RationalFunction]],
+    b: Sequence[RationalFunction],
+) -> tuple[RationalFunction, ...]:
+    """Solve A x = b, demanding exactly one solution."""
+    n = len(a_rows[0])
+    ech, pivots = _eliminate(a_rows, b)
     if len(pivots) < n:
         raise UnderdeterminedSystem("linear system has a free variable")
     return _back_substitute(ech, pivots, n, n)
@@ -472,30 +478,11 @@ def solve_combination(target: MultilinearForm,
 def solve_affine(
     a_rows: Sequence[Sequence[RationalFunction]],
     b: Sequence[RationalFunction],
-):
-    """Solve A x = b; returns (particular solution, kernel basis)."""
+) -> tuple[RationalFunction, ...]:
+    """One solution of A x = b, the one whose free variables are zero."""
     n = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    ech, pivots, _ = _echelon(aug, n)
-    for r in range(len(pivots), len(ech)):
-        if not ech[r][n].is_zero():
-            raise InconsistentSystem("linear system has no solution")
-    particular = _back_substitute(ech, pivots, n, n)
-    kernel = []
-    pivot_set = set(pivots)
-    zero_rhs = [[*row[:n], ZERO] for row in ech]
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        basis = _back_substitute(
-            zero_rhs,
-            pivots,
-            n,
-            n,
-            free_values={free: ONE},
-        )
-        kernel.append(basis)
-    return particular, kernel
+    ech, pivots = _eliminate(a_rows, b)
+    return _back_substitute(ech, pivots, n, n)
 
 
 def matrix_inverse(

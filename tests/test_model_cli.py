@@ -206,12 +206,17 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     count(lightlike, "matrix_inverse", "adapted_inverse")
     # phi is split over (N, L) once, for the ascreen check and for phi P
     count(lightlike.Splitting, "split", "split")
+    # the basic curvature tensors A and B, and the one solve fitting the
+    # sectional invariants against them
+    count(suite, "constant_curvature_form", "curvature_basis")
+    count(structure, "solve_combination", "fit_solve")
     run_suite(model, "all")
     # proportionality_factor: b, d and c against g, then h1 and h2 against g~
     assert calls == {"associated_metric": 1, "covariant_derivative": 2,
                      "ricci_action": 2, "phi_pairing": 1, "build_frame": 1,
                      "proportionality_factor": 5, "eta_einstein_solve": 1,
-                     "einstein_solve": 1, "adapted_inverse": 2, "split": 9}
+                     "einstein_solve": 1, "adapted_inverse": 2, "split": 9,
+                     "curvature_basis": 2, "fit_solve": 1}
     calls.update(dict.fromkeys(calls, 0))
     run_suite(model, "ambient")
     assert calls["build_frame"] == 0

@@ -3,6 +3,7 @@ specializations, and graceful suite degradation on broken inputs."""
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -20,7 +21,7 @@ from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import Geometry, run_suite
-from rsthl.tensors import Frame, MultilinearForm
+from rsthl.tensors import Frame, MultilinearForm, determinant, matrix_inverse
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,37 +171,68 @@ def no_submanifold():
     return edited_example(lambda obj: obj.pop("submanifold"))
 
 
+def transported(model, frame_matrix):
+    """The model in the frame e'_a = sum_b frame_matrix[a][b] e_b.
+
+    Brackets, metric, structure and submanifold vectors are transported
+    exactly, so every identity the suite checks holds in the new frame.
+    """
+    frame = model.frame
+    rows = [[rf(x) for x in row] for row in frame_matrix]
+    new = [MultilinearForm(frame, 1, tuple(row)) for row in rows]
+    # old components to new ones: the operator e_j -> row j of P^-1
+    coords = MultilinearForm(frame, 2, tuple(
+        x for row in matrix_inverse(rows) for x in row)).apply
+    sub = model.submanifold
+    return dataclasses.replace(
+        model,
+        algebra=LieAlgebra(frame, MultilinearForm.from_cells(
+            frame, 3,
+            lambda i, j: coords(model.algebra.brackets.apply(new[i], new[j])))),
+        metric_form=MultilinearForm.from_function(
+            frame, 2, lambda i, j: model.metric_form.value(new[i], new[j])),
+        phi=MultilinearForm.from_cells(
+            frame, 2, lambda j: coords(model.phi.apply(new[j]))),
+        xi_bar=coords(model.xi_bar),
+        eta_bar=MultilinearForm.from_function(
+            frame, 1, lambda i: model.eta_bar.value(new[i])),
+        submanifold=SubmanifoldData(
+            sub.screen_labels, tuple(coords(v) for v in sub.screen),
+            coords(sub.rad), coords(sub.l_vec), None))
+
+
 def reeb_sheared():
     """The built-in model in the frame e'_a = e_a + E, e'_E = E.
 
     Every frame vector meets the Reeb direction, so no frame pair spans a
-    section orthogonal to it and the sectional fit fails.
+    section orthogonal to it; the sectional invariants do not depend on
+    the frame, and the suite passes as on the built-in model.
     """
-    m = example_model()
-    basis = [m.frame.basis_vector(i) for i in range(m.frame.dimension)]
-    new = [b + basis[-1] for b in basis[:-1]] + [basis[-1]]
+    return transported(example_model(), [[1, 0, 0, 0, 1],
+                                         [0, 1, 0, 0, 1],
+                                         [0, 0, 1, 0, 1],
+                                         [0, 0, 0, 1, 1],
+                                         [0, 0, 0, 0, 1]])
 
-    def coords(v):
-        """Old components to components in the sheared frame."""
-        c = v.entries
-        return MultilinearForm(m.frame, 1, c[:-1] + (c[-1] - sum(c[:-1], ZERO),))
 
-    sub = m.submanifold
-    return dataclasses.replace(
-        m,
-        algebra=LieAlgebra(m.frame, MultilinearForm.from_cells(
-            m.frame, 3,
-            lambda i, j: coords(m.algebra.brackets.apply(new[i], new[j])))),
-        metric_form=MultilinearForm.from_function(
-            m.frame, 2, lambda i, j: m.metric_form.value(new[i], new[j])),
-        phi=MultilinearForm.from_cells(
-            m.frame, 2, lambda j: coords(m.phi.apply(new[j]))),
-        xi_bar=coords(m.xi_bar),
-        eta_bar=MultilinearForm.from_function(
-            m.frame, 1, lambda i: m.eta_bar.value(new[i])),
-        submanifold=SubmanifoldData(
-            sub.screen_labels, tuple(coords(v) for v in sub.screen),
-            coords(sub.rad), coords(sub.l_vec), None))
+def dense_frame(seed):
+    """A seeded invertible frame matrix with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    while True:
+        p = [[rf(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+        if not determinant(p).is_zero():
+            return p
+
+
+@pytest.mark.parametrize("build", [
+    reeb_sheared, lambda: transported(example_model(), dense_frame(1))],
+    ids=["reeb_sheared", "dense"])
+def test_frame_change_keeps_every_verdict(build):
+    """A change of frame preserves every identity, so the report has the
+    entries and statuses of the built-in model's."""
+    want = [(e["name"], e["status"])
+            for e in json.loads(golden("example47"))["entries"]]
+    assert [(e.name, e.status) for e in run_suite(build()).entries] == want
 
 
 def assert_splits_reconstruct(geo):

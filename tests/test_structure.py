@@ -3,15 +3,16 @@ constant sectional invariants."""
 
 import pytest
 
-from rsthl.errors import NoTotallyRealSection
-from rsthl.liegeom import InvariantMetric, LieAlgebra, curvature, levi_civita
+from rsthl.errors import UnderdeterminedSystem
+from rsthl.liegeom import InvariantMetric, levi_civita
+from rsthl.model import model_from_json_obj
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (ACBMStructure, CurvaturePair,
                              associated_compat_entry, associated_metric,
                              constant_curvature_form,
                              constant_curvature_residual, fit_curvature_pair,
                              fundamental_tensor, validate_acbm)
-from rsthl.suite import Geometry
+from rsthl.suite import Geometry, run_suite
 from rsthl.tensors import Frame, MultilinearForm, signature_at_sample
 from test_properties import reeb_sheared
 
@@ -195,16 +196,17 @@ def test_closed_form_matches_pi_tensors(build, geometry):
         assert constant_curvature_form(s, pair) == expected
 
 
-def test_fit_curvature_pair_and_closed_form(lm, ambient_r4, pair):
+def test_fit_curvature_pair_and_closed_form(lm, ambient_r4, pair, geometry):
     assert pair.nu == rf(4)
     assert pair.nu_tilde == ZERO
     assert constant_curvature_form(lm.structure, pair) == ambient_r4
-    entry = constant_curvature_residual(lm.structure, ambient_r4, pair)
+    entry = constant_curvature_residual(ambient_r4, geometry.curvature_basis, pair)
     assert (entry.name, entry.status) == ("constant-curvature-form", "pass")
 
 
-def test_closed_form_rejects_wrong_curvature(lm, ambient_r4, pair):
-    entry = constant_curvature_residual(lm.structure, ambient_r4.scale(2), pair)
+def test_closed_form_rejects_wrong_curvature(ambient_r4, pair, geometry):
+    entry = constant_curvature_residual(ambient_r4.scale(2),
+                                        geometry.curvature_basis, pair)
     assert entry.status == "fail"
     # the residual 2 R - R is R, nonzero at R(X1, X2, X1, X2) = -4 first
     assert entry.detail.endswith(
@@ -213,15 +215,23 @@ def test_closed_form_rejects_wrong_curvature(lm, ambient_r4, pair):
 
 
 def test_no_totally_real_section():
-    frame = Frame(("e1", "e2", "e3"))
-    phi = operator(frame, (
-        MultilinearForm.from_map(frame, {"e2": 1}),
-        MultilinearForm.from_map(frame, {"e1": -1}),
-        MultilinearForm.zero(frame, 1)))
-    s = ACBMStructure(frame, phi, MultilinearForm.from_map(frame, {"e3": 1}),
-                      MultilinearForm(frame, 1, (ZERO, ZERO, ONE)),
-                      InvariantMetric.diagonal(frame, (1, -1, 1)))
-    alg = LieAlgebra.abelian(frame)
-    r4 = curvature(levi_civita(alg, s.metric), alg).lower(s.metric)
-    with pytest.raises(NoTotallyRealSection):
-        fit_curvature_pair(s, r4)
+    """In dimension 3 the one plane orthogonal to xi_bar is phi-invariant,
+    so no section is totally real and the basic curvature tensors A and B
+    are linearly dependent: the fit fails by name and the form is skipped."""
+    m = model_from_json_obj({
+        "frame": {"labels": ["e1", "e2", "e3"]},
+        "brackets": {},
+        "metric": {"e1,e1": 1, "e2,e2": -1, "e3,e3": 1},
+        "structure": {"phi": {"e1": {"e2": 1}, "e2": {"e1": -1}},
+                      "xi": {"e3": 1}, "eta": {"e3": 1}},
+    })
+    geo = Geometry(m)
+    with pytest.raises(UnderdeterminedSystem):
+        fit_curvature_pair(geo.r4, geo.curvature_basis)
+    by_name = {e.name: e for e in run_suite(m, "ambient").entries}
+    assert (by_name["sectional-fit"].status, by_name["sectional-fit"].detail) == (
+        "fail", "the basic curvature tensors A and B are linearly dependent, "
+        "so nu and nu~ are not determined")
+    form = by_name["constant-curvature-form"]
+    assert (form.status, form.detail) == (
+        "skipped", "the ambient sectional invariants are unavailable")
