@@ -124,10 +124,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     inv_mu = ONE / mu
     inv_mu2 = inv_mu * inv_mu
     b_phi = obj.b_phi
-    conn_formula = Connection(tf, MultilinearForm.from_cells(
-        tf, 3,
-        lambda a, b: obj.conn.gamma.cell(a, b) + xi_t.scale(
-            inv_mu2 * (obj.b_form.entry(a, b) * rf("1/2") + b_phi.entry(a, b)))))
+    conn_formula = Connection(tf, obj.conn.gamma + outer(
+        (obj.b_form.scale(rf("1/2")) + b_phi).scale(inv_mu2), xi_t))
     h1_formula = obj.b_form.scale(inv_mu)
     h2_formula = (obj.b_form + b_phi).scale(-inv_mu)
     phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
@@ -215,7 +213,7 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
     xi_idx = f.radical_index
     b_form, b_phi = obj.b_form, obj.b_phi
     b_n = b_form.pull_slots(obj.shape_n, (0,))
-    tau_xi = obj.tau.entries[xi_idx]
+    tau_xi = obj.tau.entry(xi_idx)
     inv_mu2 = ONE / (mu * mu)
     rhs = (ric + (b_form + b_phi.scale(2)).scale(obj.shape_n.trace())
            - b_n - b_n.pull_slots(f.phi_p, (1,)).scale(2)

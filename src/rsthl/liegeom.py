@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import report
 from .errors import DegenerateMetric
@@ -28,8 +28,8 @@ from .scalars import HALF, ZERO, RationalFunction, rf
 from .tensors import (
     Frame,
     MultilinearForm,
+    compose,
     determinant,
-    first_nonzero,
     matrix_inverse,
 )
 
@@ -66,34 +66,36 @@ class LieAlgebra:
 
 
 def validate_lie_algebra(alg: LieAlgebra) -> report.CheckEntry:
-    """Antisymmetry and the Jacobi identity; names the first violation."""
-    dim = alg.frame.dimension
-    labels = alg.frame.labels
+    """Antisymmetry and the Jacobi identity, each one whole-table residual;
+    names the first violation.
+
+    The first nonzero offset of a residual, in row-major order, locates it.
+    With antisymmetry in place the jacobiator is alternating, so its first
+    nonzero offset starts with an increasing triple.
+    """
     br = alg.brackets
-    at = first_nonzero(lambda i, j: br.cell(i, j) + br.cell(j, i), dim, 2)
+    at = _first_slots(br + br.permute((1, 0, 2)), alg.frame)
     if at is not None:
-        return report.failed(
-            "lie-algebra",
-            "plumbing",
-            f"antisymmetry fails at ({', '.join(labels[i] for i in at)})",
-        )
-    basis = [alg.frame.basis_vector(i) for i in range(dim)]
-
-    def jacobiator(i: int, j: int, k: int) -> MultilinearForm:
-        return (
-            br.apply(br.cell(i, j), basis[k])
-            + br.apply(br.cell(j, k), basis[i])
-            + br.apply(br.cell(k, i), basis[j])
-        )
-
-    at = first_nonzero(jacobiator, dim, 3, increasing=True)
+        return report.failed("lie-algebra", "plumbing", f"antisymmetry fails at ({at})")
+    x = compose(br, br)  # x(i, j, k) = [[e_i, e_j], e_k]
+    at = _first_slots(x + x.permute((1, 2, 0, 3)) + x.permute((2, 0, 1, 3)), alg.frame)
     if at is not None:
-        return report.failed(
-            "lie-algebra",
-            "plumbing",
-            f"Jacobi fails at ({', '.join(labels[i] for i in at)})",
-        )
+        return report.failed("lie-algebra", "plumbing", f"Jacobi fails at ({at})")
     return report.passed("lie-algebra", "plumbing", "antisymmetry and Jacobi hold")
+
+
+def _first_slots(residual: MultilinearForm, frame: Frame) -> Optional[str]:
+    """The labels of the argument slots of the first nonzero offset of a
+    vector-valued residual, or None when it vanishes."""
+    if residual.is_zero():
+        return None
+    dim = frame.dimension
+    off = min(residual.nonzero) // dim
+    labels = []
+    for _ in range(residual.arity - 1):
+        off, i = divmod(off, dim)
+        labels.insert(0, frame.labels[i])
+    return ", ".join(labels)
 
 
 class InvariantMetric:
@@ -152,8 +154,7 @@ class Connection:
 
     def derivative(self, v: MultilinearForm) -> MultilinearForm:
         """The operator X -> nabla_X v."""
-        return MultilinearForm.from_cells(
-            self.frame, 2, lambda i: self.gamma.at(i).apply(v))
+        return compose(v, self.gamma.permute((1, 0, 2)))
 
 
 def koszul_entries(conn: Connection, alg: LieAlgebra,
@@ -213,21 +214,19 @@ def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> Multilinea
     """The operators ops(..., .) acting as derivations on a bilinear form:
     the table of -form(ops(..., x), y) - form(x, ops(..., y))."""
     arity = ops.arity
-    first = MultilinearForm.from_cells(
-        form.frame, arity, lambda *idx: form.apply(ops.cell(*idx)))
+    first = compose(ops, form)  # form(ops(..., x), y)
     second = ops.pull_slots(form, (arity - 1,))  # form(y, ops(..., x))
     return -(first + second.permute(tuple(range(arity - 2)) + (arity - 1, arity - 2)))
 
 
 def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
-    frame = conn.frame
-    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
-    g, br = conn.gamma, alg.brackets
-    return CurvatureTensor(frame, MultilinearForm.from_cells(
-        frame, 4,
-        lambda i, j, k: (g.apply(basis[i], g.cell(j, k))
-                         - g.apply(basis[j], g.cell(i, k))
-                         - g.apply(br.cell(i, j), basis[k]))))
+    """R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
+    - nabla_[e_i, e_j] e_k, composed from whole tables."""
+    gamma = conn.gamma
+    # compose(gamma, gamma') at (i, j, x) is nabla_x nabla_i e_j
+    nn = compose(gamma, gamma.permute((1, 0, 2))).permute((1, 2, 0, 3))
+    return CurvatureTensor(conn.frame, nn - nn.permute((1, 0, 2, 3))
+                           - compose(alg.brackets, gamma))
 
 
 def curvature_entries(curv: CurvatureTensor,

@@ -50,7 +50,6 @@ from .tensors import (
     MultilinearForm,
     curvature_product,
     determinant,
-    first_nonzero,
     matrix_inverse,
     outer,
     rank,
@@ -77,7 +76,7 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     itself.
     """
     g = model.metric
-    rows = [list(g.lower(w).entries) for w in (*screen, l_vec, rad)]
+    rows = [g.lower(w).entries for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
     n0 = MultilinearForm(model.frame, 1, solve_affine(rows, rhs))
     t = g.value(n0, n0) * rf("-1/2")
@@ -102,7 +101,7 @@ class Splitting:
         basis = tangent + transversals
         dim = basis[0].frame.dimension
         inverse = matrix_inverse(
-            [[basis[j].entries[i] for j in range(dim)] for i in range(dim)])
+            [[basis[j].entry(i) for j in range(dim)] for i in range(dim)])
         self._coordinates = MultilinearForm.from_function(
             basis[0].frame, 2, lambda i, r: inverse[r][i])
 
@@ -175,10 +174,10 @@ class SubmanifoldFrame:
 
         labels = self.tangent_frame.labels
         self.induced_form = self.restrict(g.form)
-        at = first_nonzero(self.induced_form.at(self.radical_index).entry, m, 1)
+        at = min(self.induced_form.at(self.radical_index).nonzero, default=None)
         if at is not None:
             raise RadicalRankNotOne(
-                f"the radical vector is not isotropic against {labels[at[0]]}")
+                f"the radical vector is not isotropic against {labels[at]}")
 
         self.screen_determinant = determinant(
             [row[:-1] for row in self.induced_form.rows()[:-1]])
@@ -189,10 +188,10 @@ class SubmanifoldFrame:
         if not (eps - 1).is_zero() and not (eps + 1).is_zero():
             raise InvalidFrame("the screen transversal vector is not unit")
         self.epsilon = eps
-        at = first_nonzero(self.restrict(g.lower(l_vec)).entry, m, 1)
+        at = min(self.restrict(g.lower(l_vec)).nonzero, default=None)
         if at is not None:
             raise InvalidFrame(
-                f"the screen transversal is not orthogonal to {labels[at[0]]}")
+                f"the screen transversal is not orthogonal to {labels[at]}")
 
         if n_vec is None:
             n_vec = solve_transversal(model, self.screen, rad, l_vec)
@@ -226,11 +225,8 @@ class SubmanifoldFrame:
     @cached_property
     def projector(self) -> MultilinearForm:
         """Projection on the screen distribution along the radical."""
-        xi_t = self.radical_tangent()
-        return MultilinearForm.from_cells(
-            self.tangent_frame, 2,
-            lambda a: self.tangent_frame.basis_vector(a)
-            - xi_t.scale(self.eta.entries[a]))
+        return (MultilinearForm.identity(self.tangent_frame)
+                - outer(self.eta, self.radical_tangent()))
 
     @cached_property
     def phi_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
@@ -247,8 +243,10 @@ class SubmanifoldFrame:
             except DecompositionInconsistent as exc:
                 raise NotRSTHL(str(exc)) from exc
         # phi(xi) = mu L is transversal, and P kills xi
-        return MultilinearForm(self.tangent_frame, 2,
-                               parts[0].entries[:-self.dim] + (ZERO,) * self.dim)
+        zero = MultilinearForm.zero(self.tangent_frame, 1)
+        return MultilinearForm.from_cells(
+            self.tangent_frame, 2,
+            lambda a: zero if a == self.radical_index else parts[0].cell(a))
 
     @cached_property
     def phi_pairing(self) -> MultilinearForm:
@@ -437,7 +435,7 @@ def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedOb
         lambda a, b: conn.gamma.cell(a, b) - xi_t.scale(c_form.entry(a, b))
         if b != rad else MultilinearForm.zero(tf, 1))
     shape_rad = MultilinearForm.from_cells(
-        tf, 2, lambda a: -conn.gamma.cell(a, rad) - xi_t.scale(tau.entries[a]))
+        tf, 2, lambda a: -conn.gamma.cell(a, rad) - xi_t.scale(tau.entry(a)))
 
     return InducedObjects(conn=conn, screen_gamma=screen_gamma,
                           b_form=b_form, c_form=c_form, d_form=d_form,
@@ -704,7 +702,7 @@ def nu_tilde_vanishes_entry(pair: CurvaturePair) -> CheckEntry:
 def gamma_identity_18_entry(obj: InducedObjects, f: SubmanifoldFrame,
                             pair: CurvaturePair, gamma_screen: RationalFunction,
                             mu: RationalFunction) -> CheckEntry:
-    tau_xi = obj.tau.entries[f.radical_index]
+    tau_xi = obj.tau.entry(f.radical_index)
     return compare(
         "umbilic-factor-identity", "eq-18", pair.nu + tau_xi * gamma_screen * 2,
         mu * mu * gamma_screen * gamma_screen * 4,

@@ -212,7 +212,7 @@ def model_from_json_obj(obj) -> ModelFile:
 def _vector_to_obj(v: MultilinearForm) -> dict:
     """A vector or one-form as {label: scalar string}, zero entries omitted."""
     return {v.frame.labels[i]: str(c)
-            for i, c in enumerate(v.entries) if not c.is_zero()}
+            for i, c in sorted(v.nonzero.items())}
 
 
 def model_to_json_obj(m: ModelFile) -> dict:

@@ -82,15 +82,15 @@ def residual_suffix(got, want) -> str:
         return f"; the residual is {got - want}"
     if not isinstance(got, MultilinearForm):
         return ""
-    comps = (got - want).entries
-    nonzero = [off for off, c in enumerate(comps) if not c.is_zero()]
+    residual = (got - want).nonzero
+    first = min(residual)
     labels = got.frame.labels
-    at, off = [], nonzero[0]
+    at, off = [], first
     for _ in range(got.arity):
         off, i = divmod(off, len(labels))
         at.insert(0, labels[i])
-    return (f"; the residual at ({', '.join(at)}) is {comps[nonzero[0]]}, "
-            f"{len(nonzero)} of {len(comps)} components nonzero")
+    return (f"; the residual at ({', '.join(at)}) is {residual[first]}, "
+            f"{len(residual)} of {len(labels) ** got.arity} components nonzero")
 
 
 @dataclass

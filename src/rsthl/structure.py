@@ -26,6 +26,7 @@ from .scalars import ONE, RationalFunction
 from .tensors import (
     Frame,
     MultilinearForm,
+    compose,
     curvature_product,
     outer,
     signature_at_sample,
@@ -131,13 +132,10 @@ def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
 
 def fundamental_tensor(s: ACBMStructure, conn: Connection) -> MultilinearForm:
     """F(X,Y,Z) = g_bar((nabla_X phi) Y, Z) on the frame."""
-    frame = s.frame
-    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
-    nabla_phi = MultilinearForm.from_cells(
-        frame, 3,
-        lambda i, j: conn.gamma.apply(basis[i], s.phi.cell(j))
-        - s.phi.apply(conn.gamma.cell(i, j)))
-    return nabla_phi.pull_slots(s.metric.form, (2,))
+    # (nabla_X phi) Y = nabla_X (phi Y) - phi (nabla_X Y)
+    nabla_phi_y = compose(s.phi, conn.gamma.permute((1, 0, 2))).permute((1, 0, 2))
+    phi_nabla_y = compose(conn.gamma, s.phi)
+    return (nabla_phi_y - phi_nabla_y).pull_slots(s.metric.form, (2,))
 
 
 def constant_curvature_form(s: ACBMStructure, pair: CurvaturePair) -> MultilinearForm:

@@ -13,12 +13,26 @@ connection nabla_{e_i} e_j arity 3, and a curvature R(e_i, e_j) e_k
 arity 4.  A one-form is an arity-1 table too, read as lower; ``cell``,
 ``apply`` and ``Frame.basis_vector`` return vectors as arity-1 tables.
 
+A table stores only its nonzero components: ``nonzero`` maps a flat
+row-major offset to its value and never holds a zero (the
+dictionary-of-keys layout; Saad, *Iterative Methods for Sparse Linear
+Systems*, 2nd ed., ch. 3).  The map is canonical, so table equality is
+map equality and stays exact.  Every kernel walks nonzero keys only,
+each term is a product of two nonzero scalars, and a sum that cancels
+drops its key.  ``entries`` is the dense tuple, zeros included, rebuilt
+on each read; the solvers and ``rows()`` read it, and a single component
+is ``entry(*idx)``.
+
 Every curvature closed form is a sum of curvature products
 P(a, b)(i, j, k, l) = b(j, k) a(i, l) - b(i, k) a(j, l) of two arity-2
 tables (``curvature_product``): with an operator a it is the tensor
 (X, Y, Z) -> b(Y, Z) aX - b(X, Z) aY, with a bilinear form a the same
 tensor lowered.  ``outer`` builds the rank-one tables u (x) v such
 products often take, for example the operator X -> eta(X) xi.
+``compose(a, b)`` contracts the last slot of a with the first slot of
+b, so the second covariant derivatives nabla_i nabla_j e_k and the
+bracket term of a curvature, and a derivation acting on a form, are one
+composition of whole tables each.
 
 Identities are decided on whole tables.  ``permute`` reorders the slots
 of a table, so a symmetry T(X, Y) = T(Y, X) reads
@@ -40,8 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cache
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegenerateMetric,
@@ -80,24 +95,58 @@ class Frame:
         return MultilinearForm(self, 1, tuple(comps))
 
 
-@dataclass(frozen=True)
-class MultilinearForm:
-    """A tensor of arity k >= 1 as a flat component table.
+def _accumulate(out: dict, key: int, term: RationalFunction) -> None:
+    """out[key] += term, dropping the key when the sum cancels."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = term
+        return
+    acc = acc + term
+    if acc.is_zero():
+        del out[key]
+    else:
+        out[key] = acc
 
-    Components are stored row-major: entry(i1, ..., ik) sits at the flat
-    offset ((i1*d + i2)*d + ...) for frame dimension d.  See the module
-    docstring for how a vector-valued tensor reads its last slot.
+
+@cache
+def _permuted_offsets(dim: int, arity: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """The offset each flat offset moves to under ``permute(order)``; one
+    tuple per frame dimension, arity and order, so the cache stays small."""
+    strides = [dim ** (arity - 1 - s) for s in range(arity)]
+    moved = [strides[o] for o in order]
+    return tuple(sum(i * st for i, st in zip(idx, moved))
+                 for idx in product(range(dim), repeat=arity))
+
+
+class MultilinearForm:
+    """A tensor of arity k >= 1 as a map from flat offset to nonzero component.
+
+    Components are laid out row-major: entry(i1, ..., ik) sits at the flat
+    offset ((i1*d + i2)*d + ...) for frame dimension d.  ``nonzero`` holds
+    the nonzero components by offset and never a zero, so two tables are
+    equal exactly when frame, arity and map agree.  ``entries`` is the
+    dense row-major tuple, built on each read.  Tables are values: no
+    method changes one.  See the module docstring for how a vector-valued
+    tensor reads its last slot.
     """
 
-    frame: Frame
-    arity: int
-    entries: tuple[RationalFunction, ...]
+    __slots__ = ("frame", "arity", "nonzero")
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, frame: Frame, arity: int, entries: Sequence[RationalFunction]):
+        if arity < 1:
             raise ValueError("a table needs at least one slot")
-        if len(self.entries) != self.frame.dimension ** self.arity:
+        if len(entries) != frame.dimension ** arity:
             raise ValueError("entry count does not match frame and arity")
+        self.frame = frame
+        self.arity = arity
+        self.nonzero = {off: c for off, c in enumerate(entries) if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, frame: Frame, arity: int, nonzero: dict) -> "MultilinearForm":
+        """The table with the given nonzero map, which must hold no zero."""
+        table = object.__new__(cls)
+        table.frame, table.arity, table.nonzero = frame, arity, nonzero
+        return table
 
     @classmethod
     def from_function(
@@ -120,22 +169,48 @@ class MultilinearForm:
     ) -> "MultilinearForm":
         """The vector-valued table whose cell at (i1, ..., i(k-1)) is the
         vector fn(i1, ..., i(k-1))."""
-        flat = []
-        for idx in product(range(frame.dimension), repeat=arity - 1):
+        dim = frame.dimension
+        nonzero = {}
+        for n, idx in enumerate(product(range(dim), repeat=arity - 1)):
             v = fn(*idx)
             if v.frame != frame:
                 raise ValueError("objects live on different frames")
-            flat.extend(v.entries)
-        return cls(frame, arity, tuple(flat))
+            if v.arity != 1:
+                raise ValueError("a cell is a vector")
+            for l, c in v.nonzero.items():
+                nonzero[n * dim + l] = c
+        return cls._of(frame, arity, nonzero)
 
     @classmethod
     def zero(cls, frame: Frame, arity: int) -> "MultilinearForm":
-        return cls(frame, arity, (ZERO,) * frame.dimension ** arity)
+        return cls._of(frame, arity, {})
 
     @classmethod
     def identity(cls, frame: Frame) -> "MultilinearForm":
         """The identity operator."""
-        return cls.from_function(frame, 2, lambda i, j: ONE if i == j else ZERO)
+        dim = frame.dimension
+        return cls._of(frame, 2, {i * dim + i: ONE for i in range(dim)})
+
+    @property
+    def entries(self) -> tuple[RationalFunction, ...]:
+        """All components, zeros included, in row-major order."""
+        dense = [ZERO] * self.frame.dimension ** self.arity
+        for off, c in self.nonzero.items():
+            dense[off] = c
+        return tuple(dense)
+
+    def __eq__(self, other):
+        if not isinstance(other, MultilinearForm):
+            return NotImplemented
+        return (self.frame == other.frame and self.arity == other.arity
+                and self.nonzero == other.nonzero)
+
+    def __hash__(self):
+        return hash((self.frame, self.arity, frozenset(self.nonzero.items())))
+
+    def __repr__(self):
+        return (f"MultilinearForm({self.frame!r}, {self.arity}, "
+                f"{dict(sorted(self.nonzero.items()))!r})")
 
     def _offset(self, idx: Sequence[int]) -> int:
         off = 0
@@ -143,81 +218,85 @@ class MultilinearForm:
             off = off * self.frame.dimension + i
         return off
 
+    def _block(self, lo: int, size: int, arity: int) -> "MultilinearForm":
+        """The arity-``arity`` table held at the offsets lo, ..., lo + size - 1."""
+        return MultilinearForm._of(self.frame, arity, {
+            off - lo: c for off, c in self.nonzero.items() if lo <= off < lo + size})
+
     def entry(self, *idx: int) -> RationalFunction:
         if len(idx) != self.arity:
             raise ValueError("index count does not match arity")
-        return self.entries[self._offset(idx)]
+        return self.nonzero.get(self._offset(idx), ZERO)
 
     def cell(self, *idx: int) -> "MultilinearForm":
         """The vector at (e_i1, ..., e_i(k-1)), the last slot read as upper."""
         if len(idx) != self.arity - 1:
             raise ValueError("index count does not match arity")
         dim = self.frame.dimension
-        off = self._offset(idx) * dim
-        return MultilinearForm(self.frame, 1, self.entries[off:off + dim])
+        return self._block(self._offset(idx) * dim, dim, 1)
 
-    def _contract(self, vectors: Sequence["MultilinearForm"]) -> list[RationalFunction]:
-        """The entries left after substituting vectors into the leading slots.
-
-        Slots are contracted one at a time, and a zero component or a zero
-        entry costs no scalar operation.
-        """
+    def _contract(self, vectors: Sequence["MultilinearForm"]) -> dict:
+        """The nonzero map left after substituting vectors into the leading
+        slots, one slot at a time; each term is a product of two nonzero
+        components."""
         dim = self.frame.dimension
-        table = self.entries
+        table = self.nonzero
+        block = dim ** self.arity
         for v in vectors:
             _same_frame(self, v)
-            block = len(table) // dim
-            out = [ZERO] * block
-            for i, c in enumerate(v.entries):
-                if c.is_zero():
-                    continue
-                base = i * block
-                for r in range(block):
-                    t = table[base + r]
-                    if not t.is_zero():
-                        acc = out[r]
-                        out[r] = t * c if acc.is_zero() else acc + t * c
+            block //= dim
+            comps = v.nonzero
+            out = {}
+            for off, t in table.items():
+                i, rest = divmod(off, block)
+                c = comps.get(i)
+                if c is not None:
+                    _accumulate(out, rest, t * c)
             table = out
         return table
 
     def value(self, *vectors: "MultilinearForm") -> RationalFunction:
         if len(vectors) != self.arity:
             raise ValueError("argument count does not match arity")
-        return self._contract(vectors)[0]
+        return self._contract(vectors).get(0, ZERO)
 
     def apply(self, *vectors: "MultilinearForm") -> "MultilinearForm":
         """The vector T(v1, ..., v(k-1)), the last slot read as upper."""
         if len(vectors) != self.arity - 1:
             raise ValueError("argument count does not match arity")
-        return MultilinearForm(self.frame, 1, tuple(self._contract(vectors)))
+        return MultilinearForm._of(self.frame, 1, self._contract(vectors))
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
-        """The entrywise sum; a zero entry on either side costs no scalar
-        operation."""
         self._compatible(other)
-        return MultilinearForm(self.frame, self.arity, tuple(
-            b if a.is_zero() else a if b.is_zero() else a + b
-            for a, b in zip(self.entries, other.entries)))
+        out = dict(self.nonzero)
+        for off, c in other.nonzero.items():
+            _accumulate(out, off, c)
+        return MultilinearForm._of(self.frame, self.arity, out)
 
     def __sub__(self, other: "MultilinearForm") -> "MultilinearForm":
         self._compatible(other)
-        return MultilinearForm(self.frame, self.arity, tuple(
-            a if b.is_zero() else -b if a.is_zero() else a - b
-            for a, b in zip(self.entries, other.entries)))
+        out = dict(self.nonzero)
+        # acc - c is one scalar operation where acc + (-c) would be two
+        for off, c in other.nonzero.items():
+            acc = out.pop(off, None)
+            diff = -c if acc is None else acc - c
+            if not diff.is_zero():
+                out[off] = diff
+        return MultilinearForm._of(self.frame, self.arity, out)
 
     def __neg__(self) -> "MultilinearForm":
-        return MultilinearForm(self.frame, self.arity, tuple(
-            c if c.is_zero() else -c for c in self.entries))
+        return MultilinearForm._of(self.frame, self.arity, {
+            off: -c for off, c in self.nonzero.items()})
 
     def scale(self, s) -> "MultilinearForm":
         s = rf(s)
         if s.is_zero():
             return MultilinearForm.zero(self.frame, self.arity)
-        return MultilinearForm(self.frame, self.arity, tuple(
-            c if c.is_zero() else s * c for c in self.entries))
+        return MultilinearForm._of(self.frame, self.arity, {
+            off: s * c for off, c in self.nonzero.items()})
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.entries)
+        return not self.nonzero
 
     def is_symmetric(self) -> bool:
         if self.arity != 2:
@@ -233,11 +312,9 @@ class MultilinearForm:
         """
         if sorted(order) != list(range(self.arity)):
             raise ValueError("order is not a permutation of the slots")
-        dim = self.frame.dimension
-        strides = [dim ** (self.arity - 1 - s) for s in range(self.arity)]
-        return MultilinearForm(self.frame, self.arity, tuple(
-            self.entries[sum(idx[o] * st for o, st in zip(order, strides))]
-            for idx in product(range(dim), repeat=self.arity)))
+        moved = _permuted_offsets(self.frame.dimension, self.arity, tuple(order))
+        return MultilinearForm._of(self.frame, self.arity, {
+            moved[off]: c for off, c in self.nonzero.items()})
 
     def skew(self) -> "MultilinearForm":
         """T(X, Y, ...) - T(Y, X, ...): the part skew in the first two slots."""
@@ -248,8 +325,7 @@ class MultilinearForm:
         if self.arity < 2:
             raise ValueError("fixing a slot needs arity 2 or more")
         block = self.frame.dimension ** (self.arity - 1)
-        return MultilinearForm(self.frame, self.arity - 1,
-                               self.entries[i * block:(i + 1) * block])
+        return self._block(i * block, block, self.arity - 1)
 
     def pull_slots(self, op: "MultilinearForm", slots: Iterable[int]) -> "MultilinearForm":
         """Substitute the operator op into the given slots:
@@ -263,24 +339,21 @@ class MultilinearForm:
         if op.arity != 2:
             raise ValueError("only an arity-2 table can be pulled into a slot")
         dim = self.frame.dimension
-        table = list(self.entries)
+        by_column = [[] for _ in range(dim)]  # column a: the (i, op(i, a)) != 0
+        for off, m in op.nonzero.items():
+            i, a = divmod(off, dim)
+            by_column[a].append((i, m))
+        table = self.nonzero
         for slot in slots:
             stride = dim ** (self.arity - 1 - slot)
-            block = stride * dim
-            out = [ZERO] * len(table)
-            for base in range(0, len(table), block):
-                for rest in range(stride):
-                    cells = [table[base + a * stride + rest] for a in range(dim)]
-                    for i in range(dim):
-                        acc = ZERO
-                        for a in range(dim):
-                            m = op.entries[i * dim + a]
-                            if not m.is_zero() and not cells[a].is_zero():
-                                t = cells[a] * m
-                                acc = t if acc.is_zero() else acc + t
-                        out[base + i * stride + rest] = acc
+            out = {}
+            for off, t in table.items():
+                a = off // stride % dim
+                base = off - a * stride
+                for i, m in by_column[a]:
+                    _accumulate(out, base + i * stride, t * m)
             table = out
-        return MultilinearForm(self.frame, self.arity, tuple(table))
+        return MultilinearForm._of(self.frame, self.arity, table)
 
     def pull_all(self, op: "MultilinearForm") -> "MultilinearForm":
         return self.pull_slots(op, range(self.arity))
@@ -294,7 +367,8 @@ class MultilinearForm:
         if self.arity != 2:
             raise ValueError("rows() is for arity 2")
         dim = self.frame.dimension
-        return [list(self.entries[i * dim : (i + 1) * dim]) for i in range(dim)]
+        entries = self.entries
+        return [list(entries[i * dim : (i + 1) * dim]) for i in range(dim)]
 
     def trace(self) -> RationalFunction:
         """The trace of an operator."""
@@ -316,9 +390,37 @@ def outer(u: MultilinearForm, v: MultilinearForm) -> MultilinearForm:
     outer(eta, xi) is the operator X -> eta(X) xi.
     """
     _same_frame(u, v)
-    return MultilinearForm(u.frame, u.arity + v.arity, tuple(
-        ZERO if a.is_zero() or b.is_zero() else a * b
-        for a in u.entries for b in v.entries))
+    size = u.frame.dimension ** v.arity
+    return MultilinearForm._of(u.frame, u.arity + v.arity, {
+        i * size + j: a * b
+        for i, a in u.nonzero.items() for j, b in v.nonzero.items()})
+
+
+def compose(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
+    """The table (I, J) -> sum_m a(I, m) b(m, J): the last slot of a
+    contracted with the first slot of b.
+
+    With vector-valued tables this substitutes the values of a into the
+    first slot of b: compose(gamma, gamma') with gamma'(m, x, l) = nabla_x
+    e_m gives (i, j, x) -> nabla_x (nabla_i e_j), and compose(v, b) is
+    b.apply(v) for a vector v.
+    """
+    _same_frame(a, b)
+    if a.arity + b.arity < 3:
+        raise ValueError("composing two vectors leaves no slot")
+    dim = a.frame.dimension
+    size = dim ** (b.arity - 1)
+    rows = [[] for _ in range(dim)]  # row m: the (J, b(m, J)) != 0
+    for off, c in b.nonzero.items():
+        m, j = divmod(off, size)
+        rows[m].append((j, c))
+    out = {}
+    for off, x in a.nonzero.items():
+        i, m = divmod(off, dim)
+        base = i * size
+        for j, c in rows[m]:
+            _accumulate(out, base + j, x * c)
+    return MultilinearForm._of(a.frame, a.arity + b.arity - 2, out)
 
 
 def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
@@ -327,42 +429,23 @@ def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm
     For an operator a this is the curvature-type tensor
     (X, Y, Z) -> b(Y, Z) aX - b(X, Z) aY; for a bilinear form a it is the
     same tensor lowered.  P(a, b) + P(b, a) is the Kulkarni-Nomizu product
-    up to its sign convention.  Zero entries of a and b cost no scalar operation.
+    up to its sign convention.  Only pairs of nonzero entries cost a
+    scalar operation.
     """
     _same_frame(a, b)
     if a.arity != 2 or b.arity != 2:
         raise ValueError("the curvature product takes two arity-2 tables")
     dim = a.frame.dimension
-    pairs = list(product(range(dim), repeat=2))
-    a_nz = [(i, l, c) for (i, l), c in zip(pairs, a.entries) if not c.is_zero()]
-    b_nz = [(j, k, c) for (j, k), c in zip(pairs, b.entries) if not c.is_zero()]
-    out = [ZERO] * dim ** 4
-
-    def add(off: int, t: RationalFunction):
-        out[off] = t if out[off].is_zero() else out[off] + t
-
-    for i, l, ac in a_nz:
+    b_nz = [(*divmod(off, dim), c) for off, c in b.nonzero.items()]
+    out = {}
+    for off, ac in a.nonzero.items():
+        i, l = divmod(off, dim)
         for j, k, bc in b_nz:
             if i != j:
                 t = bc * ac
-                add(((i * dim + j) * dim + k) * dim + l, t)
-                add(((j * dim + i) * dim + k) * dim + l, -t)
-    return MultilinearForm(a.frame, 4, tuple(out))
-
-
-def first_nonzero(residual: Callable[..., object], dim: int, arity: int,
-                  increasing: bool = False) -> Optional[tuple[int, ...]]:
-    """The first index tuple whose residual is nonzero, or None.
-
-    ``residual`` maps ``arity`` indices in ``range(dim)`` to a scalar or a
-    table.  Tuples are visited in row-major order, the order of the nested
-    loops ``for i: for j: ...``, and the scan stops at the first nonzero
-    residual.  With ``increasing`` only the tuples
-    i < j < ... are visited, which suffices for an alternating residual.
-    """
-    tuples = (combinations(range(dim), arity) if increasing
-              else product(range(dim), repeat=arity))
-    return next((idx for idx in tuples if not residual(*idx).is_zero()), None)
+                _accumulate(out, ((i * dim + j) * dim + k) * dim + l, t)
+                _accumulate(out, ((j * dim + i) * dim + k) * dim + l, -t)
+    return MultilinearForm._of(a.frame, 4, out)
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -466,13 +549,18 @@ def solve_combination(target: MultilinearForm,
     tables of one size read as flat entry lists.
 
     Raises InconsistentSystem when the target is no such combination and
-    UnderdeterminedSystem when the basis is linearly dependent.
+    UnderdeterminedSystem when the basis is linearly dependent.  Only the
+    offsets where some table is nonzero give equations; the others read
+    0 = 0 (offset 0 stands in when there is none, so the system keeps
+    its columns).
     """
     for b in basis:
         _same_frame(target, b)
-        if len(b.entries) != len(target.entries):
+        if b.arity != target.arity:
             raise ValueError("the target and the basis terms differ in size")
-    return solve_unique(list(zip(*(b.entries for b in basis))), target.entries)
+    offsets = sorted(set(target.nonzero).union(*(b.nonzero for b in basis))) or [0]
+    return solve_unique([[b.nonzero.get(off, ZERO) for b in basis] for off in offsets],
+                        [target.nonzero.get(off, ZERO) for off in offsets])
 
 
 def solve_affine(

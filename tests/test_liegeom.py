@@ -1,9 +1,13 @@
 """Lie algebras, invariant metrics, the Koszul connection and curvature."""
 
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsthl.builtin import (EXPECTED_FACTOR_TABLE, FACTOR_LABELS,
-                           factor_algebra, factor_signature_entry)
+                           example_model, factor_algebra,
+                           factor_signature_entry)
 from rsthl.errors import DegenerateMetric
 from rsthl.liegeom import (Connection, CurvatureTensor, InvariantMetric,
                            LieAlgebra, curvature, curvature_entries,
@@ -11,6 +15,7 @@ from rsthl.liegeom import (Connection, CurvatureTensor, InvariantMetric,
 from rsthl.report import PASS
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.tensors import Frame, MultilinearForm
+from test_properties import dense_frame, transported
 
 F3 = Frame(("e1", "e2", "e3"))
 
@@ -83,6 +88,62 @@ def test_validate_names_antisymmetry_violation():
         F3, MultilinearForm.from_cells(F3, 3, lambda i, j: rows[i][j])))
     assert entry.status == "fail"
     assert entry.detail == "antisymmetry fails at (e1, e2)"
+
+
+F4 = Frame(("e1", "e2", "e3", "e4"))
+
+
+def test_lie_checks_locate_the_first_violation():
+    """Both checks name the row-major first nonzero offset of their
+    whole-table residual."""
+    zero = MultilinearForm.zero(F3, 1)
+    e1, e3 = F3.basis_vector(0), F3.basis_vector(2)
+    # entered at (e3, e2) and (e3, e1): the residual [X, Y] + [Y, X] is
+    # symmetric, so it is first nonzero at (e1, e3)
+    rows = ((zero, zero, zero), (zero, zero, zero), (e3, e1, zero))
+    broken = LieAlgebra(F3, MultilinearForm.from_cells(F3, 3, lambda i, j: rows[i][j]))
+    assert validate_lie_algebra(broken).detail == "antisymmetry fails at (e1, e3)"
+    # the Jacobi break of the three-dimensional test above, moved to
+    # (e2, e3, e4) beside a central e1: every triple holding e1 passes
+    shifted = LieAlgebra.from_table(
+        F4, {("e2", "e3"): {"e4": 1}, ("e2", "e4"): {"e2": 1}, ("e1", "e2"): {}})
+    entry = validate_lie_algebra(shifted)
+    assert (entry.status, entry.detail) == ("fail", "Jacobi fails at (e2, e3, e4)")
+
+
+def first_violation(residual, tuples):
+    return next((idx for idx in tuples if not residual(*idx).is_zero()), None)
+
+
+@given(cells=st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                             st.sampled_from([rf(1), rf(-1), rf(2), MU]), max_size=5),
+       antisymmetrize=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_lie_checks_match_the_per_cell_scans(cells, antisymmetrize):
+    """The location against scans of the per-cell residuals: every pair in
+    row-major order for antisymmetry, the increasing triples for Jacobi."""
+    br = MultilinearForm.from_function(
+        F4, 3, lambda i, j, k: cells.get((i, j, k), ZERO))
+    if antisymmetrize:
+        br = br.skew()
+    basis = [F4.basis_vector(i) for i in range(4)]
+
+    def jacobiator(i, j, k):
+        return (br.apply(br.cell(i, j), basis[k]) + br.apply(br.cell(j, k), basis[i])
+                + br.apply(br.cell(k, i), basis[j]))
+
+    kind = "antisymmetry"
+    at = first_violation(lambda i, j: br.cell(i, j) + br.cell(j, i),
+                         product(range(4), repeat=2))
+    if at is None:
+        kind = "Jacobi"
+        at = first_violation(jacobiator, combinations(range(4), 3))
+    entry = validate_lie_algebra(LieAlgebra(F4, br))
+    if at is None:
+        assert entry.status == "pass"
+    else:
+        labels = ", ".join(F4.labels[i] for i in at)
+        assert entry.detail == f"{kind} fails at ({labels})"
 
 
 def test_invariant_metric_validation():
@@ -209,6 +270,41 @@ def test_curvature_apply_matches_basis_values():
     x = MultilinearForm.from_map(F3, {"e1": 2})
     y = MultilinearForm.from_map(F3, {"e2": 1})
     assert curv.table.apply(x, y, y) == curv.table.cell(0, 1, 1).scale(2)
+
+
+def curvature_by_cells(conn, alg):
+    """R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
+    - nabla_[e_i, e_j] e_k, one cell at a time."""
+    frame, g, br = conn.frame, conn.gamma, alg.brackets
+    basis = [frame.basis_vector(i) for i in range(frame.dimension)]
+    return MultilinearForm.from_cells(
+        frame, 4, lambda i, j, k: (g.apply(basis[i], g.cell(j, k))
+                                   - g.apply(basis[j], g.cell(i, k))
+                                   - g.apply(br.cell(i, j), basis[k])))
+
+
+def assert_curvature_matches_cells(alg, metric):
+    conn = levi_civita(alg, metric)
+    assert curvature(conn, alg).table == curvature_by_cells(conn, alg)
+
+
+@pytest.mark.parametrize("build", [
+    example_model, lambda: transported(example_model(), dense_frame(1))],
+    ids=["builtin", "dense"])
+def test_curvature_matches_its_cell_definition(build):
+    model = build()
+    assert_curvature_matches_cells(model.algebra, InvariantMetric(model.metric_form))
+
+
+@given(weights=st.tuples(*[st.integers(-3, 3).filter(bool)] * 3),
+       diag=st.tuples(*[st.sampled_from([1, -1, 2, MU])] * 4))
+@settings(max_examples=20, deadline=None)
+def test_solvable_family_curvature_matches_its_cell_definition(weights, diag):
+    # the solvable family of the Koszul property test: ad(e4) diagonal
+    frame = Frame(("e1", "e2", "e3", "e4"))
+    alg = LieAlgebra.from_table(frame, {("e4", f"e{i + 1}"): {f"e{i + 1}": w}
+                                        for i, w in enumerate(weights)})
+    assert_curvature_matches_cells(alg, InvariantMetric.diagonal(frame, diag))
 
 
 def test_factor_connection_matches_frozen_table():

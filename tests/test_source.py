@@ -38,3 +38,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Builtins that walk their arguments.
+ITERATING = {"all", "any", "dict", "enumerate", "filter", "list", "map", "max",
+             "min", "set", "sorted", "sum", "tuple", "zip"}
+
+
+def dense_entry_reads(source: str) -> list[int]:
+    """Lines that subscript or iterate ``x.entries``, the dense view of a
+    table.  ``self.entries`` is exempt: outside ``tensors`` it is the entry
+    list of a report or a suite stage, not a table."""
+    def dense(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "entries"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and dense(node.value):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.For, ast.comprehension)) and dense(node.iter):
+            lines.append(node.iter.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ITERATING and any(dense(a) for a in node.args)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_dense_entry_reads_are_found():
+    source = ("a = t.entries[0]\n"
+              "b = [c for c in t.cell(0).entries]\n"
+              "for c in t.entries:\n    pass\n"
+              "d = list(enumerate(t.entries))\n"
+              "e = sum(t.entries, ZERO)\n"
+              "rows = [t.entries for t in tables]\n"
+              "for entry in self.entries:\n    f = self.entries[0]\n")
+    assert dense_entry_reads(source) == [1, 2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "tensors.py"], ids=lambda p: p.name)
+def test_only_tensors_subscripts_or_iterates_entries(path):
+    """Tables keep only their nonzero entries; outside ``tensors`` a single
+    component is ``entry(...)`` and a walk is over ``nonzero``, so no module
+    builds the dense view to pick from it."""
+    assert dense_entry_reads(path.read_text(encoding="utf-8")) == []

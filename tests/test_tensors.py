@@ -13,9 +13,9 @@ from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           ScalarDomainError, UnderdeterminedSystem)
 from rsthl import tensors
 from rsthl.scalars import MU, ONE, ZERO, RationalFunction, rf
-from rsthl.tensors import (Frame, MultilinearForm, _echelon,
-                           curvature_product, determinant, first_nonzero,
-                           inertia, matrix_inverse, outer, pick_regular_sample,
+from rsthl.tensors import (Frame, MultilinearForm, _echelon, compose,
+                           curvature_product, determinant, inertia,
+                           matrix_inverse, outer, pick_regular_sample,
                            signature_at_sample, solve_affine,
                            solve_combination, solve_unique)
 
@@ -87,21 +87,6 @@ def test_vector_arithmetic():
     assert (-v).entries == (rf(-2), ZERO, -MU)
     assert v.scale(MU).entries == (2 * MU, ZERO, MU * MU)
     assert MultilinearForm.zero(F3, 1).is_zero()
-
-
-def test_first_nonzero_scans_in_row_major_order():
-    seen = []
-
-    def residual(i, j, k):
-        seen.append((i, j, k))
-        return rf(1) if (i, j, k) in {(1, 0, 2), (2, 1, 0)} else ZERO
-
-    assert first_nonzero(residual, 3, 3) == (1, 0, 2)
-    assert seen == sorted(seen) and seen[-1] == (1, 0, 2)
-    assert first_nonzero(residual, 3, 3, increasing=True) is None
-    assert first_nonzero(lambda i, j: F3.basis_vector(i) if i > j else
-                         MultilinearForm.zero(F3, 1), 3, 2) == (1, 0)
-    assert first_nonzero(lambda i: ZERO, 3, 1) is None
 
 
 def test_covector_applies_to_vectors():
@@ -538,3 +523,136 @@ def test_only_tensors_eliminates_and_samples():
         if names & private:
             leaks[path.name] = sorted(names & private)
     assert leaks == {}
+
+
+# --- sparse kernels against dense references ------------------------------
+
+# Values with opposite pairs, so sums and contractions cancel often.
+CANCELLING = (ONE, -ONE, rf(2), MU, -MU, ONE / (MU + 1))
+
+
+def tables(arity, max_size=10):
+    """Tables on F3 with up to max_size nonzero entries."""
+    return st.dictionaries(
+        st.integers(0, 3 ** arity - 1), st.sampled_from(CANCELLING),
+        max_size=max_size).map(lambda cells: MultilinearForm(
+            F3, arity, tuple(cells.get(off, ZERO) for off in range(3 ** arity))))
+
+
+def reference(arity, fn):
+    """The F3 table whose entry at idx is fn(*idx), from entry() loops."""
+    return MultilinearForm.from_function(F3, arity, fn)
+
+
+def assert_canonical(*results):
+    """No kernel stores a zero, so equality stays a comparison of maps."""
+    for t in results:
+        assert all(not c.is_zero() for c in t.nonzero.values())
+
+
+def total(terms):
+    return sum(terms, ZERO)
+
+
+@given(data=st.data(), arity=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_entrywise_kernels_match_dense_references(data, arity):
+    a = data.draw(tables(arity))
+    free = data.draw(tables(arity))
+    sign = data.draw(st.sampled_from((ZERO, ONE, -ONE)))
+    # b repeats a (or its negative) off its own cells: a + b or a - b cancels
+    b = MultilinearForm(F3, arity, tuple(
+        y if not y.is_zero() else sign * x for x, y in zip(a.entries, free.entries)))
+    s = data.draw(st.sampled_from(CANCELLING + (ZERO,)))
+    order = tuple(data.draw(st.permutations(range(arity))))
+    got = {"sum": a + b, "difference": a - b, "negative": -a, "scaled": a.scale(s),
+           "permuted": a.permute(order)}
+    want = {
+        "sum": reference(arity, lambda *i: a.entry(*i) + b.entry(*i)),
+        "difference": reference(arity, lambda *i: a.entry(*i) - b.entry(*i)),
+        "negative": reference(arity, lambda *i: -a.entry(*i)),
+        "scaled": reference(arity, lambda *i: s * a.entry(*i)),
+        "permuted": reference(arity, lambda *i: a.entry(*(i[o] for o in order))),
+    }
+    if arity >= 2:
+        for i in range(3):
+            got[f"at {i}"] = a.at(i)
+            want[f"at {i}"] = MultilinearForm.from_function(
+                F3, arity - 1, lambda *rest: a.entry(i, *rest))
+        for idx in product(range(3), repeat=arity - 1):
+            got[f"cell {idx}"] = a.cell(*idx)
+            want[f"cell {idx}"] = reference(1, lambda l: a.entry(*idx, l))
+    for name in want:
+        assert got[name].entries == want[name].entries, name
+        assert got[name] == want[name], name
+    assert_canonical(*got.values())
+    assert a + (-a) == MultilinearForm.zero(F3, arity)
+    assert (a + (-a)).nonzero == {} and (a - a).nonzero == {}
+
+
+@given(data=st.data(), arity=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_contracting_kernels_match_dense_references(data, arity):
+    t = data.draw(tables(arity))
+    vs = [data.draw(tables(1, max_size=3)) for _ in range(arity)]
+    op = data.draw(tables(2, max_size=6))
+    slots = sorted(data.draw(st.sets(st.integers(0, arity - 1))))
+    assert t.value(*vs) == contraction(t, vs)
+    if arity >= 2:
+        applied = t.apply(*vs[:-1])
+        assert applied.entries == tuple(contraction(t, vs[:-1], (l,)) for l in range(3))
+        assert_canonical(applied)
+
+    def pulled(*idx):
+        """T(.., op X_s, ..) summed over the components a_s of op e_(i_s)."""
+        terms = []
+        for subs in product(range(3), repeat=len(slots)):
+            coeff, moved = ONE, list(idx)
+            for s, a in zip(slots, subs):
+                coeff = coeff * op.entry(idx[s], a)
+                moved[s] = a
+            terms.append(coeff * t.entry(*moved))
+        return total(terms)
+
+    got = t.pull_slots(op, slots)
+    assert got == reference(arity, pulled)
+    assert_canonical(got)
+
+
+@given(data=st.data(), left=st.integers(1, 3), right=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_product_kernels_match_dense_references(data, left, right):
+    u, v = data.draw(tables(left)), data.draw(tables(right))
+    got = outer(u, v)
+    assert got == reference(left + right, lambda *i: u.entry(*i[:left]) * v.entry(*i[left:]))
+    assert_canonical(got)
+    if left + right >= 3:
+        got = compose(u, v)
+        assert got == reference(left + right - 2, lambda *i: total(
+            u.entry(*i[:left - 1], m) * v.entry(m, *i[left - 1:]) for m in range(3)))
+        assert_canonical(got)
+    a, b = data.draw(tables(2)), data.draw(tables(2))
+    got = curvature_product(a, b)
+    assert got == reference(4, lambda i, j, k, l: b.entry(j, k) * a.entry(i, l)
+                            - b.entry(i, k) * a.entry(j, l))
+    assert_canonical(got)
+
+
+def test_compose_substitutes_values_into_the_first_slot():
+    op = operator({"e1": 1, "e2": 2}, {"e3": 3}, {"e1": MU, "e2": -1})
+    v = SAMPLE_VECTORS[0]
+    assert compose(v, op) == op.apply(v)
+    # an operator after an operator: compose(a, b) is b after a, as pull_slots
+    assert compose(op, sample_table(2)) == sample_table(2).pull_slots(op, (0,))
+    with pytest.raises(ValueError):
+        compose(v, v)
+
+
+def test_zero_tables_spend_no_operator_in_pull_and_permute(monkeypatch):
+    zero = MultilinearForm.zero(F5, 4)
+    op = MultilinearForm.from_function(F5, 2, lambda i, j: rf(i - j + 1))
+    calls = count_scalar_operators(monkeypatch)
+    assert zero.pull_slots(op, range(4)) == zero
+    assert zero.pull_all(op).nonzero == {}
+    assert zero.permute((3, 1, 0, 2)) == zero
+    assert calls == []
