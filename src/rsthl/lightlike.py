@@ -114,8 +114,11 @@ class Splitting:
         """The tangent part (arity k) and the V1 and V2 parts (arity k - 1)
         of an arity-k vector-valued table, on the tangent frame."""
         m = self.tangent_frame.dimension
-        rows = [self.coefficients(table.apply(*args))
-                for args in product(self.tangent, repeat=table.arity - 1)]
+        # tangent tuples in row-major order, each prefix contracted once
+        cells = [table]
+        for _ in range(table.arity - 1):
+            cells = [t.apply(v) for t in cells for v in self.tangent]
+        rows = [self.coefficients(cell) for cell in cells]
         tangent = tuple(c for row in rows for c in row[:m])
         return (MultilinearForm(self.tangent_frame, table.arity, tangent),
                 *(MultilinearForm(self.tangent_frame, table.arity - 1,

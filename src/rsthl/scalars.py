@@ -1,22 +1,39 @@
 """Exact scalars: rational functions of one formal parameter ``mu``.
 
-Every tensor component in this package lives in the field Q(mu).  A value is
-stored as a pair of coprime polynomials with a monic denominator, so equality
-and zero tests are exact decisions.  The parameter is treated as a constant
-with respect to differentiation: directional derivatives of scalars along
-invariant frames vanish identically.
+Every tensor component in this package lives in the field Q(mu).  A value
+is stored as ``num/den``, two tuples of ``int`` coefficients (lowest degree
+first), in the canonical form:
+
+- num and den are coprime in Z[mu];
+- the joint content gcd(num, den), the gcd of all their coefficients, is 1;
+- den has a positive leading coefficient;
+- zero is stored as ``((), (1,))``.
+
+Each nonzero value has exactly one such pair, so equality and zero tests
+are exact comparisons of int tuples.  The parameter is treated as a
+constant with respect to differentiation: directional derivatives of
+scalars along invariant frames vanish identically.
+
+``Fraction`` appears only at the boundary: the constructor clears Fraction
+(or other rational) coefficients to integers, and ``eval_at``,
+``constant_value`` and ``from_fraction`` convert to and from it.  The
+arithmetic is integer polynomial arithmetic.  The polynomial gcd is a
+primitive remainder sequence (pseudo-remainders made primitive), and by
+Gauss's lemma num and den divide by that primitive gcd exactly in Z[mu]
+(Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2
+and 7).
 
 Most scalars of a model are zero or constant, so the operators return early
 on trivial operands: a zero summand returns the other operand (negated for
 ``0 - y``), a zero factor returns ``ZERO`` and a unit factor or divisor the
 other operand, ``0 / y`` is ``ZERO`` and ``-0`` is itself; the ints 0 and 1
-coerce to ``ZERO`` and ``ONE``.  Two polynomials add and subtract without
-cross-multiplying, and the constructor skips the polynomial gcd when
-numerator or denominator is constant (the gcd is then a unit) and does not
-re-coerce coefficients that are already ``Fraction``s.  Each shortcut
-relies on one invariant: every stored value is canonical, so the operand it
-returns is already the canonical result, and equality stays a comparison of
-coefficients.  Every new value is still built by the constructor.
+coerce to ``ZERO`` and ``ONE``.  Summands over one denominator add their
+numerators without cross-multiplying, a constant factor scales in one pass,
+and the constructor skips the polynomial gcd when numerator or denominator
+is constant (the gcd is then a unit), leaving the content and sign.  Each
+shortcut relies on one invariant: every stored value is canonical, so the
+operand it returns is already the canonical result.  Every new value is
+still built by the constructor.
 """
 
 from __future__ import annotations
@@ -27,21 +44,26 @@ from typing import Union
 
 from .errors import ScalarDomainError, ScalarParseError
 
-Coeffs = tuple[Fraction, ...]
+Coeffs = tuple[int, ...]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _fraction(c) -> Fraction:
-    return c if type(c) is Fraction else Fraction(c)
+_UNIT: Coeffs = (1,)
 
 
 def _trim(cs) -> Coeffs:
     n = len(cs)
-    while n and cs[n - 1] == 0:
+    while n and not cs[n - 1]:
         n -= 1
     return tuple(cs[:n])
+
+
+def _cleared(num, den) -> tuple[Coeffs, Coeffs]:
+    """Integer coefficients for rational ones: both polynomials times the
+    lcm of the coefficient denominators."""
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    scale = math.lcm(*(c.denominator for c in num + den))
+    return (tuple(c.numerator * (scale // c.denominator) for c in num),
+            tuple(c.numerator * (scale // c.denominator) for c in den))
 
 
 def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -54,53 +76,80 @@ def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _pneg(a: Coeffs) -> Coeffs:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [_F0] * (len(a) + len(b) - 1)
+    """The product of two nonzero polynomials; Z[mu] has no zero divisors,
+    so the leading coefficient is nonzero and nothing is trimmed."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        k = b[0]
+        return a if k == 1 else tuple([k * c for c in a])
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _trim(out)
+    return tuple(out)
 
 
-def _pscale(a: Coeffs, k: Fraction) -> Coeffs:
-    if k == 0:
-        return ()
-    return tuple(c * k for c in a)
+def _primitive(a: Coeffs) -> Coeffs:
+    """a divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple([c // g for c in a])
 
 
-def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ScalarDomainError("polynomial division by zero")
-    if len(a) < len(b):
-        return (), a
-    q = [_F0] * (len(a) - len(b) + 1)
+def _prem(a: Coeffs, b: Coeffs) -> list[int]:
+    """A pseudo-remainder of a by b: a times a power of lc(b), minus a
+    multiple of b, of lower degree than b."""
     r = list(a)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] * inv_lead
-        if c:
-            q[k] = c
-            for i, cb in enumerate(b):
-                r[k + i] -= c * cb
-    return _trim(q), _trim(r)
+    lb, nb = b[-1], len(b)
+    while len(r) >= nb:
+        c = r.pop()
+        shift = len(r) - nb + 1
+        r = [lb * x for x in r]
+        for i in range(nb - 1):
+            r[shift + i] -= c * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pscale(a, 1 / a[-1])
+    """The primitive gcd of two nonzero polynomials (positive leading
+    coefficient), by a primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(tuple(r))
+    return _UNIT
+
+
+def _pexquo(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a / b for a primitive divisor b of a: the quotient lies in Z[mu] by
+    Gauss's lemma, so each step's integer division is exact."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb - 1] // lb
+        q[k] = c
+        if c:
+            for i in range(nb - 1):
+                r[k + i] -= c * b[i]
+    return tuple(q)
 
 
 def _peval(a: Coeffs, x: Fraction) -> Fraction:
-    out = _F0
+    out = Fraction(0)
     for c in reversed(a):
         out = out * x + c
     return out
@@ -110,48 +159,57 @@ Scalarish = Union["RationalFunction", int, Fraction]
 
 
 class RationalFunction:
-    """An element of Q(mu) in canonical form.
+    """An element of Q(mu) in canonical form (see the module docstring).
 
-    Canonical means: numerator and denominator share no polynomial factor,
-    the denominator is monic, and the zero value is stored as 0/1.  Two
-    values are equal exactly when their stored coefficients are equal.
+    ``RationalFunction(num, den=(1,))`` takes sequences of int or Fraction
+    coefficients, lowest degree first.  Two values are equal exactly when their stored
+    coefficients are equal.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=(_F1,)):
-        num = _trim(tuple(_fraction(c) for c in num))
-        den = _trim(tuple(_fraction(c) for c in den))
+    def __init__(self, num, den=_UNIT):
+        try:
+            content = math.gcd(*num, *den)
+        except TypeError:  # math.gcd takes ints only: rational input
+            num, den = _cleared(num, den)
+            content = math.gcd(*num, *den)
+        if type(num) is not tuple or num and not num[-1]:
+            num = _trim(num)
+        if type(den) is not tuple or not den or not den[-1]:
+            den = _trim(den)
         if not den:
             raise ScalarDomainError("zero denominator")
         if not num:
-            den = (_F1,)
+            den = _UNIT
         else:
-            # a constant part makes the gcd a unit, so only the monic
-            # normalization is left
+            # a constant part makes the gcd a unit, so only the content
+            # and the sign are left
             if len(num) > 1 and len(den) > 1:
                 g = _pgcd(num, den)
                 if len(g) > 1:
-                    num = _pdivmod(num, g)[0]
-                    den = _pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                inv = 1 / lead
-                num = _pscale(num, inv)
-                den = _pscale(den, inv)
+                    # g is primitive, so dividing by it keeps the content
+                    num = _pexquo(num, g)
+                    den = _pexquo(den, g)
+            if den[-1] < 0:
+                content = -content
+            if content != 1:
+                num = tuple([c // content for c in num])
+                den = tuple([c // content for c in den])
         self.num: Coeffs = num
         self.den: Coeffs = den
         self._hash = None
 
     @classmethod
     def from_fraction(cls, value) -> "RationalFunction":
-        return cls((Fraction(value),))
+        value = Fraction(value)
+        return cls((value.numerator,), (value.denominator,))
 
     from_int = from_fraction
 
     @classmethod
     def mu(cls) -> "RationalFunction":
-        return cls((_F0, _F1))
+        return cls((0, 1))
 
     @classmethod
     def parse(cls, text: str) -> "RationalFunction":
@@ -161,7 +219,7 @@ class RationalFunction:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == (_F1,) and self.den == (_F1,)
+        return self.num == _UNIT and self.den == _UNIT
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
@@ -169,7 +227,7 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ScalarDomainError(f"{self} is not constant in mu")
-        return self.num[0] if self.num else _F0
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def eval_at(self, value) -> Fraction:
         x = Fraction(value)
@@ -179,15 +237,16 @@ class RationalFunction:
         return _peval(self.num, x) / d
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             return self
         if not self.num:
             return other
-        if len(self.den) == 1 and len(other.den) == 1:
-            return RationalFunction(_padd(self.num, other.num))
+        if self.den == other.den:
+            return RationalFunction(_padd(self.num, other.num), self.den)
         return RationalFunction(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -196,15 +255,16 @@ class RationalFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             return self
         if not self.num:
             return -other
-        if len(self.den) == 1 and len(other.den) == 1:
-            return RationalFunction(_padd(self.num, _pneg(other.num)))
+        if self.den == other.den:
+            return RationalFunction(_padd(self.num, _pneg(other.num)), self.den)
         return RationalFunction(
             _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
             _pmul(self.den, other.den),
@@ -217,12 +277,14 @@ class RationalFunction:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_one():
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # the canonical one is the only value with num == den
+        if other.num == other.den:
             return self
-        if self.is_one():
+        if self.num == self.den:
             return other
         if not self.num or not other.num:
             return ZERO
@@ -283,14 +345,13 @@ class RationalFunction:
         return not self.is_zero()
 
     def __str__(self):
-        ni, di = _int_normalized(self.num, self.den)
-        ns = _format_poly(ni)
-        if di == (1,):
+        ns = _format_poly(self.num)
+        if self.den == _UNIT:
             return ns
-        ds = _format_poly(di)
-        if sum(1 for c in ni if c) > 1:
+        ds = _format_poly(self.den)
+        if sum(1 for c in self.num if c) > 1:
             ns = f"({ns})"
-        if len(di) > 1:
+        if len(self.den) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -306,24 +367,11 @@ def _coerce(value):
             return ZERO
         if value == 1:
             return ONE
-        return RationalFunction((Fraction(value),))
+        return RationalFunction((value.numerator,), (value.denominator,))
     return NotImplemented
 
 
-def _int_normalized(num: Coeffs, den: Coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    scale = 1
-    for c in num + den:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    ni = [int(c * scale) for c in num]
-    di = [int(c * scale) for c in den]
-    content = 0
-    for v in ni + di:
-        content = math.gcd(content, abs(v))
-    content = content or 1
-    return tuple(v // content for v in ni), tuple(v // content for v in di)
-
-
-def _format_poly(ci: tuple[int, ...]) -> str:
+def _format_poly(ci: Coeffs) -> str:
     if not ci:
         return "0"
     parts = []
@@ -483,6 +531,6 @@ def rf(value) -> RationalFunction:
 
 
 ZERO = RationalFunction(())
-ONE = RationalFunction((_F1,))
-MU = RationalFunction((_F0, _F1))
-HALF = RationalFunction((Fraction(1, 2),))
+ONE = RationalFunction(_UNIT)
+MU = RationalFunction((0, 1))
+HALF = RationalFunction((1,), (2,))

@@ -261,10 +261,13 @@ class MultilinearForm:
         return self._contract(vectors).get(0, ZERO)
 
     def apply(self, *vectors: "MultilinearForm") -> "MultilinearForm":
-        """The vector T(v1, ..., v(k-1)), the last slot read as upper."""
-        if len(vectors) != self.arity - 1:
+        """The table of arity k - n left by substituting n < k vectors into
+        the leading slots; for n = k - 1, the vector T(v1, ..., v(k-1)),
+        the last slot read as upper."""
+        if len(vectors) >= self.arity:
             raise ValueError("argument count does not match arity")
-        return MultilinearForm._of(self.frame, 1, self._contract(vectors))
+        return MultilinearForm._of(self.frame, self.arity - len(vectors),
+                                   self._contract(vectors))
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
         self._compatible(other)

@@ -1,11 +1,15 @@
 """Model file schema errors, round trips, suite slicing, and the CLI."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsthl import associated, liegeom, lightlike, structure, suite
 from rsthl.builtin import example_model
@@ -377,3 +381,66 @@ def test_cli_check_no_submanifold(tmp_path, capsys):
 def test_model_to_json_obj_matches_dumps():
     m = example_model()
     assert json.loads(dumps_model(m)) == model_to_json_obj(m)
+
+
+def json_paths(obj, prefix=()):
+    """The key and index paths of every node below obj, parents first."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+MODEL_PATHS = tuple(json_paths(fresh_obj()))
+# Scalars with poles at mu = 0, 1, 2 and 3 or a zero denominator, malformed
+# scalar text, labels, and values of the wrong JSON type.
+MUTANT_VALUES = ("0", "1", "-1", "mu", "mu^2", "1/mu", "1/(mu - 1)",
+                 "mu/(mu^2 - 4)", "(mu - 3)/(mu - 3)", "1/(mu - mu)", "mu^-1",
+                 "2/0", "(mu", "nu", "", "X1", "E", 0, 1.5, None, True, [], {},
+                 {"X1": "1/mu"}, ["X1", "X1"])
+
+
+def mutated(mutations):
+    """The emitted model with each (path, action, value) applied in turn;
+    a path that an earlier mutation removed is skipped."""
+    obj = fresh_obj()
+    for path, action, value in mutations:
+        node = obj
+        for key in path[:-1]:
+            if isinstance(node, dict) and key in node:
+                node = node[key]
+            elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+                node = node[key]
+            else:
+                break
+        else:
+            key = path[-1]
+            present = (key in node if isinstance(node, dict) else
+                       isinstance(node, list) and key < len(node))
+            if present and action == "delete":
+                del node[key]
+            elif present:
+                node[key] = value
+    return obj
+
+
+@given(st.lists(st.tuples(st.sampled_from(MODEL_PATHS),
+                          st.sampled_from(("set", "delete")),
+                          st.sampled_from(MUTANT_VALUES)),
+                min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_malformed_models_exit_cleanly(mutations):
+    """Mutated model files end in exit code 0, 1 or 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(mutated(mutations)), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

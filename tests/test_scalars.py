@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(mu): canonical form, parsing, printing, evaluation."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -27,12 +28,19 @@ def rationals():
     return st.builds(lambda n, d: n / d, polys(), nonzero_polys())
 
 
-def test_canonical_monic_coprime():
+def test_canonical_integer_coprime():
     x = rf("(2*mu + 2)/(4*mu - 4)")
-    # stored denominator is monic, the pair is coprime
-    assert x.den[-1] == Fraction(1)
+    # int coefficients, coprime, joint content 1, positive leading
+    # denominator coefficient
+    assert (x.num, x.den) == ((1, 1), (-2, 2))
+    assert x.den[-1] > 0
+    assert_canonical(x)
     assert x == rf("(mu + 1)/(2*(mu - 1))")
     assert rf("(mu^2 - 1)/(mu - 1)") == MU + 1
+    # the sign moves to the numerator
+    y = rf("(mu - 1)/(mu - 3*mu^2)")
+    assert (y.num, y.den) == ((1, -1), (0, -1, 3))
+    assert_canonical(y)
 
 
 def test_zero_normal_form():
@@ -64,6 +72,45 @@ def test_printing():
     assert str((MU + 1) / (MU - 1)) == "(mu + 1)/(mu - 1)"
 
 
+@pytest.mark.parametrize("value, text", [
+    (MU / 2, "mu/2"),
+    (HALF, "1/2"),
+    (-MU, "-mu"),
+    (MU / -2, "-mu/2"),
+    (-rf("3/4"), "-3/4"),
+    ((MU + 1) / (2 * MU - 2), "(mu + 1)/(2*mu - 2)"),
+    (rf("2/3") * MU * MU - rf("1/6"), "(4*mu^2 - 1)/6"),
+    (ONE / (2 * MU * MU - 3), "1/(2*mu^2 - 3)"),
+    ((MU - 1) / (MU - 3 * MU * MU), "(-mu + 1)/(3*mu^2 - mu)"),
+    ((MU * MU + 1) / (4 * MU * MU + 6), "(mu^2 + 1)/(4*mu^2 + 6)"),
+])
+def test_printing_is_pinned(value, text):
+    assert str(value) == text
+
+
+def test_constructor_clears_fraction_coefficients():
+    x = RationalFunction((Fraction(1, 2), Fraction(1, 3)))
+    assert (x.num, x.den) == ((3, 2), (6,))
+    assert x == RationalFunction((3, 2), (6,))
+    assert RationalFunction((Fraction(2), 0), (Fraction(4),)) == HALF
+    assert (RationalFunction((1, Fraction(1, 2)), (Fraction(3, 2), 1))
+            == RationalFunction((2, 1), (3, 2)))
+    assert (RationalFunction([Fraction(-1, 2), 0, 1], [Fraction(1, 3), 0])
+            == RationalFunction((-3, 0, 6), (2,)))
+
+
+@given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=4),
+       st.lists(st.fractions(max_denominator=6), min_size=1, max_size=3)
+       .filter(lambda d: any(d)))
+@settings(max_examples=50)
+def test_fraction_and_int_input_give_one_value(num, den):
+    scale = math.lcm(*(c.denominator for c in num + den))
+    got = RationalFunction(num, den)
+    assert_canonical(got)
+    assert got == RationalFunction([int(c * scale) for c in num],
+                                   [int(c * scale) for c in den])
+
+
 def test_parse_accepts_full_grammar():
     assert rf("mu^2 - 2*mu + 1") == (MU - 1) * (MU - 1)
     assert rf("-mu") == -MU
@@ -93,7 +140,8 @@ def test_eval_commutes_with_add_and_mul(x, y):
 def test_subtraction_is_addition_of_the_negation(x, y, c):
     assert x - y == x + (-y)
     assert c - x == rf(c) + (-x)
-    assert (x - y).den[-1] == 1
+    assert (x - y).den[-1] > 0
+    assert_canonical(x - y)
 
 
 @given(polys(), polys(), polys())
@@ -160,29 +208,93 @@ def reference(op, x, y):
     return RationalFunction(ref_mul(x.num, y.den), ref_mul(x.den, y.num))
 
 
+# Reference arithmetic over Fraction coefficients, and the normal form it
+# computes: coprime over Q, monic denominator, zero as 0/1.
+
+def q_trim(a):
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def q_rem(a, b):
+    """The remainder of a by b over Q."""
+    a, b = q_trim(a), q_trim(b)
+    while a and len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a = q_trim(a)
+    return a
+
+
+def q_quo(a, b):
+    """The exact quotient a / b over Q."""
+    a, b = q_trim(a), q_trim(b)
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q = out[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q * c
+    assert not q_trim(a)
+    return out
+
+
+def q_gcd(a, b):
+    """The monic gcd over Q, by Euclid's algorithm."""
+    a, b = q_trim(a), q_trim(b)
+    while b:
+        a, b = b, q_rem(a, b)
+    return [c / a[-1] for c in a]
+
+
+def monic_form(num, den):
+    """num/den as coprime polynomials over Q with a monic denominator."""
+    num, den = q_trim(num), q_trim(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = q_gcd(num, den)
+    num, den = q_quo(num, g), q_quo(den, g)
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def integer_form(num, den):
+    """A monic form scaled to int coefficients with joint content 1."""
+    scale = math.lcm(*(c.denominator for c in num + den))
+    num = [int(c * scale) for c in num]
+    den = [int(c * scale) for c in den]
+    content = math.gcd(*num, *den)
+    return tuple(c // content for c in num), tuple(c // content for c in den)
+
+
+def q_op(op, x, y):
+    """x op y on (num, den) pairs: cross-multiplied, then the monic form."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return monic_form(ref_add(ref_mul(a, d), ref_mul(c, b)), ref_mul(b, d))
+    if op == "-":
+        return monic_form(ref_add(ref_mul(a, d), ref_mul(c, b), -1), ref_mul(b, d))
+    if op == "*":
+        return monic_form(ref_mul(a, c), ref_mul(b, d))
+    return monic_form(ref_mul(a, d), ref_mul(b, c))
+
+
 def ref_gcd_degree(a, b):
     """The degree of gcd(a, b) by Euclid's algorithm on coefficient lists."""
-    a, b = list(a), list(b)
-    while b:
-        while a and len(a) >= len(b):
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= q * c
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
+    return len(q_gcd(a, b)) - 1
 
 
 def assert_canonical(x):
-    assert all(type(c) is Fraction for c in x.num + x.den)
-    assert x.den and x.den[-1] == 1
+    assert all(type(c) is int for c in x.num + x.den)
+    assert x.den and x.den[-1] > 0
     assert not x.num or x.num[-1] != 0
     if not x.num:
-        assert x.den == (Fraction(1),)
+        assert x.den == (1,)
     else:
         assert ref_gcd_degree(x.num, x.den) == 0
+        assert math.gcd(*x.num, *x.den) == 1
 
 
 OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -200,6 +312,21 @@ def test_operators_match_the_general_constructor_path(x, y):
     neg = -x
     assert_canonical(neg)
     assert neg == RationalFunction([-c for c in x.num], x.den)
+
+
+@given(field_elements(), field_elements())
+def test_operators_agree_with_fraction_reference_arithmetic(x, y):
+    """An oracle that shares no code with the package: each value mapped to
+    the monic Fraction form, each operator against Fraction arithmetic,
+    and the stored ints against that form scaled to content 1."""
+    fx, fy = monic_form(x.num, x.den), monic_form(y.num, y.den)
+    assert integer_form(*fx) == (x.num, x.den)
+    for op, apply in OPERATIONS.items():
+        if op == "/" and y.is_zero():
+            continue
+        got, want = apply(x, y), q_op(op, fx, fy)
+        assert monic_form(got.num, got.den) == want
+        assert (got.num, got.den) == integer_form(*want)
 
 
 @given(field_elements())

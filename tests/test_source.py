@@ -83,3 +83,25 @@ def test_only_tensors_subscripts_or_iterates_entries(path):
     component is ``entry(...)`` and a walk is over ``nonzero``, so no module
     builds the dense view to pick from it."""
     assert dense_entry_reads(path.read_text(encoding="utf-8")) == []
+
+
+def scalar_part_reads(source: str) -> list[int]:
+    """Lines that read the ``num`` or ``den`` of a scalar."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("num", "den"))
+
+
+def test_scalar_part_reads_are_found():
+    source = ("a = x.num\n"
+              "b = len(y.den) == 1\n"
+              "c = numerator(x)\n"
+              "d = [t.num for t in ts]\n")
+    assert scalar_part_reads(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "scalars.py"], ids=lambda p: p.name)
+def test_only_scalars_reads_num_or_den(path):
+    """The stored polynomials of a scalar are private to ``scalars``, so a
+    change of representation stays inside that module."""
+    assert scalar_part_reads(path.read_text(encoding="utf-8")) == []

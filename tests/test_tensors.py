@@ -184,6 +184,12 @@ def test_cell_apply_and_value_follow_the_components(arity):
     leading = SAMPLE_VECTORS[:arity - 1]
     assert t.apply(*leading).entries == tuple(
         contraction(t, leading, (l,)) for l in range(3))
+    for n in range(arity):
+        partial = t.apply(*SAMPLE_VECTORS[:n])
+        assert partial.arity == arity - n
+        assert partial.entries == tuple(
+            contraction(t, SAMPLE_VECTORS[:n], tail)
+            for tail in product(range(3), repeat=arity - n))
     assert t.value(*SAMPLE_VECTORS[:arity]) == contraction(t, SAMPLE_VECTORS[:arity])
     with pytest.raises(ValueError):
         t.apply(*SAMPLE_VECTORS[:arity])
