@@ -13,7 +13,6 @@ the twin counterpart of the frame's splitting over (tangent, N, L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -44,18 +43,21 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
 class AssociatedObjects:
     """The twin metric with its normals, connection and second forms."""
 
-    metric: InvariantMetric
-    n1: MultilinearForm  # the twin normals, vectors
-    n2: MultilinearForm
-    conn: Connection
-    h1: MultilinearForm
-    h2: MultilinearForm
-    shape_n1: MultilinearForm
-    shape_n2: MultilinearForm
+    def __init__(self, metric: InvariantMetric, n1: MultilinearForm,
+                 n2: MultilinearForm, conn: Connection, h1: MultilinearForm,
+                 h2: MultilinearForm, shape_n1: MultilinearForm,
+                 shape_n2: MultilinearForm):
+        self.metric = metric
+        self.n1 = n1  # the twin normals, vectors
+        self.n2 = n2
+        self.conn = conn
+        self.h1 = h1
+        self.h2 = h2
+        self.shape_n1 = shape_n1
+        self.shape_n2 = shape_n2
 
     @cached_property
     def twin_umbilicity(self) -> tuple[Optional[RationalFunction],
@@ -373,17 +375,23 @@ def umbilical_flatness_entry(rep: UmbilicityReport, curv: CurvatureTensor,
         "a totally umbilical submanifold and its ambient space are flat")
 
 
-@dataclass(frozen=True)
 class TheoremAggregate:
     """Truth values of the five equivalent assertions."""
 
-    ricci_semisymmetric: bool
-    twin_ricci_semisymmetric: bool
-    eta_einstein: bool
-    einstein: bool
-    scalar_identity: bool
-    eta_constants: Optional[tuple[RationalFunction, RationalFunction]]
-    einstein_constant: Optional[RationalFunction]
+    __slots__ = ("ricci_semisymmetric", "twin_ricci_semisymmetric", "eta_einstein",
+                 "einstein", "scalar_identity", "eta_constants", "einstein_constant")
+
+    def __init__(self, ricci_semisymmetric: bool, twin_ricci_semisymmetric: bool,
+                 eta_einstein: bool, einstein: bool, scalar_identity: bool,
+                 eta_constants: Optional[tuple[RationalFunction, RationalFunction]],
+                 einstein_constant: Optional[RationalFunction]):
+        self.ricci_semisymmetric = ricci_semisymmetric
+        self.twin_ricci_semisymmetric = twin_ricci_semisymmetric
+        self.eta_einstein = eta_einstein
+        self.einstein = einstein
+        self.scalar_identity = scalar_identity
+        self.eta_constants = eta_constants
+        self.einstein_constant = einstein_constant
 
     def all_equal(self) -> bool:
         values = (self.ricci_semisymmetric, self.twin_ricci_semisymmetric,

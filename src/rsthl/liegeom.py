@@ -18,7 +18,6 @@ X -> R(X, Y) Z, which is basis independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -34,14 +33,21 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    frame: Frame
-    brackets: MultilinearForm  # brackets.cell(i, j) = [e_i, e_j]
+    """A frame with its bracket table; equal when frame and table agree."""
 
-    def __post_init__(self):
-        if self.brackets.frame != self.frame or self.brackets.arity != 3:
+    __slots__ = ("frame", "brackets")
+
+    def __init__(self, frame: Frame, brackets: MultilinearForm):
+        if brackets.frame != frame or brackets.arity != 3:
             raise ValueError("bracket table shape does not match the frame")
+        self.frame = frame
+        self.brackets = brackets  # brackets.cell(i, j) = [e_i, e_j]
+
+    def __eq__(self, other):
+        if not isinstance(other, LieAlgebra):
+            return NotImplemented
+        return self.frame == other.frame and self.brackets == other.brackets
 
     @classmethod
     def abelian(cls, frame: Frame) -> "LieAlgebra":
@@ -147,10 +153,12 @@ class InvariantMetric:
         return isinstance(other, InvariantMetric) and self.form == other.form
 
 
-@dataclass(frozen=True)
 class Connection:
-    frame: Frame
-    gamma: MultilinearForm  # gamma.cell(i, j) = nabla_{e_i} e_j
+    __slots__ = ("frame", "gamma")
+
+    def __init__(self, frame: Frame, gamma: MultilinearForm):
+        self.frame = frame
+        self.gamma = gamma  # gamma.cell(i, j) = nabla_{e_i} e_j
 
     def derivative(self, v: MultilinearForm) -> MultilinearForm:
         """The operator X -> nabla_X v."""
@@ -181,10 +189,10 @@ def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> Connection:
     return Connection(alg.frame, koszul.pull_slots(metric.inverse, (2,)))
 
 
-@dataclass(frozen=True)
 class CurvatureTensor:
-    frame: Frame
-    table: MultilinearForm  # table.cell(i, j, k) = R(e_i, e_j) e_k
+    def __init__(self, frame: Frame, table: MultilinearForm):
+        self.frame = frame
+        self.table = table  # table.cell(i, j, k) = R(e_i, e_j) e_k
 
     def lower(self, metric: InvariantMetric) -> MultilinearForm:
         """R(X,Y,Z,W) = g(R(X,Y)Z, W) as an arity-4 table."""

@@ -18,7 +18,6 @@ Conventions; ``associated`` splits over the twin normals (N1, N2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Optional
@@ -379,22 +378,27 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     return mu, entries
 
 
-@dataclass(frozen=True)
 class InducedObjects:
     """Induced connection, fundamental forms and shape operators."""
 
-    conn: Connection
-    screen_gamma: MultilinearForm  # screen_gamma.cell(a, b) = nabla*_{T_a} P T_b
-    b_form: MultilinearForm
-    c_form: MultilinearForm
-    d_form: MultilinearForm
-    shape_rad: MultilinearForm
-    shape_n: MultilinearForm
-    shape_l: MultilinearForm
-    tau: MultilinearForm
-    rho: MultilinearForm
-    phi_form: MultilinearForm
-    frame: SubmanifoldFrame = field(repr=False, compare=False)
+    def __init__(self, conn: Connection, screen_gamma: MultilinearForm,
+                 b_form: MultilinearForm, c_form: MultilinearForm,
+                 d_form: MultilinearForm, shape_rad: MultilinearForm,
+                 shape_n: MultilinearForm, shape_l: MultilinearForm,
+                 tau: MultilinearForm, rho: MultilinearForm,
+                 phi_form: MultilinearForm, frame: SubmanifoldFrame):
+        self.conn = conn
+        self.screen_gamma = screen_gamma  # screen_gamma.cell(a, b) = nabla*_{T_a} P T_b
+        self.b_form = b_form
+        self.c_form = c_form
+        self.d_form = d_form
+        self.shape_rad = shape_rad
+        self.shape_n = shape_n
+        self.shape_l = shape_l
+        self.tau = tau
+        self.rho = rho
+        self.phi_form = phi_form
+        self.frame = frame
 
     @cached_property
     def b_phi(self) -> MultilinearForm:
@@ -550,20 +554,31 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
     return entries
 
 
-@dataclass(frozen=True)
 class UmbilicityReport:
     """Proportionality factors of the fundamental forms against the metric."""
 
-    beta: Optional[RationalFunction]
-    delta: Optional[RationalFunction]
-    gamma_screen: Optional[RationalFunction]
-    mean_curvature: Optional[MultilinearForm]  # a vector
-    totally_geodesic: bool
-    totally_umbilical: bool
-    proper_totally_umbilical: bool
-    screen_totally_geodesic: bool
-    screen_umbilical: bool
-    proper_screen_umbilical: bool
+    __slots__ = ("beta", "delta", "gamma_screen", "mean_curvature",
+                 "totally_geodesic", "totally_umbilical", "proper_totally_umbilical",
+                 "screen_totally_geodesic", "screen_umbilical",
+                 "proper_screen_umbilical")
+
+    def __init__(self, beta: Optional[RationalFunction],
+                 delta: Optional[RationalFunction],
+                 gamma_screen: Optional[RationalFunction],
+                 mean_curvature: Optional[MultilinearForm],
+                 totally_geodesic: bool, totally_umbilical: bool,
+                 proper_totally_umbilical: bool, screen_totally_geodesic: bool,
+                 screen_umbilical: bool, proper_screen_umbilical: bool):
+        self.beta = beta
+        self.delta = delta
+        self.gamma_screen = gamma_screen
+        self.mean_curvature = mean_curvature  # a vector
+        self.totally_geodesic = totally_geodesic
+        self.totally_umbilical = totally_umbilical
+        self.proper_totally_umbilical = proper_totally_umbilical
+        self.screen_totally_geodesic = screen_totally_geodesic
+        self.screen_umbilical = screen_umbilical
+        self.proper_screen_umbilical = proper_screen_umbilical
 
     def describe(self) -> str:
         flags = []

@@ -9,7 +9,6 @@ every schema violation raises ModelError naming the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ModelError, ScalarParseError
@@ -21,34 +20,56 @@ _TOP_KEYS = ("frame", "parameters", "brackets", "metric", "structure", "submanif
 _SUPPORTED_PARAMETERS = ("mu",)
 
 
-@dataclass(frozen=True)
 class SubmanifoldData:
     """Raw frame data of a submanifold: screen basis, radical, transversals,
-    each vector an arity-1 table."""
+    each vector an arity-1 table.  Equal when every field is."""
 
-    screen_labels: tuple[str, ...]
-    screen: tuple[MultilinearForm, ...]
-    rad: MultilinearForm
-    l_vec: MultilinearForm
-    n_vec: Optional[MultilinearForm]
+    __slots__ = ("screen_labels", "screen", "rad", "l_vec", "n_vec")
+
+    def __init__(self, screen_labels: tuple[str, ...],
+                 screen: tuple[MultilinearForm, ...], rad: MultilinearForm,
+                 l_vec: MultilinearForm, n_vec: Optional[MultilinearForm]):
+        self.screen_labels = screen_labels
+        self.screen = screen
+        self.rad = rad
+        self.l_vec = l_vec
+        self.n_vec = n_vec
+
+    def __eq__(self, other):
+        if not isinstance(other, SubmanifoldData):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
 
-@dataclass(frozen=True)
 class ModelFile:
     """A parsed model: frame, brackets, metric, structure, optional frame data.
 
     The metric is kept as a plain symmetric table so that degeneracy is
-    diagnosed by the checks, not at load time.
+    diagnosed by the checks, not at load time.  Equal when every field is.
     """
 
-    frame: Frame
-    parameters: tuple[str, ...]
-    algebra: LieAlgebra
-    metric_form: MultilinearForm
-    phi: MultilinearForm
-    xi_bar: MultilinearForm  # a vector
-    eta_bar: MultilinearForm
-    submanifold: Optional[SubmanifoldData]
+    __slots__ = ("frame", "parameters", "algebra", "metric_form", "phi",
+                 "xi_bar", "eta_bar", "submanifold")
+
+    def __init__(self, frame: Frame, parameters: tuple[str, ...],
+                 algebra: LieAlgebra, metric_form: MultilinearForm,
+                 phi: MultilinearForm, xi_bar: MultilinearForm,
+                 eta_bar: MultilinearForm, submanifold: Optional[SubmanifoldData]):
+        self.frame = frame
+        self.parameters = parameters
+        self.algebra = algebra
+        self.metric_form = metric_form
+        self.phi = phi
+        self.xi_bar = xi_bar  # a vector
+        self.eta_bar = eta_bar
+        self.submanifold = submanifold
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelFile):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -270,8 +291,12 @@ def load_model(path: str) -> ModelFile:
             data = json.load(handle)
     except OSError as exc:
         raise ModelError("$", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError("$", f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("$", "invalid JSON: nested too deeply") from exc
     return model_from_json_obj(data)
 
 

@@ -10,7 +10,7 @@ appends where and by how much got - want is nonzero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .scalars import RationalFunction
 from .tensors import MultilinearForm
@@ -20,12 +20,23 @@ FAIL = "fail"
 SKIP = "skipped"
 
 
-@dataclass(frozen=True)
 class CheckEntry:
-    name: str
-    anchor: str
-    status: str
-    detail: str = ""
+    """One check: its name, anchor, status and statement; entries with the
+    same four fields are equal."""
+
+    __slots__ = ("name", "anchor", "status", "detail")
+
+    def __init__(self, name: str, anchor: str, status: str, detail: str = ""):
+        self.name = name
+        self.anchor = anchor
+        self.status = status
+        self.detail = detail
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckEntry):
+            return NotImplemented
+        return (self.name == other.name and self.anchor == other.anchor
+                and self.status == other.status and self.detail == other.detail)
 
     @property
     def residual_zero(self):
@@ -93,9 +104,13 @@ def residual_suffix(got, want) -> str:
             f"{len(residual)} of {len(labels) ** got.arity} components nonzero")
 
 
-@dataclass
 class CheckReport:
-    entries: list[CheckEntry] = field(default_factory=list)
+    """The entries of one run, in order."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[list[CheckEntry]] = None):
+        self.entries = [] if entries is None else entries
 
     def extend(self, entries) -> None:
         for e in entries:

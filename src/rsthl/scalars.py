@@ -325,9 +325,13 @@ class RationalFunction:
             exponent = -exponent
         else:
             base = self
+        # square-and-multiply over the bits from the top: O(log exponent)
+        # products, each squaring or a product with the base itself
         out = ONE
-        for _ in range(exponent):
-            out = out * base
+        for bit in bin(exponent)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     def __eq__(self, other):
@@ -425,6 +429,11 @@ def _tokenize(text: str):
     return out
 
 
+# Parentheses and signs nest at most this deep, which keeps the recursive
+# descent well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -433,6 +442,8 @@ class _Parser:
     unary := ('+'|'-') unary | power
     power := atom ('^' ['-'] integer)?
     atom  := integer | 'mu' | '(' expr ')'
+
+    Each rule takes the nesting depth: the parentheses and signs around it.
     """
 
     def __init__(self, text: str):
@@ -448,25 +459,25 @@ class _Parser:
         return tok
 
     def parse(self) -> RationalFunction:
-        value = self._expr()
+        value = self._expr(0)
         kind, _, pos = self._peek()
         if kind != "end":
             raise ScalarParseError("unexpected trailing input", pos)
         return value
 
-    def _expr(self) -> RationalFunction:
-        value = self._term()
+    def _expr(self, depth: int) -> RationalFunction:
+        value = self._term(depth)
         while self._peek()[0] in ("+", "-"):
             op = self._next()[0]
-            rhs = self._term()
+            rhs = self._term(depth)
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def _term(self) -> RationalFunction:
-        value = self._unary()
+    def _term(self, depth: int) -> RationalFunction:
+        value = self._unary(depth)
         while self._peek()[0] in ("*", "/"):
             op, _, pos = self._next()
-            rhs = self._unary()
+            rhs = self._unary(depth)
             if op == "*":
                 value = value * rhs
             else:
@@ -475,18 +486,16 @@ class _Parser:
                 value = value / rhs
         return value
 
-    def _unary(self) -> RationalFunction:
+    def _unary(self, depth: int) -> RationalFunction:
         kind = self._peek()[0]
         if kind == "-":
-            self._next()
-            return -self._unary()
+            return -self._unary(_deeper(depth, self._next()[2]))
         if kind == "+":
-            self._next()
-            return self._unary()
-        return self._power()
+            return self._unary(_deeper(depth, self._next()[2]))
+        return self._power(depth)
 
-    def _power(self) -> RationalFunction:
-        base = self._atom()
+    def _power(self, depth: int) -> RationalFunction:
+        base = self._atom(depth)
         if self._peek()[0] != "^":
             return base
         self._next()
@@ -502,7 +511,7 @@ class _Parser:
             raise ScalarParseError("zero raised to a negative power", pos)
         return base ** exponent
 
-    def _atom(self) -> RationalFunction:
+    def _atom(self, depth: int) -> RationalFunction:
         kind, value, pos = self._next()
         if kind == "num":
             return RationalFunction.from_int(value)
@@ -511,12 +520,20 @@ class _Parser:
                 return MU
             raise ScalarParseError(f"unknown symbol {value!r}", pos)
         if kind == "(":
-            inner = self._expr()
+            inner = self._expr(_deeper(depth, pos))
             kind2, _, pos2 = self._next()
             if kind2 != ")":
                 raise ScalarParseError("expected ')'", pos2)
             return inner
         raise ScalarParseError("expected a number, 'mu', or '('", pos)
+
+
+def _deeper(depth: int, pos: int) -> int:
+    """The depth inside one more parenthesis or sign, opened at pos."""
+    if depth == MAX_NESTING:
+        raise ScalarParseError(
+            f"parentheses and signs nested more than {MAX_NESTING} deep", pos)
+    return depth + 1
 
 
 def rf(value) -> RationalFunction:

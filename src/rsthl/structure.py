@@ -16,7 +16,6 @@ against the two basic curvature tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import report
@@ -34,17 +33,16 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
 class ACBMStructure:
-    frame: Frame
-    phi: MultilinearForm  # an operator: phi.cell(j) = phi(e_j)
-    xi_bar: MultilinearForm  # a vector
-    eta_bar: MultilinearForm  # a one-form
-    metric: InvariantMetric
-
-    def __post_init__(self):
-        if self.frame.dimension % 2 == 0:
+    def __init__(self, frame: Frame, phi: MultilinearForm, xi_bar: MultilinearForm,
+                 eta_bar: MultilinearForm, metric: InvariantMetric):
+        if frame.dimension % 2 == 0:
             raise ValueError("an almost contact structure needs odd dimension")
+        self.frame = frame
+        self.phi = phi  # an operator: phi.cell(j) = phi(e_j)
+        self.xi_bar = xi_bar  # a vector
+        self.eta_bar = eta_bar  # a one-form
+        self.metric = metric
 
     @property
     def n(self) -> int:
@@ -56,16 +54,16 @@ class ACBMStructure:
         return associated_metric(self)
 
 
-@dataclass(frozen=True)
 class LieModel:
     """A Lie algebra with an invariant metric and a compatible structure."""
 
-    algebra: LieAlgebra
-    structure: ACBMStructure
+    __slots__ = ("algebra", "structure")
 
-    def __post_init__(self):
-        if self.algebra.frame != self.structure.frame:
+    def __init__(self, algebra: LieAlgebra, structure: ACBMStructure):
+        if algebra.frame != structure.frame:
             raise ValueError("algebra and structure frames differ")
+        self.algebra = algebra
+        self.structure = structure
 
     @property
     def frame(self) -> Frame:
@@ -76,13 +74,15 @@ class LieModel:
         return self.structure.metric
 
 
-@dataclass(frozen=True)
 class CurvaturePair:
     """The two sectional invariants of thm-4.1: the lowered curvature is
     nu A + nu_tilde B for the basic curvature tensors A and B."""
 
-    nu: RationalFunction
-    nu_tilde: RationalFunction
+    __slots__ = ("nu", "nu_tilde")
+
+    def __init__(self, nu: RationalFunction, nu_tilde: RationalFunction):
+        self.nu = nu
+        self.nu_tilde = nu_tilde
 
 
 def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:

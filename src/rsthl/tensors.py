@@ -52,7 +52,6 @@ is read at one integer sample by ``signature_at_sample``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -67,17 +66,29 @@ from .errors import (
 from .scalars import ONE, ZERO, RationalFunction, rf
 
 
-@dataclass(frozen=True)
 class Frame:
-    """An ordered tuple of distinct basis labels."""
+    """An ordered tuple of distinct basis labels; equal frames have equal
+    labels."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...]):
+        if not labels:
             raise ValueError("a frame needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate frame labels: {self.labels}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate frame labels: {labels}")
+        self.labels = labels
+
+    def __eq__(self, other):
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
+
+    def __repr__(self):
+        return f"Frame(labels={self.labels!r})"
 
     @property
     def dimension(self) -> int:

@@ -2,14 +2,30 @@
 
 Every derived object is read from one session-scoped ``Geometry``, the
 same object ``run_suite`` builds per call, so the derivation order is
-stated once.  The objects are immutable, so sharing them across test
-modules is safe and keeps the exact arithmetic cheap.
+stated once.  The objects are immutable (no package module assigns an
+attribute outside ``__init__``, which ``test_source.py`` checks), so
+sharing them across test modules is safe and keeps the exact arithmetic
+cheap.  A test that needs a variant builds a copy with ``replaced``.
 """
+
+import inspect
 
 import pytest
 
 from rsthl.builtin import example_model
 from rsthl.suite import Geometry
+
+
+def replaced(obj, **changes):
+    """A copy of obj built through its constructor, with the given
+    arguments changed; every other argument is read from the attribute of
+    the same name."""
+    params = inspect.signature(type(obj)).parameters
+    unknown = set(changes) - set(params)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no parameter {sorted(unknown)}")
+    return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name)
+                        for name in params})
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """The twin metric geometry: normals, induced objects, curvature transfer,
 and the equivalence aggregate, on the worked model and on a flat variant."""
 
-import dataclasses
 
 import pytest
 
@@ -18,6 +17,8 @@ from rsthl.lightlike import eta_einstein_solve
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.suite import Geometry
 from rsthl.tensors import MultilinearForm
+
+from conftest import replaced
 
 BUILD_NAMES = (
     "twin-normal-one-unit", "twin-normal-two-unit", "twin-normals-orthogonal",
@@ -196,7 +197,7 @@ def flat(model):
     Every fundamental form vanishes, so the totally geodesic and totally
     umbilical transfer statements take their non-vacuous branches.
     """
-    geo = Geometry(dataclasses.replace(
+    geo = Geometry(replaced(
         model, algebra=LieAlgebra.from_table(model.frame, {})))
     return {"conn": geo.conn, "frame": geo.frame, "mu": geo.mu,
             "obj": geo.induced, "rep": geo.umbilicity, "assoc": geo.assoc,

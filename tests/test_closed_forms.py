@@ -12,7 +12,6 @@ checked on induced objects whose tau, B and A_N are bumped to values the
 worked model does not have.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,8 @@ from rsthl.report import FAIL, PASS
 from rsthl.scalars import ONE, rf
 from rsthl.structure import CurvaturePair
 from rsthl.tensors import MultilinearForm
+
+from conftest import replaced
 
 PAIR = CurvaturePair(rf(3), rf("5/7"))
 GAMMA = rf("2/3")
@@ -44,7 +45,7 @@ def generic_form(frame, arity, seed):
 def bumped(induced):
     """The worked model's induced objects with tau, B and A_N moved."""
     tf = induced.b_form.frame
-    return dataclasses.replace(
+    return replaced(
         induced,
         tau=generic_form(tf, 1, 1),
         b_form=induced.b_form + generic_form(tf, 2, 2),

@@ -367,6 +367,26 @@ def test_cli_check_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def nested_metric_model() -> bytes:
+    obj = fresh_obj()
+    obj["metric"]["X1,X1"] = "(" * 5000 + "1" + ")" * 5000
+    return json.dumps(obj).encode("utf-8")
+
+
+@pytest.mark.parametrize("content, fragment", [
+    (b"\xff\xfe{}", "$: not UTF-8 text"),
+    (b"[" * 100_000, "$: invalid JSON: nested too deeply"),
+    (nested_metric_model(), "metric.X1,X1: parentheses and signs nested more than"),
+], ids=["not-utf8", "deep-json", "deep-scalar"])
+def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}")
+    assert "Traceback" not in err
+
+
 def test_cli_check_no_submanifold(tmp_path, capsys):
     obj = fresh_obj()
     del obj["submanifold"]

@@ -1,7 +1,6 @@
 """Property tests: random Lie models, adapted frame changes, parameter
 specializations, and graceful suite degradation on broken inputs."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -22,6 +21,8 @@ from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import Geometry, run_suite
 from rsthl.tensors import Frame, MultilinearForm, determinant, matrix_inverse
+
+from conftest import replaced
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,7 +114,7 @@ def adapted_frame_change(p, q, r, s, c, t):
     sub = SubmanifoldData(("E1", "E2"), screen,
                           m.submanifold.rad.scale(rf(c)),
                           m.submanifold.l_vec, None)
-    return dataclasses.replace(m, algebra=scaled, submanifold=sub)
+    return replaced(m, algebra=scaled, submanifold=sub)
 
 
 # every example builds a whole geometry, so these tests do not shrink
@@ -145,7 +146,7 @@ def screen_radical_mixing():
               m.submanifold.screen[1])
     sub = SubmanifoldData(("E1", "E2"), screen, m.submanifold.rad,
                           m.submanifold.l_vec, None)
-    return dataclasses.replace(m, submanifold=sub)
+    return replaced(m, submanifold=sub)
 
 
 def degenerate_metric():
@@ -184,7 +185,7 @@ def transported(model, frame_matrix):
     coords = MultilinearForm(frame, 2, tuple(
         x for row in matrix_inverse(rows) for x in row)).apply
     sub = model.submanifold
-    return dataclasses.replace(
+    return replaced(
         model,
         algebra=LieAlgebra(frame, MultilinearForm.from_cells(
             frame, 3,

@@ -6,7 +6,6 @@ Each case below changes one input of one check and asserts that its
 entry fails with the exact residual suffix.
 """
 
-import dataclasses
 from functools import cached_property
 from unittest import mock
 
@@ -29,6 +28,8 @@ from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
                              associated_compat_entry, validate_acbm)
 from rsthl.suite import run_suite
 from rsthl.tensors import MultilinearForm
+
+from conftest import replaced
 
 
 def entry_named(entries, name):
@@ -58,7 +59,7 @@ def with_phi_column(s, label, image):
 
 
 def induced_with(geo, **changes):
-    return dataclasses.replace(geo.induced, **changes)
+    return replaced(geo.induced, **changes)
 
 
 def screen_phi_invariance(geo):
@@ -150,7 +151,7 @@ def curvature_transfer(geo):
         def tcurv(self):
             return bump_curvature(associated.tilde_curvature(self.frame, self.assoc))
 
-    flat = dataclasses.replace(
+    flat = replaced(
         geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {}))
     with mock.patch.object(suite, "Geometry", Perturbed):
         entries = run_suite(flat, "submanifold").entries
@@ -158,7 +159,7 @@ def curvature_transfer(geo):
 
 
 def umbilical_flatness(geo):
-    flat = suite.Geometry(dataclasses.replace(
+    flat = suite.Geometry(replaced(
         geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {})))
     entry = umbilical_flatness_entry(flat.umbilicity,
                                      bump_curvature(flat.curv_ind), flat.curv)

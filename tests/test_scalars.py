@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsthl.errors import ScalarDomainError, ScalarParseError
-from rsthl.scalars import HALF, MU, ONE, ZERO, RationalFunction, rf
+from rsthl.scalars import HALF, MAX_NESTING, MU, ONE, ZERO, RationalFunction, rf
 
 
 def coeffs():
@@ -394,6 +394,33 @@ def test_powers():
     assert MU ** 0 == ONE
     assert MU ** -1 == ONE / MU
     assert (MU + 1) ** 2 == MU * MU + 2 * MU + 1
+
+
+@pytest.mark.parametrize("base", [MU, (MU + 1) / (MU - 2), rf("3/2")],
+                         ids=["mu", "mobius", "three-halves"])
+def test_power_equals_the_repeated_product(base):
+    for n in range(-5, 21):
+        factor = base if n >= 0 else ONE / base
+        product = ONE
+        for _ in range(abs(n)):
+            product = product * factor
+        assert base ** n == product
+    for n in range(1, 21):
+        assert ZERO ** n is ZERO
+
+
+def test_parse_limits_nesting():
+    """Parentheses and signs nest up to MAX_NESTING deep; one more is a
+    parse error at the opening that exceeds it, not a RecursionError."""
+    deepest = "(" * MAX_NESTING + "mu" + ")" * MAX_NESTING
+    assert RationalFunction.parse(deepest) == MU
+    assert RationalFunction.parse("-" * MAX_NESTING + "1") == ONE
+    for text in ("(" + deepest + ")", "-" * (MAX_NESTING + 1) + "1",
+                 "(" * 5000 + "1" + ")" * 5000):
+        with pytest.raises(ScalarParseError) as err:
+            RationalFunction.parse(text)
+        assert err.value.position == MAX_NESTING
+        assert "nested more than" in str(err.value)
 
 
 def test_integer_and_fraction_coercion():

@@ -1,9 +1,15 @@
-"""Static checks on the package source, read with the stdlib ``ast``."""
+"""Static checks on the package source, read with the stdlib ``ast``, and
+one check of the modules a fresh interpreter loads with the package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from rsthl.builtin import example_model
+from rsthl.model import save_model
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsthl"
 
@@ -105,3 +111,118 @@ def test_only_scalars_reads_num_or_den(path):
     """The stored polynomials of a scalar are private to ``scalars``, so a
     change of representation stays inside that module."""
     assert scalar_part_reads(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, relative
+    imports left out."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path\nfrom dataclasses import field\n"
+              "from . import report\nfrom .tensors import Frame\n"
+              "def f():\n    import inspect\n")
+    assert imported_modules(source) == {"os", "dataclasses", "inspect"}
+
+
+# Each costs a fresh process milliseconds of import before its first check:
+# ``dataclasses`` brings ``inspect`` with it and compiles code per class.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_inspect(path):
+    assert imported_modules(path.read_text(encoding="utf-8")) & SLOW_IMPORTS == set()
+
+
+def test_loading_a_model_imports_neither_dataclasses_nor_inspect(tmp_path):
+    """Against a bare interpreter, so modules that the host's start-up
+    files import count on both sides."""
+    model = tmp_path / "example47.json"
+    save_model(example_model(), str(model))
+    listed = "import sys; print(' '.join(sys.modules))"
+    load = ("import sys; sys.path.insert(0, sys.argv[1]); import rsthl; "
+            "from rsthl.model import load_model; load_model(sys.argv[2]); ")
+
+    def modules(code: str, *args: str) -> set[str]:
+        run = subprocess.run([sys.executable, "-I", "-c", code, *args],
+                             capture_output=True, text=True, check=True, timeout=60)
+        return set(run.stdout.split())
+
+    joined = modules(load + listed, str(PACKAGE.parent), str(model)) - modules(listed)
+    assert "rsthl.model" in joined
+    assert joined & SLOW_IMPORTS == set()
+
+
+# The functions that assign an attribute outside ``__init__`` on purpose,
+# by module: a table built without ``__init__``, a memoized hash, the
+# parser's token cursor and a stage's blocker, set once.
+ATTRIBUTE_WRITERS = {
+    "tensors.py": {"MultilinearForm._of"},
+    "scalars.py": {"RationalFunction.__hash__", "_Parser._next"},
+    "suite.py": {"_Stage.run"},
+}
+
+
+def attribute_writers(source: str) -> list[tuple[str, int]]:
+    """(qualified name, line) of every attribute assignment or deletion,
+    and every ``setattr`` or ``__setattr__`` call, other than an assignment
+    to ``self.x`` directly inside ``__init__``."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...], in_init: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), child.name == "__init__"
+                      and not isinstance(child, ast.ClassDef))
+                continue
+            where = ".".join(scope) or "<module>"
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, (ast.Store, ast.Del))
+                    and not (in_init and isinstance(child.ctx, ast.Store)
+                             and isinstance(child.value, ast.Name)
+                             and child.value.id == "self")):
+                found.append((where, child.lineno))
+            elif isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name)
+                    and child.func.id in ("setattr", "delattr")
+                    or isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("__setattr__", "__delattr__")):
+                found.append((where, child.lineno))
+            visit(child, scope, in_init)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
+def test_attribute_writers_are_found():
+    source = ("class A:\n"
+              "    def __init__(self, x):\n"
+              "        self.x = x\n"
+              "        other.y = x\n"
+              "        def inner():\n"
+              "            self.z = 1\n"
+              "    def move(self):\n"
+              "        self.x += 1\n"
+              "        del self.x\n"
+              "        object.__setattr__(self, 'x', 2)\n"
+              "a.b, c = 1, 2\n"
+              "setattr(a, 'b', 3)\n")
+    assert attribute_writers(source) == [
+        ("A.__init__", 4), ("A.__init__.inner", 6), ("A.move", 8), ("A.move", 9),
+        ("A.move", 10), ("<module>", 11), ("<module>", 12)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_attributes_are_set_only_in_init(path):
+    """Package objects are immutable by convention: each is complete when
+    ``__init__`` returns, so sharing one between callers is safe."""
+    writers = {name for name, _ in attribute_writers(path.read_text(encoding="utf-8"))}
+    assert writers == ATTRIBUTE_WRITERS.get(path.name, set())
