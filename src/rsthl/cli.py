@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .builtin import example_model
@@ -18,7 +19,9 @@ from .report import CheckReport
 from .suite import SUITES, run_suite
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rsthl",
         description="Exact verification of invariant almost contact models "
@@ -55,8 +58,7 @@ def _finish(rep: CheckReport, report_path: Optional[str]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
             model = load_model(args.file)

@@ -47,9 +47,11 @@ from .structure import CurvaturePair, LieModel
 from .tensors import (
     Frame,
     MultilinearForm,
+    compose,
     curvature_product,
     determinant,
     matrix_inverse,
+    onto_frame,
     outer,
     rank,
     solve_affine,
@@ -82,6 +84,15 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     return n0 + rad.scale(t)
 
 
+def embedding(frame: Frame, vectors: tuple[MultilinearForm, ...]) -> MultilinearForm:
+    """The ambient operator E with E e_j = vectors[j], and E e_j = 0 for
+    j >= len(vectors).  Pulled into a slot of an ambient table, it puts the
+    tangent vectors T_j there: T'(.., e_j, ..) = T(.., T_j, ..)."""
+    zero = MultilinearForm.zero(frame, 1)
+    return MultilinearForm.from_cells(
+        frame, 2, lambda j: vectors[j] if j < len(vectors) else zero)
+
+
 class Splitting:
     """The adapted basis (T_1, ..., T_m, V1, V2): tangent vectors and a
     transversal pair, inverted once.
@@ -96,13 +107,14 @@ class Splitting:
     def __init__(self, tangent_frame: Frame, tangent: tuple[MultilinearForm, ...],
                  transversals: tuple[MultilinearForm, MultilinearForm]):
         self.tangent_frame = tangent_frame
-        self.tangent = tangent
         basis = tangent + transversals
-        dim = basis[0].frame.dimension
+        frame = basis[0].frame
+        dim = frame.dimension
         inverse = matrix_inverse(
             [[basis[j].entry(i) for j in range(dim)] for i in range(dim)])
         self._coordinates = MultilinearForm.from_function(
-            basis[0].frame, 2, lambda i, r: inverse[r][i])
+            frame, 2, lambda i, r: inverse[r][i])
+        self._embedding = embedding(frame, tangent)
 
     def coefficients(self, v: MultilinearForm) -> tuple[RationalFunction, ...]:
         """The coefficients of an ambient vector over (T_1, ..., T_m, V1, V2)."""
@@ -111,17 +123,11 @@ class Splitting:
     def split(self, table: MultilinearForm
               ) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
         """The tangent part (arity k) and the V1 and V2 parts (arity k - 1)
-        of an arity-k vector-valued table, on the tangent frame."""
-        m = self.tangent_frame.dimension
-        # tangent tuples in row-major order, each prefix contracted once
-        cells = [table]
-        for _ in range(table.arity - 1):
-            cells = [t.apply(v) for t in cells for v in self.tangent]
-        rows = [self.coefficients(cell) for cell in cells]
-        tangent = tuple(c for row in rows for c in row[:m])
-        return (MultilinearForm(self.tangent_frame, table.arity, tangent),
-                *(MultilinearForm(self.tangent_frame, table.arity - 1,
-                                  tuple(row[k] for row in rows)) for k in (m, m + 1)))
+        of an arity-k vector-valued table, on the tangent frame: the
+        tangent vectors pulled into the k - 1 lower slots, the values
+        written over the adapted basis, then re-indexed."""
+        on_tangent = table.pull_slots(self._embedding, range(table.arity - 1))
+        return onto_frame(compose(on_tangent, self._coordinates), self.tangent_frame)
 
 
 def require_tangent(parts: tuple[MultilinearForm, ...], idx: tuple[int, ...],
@@ -170,6 +176,7 @@ class SubmanifoldFrame:
                 f"space needs {dim - 3} screen vectors, got {len(screen)}")
         self.tangent_frame = Frame(self.screen_labels + (RADICAL_LABEL,))
         self.tangent_vectors = self.screen + (rad,)
+        self._embedding = embedding(model.frame, self.tangent_vectors)
 
         if rank([v.entries for v in self.tangent_vectors]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
@@ -209,9 +216,7 @@ class SubmanifoldFrame:
 
     def restrict(self, form: MultilinearForm) -> MultilinearForm:
         """A scalar-valued ambient form on tangent arguments."""
-        return MultilinearForm(self.tangent_frame, form.arity, tuple(
-            form.value(*args)
-            for args in product(self.tangent_vectors, repeat=form.arity)))
+        return onto_frame(form.pull_all(self._embedding), self.tangent_frame)[0]
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,7 @@ appends where and by how much got - want is nonzero.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .scalars import RationalFunction
@@ -18,6 +18,8 @@ from .tensors import MultilinearForm
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped"
+
+_JSON_TRUTH = {True: "true", False: "false", None: "null"}
 
 
 class CheckEntry:
@@ -135,8 +137,29 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        # Fixed key order and separators keep identical runs byte-identical.
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=False) + "\n"
+        """``json.dumps(self.to_json_obj(), indent=2)`` and a newline, with
+        the fixed layout written out and each string through the json
+        module's own encoder; fixed key order keeps identical runs
+        byte-identical."""
+        c = self.counts
+        entries = ",\n".join(
+            "    {\n"
+            f'      "name": {_json_str(e.name)},\n'
+            f'      "anchor": {_json_str(e.anchor)},\n'
+            f'      "status": {_json_str(e.status)},\n'
+            f'      "residual_zero": {_JSON_TRUTH[e.residual_zero]},\n'
+            f'      "detail": {_json_str(e.detail)}\n'
+            "    }" for e in self.entries)
+        return ("{\n"
+                f'  "verdict": "{"pass" if self.ok else "fail"}",\n'
+                '  "counts": {\n'
+                f'    "pass": {c[PASS]},\n'
+                f'    "fail": {c[FAIL]},\n'
+                f'    "skipped": {c[SKIP]}\n'
+                "  },\n"
+                + ('  "entries": [\n' + entries + "\n  ]\n" if self.entries
+                   else '  "entries": []\n')
+                + "}\n")
 
     def render_text(self) -> str:
         width = max((len(e.name) for e in self.entries), default=0)

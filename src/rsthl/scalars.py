@@ -15,8 +15,8 @@ constant with respect to differentiation: directional derivatives of
 scalars along invariant frames vanish identically.
 
 ``Fraction`` appears only at the boundary: the constructor clears Fraction
-(or other rational) coefficients to integers, and ``eval_at``,
-``constant_value`` and ``from_fraction`` convert to and from it.  The
+(or other rational) coefficients to integers, ``rf`` takes Fraction values,
+and ``eval_at`` and ``constant_value`` return them.  The
 arithmetic is integer polynomial arithmetic.  The polynomial gcd is a
 primitive remainder sequence (pseudo-remainders made primitive), and by
 Gauss's lemma num and den divide by that primitive gcd exactly in Z[mu]
@@ -26,11 +26,15 @@ and 7).
 Most scalars of a model are zero or constant, so the operators return early
 on trivial operands: a zero summand returns the other operand (negated for
 ``0 - y``), a zero factor returns ``ZERO`` and a unit factor or divisor the
-other operand, ``0 / y`` is ``ZERO`` and ``-0`` is itself; the ints 0 and 1
-coerce to ``ZERO`` and ``ONE``.  Summands over one denominator add their
-numerators without cross-multiplying, a constant factor scales in one pass,
-and the constructor skips the polynomial gcd when numerator or denominator
-is constant (the gcd is then a unit), leaving the content and sign.  Each
+other operand, ``0 / y`` is ``ZERO`` and ``-0`` is itself.  When both
+operands are constants, an operator computes the result's int pair
+directly, and the constructor reduces a constant pair with one gcd (none
+over the denominator 1) and a sign fix.  Integer constants from -64 to 64
+are shared from one table that holds ``ZERO`` and ``ONE``, and ints coerce
+through it.  Summands over one denominator add their numerators without
+cross-multiplying, a constant factor scales in one pass, and the
+constructor skips the polynomial gcd when numerator or denominator is
+constant (the gcd is then a unit), leaving the content and sign.  Each
 shortcut relies on one invariant: every stored value is canonical, so the
 operand it returns is already the canonical result.  Every new value is
 still built by the constructor.
@@ -148,11 +152,56 @@ def _pexquo(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(q)
 
 
-def _peval(a: Coeffs, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _phom(a: Coeffs, p: int, q: int) -> int:
+    """q^deg(a) a(p/q), by Horner's rule over the integers."""
+    out, qk = 0, 1
     for c in reversed(a):
-        out = out * x + c
+        out = out * p + c * qk
+        qk *= q
     return out
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator, for ints n and
+    d != 0: one gcd, none over the denominator 1."""
+    if d == 1:
+        return n, 1
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _canonical_pair(num, den) -> tuple[Coeffs, Coeffs]:
+    """The canonical pair of num/den for coefficient sequences of ints or
+    rationals."""
+    try:
+        content = math.gcd(*num, *den)
+    except TypeError:  # math.gcd takes ints only: rational input
+        num, den = _cleared(num, den)
+        content = math.gcd(*num, *den)
+    if type(num) is not tuple or num and not num[-1]:
+        num = _trim(num)
+    if type(den) is not tuple or not den or not den[-1]:
+        den = _trim(den)
+    if not den:
+        raise ScalarDomainError("zero denominator")
+    if not num:
+        return (), _UNIT
+    # a constant part makes the gcd a unit, so only the content and the
+    # sign are left
+    if len(num) > 1 and len(den) > 1:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            # g is primitive, so dividing by it keeps the content
+            num = _pexquo(num, g)
+            den = _pexquo(den, g)
+    if den[-1] < 0:
+        content = -content
+    if content != 1:
+        num = tuple([c // content for c in num])
+        den = tuple([c // content for c in den])
+    return num, den
 
 
 Scalarish = Union["RationalFunction", int, Fraction]
@@ -169,43 +218,15 @@ class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=_UNIT):
-        try:
-            content = math.gcd(*num, *den)
-        except TypeError:  # math.gcd takes ints only: rational input
-            num, den = _cleared(num, den)
-            content = math.gcd(*num, *den)
-        if type(num) is not tuple or num and not num[-1]:
-            num = _trim(num)
-        if type(den) is not tuple or not den or not den[-1]:
-            den = _trim(den)
-        if not den:
-            raise ScalarDomainError("zero denominator")
-        if not num:
-            den = _UNIT
+        if (len(num) == 1 == len(den) and type(num[0]) is int
+                and type(den[0]) is int and den[0]):
+            n, d = _reduced(num[0], den[0])
+            num, den = ((n,) if n else ()), ((d,) if d != 1 else _UNIT)
         else:
-            # a constant part makes the gcd a unit, so only the content
-            # and the sign are left
-            if len(num) > 1 and len(den) > 1:
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    # g is primitive, so dividing by it keeps the content
-                    num = _pexquo(num, g)
-                    den = _pexquo(den, g)
-            if den[-1] < 0:
-                content = -content
-            if content != 1:
-                num = tuple([c // content for c in num])
-                den = tuple([c // content for c in den])
+            num, den = _canonical_pair(num, den)
         self.num: Coeffs = num
         self.den: Coeffs = den
         self._hash = None
-
-    @classmethod
-    def from_fraction(cls, value) -> "RationalFunction":
-        value = Fraction(value)
-        return cls((value.numerator,), (value.denominator,))
-
-    from_int = from_fraction
 
     @classmethod
     def mu(cls) -> "RationalFunction":
@@ -230,27 +251,48 @@ class RationalFunction:
         return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def eval_at(self, value) -> Fraction:
-        x = Fraction(value)
-        d = _peval(self.den, x)
-        if d == 0:
-            raise ScalarDomainError(f"evaluation of {self} at a pole mu={x}")
-        return _peval(self.num, x) / d
+        """The value at mu = value, an int or a Fraction."""
+        n, d = self.pair_at(value.numerator, value.denominator)
+        if not d:
+            raise ScalarDomainError(
+                f"evaluation of {self} at a pole mu={value}")
+        return Fraction(n, d)
+
+    def pair_at(self, p: int, q: int = 1) -> tuple[int, int]:
+        """Integers (a, b) with a/b the value at mu = p/q, for q > 0; b is 0
+        exactly at a pole.  num and den are homogenized to their common
+        degree, so the evaluation is integer arithmetic only."""
+        num, den = self.num, self.den
+        a, b = _phom(num, p, q), _phom(den, p, q)
+        shift = len(den) - max(len(num), 1)
+        if shift > 0:
+            a *= q ** shift
+        elif shift < 0:
+            b *= q ** -shift
+        return a, b
+
+    # Each operator returns early on a trivial operand, then computes the
+    # int pair of a result whose operands are both constants directly.
 
     def __add__(self, other):
         if type(other) is not RationalFunction:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.num:
+        a, b = self.num, other.num
+        if not b:
             return self
-        if not self.num:
+        if not a:
             return other
-        if self.den == other.den:
-            return RationalFunction(_padd(self.num, other.num), self.den)
-        return RationalFunction(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        c, d = self.den, other.den
+        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
+            x, y = c[0], d[0]
+            if x == y:
+                return _constant(a[0] + b[0], x)
+            return _constant(a[0] * y + b[0] * x, x * y)
+        if c == d:
+            return RationalFunction(_padd(a, b), c)
+        return RationalFunction(_padd(_pmul(a, d), _pmul(b, c)), _pmul(c, d))
 
     __radd__ = __add__
 
@@ -259,16 +301,20 @@ class RationalFunction:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.num:
+        a, b = self.num, other.num
+        if not b:
             return self
-        if not self.num:
+        if not a:
             return -other
-        if self.den == other.den:
-            return RationalFunction(_padd(self.num, _pneg(other.num)), self.den)
-        return RationalFunction(
-            _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
-            _pmul(self.den, other.den),
-        )
+        c, d = self.den, other.den
+        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
+            x, y = c[0], d[0]
+            if x == y:
+                return _constant(a[0] - b[0], x)
+            return _constant(a[0] * y - b[0] * x, x * y)
+        if c == d:
+            return RationalFunction(_padd(a, _pneg(b)), c)
+        return RationalFunction(_padd(_pmul(a, d), _pneg(_pmul(b, c))), _pmul(c, d))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -281,28 +327,37 @@ class RationalFunction:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        a, b = self.num, other.num
+        c, d = self.den, other.den
         # the canonical one is the only value with num == den
-        if other.num == other.den:
+        if b == d:
             return self
-        if self.num == self.den:
+        if a == c:
             return other
-        if not self.num or not other.num:
+        if not a or not b:
             return ZERO
-        return RationalFunction(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
+            return _constant(a[0] * b[0], c[0] * d[0])
+        return RationalFunction(_pmul(a, b), _pmul(c, d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not b:
             raise ScalarDomainError("division by zero")
-        if not self.num:
+        if not a:
             return ZERO
-        if other.is_one():
+        c, d = self.den, other.den
+        if b == d:
             return self
-        return RationalFunction(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
+            return _constant(a[0] * d[0], c[0] * b[0])
+        return RationalFunction(_pmul(a, d), _pmul(c, b))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -311,9 +366,12 @@ class RationalFunction:
         return other / self
 
     def __neg__(self):
-        if not self.num:
+        a, c = self.num, self.den
+        if not a:
             return self
-        return RationalFunction(_pneg(self.num), self.den)
+        if len(a) == 1 and len(c) == 1:
+            return _constant(-a[0], c[0])
+        return RationalFunction(_pneg(a), c)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -335,9 +393,10 @@ class RationalFunction:
         return out
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -367,12 +426,22 @@ def _coerce(value):
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, (int, Fraction)):
-        if value == 0:
-            return ZERO
-        if value == 1:
-            return ONE
-        return RationalFunction((value.numerator,), (value.denominator,))
+        return _constant(value.numerator, value.denominator)
     return NotImplemented
+
+
+# Constants that are small integers are shared, not rebuilt: the table
+# holds -SMALL_INT, ..., SMALL_INT, with ZERO and ONE among them.
+SMALL_INT = 64
+
+
+def _constant(n: int, d: int) -> RationalFunction:
+    """The constant n/d for ints n and d != 0."""
+    if d != 1:
+        n, d = _reduced(n, d)
+    if d == 1 and -SMALL_INT <= n <= SMALL_INT:
+        return _INTS[n + SMALL_INT]
+    return RationalFunction((n,), (d,))
 
 
 def _format_poly(ci: Coeffs) -> str:
@@ -410,7 +479,12 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            out.append(("num", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's int digit limit
+                raise ScalarParseError(
+                    f"a number of {j - i} digits is too long", i) from None
+            out.append(("num", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -428,6 +502,10 @@ def _tokenize(text: str):
     out.append(("end", "", len(text)))
     return out
 
+
+# A coefficient of at most this many bits has fewer than 640 digits, the
+# lowest int digit limit the interpreter accepts, so it always prints.
+PRINTABLE_BITS = 2100
 
 # Parentheses and signs nest at most this deep, which keeps the recursive
 # descent well inside the interpreter's recursion limit.
@@ -463,6 +541,12 @@ class _Parser:
         kind, _, pos = self._peek()
         if kind != "end":
             raise ScalarParseError("unexpected trailing input", pos)
+        if any(c.bit_length() > PRINTABLE_BITS for c in value.num + value.den):
+            try:
+                str(value)
+            except ValueError:  # past the interpreter's int digit limit
+                raise ScalarParseError(
+                    "the value has a coefficient too long to print", 0) from None
         return value
 
     def _expr(self, depth: int) -> RationalFunction:
@@ -514,7 +598,7 @@ class _Parser:
     def _atom(self, depth: int) -> RationalFunction:
         kind, value, pos = self._next()
         if kind == "num":
-            return RationalFunction.from_int(value)
+            return _constant(value, 1)
         if kind == "name":
             if value == "mu":
                 return MU
@@ -543,11 +627,12 @@ def rf(value) -> RationalFunction:
     if isinstance(value, str):
         return RationalFunction.parse(value)
     if isinstance(value, (int, Fraction)):
-        return RationalFunction.from_fraction(value)
+        return _constant(value.numerator, value.denominator)
     raise TypeError(f"cannot coerce {value!r} into a scalar")
 
 
-ZERO = RationalFunction(())
-ONE = RationalFunction(_UNIT)
+_INTS = tuple(RationalFunction((k,)) for k in range(-SMALL_INT, SMALL_INT + 1))
+ZERO = _INTS[SMALL_INT]
+ONE = _INTS[SMALL_INT + 1]
 MU = RationalFunction((0, 1))
 HALF = RationalFunction((1,), (2,))

@@ -32,7 +32,10 @@ products often take, for example the operator X -> eta(X) xi.
 ``compose(a, b)`` contracts the last slot of a with the first slot of
 b, so the second covariant derivatives nabla_i nabla_j e_k and the
 bracket term of a curvature, and a derivation acting on a form, are one
-composition of whole tables each.
+composition of whole tables each.  ``onto_frame`` re-indexes a table
+whose indices lie among the first m labels onto a frame of m labels, so
+splitting or restricting an ambient table over an adapted basis is a
+pull, a composition and one such pass.
 
 Identities are decided on whole tables.  ``permute`` reorders the slots
 of a table, so a symmetry T(X, Y) = T(Y, X) reads
@@ -60,7 +63,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     DegenerateMetric,
     InconsistentSystem,
-    ScalarDomainError,
     UnderdeterminedSystem,
 )
 from .scalars import ONE, ZERO, RationalFunction, rf
@@ -70,7 +72,7 @@ class Frame:
     """An ordered tuple of distinct basis labels; equal frames have equal
     labels."""
 
-    __slots__ = ("labels",)
+    __slots__ = ("labels", "dimension")
 
     def __init__(self, labels: tuple[str, ...]):
         if not labels:
@@ -78,8 +80,11 @@ class Frame:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate frame labels: {labels}")
         self.labels = labels
+        self.dimension = len(labels)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Frame):
             return NotImplemented
         return self.labels == other.labels
@@ -89,10 +94,6 @@ class Frame:
 
     def __repr__(self):
         return f"Frame(labels={self.labels!r})"
-
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
 
     def index(self, label: str) -> int:
         try:
@@ -393,7 +394,7 @@ class MultilinearForm:
 
 
 def _same_frame(a, b):
-    if a.frame != b.frame:
+    if a.frame is not b.frame and a.frame != b.frame:
         raise ValueError("objects live on different frames")
 
 
@@ -435,6 +436,48 @@ def compose(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
         for j, c in rows[m]:
             _accumulate(out, base + j, x * c)
     return MultilinearForm._of(a.frame, a.arity + b.arity - 2, out)
+
+
+@cache
+def _onto_offsets(dim: int, m: int, arity: int) -> tuple[int, ...]:
+    """For each offset of an arity-``arity`` table over d = dim labels, the
+    offset of the same indices over m labels, or -1 when one is m or more."""
+    out = [-1] * dim ** arity
+    for idx in product(range(m), repeat=arity):
+        off = at = 0
+        for i in idx:
+            off, at = off * dim + i, at * m + i
+        out[off] = at
+    return tuple(out)
+
+
+def onto_frame(table: MultilinearForm, frame: Frame) -> tuple[MultilinearForm, ...]:
+    """The components of a table over d labels whose leading indices all lie
+    below m = frame.dimension, re-indexed over the m labels of frame.
+
+    The first table holds the components whose last index is below m too.
+    For arity k >= 2, one arity k - 1 table follows for each last index
+    r = m, ..., d - 1: the components with that last index, the index
+    dropped.  So a vector-valued table on the first m vectors of an adapted
+    basis splits into its part along them and one part per further basis
+    vector.  Raises ValueError for any other component.
+    """
+    dim, m, k = table.frame.dimension, frame.dimension, table.arity
+    whole = _onto_offsets(dim, m, k)
+    lower = _onto_offsets(dim, m, k - 1) if k > 1 else ()
+    inside = {}
+    beyond = [{} for _ in range(dim - m)] if k > 1 else []
+    for off, c in table.nonzero.items():
+        at = whole[off]
+        if at >= 0:
+            inside[at] = c
+            continue
+        rest, r = divmod(off, dim)
+        if r < m or not beyond or lower[rest] < 0:
+            raise ValueError("a component lies outside the frame")
+        beyond[r - m][lower[rest]] = c
+    return (MultilinearForm._of(frame, k, inside),
+            *(MultilinearForm._of(frame, k - 1, part) for part in beyond))
 
 
 def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
@@ -661,14 +704,10 @@ def pick_regular_sample(
     nonzero = list(must_not_vanish)
     defined = list(must_be_defined)
     for k in range(1, 1001):
-        x = Fraction(k)
-        try:
-            for s in defined:
-                s.eval_at(x)
-            if all(s.eval_at(x) != 0 for s in nonzero):
-                return x
-        except ScalarDomainError:
-            continue
+        # at an integer each value is an int pair: a pole has denominator 0
+        if all(s.pair_at(k)[1] for s in defined) and all(
+                all(s.pair_at(k)) for s in nonzero):
+            return Fraction(k)
     raise RuntimeError("no regular sample found in range")
 
 

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rsthl
 from rsthl import associated, liegeom, lightlike, structure, suite
 from rsthl.builtin import example_model
 from rsthl.cli import main
@@ -367,17 +371,23 @@ def test_cli_check_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def nested_metric_model() -> bytes:
+def metric_model(entry: str) -> bytes:
     obj = fresh_obj()
-    obj["metric"]["X1,X1"] = "(" * 5000 + "1" + ")" * 5000
+    obj["metric"]["X1,X1"] = entry
     return json.dumps(obj).encode("utf-8")
 
 
+# The last two pass CPython's default limit of 4,300 digits on int and str
+# conversion, one as a literal and one as a printed power.
 @pytest.mark.parametrize("content, fragment", [
     (b"\xff\xfe{}", "$: not UTF-8 text"),
     (b"[" * 100_000, "$: invalid JSON: nested too deeply"),
-    (nested_metric_model(), "metric.X1,X1: parentheses and signs nested more than"),
-], ids=["not-utf8", "deep-json", "deep-scalar"])
+    (metric_model("(" * 5000 + "1" + ")" * 5000),
+     "metric.X1,X1: parentheses and signs nested more than"),
+    (metric_model("9" * 5000), "metric.X1,X1: a number of 5000 digits is too long"),
+    (metric_model("2^20000"),
+     "metric.X1,X1: the value has a coefficient too long to print"),
+], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
     path = tmp_path / "model.json"
     path.write_bytes(content)
@@ -385,6 +395,29 @@ def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fragment}")
     assert "Traceback" not in err
+
+
+def test_cli_calls_in_a_row_match_fresh_processes(tmp_path, capsys):
+    """One process builds the parser once; each call in a row, a usage
+    error among them, prints and returns what a fresh process does."""
+    path = str(tmp_path / "emitted.json")
+    save_model(example_model(), path)
+    env = {**os.environ, "PYTHONPATH": str(Path(rsthl.__file__).parents[1])}
+    for argv in (["example47", "--mu", "7/5", "--suite", "ambient"],
+                 ["check", path, "--suite", "theorem46"],
+                 ["example47", "--suite", "ambient"],
+                 ["check", path, "--suite", "everything"],
+                 ["example47", "--mu", "-3/4", "--suite", "submanifold"],
+                 ["check", path]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "rsthl", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr), argv
 
 
 def test_cli_check_no_submanifold(tmp_path, capsys):

@@ -225,6 +225,17 @@ def dense_frame(seed):
             return p
 
 
+def rebased_frame(seed):
+    """A seeded frame e'_a = +-e_a +- E, e'_E = +-E: every frame vector
+    meets the Reeb direction, as in the benchmark's rebased frames."""
+    rng = random.Random(seed)
+    rows = [[0] * 5 for _ in range(5)]
+    for a in range(5):
+        rows[a][a] = rng.choice((-1, 1))
+        rows[a][4] = rows[a][4] or rng.choice((-1, 1))
+    return rows
+
+
 @pytest.mark.parametrize("build", [
     reeb_sheared, lambda: transported(example_model(), dense_frame(1))],
     ids=["reeb_sheared", "dense"])
@@ -236,15 +247,21 @@ def test_frame_change_keeps_every_verdict(build):
     assert [(e.name, e.status) for e in run_suite(build()).entries] == want
 
 
+def twin_normals(geo):
+    """N1 = xi_bar - L and N2 = 2 xi_bar - 2 mu N - L."""
+    f, s = geo.frame, geo.structure
+    return (s.xi_bar - f.l_vec,
+            s.xi_bar.scale(rf(2)) - f.n_vec.scale(geo.mu * 2) - f.l_vec)
+
+
 def assert_splits_reconstruct(geo):
     """Re-embedding the tangent part of a split and adding each transversal
     part times its transversal gives the ambient table back on tangent
     arguments.  Checked for the connection, bracket, structure and
     curvature tables, over (N, L) and over the twin normals
     N1 = xi_bar - L and N2 = 2 xi_bar - 2 mu N - L."""
-    f, s = geo.frame, geo.structure
-    twin_pair = (s.xi_bar - f.l_vec,
-                 s.xi_bar.scale(rf(2)) - f.n_vec.scale(geo.mu * 2) - f.l_vec)
+    f = geo.frame
+    twin_pair = twin_normals(geo)
     splittings = ((f.splitting, (f.n_vec, f.l_vec)),
                   (Splitting(f.tangent_frame, f.tangent_vectors, twin_pair), twin_pair))
     m = f.dim
@@ -263,6 +280,48 @@ def assert_splits_reconstruct(geo):
                     if not c.is_zero():
                         rebuilt = rebuilt + v.scale(c)
                 assert rebuilt == value, (table.arity, k)
+
+
+def split_by_cells(splitting, f, table):
+    """The reference split: each tangent tuple substituted vector by
+    vector, each value read over the adapted basis."""
+    m = f.dim
+    cells = [table]
+    for _ in range(table.arity - 1):
+        cells = [t.apply(v) for t in cells for v in f.tangent_vectors]
+    rows = [splitting.coefficients(cell) for cell in cells]
+    tf = f.tangent_frame
+    return (MultilinearForm(tf, table.arity, tuple(c for row in rows for c in row[:m])),
+            *(MultilinearForm(tf, table.arity - 1, tuple(row[k] for row in rows))
+              for k in (m, m + 1)))
+
+
+def restrict_by_cells(f, form):
+    """The reference restriction: the form's value on each tangent tuple."""
+    return MultilinearForm(f.tangent_frame, form.arity, tuple(
+        form.value(*args) for args in product(f.tangent_vectors, repeat=form.arity)))
+
+
+@pytest.mark.parametrize("build", [
+    example_model,
+    *(lambda seed=seed: transported(example_model(), dense_frame(seed))
+      for seed in (1, 2)),
+    *(lambda seed=seed: transported(example_model(), rebased_frame(seed))
+      for seed in (0, 1, 2)),
+], ids=["builtin", "dense1", "dense2", "rebased0", "rebased1", "rebased2"])
+def test_whole_table_split_and_restrict_match_the_cell_reading(build):
+    """Splits of arity 2 to 4, over (N, L) and over the twin normals, and
+    restrictions of arity 1 to 4."""
+    geo = Geometry(build())
+    f, s, g = geo.frame, geo.structure, geo.metric.form
+    twin = Splitting(f.tangent_frame, f.tangent_vectors, twin_normals(geo))
+    for table in (geo.model.phi, geo.conn.derivative(f.n_vec),
+                  geo.model.algebra.brackets, geo.conn.gamma, geo.curv.table):
+        for splitting in (f.splitting, twin):
+            assert splitting.split(table) == split_by_cells(splitting, f, table), \
+                table.arity
+    for form in (s.eta_bar, g, geo.conn.gamma.pull_slots(g, (2,)), geo.r4):
+        assert f.restrict(form) == restrict_by_cells(f, form), form.arity
 
 
 def test_split_reconstructs_ambient_tables(geometry):

@@ -1,15 +1,21 @@
 """The comparison helper: exact verdicts and the residual suffix of a
-failing entry."""
+failing entry; the JSON form of a report."""
 
+import json
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsthl.report import FAIL, PASS, compare, passed, residual_suffix
+from rsthl.builtin import example_model
+from rsthl.report import (FAIL, PASS, SKIP, CheckEntry, CheckReport, compare,
+                          passed, residual_suffix)
 from rsthl.scalars import MU, ONE, ZERO, rf
+from rsthl.suite import SUITES, run_suite
 from rsthl.tensors import Frame, MultilinearForm
+
+import test_properties
 
 F3 = Frame(("e1", "e2", "e3"))
 
@@ -95,3 +101,32 @@ def test_suffix_locates_the_row_major_first_nonzero(cells, base):
     assert residual_suffix(got, want) == (
         f"; the residual at ({labels}) is {residual.entry(*first)}, "
         f"{len(nonzero)} of 27 components nonzero")
+
+
+def dumped(rep: CheckReport) -> str:
+    """The reference JSON form: the json module's own indent encoder."""
+    return json.dumps(rep.to_json_obj(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("build", [
+    example_model, test_properties.reeb_sheared,
+    test_properties.screen_radical_mixing, test_properties.degenerate_metric,
+    test_properties.doubled_reeb_norm, test_properties.jacobi_violation,
+    test_properties.zero_brackets, test_properties.no_submanifold,
+], ids=lambda build: build.__name__)
+def test_report_json_is_the_json_dumps_text(build):
+    model = build()
+    for suite in SUITES:
+        rep = run_suite(model, suite)
+        assert rep.to_json() == dumped(rep), suite
+
+
+def test_report_json_escapes_strings_as_json_dumps_does():
+    assert CheckReport().to_json() == dumped(CheckReport())
+    rep = CheckReport([
+        CheckEntry('say "x"', "back\\slash", PASS, "tab\there, newline\nthere"),
+        CheckEntry("ctrl\x00\x1f\x7f", "eq-1", FAIL, "gr\u00fc\u00df \u221e \U0001d70b"),
+        CheckEntry("", "", SKIP, "</script> & 'single'"),
+    ])
+    assert rep.to_json() == dumped(rep)
+    assert json.loads(rep.to_json()) == rep.to_json_obj()

@@ -171,10 +171,18 @@ def test_division_is_multiplication_by_the_inverse(x, y):
     assert x / 1 is x
 
 
+def constants():
+    """Constants mostly outside the shared small-integer table: numerators
+    up to 10^12 and denominators up to 10^6 in size, either sign."""
+    return st.builds(lambda n, d: RationalFunction((n,), (d,)),
+                     st.integers(-10**12, 10**12),
+                     st.integers(-10**6, 10**6).filter(bool))
+
+
 def field_elements():
     """Zero, one, constants, polynomials and proper fractions."""
     return st.one_of(st.just(ZERO), st.just(ONE),
-                     st.fractions(max_denominator=5).map(rf),
+                     st.fractions(max_denominator=5).map(rf), constants(),
                      polys(), rationals())
 
 
@@ -358,6 +366,26 @@ def test_eval_at_sample():
     assert rf("(mu^2 + 1)/(mu + 2)").eval_at(Fraction(1, 2)) == Fraction(1, 2)
 
 
+def fraction_horner(cs, t):
+    out = Fraction(0)
+    for c in reversed(cs):
+        out = out * t + c
+    return out
+
+
+@given(rationals(), st.fractions(max_denominator=7))
+def test_eval_at_matches_fraction_evaluation(x, t):
+    """Integer evaluation of the homogenized parts against Fraction
+    arithmetic, across every difference of degree between them."""
+    den = fraction_horner(x.den, t)
+    if den == 0:
+        with pytest.raises(ScalarDomainError):
+            x.eval_at(t)
+    else:
+        assert x.eval_at(t) == fraction_horner(x.num, t) / den
+        assert (ONE / (x * x + 1)).eval_at(t) == 1 / ((x.eval_at(t)) ** 2 + 1)
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ScalarDomainError):
         ONE / ZERO
@@ -442,6 +470,25 @@ def test_is_constant_and_constant_value():
     assert ZERO.constant_value() == 0
     with pytest.raises(ScalarDomainError):
         MU.constant_value()
+
+
+@given(constants(), st.integers(-10**6, 10**6).filter(bool))
+def test_constant_input_matches_the_general_path(x, d):
+    """The constructor's constant pair path against its general path,
+    which rational input takes."""
+    n = x.num[0] if x.num else 0
+    got = RationalFunction((n,), (d,))
+    assert_canonical(got)
+    assert got == RationalFunction((Fraction(n),), (Fraction(d),))
+
+
+def test_small_integer_constants_are_shared():
+    assert rf(3) is MU / MU + 2
+    assert rf("-64") is -rf(64)
+    assert HALF + HALF is ONE
+    assert 1 - ONE is ZERO
+    assert rf(65) is not rf(65)
+    assert rf(65) == rf(64) + 1
 
 
 def test_hash_matches_equality():

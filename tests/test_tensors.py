@@ -15,7 +15,7 @@ from rsthl import tensors
 from rsthl.scalars import MU, ONE, ZERO, RationalFunction, rf
 from rsthl.tensors import (Frame, MultilinearForm, _echelon, compose,
                            curvature_product, determinant, inertia,
-                           matrix_inverse, outer, pick_regular_sample,
+                           matrix_inverse, onto_frame, outer, pick_regular_sample,
                            signature_at_sample, solve_affine,
                            solve_combination, solve_unique)
 
@@ -642,6 +642,34 @@ def test_product_kernels_match_dense_references(data, left, right):
     assert got == reference(4, lambda i, j, k, l: b.entry(j, k) * a.entry(i, l)
                             - b.entry(i, k) * a.entry(j, l))
     assert_canonical(got)
+
+
+@given(data=st.data(), arity=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_onto_frame_matches_the_component_reading(data, arity):
+    """F3 tables onto the two labels of F2: the components with every index
+    below 2, then for arity >= 2 those with last index 2, that index
+    dropped.  A leading index 2, or a last one in a vector, is outside."""
+    def out_of_f2(idx):
+        return 2 in idx[:-1] or arity == 1 and idx == (2,)
+
+    t = data.draw(tables(arity))
+    if data.draw(st.booleans()):
+        t = MultilinearForm.from_function(
+            F3, arity, lambda *i: ZERO if out_of_f2(i) else t.entry(*i))
+    outside = [idx for idx in product(range(3), repeat=arity)
+               if out_of_f2(idx) and not t.entry(*idx).is_zero()]
+    if outside:
+        with pytest.raises(ValueError):
+            onto_frame(t, F2)
+        return
+    got = onto_frame(t, F2)
+    want = (MultilinearForm.from_function(F2, arity, t.entry),)
+    if arity >= 2:
+        want += (MultilinearForm.from_function(F2, arity - 1,
+                                               lambda *i: t.entry(*i, 2)),)
+    assert got == want
+    assert_canonical(*got)
 
 
 def test_compose_substitutes_values_into_the_first_slot():
