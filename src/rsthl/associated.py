@@ -32,7 +32,7 @@ from .lightlike import (
     proportionality_factor,
 )
 from .report import CheckEntry, compare, passed, residual_suffix
-from .scalars import ONE, ZERO, RationalFunction, rf
+from .scalars import HALF, ONE, ZERO, RationalFunction, rf
 from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
@@ -111,7 +111,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     screen_rows = [row[:-1] for row in gt_form.rows()[:-1]]
     sample, (pos, neg, zero) = signature_at_sample(screen_rows, (rad_norm,))
     entries.append(compare(
-        "twin-radical-spacelike", "thm-1.1", rad_norm.eval_at(sample) > 0, True,
+        "twin-radical-spacelike", "thm-1.1", rad_norm.eval_at(sample).sign() > 0, True,
         f"g~(xi, xi) = {rad_norm} is positive at mu = {sample}"))
     if screen_rows:
         half = (m - 1) // 2
@@ -127,7 +127,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     inv_mu2 = inv_mu * inv_mu
     b_phi = obj.b_phi
     conn_formula = Connection(tf, obj.conn.gamma + outer(
-        (obj.b_form.scale(rf("1/2")) + b_phi).scale(inv_mu2), xi_t))
+        (obj.b_form.scale(HALF) + b_phi).scale(inv_mu2), xi_t))
     h1_formula = obj.b_form.scale(inv_mu)
     h2_formula = (obj.b_form + b_phi).scale(-inv_mu)
     phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
@@ -196,12 +196,11 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             tilde_curv: CurvatureTensor) -> CheckEntry:
     b_phi = obj.b_phi
     inv_mu2 = ONE / (mu * mu)
-    half = rf("1/2")
     rhs = (curv.table
            + curvature_product(obj.shape_n, obj.b_form + b_phi.scale(2))
            + curvature_product(outer(obj.tau, f.radical_tangent()),
-                               (obj.b_form.scale(half) + b_phi).scale(inv_mu2))
-           + outer((obj.cd_b.scale(half) + obj.cd_b_phi).skew().scale(inv_mu2),
+                               (obj.b_form.scale(HALF) + b_phi).scale(inv_mu2))
+           + outer((obj.cd_b.scale(HALF) + obj.cd_b_phi).skew().scale(inv_mu2),
                    f.radical_tangent()))
     return compare(
         "twin-curvature-transfer", "eq-13", tilde_curv.table, rhs,
@@ -220,7 +219,7 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
     rhs = (ric + (b_form + b_phi.scale(2)).scale(obj.shape_n.trace())
            - b_n - b_n.pull_slots(f.phi_p, (1,)).scale(2)
            + (obj.cd_b.skew().at(xi_idx) + b_form.scale(tau_xi)).scale(
-               inv_mu2 * rf("1/2"))
+               inv_mu2 * HALF)
            + (obj.cd_b_phi.skew().at(xi_idx) + b_phi.scale(tau_xi)).scale(inv_mu2))
     return compare(
         "twin-ricci-transfer", "eq-14", tilde_ric, rhs,
@@ -322,13 +321,11 @@ def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
         "the twin curvature action on Ric~ matches its closed form")
 
 
-def geodesic_correspondence_entries(obj: InducedObjects,
-                                    assoc: AssociatedObjects,
+def geodesic_correspondence_entries(assoc: AssociatedObjects,
                                     rep: UmbilicityReport) -> list[CheckEntry]:
     """Totally geodesic and totally umbilical transfer statements."""
-    tg_first = obj.b_form.is_zero() and obj.d_form.is_zero()
+    tg_first, stg = rep.totally_geodesic, rep.screen_totally_geodesic
     tg_twin = assoc.h1.is_zero() and assoc.h2.is_zero()
-    stg = obj.c_form.is_zero()
     a1, a2 = assoc.twin_umbilicity
     tu_twin = a1 is not None and a2 is not None
     entries = [compare(

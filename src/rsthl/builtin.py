@@ -15,9 +15,7 @@ in the metric sense.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from typing import Optional
 
 from . import report
 from .liegeom import InvariantMetric, LieAlgebra, levi_civita
@@ -122,11 +120,12 @@ def factor_signature_entry() -> report.CheckEntry:
     return report.failed("factor-signature", "example-4.7", detail)
 
 
-def example_model(mu: Optional[Fraction] = None) -> ModelFile:
+def example_model(mu=None) -> ModelFile:
     """The worked model, symbolic in mu by default.
 
-    Passing a nonzero Fraction specializes every scalar at that value and
-    drops the parameter declaration.
+    Passing a nonzero rational (an int, a ``Fraction`` or a constant
+    scalar, each read through ``str``) specializes every scalar at that
+    value and drops the parameter declaration.
     """
 
     def s(text: str) -> str:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import Optional
 
@@ -16,6 +15,7 @@ from .builtin import example_model
 from .errors import ModelError, MuZero, ScalarDomainError, ScalarParseError
 from .model import load_model, save_model
 from .report import CheckReport
+from .scalars import RationalFunction
 from .suite import SUITES, run_suite
 
 
@@ -66,11 +66,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             mu = None
             if args.mu is not None:
                 try:
-                    mu = Fraction(args.mu)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ModelError(
-                        "--mu", f"not a rational number: {args.mu!r}") from exc
-                if mu == 0:
+                    mu = RationalFunction.parse(args.mu)
+                except ScalarParseError:
+                    mu = None
+                if mu is None or not mu.is_constant():
+                    raise ModelError("--mu", f"not a rational number: {args.mu!r}")
+                if mu.is_zero():
                     raise MuZero("the parameter mu must be nonzero")
             model = example_model(mu)
             if args.emit:

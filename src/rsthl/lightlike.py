@@ -42,7 +42,7 @@ from .liegeom import (
     derivation_action,
 )
 from .report import CheckEntry, compare, passed, skipped
-from .scalars import ONE, RationalFunction, ZERO, rf
+from .scalars import HALF, ONE, RationalFunction, ZERO
 from .structure import CurvaturePair, LieModel
 from .tensors import (
     Frame,
@@ -80,7 +80,7 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     rows = [g.lower(w).entries for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
     n0 = MultilinearForm(model.frame, 1, solve_affine(rows, rhs))
-    t = g.value(n0, n0) * rf("-1/2")
+    t = g.value(n0, n0) * -HALF
     return n0 + rad.scale(t)
 
 
@@ -697,7 +697,7 @@ def curvature_form_15_entry(f: SubmanifoldFrame, obj: InducedObjects,
            - curvature_product(f.projector, gpp.scale(nu) + gp.scale(nut))
            - curvature_product(f.phi_p, gp.scale(nu) - gpp.scale(nut))
            + curvature_product(outer(f.eta, f.radical_tangent()),
-                               (g.scale(nu) - gp.scale(nut)).scale(rf("1/2"))))
+                               (g.scale(nu) - gp.scale(nut)).scale(HALF)))
     return compare(
         "curvature-from-shape-terms", "eq-15", curv.table, rhs,
         "the induced curvature is rebuilt from shape operators and the "
@@ -743,7 +743,7 @@ def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
                              - outer(f.eta_bar, f.eta_bar).scale(nu))
            + curvature_product(f.phi_p, f.phi_pairing.scale(mg2 * 4 - nu))
            + curvature_product(outer(f.eta, f.radical_tangent()),
-                               g.scale(rf("1/2") * nu)))
+                               g.scale(HALF * nu)))
     return compare(
         "umbilic-curvature-form", "eq-19", curv.table, rhs,
         "the induced curvature collapses to the screen umbilical normal form")
@@ -755,7 +755,7 @@ def ricci_form_20_entry(f: SubmanifoldFrame, ric: MultilinearForm,
     g = f.induced_form
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
-    k = nu * rf(f"{4 * n - 7}/2") - mg2 * (2 * (2 * n - 5))
+    k = nu * (4 * n - 7) * HALF - mg2 * (2 * (2 * n - 5))
     c = -(nu * (2 * (n - 1)))
     expected = g.scale(k) + outer(f.eta_bar, f.eta_bar).scale(c)
     return compare(
@@ -775,7 +775,7 @@ def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
     g = f.induced_form
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
-    factor = nu * (nu * rf("1/2") - mg2 * 2) * (2 * n - 5)
+    factor = nu * (nu * HALF - mg2 * 2) * (2 * n - 5)
     eta_eta = outer(f.eta_bar, f.eta_bar).scale(factor)
     return curvature_product(g, eta_eta) - curvature_product(eta_eta, g)
 

@@ -14,9 +14,10 @@ are exact comparisons of int tuples.  The parameter is treated as a
 constant with respect to differentiation: directional derivatives of
 scalars along invariant frames vanish identically.
 
-``Fraction`` appears only at the boundary: the constructor clears Fraction
-(or other rational) coefficients to integers, ``rf`` takes Fraction values,
-and ``eval_at`` and ``constant_value`` return them.  The
+The constructor, the operators and ``rf`` also take rational input: any
+value with int ``numerator`` and ``denominator`` attributes, such as an
+int or a ``fractions.Fraction``.  Rational coefficients are cleared to
+integers, and ``eval_at`` returns a constant of this type.  The
 arithmetic is integer polynomial arithmetic.  The polynomial gcd is a
 primitive remainder sequence (pseudo-remainders made primitive), and by
 Gauss's lemma num and den divide by that primitive gcd exactly in Z[mu]
@@ -43,8 +44,7 @@ still built by the constructor.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Union
+import sys
 
 from .errors import ScalarDomainError, ScalarParseError
 
@@ -60,14 +60,21 @@ def _trim(cs) -> Coeffs:
     return tuple(cs[:n])
 
 
+def _ratio(value) -> tuple[int, int]:
+    """The int numerator and denominator of a rational value."""
+    n, d = getattr(value, "numerator", None), getattr(value, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int):
+        return n, d
+    raise TypeError(f"{value!r} is not a rational number")
+
+
 def _cleared(num, den) -> tuple[Coeffs, Coeffs]:
     """Integer coefficients for rational ones: both polynomials times the
     lcm of the coefficient denominators."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    scale = math.lcm(*(c.denominator for c in num + den))
-    return (tuple(c.numerator * (scale // c.denominator) for c in num),
-            tuple(c.numerator * (scale // c.denominator) for c in den))
+    num, den = [_ratio(c) for c in num], [_ratio(c) for c in den]
+    scale = math.lcm(*(d for _, d in num + den))
+    return (tuple(n * (scale // d) for n, d in num),
+            tuple(n * (scale // d) for n, d in den))
 
 
 def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -204,13 +211,10 @@ def _canonical_pair(num, den) -> tuple[Coeffs, Coeffs]:
     return num, den
 
 
-Scalarish = Union["RationalFunction", int, Fraction]
-
-
 class RationalFunction:
     """An element of Q(mu) in canonical form (see the module docstring).
 
-    ``RationalFunction(num, den=(1,))`` takes sequences of int or Fraction
+    ``RationalFunction(num, den=(1,))`` takes sequences of int or rational
     coefficients, lowest degree first.  Two values are equal exactly when their stored
     coefficients are equal.
     """
@@ -229,34 +233,29 @@ class RationalFunction:
         self._hash = None
 
     @classmethod
-    def mu(cls) -> "RationalFunction":
-        return cls((0, 1))
-
-    @classmethod
     def parse(cls, text: str) -> "RationalFunction":
         return _Parser(text).parse()
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == _UNIT and self.den == _UNIT
-
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
 
-    def constant_value(self) -> Fraction:
+    def sign(self) -> int:
+        """-1, 0 or 1, the sign of a constant (its denominator is positive)."""
         if not self.is_constant():
             raise ScalarDomainError(f"{self} is not constant in mu")
-        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
+        n = self.num[0] if self.num else 0
+        return (n > 0) - (n < 0)
 
-    def eval_at(self, value) -> Fraction:
-        """The value at mu = value, an int or a Fraction."""
-        n, d = self.pair_at(value.numerator, value.denominator)
+    def eval_at(self, value) -> "RationalFunction":
+        """The constant value at mu = value, a rational number."""
+        n, d = self.pair_at(*_ratio(value))
         if not d:
             raise ScalarDomainError(
                 f"evaluation of {self} at a pole mu={value}")
-        return Fraction(n, d)
+        return _constant(n, d)
 
     def pair_at(self, p: int, q: int = 1) -> tuple[int, int]:
         """Integers (a, b) with a/b the value at mu = p/q, for q > 0; b is 0
@@ -425,9 +424,10 @@ class RationalFunction:
 def _coerce(value):
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, (int, Fraction)):
-        return _constant(value.numerator, value.denominator)
-    return NotImplemented
+    try:
+        return _constant(*_ratio(value))
+    except TypeError:
+        return NotImplemented
 
 
 # Constants that are small integers are shared, not rebuilt: the table
@@ -511,6 +511,10 @@ PRINTABLE_BITS = 2100
 # descent well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# A power in the grammar has at most this degree in mu, which bounds the
+# time and memory its evaluation takes.
+MAX_POWER_DEGREE = 1000
+
 
 class _Parser:
     """Recursive-descent parser for the expression grammar.
@@ -593,6 +597,7 @@ class _Parser:
         exponent = sign * value
         if exponent < 0 and base.is_zero():
             raise ScalarParseError("zero raised to a negative power", pos)
+        _check_power(base, value, pos)
         return base ** exponent
 
     def _atom(self, depth: int) -> RationalFunction:
@@ -612,6 +617,24 @@ class _Parser:
         raise ScalarParseError("expected a number, 'mu', or '('", pos)
 
 
+def _check_power(base: RationalFunction, exponent: int, pos: int) -> None:
+    """Reject base^(+-exponent) before computing it when its degree is over
+    MAX_POWER_DEGREE or a coefficient of it has more digits than ``str``
+    prints.  The power raises the leading and trailing coefficients of num
+    and den exactly to the exponent, so each of them gives a lower bound."""
+    degree = exponent * (max(len(base.num), len(base.den)) - 1)
+    if degree > MAX_POWER_DEGREE:
+        raise ScalarParseError(
+            f"a power of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ends = (base.num[0], base.num[-1], base.den[0], base.den[-1]) if base.num else (0,)
+    bits = exponent * (max(abs(c).bit_length() for c in ends) - 1)
+    # 2^bits has more than bits * 0.30102 decimal digits
+    if limit and bits * 30102 // 100000 >= limit:
+        raise ScalarParseError(
+            "the value has a coefficient too long to print", 0)
+
+
 def _deeper(depth: int, pos: int) -> int:
     """The depth inside one more parenthesis or sign, opened at pos."""
     if depth == MAX_NESTING:
@@ -621,14 +644,12 @@ def _deeper(depth: int, pos: int) -> int:
 
 
 def rf(value) -> RationalFunction:
-    """Coerce an int, Fraction, str, or RationalFunction into the field."""
+    """Coerce a rational number, str, or RationalFunction into the field."""
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, str):
         return RationalFunction.parse(value)
-    if isinstance(value, (int, Fraction)):
-        return _constant(value.numerator, value.denominator)
-    raise TypeError(f"cannot coerce {value!r} into a scalar")
+    return _constant(*_ratio(value))
 
 
 _INTS = tuple(RationalFunction((k,)) for k in range(-SMALL_INT, SMALL_INT + 1))

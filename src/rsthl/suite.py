@@ -400,7 +400,7 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
                     geo.structure.n)])
     st.run("geodesic-correspondence", "prop-3.3",
            lambda: associated.geodesic_correspondence_entries(
-               geo.induced, geo.assoc, geo.umbilicity))
+               geo.assoc, geo.umbilicity))
     st.run("umbilical-curvature-transfer", "cor-3.5",
            lambda: [associated.curvature_transfer_entry(
                geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv)])

@@ -50,12 +50,13 @@ cross-multiplication divided by the previous pivot, which keeps
 intermediate entries small and every division exact.  Each coefficient
 of one table over others (mu, the umbilicity factors, the Einstein
 constants) is one ``solve_combination``, and each signature over Q(mu)
-is read at one integer sample by ``signature_at_sample``.
+is read at one int sample by ``signature_at_sample``: ``inertia``
+diagonalizes the matrix of constant scalars there by congruence, in the
+same arithmetic as everything else.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -645,22 +646,23 @@ def matrix_inverse(
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def inertia(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of an exact symmetric matrix,
-    computed by congruence diagonalization; no eigenvalues involved."""
+def inertia(rows: Sequence[Sequence[RationalFunction]]) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of a symmetric matrix of
+    constants, computed by congruence diagonalization; no eigenvalues
+    involved."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [[rf(x) for x in row] for row in rows]
     pos = neg = zero = 0
     t = 0
     while t < n:
-        p = next((i for i in range(t, n) if a[i][i] != 0), None)
+        p = next((i for i in range(t, n) if a[i][i]), None)
         if p is None:
             pair = next(
                 (
                     (i, j)
                     for i in range(t, n)
                     for j in range(i + 1, n)
-                    if a[i][j] != 0
+                    if a[i][j]
                 ),
                 None,
             )
@@ -678,7 +680,7 @@ def inertia(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
             for k in range(n):
                 a[k][t], a[k][p] = a[k][p], a[k][t]
         d = a[t][t]
-        if d > 0:
+        if d.sign() > 0:
             pos += 1
         else:
             neg += 1
@@ -696,7 +698,7 @@ def inertia(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
 def pick_regular_sample(
     must_not_vanish: Iterable[RationalFunction],
     must_be_defined: Iterable[RationalFunction] = (),
-) -> Fraction:
+) -> int:
     """Smallest positive integer at which every given scalar is defined and
     each one in ``must_not_vanish`` is nonzero; used to specialize mu
     before signature counting, where ``must_be_defined`` holds the
@@ -707,13 +709,13 @@ def pick_regular_sample(
         # at an integer each value is an int pair: a pole has denominator 0
         if all(s.pair_at(k)[1] for s in defined) and all(
                 all(s.pair_at(k)) for s in nonzero):
-            return Fraction(k)
+            return k
     raise RuntimeError("no regular sample found in range")
 
 
 def signature_at_sample(rows: Sequence[Sequence[RationalFunction]],
                         must_not_vanish: Iterable[RationalFunction] = ()
-                        ) -> tuple[Fraction, tuple[int, int, int]]:
+                        ) -> tuple[int, tuple[int, int, int]]:
     """The sample mu and the inertia of a symmetric matrix there: the
     smallest positive integer at which every entry is defined and neither
     the determinant nor a scalar of ``must_not_vanish`` vanishes."""

@@ -260,7 +260,7 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, lm):
     ric0 = curv0.ricci
     tric0 = tcurv0.ricci
     rep0 = umbilicity(f0, obj0)
-    geo0 = geodesic_correspondence_entries(obj0, assoc0, rep0)
+    geo0 = geodesic_correspondence_entries(assoc0, rep0)
     transfer0 = curvature_transfer_entry(rep0, assoc0, curv0, tcurv0)
     flat0 = umbilical_flatness_entry(rep0, curv0, curvature(conn0, abelian))
     dim0 = f0.dim

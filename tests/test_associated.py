@@ -151,7 +151,7 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
                                                icurv, iric, tcurv, tric,
                                                ambient_conn, lm):
     assert twin.twin_umbilicity == (None, None)
-    entries = geodesic_correspondence_entries(induced, twin, ureport)
+    entries = geodesic_correspondence_entries(twin, ureport)
     assert [e.name for e in entries] == [
         "geodesic-correspondence", "umbilical-collapse",
         "twin-umbilical-collapse"]
@@ -226,8 +226,7 @@ def test_flat_variant_is_totally_geodesic(flat):
 
 
 def test_flat_variant_collapse_statements(flat):
-    entries = geodesic_correspondence_entries(flat["obj"], flat["assoc"],
-                                              flat["rep"])
+    entries = geodesic_correspondence_entries(flat["assoc"], flat["rep"])
     assert all(e.status == "pass" for e in entries)
     assert entries[1].detail == \
         "a totally umbilical first metric collapses everything to geodesic"

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,6 +331,30 @@ def test_cli_rejects_malformed_mu(capsys):
     assert "not a rational number: 'abc'" in err
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3/2", Fraction(3, 2)), ("14/10", Fraction(7, 5)), (" 7/5 ", Fraction(7, 5)),
+    ("-3/4", Fraction(-3, 4)), ("6/3", Fraction(2)),
+])
+def test_cli_mu_reads_the_model_grammar(tmp_path, capsys, text, value):
+    """--mu is a constant in the model-file grammar; the run matches the
+    model specialized at the same rational."""
+    path = tmp_path / "report.json"
+    code = main(["example47", f"--mu={text}", "--suite", "submanifold",
+                 "--report", str(path)])
+    out = capsys.readouterr().out
+    rep = run_suite(example_model(value), "submanifold")
+    assert (code, out) == (0, rep.render_text() + "\n")
+    assert path.read_text(encoding="utf-8") == rep.to_json()
+
+
+@pytest.mark.parametrize("text", ["mu", "1/0", "1.5"])
+def test_cli_rejects_mu_that_is_no_constant(capsys, text):
+    """Besides "0" and "abc" above: a value of mu, a division by zero and a
+    decimal, which the grammar does not spell."""
+    assert main(["example47", "--mu", text]) == 2
+    assert capsys.readouterr().err == f"error: --mu: not a rational number: {text!r}\n"
+
+
 def test_cli_emit_then_check(tmp_path, capsys):
     path = str(tmp_path / "emitted.json")
     assert main(["example47", "--emit", path]) == 0
@@ -387,11 +412,19 @@ def metric_model(entry: str) -> bytes:
     (metric_model("9" * 5000), "metric.X1,X1: a number of 5000 digits is too long"),
     (metric_model("2^20000"),
      "metric.X1,X1: the value has a coefficient too long to print"),
-], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power"])
+    (metric_model("(mu+1)^3000"),
+     "metric.X1,X1: a power of degree 3000 is over the bound of 1000"),
+    (metric_model("2^100000000"),
+     "metric.X1,X1: the value has a coefficient too long to print"),
+], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power",
+        "high-degree-power", "huge-power"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
+    """Each is rejected before its value is built, in well under a second."""
     path = tmp_path / "model.json"
     path.write_bytes(content)
+    start = time.perf_counter()
     assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fragment}")
     assert "Traceback" not in err

@@ -142,13 +142,24 @@ def test_no_module_imports_dataclasses_or_inspect(path):
     assert imported_modules(path.read_text(encoding="utf-8")) & SLOW_IMPORTS == set()
 
 
+# The package has one exact number type, ``RationalFunction``: these
+# modules would bring a second arithmetic, and ``fractions`` also loads
+# ``decimal`` (with ``_decimal``) and ``numbers`` into a fresh process.
+NUMBER_MODULES = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_second_number_type(path):
+    assert imported_modules(path.read_text(encoding="utf-8")) & NUMBER_MODULES == set()
+
+
 def test_loading_a_model_imports_neither_dataclasses_nor_inspect(tmp_path):
-    """Against a bare interpreter, so modules that the host's start-up
-    files import count on both sides."""
+    """Nor a second number type.  Against a bare interpreter, so modules
+    that the host's start-up files import count on both sides."""
     model = tmp_path / "example47.json"
     save_model(example_model(), str(model))
     listed = "import sys; print(' '.join(sys.modules))"
-    load = ("import sys; sys.path.insert(0, sys.argv[1]); import rsthl; "
+    load = ("import sys; sys.path.insert(0, sys.argv[1]); import rsthl, rsthl.cli; "
             "from rsthl.model import load_model; load_model(sys.argv[2]); ")
 
     def modules(code: str, *args: str) -> set[str]:
@@ -158,7 +169,7 @@ def test_loading_a_model_imports_neither_dataclasses_nor_inspect(tmp_path):
 
     joined = modules(load + listed, str(PACKAGE.parent), str(model)) - modules(listed)
     assert "rsthl.model" in joined
-    assert joined & SLOW_IMPORTS == set()
+    assert joined & (SLOW_IMPORTS | NUMBER_MODULES | {"_decimal"}) == set()
 
 
 # The functions that assign an attribute outside ``__init__`` on purpose,
