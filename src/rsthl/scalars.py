@@ -24,21 +24,28 @@ Gauss's lemma num and den divide by that primitive gcd exactly in Z[mu]
 (Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2
 and 7).
 
-Most scalars of a model are zero or constant, so the operators return early
-on trivial operands: a zero summand returns the other operand (negated for
-``0 - y``), a zero factor returns ``ZERO`` and a unit factor or divisor the
-other operand, ``0 / y`` is ``ZERO`` and ``-0`` is itself.  When both
-operands are constants, an operator computes the result's int pair
-directly, and the constructor reduces a constant pair with one gcd (none
-over the denominator 1) and a sign fix.  Integer constants from -64 to 64
-are shared from one table that holds ``ZERO`` and ``ONE``, and ints coerce
-through it.  Summands over one denominator add their numerators without
-cross-multiplying, a constant factor scales in one pass, and the
-constructor skips the polynomial gcd when numerator or denominator is
-constant (the gcd is then a unit), leaving the content and sign.  Each
-shortcut relies on one invariant: every stored value is canonical, so the
-operand it returns is already the canonical result.  Every new value is
-still built by the constructor.
+Most scalars of a model are zero, constant or a single term (n/d)*mu^k:
+mu enters the transfer formulas only through its powers.  The operators
+return early on trivial operands: a zero summand returns the other
+operand (negated for ``0 - y``), a zero factor returns ``ZERO`` and a unit
+factor or divisor the other operand, ``0 / y`` is ``ZERO`` and ``-0`` is
+itself.  Each value records in ``_k`` the exponent k of a single term (0
+for a constant), and None for zero and for more than one term; then
+n = num[-1], d = den[-1], k = len(num) - len(den), and every other
+coefficient is 0.  A product or quotient of two single terms, and a sum
+or difference of two with the same exponent, takes one int gcd (none
+over the denominator 1) on n and d and adds or subtracts the exponents,
+so it never reaches the polynomial gcd.  Integer constants from -64 to 64
+are shared from one table that holds ``ZERO`` and ``ONE``, and ints
+coerce through it.  Other summands over one denominator add their
+numerators without cross-multiplying, a constant factor scales in one
+pass, and the constructor skips the polynomial gcd when numerator or
+denominator is constant (the gcd is then a unit), leaving the content
+and sign.  Each shortcut relies on one invariant: every stored value is
+canonical, so the operand it returns is already the canonical result.
+Single-term results and negations are built by ``RationalFunction._of``
+without the checks, so every pair given to it must already be canonical
+and carry its exponent.
 """
 
 from __future__ import annotations
@@ -168,17 +175,6 @@ def _phom(a: Coeffs, p: int, q: int) -> int:
     return out
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    """n/d in lowest terms with a positive denominator, for ints n and
-    d != 0: one gcd, none over the denominator 1."""
-    if d == 1:
-        return n, 1
-    g = math.gcd(n, d)
-    if d < 0:
-        g = -g
-    return n // g, d // g
-
-
 def _canonical_pair(num, den) -> tuple[Coeffs, Coeffs]:
     """The canonical pair of num/den for coefficient sequences of ints or
     rationals."""
@@ -219,18 +215,24 @@ class RationalFunction:
     coefficients are equal.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_k", "_hash")
 
     def __init__(self, num, den=_UNIT):
-        if (len(num) == 1 == len(den) and type(num[0]) is int
-                and type(den[0]) is int and den[0]):
-            n, d = _reduced(num[0], den[0])
-            num, den = ((n,) if n else ()), ((d,) if d != 1 else _UNIT)
-        else:
-            num, den = _canonical_pair(num, den)
+        num, den = _canonical_pair(num, den)
         self.num: Coeffs = num
         self.den: Coeffs = den
+        # the exponent k of a single term (n/d) mu^k, None for zero and for
+        # every value of more than one term
+        self._k = (len(num) - len(den) if num and not any(num[:-1])
+                   and not any(den[:-1]) else None)
         self._hash = None
+
+    @classmethod
+    def _of(cls, num: Coeffs, den: Coeffs, k) -> "RationalFunction":
+        """The value of a pair that is already canonical, with its exponent."""
+        value = object.__new__(cls)
+        value.num, value.den, value._k, value._hash = num, den, k, None
+        return value
 
     @classmethod
     def parse(cls, text: str) -> "RationalFunction":
@@ -255,7 +257,7 @@ class RationalFunction:
         if not d:
             raise ScalarDomainError(
                 f"evaluation of {self} at a pole mu={value}")
-        return _constant(n, d)
+        return _term(n, d, 0)
 
     def pair_at(self, p: int, q: int = 1) -> tuple[int, int]:
         """Integers (a, b) with a/b the value at mu = p/q, for q > 0; b is 0
@@ -270,8 +272,9 @@ class RationalFunction:
             b *= q ** -shift
         return a, b
 
-    # Each operator returns early on a trivial operand, then computes the
-    # int pair of a result whose operands are both constants directly.
+    # Each operator returns early on a trivial operand, then computes a
+    # result whose operands are both single terms from their coefficients
+    # and exponents when it is a single term itself.
 
     def __add__(self, other):
         if type(other) is not RationalFunction:
@@ -284,11 +287,12 @@ class RationalFunction:
         if not a:
             return other
         c, d = self.den, other.den
-        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
-            x, y = c[0], d[0]
+        k = self._k
+        if k is not None and k == other._k:
+            x, y = c[-1], d[-1]
             if x == y:
-                return _constant(a[0] + b[0], x)
-            return _constant(a[0] * y + b[0] * x, x * y)
+                return _term(a[-1] + b[-1], x, k)
+            return _term(a[-1] * y + b[-1] * x, x * y, k)
         if c == d:
             return RationalFunction(_padd(a, b), c)
         return RationalFunction(_padd(_pmul(a, d), _pmul(b, c)), _pmul(c, d))
@@ -306,11 +310,12 @@ class RationalFunction:
         if not a:
             return -other
         c, d = self.den, other.den
-        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
-            x, y = c[0], d[0]
+        k = self._k
+        if k is not None and k == other._k:
+            x, y = c[-1], d[-1]
             if x == y:
-                return _constant(a[0] - b[0], x)
-            return _constant(a[0] * y - b[0] * x, x * y)
+                return _term(a[-1] - b[-1], x, k)
+            return _term(a[-1] * y - b[-1] * x, x * y, k)
         if c == d:
             return RationalFunction(_padd(a, _pneg(b)), c)
         return RationalFunction(_padd(_pmul(a, d), _pneg(_pmul(b, c))), _pmul(c, d))
@@ -335,8 +340,9 @@ class RationalFunction:
             return other
         if not a or not b:
             return ZERO
-        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
-            return _constant(a[0] * b[0], c[0] * d[0])
+        k, j = self._k, other._k
+        if k is not None and j is not None:
+            return _term(a[-1] * b[-1], c[-1] * d[-1], k + j)
         return RationalFunction(_pmul(a, b), _pmul(c, d))
 
     __rmul__ = __mul__
@@ -354,8 +360,9 @@ class RationalFunction:
         c, d = self.den, other.den
         if b == d:
             return self
-        if len(a) == 1 == len(b) and len(c) == 1 == len(d):
-            return _constant(a[0] * d[0], c[0] * b[0])
+        k, j = self._k, other._k
+        if k is not None and j is not None:
+            return _term(a[-1] * d[-1], c[-1] * b[-1], k - j)
         return RationalFunction(_pmul(a, d), _pmul(c, b))
 
     def __rtruediv__(self, other):
@@ -365,12 +372,12 @@ class RationalFunction:
         return other / self
 
     def __neg__(self):
-        a, c = self.num, self.den
+        a, c, k = self.num, self.den, self._k
+        if k is not None:
+            return _term(-a[-1], c[-1], k)
         if not a:
             return self
-        if len(a) == 1 and len(c) == 1:
-            return _constant(-a[0], c[0])
-        return RationalFunction(_pneg(a), c)
+        return RationalFunction._of(_pneg(a), c, None)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -378,7 +385,7 @@ class RationalFunction:
         if exponent < 0:
             if self.is_zero():
                 raise ScalarDomainError("zero raised to a negative power")
-            base = RationalFunction(self.den, self.num)
+            base = ONE / self
             exponent = -exponent
         else:
             base = self
@@ -425,7 +432,7 @@ def _coerce(value):
     if isinstance(value, RationalFunction):
         return value
     try:
-        return _constant(*_ratio(value))
+        return _term(*_ratio(value), 0)
     except TypeError:
         return NotImplemented
 
@@ -435,13 +442,21 @@ def _coerce(value):
 SMALL_INT = 64
 
 
-def _constant(n: int, d: int) -> RationalFunction:
-    """The constant n/d for ints n and d != 0."""
+def _term(n: int, d: int, k: int) -> RationalFunction:
+    """The single term (n/d) mu^k for ints n and d != 0: one gcd, none over
+    the denominator 1, and a sign fix."""
     if d != 1:
-        n, d = _reduced(n, d)
+        g = math.gcd(n, d)
+        if d < 0:
+            g = -g
+        n, d = n // g, d // g
+    if k and n:
+        if k > 0:
+            return RationalFunction._of((0,) * k + (n,), (d,), k)
+        return RationalFunction._of((n,), (0,) * -k + (d,), k)
     if d == 1 and -SMALL_INT <= n <= SMALL_INT:
         return _INTS[n + SMALL_INT]
-    return RationalFunction((n,), (d,))
+    return RationalFunction._of((n,), (d,), 0)
 
 
 def _format_poly(ci: Coeffs) -> str:
@@ -511,9 +526,15 @@ PRINTABLE_BITS = 2100
 # descent well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# A power in the grammar has at most this degree in mu, which bounds the
-# time and memory its evaluation takes.
+# A power, a product and a sum that cross-multiplies have at most this
+# degree in mu, which bounds the time and memory their evaluation takes.
 MAX_POWER_DEGREE = 1000
+
+# A result that needs the polynomial gcd has at most this degree, and at
+# most this degree times coefficient bits: the remainder sequence takes
+# time that grows with both.
+MAX_GCD_DEGREE = 60
+MAX_GCD_SIZE = 4096
 
 
 class _Parser:
@@ -556,8 +577,9 @@ class _Parser:
     def _expr(self, depth: int) -> RationalFunction:
         value = self._term(depth)
         while self._peek()[0] in ("+", "-"):
-            op = self._next()[0]
+            op, _, pos = self._next()
             rhs = self._term(depth)
+            _check_operation(op, value, rhs, pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -566,12 +588,10 @@ class _Parser:
         while self._peek()[0] in ("*", "/"):
             op, _, pos = self._next()
             rhs = self._unary(depth)
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ScalarParseError("division by the zero polynomial", pos)
-                value = value / rhs
+            if op == "/" and rhs.is_zero():
+                raise ScalarParseError("division by the zero polynomial", pos)
+            _check_operation(op, value, rhs, pos)
+            value = value * rhs if op == "*" else value / rhs
         return value
 
     def _unary(self, depth: int) -> RationalFunction:
@@ -603,7 +623,7 @@ class _Parser:
     def _atom(self, depth: int) -> RationalFunction:
         kind, value, pos = self._next()
         if kind == "num":
-            return _constant(value, 1)
+            return _term(value, 1, 0)
         if kind == "name":
             if value == "mu":
                 return MU
@@ -635,6 +655,55 @@ def _check_power(base: RationalFunction, exponent: int, pos: int) -> None:
             "the value has a coefficient too long to print", 0)
 
 
+_OPERATION_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
+
+
+def _check_operation(op: str, a: RationalFunction, b: RationalFunction,
+                     pos: int) -> None:
+    """Reject a op b before computing it when the numerator or denominator
+    it forms is of degree over MAX_POWER_DEGREE, or when both are of
+    degree 1 or more, so that the constructor takes their gcd, and over
+    MAX_GCD_DEGREE or MAX_GCD_SIZE.  Two single terms never take the gcd."""
+    if not (a.num and b.num):
+        return
+    parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
+    same_den = op in "+-" and a.den == b.den
+    num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
+    name = _OPERATION_NAMES[op]
+    degree = max(num, den)
+    if degree > MAX_POWER_DEGREE:
+        raise ScalarParseError(
+            f"a {name} of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
+    if (not num or not den or a._k is not None and b._k is not None
+            and (op in "*/" or a._k == b._k)):
+        return
+    if degree > MAX_GCD_DEGREE:
+        raise ScalarParseError(
+            f"a {name} of degree {degree} to reduce by the polynomial gcd is over "
+            f"the bound of {MAX_GCD_DEGREE}", pos)
+    bits = max(_formed(op, same_den, 1, *(
+        max(abs(c).bit_length() for c in cs) for cs in parts)))
+    if degree * bits > MAX_GCD_SIZE:
+        raise ScalarParseError(
+            f"a {name} of degree {degree} with {bits}-bit coefficients to reduce by "
+            f"the polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree "
+            f"times bits", pos)
+
+
+def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,
+            bd: int) -> tuple[int, int]:
+    """The degrees (carry 0) or coefficient bit lengths (carry 1) of the
+    numerator and denominator that a op b forms, from those of its parts
+    (b's swapped for a quotient): a product adds them, a sum takes the
+    larger plus carry.  Cancellation can only lower the degrees; the bit
+    lengths leave out the few bits that a sum of many products carries."""
+    if op in "*/":
+        return an + bn, ad + bd
+    if same_den:
+        return max(an, bn) + carry, bd
+    return max(an + bd, bn + ad) + carry, ad + bd
+
+
 def _deeper(depth: int, pos: int) -> int:
     """The depth inside one more parenthesis or sign, opened at pos."""
     if depth == MAX_NESTING:
@@ -649,7 +718,7 @@ def rf(value) -> RationalFunction:
         return value
     if isinstance(value, str):
         return RationalFunction.parse(value)
-    return _constant(*_ratio(value))
+    return _term(*_ratio(value), 0)
 
 
 _INTS = tuple(RationalFunction((k,)) for k in range(-SMALL_INT, SMALL_INT + 1))

@@ -416,8 +416,12 @@ def metric_model(entry: str) -> bytes:
      "metric.X1,X1: a power of degree 3000 is over the bound of 1000"),
     (metric_model("2^100000000"),
      "metric.X1,X1: the value has a coefficient too long to print"),
+    (metric_model("(mu+1)^1000*(mu+1)^1000"),
+     "metric.X1,X1: a product of degree 2000 is over the bound of 1000"),
+    (metric_model("(mu+1)^60/(mu+2)^60 + (mu+3)^60/(mu+4)^60"),
+     "metric.X1,X1: a quotient of degree 60 with 93-bit coefficients to reduce"),
 ], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power",
-        "high-degree-power", "huge-power"])
+        "high-degree-power", "huge-power", "high-degree-product", "large-gcd"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
     """Each is rejected before its value is built, in well under a second."""
     path = tmp_path / "model.json"
@@ -440,7 +444,7 @@ def test_cli_calls_in_a_row_match_fresh_processes(tmp_path, capsys):
                  ["check", path, "--suite", "theorem46"],
                  ["example47", "--suite", "ambient"],
                  ["check", path, "--suite", "everything"],
-                 ["example47", "--mu", "-3/4", "--suite", "submanifold"],
+                 ["example47", "--mu=-3/4", "--suite", "submanifold"],
                  ["check", path]):
         try:
             code = main(argv)

@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rsthl import example_model, run_suite, scalars
 from rsthl.errors import ScalarDomainError, ScalarParseError
-from rsthl.scalars import HALF, MAX_NESTING, MU, ONE, ZERO, RationalFunction, rf
+from rsthl.scalars import (HALF, MAX_GCD_DEGREE, MAX_GCD_SIZE, MAX_NESTING,
+                           MAX_POWER_DEGREE, MU, ONE, ZERO, RationalFunction, rf)
+from test_properties import dense_frame, rebased_frame, transported
 
 
 def coeffs():
@@ -186,6 +189,29 @@ def field_elements():
                      polys(), rationals())
 
 
+def laurent_monomial(n, d, k):
+    """(n/d) mu^k through the general constructor, from Fraction input."""
+    c = Fraction(n, d)
+    if k >= 0:
+        return RationalFunction([0] * k + [c])
+    return RationalFunction([c], [0] * -k + [1])
+
+
+def monomials():
+    """Laurent monomials (n/d) mu^k with k in -8..8, zero among them."""
+    small = st.integers(-9, 9)
+    return st.builds(laurent_monomial,
+                     st.one_of(small, st.integers(-10**9, 10**9)),
+                     st.one_of(small.filter(bool), st.integers(1, 10**6)),
+                     st.integers(-8, 8))
+
+
+def operands():
+    """Field elements and Laurent monomials, so that both single-term and
+    general operands meet each operator."""
+    return st.one_of(field_elements(), monomials())
+
+
 def ref_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
@@ -294,6 +320,14 @@ def ref_gcd_degree(a, b):
     return len(q_gcd(a, b)) - 1
 
 
+def assert_exponent(x):
+    """The single-term slot: num and den each with exactly one nonzero
+    coefficient give the exponent len(num) - len(den); any other value,
+    zero among them, gives None."""
+    single = (sum(1 for c in x.num if c) == 1 and sum(1 for c in x.den if c) == 1)
+    assert x._k == (len(x.num) - len(x.den) if single else None)
+
+
 def assert_canonical(x):
     assert all(type(c) is int for c in x.num + x.den)
     assert x.den and x.den[-1] > 0
@@ -309,20 +343,23 @@ OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
 
-@given(field_elements(), field_elements())
+@given(operands(), operands())
 def test_operators_match_the_general_constructor_path(x, y):
+    assert_exponent(x)
     for op, apply in OPERATIONS.items():
         if op == "/" and y.is_zero():
             continue
         got, want = apply(x, y), reference(op, x, y)
         assert_canonical(got)
+        assert_exponent(got)
         assert (got.num, got.den) == (want.num, want.den)
     neg = -x
     assert_canonical(neg)
+    assert_exponent(neg)
     assert neg == RationalFunction([-c for c in x.num], x.den)
 
 
-@given(field_elements(), field_elements())
+@given(operands(), operands())
 def test_operators_agree_with_fraction_reference_arithmetic(x, y):
     """An oracle that shares no code with the package: each value mapped to
     the monic Fraction form, each operator against Fraction arithmetic,
@@ -333,6 +370,7 @@ def test_operators_agree_with_fraction_reference_arithmetic(x, y):
         if op == "/" and y.is_zero():
             continue
         got, want = apply(x, y), q_op(op, fx, fy)
+        assert_exponent(got)
         assert monic_form(got.num, got.den) == want
         assert (got.num, got.den) == integer_form(*want)
 
@@ -496,3 +534,79 @@ def test_hash_matches_equality():
     assert hash(rf("(mu^2 - 1)/(mu - 1)")) == hash(MU + 1)
     table = {MU + 1: "a"}
     assert table[rf("(mu^2 - 1)/(mu - 1)")] == "a"
+
+
+@pytest.fixture
+def general_constructor_calls(monkeypatch):
+    """The pairs given to ``scalars._canonical_pair`` from now on."""
+    calls = []
+    general = scalars._canonical_pair
+    monkeypatch.setattr(scalars, "_canonical_pair",
+                        lambda *pair: calls.append(pair) or general(*pair))
+    return calls
+
+
+def test_single_terms_stay_in_their_lane(request):
+    assert MU * (ONE / MU) is ONE
+    assert MU - MU is ZERO
+    assert 2 * MU + 3 * MU == 5 * MU
+    assert (5 * MU)._k == 1 and (ONE / MU)._k == -1 and HALF._k == 0
+    assert ZERO._k is None and (MU + 1)._k is None
+    # a negative divisor leaves the sign in the numerator
+    q = MU / (-2 * MU ** 3)
+    assert (q.num, q.den, q._k) == ((-1,), (0, 0, 2), -2)
+    assert str(q) == "-1/(2*mu^2)"
+    # exponents far from zero
+    big = MU ** 40 / 3 * MU ** -3
+    assert (big.num, big.den, big._k) == ((0,) * 37 + (1,), (3,), 37)
+    assert big * MU ** -37 == rf("1/3")
+    # single terms of unequal exponents add on the polynomial path
+    calls = request.getfixturevalue("general_constructor_calls")
+    assert 7 * MU - (MU / 7) * 49 is ZERO
+    assert calls == []
+    total = MU + MU * MU
+    assert (total.num, total.den, total._k) == ((0, 1, 1), (1,), None)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    example_model, lambda: example_model(Fraction(7, 5)),
+    lambda: transported(example_model(), dense_frame(1)),
+    lambda: transported(example_model(), rebased_frame(1))],
+    ids=["example47", "example47-mu-7-5", "dense-frame", "rebased-frame"])
+def test_suite_scalars_never_reach_the_general_constructor(request, build):
+    """Every mu-dependent scalar of these models is a single term (n/d) mu^k,
+    so a whole run of the suite builds none through the polynomial gcd.
+    The model is built first, so that parsing is not counted."""
+    model = build()
+    calls = request.getfixturevalue("general_constructor_calls")
+    assert run_suite(model, "all").ok
+    assert len(calls) == 0
+
+
+def test_parse_bounds_products_and_sums():
+    """A product, quotient or cross-multiplied sum is rejected before it is
+    computed when its degree is over MAX_POWER_DEGREE; one that the
+    polynomial gcd would reduce, over MAX_GCD_DEGREE or MAX_GCD_SIZE."""
+    assert MAX_GCD_DEGREE < MAX_POWER_DEGREE
+    for text in ("(mu+1)^1000", "(mu+1)^500*(mu+1)^500", "(mu+1)^1000/3",
+                 "(mu+1)^1000 + (mu+2)^1000", "mu^600/mu^300",
+                 "(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20"):
+        RationalFunction.parse(text)
+    assert rf("(mu^2 - 1)/(mu - 1)") == MU + 1
+    for text, position, message in [
+        ("(mu+1)^1000*(mu+1)^1000", 11, "a product of degree 2000 is over the bound of 1000"),
+        ("(mu+1)^600*mu^401", 10, "a product of degree 1001"),
+        ("mu^1000 + 1/mu", 8, "a sum of degree 1001"),
+        ("(mu+1)^200/(mu+2)^200 + (mu+3)^200/(mu+4)^200", 10,
+         f"a quotient of degree 200 to reduce by the polynomial gcd is over "
+         f"the bound of {MAX_GCD_DEGREE}"),
+        ("(mu+1)^60/(mu+2)^60 + (mu+3)^60/(mu+4)^60", 9,
+         "a quotient of degree 60 with 93-bit coefficients to reduce by the "
+         f"polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree times bits"),
+        ("(mu+1)^40/(mu+2)^40 - (mu+3)^40/(mu+4)^40", 20, "a difference of degree 80"),
+    ]:
+        with pytest.raises(ScalarParseError) as err:
+            RationalFunction.parse(text)
+        assert err.value.position == position
+        assert str(err.value).startswith(message)

@@ -173,11 +173,11 @@ def test_loading_a_model_imports_neither_dataclasses_nor_inspect(tmp_path):
 
 
 # The functions that assign an attribute outside ``__init__`` on purpose,
-# by module: a table built without ``__init__``, a memoized hash, the
-# parser's token cursor and a stage's blocker, set once.
+# by module: a table or a scalar built without ``__init__``, a memoized
+# hash, the parser's token cursor and a stage's blocker, set once.
 ATTRIBUTE_WRITERS = {
     "tensors.py": {"MultilinearForm._of"},
-    "scalars.py": {"RationalFunction.__hash__", "_Parser._next"},
+    "scalars.py": {"RationalFunction._of", "RationalFunction.__hash__", "_Parser._next"},
     "suite.py": {"_Stage.run"},
 }
 
