@@ -31,7 +31,7 @@ from .lightlike import (
     UmbilicityReport,
     proportionality_factor,
 )
-from .report import CheckEntry, compare, passed, residual_suffix
+from .report import CheckEntry, compare, passed
 from .scalars import HALF, ONE, ZERO, RationalFunction, rf
 from .structure import CurvaturePair
 from .tensors import (
@@ -70,13 +70,15 @@ class AssociatedObjects:
 def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
                      mu: RationalFunction,
                      ambient_conn: Connection) -> tuple[AssociatedObjects, list[CheckEntry]]:
-    """Construct the twin geometry three ways and insist they agree.
+    """Construct the twin geometry three ways and compare the routes.
 
     Route one evaluates the catalogued conversion formulas from the first
     fundamental form.  Route two splits the ambient connection and its
-    derivatives of the normals over (tangent, N1, N2).  Route three runs
-    the Koszul formula for the restricted twin metric.  Any disagreement
-    raises CrossCheckMismatch; agreement is recorded as entries.
+    derivatives of the normals over (tangent, N1, N2); it is the twin
+    geometry every later entry reads.  Route three runs the Koszul formula
+    for the restricted twin metric.  Each comparison of a route with the
+    split is an entry (twin-connection-formula, twin-connection-koszul and
+    the eq-2.12 forms), failing with its residual.
     """
     s = f.model.structure
     gt_ambient = s.g_tilde
@@ -126,8 +128,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     inv_mu = ONE / mu
     inv_mu2 = inv_mu * inv_mu
     b_phi = obj.b_phi
-    conn_formula = Connection(tf, obj.conn.gamma + outer(
-        (obj.b_form.scale(HALF) + b_phi).scale(inv_mu2), xi_t))
+    gamma_formula = obj.conn.gamma + outer(
+        (obj.b_form.scale(HALF) + b_phi).scale(inv_mu2), xi_t)
     h1_formula = obj.b_form.scale(inv_mu)
     h2_formula = (obj.b_form + b_phi).scale(-inv_mu)
     phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
@@ -145,24 +147,18 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     weingarten = [twin.split(ambient_conn.derivative(n)) for n in (n1, n2)]
     shape1_direct, shape2_direct = (-parts[0] for parts in weingarten)
 
-    conn_koszul = levi_civita(f.tangent_algebra, gt)
-    for route, conn in (("conversion formula", conn_formula),
-                        ("Koszul formula", conn_koszul)):
-        if conn.gamma != conn_direct.gamma:
-            raise CrossCheckMismatch(
-                f"twin connection from the {route} and from the ambient split "
-                "differ" + residual_suffix(conn.gamma, conn_direct.gamma))
     entries += [
         # the N1 and N2 parts of the derivatives of both normals
         compare("twin-weingarten-tangency", "sec-2-twin",
                 tuple(p for parts in weingarten for p in parts[1:]), (zero_form,) * 4,
                 "the derivatives of both normals are purely tangent"),
-        passed("twin-connection-formula", "eq-2.11",
-               "the twin connection equals the induced connection plus the "
-               "radical correction term"),
-        passed("twin-connection-koszul", "plumbing",
-               "the Koszul formula for the restricted twin metric returns the "
-               "same connection"),
+        compare("twin-connection-formula", "eq-2.11", gamma_formula, gamma_direct,
+                "the twin connection equals the induced connection plus the "
+                "radical correction term"),
+        compare("twin-connection-koszul", "plumbing",
+                levi_civita(f.tangent_algebra, gt).gamma, gamma_direct,
+                "the Koszul formula for the restricted twin metric returns the "
+                "same connection"),
         compare("twin-second-form-one", "eq-2.12", h1_direct, h1_formula,
                 "h1 = (1/mu) B"),
         compare("twin-second-form-two", "eq-2.12", h2_direct, h2_formula,

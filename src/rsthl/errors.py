@@ -30,15 +30,8 @@ class UnderdeterminedSystem(GeometryError):
 
 
 class InvalidFrame(GeometryError):
-    """A submanifold frame violates one of its defining certificates."""
-
-
-class RadicalRankNotOne(InvalidFrame):
-    """The null space of the induced metric is not spanned by xi alone."""
-
-
-class ScreenDegenerate(InvalidFrame):
-    """The induced metric restricted to the screen basis is degenerate."""
+    """A submanifold frame has the wrong shape: labels, dimension or
+    dependent tangent vectors."""
 
 
 class NotRSTHL(GeometryError):

@@ -19,7 +19,6 @@ Conventions; ``associated`` splits over the twin normals (N1, N2).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from typing import Optional
 
 from .errors import (
@@ -30,8 +29,6 @@ from .errors import (
     NotAscreen,
     NotEtaEinstein,
     NotRSTHL,
-    RadicalRankNotOne,
-    ScreenDegenerate,
     UnderdeterminedSystem,
 )
 from .liegeom import (
@@ -41,7 +38,7 @@ from .liegeom import (
     curvature,
     derivation_action,
 )
-from .report import CheckEntry, compare, passed, skipped
+from .report import FAIL, CheckEntry, compare, passed, skipped
 from .scalars import HALF, ONE, RationalFunction, ZERO
 from .structure import CurvaturePair, LieModel
 from .tensors import (
@@ -70,11 +67,11 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     g(N, N) = 0.  The linear conditions leave a line N0 + t*rad; the
     quadratic one is then linear in t because rad is null.
 
-    The frame's checks make the linear system consistent with exactly that
-    line as its kernel: the screen, L and rad are independent (the tangent
-    vectors are, and L is unit and orthogonal to all of them), g is
-    nondegenerate, and rad is null and orthogonal to the screen, L and
-    itself.
+    The first three conditions of ``validate_frame`` make the linear
+    system consistent with exactly that line as its kernel: the screen, L
+    and rad are independent (the tangent vectors are, and L is unit and
+    orthogonal to all of them), g is nondegenerate, and rad is null and
+    orthogonal to the screen, L and itself.
     """
     g = model.metric
     rows = [g.lower(w).entries for w in (*screen, l_vec, rad)]
@@ -130,27 +127,19 @@ class Splitting:
         return onto_frame(compose(on_tangent, self._coordinates), self.tangent_frame)
 
 
-def require_tangent(parts: tuple[MultilinearForm, ...], idx: tuple[int, ...],
-                    context: str) -> None:
-    """Raise DecompositionInconsistent when the cell idx of a split over
-    (N, L) has an N or L part."""
-    n_c, l_c = parts[1].entry(*idx), parts[2].entry(*idx)
-    if not n_c.is_zero() or not l_c.is_zero():
-        raise DecompositionInconsistent(
-            f"{context} has transversal components N: {n_c}, L: {l_c}")
-
-
 class SubmanifoldFrame:
     """Adapted frame (screen basis, radical, transversals) with its
     splitting over (tangent, N, L).
 
-    The metric checks read the induced form and the restriction of g(L, .)
-    (``restrict`` needs the tangent vectors only), in the order of the
-    build-time errors.  The splitting then cannot fail: g(N, xi) = 1 puts N
+    The constructor checks the shape only: label count, reserved and
+    distinct labels, dimension and independent tangent vectors.  The four
+    conditions of the half lightlike splitting and the closure of the
+    brackets are decided once, as the entries of ``validate_frame``.  N,
+    the splitting, eta, eta-bar and the tangent algebra are built on first
+    read, which comes after those entries pass: g(N, xi) = 1 puts N
     outside the span of the tangent space and L, and g(L, L) = +-1 with L
-    orthogonal to the tangent space puts L outside that span.  The
-    determinant of the screen Gram block is kept as ``screen_determinant``,
-    so ``validate_frame`` restates it without a second elimination.
+    orthogonal to the tangent space puts L outside that span, so the
+    splitting cannot fail.
     """
 
     def __init__(self, model: LieModel, screen_labels: tuple[str, ...],
@@ -167,7 +156,7 @@ class SubmanifoldFrame:
         self.screen = tuple(screen)
         self.rad = rad
         self.l_vec = l_vec
-        g = model.metric
+        self._given_n = n_vec
         dim = model.frame.dimension
         m = len(screen) + 1
         if dim != m + 2:
@@ -177,42 +166,10 @@ class SubmanifoldFrame:
         self.tangent_frame = Frame(self.screen_labels + (RADICAL_LABEL,))
         self.tangent_vectors = self.screen + (rad,)
         self._embedding = embedding(model.frame, self.tangent_vectors)
-
         if rank([v.entries for v in self.tangent_vectors]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
-
-        labels = self.tangent_frame.labels
-        self.induced_form = self.restrict(g.form)
-        at = min(self.induced_form.at(self.radical_index).nonzero, default=None)
-        if at is not None:
-            raise RadicalRankNotOne(
-                f"the radical vector is not isotropic against {labels[at]}")
-
-        self.screen_determinant = determinant(
-            [row[:-1] for row in self.induced_form.rows()[:-1]])
-        if self.screen_determinant.is_zero():
-            raise ScreenDegenerate("the metric degenerates on the screen distribution")
-
-        eps = g.value(l_vec, l_vec)
-        if not (eps - 1).is_zero() and not (eps + 1).is_zero():
-            raise InvalidFrame("the screen transversal vector is not unit")
-        self.epsilon = eps
-        at = min(self.restrict(g.lower(l_vec)).nonzero, default=None)
-        if at is not None:
-            raise InvalidFrame(
-                f"the screen transversal is not orthogonal to {labels[at]}")
-
-        if n_vec is None:
-            n_vec = solve_transversal(model, self.screen, rad, l_vec)
-        else:
-            _verify_transversal(model, self.tangent_vectors, self.tangent_frame,
-                                rad, l_vec, n_vec)
-        self.n_vec = n_vec
-        self.splitting = Splitting(self.tangent_frame, self.tangent_vectors,
-                                   (n_vec, l_vec))
-        self.eta = self.restrict(g.lower(n_vec))
-        self.eta_bar = self.restrict(model.structure.eta_bar)
-        self.tangent_algebra = self._close_brackets()
+        self.induced_form = self.restrict(model.metric.form)
+        self.epsilon = model.metric.value(l_vec, l_vec)
 
     def restrict(self, form: MultilinearForm) -> MultilinearForm:
         """A scalar-valued ambient form on tangent arguments."""
@@ -230,6 +187,35 @@ class SubmanifoldFrame:
         return self.tangent_frame.basis_vector(self.radical_index)
 
     @cached_property
+    def n_vec(self) -> MultilinearForm:
+        """The given null transversal, or the one solved from the frame."""
+        if self._given_n is not None:
+            return self._given_n
+        return solve_transversal(self.model, self.screen, self.rad, self.l_vec)
+
+    @cached_property
+    def splitting(self) -> Splitting:
+        return Splitting(self.tangent_frame, self.tangent_vectors,
+                         (self.n_vec, self.l_vec))
+
+    @cached_property
+    def eta(self) -> MultilinearForm:
+        return self.restrict(self.model.metric.lower(self.n_vec))
+
+    @cached_property
+    def eta_bar(self) -> MultilinearForm:
+        return self.restrict(self.model.structure.eta_bar)
+
+    @cached_property
+    def bracket_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
+        """The brackets of tangent vectors, split over (tangent, N, L)."""
+        return self.splitting.split(self.model.algebra.brackets)
+
+    @cached_property
+    def tangent_algebra(self) -> LieAlgebra:
+        return LieAlgebra(self.tangent_frame, self.bracket_parts[0])
+
+    @cached_property
     def projector(self) -> MultilinearForm:
         """Projection on the screen distribution along the radical."""
         return (MultilinearForm.identity(self.tangent_frame)
@@ -242,13 +228,9 @@ class SubmanifoldFrame:
 
     @cached_property
     def phi_p(self) -> MultilinearForm:
-        """The tangent operator X -> phi(PX); requires a phi-invariant screen."""
+        """The tangent operator X -> phi(PX), read once screen-phi-invariance
+        has passed: phi maps screen vectors to tangent ones."""
         parts = self.phi_parts
-        for a in range(self.radical_index):
-            try:
-                require_tangent(parts, (a,), "the structure image of a screen vector")
-            except DecompositionInconsistent as exc:
-                raise NotRSTHL(str(exc)) from exc
         # phi(xi) = mu L is transversal, and P kills xi
         zero = MultilinearForm.zero(self.tangent_frame, 1)
         return MultilinearForm.from_cells(
@@ -267,35 +249,6 @@ class SubmanifoldFrame:
         g = self.model.metric.form
         return self.restrict(g.pull_all(self.model.structure.phi))
 
-    def _close_brackets(self) -> LieAlgebra:
-        parts = self.splitting.split(self.model.algebra.brackets)
-        for a, b in product(range(self.dim), repeat=2):
-            try:
-                require_tangent(parts, (a, b), "a bracket of tangent vectors")
-            except DecompositionInconsistent as exc:
-                la = self.tangent_frame.labels[a]
-                lb = self.tangent_frame.labels[b]
-                raise InvalidFrame(
-                    f"the bracket [{la}, {lb}] leaves the tangent space: {exc}"
-                ) from exc
-        return LieAlgebra(self.tangent_frame, parts[0])
-
-
-def _verify_transversal(model: LieModel, tangent_vectors, tangent_frame,
-                        rad: MultilinearForm, l_vec: MultilinearForm,
-                        n_vec: MultilinearForm) -> None:
-    g = model.metric
-    if not (g.value(n_vec, rad) - 1).is_zero():
-        raise InvalidFrame("the given transversal N does not pair to 1 with the radical")
-    if not g.value(n_vec, n_vec).is_zero():
-        raise InvalidFrame("the given transversal N is not null")
-    if not g.value(n_vec, l_vec).is_zero():
-        raise InvalidFrame("the given transversal N is not orthogonal to L")
-    for idx, w in enumerate(tangent_vectors[:-1]):
-        if not g.value(n_vec, w).is_zero():
-            raise InvalidFrame(
-                f"the given transversal N is not orthogonal to {tangent_frame.labels[idx]}")
-
 
 def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
                 n_vec: Optional[MultilinearForm] = None) -> SubmanifoldFrame:
@@ -304,25 +257,43 @@ def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
 
 
 def validate_frame(f: SubmanifoldFrame) -> list[CheckEntry]:
-    """Report-friendly restatement of the constraints enforced at build time."""
+    """The half lightlike splitting and the closure of the brackets, each
+    decided once, in catalog order.  Each condition reads what the ones
+    before it certify (N is solved on a certified frame, the brackets are
+    split with N), so the entries after the first failure are skipped,
+    naming it."""
     g = f.model.metric
-    return [
-        compare("radical-isotropy", "sec-2-splitting",
-                f.induced_form.cell(f.radical_index),
-                MultilinearForm.zero(f.tangent_frame, 1),
-                "the radical direction is orthogonal to the whole tangent space"),
-        compare("screen-nondegeneracy", "sec-2-splitting",
-                not f.screen_determinant.is_zero(), True,
-                "the induced metric restricts without kernel to the screen"),
-        compare("transversal-normalization", "sec-2-splitting",
-                f.epsilon * f.epsilon, ONE, f"g(L, L) = {f.epsilon}"),
-        compare("transversal-duality", "sec-2-splitting",
-                tuple(g.value(f.n_vec, w) for w in (f.rad, f.n_vec, f.l_vec) + f.screen),
-                (ONE,) + (ZERO,) * (len(f.screen) + 2),
-                "N is null, pairs to 1 with the radical and annihilates screen and L"),
-        passed("tangent-closure", "plumbing",
-               "brackets of tangent vectors stay tangent"),
-    ]
+    tf = f.tangent_frame
+    zero_form = MultilinearForm.zero(tf, 1)
+    screen_gram = [row[:-1] for row in f.induced_form.rows()[:-1]]
+    conditions = (
+        ("radical-isotropy", "sec-2-splitting",
+         "the radical direction is orthogonal to the whole tangent space",
+         lambda: (f.induced_form.cell(f.radical_index), zero_form)),
+        ("screen-nondegeneracy", "sec-2-splitting",
+         "the induced metric restricts without kernel to the screen",
+         lambda: (not determinant(screen_gram).is_zero(), True)),
+        # L is a unit normal: g(L, L) = +-1 and g(L, T_a) = 0
+        ("transversal-normalization", "sec-2-splitting", f"g(L, L) = {f.epsilon}",
+         lambda: ((f.epsilon * f.epsilon, f.restrict(g.lower(f.l_vec))),
+                  (ONE, zero_form))),
+        # g(N, T_a) is 1 on xi and 0 on the screen
+        ("transversal-duality", "sec-2-splitting",
+         "N is null, pairs to 1 with the radical and annihilates screen and L",
+         lambda: ((f.eta, g.value(f.n_vec, f.n_vec), g.value(f.n_vec, f.l_vec)),
+                  (f.radical_tangent(), ZERO, ZERO))),
+        ("tangent-closure", "plumbing", "brackets of tangent vectors stay tangent",
+         lambda: (f.bracket_parts[1:], (MultilinearForm.zero(tf, 2),) * 2)),
+    )
+    entries, blocker = [], None
+    for name, anchor, detail, sides in conditions:
+        if blocker:
+            entries.append(skipped(name, anchor, blocker))
+            continue
+        entries.append(compare(name, anchor, *sides(), detail))
+        if entries[-1].status == FAIL:
+            blocker = f"blocked by {name} (fail)"
+    return entries
 
 
 def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[CheckEntry]]:
@@ -335,7 +306,7 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[C
     phi_xi = s.phi.apply(f.rad)
     if phi_xi.is_zero():
         raise NotRSTHL("the structure operator kills the radical direction")
-    # the frame has checked that L is unit, so it is nonzero
+    # transversal-normalization has certified that L is unit, so nonzero
     try:
         (mu,) = solve_combination(phi_xi, f.l_vec)
     except InconsistentSystem as exc:

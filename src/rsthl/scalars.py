@@ -43,9 +43,9 @@ pass, and the constructor skips the polynomial gcd when numerator or
 denominator is constant (the gcd is then a unit), leaving the content
 and sign.  Each shortcut relies on one invariant: every stored value is
 canonical, so the operand it returns is already the canonical result.
-Single-term results and negations are built by ``RationalFunction._of``
-without the checks, so every pair given to it must already be canonical
-and carry its exponent.
+Single-term results, negations and powers are built by
+``RationalFunction._of`` without the checks, so every pair given to it
+must already be canonical and carry its exponent.
 """
 
 from __future__ import annotations
@@ -111,6 +111,17 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return tuple(out)
+
+
+def _ppow(a: Coeffs, e: int) -> Coeffs:
+    """a^e for a nonzero polynomial and e >= 1, by square-and-multiply over
+    the bits of e from the top."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _pmul(out, out)
+        if bit == "1":
+            out = _pmul(out, a)
+    return out
 
 
 def _primitive(a: Coeffs) -> Coeffs:
@@ -382,21 +393,23 @@ class RationalFunction:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        a, c, k = self.num, self.den, self._k
         if exponent < 0:
-            if self.is_zero():
+            if not a:
                 raise ScalarDomainError("zero raised to a negative power")
-            base = ONE / self
+            # 1/x swaps num and den; the new denominator's sign moves up
+            a, c = (_pneg(c), _pneg(a)) if a[-1] < 0 else (c, a)
+            k = None if k is None else -k
             exponent = -exponent
-        else:
-            base = self
-        # square-and-multiply over the bits from the top: O(log exponent)
-        # products, each squaring or a product with the base itself
-        out = ONE
-        for bit in bin(exponent)[2:]:
-            out = out * out
-            if bit == "1":
-                out = out * base
-        return out
+        if not exponent:
+            return ONE
+        if k is not None:
+            return _term(a[-1] ** exponent, c[-1] ** exponent, k * exponent)
+        if not a:
+            return ZERO
+        # (p/q)^e of a canonical p/q is canonical: by Gauss's lemma p^e and
+        # q^e stay coprime with joint content 1, and lc(q)^e > 0
+        return RationalFunction._of(_ppow(a, exponent), _ppow(c, exponent), None)
 
     def __eq__(self, other):
         if type(other) is not RationalFunction:

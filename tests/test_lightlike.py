@@ -6,9 +6,8 @@ import json
 import pytest
 
 from rsthl.builtin import example_model
-from rsthl.errors import (DecompositionInconsistent, InvalidFrame,
-                          NotAscreen, NotEtaEinstein, NotRSTHL,
-                          RadicalRankNotOne, ScreenDegenerate)
+from rsthl.cli import main
+from rsthl.errors import InvalidFrame, NotAscreen, NotEtaEinstein, NotRSTHL
 from rsthl.liegeom import curvature, curvature_entries, ricci_action
 from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
@@ -16,14 +15,13 @@ from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
                              curvature_form_19_entry, eta_einstein_solve,
                              gamma_identity_18_entry, gauss_relation_entry,
                              induced_invariant_entries, nu_tilde_vanishes_entry,
-                             proportionality_factor, require_tangent,
+                             proportionality_factor,
                              ricci_form_20_entry, ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
                              solve_transversal, umbilicity, validate_frame)
 from rsthl.model import dumps_model, model_from_json_obj
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import ACBMStructure, LieModel
-from rsthl.suite import run_suite
 from rsthl.tensors import MultilinearForm
 
 CERTIFICATION_NAMES = (
@@ -61,14 +59,34 @@ def test_solve_transversal_recovers_n(model, lm):
     assert n == ambient(model, {"X3": half, "E": half})
 
 
+FRAME_NAMES = ("radical-isotropy", "screen-nondegeneracy",
+               "transversal-normalization", "transversal-duality",
+               "tangent-closure")
+
+
+def assert_frame_fails(f, name, suffix):
+    """validate_frame fails the entry name with the residual suffix, and
+    skips every later entry, naming it."""
+    entries = validate_frame(f)
+    assert [e.name for e in entries] == list(FRAME_NAMES)
+    at = FRAME_NAMES.index(name)
+    assert [e.status for e in entries] == (
+        ["pass"] * at + ["fail"] + ["skipped"] * (len(FRAME_NAMES) - at - 1))
+    _, sep, residual = entries[at].detail.partition("; the residual")
+    assert sep + residual == suffix
+    assert {e.detail for e in entries[at + 1:]} <= {f"blocked by {name} (fail)"}
+
+
 def test_explicit_transversal_is_verified(model, lm, frame):
     sub = model.submanifold
     good = build_frame(lm, sub.screen_labels, sub.screen, sub.rad,
                        sub.l_vec, frame.n_vec)
     assert good.n_vec == frame.n_vec
-    with pytest.raises(InvalidFrame):
-        build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec,
-                    ambient(model, {"X3": 1}))
+    assert all(e.status == "pass" for e in validate_frame(good))
+    bad = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec,
+                      ambient(model, {"X3": 1}))
+    assert_frame_fails(bad, "transversal-duality",
+                       "; the residual at (xi) is mu - 1, 1 of 3 components nonzero")
 
 
 def test_certification(frame, mu):
@@ -98,10 +116,10 @@ def test_frame_splitting_helpers(model, frame):
     assert split.coefficients(ambient(model, {"X2": 1})) == (ONE,) + (ZERO,) * 4
     assert split.coefficients(ambient(model, {"X1": 1})) == (ZERO,) * 4 + (ONE,)
     # phi(xi) = mu L is transversal, phi(E1) = E2 is tangent
-    parts = split.split(model.phi)
-    require_tangent(parts, (0,), "a test vector")
-    with pytest.raises(DecompositionInconsistent, match="N: 0, L: mu"):
-        require_tangent(parts, (2,), "a test vector")
+    tangent_part, n_part, l_part = split.split(model.phi)
+    assert (n_part.entry(0), l_part.entry(0)) == (ZERO, ZERO)
+    assert (n_part.entry(2), l_part.entry(2)) == (ZERO, MU)
+    assert tangent_part.cell(0) == tangent(frame, {"E2": 1})
     proj = frame.projector
     assert proj.apply(tangent(frame, {"E1": 1, "xi": 3})) == tangent(frame, {"E1": 1})
     phi_p = frame.phi_p
@@ -301,52 +319,80 @@ def test_covariant_derivative_convention(frame, induced):
 
 def test_radical_must_be_isotropic(model, lm):
     sub = model.submanifold
-    with pytest.raises(RadicalRankNotOne, match="against xi"):
-        build_frame(lm, sub.screen_labels, sub.screen,
+    f = build_frame(lm, sub.screen_labels, sub.screen,
                     ambient(model, {"X3": 1}), sub.l_vec)
+    assert_frame_fails(f, "radical-isotropy",
+                       "; the residual at (xi) is -1, 1 of 3 components nonzero")
 
 
 def test_screen_must_be_nondegenerate(model, lm):
     sub = model.submanifold
     screen = (ambient(model, {"X1": 1, "X4": 1}), ambient(model, {"X2": 1}))
-    with pytest.raises(ScreenDegenerate):
-        build_frame(lm, sub.screen_labels, screen, sub.rad, sub.l_vec)
+    # a truth value: the statement carries it, with no residual suffix
+    assert_frame_fails(build_frame(lm, sub.screen_labels, screen, sub.rad, sub.l_vec),
+                       "screen-nondegeneracy", "")
 
 
 def test_transversal_vector_constraints(model, lm):
     sub = model.submanifold
-    with pytest.raises(InvalidFrame, match="not unit"):
-        build_frame(lm, sub.screen_labels, sub.screen, sub.rad,
-                    ambient(model, {"X1": 2}))
-    with pytest.raises(InvalidFrame, match="not orthogonal to E1"):
-        build_frame(lm, sub.screen_labels, sub.screen, sub.rad,
-                    ambient(model, {"X2": 1}))
+    # g(L, L) = 4: the residual is g(L, L)^2 - 1
+    assert_frame_fails(
+        build_frame(lm, sub.screen_labels, sub.screen, sub.rad, ambient(model, {"X1": 2})),
+        "transversal-normalization", "; the residual is 15")
+    assert_frame_fails(
+        build_frame(lm, sub.screen_labels, sub.screen, sub.rad, ambient(model, {"X2": 1})),
+        "transversal-normalization",
+        "; the residual at (E1) is 1, 1 of 3 components nonzero")
 
 
 HALF_INV_MU = "1/(2*mu)"
 
 
-@pytest.mark.parametrize("edit, detail", [
-    ({"screen": {"E1": {"X2": 1, "E": 1}, "E2": {"X4": 1}}},
-     "the radical vector is not isotropic against E1"),
-    ({"xi": {"X3": "-mu", "E": "2*mu"}},
-     "the radical vector is not isotropic against xi"),
-    ({"L": {"X2": 1}}, "the screen transversal is not orthogonal to E1"),
-    ({"L": {"E": 1}}, "the screen transversal is not orthogonal to xi"),
-    ({"screen": {"E1": {"X2": 1, "X4": 1}, "E2": {"X1": 1, "X3": -1, "E": 1}}},
-     "the metric degenerates on the screen distribution"),
-    ({"N": {"X1": 1, "X3": HALF_INV_MU, "E": HALF_INV_MU}},
-     "the given transversal N is not null"),
-], ids=["radical-vs-E1", "radical-vs-xi", "L-vs-E1", "L-vs-xi",
-        "degenerate-screen", "N-not-null"])
-def test_frame_errors_in_the_submanifold_report(edit, detail):
-    """A frame edit of the model file fails ``submanifold-frame`` with the
-    build-time error text, the first offending label named."""
+def edited_model(edit):
     obj = json.loads(dumps_model(example_model()))
     obj["submanifold"].update(edit)
-    entries = run_suite(model_from_json_obj(obj), "submanifold").entries
-    frame_entries = [e for e in entries if e.name == "submanifold-frame"]
-    assert [(e.status, e.detail) for e in frame_entries] == [("fail", detail)]
+    return model_from_json_obj(obj)
+
+
+FRAME_EDITS = {
+    "radical-vs-E1": ({"screen": {"E1": {"X2": 1, "E": 1}, "E2": {"X4": 1}}},
+                      "radical-isotropy",
+                      "; the residual at (E1) is mu, 1 of 3 components nonzero"),
+    "radical-vs-xi": ({"xi": {"X3": "-mu", "E": "2*mu"}}, "radical-isotropy",
+                      "; the residual at (xi) is 3*mu^2, 1 of 3 components nonzero"),
+    "L-vs-E1": ({"L": {"X2": 1}}, "transversal-normalization",
+                "; the residual at (E1) is 1, 1 of 3 components nonzero"),
+    "L-vs-xi": ({"L": {"E": 1}}, "transversal-normalization",
+                "; the residual at (xi) is mu, 1 of 3 components nonzero"),
+    "degenerate-screen": (
+        {"screen": {"E1": {"X2": 1, "X4": 1}, "E2": {"X1": 1, "X3": -1, "E": 1}}},
+        "screen-nondegeneracy", ""),
+    "N-not-null": ({"N": {"X1": 1, "X3": HALF_INV_MU, "E": HALF_INV_MU}},
+                   "transversal-duality", "; the residual is 1"),
+    # the screen (X1, X2) with L = X4: [E1, E2] = -2 X4 leaves the tangent space
+    "bracket": ({"screen": {"E1": {"X1": 1}, "E2": {"X2": 1}}, "L": {"X4": 1}},
+                "tangent-closure",
+                "; the residual at (E1, E2) is -2, 2 of 9 components nonzero"),
+}
+
+
+@pytest.mark.parametrize("edit, name, suffix", FRAME_EDITS.values(), ids=FRAME_EDITS)
+def test_frame_errors_in_the_submanifold_report(tmp_path, capsys, edit, name, suffix):
+    """``rsthl check`` on a frame edit of the model file fails the
+    catalogued entry with its residual, the first offending label named,
+    skips every later entry, naming it, and exits 1 with nothing on
+    stderr; no step entry fails."""
+    path, report = tmp_path / "edited.json", tmp_path / "report.json"
+    path.write_text(dumps_model(edited_model(edit)), encoding="utf-8")
+    assert main(["check", str(path), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == ""
+    entries = json.loads(report.read_text(encoding="utf-8"))["entries"]
+    at = [e["status"] for e in entries].index("fail")
+    assert entries[at]["name"] == name
+    _, sep, residual = entries[at]["detail"].partition("; the residual")
+    assert sep + residual == suffix
+    assert {(e["status"], e["detail"]) for e in entries[at + 1:]} == {
+        ("skipped", f"blocked by {name} (fail)")}
 
 
 def test_frame_shape_validation(model, lm):
@@ -365,9 +411,9 @@ def test_frame_shape_validation(model, lm):
 def test_brackets_must_stay_tangent(model, lm):
     screen = (ambient(model, {"X1": 1}), ambient(model, {"X2": 1}))
     sub = model.submanifold
-    with pytest.raises(InvalidFrame, match=r"bracket \[E1, E2\]"):
-        build_frame(lm, ("E1", "E2"), screen, sub.rad,
-                    ambient(model, {"X4": 1}))
+    f = build_frame(lm, ("E1", "E2"), screen, sub.rad, ambient(model, {"X4": 1}))
+    assert_frame_fails(f, "tangent-closure",
+                       "; the residual at (E1, E2) is -2, 2 of 9 components nonzero")
 
 
 def modified_structure(lm, phi=None, xi_bar=None):

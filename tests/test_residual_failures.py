@@ -6,7 +6,10 @@ Each case below changes one input of one check and asserts that its
 entry fails with the exact residual suffix.
 """
 
+import json
+import re
 from functools import cached_property
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,11 +20,13 @@ from rsthl.associated import (build_associated, tilde_form_21_entry,
                               umbilical_flatness_entry)
 from rsthl.builtin import (_anti_compatible, _factor_j,
                            _matches_expected_table, factor_algebra)
+from rsthl.cli import main
 from rsthl.liegeom import Connection, CurvatureTensor, InvariantMetric, LieAlgebra
 from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
-                             gauss_relation_entry, induced_invariant_entries)
+                             gauss_relation_entry, induced_invariant_entries,
+                             validate_frame)
 from rsthl.report import FAIL
 from rsthl.scalars import ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
@@ -30,6 +35,8 @@ from rsthl.suite import run_suite
 from rsthl.tensors import MultilinearForm
 
 from conftest import replaced
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def entry_named(entries, name):
@@ -70,6 +77,50 @@ def screen_phi_invariance(geo):
     sub = model.submanifold
     f = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     return entry_named(certify_ascreen_rsthl(f)[1], "screen-phi-invariance")
+
+
+def vector(geo, entries):
+    return MultilinearForm.from_map(geo.model.frame, entries)
+
+
+def frame_condition(name, **changes):
+    """The entry name of ``validate_frame`` on the worked frame with the
+    given vectors (screen, rad, l_vec, n_vec) changed."""
+    def case(geo):
+        sub = geo.model.submanifold
+        fields = dict(screen_labels=sub.screen_labels, screen=sub.screen,
+                      rad=sub.rad, l_vec=sub.l_vec, n_vec=None)
+        fields.update({k: fn(geo) for k, fn in changes.items()})
+        return entry_named(validate_frame(build_frame(geo.lie_model, **fields)), name)
+    return case
+
+
+def twin_entry(name, structure=None, mu=None, induced=None):
+    """The entry name of ``build_associated`` with the worked frame's
+    structure, the invariant mu or the induced objects changed."""
+    def case(geo):
+        f = geo.frame
+        if structure:
+            sub = geo.model.submanifold
+            lm = LieModel(geo.lie_model.algebra, structure(geo.structure))
+            f = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
+        obj = induced(geo) if induced else geo.induced
+        _, entries = build_associated(f, obj, mu(geo) if mu else geo.mu, geo.conn)
+        return entry_named(entries, name)
+    return case
+
+
+def with_eta(s, label):
+    """The structure s with the dual form eta-bar moved by e^label."""
+    return ACBMStructure(s.frame, s.phi, s.xi_bar,
+                         s.eta_bar + MultilinearForm.from_map(s.frame, {label: 1}),
+                         s.metric)
+
+
+def with_phi_columns(s, columns):
+    for label, image in columns.items():
+        s = with_phi_column(s, label, image)
+    return s
 
 
 def induced_invariant(name, **changes):
@@ -194,6 +245,51 @@ def factor_anti_compatibility(geo):
 
 
 CASES = {
+    "radical-isotropy": frame_condition(
+        "radical-isotropy", rad=lambda geo: vector(geo, {"X3": 1})),
+    "screen-nondegeneracy": frame_condition(
+        "screen-nondegeneracy",
+        screen=lambda geo: (vector(geo, {"X1": 1, "X4": 1}), vector(geo, {"X2": 1}))),
+    "transversal-normalization": frame_condition(
+        "transversal-normalization", l_vec=lambda geo: vector(geo, {"X2": 1})),
+    "transversal-duality": frame_condition(
+        "transversal-duality", n_vec=lambda geo: vector(geo, {"X3": 1})),
+    # [E1, E2] = -2 X4 = -2 L leaves the tangent space
+    "tangent-closure": frame_condition(
+        "tangent-closure",
+        screen=lambda geo: (vector(geo, {"X1": 1}), vector(geo, {"X2": 1})),
+        l_vec=lambda geo: vector(geo, {"X4": 1})),
+    # the induced connection moves, the ambient split does not
+    "twin-connection-formula": twin_entry(
+        "twin-connection-formula",
+        induced=lambda geo: induced_with(
+            geo, conn=skewed_induced_connection(geo.induced))),
+    # -phi is a structure too; of the three connection routes only the
+    # Koszul one reads the g~ it changes
+    "twin-connection-koszul": twin_entry(
+        "twin-connection-koszul",
+        structure=lambda s: ACBMStructure(s.frame, -s.phi, s.xi_bar, s.eta_bar,
+                                          s.metric)),
+    # eta-bar(L) = 1 adds 1 to g~(L, L) and to g~(xi-bar, L)
+    "twin-normal-one-unit": twin_entry(
+        "twin-normal-one-unit", structure=lambda s: with_eta(s, "X1")),
+    "twin-normal-two-unit": twin_entry(
+        "twin-normal-two-unit", mu=lambda geo: geo.mu * 2),
+    "twin-normals-orthogonal": twin_entry(
+        "twin-normals-orthogonal", mu=lambda geo: geo.mu * 2),
+    "twin-normals-transverse": twin_entry(
+        "twin-normals-transverse", mu=lambda geo: geo.mu * 2),
+    "twin-splitting-orthogonal": twin_entry(
+        "twin-splitting-orthogonal", structure=lambda s: with_eta(s, "X2")),
+    # g~(xi, xi) = -mu^2: phi(E) = -X3 and phi(X3) = -X1 + E keep g~ symmetric
+    "twin-radical-spacelike": twin_entry(
+        "twin-radical-spacelike",
+        structure=lambda s: with_phi_columns(s, {"E": {"X3": -1},
+                                                 "X3": {"X1": -1, "E": 1}})),
+    # phi = +-Id on the screen makes g~ definite there
+    "twin-screen-signature": twin_entry(
+        "twin-screen-signature",
+        structure=lambda s: with_phi_columns(s, {"X2": {"X2": 1}, "X4": {"X4": -1}})),
     "screen-phi-invariance": screen_phi_invariance,
     "radical-shape-self-adjoint": induced_invariant(
         "radical-shape-self-adjoint",
@@ -231,6 +327,29 @@ CASES = {
 
 # the residual suffix each perturbed entry reports
 SUFFIXES = {
+    "radical-isotropy":
+        "; the residual at (xi) is -1, 1 of 3 components nonzero",
+    # truth values and signatures: the statement carries them
+    "screen-nondegeneracy": "",
+    "transversal-normalization":
+        "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "transversal-duality":
+        "; the residual at (xi) is mu - 1, 1 of 3 components nonzero",
+    "tangent-closure":
+        "; the residual at (E1, E2) is -2, 2 of 9 components nonzero",
+    "twin-connection-formula":
+        "; the residual at (E1, E1, E1) is 1, 1 of 27 components nonzero",
+    "twin-connection-koszul":
+        "; the residual at (E1, E2, xi) is -4/(mu), 2 of 27 components nonzero",
+    "twin-normal-one-unit": "; the residual is -1",
+    "twin-normal-two-unit": "; the residual is -3",
+    "twin-normals-orthogonal": "; the residual is -2",
+    "twin-normals-transverse":
+        "; the residual at (xi) is -mu, 1 of 3 components nonzero",
+    "twin-splitting-orthogonal":
+        "; the residual at (E1) is mu, 1 of 3 components nonzero",
+    "twin-radical-spacelike": "",
+    "twin-screen-signature": "",
     "screen-phi-invariance":
         "; the residual at (E) is 1, 1 of 5 components nonzero",
     "radical-shape-self-adjoint":
@@ -286,3 +405,57 @@ def test_perturbed_input_fails_the_check(name, geometry):
     assert entry.status == FAIL
     _, sep, residual = entry.detail.partition("; the residual")
     assert sep + residual == SUFFIXES[name]
+
+
+def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
+    """A twin connection route that disagrees with the ambient split fails
+    its entry, and the run exits 1.  Every later twin entry reads the split
+    only, so nothing is skipped."""
+    class Perturbed(suite.Geometry):
+        @cached_property
+        def twin(self):
+            obj = induced_with(self, conn=skewed_induced_connection(self.induced))
+            return build_associated(self.frame, obj, self.mu, self.conn)
+
+    with mock.patch.object(suite, "Geometry", Perturbed):
+        assert main(["example47"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "twin-connection-formula" in fails[0]
+    assert fails[0].endswith(
+        "; the residual at (E1, E1, E1) is 1, 1 of 27 components nonzero)")
+    assert out.splitlines()[-1] == "verdict: fail (113 passed, 1 failed, 0 skipped)"
+
+
+# catalogued names that no perturbed input makes fail, with the reason
+CANNOT_FAIL = {
+    "twin-metric-nondegenerate":
+        "a statement, not a check: InvariantMetric raises DegenerateMetric on "
+        "a degenerate restricted twin metric before the entry is made, and "
+        "the twin-geometry step fails instead",
+}
+
+# the half lightlike splitting and the twin geometry of thm-1.1 and eq-2.11
+GUARDED_ANCHORS = ("sec-2-splitting", "eq-2.11", "thm-1.1")
+
+
+def catalog_section(anchor):
+    text = (ROOT / "docs" / "identities.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {anchor}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_guarded_entry_has_a_witness(model):
+    """Each known-answer name under the guarded anchors, as the entry's
+    anchor or as a name in the catalog section, fails on a perturbed input
+    above or is listed as one that cannot fail."""
+    known = json.loads((ROOT / "bench" / "known_answers.json").read_text(encoding="utf-8"))
+    names = {n for stage in known["stages"].values() for n in stage}
+    guarded = {e.name for e in run_suite(model).entries if e.anchor in GUARDED_ANCHORS}
+    for anchor in GUARDED_ANCHORS:
+        section = catalog_section(anchor)
+        guarded |= {n for n in names if re.search(rf"(?<![\w-]){n}(?![\w-])", section)}
+    # the two plumbing entries are found through their catalog sections
+    assert {"tangent-closure", "twin-connection-koszul"} <= guarded <= names
+    assert guarded - set(CASES) - set(CANNOT_FAIL) == set()
+    assert set(CASES) & set(CANNOT_FAIL) == set()

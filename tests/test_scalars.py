@@ -584,6 +584,31 @@ def test_suite_scalars_never_reach_the_general_constructor(request, build):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("text", [
+    "(mu^2 + 3*mu + 1)/(mu^2 + 2)", "(2*mu - 3)/(4*mu^3 + mu)", "mu + 1",
+    "1/(6*mu^2 - 4)", "(-6*mu^2 + 4)/9"])
+def test_powers_of_multi_term_values_skip_the_gcd(request, text):
+    """(p/q)^e of a canonical p/q is p^e/q^e, canonical by Gauss's lemma,
+    so no power reaches the general constructor; each agrees with repeated
+    products in the Fraction reference arithmetic."""
+    x = rf(text)
+    calls = request.getfixturevalue("general_constructor_calls")
+    powers = {e: x ** e for e in range(-3, 7)}
+    big = x ** 100
+    assert calls == []
+    num, den = monic_form(x.num, x.den)
+    for e, got in powers.items():
+        base = (num, den) if e >= 0 else monic_form(den, num)
+        want = monic_form([1], [1])
+        for _ in range(abs(e)):
+            want = q_op("*", want, base)
+        assert (got.num, got.den) == integer_form(*want)
+        assert_exponent(got)
+    assert (len(big.num), len(big.den)) == (100 * (len(x.num) - 1) + 1,
+                                           100 * (len(x.den) - 1) + 1)
+    assert (big.num[-1], big.den[-1]) == (x.num[-1] ** 100, x.den[-1] ** 100)
+
+
 def test_parse_bounds_products_and_sums():
     """A product, quotient or cross-multiplied sum is rejected before it is
     computed when its degree is over MAX_POWER_DEGREE; one that the

@@ -15,9 +15,10 @@ def test_interleaved_ab_runs_a_checkout_against_itself():
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert lines[0] == "model example47.json, suite all, 2 pairs"
     for label, line in zip(("base", "change"), lines[1:3]):
         assert re.fullmatch(rf"{label}: mean \d+\.\d\d ms  \({re.escape(str(ROOT))}\)", line)
     assert re.fullmatch(r"median pair ratio change/base: \d+\.\d\d\d", lines[3])
     assert re.fullmatch(r"change faster in [012] of 2 pairs", lines[4])
+    assert lines[5] == "last reports byte-identical: yes"

@@ -18,9 +18,10 @@ trees alike.  Without ``--model`` the worked model is written by BASE's
 ``rsthl example47 --emit``.
 
 The output gives each tree's mean request time, the median over pairs of
-the CHANGE/BASE ratio and the number of pairs CHANGE won.  It sizes a
-change in a minute; claims still rest on the benchmark harness's
-alternating runs (``bench/README.md``).
+the CHANGE/BASE ratio, the number of pairs CHANGE won and whether the two
+trees' last reports are byte-identical.  It sizes a change in a minute;
+claims still rest on the benchmark harness's alternating runs
+(``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def main(argv=None) -> int:
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
                 times[i].append(request(trees[i], [
                     "check", model, "--suite", args.suite, "--report", reports[i]]))
+        same = Path(reports[0]).read_bytes() == Path(reports[1]).read_bytes()
     pairs = len(times[0])
     ratios = [b / a for a, b in zip(*times)]
     print(f"model {Path(model).name}, suite {args.suite}, {pairs} pairs")
@@ -93,6 +95,7 @@ def main(argv=None) -> int:
         print(f"{label}: mean {statistics.fmean(samples) * 1e3:.2f} ms  ({path})")
     print(f"median pair ratio change/base: {statistics.median(ratios):.3f}")
     print(f"change faster in {sum(r < 1 for r in ratios)} of {pairs} pairs")
+    print(f"last reports byte-identical: {'yes' if same else 'no'}")
     return 0
 
 
