@@ -13,16 +13,10 @@ the twin counterpart of the frame's splitting over (tangent, N, L).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
-from .errors import (
-    CrossCheckMismatch,
-    DegenerateMetric,
-    InconsistentSystem,
-    NotEinstein,
-    UnderdeterminedSystem,
-)
+from .errors import InconsistentSystem, NotEinstein, UnderdeterminedSystem
 from .liegeom import Connection, CurvatureTensor, InvariantMetric, curvature, levi_civita
 from .lightlike import (
     InducedObjects,
@@ -37,6 +31,7 @@ from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
     curvature_product,
+    determinant,
     outer,
     signature_at_sample,
     solve_combination,
@@ -44,20 +39,50 @@ from .tensors import (
 
 
 class AssociatedObjects:
-    """The twin metric with its normals, connection and second forms."""
+    """The twin normals, and the twin metric, connection and second forms,
+    built on first read: once the five twin conditions have passed, neither
+    the restricted twin metric nor the split over (T, N1, N2) raises."""
 
-    def __init__(self, metric: InvariantMetric, n1: MultilinearForm,
-                 n2: MultilinearForm, conn: Connection, h1: MultilinearForm,
-                 h2: MultilinearForm, shape_n1: MultilinearForm,
-                 shape_n2: MultilinearForm):
-        self.metric = metric
-        self.n1 = n1  # the twin normals, vectors
-        self.n2 = n2
-        self.conn = conn
-        self.h1 = h1
-        self.h2 = h2
-        self.shape_n1 = shape_n1
-        self.shape_n2 = shape_n2
+    def __init__(self, f: SubmanifoldFrame, mu: RationalFunction,
+                 ambient_conn: Connection):
+        xi_bar = f.model.structure.xi_bar
+        self.n1 = xi_bar - f.l_vec  # the twin normals, vectors
+        self.n2 = xi_bar.scale(rf(2)) - f.n_vec.scale(mu * 2) - f.l_vec
+        self.frame = f
+        self.ambient_conn = ambient_conn
+
+    @cached_property
+    def metric(self) -> InvariantMetric:
+        return InvariantMetric(self.frame.twin_form)
+
+    @cached_property
+    def parts(self) -> tuple:
+        """The ambient connection and its derivatives of N1 and N2, split
+        over (tangent, N1, N2)."""
+        f, conn = self.frame, self.ambient_conn
+        twin = Splitting(f.tangent_frame, f.tangent_vectors, (self.n1, self.n2))
+        return (twin.split(conn.gamma),
+                *(twin.split(conn.derivative(n)) for n in (self.n1, self.n2)))
+
+    @cached_property
+    def conn(self) -> Connection:
+        return Connection(self.frame.tangent_frame, self.parts[0][0])
+
+    @property
+    def h1(self) -> MultilinearForm:
+        return self.parts[0][1]
+
+    @property
+    def h2(self) -> MultilinearForm:
+        return self.parts[0][2]
+
+    @cached_property
+    def shape_n1(self) -> MultilinearForm:
+        return -self.parts[1][0]
+
+    @cached_property
+    def shape_n2(self) -> MultilinearForm:
+        return -self.parts[2][0]
 
     @cached_property
     def twin_umbilicity(self) -> tuple[Optional[RationalFunction],
@@ -69,118 +94,97 @@ class AssociatedObjects:
 
 def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
                      mu: RationalFunction,
-                     ambient_conn: Connection) -> tuple[AssociatedObjects, list[CheckEntry]]:
-    """Construct the twin geometry three ways and compare the routes.
+                     ambient_conn: Connection) -> tuple[AssociatedObjects, tuple]:
+    """The twin geometry and the conditions of its three-route build, in
+    catalog order, as (preconditions, conditions).  The five preconditions
+    make (T, N1, N2) a basis, on which the geometry is read.
 
     Route one evaluates the catalogued conversion formulas from the first
     fundamental form.  Route two splits the ambient connection and its
     derivatives of the normals over (tangent, N1, N2); it is the twin
     geometry every later entry reads.  Route three runs the Koszul formula
-    for the restricted twin metric.  Each comparison of a route with the
-    split is an entry (twin-connection-formula, twin-connection-koszul and
-    the eq-2.12 forms), failing with its residual.
+    for the restricted twin metric.  A route that disagrees with the split
+    fails its condition with the residual and blocks nothing.
     """
     s = f.model.structure
-    gt_ambient = s.g_tilde
-    m = f.dim
-    tf = f.tangent_frame
-    zero_form = MultilinearForm.zero(tf, 1)
-
-    n1 = s.xi_bar - f.l_vec
-    n2 = s.xi_bar.scale(rf(2)) - f.n_vec.scale(mu * 2) - f.l_vec
-
-    restrict = f.restrict
-    gt_form = restrict(gt_ambient.form)
-    gt = InvariantMetric(gt_form)
+    assoc = AssociatedObjects(f, mu, ambient_conn)
+    n1, n2 = assoc.n1, assoc.n2
+    gt = s.g_phi + s.eta_eta  # g~ as its table, read without inverting it
+    zero_form = MultilinearForm.zero(f.tangent_frame, 1)
     xi_idx = f.radical_index
+    gt_form = f.twin_form
     rad_norm = gt_form.entry(xi_idx, xi_idx)
-    entries = [
-        compare("twin-normal-one-unit", "thm-1.1", gt_ambient.value(n1, n1), ONE,
-                "g~(N1, N1) = 1"),
-        compare("twin-normal-two-unit", "thm-1.1", gt_ambient.value(n2, n2), -ONE,
-                "g~(N2, N2) = -1"),
-        compare("twin-normals-orthogonal", "thm-1.1", gt_ambient.value(n1, n2), ZERO,
-                "g~(N1, N2) = 0"),
-        compare("twin-normals-transverse", "thm-1.1",
-                (restrict(gt_ambient.lower(n1)), restrict(gt_ambient.lower(n2))),
-                (zero_form, zero_form),
-                "both normals are g~-orthogonal to the tangent space"),
-        passed("twin-metric-nondegenerate", "thm-1.1",
-               "the twin metric restricts without kernel to the tangent space"),
-        compare("twin-splitting-orthogonal", "thm-1.1", gt_form.at(xi_idx),
-                f.eta.scale(rad_norm), "screen and radical are g~-orthogonal"),
-    ]
     screen_rows = [row[:-1] for row in gt_form.rows()[:-1]]
-    sample, (pos, neg, zero) = signature_at_sample(screen_rows, (rad_norm,))
-    entries.append(compare(
-        "twin-radical-spacelike", "thm-1.1", rad_norm.eval_at(sample).sign() > 0, True,
-        f"g~(xi, xi) = {rad_norm} is positive at mu = {sample}"))
-    if screen_rows:
-        half = (m - 1) // 2
-        entries.append(compare(
-            "twin-screen-signature", "thm-1.1", (pos, neg, zero), (half, half, 0),
-            f"screen signature at mu = {sample} is ({pos}, {neg})"))
-    else:
-        entries.append(passed("twin-screen-signature", "thm-1.1",
-                              "the screen is zero-dimensional"))
+    half = (f.dim - 1) // 2
+
+    @cache
+    def signature():
+        return signature_at_sample(screen_rows, (rad_norm,))
+
+    def screen_signature():
+        if not screen_rows:
+            return True, True, "the screen is zero-dimensional"
+        sample, (pos, neg, zero) = signature()
+        return ((pos, neg, zero), (half, half, 0),
+                f"screen signature at mu = {sample} is ({pos}, {neg})")
 
     xi_t = f.radical_tangent()
     inv_mu = ONE / mu
-    inv_mu2 = inv_mu * inv_mu
     b_phi = obj.b_phi
     gamma_formula = obj.conn.gamma + outer(
-        (obj.b_form.scale(HALF) + b_phi).scale(inv_mu2), xi_t)
-    h1_formula = obj.b_form.scale(inv_mu)
-    h2_formula = (obj.b_form + b_phi).scale(-inv_mu)
+        (obj.b_form.scale(HALF) + b_phi).scale(inv_mu * inv_mu), xi_t)
     phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
-    shape1_formula = phi_rad.scale(-inv_mu)
-    shape2_formula = (obj.shape_rad - phi_rad).scale(inv_mu)
-
-    try:
-        twin = Splitting(tf, f.tangent_vectors, (n1, n2))
-    except DegenerateMetric as exc:
-        raise CrossCheckMismatch(
-            "the tangent space and the twin normals do not span the ambient "
-            "space") from exc
-    gamma_direct, h1_direct, h2_direct = twin.split(ambient_conn.gamma)
-    conn_direct = Connection(tf, gamma_direct)
-    weingarten = [twin.split(ambient_conn.derivative(n)) for n in (n1, n2)]
-    shape1_direct, shape2_direct = (-parts[0] for parts in weingarten)
-
-    entries += [
+    return assoc, ((
+        ("twin-normal-one-unit", "thm-1.1", lambda: (
+            gt.value(n1, n1), ONE, "g~(N1, N1) = 1")),
+        ("twin-normal-two-unit", "thm-1.1", lambda: (
+            gt.value(n2, n2), -ONE, "g~(N2, N2) = -1")),
+        ("twin-normals-orthogonal", "thm-1.1", lambda: (
+            gt.value(n1, n2), ZERO, "g~(N1, N2) = 0")),
+        ("twin-normals-transverse", "thm-1.1", lambda: (
+            (f.restrict(gt.apply(n1)), f.restrict(gt.apply(n2))), (zero_form, zero_form),
+            "both normals are g~-orthogonal to the tangent space")),
+        ("twin-metric-nondegenerate", "thm-1.1", lambda: (
+            not determinant(gt_form.rows()).is_zero(), True,
+            "the twin metric restricts without kernel to the tangent space")),
+    ), (
+        ("twin-splitting-orthogonal", "thm-1.1", lambda: (
+            gt_form.at(xi_idx), f.eta.scale(rad_norm),
+            "screen and radical are g~-orthogonal")),
+        ("twin-radical-spacelike", "thm-1.1", lambda: (
+            rad_norm.eval_at(signature()[0]).sign() > 0, True,
+            f"g~(xi, xi) = {rad_norm} is positive at mu = {signature()[0]}")),
+        ("twin-screen-signature", "thm-1.1", screen_signature),
         # the N1 and N2 parts of the derivatives of both normals
-        compare("twin-weingarten-tangency", "sec-2-twin",
-                tuple(p for parts in weingarten for p in parts[1:]), (zero_form,) * 4,
-                "the derivatives of both normals are purely tangent"),
-        compare("twin-connection-formula", "eq-2.11", gamma_formula, gamma_direct,
-                "the twin connection equals the induced connection plus the "
-                "radical correction term"),
-        compare("twin-connection-koszul", "plumbing",
-                levi_civita(f.tangent_algebra, gt).gamma, gamma_direct,
-                "the Koszul formula for the restricted twin metric returns the "
-                "same connection"),
-        compare("twin-second-form-one", "eq-2.12", h1_direct, h1_formula,
-                "h1 = (1/mu) B"),
-        compare("twin-second-form-two", "eq-2.12", h2_direct, h2_formula,
-                "h2 = -(1/mu)(B + B(., phi P.))"),
-        compare("twin-shape-one", "eq-2.12", shape1_direct, shape1_formula,
-                "A~_N1 = -(1/mu) phi A*_xi"),
-        compare("twin-shape-two", "eq-2.12", shape2_direct, shape2_formula,
-                "A~_N2 = (1/mu)(A*_xi - phi A*_xi)"),
-        compare("twin-h1-symmetric", "sec-2-twin", h1_direct, h1_direct.permute((1, 0)),
-                "h1 is symmetric"),
-        compare("twin-h2-symmetric", "sec-2-twin", h2_direct, h2_direct.permute((1, 0)),
-                "h2 is symmetric"),
-        compare("twin-shape-duality", "sec-2-twin", (h1_direct, h2_direct),
-                (gt_form.pull_slots(shape1_direct, (0,)),
-                 -gt_form.pull_slots(shape2_direct, (0,))),
-                "h1(X, Y) = g~(A~_N1 X, Y) and h2(X, Y) = -g~(A~_N2 X, Y)"),
-    ]
-
-    assoc = AssociatedObjects(metric=gt, n1=n1, n2=n2, conn=conn_direct,
-                              h1=h1_direct, h2=h2_direct,
-                              shape_n1=shape1_direct, shape_n2=shape2_direct)
-    return assoc, entries
+        ("twin-weingarten-tangency", "sec-2-twin", lambda: (
+            tuple(p for parts in assoc.parts[1:] for p in parts[1:]), (zero_form,) * 4,
+            "the derivatives of both normals are purely tangent")),
+        ("twin-connection-formula", "eq-2.11", lambda: (
+            gamma_formula, assoc.conn.gamma,
+            "the twin connection equals the induced connection plus the "
+            "radical correction term")),
+        ("twin-connection-koszul", "eq-2.11", lambda: (
+            levi_civita(f.tangent_algebra, assoc.metric).gamma, assoc.conn.gamma,
+            "the Koszul formula for the restricted twin metric returns the "
+            "same connection")),
+        ("twin-second-form-one", "eq-2.12", lambda: (
+            assoc.h1, obj.b_form.scale(inv_mu), "h1 = (1/mu) B")),
+        ("twin-second-form-two", "eq-2.12", lambda: (
+            assoc.h2, (obj.b_form + b_phi).scale(-inv_mu), "h2 = -(1/mu)(B + B(., phi P.))")),
+        ("twin-shape-one", "eq-2.12", lambda: (
+            assoc.shape_n1, phi_rad.scale(-inv_mu), "A~_N1 = -(1/mu) phi A*_xi")),
+        ("twin-shape-two", "eq-2.12", lambda: (
+            assoc.shape_n2, (obj.shape_rad - phi_rad).scale(inv_mu),
+            "A~_N2 = (1/mu)(A*_xi - phi A*_xi)")),
+        ("twin-h1-symmetric", "sec-2-twin", lambda: (
+            assoc.h1, assoc.h1.permute((1, 0)), "h1 is symmetric")),
+        ("twin-h2-symmetric", "sec-2-twin", lambda: (
+            assoc.h2, assoc.h2.permute((1, 0)), "h2 is symmetric")),
+        ("twin-shape-duality", "sec-2-twin", lambda: (
+            (assoc.h1, assoc.h2), (gt_form.pull_slots(assoc.shape_n1, (0,)),
+                                   -gt_form.pull_slots(assoc.shape_n2, (0,))),
+            "h1(X, Y) = g~(A~_N1 X, Y) and h2(X, Y) = -g~(A~_N2 X, Y)")),
+    ))
 
 
 def tilde_curvature(f: SubmanifoldFrame, assoc: AssociatedObjects) -> CurvatureTensor:

@@ -34,24 +34,8 @@ class InvalidFrame(GeometryError):
     dependent tangent vectors."""
 
 
-class NotRSTHL(GeometryError):
-    """phi of the radical generator does not span the screen transversal."""
-
-
-class NotAscreen(GeometryError):
-    """The structure vector has a component outside Rad(TM) + ltr(TM)."""
-
-
 class MuZero(GeometryError):
     """The scalar mu extracted from the frame vanishes."""
-
-
-class DecompositionInconsistent(GeometryError):
-    """A Gauss-Weingarten split produced components that violate its frame."""
-
-
-class CrossCheckMismatch(GeometryError):
-    """Two independent constructions of the same object disagree."""
 
 
 class NotEtaEinstein(GeometryError):

@@ -22,13 +22,9 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import (
-    DecompositionInconsistent,
     InconsistentSystem,
     InvalidFrame,
-    MuZero,
-    NotAscreen,
     NotEtaEinstein,
-    NotRSTHL,
     UnderdeterminedSystem,
 )
 from .liegeom import (
@@ -38,7 +34,7 @@ from .liegeom import (
     curvature,
     derivation_action,
 )
-from .report import FAIL, CheckEntry, compare, passed, skipped
+from .report import CheckEntry, compare, skipped
 from .scalars import HALF, ONE, RationalFunction, ZERO
 from .structure import CurvaturePair, LieModel
 from .tensors import (
@@ -67,7 +63,7 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     g(N, N) = 0.  The linear conditions leave a line N0 + t*rad; the
     quadratic one is then linear in t because rad is null.
 
-    The first three conditions of ``validate_frame`` make the linear
+    The first three of the ``frame_conditions`` make the linear
     system consistent with exactly that line as its kernel: the screen, L
     and rad are independent (the tangent vectors are, and L is unit and
     orthogonal to all of them), g is nondegenerate, and rad is null and
@@ -134,7 +130,7 @@ class SubmanifoldFrame:
     The constructor checks the shape only: label count, reserved and
     distinct labels, dimension and independent tangent vectors.  The four
     conditions of the half lightlike splitting and the closure of the
-    brackets are decided once, as the entries of ``validate_frame``.  N,
+    brackets are decided once, as the ``frame_conditions``.  N,
     the splitting, eta, eta-bar and the tangent algebra are built on first
     read, which comes after those entries pass: g(N, xi) = 1 puts N
     outside the span of the tangent space and L, and g(L, L) = +-1 with L
@@ -240,14 +236,17 @@ class SubmanifoldFrame:
     @cached_property
     def phi_pairing(self) -> MultilinearForm:
         """Table of g(T_a, phi T_b) over the tangent basis."""
-        g = self.model.metric.form
-        return self.restrict(g.pull_slots(self.model.structure.phi, (1,)))
+        return self.restrict(self.model.structure.g_phi)
 
     @cached_property
     def phi_phi_pairing(self) -> MultilinearForm:
         """Table of g(phi T_a, phi T_b) over the tangent basis."""
-        g = self.model.metric.form
-        return self.restrict(g.pull_all(self.model.structure.phi))
+        return self.restrict(self.model.structure.g_phi_phi)
+
+    @cached_property
+    def twin_form(self) -> MultilinearForm:
+        """Table of the twin metric g(T_a, phi T_b) + eta(T_a) eta(T_b)."""
+        return self.phi_pairing + outer(self.eta_bar, self.eta_bar)
 
 
 def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
@@ -256,102 +255,81 @@ def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
                             rad, l_vec, n_vec)
 
 
-def validate_frame(f: SubmanifoldFrame) -> list[CheckEntry]:
-    """The half lightlike splitting and the closure of the brackets, each
-    decided once, in catalog order.  Each condition reads what the ones
-    before it certify (N is solved on a certified frame, the brackets are
-    split with N), so the entries after the first failure are skipped,
-    naming it."""
+def frame_conditions(f: SubmanifoldFrame) -> tuple:
+    """The half lightlike splitting and the closure of the brackets, in
+    catalog order.  Each condition reads what the ones before it certify
+    (N is solved on a certified frame, the brackets are split with N), so
+    the suite decides each as a blocking step."""
     g = f.model.metric
     tf = f.tangent_frame
     zero_form = MultilinearForm.zero(tf, 1)
-    screen_gram = [row[:-1] for row in f.induced_form.rows()[:-1]]
-    conditions = (
-        ("radical-isotropy", "sec-2-splitting",
-         "the radical direction is orthogonal to the whole tangent space",
-         lambda: (f.induced_form.cell(f.radical_index), zero_form)),
-        ("screen-nondegeneracy", "sec-2-splitting",
-         "the induced metric restricts without kernel to the screen",
-         lambda: (not determinant(screen_gram).is_zero(), True)),
+    anchor = "sec-2-splitting"
+    return (
+        ("radical-isotropy", anchor, lambda: (
+            f.induced_form.cell(f.radical_index), zero_form,
+            "the radical direction is orthogonal to the whole tangent space")),
+        ("screen-nondegeneracy", anchor, lambda: (
+            not determinant([row[:-1] for row in f.induced_form.rows()[:-1]]).is_zero(),
+            True, "the induced metric restricts without kernel to the screen")),
         # L is a unit normal: g(L, L) = +-1 and g(L, T_a) = 0
-        ("transversal-normalization", "sec-2-splitting", f"g(L, L) = {f.epsilon}",
-         lambda: ((f.epsilon * f.epsilon, f.restrict(g.lower(f.l_vec))),
-                  (ONE, zero_form))),
+        ("transversal-normalization", anchor, lambda: (
+            (f.epsilon * f.epsilon, f.restrict(g.lower(f.l_vec))), (ONE, zero_form),
+            f"g(L, L) = {f.epsilon}")),
         # g(N, T_a) is 1 on xi and 0 on the screen
-        ("transversal-duality", "sec-2-splitting",
-         "N is null, pairs to 1 with the radical and annihilates screen and L",
-         lambda: ((f.eta, g.value(f.n_vec, f.n_vec), g.value(f.n_vec, f.l_vec)),
-                  (f.radical_tangent(), ZERO, ZERO))),
-        ("tangent-closure", "plumbing", "brackets of tangent vectors stay tangent",
-         lambda: (f.bracket_parts[1:], (MultilinearForm.zero(tf, 2),) * 2)),
+        ("transversal-duality", anchor, lambda: (
+            (f.eta, g.value(f.n_vec, f.n_vec), g.value(f.n_vec, f.l_vec)),
+            (f.radical_tangent(), ZERO, ZERO),
+            "N is null, pairs to 1 with the radical and annihilates screen and L")),
+        ("tangent-closure", anchor, lambda: (
+            f.bracket_parts[1:], (MultilinearForm.zero(tf, 2),) * 2,
+            "brackets of tangent vectors stay tangent")),
     )
-    entries, blocker = [], None
-    for name, anchor, detail, sides in conditions:
-        if blocker:
-            entries.append(skipped(name, anchor, blocker))
-            continue
-        entries.append(compare(name, anchor, *sides(), detail))
-        if entries[-1].status == FAIL:
-            blocker = f"blocked by {name} (fail)"
-    return entries
 
 
-def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, list[CheckEntry]]:
-    """Certify the defining conditions and return the invariant mu.
-
-    Raises NotRSTHL, NotAscreen or MuZero when the frame cannot carry the
-    structure at all; milder defects are reported as failing entries.
-    """
+def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, tuple]:
+    """The invariant mu and the conditions of sec-2-ascreen, in catalog
+    order, as (preconditions, conditions).  The frame conditions certify
+    that L is a unit normal orthogonal to the tangent space and to N, so
+    phi(xi) = mu L gives mu = eps g(phi(xi), L) without a solve.
+    radical-phi-image compares phi(xi) with mu L and requires mu != 0; it
+    is the one precondition of the other nine, which divide by mu."""
     s = f.model.structure
     phi_xi = s.phi.apply(f.rad)
-    if phi_xi.is_zero():
-        raise NotRSTHL("the structure operator kills the radical direction")
-    # transversal-normalization has certified that L is unit, so nonzero
-    try:
-        (mu,) = solve_combination(phi_xi, f.l_vec)
-    except InconsistentSystem as exc:
-        raise NotRSTHL(
-            "the image of the radical is not the screen transversal line") from exc
-    if mu.is_zero():
-        raise MuZero("the proportionality factor mu vanishes")
-
-    coeffs = f.splitting.coefficients(s.xi_bar)
-    if any(not c.is_zero() for c in coeffs[:f.dim - 1] + coeffs[f.dim + 1:]):
-        raise NotAscreen(
-            "the distinguished vector field leaves the plane spanned by the "
-            "radical and its null transversal")
-
+    mu = f.epsilon * f.model.metric.value(phi_xi, f.l_vec)
+    half_inv = None if mu.is_zero() else ONE / (mu + mu)
     anchor = "sec-2-ascreen"
-    half_inv = ONE / (mu + mu)
-    # phi(S_a) against its screen part: the residual is its part along
-    # the radical and the two transversals
-    images = tuple(s.phi.apply(v) for v in f.screen)
+    # phi(S_a) against its screen part: the residual is its part along the
+    # radical and the two transversals
     phi_t = f.phi_parts[0]
     screen_parts = tuple(
         sum((v.scale(phi_t.entry(a, c)) for c, v in enumerate(f.screen)),
             MultilinearForm.zero(f.model.frame, 1))
         for a in range(len(f.screen)))
-    entries = [
-        passed("radical-phi-image", anchor, f"phi(xi) = ({mu}) L"),
-        compare("reeb-split", anchor, s.xi_bar,
-                f.rad.scale(half_inv) + f.n_vec.scale(mu),
-                "the distinguished field splits as (1/2mu) xi + mu N"),
-        compare("eta-of-radical", anchor, s.eta_bar.value(f.rad), mu, "eta(xi) = mu"),
-        compare("transversal-unit", anchor, f.epsilon, ONE, "g(L, L) = 1"),
-        compare("eta-of-transversal", anchor, s.eta_bar.value(f.l_vec), ZERO,
-                "eta(L) = 0"),
-        compare("eta-of-null-transversal", anchor, s.eta_bar.value(f.n_vec), half_inv,
-                "eta(N) = 1/(2 mu)"),
-        compare("phi-of-null-transversal", anchor, s.phi.apply(f.n_vec),
-                f.l_vec.scale(-half_inv), "phi(N) = -(1/2mu) L"),
-        compare("phi-of-transversal", anchor, s.phi.apply(f.l_vec),
-                f.n_vec.scale(mu) - f.rad.scale(half_inv), "phi(L) = -(1/2mu) xi + mu N"),
-        compare("screen-phi-invariance", anchor, images, screen_parts,
-                "the structure operator preserves the screen distribution"),
-        compare("eta-proportionality", anchor, f.eta_bar, f.eta.scale(mu),
-                "the restricted dual form equals mu times the transversal dual"),
-    ]
-    return mu, entries
+    return mu, ((
+        ("radical-phi-image", anchor, lambda: (
+            (phi_xi, mu.is_zero()), (f.l_vec.scale(mu), False), f"phi(xi) = ({mu}) L")),
+    ), (
+        ("reeb-split", anchor, lambda: (
+            s.xi_bar, f.rad.scale(half_inv) + f.n_vec.scale(mu),
+            "the distinguished field splits as (1/2mu) xi + mu N")),
+        ("eta-of-radical", anchor, lambda: (s.eta_bar.value(f.rad), mu, "eta(xi) = mu")),
+        ("transversal-unit", anchor, lambda: (f.epsilon, ONE, "g(L, L) = 1")),
+        ("eta-of-transversal", anchor, lambda: (
+            s.eta_bar.value(f.l_vec), ZERO, "eta(L) = 0")),
+        ("eta-of-null-transversal", anchor, lambda: (
+            s.eta_bar.value(f.n_vec), half_inv, "eta(N) = 1/(2 mu)")),
+        ("phi-of-null-transversal", anchor, lambda: (
+            s.phi.apply(f.n_vec), f.l_vec.scale(-half_inv), "phi(N) = -(1/2mu) L")),
+        ("phi-of-transversal", anchor, lambda: (
+            s.phi.apply(f.l_vec), f.n_vec.scale(mu) - f.rad.scale(half_inv),
+            "phi(L) = -(1/2mu) xi + mu N")),
+        ("screen-phi-invariance", anchor, lambda: (
+            tuple(s.phi.apply(v) for v in f.screen), screen_parts,
+            "the structure operator preserves the screen distribution")),
+        ("eta-proportionality", anchor, lambda: (
+            f.eta_bar, f.eta.scale(mu),
+            "the restricted dual form equals mu times the transversal dual")),
+    ))
 
 
 class InducedObjects:
@@ -403,11 +381,8 @@ def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedOb
     gamma, b_form, d_form = f.splitting.split(ambient_conn.gamma)
     conn = Connection(tf, gamma)
     along_n, tau, rho = f.splitting.split(ambient_conn.derivative(f.n_vec))
-    along_l, phi_form, l_part = f.splitting.split(ambient_conn.derivative(f.l_vec))
-    if not l_part.is_zero():
-        raise DecompositionInconsistent(
-            "the derivative of L has an L component, the ambient "
-            "connection is not metric")
+    # the L part of nabla_X L is eps g(nabla_X L, L) = (eps/2) X g(L, L) = 0
+    along_l, phi_form, _ = f.splitting.split(ambient_conn.derivative(f.l_vec))
     shape_n, shape_l = -along_n, -along_l
 
     rad = f.radical_index
@@ -531,30 +506,24 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
 
 
 class UmbilicityReport:
-    """Proportionality factors of the fundamental forms against the metric."""
+    """Proportionality factors of the fundamental forms against the metric,
+    and the umbilicity classes they decide."""
 
-    __slots__ = ("beta", "delta", "gamma_screen", "mean_curvature",
-                 "totally_geodesic", "totally_umbilical", "proper_totally_umbilical",
-                 "screen_totally_geodesic", "screen_umbilical",
-                 "proper_screen_umbilical")
-
-    def __init__(self, beta: Optional[RationalFunction],
-                 delta: Optional[RationalFunction],
-                 gamma_screen: Optional[RationalFunction],
-                 mean_curvature: Optional[MultilinearForm],
-                 totally_geodesic: bool, totally_umbilical: bool,
-                 proper_totally_umbilical: bool, screen_totally_geodesic: bool,
-                 screen_umbilical: bool, proper_screen_umbilical: bool):
-        self.beta = beta
-        self.delta = delta
-        self.gamma_screen = gamma_screen
-        self.mean_curvature = mean_curvature  # a vector
-        self.totally_geodesic = totally_geodesic
-        self.totally_umbilical = totally_umbilical
-        self.proper_totally_umbilical = proper_totally_umbilical
-        self.screen_totally_geodesic = screen_totally_geodesic
-        self.screen_umbilical = screen_umbilical
-        self.proper_screen_umbilical = proper_screen_umbilical
+    def __init__(self, f: SubmanifoldFrame, obj: InducedObjects):
+        g = f.induced_form
+        self.beta = proportionality_factor(obj.b_form, g)
+        self.delta = proportionality_factor(obj.d_form, g)
+        self.gamma_screen = proportionality_factor(obj.c_form, g)
+        self.totally_geodesic = obj.b_form.is_zero() and obj.d_form.is_zero()
+        self.totally_umbilical = self.beta is not None and self.delta is not None
+        self.mean_curvature = (  # a vector
+            f.n_vec.scale(self.beta) + f.l_vec.scale(self.delta)
+            if self.totally_umbilical else None)
+        self.proper_totally_umbilical = self.totally_umbilical and not self.totally_geodesic
+        self.screen_totally_geodesic = obj.c_form.is_zero()
+        self.screen_umbilical = self.gamma_screen is not None
+        self.proper_screen_umbilical = (self.screen_umbilical
+                                        and not self.screen_totally_geodesic)
 
     def describe(self) -> str:
         flags = []
@@ -586,23 +555,7 @@ def proportionality_factor(table: MultilinearForm, metric: MultilinearForm
 
 
 def umbilicity(f: SubmanifoldFrame, obj: InducedObjects) -> UmbilicityReport:
-    g = f.induced_form
-    beta = proportionality_factor(obj.b_form, g)
-    delta = proportionality_factor(obj.d_form, g)
-    gamma_screen = proportionality_factor(obj.c_form, g)
-    mean = None
-    if beta is not None and delta is not None:
-        mean = f.n_vec.scale(beta) + f.l_vec.scale(delta)
-    tg = obj.b_form.is_zero() and obj.d_form.is_zero()
-    tu = beta is not None and delta is not None
-    stg = obj.c_form.is_zero()
-    return UmbilicityReport(
-        beta=beta, delta=delta, gamma_screen=gamma_screen, mean_curvature=mean,
-        totally_geodesic=tg, totally_umbilical=tu,
-        proper_totally_umbilical=tu and not tg,
-        screen_totally_geodesic=stg,
-        screen_umbilical=gamma_screen is not None,
-        proper_screen_umbilical=gamma_screen is not None and not stg)
+    return UmbilicityReport(f, obj)
 
 
 def screen_umbilical_entries(f: SubmanifoldFrame, obj: InducedObjects,

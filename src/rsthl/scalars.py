@@ -549,6 +549,11 @@ MAX_POWER_DEGREE = 1000
 MAX_GCD_DEGREE = 60
 MAX_GCD_SIZE = 4096
 
+# A product or power of multi-term values has at most this degree times
+# coefficient bits: schoolbook multiplication takes time that grows with
+# both.  (mu+1)^1000 is 1,000,000 and (2^4*mu+1)^1000 5,000,000.
+MAX_PRODUCT_SIZE = 2_000_000
+
 
 class _Parser:
     """Recursive-descent parser for the expression grammar.
@@ -652,13 +657,17 @@ class _Parser:
 
 def _check_power(base: RationalFunction, exponent: int, pos: int) -> None:
     """Reject base^(+-exponent) before computing it when its degree is over
-    MAX_POWER_DEGREE or a coefficient of it has more digits than ``str``
-    prints.  The power raises the leading and trailing coefficients of num
-    and den exactly to the exponent, so each of them gives a lower bound."""
+    MAX_POWER_DEGREE, a multi-term base makes it over MAX_PRODUCT_SIZE, or
+    a coefficient of it has more digits than ``str`` prints.  The power
+    raises the leading and trailing coefficients of num and den exactly to
+    the exponent, so each of them gives a lower bound."""
     degree = exponent * (max(len(base.num), len(base.den)) - 1)
     if degree > MAX_POWER_DEGREE:
         raise ScalarParseError(
             f"a power of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
+    if base.num and base._k is None:
+        bits = exponent * max(abs(c).bit_length() for c in base.num + base.den)
+        _check_size("power", degree, bits, pos)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     ends = (base.num[0], base.num[-1], base.den[0], base.den[-1]) if base.num else (0,)
     bits = exponent * (max(abs(c).bit_length() for c in ends) - 1)
@@ -676,7 +685,8 @@ def _check_operation(op: str, a: RationalFunction, b: RationalFunction,
     """Reject a op b before computing it when the numerator or denominator
     it forms is of degree over MAX_POWER_DEGREE, or when both are of
     degree 1 or more, so that the constructor takes their gcd, and over
-    MAX_GCD_DEGREE or MAX_GCD_SIZE.  Two single terms never take the gcd."""
+    MAX_GCD_DEGREE or MAX_GCD_SIZE, or when it multiplies two multi-term
+    values over MAX_PRODUCT_SIZE.  Two single terms never take the gcd."""
     if not (a.num and b.num):
         return
     parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
@@ -687,20 +697,33 @@ def _check_operation(op: str, a: RationalFunction, b: RationalFunction,
     if degree > MAX_POWER_DEGREE:
         raise ScalarParseError(
             f"a {name} of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
-    if (not num or not den or a._k is not None and b._k is not None
-            and (op in "*/" or a._k == b._k)):
+    product = op in "*/" and a._k is None and b._k is None
+    gcd = num and den and not (a._k is not None and b._k is not None
+                               and (op in "*/" or a._k == b._k))
+    if not (product or gcd):
         return
-    if degree > MAX_GCD_DEGREE:
+    if gcd and degree > MAX_GCD_DEGREE:
         raise ScalarParseError(
             f"a {name} of degree {degree} to reduce by the polynomial gcd is over "
             f"the bound of {MAX_GCD_DEGREE}", pos)
     bits = max(_formed(op, same_den, 1, *(
         max(abs(c).bit_length() for c in cs) for cs in parts)))
-    if degree * bits > MAX_GCD_SIZE:
+    if gcd and degree * bits > MAX_GCD_SIZE:
         raise ScalarParseError(
             f"a {name} of degree {degree} with {bits}-bit coefficients to reduce by "
             f"the polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree "
             f"times bits", pos)
+    if product:
+        _check_size(name, degree, bits, pos)
+
+
+def _check_size(name: str, degree: int, bits: int, pos: int) -> None:
+    """Reject a product or power of multi-term values whose degree times
+    coefficient bits is over MAX_PRODUCT_SIZE."""
+    if degree * bits > MAX_PRODUCT_SIZE:
+        raise ScalarParseError(
+            f"a {name} of degree {degree} with {bits}-bit coefficients is over the "
+            f"bound of {MAX_PRODUCT_SIZE} on degree times bits", pos)
 
 
 def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,

@@ -49,6 +49,21 @@ class ACBMStructure:
         return (self.frame.dimension - 1) // 2
 
     @cached_property
+    def g_phi(self) -> MultilinearForm:
+        """g_bar(X, phi Y)."""
+        return self.metric.form.pull_slots(self.phi, (1,))
+
+    @cached_property
+    def g_phi_phi(self) -> MultilinearForm:
+        """g_bar(phi X, phi Y)."""
+        return self.metric.form.pull_all(self.phi)
+
+    @cached_property
+    def eta_eta(self) -> MultilinearForm:
+        """eta_bar(X) eta_bar(Y)."""
+        return outer(self.eta_bar, self.eta_bar)
+
+    @cached_property
     def g_tilde(self) -> InvariantMetric:
         """The associated B-metric."""
         return associated_metric(self)
@@ -103,8 +118,7 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
                        MultilinearForm.zero(frame, 1), "phi(xi_bar) = 0"),
         report.compare("phi-rank", anchor, rank, 2 * n,
                        f"rank phi = {rank}, expected {2 * n}"),
-        report.compare("b-metric", anchor, g.form.pull_all(s.phi) + g.form,
-                       outer(s.eta_bar, s.eta_bar),
+        report.compare("b-metric", anchor, s.g_phi_phi + g.form, s.eta_eta,
                        "g(phi X, phi Y) = -g(X, Y) + eta_bar(X) eta_bar(Y)"),
         report.compare("eta-is-metric-dual", anchor, s.eta_bar, g.lower(s.xi_bar),
                        "eta_bar(X) = g(X, xi_bar)"),
@@ -117,16 +131,15 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
 
 def associated_metric(s: ACBMStructure) -> InvariantMetric:
     """g_tilde(X, Y) = g_bar(X, phi Y) + eta_bar(X) eta_bar(Y)."""
-    return InvariantMetric(s.metric.form.pull_slots(s.phi, (1,))
-                           + outer(s.eta_bar, s.eta_bar))
+    return InvariantMetric(s.g_phi + s.eta_eta)
 
 
 def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
     """g_tilde(X, phi Y) + eta_bar(X) eta_bar(Y) = -g_bar(X,Y) + 2 eta_bar eta_bar."""
-    ee = outer(s.eta_bar, s.eta_bar)
     return report.compare(
         "associated-metric-twist", "sec-2-structure",
-        s.g_tilde.form.pull_slots(s.phi, (1,)) + ee, ee.scale(2) - s.metric.form,
+        s.g_tilde.form.pull_slots(s.phi, (1,)) + s.eta_eta,
+        s.eta_eta.scale(2) - s.metric.form,
         "twisting the associated metric recovers -g_bar + 2 eta_bar^2")
 
 
@@ -150,8 +163,7 @@ def constant_curvature_form(s: ACBMStructure, pair: CurvaturePair) -> Multilinea
     tensor A, respectively B.
     """
     nu, nu_tilde = pair.nu, pair.nu_tilde
-    g_phi = s.metric.form.pull_slots(s.phi, (1,))
-    g_2 = s.metric.form.pull_all(s.phi)
+    g_phi, g_2 = s.g_phi, s.g_phi_phi
     g_phi_2 = g_phi.pull_all(s.phi)
     return (curvature_product(g_2.scale(nu), g_2)
             - curvature_product(g_phi.scale(nu), g_phi)

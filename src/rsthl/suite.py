@@ -7,7 +7,8 @@ stage aggregates the five equivalent assertions.  A suite runs the stages
 up to the last one it reports and builds only the geometry their steps
 read.  Geometry exceptions never escape a stage; they become failing
 entries, and the steps whose inputs are gone report one skipped entry
-each, naming the first failing entry that blocked them.
+each, naming the first failing entry that blocked them.  The frame,
+ascreen and twin conditions are the steps of a stage of their own.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ class Geometry:
 
     @cached_property
     def certification(self):
-        """The invariant mu and the certification entries."""
+        """The invariant mu and the conditions of sec-2-ascreen."""
         return lightlike.certify_ascreen_rsthl(self.frame)
 
-    @property
+    @cached_property
     def mu(self):
         return self.certification[0]
 
@@ -157,7 +158,7 @@ class Geometry:
 
     @cached_property
     def twin(self):
-        """The twin geometry and the entries of its three-route build."""
+        """The twin geometry and the conditions of its three-route build."""
         return associated.build_associated(self.frame, self.induced, self.mu,
                                            self.conn)
 
@@ -193,7 +194,9 @@ def _solved(solve, error):
 class _Stage:
     """Ordered steps with blocking: a step that blows up fails and all
     later steps of the stage degrade to one skipped entry each, whose
-    reason names the first failing entry of the blocking step."""
+    reason names the first failing entry of the blocking step.  A step
+    may return a stage of its own: its entries join this one, and it
+    blocks this stage where it blocked itself."""
 
     def __init__(self, blocker: Optional[str] = None):
         self.entries: list[report.CheckEntry] = []
@@ -209,10 +212,26 @@ class _Stage:
             new = fn()
         except GeometryError as exc:
             new, block_on_fail = [report.failed(name, anchor, str(exc))], True
+        if isinstance(new, _Stage):
+            self.entries.extend(new.entries)
+            self.blocker = new.blocker
+            return
         self.entries.extend(new)
         failed = [e for e in new if e.status == report.FAIL]
         if block_on_fail and failed:
             self.blocker = f"blocked by {failed[0].name} (fail)"
+
+
+def decided(preconditions, conditions=()) -> _Stage:
+    """Each condition (name, anchor, sides) as one step of a new stage: the
+    entry ``report.compare`` makes of the got, want and statement that
+    sides() returns.  A precondition blocks the steps after it; the other
+    conditions block nothing."""
+    st = _Stage()
+    for group, blocks in ((preconditions, True), (conditions, False)):
+        for name, anchor, sides in group:
+            st.run(name, anchor, lambda: [report.compare(name, anchor, *sides())], blocks)
+    return st
 
 
 def _ambient_stage(geo: Geometry) -> _Stage:
@@ -313,9 +332,10 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
         st.run(name, anchor, step)
 
     st.run("submanifold-frame", "sec-2-splitting",
-           lambda: lightlike.validate_frame(geo.frame), block_on_fail=True)
+           lambda: decided(lightlike.frame_conditions(geo.frame)))
+    # any failure among the ten conditions blocks the stage
     st.run("ascreen-certification", "sec-2-ascreen",
-           lambda: geo.certification[1], block_on_fail=True)
+           lambda: decided(*geo.certification[1]).entries, block_on_fail=True)
     st.run("gauss-weingarten", "sec-2-induced",
            lambda: lightlike.induced_invariant_entries(geo.frame, geo.induced))
     st.run("structure-transfer", "eq-2.7",
@@ -369,7 +389,7 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
     st.run("umbilical-flatness", "cor-4.3",
            lambda: [associated.umbilical_flatness_entry(
                geo.umbilicity, geo.curv_ind, geo.curv)])
-    st.run("twin-geometry", "thm-1.1", lambda: geo.twin[1])
+    st.run("twin-geometry", "thm-1.1", lambda: decided(*geo.twin[1]))
     st.run("twin-curvature-transfer", "eq-13",
            lambda: [associated.tilde_relation_13_entry(
                geo.frame, geo.induced, geo.mu, geo.curv_ind, geo.tcurv)])

@@ -22,14 +22,15 @@ from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
                            ricci_action)
 from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, curvature_form_19_entry,
+                             frame_conditions,
                              eta_einstein_solve, gamma_identity_18_entry,
                              gauss_relation_entry, gauss_weingarten,
                              induced_curvature, ricci_form_20_entry,
-                             semisym_23_entry, umbilicity, validate_frame)
+                             semisym_23_entry, umbilicity)
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (CurvaturePair, LieModel, associated_metric,
                              constant_curvature_form, fundamental_tensor)
-from rsthl.suite import run_suite
+from rsthl.suite import decided, run_suite
 from rsthl.tensors import Frame, MultilinearForm
 
 
@@ -106,9 +107,9 @@ def test_criterion_04_frame_reconstruction_and_certification(
         ("reeb field splits as xi/(2 mu) + mu N",
          s.xi_bar == f.rad.scale(half) + f.n_vec.scale(MU)),
         ("all certification entries pass",
-         all(e.status == "pass" for e in cert)),
+         all(e.status == "pass" for e in decided(*cert).entries)),
         ("all frame validation entries pass",
-         all(e.status == "pass" for e in validate_frame(f))),
+         all(e.status == "pass" for e in decided(frame_conditions(f)).entries)),
         ("all structure transfer entries pass",
          all(e.status == "pass" for e in ascreen_f0_entries(f, obj, value))),
     ]
@@ -161,7 +162,7 @@ def test_criterion_06_eta_einstein_structure(frame, iric):
 
 def test_criterion_07_twin_metric_geometry(frame, induced, mu, ambient_conn,
                                            twin, tric):
-    _, entries = build_associated(frame, induced, mu, ambient_conn)
+    entries = decided(*build_associated(frame, induced, mu, ambient_conn)[1]).entries
     by_name = {e.name: e for e in entries}
     expected = twin.metric.form.scale(rf(-8))
     checks = [

@@ -4,7 +4,7 @@ and the equivalence aggregate, on the worked model and on a flat variant."""
 
 import pytest
 
-from rsthl.associated import (build_associated, curvature_transfer_entry,
+from rsthl.associated import (curvature_transfer_entry,
                               einstein_solve, geodesic_correspondence_entries,
                               semisym_24_entry, theorem_aggregate,
                               theorem_entries,
@@ -15,7 +15,7 @@ from rsthl.errors import NotEinstein
 from rsthl.liegeom import LieAlgebra, curvature, ricci_action
 from rsthl.lightlike import eta_einstein_solve
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.suite import Geometry
+from rsthl.suite import Geometry, decided
 from rsthl.tensors import MultilinearForm
 
 from conftest import replaced
@@ -35,8 +35,8 @@ def tangent(frame, entries):
     return MultilinearForm.from_map(frame.tangent_frame, entries)
 
 
-def test_build_associated_entries(frame, induced, mu, ambient_conn):
-    _, entries = build_associated(frame, induced, mu, ambient_conn)
+def test_build_associated_entries(geometry):
+    entries = decided(*geometry.twin[1]).entries
     assert tuple(e.name for e in entries) == BUILD_NAMES
     assert all(e.status == "pass" for e in entries)
     by_name = {e.name: e for e in entries}
@@ -201,7 +201,7 @@ def flat(model):
         model, algebra=LieAlgebra.from_table(model.frame, {})))
     return {"conn": geo.conn, "frame": geo.frame, "mu": geo.mu,
             "obj": geo.induced, "rep": geo.umbilicity, "assoc": geo.assoc,
-            "build_entries": geo.twin[1], "curv": geo.curv_ind,
+            "build_entries": decided(*geo.twin[1]).entries, "curv": geo.curv_ind,
             "ric": geo.curv_ind.ricci, "tcurv": geo.tcurv,
             "tric": geo.tcurv.ricci, "pair": geo.pair}
 

@@ -7,22 +7,26 @@ import pytest
 
 from rsthl.builtin import example_model
 from rsthl.cli import main
-from rsthl.errors import InvalidFrame, NotAscreen, NotEtaEinstein, NotRSTHL
+from rsthl.errors import InvalidFrame, NotEtaEinstein
 from rsthl.liegeom import curvature, curvature_entries, ricci_action
-from rsthl.lightlike import (UmbilicityReport, ascreen_f0_entries, build_frame,
+from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              covariant_derivative, curvature_form_15_entry,
                              curvature_form_19_entry, eta_einstein_solve,
+                             frame_conditions,
                              gamma_identity_18_entry, gauss_relation_entry,
                              induced_invariant_entries, nu_tilde_vanishes_entry,
                              proportionality_factor,
                              ricci_form_20_entry, ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
-                             solve_transversal, umbilicity, validate_frame)
+                             solve_transversal, umbilicity)
 from rsthl.model import dumps_model, model_from_json_obj
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import ACBMStructure, LieModel
+from rsthl.suite import decided
 from rsthl.tensors import MultilinearForm
+
+from conftest import replaced
 
 CERTIFICATION_NAMES = (
     "radical-phi-image", "reeb-split", "eta-of-radical", "transversal-unit",
@@ -65,9 +69,9 @@ FRAME_NAMES = ("radical-isotropy", "screen-nondegeneracy",
 
 
 def assert_frame_fails(f, name, suffix):
-    """validate_frame fails the entry name with the residual suffix, and
-    skips every later entry, naming it."""
-    entries = validate_frame(f)
+    """The frame conditions fail the entry name with the residual suffix,
+    and skip every later entry, naming it."""
+    entries = decided(frame_conditions(f)).entries
     assert [e.name for e in entries] == list(FRAME_NAMES)
     at = FRAME_NAMES.index(name)
     assert [e.status for e in entries] == (
@@ -82,7 +86,7 @@ def test_explicit_transversal_is_verified(model, lm, frame):
     good = build_frame(lm, sub.screen_labels, sub.screen, sub.rad,
                        sub.l_vec, frame.n_vec)
     assert good.n_vec == frame.n_vec
-    assert all(e.status == "pass" for e in validate_frame(good))
+    assert all(e.status == "pass" for e in decided(frame_conditions(good)).entries)
     bad = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec,
                       ambient(model, {"X3": 1}))
     assert_frame_fails(bad, "transversal-duality",
@@ -90,7 +94,8 @@ def test_explicit_transversal_is_verified(model, lm, frame):
 
 
 def test_certification(frame, mu):
-    value, entries = certify_ascreen_rsthl(frame)
+    value, conditions = certify_ascreen_rsthl(frame)
+    entries = decided(*conditions).entries
     assert value == MU
     assert mu == MU
     assert tuple(e.name for e in entries) == CERTIFICATION_NAMES
@@ -98,7 +103,7 @@ def test_certification(frame, mu):
 
 
 def test_validate_frame(frame):
-    entries = validate_frame(frame)
+    entries = decided(frame_conditions(frame)).entries
     assert [e.name for e in entries] == [
         "radical-isotropy", "screen-nondegeneracy",
         "transversal-normalization", "transversal-duality", "tangent-closure"]
@@ -240,11 +245,9 @@ def test_screen_umbilical_entries(frame, induced, ureport, mu):
     entries = screen_umbilical_entries(frame, induced, ureport, mu)
     assert [e.name for e in entries] == ["n-shape-umbilic", "b-umbilic-multiple"]
     assert all(e.status == "pass" for e in entries)
-    bare = UmbilicityReport(
-        beta=None, delta=None, gamma_screen=None, mean_curvature=None,
-        totally_geodesic=False, totally_umbilical=False,
-        proper_totally_umbilical=False, screen_totally_geodesic=False,
-        screen_umbilical=False, proper_screen_umbilical=False)
+    # D is no multiple of g, so C = D is not screen umbilical
+    bare = umbilicity(frame, replaced(induced, c_form=induced.d_form))
+    assert bare.gamma_screen is None
     skips = screen_umbilical_entries(frame, induced, bare, mu)
     assert [e.status for e in skips] == ["skipped", "skipped"]
 
@@ -423,34 +426,52 @@ def modified_structure(lm, phi=None, xi_bar=None):
         xi_bar if xi_bar is not None else s.xi_bar, s.eta_bar, s.metric))
 
 
-def test_not_rsthl_when_radical_image_leaves_the_line(model, lm):
+def certification_with(model, lm, **changes):
+    """The decided sec-2-ascreen entries of the worked frame under the
+    structure with phi or xi-bar changed."""
+    sub = model.submanifold
+    f = build_frame(modified_structure(lm, **changes), sub.screen_labels,
+                    sub.screen, sub.rad, sub.l_vec)
+    return decided(*certify_ascreen_rsthl(f)[1]).entries
+
+
+def phi_with_radical_image(model, lm, image):
     s = lm.structure
     cols = [s.phi.cell(j) for j in range(5)]
-    cols[model.frame.index("X3")] = ambient(model, {"X1": -1, "X2": -1})
-    bad_lm = modified_structure(
-        lm, phi=MultilinearForm.from_cells(model.frame, 2, cols.__getitem__))
-    sub = model.submanifold
-    f = build_frame(bad_lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-    with pytest.raises(NotRSTHL, match="not the screen transversal line"):
-        certify_ascreen_rsthl(f)
+    cols[model.frame.index("X3")] = image
+    return MultilinearForm.from_cells(model.frame, 2, cols.__getitem__)
+
+
+def assert_radical_phi_image_fails(entries, detail):
+    """radical-phi-image fails with the detail and skips the nine other
+    conditions, naming it."""
+    assert [e.name for e in entries] == list(CERTIFICATION_NAMES)
+    assert (entries[0].status, entries[0].detail) == ("fail", detail)
+    assert {(e.status, e.detail) for e in entries[1:]} == {
+        ("skipped", "blocked by radical-phi-image (fail)")}
+
+
+def test_not_rsthl_when_radical_image_leaves_the_line(model, lm):
+    # phi(xi) = mu (X1 + X2) has the part mu X2 off the line of L = X1
+    phi = phi_with_radical_image(model, lm, ambient(model, {"X1": -1, "X2": -1}))
+    assert_radical_phi_image_fails(
+        certification_with(model, lm, phi=phi),
+        "phi(xi) = (mu) L; the residual at (X2) is mu, 1 of 5 components nonzero")
 
 
 def test_not_rsthl_when_phi_kills_the_radical(model, lm):
-    s = lm.structure
-    cols = [s.phi.cell(j) for j in range(5)]
-    cols[model.frame.index("X3")] = MultilinearForm.zero(model.frame, 1)
-    bad_lm = modified_structure(
-        lm, phi=MultilinearForm.from_cells(model.frame, 2, cols.__getitem__))
-    sub = model.submanifold
-    f = build_frame(bad_lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-    with pytest.raises(NotRSTHL, match="kills the radical"):
-        certify_ascreen_rsthl(f)
+    # phi(xi) = 0 = 0 L, and mu = 0 is the truth value that fails
+    phi = phi_with_radical_image(model, lm, MultilinearForm.zero(model.frame, 1))
+    assert_radical_phi_image_fails(certification_with(model, lm, phi=phi),
+                                   "phi(xi) = (0) L")
 
 
 def test_not_ascreen_when_xi_bar_has_a_screen_part(model, lm):
-    bad_lm = modified_structure(
-        lm, xi_bar=ambient(model, {"X2": 1, "E": 1}))
-    sub = model.submanifold
-    f = build_frame(bad_lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-    with pytest.raises(NotAscreen):
-        certify_ascreen_rsthl(f)
+    # reeb-split is no precondition: it fails alone, and in a suite run it
+    # blocks the later steps (see test_screen_radical_mixing_breaks_ascreen)
+    entries = certification_with(model, lm, xi_bar=ambient(model, {"X2": 1, "E": 1}))
+    assert [(e.name, e.status) for e in entries] == [
+        (name, "fail" if name == "reeb-split" else "pass")
+        for name in CERTIFICATION_NAMES]
+    _, sep, residual = entries[1].detail.partition("; the residual")
+    assert sep + residual == "; the residual at (X2) is 1, 1 of 5 components nonzero"

@@ -420,8 +420,15 @@ def metric_model(entry: str) -> bytes:
      "metric.X1,X1: a product of degree 2000 is over the bound of 1000"),
     (metric_model("(mu+1)^60/(mu+2)^60 + (mu+3)^60/(mu+4)^60"),
      "metric.X1,X1: a quotient of degree 60 with 93-bit coefficients to reduce"),
+    (metric_model("(2^12*mu+1)^1000"),
+     "metric.X1,X1: a power of degree 1000 with 13000-bit coefficients is over"),
+    (metric_model("(2^8*mu+1)^500*(2^8*mu+3)^500"),
+     "metric.X1,X1: a power of degree 500 with 4500-bit coefficients is over"),
+    (metric_model("(2^4*mu+1)^1000"),
+     "metric.X1,X1: a power of degree 1000 with 5000-bit coefficients is over"),
 ], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power",
-        "high-degree-power", "huge-power", "high-degree-product", "large-gcd"])
+        "high-degree-power", "huge-power", "high-degree-product", "large-gcd",
+        "wide-power", "wide-product", "wide-small-power"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
     """Each is rejected before its value is built, in well under a second."""
     path = tmp_path / "model.json"

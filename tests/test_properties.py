@@ -12,6 +12,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from rsthl.builtin import example_model
+from rsthl.cli import main
 from rsthl.lightlike import Splitting
 from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
                            curvature_entries, koszul_entries, levi_civita,
@@ -365,12 +366,25 @@ def test_twin_signature_avoids_screen_poles():
         "screen signature at mu = 2 is (1, 1)"
 
 
-def test_screen_radical_mixing_breaks_ascreen():
+def test_screen_radical_mixing_breaks_ascreen(tmp_path, capsys):
+    """xi-bar leaves Rad + ltr: reeb-split fails with its residual, the
+    other sec-2-ascreen conditions are decided beside it, and every later
+    entry is skipped, naming it; ``rsthl check`` exits 1 without a
+    traceback."""
     rep = run_suite(screen_radical_mixing())
     assert not rep.ok
     failures = [e for e in rep.entries if e.status == "fail"]
-    assert [e.name for e in failures] == ["ascreen-certification"]
-    assert "leaves the plane" in failures[0].detail
+    assert failures[0].name == "reeb-split"
+    _, sep, residual = failures[0].detail.partition("; the residual")
+    assert sep + residual == "; the residual at (X2) is mu, 3 of 5 components nonzero"
+    assert {e.anchor for e in failures} == {"sec-2-ascreen"}
+    after = rep.entries[rep.entries.index(failures[-1]) + 1:]
+    assert {(e.status, e.detail) for e in after} == {
+        ("skipped", "blocked by reeb-split (fail)")}
+    path = tmp_path / "mixing.json"
+    path.write_text(dumps_model(screen_radical_mixing()), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_degenerate_metric_fails_cleanly():

@@ -14,6 +14,7 @@ from unittest import mock
 
 import pytest
 
+import test_properties
 from rsthl import associated, suite
 from rsthl.associated import (build_associated, tilde_form_21_entry,
                               tilde_relation_13_entry, tilde_ricci_14_entry,
@@ -25,13 +26,13 @@ from rsthl.liegeom import Connection, CurvatureTensor, InvariantMetric, LieAlgeb
 from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
-                             gauss_relation_entry, induced_invariant_entries,
-                             validate_frame)
+                             frame_conditions, gauss_relation_entry,
+                             induced_invariant_entries)
 from rsthl.report import FAIL
 from rsthl.scalars import ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
                              associated_compat_entry, validate_acbm)
-from rsthl.suite import run_suite
+from rsthl.suite import decided, run_suite
 from rsthl.tensors import MultilinearForm
 
 from conftest import replaced
@@ -69,14 +70,20 @@ def induced_with(geo, **changes):
     return replaced(geo.induced, **changes)
 
 
-def screen_phi_invariance(geo):
-    # phi(X2) = X4 + E moves the first screen vector off the screen
-    model = geo.model
-    lm = LieModel(geo.lie_model.algebra,
-                  with_phi_column(geo.structure, "X2", {"X4": 1, "E": 1}))
-    sub = model.submanifold
-    f = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-    return entry_named(certify_ascreen_rsthl(f)[1], "screen-phi-invariance")
+def frame_under(geo, structure):
+    """The worked frame over the structure changed by structure(s)."""
+    sub = geo.model.submanifold
+    lm = LieModel(geo.lie_model.algebra, structure(geo.structure))
+    return build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
+
+
+def certification(name, structure):
+    """The decided sec-2-ascreen entry name of the worked frame under the
+    structure changed by structure(s); radical-phi-image must pass."""
+    def case(geo):
+        f = frame_under(geo, structure)
+        return entry_named(decided(*certify_ascreen_rsthl(f)[1]).entries, name)
+    return case
 
 
 def vector(geo, entries):
@@ -84,29 +91,40 @@ def vector(geo, entries):
 
 
 def frame_condition(name, **changes):
-    """The entry name of ``validate_frame`` on the worked frame with the
-    given vectors (screen, rad, l_vec, n_vec) changed."""
+    """The decided frame condition name on the worked frame with the given
+    vectors (screen, rad, l_vec, n_vec) changed."""
     def case(geo):
         sub = geo.model.submanifold
         fields = dict(screen_labels=sub.screen_labels, screen=sub.screen,
                       rad=sub.rad, l_vec=sub.l_vec, n_vec=None)
         fields.update({k: fn(geo) for k, fn in changes.items()})
-        return entry_named(validate_frame(build_frame(geo.lie_model, **fields)), name)
+        f = build_frame(geo.lie_model, **fields)
+        return entry_named(decided(frame_conditions(f)).entries, name)
     return case
 
 
+def geometry_with(geo, **objects):
+    """A geometry of the worked model whose frame, mu, induced objects and
+    ambient connection are the worked ones, or the given ones."""
+    fresh = suite.Geometry(geo.model)
+    fresh.__dict__.update(frame=geo.frame, mu=geo.mu, induced=geo.induced,
+                          conn=geo.conn)
+    fresh.__dict__.update(objects)
+    return fresh
+
+
 def twin_entry(name, structure=None, mu=None, induced=None):
-    """The entry name of ``build_associated`` with the worked frame's
-    structure, the invariant mu or the induced objects changed."""
+    """The decided twin entry name with the worked frame's structure, the
+    invariant mu or the induced objects changed."""
     def case(geo):
-        f = geo.frame
+        objects = {}
         if structure:
-            sub = geo.model.submanifold
-            lm = LieModel(geo.lie_model.algebra, structure(geo.structure))
-            f = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
-        obj = induced(geo) if induced else geo.induced
-        _, entries = build_associated(f, obj, mu(geo) if mu else geo.mu, geo.conn)
-        return entry_named(entries, name)
+            objects["frame"] = frame_under(geo, structure)
+        if mu:
+            objects["mu"] = mu(geo)
+        if induced:
+            objects["induced"] = induced(geo)
+        return entry_named(decided(*geometry_with(geo, **objects).twin[1]).entries, name)
     return case
 
 
@@ -190,8 +208,8 @@ def twin_shape_duality(geo):
     frame = geo.model.frame
     x1, x2 = frame.index("X1"), frame.index("X2")
     conn = Connection(frame, bump_form(geo.conn.gamma, x2, x1, x2))
-    _, entries = build_associated(geo.frame, geo.induced, geo.mu, conn)
-    return entry_named(entries, "twin-shape-duality")
+    return entry_named(decided(*geometry_with(geo, conn=conn).twin[1]).entries,
+                       "twin-shape-duality")
 
 
 def curvature_transfer(geo):
@@ -264,33 +282,71 @@ CASES = {
         "twin-connection-formula",
         induced=lambda geo: induced_with(
             geo, conn=skewed_induced_connection(geo.induced))),
-    # -phi is a structure too; of the three connection routes only the
-    # Koszul one reads the g~ it changes
+    # phi(X2) = X2 + X4 keeps the five twin conditions; of the three
+    # connection routes only the Koszul one reads the g~ it changes
     "twin-connection-koszul": twin_entry(
         "twin-connection-koszul",
-        structure=lambda s: ACBMStructure(s.frame, -s.phi, s.xi_bar, s.eta_bar,
-                                          s.metric)),
+        structure=lambda s: with_phi_column(s, "X2", {"X2": 1, "X4": 1})),
     # eta-bar(L) = 1 adds 1 to g~(L, L) and to g~(xi-bar, L)
     "twin-normal-one-unit": twin_entry(
         "twin-normal-one-unit", structure=lambda s: with_eta(s, "X1")),
     "twin-normal-two-unit": twin_entry(
         "twin-normal-two-unit", mu=lambda geo: geo.mu * 2),
+    # phi(X3) = X3 adds 1 to g~(X1, X3), and N1 - N2 = X3
     "twin-normals-orthogonal": twin_entry(
-        "twin-normals-orthogonal", mu=lambda geo: geo.mu * 2),
+        "twin-normals-orthogonal",
+        structure=lambda s: with_phi_column(s, "X3", {"X3": 1})),
+    # eta-bar(X2) = 1 adds eta-bar(N_i) = 1 to g~(N_i, E1)
     "twin-normals-transverse": twin_entry(
-        "twin-normals-transverse", mu=lambda geo: geo.mu * 2),
+        "twin-normals-transverse", structure=lambda s: with_eta(s, "X2")),
+    # phi(X2) = 0 puts the screen vector E1 into the kernel of g~
+    "twin-metric-nondegenerate": twin_entry(
+        "twin-metric-nondegenerate",
+        structure=lambda s: with_phi_column(s, "X2", {})),
+    # as for twin-normals-transverse, with phi(X2) = X4 + X1 and
+    # phi(X1) = X3 + X2 cancelling the added g~(N_i, E1) and keeping g~
+    # symmetric, so only g~(xi, E1) = mu is left
     "twin-splitting-orthogonal": twin_entry(
-        "twin-splitting-orthogonal", structure=lambda s: with_eta(s, "X2")),
-    # g~(xi, xi) = -mu^2: phi(E) = -X3 and phi(X3) = -X1 + E keep g~ symmetric
+        "twin-splitting-orthogonal",
+        structure=lambda s: with_phi_columns(with_eta(s, "X2"), {
+            "X2": {"X4": 1, "X1": 1}, "X1": {"X3": 1, "X2": 1}})),
+    # phi(E) = -2 X1 - 2 E gives g~(xi, xi) = g(xi, phi xi) + mu^2 = -mu^2
     "twin-radical-spacelike": twin_entry(
         "twin-radical-spacelike",
-        structure=lambda s: with_phi_columns(s, {"E": {"X3": -1},
-                                                 "X3": {"X1": -1, "E": 1}})),
+        structure=lambda s: with_phi_column(s, "E", {"X1": -2, "E": -2})),
     # phi = +-Id on the screen makes g~ definite there
     "twin-screen-signature": twin_entry(
         "twin-screen-signature",
         structure=lambda s: with_phi_columns(s, {"X2": {"X2": 1}, "X4": {"X4": -1}})),
-    "screen-phi-invariance": screen_phi_invariance,
+    # phi(xi) = mu (X1 + X2) leaves the line of L = X1
+    "radical-phi-image": certification(
+        "radical-phi-image", lambda s: with_phi_column(s, "X3", {"X1": -1, "X2": -1})),
+    # the model file whose screen vector E1 = X2 + xi moves N off the plane
+    # of xi and xi-bar, run through the whole suite
+    "reeb-split": lambda geo: entry_named(
+        run_suite(test_properties.screen_radical_mixing(), "submanifold").entries,
+        "reeb-split"),
+    # eta-bar(X3) = 1 moves eta-bar(xi) by -mu and eta-bar(N) by 1/(2 mu)
+    "eta-of-radical": certification("eta-of-radical", lambda s: with_eta(s, "X3")),
+    "eta-of-null-transversal": certification(
+        "eta-of-null-transversal", lambda s: with_eta(s, "X3")),
+    # g(X1, X1) = -1 makes L = X1 timelike, and mu = eps g(phi xi, L) stays mu
+    "transversal-unit": certification(
+        "transversal-unit",
+        lambda s: ACBMStructure(s.frame, s.phi, s.xi_bar, s.eta_bar,
+                                InvariantMetric.diagonal(s.frame, (-1, 1, -1, -1, 1)))),
+    "eta-of-transversal": certification("eta-of-transversal", lambda s: with_eta(s, "X1")),
+    # phi(E) = X2 and phi(X3) = X2 - X1 keep phi(xi) = mu L and move phi(N)
+    "phi-of-null-transversal": certification(
+        "phi-of-null-transversal",
+        lambda s: with_phi_columns(s, {"E": {"X2": 1}, "X3": {"X1": -1, "X2": 1}})),
+    "phi-of-transversal": certification(
+        "phi-of-transversal", lambda s: with_phi_column(s, "X1", {"X3": 1, "X2": 1})),
+    "eta-proportionality": certification(
+        "eta-proportionality", lambda s: with_eta(s, "X2")),
+    "screen-phi-invariance": certification(
+        "screen-phi-invariance",
+        lambda s: with_phi_column(s, "X2", {"X4": 1, "E": 1})),
     "radical-shape-self-adjoint": induced_invariant(
         "radical-shape-self-adjoint",
         shape_rad=lambda obj: bump_form(obj.shape_rad, 1, 0)),
@@ -340,16 +396,31 @@ SUFFIXES = {
     "twin-connection-formula":
         "; the residual at (E1, E1, E1) is 1, 1 of 27 components nonzero",
     "twin-connection-koszul":
-        "; the residual at (E1, E2, xi) is -4/(mu), 2 of 27 components nonzero",
+        "; the residual at (E1, E1, xi) is -2/(mu), 1 of 27 components nonzero",
     "twin-normal-one-unit": "; the residual is -1",
     "twin-normal-two-unit": "; the residual is -3",
-    "twin-normals-orthogonal": "; the residual is -2",
+    "twin-normals-orthogonal": "; the residual is 1",
     "twin-normals-transverse":
-        "; the residual at (xi) is -mu, 1 of 3 components nonzero",
+        "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "twin-metric-nondegenerate": "",
     "twin-splitting-orthogonal":
         "; the residual at (E1) is mu, 1 of 3 components nonzero",
     "twin-radical-spacelike": "",
     "twin-screen-signature": "",
+    "radical-phi-image":
+        "; the residual at (X2) is mu, 1 of 5 components nonzero",
+    "reeb-split":
+        "; the residual at (X2) is mu, 3 of 5 components nonzero",
+    "eta-of-radical": "; the residual is -mu",
+    "eta-of-null-transversal": "; the residual is 1/(2*mu)",
+    "transversal-unit": "; the residual is -2",
+    "eta-of-transversal": "; the residual is 1",
+    "phi-of-null-transversal":
+        "; the residual at (X2) is 1/(mu), 1 of 5 components nonzero",
+    "phi-of-transversal":
+        "; the residual at (X2) is 1, 1 of 5 components nonzero",
+    "eta-proportionality":
+        "; the residual at (E1) is 1, 1 of 3 components nonzero",
     "screen-phi-invariance":
         "; the residual at (E) is 1, 1 of 5 components nonzero",
     "radical-shape-self-adjoint":
@@ -428,16 +499,12 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
     assert out.splitlines()[-1] == "verdict: fail (113 passed, 1 failed, 0 skipped)"
 
 
-# catalogued names that no perturbed input makes fail, with the reason
-CANNOT_FAIL = {
-    "twin-metric-nondegenerate":
-        "a statement, not a check: InvariantMetric raises DegenerateMetric on "
-        "a degenerate restricted twin metric before the entry is made, and "
-        "the twin-geometry step fails instead",
-}
+# catalogued names that no perturbed input makes fail, each with the reason
+CANNOT_FAIL = {}
 
-# the half lightlike splitting and the twin geometry of thm-1.1 and eq-2.11
-GUARDED_ANCHORS = ("sec-2-splitting", "eq-2.11", "thm-1.1")
+# the half lightlike splitting, the ascreen conditions and the twin
+# geometry of thm-1.1 and eq-2.11
+GUARDED_ANCHORS = ("sec-2-splitting", "sec-2-ascreen", "eq-2.11", "thm-1.1")
 
 
 def catalog_section(anchor):
@@ -448,14 +515,33 @@ def catalog_section(anchor):
 def test_every_guarded_entry_has_a_witness(model):
     """Each known-answer name under the guarded anchors, as the entry's
     anchor or as a name in the catalog section, fails on a perturbed input
-    above or is listed as one that cannot fail."""
+    above or is listed as one that cannot fail.  The sections name every
+    entry that carries their anchor."""
     known = json.loads((ROOT / "bench" / "known_answers.json").read_text(encoding="utf-8"))
     names = {n for stage in known["stages"].values() for n in stage}
-    guarded = {e.name for e in run_suite(model).entries if e.anchor in GUARDED_ANCHORS}
+    anchored = {e.name for e in run_suite(model).entries if e.anchor in GUARDED_ANCHORS}
+    guarded = set(anchored)
     for anchor in GUARDED_ANCHORS:
         section = catalog_section(anchor)
         guarded |= {n for n in names if re.search(rf"(?<![\w-]){n}(?![\w-])", section)}
-    # the two plumbing entries are found through their catalog sections
-    assert {"tangent-closure", "twin-connection-koszul"} <= guarded <= names
+    assert {"tangent-closure", "twin-connection-koszul"} <= anchored
+    assert anchored == guarded <= names
     assert guarded - set(CASES) - set(CANNOT_FAIL) == set()
     assert set(CASES) & set(CANNOT_FAIL) == set()
+
+
+def test_twin_condition_failure_skips_the_twin_geometry(geometry):
+    """With xi-bar doubled, the twin normals are no longer g~-unit: the
+    first twin condition fails with its residual, and every later twin
+    entry is skipped, naming it, instead of the split raising."""
+    doubled = geometry_with(geometry, frame=frame_under(
+        geometry, lambda s: ACBMStructure(s.frame, s.phi, s.xi_bar.scale(2),
+                                          s.eta_bar, s.metric)))
+    st = decided(*doubled.twin[1])
+    entries = st.entries
+    assert (entries[0].name, entries[0].status) == ("twin-normal-one-unit", FAIL)
+    assert entries[0].detail == "g~(N1, N1) = 1; the residual is 3"
+    assert len(entries) == 18
+    assert {(e.status, e.detail) for e in entries[1:]} == {
+        ("skipped", "blocked by twin-normal-one-unit (fail)")}
+    assert st.blocker == "blocked by twin-normal-one-unit (fail)"

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from rsthl import example_model, run_suite, scalars
 from rsthl.errors import ScalarDomainError, ScalarParseError
 from rsthl.scalars import (HALF, MAX_GCD_DEGREE, MAX_GCD_SIZE, MAX_NESTING,
-                           MAX_POWER_DEGREE, MU, ONE, ZERO, RationalFunction, rf)
+                           MAX_POWER_DEGREE, MAX_PRODUCT_SIZE, MU, ONE, ZERO,
+                           RationalFunction, rf)
 from test_properties import dense_frame, rebased_frame, transported
 
 
@@ -612,11 +613,13 @@ def test_powers_of_multi_term_values_skip_the_gcd(request, text):
 def test_parse_bounds_products_and_sums():
     """A product, quotient or cross-multiplied sum is rejected before it is
     computed when its degree is over MAX_POWER_DEGREE; one that the
-    polynomial gcd would reduce, over MAX_GCD_DEGREE or MAX_GCD_SIZE."""
+    polynomial gcd would reduce, over MAX_GCD_DEGREE or MAX_GCD_SIZE; a
+    product or power of multi-term values, over MAX_PRODUCT_SIZE."""
     assert MAX_GCD_DEGREE < MAX_POWER_DEGREE
     for text in ("(mu+1)^1000", "(mu+1)^500*(mu+1)^500", "(mu+1)^1000/3",
                  "(mu+1)^1000 + (mu+2)^1000", "mu^600/mu^300",
-                 "(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20"):
+                 "(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20",
+                 "((mu^2+3*mu+1)/(mu^2+2))^100", "2^2000*(mu+1)^1000"):
         RationalFunction.parse(text)
     assert rf("(mu^2 - 1)/(mu - 1)") == MU + 1
     for text, position, message in [
@@ -630,6 +633,10 @@ def test_parse_bounds_products_and_sums():
          "a quotient of degree 60 with 93-bit coefficients to reduce by the "
          f"polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree times bits"),
         ("(mu+1)^40/(mu+2)^40 - (mu+3)^40/(mu+4)^40", 20, "a difference of degree 80"),
+        ("(2^4*mu+1)^1000", 11, "a power of degree 1000 with 5000-bit coefficients "
+         f"is over the bound of {MAX_PRODUCT_SIZE} on degree times bits"),
+        ("(2*mu+3)^500*(2*mu+3)^500", 12,
+         "a product of degree 1000 with 2314-bit coefficients is over the bound"),
     ]:
         with pytest.raises(ScalarParseError) as err:
             RationalFunction.parse(text)

@@ -237,3 +237,52 @@ def test_attributes_are_set_only_in_init(path):
     ``__init__`` returns, so sharing one between callers is safe."""
     writers = {name for name, _ in attribute_writers(path.read_text(encoding="utf-8"))}
     assert writers == ATTRIBUTE_WRITERS.get(path.name, set())
+
+
+def raised_names(source: str) -> set[str]:
+    """The names a module raises, as ``raise X(...)`` or ``raise X``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def class_bases(source: str) -> dict[str, set[str]]:
+    """Each class a module defines, with the names of its bases."""
+    return {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)}
+
+
+def test_raised_names_and_class_bases_are_found():
+    source = ("class A(GeometryError):\n    pass\n"
+              "def f():\n    raise A('x')\n"
+              "def g():\n    raise B from None\n"
+              "def h():\n    raise\n")
+    assert raised_names(source) == {"A", "B"}
+    assert class_bases(source) == {"A": {"GeometryError"}}
+
+
+def test_every_exception_class_is_raised():
+    """Each exception class of ``errors`` but the base is raised somewhere
+    in the package, so a class whose last raise is deleted fails here, and
+    no other module defines a subclass of ``GeometryError``."""
+    errors = class_bases((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    raised, elsewhere = set(), {}
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        raised |= raised_names(source)
+        if path.name != "errors.py":
+            elsewhere.update(class_bases(source))
+    assert set(errors) - {"GeometryError"} - raised == set()
+    assert {name for name, bases in elsewhere.items() if bases & set(errors)} == set()
+
+
+def test_only_the_suite_stage_writes_a_blocking_reason():
+    """Conditions are decided by ``suite._Stage``: no other module writes
+    the "blocked by NAME (fail)" skip reason."""
+    writers = {path.name for path in PACKAGE.glob("*.py")
+               if "blocked by" in path.read_text(encoding="utf-8")}
+    assert writers == {"suite.py"}
