@@ -13,7 +13,7 @@ the twin counterpart of the frame's splitting over (tangent, N, L).
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 from .errors import InconsistentSystem, NotEinstein, UnderdeterminedSystem
@@ -33,7 +33,6 @@ from .tensors import (
     curvature_product,
     determinant,
     outer,
-    signature_at_sample,
     solve_combination,
 )
 
@@ -114,20 +113,6 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     xi_idx = f.radical_index
     gt_form = f.twin_form
     rad_norm = gt_form.entry(xi_idx, xi_idx)
-    screen_rows = [row[:-1] for row in gt_form.rows()[:-1]]
-    half = (f.dim - 1) // 2
-
-    @cache
-    def signature():
-        return signature_at_sample(screen_rows, (rad_norm,))
-
-    def screen_signature():
-        if not screen_rows:
-            return True, True, "the screen is zero-dimensional"
-        sample, (pos, neg, zero) = signature()
-        return ((pos, neg, zero), (half, half, 0),
-                f"screen signature at mu = {sample} is ({pos}, {neg})")
-
     xi_t = f.radical_tangent()
     inv_mu = ONE / mu
     b_phi = obj.b_phi
@@ -152,9 +137,12 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
             gt_form.at(xi_idx), f.eta.scale(rad_norm),
             "screen and radical are g~-orthogonal")),
         ("twin-radical-spacelike", "thm-1.1", lambda: (
-            rad_norm.eval_at(signature()[0]).sign() > 0, True,
-            f"g~(xi, xi) = {rad_norm} is positive at mu = {signature()[0]}")),
-        ("twin-screen-signature", "thm-1.1", screen_signature),
+            rad_norm, mu * mu, "g~(xi, xi) = mu^2, positive for every real mu != 0")),
+        # phi P is a g~-anti-isometry of the nondegenerate screen, so the
+        # screen has g~-signature (n - 1, n - 1)
+        ("twin-screen-signature", "thm-1.1", lambda: (
+            gt_form.pull_all(f.phi_p), -gt_form.pull_all(f.projector),
+            "g~(phi PX, phi PY) = -g~(PX, PY), so the screen has split g~-signature")),
         # the N1 and N2 parts of the derivatives of both normals
         ("twin-weingarten-tangency", "sec-2-twin", lambda: (
             tuple(p for parts in assoc.parts[1:] for p in parts[1:]), (zero_form,) * 4,

@@ -50,10 +50,6 @@ class LieAlgebra:
         return self.frame == other.frame and self.brackets == other.brackets
 
     @classmethod
-    def abelian(cls, frame: Frame) -> "LieAlgebra":
-        return cls(frame, MultilinearForm.zero(frame, 3))
-
-    @classmethod
     def from_table(cls, frame: Frame, table: dict) -> "LieAlgebra":
         """Build from {(label_i, label_j): {label_k: scalar}} with i-j given
         in either order; the antisymmetric counterpart is filled in."""

@@ -109,10 +109,6 @@ class Splitting:
             frame, 2, lambda i, r: inverse[r][i])
         self._embedding = embedding(frame, tangent)
 
-    def coefficients(self, v: MultilinearForm) -> tuple[RationalFunction, ...]:
-        """The coefficients of an ambient vector over (T_1, ..., T_m, V1, V2)."""
-        return self._coordinates.apply(v).entries
-
     def split(self, table: MultilinearForm
               ) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
         """The tangent part (arity k) and the V1 and V2 parts (arity k - 1)

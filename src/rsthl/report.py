@@ -86,8 +86,8 @@ def residual_suffix(got, want) -> str:
     of got - want in row-major order, named in the frame labels of got (the
     upper slot of a vector-valued table included), its value and the count
     of nonzero components.  For a scalar: the residual got - want.  For a
-    tuple: the first member pair that differs.  Other values (truth values,
-    ranks, signatures) give no suffix, their statements carry them.
+    tuple: the first member pair that differs.  Other values (truth values
+    and ranks) give no suffix, their statements carry them.
     """
     if isinstance(got, tuple):
         return next((residual_suffix(g, w) for g, w in zip(got, want) if g != w), "")

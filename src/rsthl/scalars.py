@@ -17,12 +17,11 @@ scalars along invariant frames vanish identically.
 The constructor, the operators and ``rf`` also take rational input: any
 value with int ``numerator`` and ``denominator`` attributes, such as an
 int or a ``fractions.Fraction``.  Rational coefficients are cleared to
-integers, and ``eval_at`` returns a constant of this type.  The
-arithmetic is integer polynomial arithmetic.  The polynomial gcd is a
-primitive remainder sequence (pseudo-remainders made primitive), and by
-Gauss's lemma num and den divide by that primitive gcd exactly in Z[mu]
-(Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2
-and 7).
+integers.  The arithmetic is integer polynomial arithmetic.  The
+polynomial gcd is a primitive remainder sequence (pseudo-remainders made
+primitive), and by Gauss's lemma num and den divide by that primitive gcd
+exactly in Z[mu] (Geddes, Czapor & Labahn, *Algorithms for Computer
+Algebra*, 1992, ch. 2 and 7).
 
 Most scalars of a model are zero, constant or a single term (n/d)*mu^k:
 mu enters the transfer formulas only through its powers.  The operators
@@ -177,15 +176,6 @@ def _pexquo(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(q)
 
 
-def _phom(a: Coeffs, p: int, q: int) -> int:
-    """q^deg(a) a(p/q), by Horner's rule over the integers."""
-    out, qk = 0, 1
-    for c in reversed(a):
-        out = out * p + c * qk
-        qk *= q
-    return out
-
-
 def _canonical_pair(num, den) -> tuple[Coeffs, Coeffs]:
     """The canonical pair of num/den for coefficient sequences of ints or
     rationals."""
@@ -254,34 +244,6 @@ class RationalFunction:
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
-
-    def sign(self) -> int:
-        """-1, 0 or 1, the sign of a constant (its denominator is positive)."""
-        if not self.is_constant():
-            raise ScalarDomainError(f"{self} is not constant in mu")
-        n = self.num[0] if self.num else 0
-        return (n > 0) - (n < 0)
-
-    def eval_at(self, value) -> "RationalFunction":
-        """The constant value at mu = value, a rational number."""
-        n, d = self.pair_at(*_ratio(value))
-        if not d:
-            raise ScalarDomainError(
-                f"evaluation of {self} at a pole mu={value}")
-        return _term(n, d, 0)
-
-    def pair_at(self, p: int, q: int = 1) -> tuple[int, int]:
-        """Integers (a, b) with a/b the value at mu = p/q, for q > 0; b is 0
-        exactly at a pole.  num and den are homogenized to their common
-        degree, so the evaluation is integer arithmetic only."""
-        num, den = self.num, self.den
-        a, b = _phom(num, p, q), _phom(den, p, q)
-        shift = len(den) - max(len(num), 1)
-        if shift > 0:
-            a *= q ** shift
-        elif shift < 0:
-            b *= q ** -shift
-        return a, b
 
     # Each operator returns early on a trivial operand, then computes a
     # result whose operands are both single terms from their coefficients

@@ -48,6 +48,7 @@ from .structure import (
     constant_curvature_residual,
     fit_curvature_pair,
     fundamental_tensor,
+    metric_signature_entry,
     validate_acbm,
 )
 from .tensors import MultilinearForm
@@ -257,7 +258,14 @@ def _ambient_stage(geo: Geometry) -> _Stage:
             s = geo.structure
         except ValueError as exc:
             return [report.failed("structure-axioms", "sec-2-structure", str(exc))]
-        return validate_acbm(s)
+        axioms = _Stage()
+        axioms.run("structure-axioms", "sec-2-structure", lambda: validate_acbm(s),
+                   block_on_fail=True)
+        # a degenerate table has blocked the stage at invariant-metric, so
+        # the axioms force the signature
+        axioms.run("metric-signature", "sec-2-structure",
+                   lambda: [metric_signature_entry(s)])
+        return axioms
     st.run("structure-axioms", "sec-2-structure", structure_step,
            block_on_fail=True)
 

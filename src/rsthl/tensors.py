@@ -43,16 +43,13 @@ of a table, so a symmetry T(X, Y) = T(Y, X) reads
 table plus two cyclic permutations of it; ``skew`` subtracts the swap of
 the first two slots and ``at`` fixes the first slot at a frame vector.
 
-Only this module eliminates, solves or samples mu.  Its one
-fraction-free (Bareiss-style) elimination serves the determinant (the
-last pivot), the rank and every solver: each update is a two-term
-cross-multiplication divided by the previous pivot, which keeps
-intermediate entries small and every division exact.  Each coefficient
-of one table over others (mu, the umbilicity factors, the Einstein
-constants) is one ``solve_combination``, and each signature over Q(mu)
-is read at one int sample by ``signature_at_sample``: ``inertia``
-diagonalizes the matrix of constant scalars there by congruence, in the
-same arithmetic as everything else.
+Only this module eliminates or solves.  Its one fraction-free
+(Bareiss-style) elimination serves the determinant (the last pivot), the
+rank and every solver: each update is a two-term cross-multiplication
+divided by the previous pivot, which keeps intermediate entries small
+and every division exact.  Each coefficient of one table over others
+(the umbilicity factors, the Einstein constants, the sectional
+invariants) is one ``solve_combination``.
 """
 
 from __future__ import annotations
@@ -644,81 +641,3 @@ def matrix_inverse(
         raise DegenerateMetric("matrix is singular")
     cols = [_back_substitute(ech, pivots, n, n + j) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def inertia(rows: Sequence[Sequence[RationalFunction]]) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric matrix of
-    constants, computed by congruence diagonalization; no eigenvalues
-    involved."""
-    n = len(rows)
-    a = [[rf(x) for x in row] for row in rows]
-    pos = neg = zero = 0
-    t = 0
-    while t < n:
-        p = next((i for i in range(t, n) if a[i][i]), None)
-        if p is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(t, n)
-                    for j in range(i + 1, n)
-                    if a[i][j]
-                ),
-                None,
-            )
-            if pair is None:
-                zero += n - t
-                break
-            i, j = pair
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            continue
-        if p != t:
-            a[t], a[p] = a[p], a[t]
-            for k in range(n):
-                a[k][t], a[k][p] = a[k][p], a[k][t]
-        d = a[t][t]
-        if d.sign() > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            f = a[i][t] / d
-            if f:
-                for k in range(n):
-                    a[i][k] -= f * a[t][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][t]
-        t += 1
-    return pos, neg, zero
-
-
-def pick_regular_sample(
-    must_not_vanish: Iterable[RationalFunction],
-    must_be_defined: Iterable[RationalFunction] = (),
-) -> int:
-    """Smallest positive integer at which every given scalar is defined and
-    each one in ``must_not_vanish`` is nonzero; used to specialize mu
-    before signature counting, where ``must_be_defined`` holds the
-    entries that are evaluated there."""
-    nonzero = list(must_not_vanish)
-    defined = list(must_be_defined)
-    for k in range(1, 1001):
-        # at an integer each value is an int pair: a pole has denominator 0
-        if all(s.pair_at(k)[1] for s in defined) and all(
-                all(s.pair_at(k)) for s in nonzero):
-            return k
-    raise RuntimeError("no regular sample found in range")
-
-
-def signature_at_sample(rows: Sequence[Sequence[RationalFunction]],
-                        must_not_vanish: Iterable[RationalFunction] = ()
-                        ) -> tuple[int, tuple[int, int, int]]:
-    """The sample mu and the inertia of a symmetric matrix there: the
-    smallest positive integer at which every entry is defined and neither
-    the determinant nor a scalar of ``must_not_vanish`` vanishes."""
-    sample = pick_regular_sample([*must_not_vanish, determinant(rows)],
-                                 must_be_defined=[e for row in rows for e in row])
-    return sample, inertia([[e.eval_at(sample) for e in row] for row in rows])

@@ -245,7 +245,7 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, lm):
          gauss3.status == "pass"))
 
     # abelian variant: all second forms vanish, curvature transfer is exact
-    abelian = LieAlgebra.abelian(model.frame)
+    abelian = LieAlgebra.from_table(model.frame, {})
     flat_lm = LieModel(abelian, lm.structure)
     conn0 = levi_civita(abelian, flat_lm.metric)
     f0 = build_frame(flat_lm, sub.screen_labels, sub.screen, sub.rad,

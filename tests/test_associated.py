@@ -41,9 +41,9 @@ def test_build_associated_entries(geometry):
     assert all(e.status == "pass" for e in entries)
     by_name = {e.name: e for e in entries}
     assert by_name["twin-radical-spacelike"].detail == \
-        "g~(xi, xi) = mu^2 is positive at mu = 1"
+        "g~(xi, xi) = mu^2, positive for every real mu != 0"
     assert by_name["twin-screen-signature"].detail == \
-        "screen signature at mu = 1 is (1, 1)"
+        "g~(phi PX, phi PY) = -g~(PX, PY), so the screen has split g~-signature"
 
 
 def test_twin_normals(model, twin):

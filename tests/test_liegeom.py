@@ -67,7 +67,7 @@ def test_bracket_bilinearity():
 
 def test_validate_accepts_heisenberg_and_abelian():
     assert validate_lie_algebra(heisenberg()).status == "pass"
-    assert validate_lie_algebra(LieAlgebra.abelian(F3)).status == "pass"
+    assert validate_lie_algebra(LieAlgebra.from_table(F3, {})).status == "pass"
 
 
 def test_validate_names_jacobi_violation():
@@ -163,7 +163,7 @@ def test_invariant_metric_validation():
 
 def test_abelian_connection_is_zero():
     g = InvariantMetric.diagonal(F3, (1, 1, -1))
-    conn = levi_civita(LieAlgebra.abelian(F3), g)
+    conn = levi_civita(LieAlgebra.from_table(F3, {}), g)
     assert all(conn.gamma.cell(i, j).is_zero() for i in range(3) for j in range(3))
 
 
@@ -341,7 +341,7 @@ def test_factor_signature_adjudication_entry():
 
 
 def test_direct_sum_builds_the_ambient_algebra(model):
-    center = LieAlgebra.abelian(Frame(("E",)))
+    center = LieAlgebra.from_table(Frame(("E",)), {})
     assert direct_sum(factor_algebra(), center) == model.algebra
 
 

@@ -117,9 +117,9 @@ def test_frame_splitting_helpers(model, frame):
     assert frame.radical_index == 2
     assert frame.epsilon == ONE
     split = frame.splitting
-    # coefficients over (E1, E2, xi, N, L): E1 is X2 and L is X1
-    assert split.coefficients(ambient(model, {"X2": 1})) == (ONE,) + (ZERO,) * 4
-    assert split.coefficients(ambient(model, {"X1": 1})) == (ZERO,) * 4 + (ONE,)
+    # the adapted basis (E1, E2, xi, N, L): E1 is X2 and L is X1
+    assert frame.screen[0] == ambient(model, {"X2": 1})
+    assert frame.l_vec == ambient(model, {"X1": 1})
     # phi(xi) = mu L is transversal, phi(E1) = E2 is tangent
     tangent_part, n_part, l_part = split.split(model.phi)
     assert (n_part.entry(0), l_part.entry(0)) == (ZERO, ZERO)

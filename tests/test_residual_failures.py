@@ -28,8 +28,8 @@ from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              curvature_form_15_entry, curvature_form_19_entry,
                              frame_conditions, gauss_relation_entry,
                              induced_invariant_entries)
-from rsthl.report import FAIL
-from rsthl.scalars import ONE
+from rsthl.report import FAIL, PASS
+from rsthl.scalars import HALF, ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
                              associated_compat_entry, validate_acbm)
 from rsthl.suite import decided, run_suite
@@ -239,8 +239,10 @@ def doubled_phi(s):
     return ACBMStructure(s.frame, s.phi.scale(2), s.xi_bar, s.eta_bar, s.metric)
 
 
-def b_metric(geo):
-    return entry_named(validate_acbm(doubled_phi(geo.structure)), "b-metric")
+def axiom(name, structure):
+    """The axiom entry name of the worked structure changed by
+    structure(s)."""
+    return lambda geo: entry_named(validate_acbm(structure(geo.structure)), name)
 
 
 def associated_twist(geo):
@@ -374,7 +376,19 @@ CASES = {
     "twin-shape-duality": twin_shape_duality,
     "umbilical-curvature-transfer": curvature_transfer,
     "umbilical-flatness": umbilical_flatness,
-    "b-metric": b_metric,
+    "phi-squared": axiom("phi-squared", doubled_phi),
+    "eta-of-xi": axiom("eta-of-xi", lambda s: with_eta(s, "E")),
+    # phi(X1) = X3 + E gives eta-bar(phi X1) = 1
+    "eta-after-phi": axiom(
+        "eta-after-phi", lambda s: with_phi_column(s, "X1", {"X3": 1, "E": 1})),
+    "phi-of-xi": axiom("phi-of-xi", lambda s: with_phi_column(s, "E", {"X1": 1})),
+    # phi(X2) = 0 drops the rank of phi to 3
+    "phi-rank": axiom("phi-rank", lambda s: with_phi_column(s, "X2", {})),
+    "b-metric": axiom("b-metric", doubled_phi),
+    "eta-is-metric-dual": axiom("eta-is-metric-dual", lambda s: with_eta(s, "X1")),
+    "xi-unit": axiom(
+        "xi-unit", lambda s: ACBMStructure(s.frame, s.phi, s.xi_bar.scale(2),
+                                           s.eta_bar, s.metric)),
     "associated-metric-twist": associated_twist,
     "factor-table": factor_table,
     "factor-anti-compatibility": factor_anti_compatibility,
@@ -385,7 +399,7 @@ CASES = {
 SUFFIXES = {
     "radical-isotropy":
         "; the residual at (xi) is -1, 1 of 3 components nonzero",
-    # truth values and signatures: the statement carries them
+    # truth values and ranks: the statement carries them
     "screen-nondegeneracy": "",
     "transversal-normalization":
         "; the residual at (E1) is 1, 1 of 3 components nonzero",
@@ -405,8 +419,9 @@ SUFFIXES = {
     "twin-metric-nondegenerate": "",
     "twin-splitting-orthogonal":
         "; the residual at (E1) is mu, 1 of 3 components nonzero",
-    "twin-radical-spacelike": "",
-    "twin-screen-signature": "",
+    "twin-radical-spacelike": "; the residual is -2*mu^2",
+    "twin-screen-signature":
+        "; the residual at (E1, E1) is 2, 2 of 9 components nonzero",
     "radical-phi-image":
         "; the residual at (X2) is mu, 1 of 5 components nonzero",
     "reeb-split":
@@ -459,8 +474,19 @@ SUFFIXES = {
         "; the residual at (E1, E2, E1, E2) is -1, 1 of 81 components nonzero",
     "umbilical-flatness":
         "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "phi-squared":
+        "; the residual at (X1, X1) is -3, 4 of 25 components nonzero",
+    "eta-of-xi": "; the residual is 1",
+    "eta-after-phi":
+        "; the residual at (X1) is 1, 1 of 5 components nonzero",
+    "phi-of-xi":
+        "; the residual at (X1) is 1, 1 of 5 components nonzero",
+    "phi-rank": "",
     "b-metric":
         "; the residual at (X1, X1) is -3, 4 of 25 components nonzero",
+    "eta-is-metric-dual":
+        "; the residual at (X1) is 1, 1 of 5 components nonzero",
+    "xi-unit": "; the residual is 3",
     "associated-metric-twist":
         "; the residual at (X1, X1) is -3, 4 of 25 components nonzero",
     "factor-table":
@@ -476,6 +502,27 @@ def test_perturbed_input_fails_the_check(name, geometry):
     assert entry.status == FAIL
     _, sep, residual = entry.detail.partition("; the residual")
     assert sep + residual == SUFFIXES[name]
+
+
+def test_twin_ricci_transfer_reads_the_tau_terms(geometry):
+    """On invariant data tau = 0, so a suite run cannot see the tau(xi)
+    terms of eq-14.  With tau(xi) = 1 the entry passes exactly when the
+    twin Ricci tensor is raised by (1/mu^2)(B/2 + B(., phi P .)); the
+    (E1, E2) component of B(., phi P .) tells the sign of its term."""
+    geo = geometry
+    obj = induced_with(
+        geo, tau=MultilinearForm.from_map(geo.frame.tangent_frame, {"xi": 1}))
+    shift = (obj.b_form.scale(HALF) + obj.b_phi).scale(ONE / (geo.mu * geo.mu))
+
+    def entry(tilde_ric):
+        return tilde_ricci_14_entry(geo.frame, obj, geo.mu, geo.curv_ind.ricci,
+                                    tilde_ric)
+
+    assert entry(geo.tcurv.ricci + shift).status == PASS
+    unshifted = entry(geo.tcurv.ricci)
+    assert unshifted.status == FAIL
+    assert unshifted.detail.endswith(
+        "; the residual at (E1, E1) is 1/(mu), 4 of 9 components nonzero")
 
 
 def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
@@ -500,11 +547,12 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
 
 
 # catalogued names that no perturbed input makes fail, each with the reason
-CANNOT_FAIL = {}
+CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it"}
 
-# the half lightlike splitting, the ascreen conditions and the twin
-# geometry of thm-1.1 and eq-2.11
-GUARDED_ANCHORS = ("sec-2-splitting", "sec-2-ascreen", "eq-2.11", "thm-1.1")
+# the structure axioms, the half lightlike splitting, the ascreen
+# conditions and the twin geometry of thm-1.1 and eq-2.11
+GUARDED_ANCHORS = ("sec-2-structure", "sec-2-splitting", "sec-2-ascreen",
+                   "eq-2.11", "thm-1.1")
 
 
 def catalog_section(anchor):

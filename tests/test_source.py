@@ -4,6 +4,7 @@ one check of the modules a fresh interpreter loads with the package."""
 import ast
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from rsthl.builtin import example_model
 from rsthl.model import save_model
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsthl"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rsthl"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -286,3 +288,44 @@ def test_only_the_suite_stage_writes_a_blocking_reason():
     writers = {path.name for path in PACKAGE.glob("*.py")
                if "blocked by" in path.read_text(encoding="utf-8")}
     assert writers == {"suite.py"}
+
+
+def unreferenced_definitions(sources: list[str], entry_points=()) -> list[str]:
+    """The functions, methods and classes the sources define and never
+    name, as a variable or an attribute.  Dunders, names listed in
+    ``__all__`` and the given entry points count as named."""
+    defined, named = set(), set(entry_points)
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                named |= set(ast.literal_eval(node.value))
+    return sorted(name for name in defined - named
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_unreferenced_definitions_are_found():
+    source = ("__all__ = ['exported']\n"
+              "def exported(): pass\ndef used(): pass\ndef dead(): pass\n"
+              "def main(): pass\n"
+              "class C:\n    def __init__(self): pass\n"
+              "    def method(self): pass\n    def stale(self): pass\n"
+              "used()\nC().method()\n")
+    assert unreferenced_definitions([source], {"main"}) == ["dead", "stale"]
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    """A function, method or class that only tests use is dead code: the
+    package has no caller for it.  The console script's function is the
+    one entry point from outside."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    entry_points = {target.rsplit(":", 1)[1]
+                    for target in scripts["project"]["scripts"].values()}
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert unreferenced_definitions(sources, entry_points) == []

@@ -11,9 +11,11 @@ from rsthl.structure import (ACBMStructure, CurvaturePair,
                              associated_compat_entry, associated_metric,
                              constant_curvature_form,
                              constant_curvature_residual, fit_curvature_pair,
-                             fundamental_tensor, validate_acbm)
+                             fundamental_tensor, metric_signature_entry,
+                             validate_acbm)
 from rsthl.suite import Geometry, run_suite
-from rsthl.tensors import Frame, MultilinearForm, signature_at_sample
+from rsthl.tensors import Frame, MultilinearForm
+from conftest import replaced
 from test_properties import reeb_sheared
 
 
@@ -54,8 +56,7 @@ def pi_tensors(s):
 
 
 AXIOM_NAMES = ("phi-squared", "eta-of-xi", "eta-after-phi", "phi-of-xi",
-               "phi-rank", "b-metric", "eta-is-metric-dual", "xi-unit",
-               "metric-signature")
+               "phi-rank", "b-metric", "eta-is-metric-dual", "xi-unit")
 
 
 def test_validate_acbm_all_axioms_pass(lm):
@@ -65,7 +66,9 @@ def test_validate_acbm_all_axioms_pass(lm):
     assert all(e.anchor == "sec-2-structure" for e in entries)
     by_name = {e.name: e for e in entries}
     assert by_name["phi-rank"].detail == "rank phi = 4, expected 4"
-    assert by_name["metric-signature"].detail == "signature (3,2), expected (3,2)"
+    signature = metric_signature_entry(lm.structure)
+    assert (signature.status, signature.anchor) == ("pass", "sec-2-structure")
+    assert signature.detail.startswith("signature (3,2): ")
 
 
 def test_structure_needs_odd_dimension():
@@ -93,27 +96,15 @@ def test_perturbed_phi_fails_phi_squared(lm):
     assert by_name["eta-of-xi"].status == "pass"
 
 
-def test_wrong_signature_is_reported(lm):
-    s = lm.structure
-    flat = InvariantMetric.diagonal(s.frame, (1, 1, 1, 1, 1))
-    bad = ACBMStructure(s.frame, s.phi, s.xi_bar, s.eta_bar, flat)
-    by_name = {e.name: e for e in validate_acbm(bad)}
-    assert by_name["metric-signature"].status == "fail"
-    assert by_name["metric-signature"].detail == "signature (5,0), expected (3,2)"
+def test_wrong_signature_is_reported(model):
+    """A definite metric breaks the B-metric axiom, which blocks the
+    signature entry it would otherwise force."""
+    flat = InvariantMetric.diagonal(model.frame, (1, 1, 1, 1, 1))
+    by_name = {e.name: e for e in run_suite(replaced(model, metric_form=flat.form),
+                                            "ambient").entries}
     assert by_name["b-metric"].status == "fail"
-
-
-def test_signature_at_sample(lm):
-    assert signature_at_sample(lm.metric.form.rows()) == (1, (3, 2, 0))
-
-
-def test_signature_sample_avoids_entry_poles():
-    # the determinant is 1, but the entries have a pole at mu = 1
-    inv = ONE / (MU - 1)
-    g = InvariantMetric.diagonal(Frame(("a", "b", "c", "d", "e")),
-                                 (inv, MU - 1, -inv, 1 - MU, 1))
-    assert g.determinant() == ONE
-    assert signature_at_sample(g.form.rows()) == (2, (3, 2, 0))
+    assert (by_name["metric-signature"].status, by_name["metric-signature"].detail) == (
+        "skipped", "blocked by b-metric (fail)")
 
 
 def test_associated_metric_values(lm):
@@ -129,8 +120,8 @@ def test_associated_metric_values(lm):
         assert gt.entry(i, i) == ZERO
         assert gt.entry(i, e) == ZERO
     assert gt.entry(x1, x2) == ZERO
-    # the twin pairing is nondegenerate with split signature plus the unit
-    assert signature_at_sample(gt.form.rows())[1] == (3, 2, 0)
+    # the twin pairing is nondegenerate
+    assert gt.determinant() == ONE
 
 
 def test_associated_compat_entry(lm):

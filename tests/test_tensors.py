@@ -2,7 +2,6 @@
 
 import ast
 import random
-from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -10,14 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsthl.errors import (DegenerateMetric, InconsistentSystem,
-                          ScalarDomainError, UnderdeterminedSystem)
+                          UnderdeterminedSystem)
 from rsthl import tensors
 from rsthl.scalars import MU, ONE, ZERO, RationalFunction, rf
 from rsthl.tensors import (Frame, MultilinearForm, _echelon, compose,
-                           curvature_product, determinant, inertia,
-                           matrix_inverse, onto_frame, outer, pick_regular_sample,
-                           signature_at_sample, solve_affine,
-                           solve_combination, solve_unique)
+                           curvature_product, determinant, matrix_inverse,
+                           onto_frame, outer, solve_affine, solve_combination,
+                           solve_unique)
 
 F2 = Frame(("f1", "f2"))
 F3 = Frame(("e1", "e2", "e3"))
@@ -485,37 +483,9 @@ def test_matrix_inverse():
         matrix_inverse([[ONE, ONE], [ONE, ONE]])
 
 
-def test_inertia_signature():
-    assert inertia([[1, 0], [0, -1]]) == (1, 1, 0)
-    diag = [[Fraction(d) if i == j else Fraction(0) for j in range(5)]
-            for i, d in enumerate((1, 1, -1, -1, 1))]
-    assert inertia(diag) == (3, 2, 0)
-    assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
-    # hyperbolic plane: zero diagonal, nonzero pairing
-    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-
-
-def test_pick_regular_sample():
-    assert pick_regular_sample([MU - 1, MU - 2]) == Fraction(3)
-    assert pick_regular_sample([ONE / (MU - 1)]) == Fraction(2)
-    # entries that are evaluated must be defined, though they may vanish
-    assert pick_regular_sample([ONE], must_be_defined=[ONE / (MU - 1), ZERO]) == 2
-    assert pick_regular_sample([MU - 1], must_be_defined=[ONE / (MU - 2)]) == 3
-    with pytest.raises(ScalarDomainError):
-        (ONE / (MU - 1)).eval_at(1)
-
-
-def test_signature_at_sample_avoids_must_not_vanish():
-    rows = [[MU - 1, ZERO], [ZERO, -ONE]]
-    # the determinant vanishes at mu = 1, the extra scalar at mu = 2
-    assert signature_at_sample(rows) == (2, (1, 1, 0))
-    assert signature_at_sample(rows, (MU - 2,)) == (3, (1, 1, 0))
-    assert signature_at_sample([], (MU - 1,)) == (2, (0, 0, 0))
-
-
-def test_only_tensors_eliminates_and_samples():
-    """Elimination, inertia and mu sampling stay private to tensors.py."""
-    private = {"_echelon", "inertia", "pick_regular_sample"}
+def test_only_tensors_eliminates():
+    """The elimination stays private to tensors.py."""
+    private = {"_echelon", "_eliminate", "_back_substitute"}
     package = Path(__file__).resolve().parents[1] / "src" / "rsthl"
     leaks = {}
     for path in sorted(package.glob("*.py")):
