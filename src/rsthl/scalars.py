@@ -36,11 +36,13 @@ or difference of two with the same exponent, takes one int gcd (none
 over the denominator 1) on n and d and adds or subtracts the exponents,
 so it never reaches the polynomial gcd.  Integer constants from -64 to 64
 are shared from one table that holds ``ZERO`` and ``ONE``, and ints
-coerce through it.  Other summands over one denominator add their
-numerators without cross-multiplying, a constant factor scales in one
-pass, and the constructor skips the polynomial gcd when numerator or
-denominator is constant (the gcd is then a unit), leaving the content
-and sign.  Each shortcut relies on one invariant: every stored value is
+coerce through it.  Single terms come from ``_term``, which caches its
+last 4096 distinct (n, d, k): a model has a few dozen, so most
+single-term results are values already built.  Other summands over one
+denominator add their numerators without cross-multiplying, a constant
+factor scales in one pass, and the constructor skips the polynomial gcd
+when numerator or denominator is constant (the gcd is then a unit),
+leaving the content and sign.  Each shortcut relies on one invariant: every stored value is
 canonical, so the operand it returns is already the canonical result.
 Single-term results, negations and powers are built by
 ``RationalFunction._of`` without the checks, so every pair given to it
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 from .errors import ScalarDomainError, ScalarParseError
 
@@ -245,6 +248,10 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
 
+    def terms(self) -> int:
+        """The number of nonzero coefficients of num and den together."""
+        return len(self.num) + len(self.den) - (self.num + self.den).count(0)
+
     # Each operator returns early on a trivial operand, then computes a
     # result whose operands are both single terms from their coefficients
     # and exponents when it is a single term itself.
@@ -417,9 +424,10 @@ def _coerce(value):
 SMALL_INT = 64
 
 
+@lru_cache(maxsize=4096)
 def _term(n: int, d: int, k: int) -> RationalFunction:
     """The single term (n/d) mu^k for ints n and d != 0: one gcd, none over
-    the denominator 1, and a sign fix."""
+    the denominator 1, and a sign fix; built once per argument triple."""
     if d != 1:
         g = math.gcd(n, d)
         if d < 0:

@@ -9,6 +9,8 @@ read.  Geometry exceptions never escape a stage; they become failing
 entries, and the steps whose inputs are gone report one skipped entry
 each, naming the first failing entry that blocked them.  The frame,
 ascreen and twin conditions are the steps of a stage of their own.
+Under ``theorem46`` the earlier stages decide only the steps that can
+block the theorem or that it reads; the others just read their geometry.
 """
 
 from __future__ import annotations
@@ -197,20 +199,27 @@ class _Stage:
     later steps of the stage degrade to one skipped entry each, whose
     reason names the first failing entry of the blocking step.  A step
     may return a stage of its own: its entries join this one, and it
-    blocks this stage where it blocked itself."""
+    blocks this stage where it blocked itself.
 
-    def __init__(self, blocker: Optional[str] = None):
+    A step given ``reads`` builds its entries from the values reads()
+    returns (``reads=tuple`` reads nothing).  A stage that does not report
+    runs only reads() for such a step unless it blocks on failure, so a
+    read that raises still blocks under the step's name; its build must
+    raise nothing once its reads have succeeded."""
+
+    def __init__(self, blocker: Optional[str] = None, reports: bool = True):
         self.entries: list[report.CheckEntry] = []
         self.blocker = blocker  # the skip reason once a step has blocked
+        self.reports = reports
 
-    def run(self, name: str, anchor: str,
-            fn: Callable[[], list[report.CheckEntry]],
-            block_on_fail: bool = False) -> None:
+    def run(self, name: str, anchor: str, fn: Callable[..., list], block_on_fail=False,
+            reads: Optional[Callable[[], tuple]] = None) -> None:
         if self.blocker:
             self.entries.append(report.skipped(name, anchor, self.blocker))
             return
         try:
-            new = fn()
+            values = () if reads is None else reads()
+            new = fn(*values) if self.reports or block_on_fail or not reads else []
         except GeometryError as exc:
             new, block_on_fail = [report.failed(name, anchor, str(exc))], True
         if isinstance(new, _Stage):
@@ -223,31 +232,35 @@ class _Stage:
             self.blocker = f"blocked by {failed[0].name} (fail)"
 
 
-def decided(preconditions, conditions=()) -> _Stage:
+def _one(check: Callable[..., report.CheckEntry]) -> Callable[..., list]:
+    """The step whose one entry is check(*values)."""
+    return lambda *values: [check(*values)]
+
+
+def decided(preconditions, conditions=(), reports: bool = True) -> _Stage:
     """Each condition (name, anchor, sides) as one step of a new stage: the
     entry ``report.compare`` makes of the got, want and statement that
     sides() returns.  A precondition blocks the steps after it; the other
-    conditions block nothing."""
-    st = _Stage()
+    conditions block nothing, and a stage that does not report skips them."""
+    st = _Stage(reports=reports)
     for group, blocks in ((preconditions, True), (conditions, False)):
         for name, anchor, sides in group:
-            st.run(name, anchor, lambda: [report.compare(name, anchor, *sides())], blocks)
+            st.run(name, anchor, lambda: [report.compare(name, anchor, *sides())],
+                   blocks, reads=tuple)
     return st
 
 
-def _ambient_stage(geo: Geometry) -> _Stage:
-    st = _Stage()
+def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
+    st = _Stage(reports=reports)
     model = geo.model
 
     st.run("lie-algebra", "plumbing",
            lambda: [validate_lie_algebra(model.algebra)], block_on_fail=True)
 
-    def metric_step():
-        geo.metric  # raises on a degenerate table
-        return [report.passed(
-            "invariant-metric", "plumbing",
-            "the metric table is symmetric and nondegenerate")]
-    st.run("invariant-metric", "plumbing", metric_step)
+    # reading the metric raises on a degenerate table
+    st.run("invariant-metric", "plumbing", lambda metric: [report.passed(
+        "invariant-metric", "plumbing", "the metric table is symmetric and nondegenerate")],
+        reads=lambda: (geo.metric,))
 
     st.run("koszul", "plumbing",
            lambda: koszul_entries(geo.conn, model.algebra, geo.metric),
@@ -281,24 +294,25 @@ def _ambient_stage(geo: Geometry) -> _Stage:
            block_on_fail=True)
 
     st.run("lc-coincide", "sec-2-f0",
-           lambda: [report.compare(
+           lambda g_tilde, conn: [report.compare(
                "connections-coincide", "sec-2-f0",
-               levi_civita(model.algebra, geo.structure.g_tilde).gamma,
-               geo.conn.gamma,
-               "both ambient metrics share one torsion free metric connection")])
+               levi_civita(model.algebra, g_tilde).gamma, conn.gamma,
+               "both ambient metrics share one torsion free metric connection")],
+           reads=lambda: (geo.structure.g_tilde, geo.conn))
 
     st.run("curvature", "plumbing", lambda: curvature_entries(geo.curv, geo.r4),
            block_on_fail=True)
 
-    def twist_step():
-        twisted = geo.r4.pull_slots(model.phi, (3,))
+    def twist_step(r4, curv, g_tilde):
+        twisted = r4.pull_slots(model.phi, (3,))
         return [report.compare(
             "twisted-lowering", "sec-4-twist",
-            (geo.curv.lower(geo.structure.g_tilde), twisted),
-            (twisted, geo.r4.pull_slots(model.phi, (2,))),
+            (curv.lower(g_tilde), twisted),
+            (twisted, r4.pull_slots(model.phi, (2,))),
             "lowering the curvature with the twin metric twists either of "
             "the last two slots")]
-    st.run("twisted-lowering", "sec-4-twist", twist_step)
+    st.run("twisted-lowering", "sec-4-twist", twist_step,
+           reads=lambda: (geo.r4, geo.curv, geo.structure.g_tilde))
 
     def fit_step():
         pair, reason = geo.sectional
@@ -309,76 +323,77 @@ def _ambient_stage(geo: Geometry) -> _Stage:
             f"nu = {pair.nu}, nu_tilde = {pair.nu_tilde}")]
     st.run("sectional-fit", "thm-4.1", fit_step)
 
-    def form_step():
-        if geo.pair is None:
+    def form_step(pair, r4, basis):
+        if pair is None:
             return [report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)]
-        return [constant_curvature_residual(geo.r4, geo.curvature_basis, geo.pair)]
-    st.run("constant-curvature-form", "thm-4.1", form_step)
+        return [constant_curvature_residual(r4, basis, pair)]
+    st.run("constant-curvature-form", "thm-4.1", form_step,
+           reads=lambda: (geo.pair, geo.r4, geo.curvature_basis))
 
-    st.run("signature-audit", "example-4.7",
-           lambda: [factor_signature_entry()])
+    st.run("signature-audit", "example-4.7", _one(factor_signature_entry),
+           reads=tuple)
     return st
 
 
-def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
-    st = _Stage(blocker)
+def _submanifold_stage(geo: Geometry, blocker: Optional[str],
+                       reports: bool) -> _Stage:
+    st = _Stage(blocker, reports)
     if geo.model.submanifold is None:
         st.entries.append(report.skipped("submanifold-frame", "plumbing", _NO_SUB))
         return st
 
-    def closed_form(name, anchor, build, gamma=True, names=None):
+    def closed_form(name, anchor, build, reads, gamma=True, names=None):
         """A step whose identity needs the sectional invariants, and the
-        umbilical factor gamma unless gamma is False."""
-        def step():
+        umbilical factor gamma unless gamma is False; build takes what
+        reads() returns once they are there."""
+        def gated():
             if geo.pair is None:
-                reason = _NO_PAIR
-            elif gamma and geo.gamma is None:
-                reason = _NO_GAMMA
-            else:
-                return build()
-            return [report.skipped(n, anchor, reason) for n in names or (name,)]
-        st.run(name, anchor, step)
+                return (_NO_PAIR,)
+            if gamma and geo.gamma is None:
+                return (_NO_GAMMA,)
+            return (None, *reads())
+
+        def step(reason, *values):
+            if reason:
+                return [report.skipped(n, anchor, reason) for n in names or (name,)]
+            return build(*values)
+        st.run(name, anchor, step, reads=gated)
 
     st.run("submanifold-frame", "sec-2-splitting",
            lambda: decided(lightlike.frame_conditions(geo.frame)))
     # any failure among the ten conditions blocks the stage
     st.run("ascreen-certification", "sec-2-ascreen",
            lambda: decided(*geo.certification[1]).entries, block_on_fail=True)
-    st.run("gauss-weingarten", "sec-2-induced",
-           lambda: lightlike.induced_invariant_entries(geo.frame, geo.induced))
-    st.run("structure-transfer", "eq-2.7",
-           lambda: lightlike.ascreen_f0_entries(geo.frame, geo.induced, geo.mu))
+    st.run("gauss-weingarten", "sec-2-induced", lightlike.induced_invariant_entries,
+           reads=lambda: (geo.frame, geo.induced))
+    st.run("structure-transfer", "eq-2.7", lightlike.ascreen_f0_entries,
+           reads=lambda: (geo.frame, geo.induced, geo.mu))
     st.run("umbilicity", "def-3.1",
-           lambda: [report.passed("umbilicity", "def-3.1",
-                                  geo.umbilicity.describe())])
-    st.run("screen-umbilicity", "eq-17",
-           lambda: lightlike.screen_umbilical_entries(
-               geo.frame, geo.induced, geo.umbilicity, geo.mu))
-    st.run("induced-curvature", "sec-3-ricci",
-           lambda: [lightlike.ricci_symmetric_entry(geo.curv_ind.ricci)])
-    st.run("gauss-relation", "sec-4-gauss",
-           lambda: [lightlike.gauss_relation_entry(
-               geo.frame, geo.induced, geo.curv, geo.curv_ind)])
+           lambda umbilicity: [report.passed("umbilicity", "def-3.1",
+                                             umbilicity.describe())],
+           reads=lambda: (geo.umbilicity,))
+    st.run("screen-umbilicity", "eq-17", lightlike.screen_umbilical_entries,
+           reads=lambda: (geo.frame, geo.induced, geo.umbilicity, geo.mu))
+    st.run("induced-curvature", "sec-3-ricci", _one(lightlike.ricci_symmetric_entry),
+           reads=lambda: (geo.curv_ind.ricci,))
+    st.run("gauss-relation", "sec-4-gauss", _one(lightlike.gauss_relation_entry),
+           reads=lambda: (geo.frame, geo.induced, geo.curv, geo.curv_ind))
     closed_form("curvature-from-shape-terms", "eq-15",
-                lambda: [lightlike.curvature_form_15_entry(
-                    geo.frame, geo.induced, geo.curv_ind, geo.pair)],
-                gamma=False)
-    closed_form("b-derivative-balance", "eq-16",
-                lambda: [lightlike.codazzi_16_entry(
-                    geo.frame, geo.induced, geo.pair, geo.mu)],
-                gamma=False)
+                _one(lightlike.curvature_form_15_entry),
+                lambda: (geo.frame, geo.induced, geo.curv_ind, geo.pair), gamma=False)
+    closed_form("b-derivative-balance", "eq-16", _one(lightlike.codazzi_16_entry),
+                lambda: (geo.frame, geo.induced, geo.pair, geo.mu), gamma=False)
     closed_form("twisted-sectional-vanishes", "thm-4.4",
-                lambda: [lightlike.nu_tilde_vanishes_entry(geo.pair)])
+                _one(lightlike.nu_tilde_vanishes_entry), lambda: (geo.pair,))
     closed_form("umbilic-factor-identity", "eq-18",
-                lambda: [lightlike.gamma_identity_18_entry(
-                    geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu)])
+                _one(lightlike.gamma_identity_18_entry),
+                lambda: (geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu))
     closed_form("umbilic-curvature-form", "eq-19",
-                lambda: [lightlike.curvature_form_19_entry(
-                    geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu)])
-    closed_form("umbilic-ricci-form", "eq-20",
-                lambda: [lightlike.ricci_form_20_entry(
-                    geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
-                    geo.mu, geo.structure.n)])
+                _one(lightlike.curvature_form_19_entry),
+                lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu))
+    closed_form("umbilic-ricci-form", "eq-20", _one(lightlike.ricci_form_20_entry),
+                lambda: (geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
+                         geo.mu, geo.structure.n))
 
     def eta_step():
         values, reason = geo.eta_einstein
@@ -390,28 +405,25 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
             f"Ric = ({k}) g + ({c}) eta x eta")]
     st.run("eta-einstein-solve", "sec-4-einstein", eta_step)
 
-    closed_form("ricci-action-closed-form", "eq-23",
-                lambda: [lightlike.semisym_23_entry(
-                    geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
-                    geo.structure.n)])
-    st.run("umbilical-flatness", "cor-4.3",
-           lambda: [associated.umbilical_flatness_entry(
-               geo.umbilicity, geo.curv_ind, geo.curv)])
-    st.run("twin-geometry", "thm-1.1", lambda: decided(*geo.twin[1]))
-    st.run("twin-curvature-transfer", "eq-13",
-           lambda: [associated.tilde_relation_13_entry(
-               geo.frame, geo.induced, geo.mu, geo.curv_ind, geo.tcurv)])
-    st.run("twin-ricci-transfer", "eq-14",
-           lambda: [associated.tilde_ricci_14_entry(
-               geo.frame, geo.induced, geo.mu, geo.curv_ind.ricci,
-               geo.tcurv.ricci)])
+    closed_form("ricci-action-closed-form", "eq-23", _one(lightlike.semisym_23_entry),
+                lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
+                         geo.structure.n))
+    st.run("umbilical-flatness", "cor-4.3", _one(associated.umbilical_flatness_entry),
+           reads=lambda: (geo.umbilicity, geo.curv_ind, geo.curv))
+    # the conditions after the five preconditions raise nothing once those
+    # have passed (see AssociatedObjects)
+    st.run("twin-geometry", "thm-1.1", lambda: decided(*geo.twin[1], reports))
+    st.run("twin-curvature-transfer", "eq-13", _one(associated.tilde_relation_13_entry),
+           reads=lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind, geo.tcurv))
+    st.run("twin-ricci-transfer", "eq-14", _one(associated.tilde_ricci_14_entry),
+           reads=lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind.ricci,
+                          geo.tcurv.ricci))
     closed_form("twin-umbilic-curvature-form", "eq-21",
-                lambda: [associated.tilde_form_21_entry(
-                    geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu)])
-    closed_form("twin-umbilic-ricci-form", "eq-22",
-                lambda: associated.tilde_ricci_22_entries(
-                    geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma,
-                    geo.mu, geo.structure.n),
+                _one(associated.tilde_form_21_entry),
+                lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu))
+    closed_form("twin-umbilic-ricci-form", "eq-22", associated.tilde_ricci_22_entries,
+                lambda: (geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma, geo.mu,
+                         geo.structure.n),
                 names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
 
     def einstein_step():
@@ -423,15 +435,15 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
     st.run("einstein-solve", "sec-4-einstein", einstein_step)
 
     closed_form("twin-ricci-action-closed-form", "eq-24",
-                lambda: [associated.semisym_24_entry(
-                    geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
-                    geo.structure.n)])
+                _one(associated.semisym_24_entry),
+                lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
+                         geo.structure.n))
     st.run("geodesic-correspondence", "prop-3.3",
-           lambda: associated.geodesic_correspondence_entries(
-               geo.assoc, geo.umbilicity))
+           associated.geodesic_correspondence_entries,
+           reads=lambda: (geo.assoc, geo.umbilicity))
     st.run("umbilical-curvature-transfer", "cor-3.5",
-           lambda: [associated.curvature_transfer_entry(
-               geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv)])
+           _one(associated.curvature_transfer_entry),
+           reads=lambda: (geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv))
     return st
 
 
@@ -463,20 +475,22 @@ def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
 def run_suite(model: ModelFile, suite: str = "all") -> report.CheckReport:
     """Run the stages the suite needs and collect one ordered report.
 
-    ``theorem46`` reports the theorem stage only, but runs every stage:
-    any earlier step can block or skip the theorem entries.
+    ``theorem46`` reports the theorem stage only.  It runs every earlier
+    step that can block the theorem or whose value the theorem reads, and
+    of the others only the geometry reads, so the same step blocks it.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose one of {SUITES}")
     geo = Geometry(model)
     rep = report.CheckReport()
-    st = _ambient_stage(geo)
-    if suite != "theorem46":
+    reports = suite != "theorem46"
+    st = _ambient_stage(geo, reports)
+    if reports:
         rep.extend(st.entries)
     if suite == "ambient":
         return rep
-    st = _submanifold_stage(geo, st.blocker)
-    if suite != "theorem46":
+    st = _submanifold_stage(geo, st.blocker, reports)
+    if reports:
         rep.extend(st.entries)
     if suite == "submanifold":
         return rep

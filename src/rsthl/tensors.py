@@ -43,13 +43,13 @@ of a table, so a symmetry T(X, Y) = T(Y, X) reads
 table plus two cyclic permutations of it; ``skew`` subtracts the swap of
 the first two slots and ``at`` fixes the first slot at a frame vector.
 
-Only this module eliminates or solves.  Its one fraction-free
-(Bareiss-style) elimination serves the determinant (the last pivot), the
-rank and every solver: each update is a two-term cross-multiplication
-divided by the previous pivot, which keeps intermediate entries small
-and every division exact.  Each coefficient of one table over others
-(the umbilicity factors, the Einstein constants, the sectional
-invariants) is one ``solve_combination``.
+Only this module eliminates or solves.  One Gauss-Jordan reduction,
+pivoting on the nonzero entry with the fewest terms, serves the rank,
+the determinant (the signed product of the pivots) and every solver.
+Each coefficient of one table over others (the umbilicity factors, the
+Einstein constants, the sectional invariants) is one
+``solve_combination``: k basis tables are fitted on the first k offsets
+that raise the rank, and one whole-table comparison checks the rest.
 """
 
 from __future__ import annotations
@@ -506,84 +506,81 @@ def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm
 # --- exact linear algebra -------------------------------------------------
 
 
-def _echelon(rows: list[list[RationalFunction]], pivot_cols_limit: int):
-    """Fraction-free forward elimination in place; pivots only in the
-    first pivot_cols_limit columns.  Returns (matrix, pivot column list,
-    row-swap count).  Updates start right of the pivot column: below the
-    pivot row the columns left of it are already zero.  An update whose
-    two products both vanish leaves its zero entry as it is; a zero factor
-    alone still scales the entry by pivot/prev."""
+def _reduce(rows: list[list[RationalFunction]], ncols: int):
+    """Gauss-Jordan reduction in place, pivots only in the first ncols
+    columns: (rows, pivot column list, determinant of a square part).
+
+    A column's pivot is its nonzero entry with the fewest terms at or
+    below the next pivot row; that row moves up, is divided by it and
+    clears the column in every other row that is nonzero there.  Row r
+    ends with a 1 in column pivots[r].  The determinant is the signed
+    product of the pivots, 0 when a column has none."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots = []
-    swaps = 0
-    prev = ONE
+    det = ONE
     r = 0
-    for c in range(min(pivot_cols_limit, ncols)):
-        p = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            swaps += 1
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            factor = rows[i][c]
-            for j in range(c + 1, ncols):
-                x, y = rows[i][j], rows[r][j]
-                if x.is_zero() and (factor.is_zero() or y.is_zero()):
-                    continue
-                rows[i][j] = (x * pivot - factor * y) / prev
-            rows[i][c] = ZERO
-        prev = pivot
-        pivots.append(c)
-        r += 1
+    for c in range(ncols):
         if r == nrows:
             break
-    return rows, pivots, swaps
+        best = fewest = None
+        for i in range(r, nrows):
+            x = rows[i][c]
+            if not x.is_zero() and (best is None or x.terms() < fewest):
+                best, fewest = i, x.terms()
+        if best is None:
+            det = ZERO
+            continue
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
+            det = -det
+        prow = rows[r]
+        pivot = prow[c]
+        det = det * pivot
+        width = range(c + 1, len(prow))
+        for j in width:
+            if not prow[j].is_zero():
+                prow[j] = prow[j] / pivot
+        prow[c] = ONE
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if i == r or factor.is_zero():
+                continue
+            for j in width:
+                y = prow[j]
+                if not y.is_zero():
+                    row[j] = row[j] - factor * y
+            row[c] = ZERO
+        pivots.append(c)
+        r += 1
+    return rows, pivots, det
 
 
 def rank(rows: Sequence[Sequence[RationalFunction]]) -> int:
     """The rank of a matrix given by its rows."""
     ncols = len(rows[0]) if rows else 0
-    return len(_echelon([list(r) for r in rows], ncols)[1])
+    return len(_reduce([list(r) for r in rows], ncols)[1])
 
 
 def determinant(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
-    """The determinant, the last Bareiss pivot; 1 for the empty matrix."""
+    """The determinant, the signed product of the pivots; 1 for the empty
+    matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    ech, pivots, swaps = _echelon([list(r) for r in rows], n)
-    if len(pivots) < n:
-        return ZERO
-    det = ech[-1][-1] if n else ONE
-    return -det if swaps % 2 else det
+    return _reduce([list(r) for r in rows], n)[2]
 
 
-def _back_substitute(ech, pivots, n_unknowns, rhs_col):
-    """The solution of an echelon system whose free variables are zero."""
-    x = [ZERO] * n_unknowns
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        acc = ech[r][rhs_col]
-        for j in range(pc + 1, n_unknowns):
-            if not ech[r][j].is_zero() and not x[j].is_zero():
-                acc = acc - ech[r][j] * x[j]
-        x[pc] = acc / ech[r][pc]
-    return tuple(x)
-
-
-def _eliminate(a_rows, b):
-    """The echelon form of [A | b] and its pivot columns; raises
-    InconsistentSystem when A x = b has no solution."""
+def _particular(a_rows, b) -> tuple[tuple[RationalFunction, ...], int]:
+    """The solution of A x = b whose free variables are zero, and the rank
+    of A; raises InconsistentSystem when there is none."""
     n = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    ech, pivots, _ = _echelon(aug, n)
-    for r in range(len(pivots), len(ech)):
-        if not ech[r][n].is_zero():
-            raise InconsistentSystem("linear system has no solution")
-    return ech, pivots
+    red, pivots, _ = _reduce([list(row) + [bv] for row, bv in zip(a_rows, b)], n)
+    if any(not row[n].is_zero() for row in red[len(pivots):]):
+        raise InconsistentSystem("linear system has no solution")
+    x = [ZERO] * n
+    for row, c in zip(red, pivots):
+        x[c] = row[n]
+    return tuple(x), len(pivots)
 
 
 def solve_unique(
@@ -591,11 +588,10 @@ def solve_unique(
     b: Sequence[RationalFunction],
 ) -> tuple[RationalFunction, ...]:
     """Solve A x = b, demanding exactly one solution."""
-    n = len(a_rows[0])
-    ech, pivots = _eliminate(a_rows, b)
-    if len(pivots) < n:
+    x, r = _particular(a_rows, b)
+    if r < len(x):
         raise UnderdeterminedSystem("linear system has a free variable")
-    return _back_substitute(ech, pivots, n, n)
+    return x
 
 
 def solve_combination(target: MultilinearForm,
@@ -607,15 +603,29 @@ def solve_combination(target: MultilinearForm,
     UnderdeterminedSystem when the basis is linearly dependent.  Only the
     offsets where some table is nonzero give equations; the others read
     0 = 0 (offset 0 stands in when there is none, so the system keeps
-    its columns).
+    its columns).  An independent basis of k tables is solved on the
+    first k offsets that raise the rank, and the whole-table equality of
+    target and combination decides the other offsets: those k equations
+    span all of them, so a consistent system satisfies every one.
     """
     for b in basis:
         _same_frame(target, b)
         if b.arity != target.arity:
             raise ValueError("the target and the basis terms differ in size")
     offsets = sorted(set(target.nonzero).union(*(b.nonzero for b in basis))) or [0]
-    return solve_unique([[b.nonzero.get(off, ZERO) for b in basis] for off in offsets],
-                        [target.nonzero.get(off, ZERO) for off in offsets])
+    rows = [[b.nonzero.get(off, ZERO) for b in basis] for off in offsets]
+    rhs = [target.nonzero.get(off, ZERO) for off in offsets]
+    kept = []
+    for i, row in enumerate(rows):
+        if len(kept) < len(basis) and rank([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    if len(kept) < len(basis):
+        return solve_unique(rows, rhs)
+    coeffs = solve_unique([rows[i] for i in kept], [rhs[i] for i in kept])
+    if target != sum((b.scale(c) for b, c in zip(basis, coeffs)),
+                     MultilinearForm.zero(target.frame, target.arity)):
+        raise InconsistentSystem("linear system has no solution")
+    return coeffs
 
 
 def solve_affine(
@@ -623,21 +633,15 @@ def solve_affine(
     b: Sequence[RationalFunction],
 ) -> tuple[RationalFunction, ...]:
     """One solution of A x = b, the one whose free variables are zero."""
-    n = len(a_rows[0])
-    ech, pivots = _eliminate(a_rows, b)
-    return _back_substitute(ech, pivots, n, n)
+    return _particular(a_rows, b)[0]
 
 
 def matrix_inverse(
     rows: Sequence[Sequence[RationalFunction]],
 ) -> list[list[RationalFunction]]:
     n = len(rows)
-    aug = [
-        list(row) + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    ech, pivots, _ = _echelon(aug, n)
+    red, pivots, _ = _reduce([list(row) + [ONE if i == j else ZERO for j in range(n)]
+                              for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         raise DegenerateMetric("matrix is singular")
-    cols = [_back_substitute(ech, pivots, n, n + j) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [row[n:] for row in red]

@@ -502,8 +502,11 @@ def test_small_integer_constants_are_shared():
     assert rf("-64") is -rf(64)
     assert HALF + HALF is ONE
     assert 1 - ONE is ZERO
-    assert rf(65) is not rf(65)
     assert rf(65) == rf(64) + 1
+    # a single term is built once per (n, d, k) and then reused
+    assert rf(65) is rf(65)
+    assert MU * 65 is rf("65*mu")
+    assert rf(130) / rf(4) is rf(130) / rf(4)
 
 
 def test_hash_matches_equality():

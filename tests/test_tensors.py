@@ -2,7 +2,7 @@
 
 import ast
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ from rsthl.errors import (DegenerateMetric, InconsistentSystem,
                           UnderdeterminedSystem)
 from rsthl import tensors
 from rsthl.scalars import MU, ONE, ZERO, RationalFunction, rf
-from rsthl.tensors import (Frame, MultilinearForm, _echelon, compose,
+from rsthl.tensors import (Frame, MultilinearForm, compose,
                            curvature_product, determinant, matrix_inverse,
                            onto_frame, outer, solve_affine, solve_combination,
                            solve_unique)
@@ -417,7 +417,8 @@ def leibniz(rows):
 
 
 @pytest.mark.parametrize("rows, swaps", [
-    # zero leading entries force an odd and an even number of row swaps
+    # zero leading entries make the pivot rows move; swaps adjacent rows
+    # are exchanged on top, each flipping the sign
     ([[0, "mu", 1], [1, 2, 0], [3, 1, "mu"]], 1),
     ([[0, "mu", 0], [0, 0, 2], [1, 0, 1]], 2),
     ([[0, 1, 2, "mu"], [0, 0, 1, 1], [1, "mu", 0, 2], [2, 0, "mu", 1]], 2),
@@ -427,8 +428,69 @@ def leibniz(rows):
 ])
 def test_determinant_matches_leibniz_under_row_swaps(rows, swaps):
     rows = [[rf(x) for x in row] for row in rows]
-    assert _echelon([list(r) for r in rows], len(rows))[2] == swaps
     assert determinant(rows) == leibniz(rows)
+    swapped = list(rows)
+    for t in range(swaps):
+        i = t % (len(rows) - 1)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    assert leibniz(swapped) == (-1) ** swaps * leibniz(rows)
+    assert determinant(swapped) == leibniz(swapped)
+
+
+# Entries that vanish, cancel, repeat and mix constants with powers of mu.
+SOLVER_ENTRIES = (ZERO, ONE, -ONE, rf(2), rf(-2), MU, -MU, MU * MU, MU + 1)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(st.sampled_from(SOLVER_ENTRIES), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+def largest_nonzero_minor(rows):
+    """The size of the largest square submatrix with a nonzero Leibniz
+    determinant."""
+    for size in range(min(len(rows), len(rows[0])), 0, -1):
+        for picked in combinations(rows, size):
+            for cols in combinations(range(len(rows[0])), size):
+                if not leibniz([[row[c] for c in cols] for row in picked]).is_zero():
+                    return size
+    return 0
+
+
+@given(data=st.data(), n=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_an_inverse_or_the_matrix_is_singular(data, n):
+    rows = data.draw(matrices(n, n))
+    if leibniz(rows).is_zero():
+        with pytest.raises(DegenerateMetric, match="matrix is singular"):
+            matrix_inverse(rows)
+        return
+    inv = matrix_inverse(rows)
+    for i, j in product(range(n), repeat=2):
+        total = sum((inv[i][m] * rows[m][j] for m in range(n)), ZERO)
+        assert total == (ONE if i == j else ZERO)
+
+
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_rank_is_the_largest_nonzero_minor(data, n, m):
+    rows = data.draw(matrices(n, m))
+    assert tensors.rank(rows) == largest_nonzero_minor(rows)
+
+
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_solve_affine_satisfies_the_system(data, n, m):
+    a = data.draw(matrices(n, m))
+    b = data.draw(st.lists(st.sampled_from(SOLVER_ENTRIES), min_size=n, max_size=n))
+    consistent = tensors.rank(a) == tensors.rank([row + [bv] for row, bv in zip(a, b)])
+    if not consistent:
+        with pytest.raises(InconsistentSystem, match="linear system has no solution"):
+            solve_affine(a, b)
+        return
+    x = solve_affine(a, b)
+    for row, bv in zip(a, b):
+        assert sum((c * xv for c, xv in zip(row, x)), ZERO) == bv
 
 
 def test_solve_unique():
@@ -464,6 +526,21 @@ def test_solve_combination_of_vectors_and_tables():
         solve_combination(v, g)
 
 
+V = MultilinearForm.from_map(F3, {"e1": 1, "e3": MU})
+W = MultilinearForm.from_map(F3, {"e2": 1})
+
+
+@pytest.mark.parametrize("target, basis", [
+    (W, (V, V)),
+    (W, (V, V.scale(MU))),
+    (V, (MultilinearForm.zero(F3, 1), W)),
+    (V + MultilinearForm.from_map(F3, {"e3": 1}), (V.scale(2), V, W)),
+], ids=["repeated", "multiple", "zero-table", "three-dependent"])
+def test_solve_combination_rejects_targets_outside_a_dependent_span(target, basis):
+    with pytest.raises(InconsistentSystem, match="^linear system has no solution$"):
+        solve_combination(target, *basis)
+
+
 @given(st.integers(-5, 5), st.integers(-5, 5))
 def test_solve_affine_particular_solution(s, t):
     """One solution of an underdetermined system, its free variable zero."""
@@ -485,7 +562,7 @@ def test_matrix_inverse():
 
 def test_only_tensors_eliminates():
     """The elimination stays private to tensors.py."""
-    private = {"_echelon", "_eliminate", "_back_substitute"}
+    private = {"_reduce", "_particular"}
     package = Path(__file__).resolve().parents[1] / "src" / "rsthl"
     leaks = {}
     for path in sorted(package.glob("*.py")):

@@ -22,3 +22,20 @@ def test_interleaved_ab_runs_a_checkout_against_itself():
     assert re.fullmatch(r"median pair ratio change/base: \d+\.\d\d\d", lines[3])
     assert re.fullmatch(r"change faster in [012] of 2 pairs", lines[4])
     assert lines[5] == "last reports byte-identical: yes"
+
+
+def test_interleaved_ab_mixes_the_four_suites():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "interleaved_ab.py"), str(ROOT), str(ROOT),
+         "--suite", "mix", "--requests", "4"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 7
+    assert lines[0] == "model example47.json, suite mix, 2 pairs"
+    assert re.fullmatch(r"median pair ratio change/base: \d+\.\d\d\d", lines[3])
+    assert re.fullmatch(r"median pair ratio per suite: ambient \d+\.\d\d\d, "
+                        r"submanifold \d+\.\d\d\d, theorem46 \d+\.\d\d\d, "
+                        r"all \d+\.\d\d\d", lines[4])
+    assert re.fullmatch(r"change faster in [012] of 2 pairs", lines[5])
+    assert lines[6] == "last reports byte-identical: yes"

@@ -17,11 +17,16 @@ within a pair flips every pair, so a slow phase of the host weighs on both
 trees alike.  Without ``--model`` the worked model is written by BASE's
 ``rsthl example47 --emit``.
 
+``--suite mix`` sends the four suites as the benchmark's ``suite-mix``
+workload does: one request is a block of all four, in an order drawn
+from ``random.Random("suite-mix:1")`` (the workload at seed 1) for each
+pair and shared by both trees, and its time is the block's.
+
 The output gives each tree's mean request time, the median over pairs of
-the CHANGE/BASE ratio, the number of pairs CHANGE won and whether the two
-trees' last reports are byte-identical.  It sizes a change in a minute;
-claims still rest on the benchmark harness's alternating runs
-(``bench/README.md``).
+the CHANGE/BASE ratio (with ``mix``, also per suite), the number of pairs
+CHANGE won and whether the two trees' last reports of each suite are
+byte-identical.  It sizes a change in a minute; claims still rest on the
+benchmark harness's alternating runs (``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -31,11 +36,14 @@ import contextlib
 import gc
 import importlib
 import io
+import random
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+SUITES = ("ambient", "submanifold", "theorem46", "all")
 
 
 def package_modules(root: str) -> dict:
@@ -70,30 +78,45 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="the reference checkout")
     parser.add_argument("change", help="the checkout to compare with it")
     parser.add_argument("--model", help="model file (default: the emitted example47)")
-    parser.add_argument("--suite", default="all")
+    parser.add_argument("--suite", default="all", choices=SUITES + ("mix",))
     parser.add_argument("--requests", type=int, default=300,
                         help="requests in all, an even number (default 300)")
     args = parser.parse_args(argv)
     if args.requests < 2 or args.requests % 2:
         parser.error("--requests must be an even number of at least 2")
+    suites = SUITES if args.suite == "mix" else (args.suite,)
+    rng = random.Random("suite-mix:1")
     trees = (package_modules(args.base), package_modules(args.change))
     with tempfile.TemporaryDirectory() as tmp:
         model = args.model or str(Path(tmp) / "example47.json")
         if not args.model:
             request(trees[0], ["example47", "--emit", model])
-        reports = [str(Path(tmp) / f"report{i}.json") for i in (0, 1)]
+        reports = [{s: Path(tmp) / f"report{i}-{s}.json" for s in suites} for i in (0, 1)]
         times = ([], [])
+        by_suite = {s: ([], []) for s in suites}
         for k in range(args.requests // 2):
+            order = list(suites)
+            rng.shuffle(order)
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                times[i].append(request(trees[i], [
-                    "check", model, "--suite", args.suite, "--report", reports[i]]))
-        same = Path(reports[0]).read_bytes() == Path(reports[1]).read_bytes()
+                block = 0.0
+                for s in order:
+                    t = request(trees[i], [
+                        "check", model, "--suite", s, "--report", str(reports[i][s])])
+                    by_suite[s][i].append(t)
+                    block += t
+                times[i].append(block)
+        same = all(reports[0][s].read_bytes() == reports[1][s].read_bytes()
+                   for s in suites)
     pairs = len(times[0])
     ratios = [b / a for a, b in zip(*times)]
     print(f"model {Path(model).name}, suite {args.suite}, {pairs} pairs")
     for label, path, samples in zip(("base", "change"), (args.base, args.change), times):
         print(f"{label}: mean {statistics.fmean(samples) * 1e3:.2f} ms  ({path})")
     print(f"median pair ratio change/base: {statistics.median(ratios):.3f}")
+    if args.suite == "mix":
+        print("median pair ratio per suite: " + ", ".join(
+            f"{s} {statistics.median(b / a for a, b in zip(*by_suite[s])):.3f}"
+            for s in suites))
     print(f"change faster in {sum(r < 1 for r in ratios)} of {pairs} pairs")
     print(f"last reports byte-identical: {'yes' if same else 'no'}")
     return 0
