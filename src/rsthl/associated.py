@@ -8,7 +8,9 @@ normals.  This module rebuilds that geometry along three independent
 routes, cross-checks them against each other, and evaluates the
 closed-form curvature identities of the catalog as exact residuals.
 The direct route is the ``lightlike.Splitting`` over (tangent, N1, N2),
-the twin counterpart of the frame's splitting over (tangent, N, L).
+the twin counterpart of the frame's splitting over (tangent, N, L).  The
+five equivalent assertions of thm-4.6 are decided from the induced and
+twin curvatures, as six report entries.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional
 
-from .errors import InconsistentSystem, NotEinstein, UnderdeterminedSystem
-from .liegeom import Connection, CurvatureTensor, InvariantMetric, curvature, levi_civita
+from .errors import InconsistentSystem, UnderdeterminedSystem
+from .liegeom import CurvatureTensor, InvariantMetric, curvature, levi_civita
 from .lightlike import (
     InducedObjects,
     SubmanifoldFrame,
@@ -43,12 +45,12 @@ class AssociatedObjects:
     the restricted twin metric nor the split over (T, N1, N2) raises."""
 
     def __init__(self, f: SubmanifoldFrame, mu: RationalFunction,
-                 ambient_conn: Connection):
-        xi_bar = f.model.structure.xi_bar
+                 ambient_gamma: MultilinearForm):
+        xi_bar = f.structure.xi_bar
         self.n1 = xi_bar - f.l_vec  # the twin normals, vectors
         self.n2 = xi_bar.scale(rf(2)) - f.n_vec.scale(mu * 2) - f.l_vec
         self.frame = f
-        self.ambient_conn = ambient_conn
+        self.ambient_gamma = ambient_gamma
 
     @cached_property
     def metric(self) -> InvariantMetric:
@@ -58,14 +60,13 @@ class AssociatedObjects:
     def parts(self) -> tuple:
         """The ambient connection and its derivatives of N1 and N2, split
         over (tangent, N1, N2)."""
-        f, conn = self.frame, self.ambient_conn
-        twin = Splitting(f.tangent_frame, f.tangent_vectors, (self.n1, self.n2))
-        return (twin.split(conn.gamma),
-                *(twin.split(conn.derivative(n)) for n in (self.n1, self.n2)))
+        return Splitting(self.frame, (self.n1, self.n2)).connection_parts(
+            self.ambient_gamma)
 
-    @cached_property
-    def conn(self) -> Connection:
-        return Connection(self.frame.tangent_frame, self.parts[0][0])
+    @property
+    def gamma(self) -> MultilinearForm:
+        """The twin connection."""
+        return self.parts[0][0]
 
     @property
     def h1(self) -> MultilinearForm:
@@ -93,7 +94,7 @@ class AssociatedObjects:
 
 def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
                      mu: RationalFunction,
-                     ambient_conn: Connection) -> tuple[AssociatedObjects, tuple]:
+                     ambient_gamma: MultilinearForm) -> tuple[AssociatedObjects, tuple]:
     """The twin geometry and the conditions of its three-route build, in
     catalog order, as (preconditions, conditions).  The five preconditions
     make (T, N1, N2) a basis, on which the geometry is read.
@@ -105,8 +106,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     for the restricted twin metric.  A route that disagrees with the split
     fails its condition with the residual and blocks nothing.
     """
-    s = f.model.structure
-    assoc = AssociatedObjects(f, mu, ambient_conn)
+    s = f.structure
+    assoc = AssociatedObjects(f, mu, ambient_gamma)
     n1, n2 = assoc.n1, assoc.n2
     gt = s.g_phi + s.eta_eta  # g~ as its table, read without inverting it
     zero_form = MultilinearForm.zero(f.tangent_frame, 1)
@@ -116,7 +117,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     xi_t = f.radical_tangent()
     inv_mu = ONE / mu
     b_phi = obj.b_phi
-    gamma_formula = obj.conn.gamma + outer(
+    gamma_formula = obj.gamma + outer(
         (obj.b_form.scale(HALF) + b_phi).scale(inv_mu * inv_mu), xi_t)
     phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
     return assoc, ((
@@ -148,11 +149,11 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
             tuple(p for parts in assoc.parts[1:] for p in parts[1:]), (zero_form,) * 4,
             "the derivatives of both normals are purely tangent")),
         ("twin-connection-formula", "eq-2.11", lambda: (
-            gamma_formula, assoc.conn.gamma,
+            gamma_formula, assoc.gamma,
             "the twin connection equals the induced connection plus the "
             "radical correction term")),
         ("twin-connection-koszul", "eq-2.11", lambda: (
-            levi_civita(f.tangent_algebra, assoc.metric).gamma, assoc.conn.gamma,
+            levi_civita(f.tangent_algebra, assoc.metric), assoc.gamma,
             "the Koszul formula for the restricted twin metric returns the "
             "same connection")),
         ("twin-second-form-one", "eq-2.12", lambda: (
@@ -176,7 +177,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
 
 
 def tilde_curvature(f: SubmanifoldFrame, assoc: AssociatedObjects) -> CurvatureTensor:
-    return curvature(assoc.conn, f.tangent_algebra)
+    return curvature(assoc.gamma, f.tangent_algebra)
 
 
 def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
@@ -276,10 +277,10 @@ def einstein_solve(f: SubmanifoldFrame, assoc: AssociatedObjects,
     try:
         (lam,) = solve_combination(tilde_ric, assoc.metric.form)
     except InconsistentSystem as exc:
-        raise NotEinstein(
+        raise InconsistentSystem(
             "the twin Ricci tensor is not proportional to the twin metric") from exc
     except UnderdeterminedSystem as exc:
-        raise NotEinstein("the twin metric vanishes on this frame") from exc
+        raise UnderdeterminedSystem("the twin metric vanishes on this frame") from exc
     return lam
 
 
@@ -360,79 +361,42 @@ def umbilical_flatness_entry(rep: UmbilicityReport, curv: CurvatureTensor,
         "a totally umbilical submanifold and its ambient space are flat")
 
 
-class TheoremAggregate:
-    """Truth values of the five equivalent assertions."""
-
-    __slots__ = ("ricci_semisymmetric", "twin_ricci_semisymmetric", "eta_einstein",
-                 "einstein", "scalar_identity", "eta_constants", "einstein_constant")
-
-    def __init__(self, ricci_semisymmetric: bool, twin_ricci_semisymmetric: bool,
-                 eta_einstein: bool, einstein: bool, scalar_identity: bool,
-                 eta_constants: Optional[tuple[RationalFunction, RationalFunction]],
-                 einstein_constant: Optional[RationalFunction]):
-        self.ricci_semisymmetric = ricci_semisymmetric
-        self.twin_ricci_semisymmetric = twin_ricci_semisymmetric
-        self.eta_einstein = eta_einstein
-        self.einstein = einstein
-        self.scalar_identity = scalar_identity
-        self.eta_constants = eta_constants
-        self.einstein_constant = einstein_constant
-
-    def all_equal(self) -> bool:
-        values = (self.ricci_semisymmetric, self.twin_ricci_semisymmetric,
-                  self.eta_einstein, self.einstein, self.scalar_identity)
-        return len(set(values)) == 1
+THEOREM_NAMES = ("assertion-ricci-semisymmetric", "assertion-twin-ricci-semisymmetric",
+                 "assertion-eta-einstein", "assertion-einstein",
+                 "assertion-scalar-identity", "assertion-equivalence")
 
 
 def theorem_aggregate(curv: CurvatureTensor, tilde_curv: CurvatureTensor,
                       pair: CurvaturePair, gamma_screen: RationalFunction,
                       mu: RationalFunction,
                       eta_constants: Optional[tuple[RationalFunction, RationalFunction]],
-                      einstein_constant: Optional[RationalFunction]) -> TheoremAggregate:
-    """Decide the five assertions for curv, tilde_curv and their Ricci tensors.
+                      einstein_constant: Optional[RationalFunction]) -> list[CheckEntry]:
+    """The five assertions for curv, tilde_curv and their Ricci tensors,
+    and their equivalence, as six entries.
 
     eta_constants and einstein_constant are the solutions of the two
     Einstein-type systems (``eta_einstein_solve``, ``einstein_solve``), None
     where a system has none.  Every invariant scalar is constant on each
     group of the family, so exact solvability alone decides those assertions.
     """
-    return TheoremAggregate(
-        ricci_semisymmetric=curv.ricci_action.is_zero(),
-        twin_ricci_semisymmetric=tilde_curv.ricci_action.is_zero(),
-        eta_einstein=eta_constants is not None,
-        einstein=einstein_constant is not None,
-        scalar_identity=pair.nu == mu * mu * gamma_screen * gamma_screen * 4,
-        eta_constants=eta_constants, einstein_constant=einstein_constant)
-
-
-def theorem_entries(agg: TheoremAggregate) -> list[CheckEntry]:
-    entries = [
-        compare("assertion-ricci-semisymmetric", "thm-4.6", agg.ricci_semisymmetric,
-                True, "(i) the curvature action annihilates the induced Ricci tensor"),
-        compare("assertion-twin-ricci-semisymmetric", "thm-4.6",
-                agg.twin_ricci_semisymmetric, True,
-                "(ii) the twin curvature action annihilates the twin Ricci tensor"),
-    ]
-    if agg.eta_constants is not None:
-        k, c = agg.eta_constants
-        detail = f"(iii) Ric = k g + c eta x eta with k = {k}, c = {c}"
+    truths = (curv.ricci_action.is_zero(), tilde_curv.ricci_action.is_zero(),
+              eta_constants is not None, einstein_constant is not None,
+              pair.nu == mu * mu * gamma_screen * gamma_screen * 4)
+    if eta_constants is not None:
+        k, c = eta_constants
+        eta_detail = f"(iii) Ric = k g + c eta x eta with k = {k}, c = {c}"
     else:
-        detail = "(iii) the induced Ricci tensor admits no such decomposition"
-    entries.append(compare(
-        "assertion-eta-einstein", "thm-4.6", agg.eta_einstein, True, detail))
-    if agg.einstein_constant is not None:
-        detail = f"(iv) Ric~ = lambda g~ with lambda = {agg.einstein_constant}"
+        eta_detail = "(iii) the induced Ricci tensor admits no such decomposition"
+    if einstein_constant is not None:
+        einstein_detail = f"(iv) Ric~ = lambda g~ with lambda = {einstein_constant}"
     else:
-        detail = "(iv) the twin Ricci tensor is not proportional to the twin metric"
-    entries.append(compare(
-        "assertion-einstein", "thm-4.6", agg.einstein, True, detail))
-    entries.append(compare(
-        "assertion-scalar-identity", "thm-4.6", agg.scalar_identity, True,
-        "(v) nu = 4 mu^2 gamma^2"))
-    truths = (agg.ricci_semisymmetric, agg.twin_ricci_semisymmetric,
-              agg.eta_einstein, agg.einstein, agg.scalar_identity)
-    entries.append(compare(
-        "assertion-equivalence", "thm-4.6", agg.all_equal(), True,
+        einstein_detail = "(iv) the twin Ricci tensor is not proportional to the twin metric"
+    details = ("(i) the curvature action annihilates the induced Ricci tensor",
+               "(ii) the twin curvature action annihilates the twin Ricci tensor",
+               eta_detail, einstein_detail, "(v) nu = 4 mu^2 gamma^2")
+    entries = [compare(name, "thm-4.6", truth, True, detail)
+               for name, truth, detail in zip(THEOREM_NAMES, truths, details)]
+    return entries + [compare(
+        "assertion-equivalence", "thm-4.6", len(set(truths)) == 1, True,
         "all five assertions carry the same truth value: "
-        + ", ".join(str(t).lower() for t in truths)))
-    return entries
+        + ", ".join(str(t).lower() for t in truths))]

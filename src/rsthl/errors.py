@@ -38,14 +38,6 @@ class MuZero(GeometryError):
     """The scalar mu extracted from the frame vanishes."""
 
 
-class NotEtaEinstein(GeometryError):
-    """Ric is not a combination of g and the square of the structure form."""
-
-
-class NotEinstein(GeometryError):
-    """The companion Ricci tensor is not proportional to its metric."""
-
-
 class ModelError(GeometryError):
     """A model file violates the schema; names the offending field path."""
 

@@ -12,6 +12,7 @@ and curvature is the algebraic commutator
     R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
                       - nabla_{[e_i,e_j]} e_k.
 
+A connection is its Christoffel table, gamma.cell(i, j) = nabla_{e_i} e_j.
 The Ricci tensor used throughout is the frame-coefficient trace of
 X -> R(X, Y) Z, which is basis independent.
 """
@@ -149,40 +150,33 @@ class InvariantMetric:
         return isinstance(other, InvariantMetric) and self.form == other.form
 
 
-class Connection:
-    __slots__ = ("frame", "gamma")
-
-    def __init__(self, frame: Frame, gamma: MultilinearForm):
-        self.frame = frame
-        self.gamma = gamma  # gamma.cell(i, j) = nabla_{e_i} e_j
-
-    def derivative(self, v: MultilinearForm) -> MultilinearForm:
-        """The operator X -> nabla_X v."""
-        return compose(v, self.gamma.permute((1, 0, 2)))
+def derivative(gamma: MultilinearForm, v: MultilinearForm) -> MultilinearForm:
+    """The operator X -> nabla_X v of the connection gamma."""
+    return compose(v, gamma.permute((1, 0, 2)))
 
 
-def koszul_entries(conn: Connection, alg: LieAlgebra,
+def koszul_entries(gamma: MultilinearForm, alg: LieAlgebra,
                    metric: InvariantMetric) -> list[report.CheckEntry]:
     """Torsion freedom, nabla_X Y - nabla_Y X = [X, Y], and metric
     compatibility, g(nabla_X Y, Z) + g(Y, nabla_X Z) = 0."""
-    low = conn.gamma.pull_slots(metric.form, (2,))  # g(nabla_i e_j, e_k)
+    low = gamma.pull_slots(metric.form, (2,))  # g(nabla_i e_j, e_k)
     return [
         report.compare("ambient-torsion-free", "plumbing",
-                       conn.gamma.skew(), alg.brackets,
+                       gamma.skew(), alg.brackets,
                        "the Koszul connection is torsion free"),
         report.compare("ambient-metric-compatible", "plumbing",
                        low + low.permute((0, 2, 1)),
-                       MultilinearForm.zero(conn.frame, 3),
+                       MultilinearForm.zero(gamma.frame, 3),
                        "the Koszul connection preserves the metric"),
     ]
 
 
-def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> Connection:
+def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> MultilinearForm:
     """Unique torsion-free metric connection via the reduced Koszul formula."""
     low = alg.brackets.pull_slots(metric.form, (2,))  # g([e_i, e_j], e_k)
     # g(nabla_i e_j, e_k) = (low(i, j, k) - low(j, k, i) + low(k, i, j)) / 2
     koszul = (low - low.permute((1, 2, 0)) + low.permute((2, 0, 1))).scale(HALF)
-    return Connection(alg.frame, koszul.pull_slots(metric.inverse, (2,)))
+    return koszul.pull_slots(metric.inverse, (2,))
 
 
 class CurvatureTensor:
@@ -223,13 +217,12 @@ def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> Multilinea
     return -(first + second.permute(tuple(range(arity - 2)) + (arity - 1, arity - 2)))
 
 
-def curvature(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
+def curvature(gamma: MultilinearForm, alg: LieAlgebra) -> CurvatureTensor:
     """R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
     - nabla_[e_i, e_j] e_k, composed from whole tables."""
-    gamma = conn.gamma
     # compose(gamma, gamma') at (i, j, x) is nabla_x nabla_i e_j
     nn = compose(gamma, gamma.permute((1, 0, 2))).permute((1, 2, 0, 3))
-    return CurvatureTensor(conn.frame, nn - nn.permute((1, 0, 2, 3))
+    return CurvatureTensor(gamma.frame, nn - nn.permute((1, 0, 2, 3))
                            - compose(alg.brackets, gamma))
 
 

@@ -21,22 +21,18 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional
 
-from .errors import (
-    InconsistentSystem,
-    InvalidFrame,
-    NotEtaEinstein,
-    UnderdeterminedSystem,
-)
+from .errors import InconsistentSystem, InvalidFrame, UnderdeterminedSystem
 from .liegeom import (
-    Connection,
     CurvatureTensor,
+    InvariantMetric,
     LieAlgebra,
     curvature,
     derivation_action,
+    derivative,
 )
 from .report import CheckEntry, compare, skipped
 from .scalars import HALF, ONE, RationalFunction, ZERO
-from .structure import CurvaturePair, LieModel
+from .structure import ACBMStructure, CurvaturePair
 from .tensors import (
     Frame,
     MultilinearForm,
@@ -55,7 +51,7 @@ from .tensors import (
 RADICAL_LABEL = "xi"
 
 
-def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
+def solve_transversal(g: InvariantMetric, screen: tuple[MultilinearForm, ...],
                       rad: MultilinearForm, l_vec: MultilinearForm) -> MultilinearForm:
     """Solve for the null transversal N dual to the radical direction.
 
@@ -69,10 +65,9 @@ def solve_transversal(model: LieModel, screen: tuple[MultilinearForm, ...],
     orthogonal to all of them), g is nondegenerate, and rad is null and
     orthogonal to the screen, L and itself.
     """
-    g = model.metric
     rows = [g.lower(w).entries for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
-    n0 = MultilinearForm(model.frame, 1, solve_affine(rows, rhs))
+    n0 = MultilinearForm(g.frame, 1, solve_affine(rows, rhs))
     t = g.value(n0, n0) * -HALF
     return n0 + rad.scale(t)
 
@@ -87,8 +82,8 @@ def embedding(frame: Frame, vectors: tuple[MultilinearForm, ...]) -> Multilinear
 
 
 class Splitting:
-    """The adapted basis (T_1, ..., T_m, V1, V2): tangent vectors and a
-    transversal pair, inverted once.
+    """The adapted basis (T_1, ..., T_m, V1, V2): the tangent vectors of a
+    frame and a transversal pair, inverted once.
 
     ``split`` reads a vector-valued ambient table on tangent arguments as
     a tangent-valued table plus one coefficient table per transversal.
@@ -97,17 +92,18 @@ class Splitting:
     ``SubmanifoldFrame.restrict``.
     """
 
-    def __init__(self, tangent_frame: Frame, tangent: tuple[MultilinearForm, ...],
+    def __init__(self, f: SubmanifoldFrame,
                  transversals: tuple[MultilinearForm, MultilinearForm]):
-        self.tangent_frame = tangent_frame
-        basis = tangent + transversals
+        self.tangent_frame = f.tangent_frame
+        self.transversals = transversals
+        basis = f.tangent_vectors + transversals
         frame = basis[0].frame
         dim = frame.dimension
         inverse = matrix_inverse(
             [[basis[j].entry(i) for j in range(dim)] for i in range(dim)])
         self._coordinates = MultilinearForm.from_function(
             frame, 2, lambda i, r: inverse[r][i])
-        self._embedding = embedding(frame, tangent)
+        self._embedding = f.embedding
 
     def split(self, table: MultilinearForm
               ) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
@@ -118,10 +114,18 @@ class Splitting:
         on_tangent = table.pull_slots(self._embedding, range(table.arity - 1))
         return onto_frame(compose(on_tangent, self._coordinates), self.tangent_frame)
 
+    def connection_parts(self, gamma: MultilinearForm) -> tuple:
+        """The ambient connection gamma and its derivatives of V1 and V2,
+        each split: the Gauss and the two Weingarten formulas."""
+        return (self.split(gamma),
+                *(self.split(derivative(gamma, v)) for v in self.transversals))
+
 
 class SubmanifoldFrame:
-    """Adapted frame (screen basis, radical, transversals) with its
-    splitting over (tangent, N, L).
+    """Adapted frame (screen basis, radical, transversals) of a submanifold
+    of the algebra with its structure, and its splitting over
+    (tangent, N, L).  ``embedding`` puts the tangent vectors into the
+    slots of ambient tables, for every restriction and split.
 
     The constructor checks the shape only: label count, reserved and
     distinct labels, dimension and independent tangent vectors.  The four
@@ -134,7 +138,8 @@ class SubmanifoldFrame:
     splitting cannot fail.
     """
 
-    def __init__(self, model: LieModel, screen_labels: tuple[str, ...],
+    def __init__(self, algebra: LieAlgebra, structure: ACBMStructure,
+                 screen_labels: tuple[str, ...],
                  screen: tuple[MultilinearForm, ...], rad: MultilinearForm,
                  l_vec: MultilinearForm, n_vec: Optional[MultilinearForm] = None):
         if len(screen_labels) != len(screen):
@@ -143,13 +148,14 @@ class SubmanifoldFrame:
             raise InvalidFrame(f"screen label {RADICAL_LABEL!r} is reserved")
         if len(set(screen_labels)) != len(screen_labels):
             raise InvalidFrame("screen labels must be distinct")
-        self.model = model
+        self.algebra = algebra
+        self.structure = structure
         self.screen_labels = tuple(screen_labels)
         self.screen = tuple(screen)
         self.rad = rad
         self.l_vec = l_vec
         self._given_n = n_vec
-        dim = model.frame.dimension
+        dim = structure.frame.dimension
         m = len(screen) + 1
         if dim != m + 2:
             raise InvalidFrame(
@@ -157,15 +163,15 @@ class SubmanifoldFrame:
                 f"space needs {dim - 3} screen vectors, got {len(screen)}")
         self.tangent_frame = Frame(self.screen_labels + (RADICAL_LABEL,))
         self.tangent_vectors = self.screen + (rad,)
-        self._embedding = embedding(model.frame, self.tangent_vectors)
+        self.embedding = embedding(structure.frame, self.tangent_vectors)
         if rank([v.entries for v in self.tangent_vectors]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
-        self.induced_form = self.restrict(model.metric.form)
-        self.epsilon = model.metric.value(l_vec, l_vec)
+        self.induced_form = self.restrict(structure.metric.form)
+        self.epsilon = structure.metric.value(l_vec, l_vec)
 
     def restrict(self, form: MultilinearForm) -> MultilinearForm:
         """A scalar-valued ambient form on tangent arguments."""
-        return onto_frame(form.pull_all(self._embedding), self.tangent_frame)[0]
+        return onto_frame(form.pull_all(self.embedding), self.tangent_frame)[0]
 
     @property
     def dim(self) -> int:
@@ -183,25 +189,24 @@ class SubmanifoldFrame:
         """The given null transversal, or the one solved from the frame."""
         if self._given_n is not None:
             return self._given_n
-        return solve_transversal(self.model, self.screen, self.rad, self.l_vec)
+        return solve_transversal(self.structure.metric, self.screen, self.rad, self.l_vec)
 
     @cached_property
     def splitting(self) -> Splitting:
-        return Splitting(self.tangent_frame, self.tangent_vectors,
-                         (self.n_vec, self.l_vec))
+        return Splitting(self, (self.n_vec, self.l_vec))
 
     @cached_property
     def eta(self) -> MultilinearForm:
-        return self.restrict(self.model.metric.lower(self.n_vec))
+        return self.restrict(self.structure.metric.lower(self.n_vec))
 
     @cached_property
     def eta_bar(self) -> MultilinearForm:
-        return self.restrict(self.model.structure.eta_bar)
+        return self.restrict(self.structure.eta_bar)
 
     @cached_property
     def bracket_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
         """The brackets of tangent vectors, split over (tangent, N, L)."""
-        return self.splitting.split(self.model.algebra.brackets)
+        return self.splitting.split(self.algebra.brackets)
 
     @cached_property
     def tangent_algebra(self) -> LieAlgebra:
@@ -216,7 +221,7 @@ class SubmanifoldFrame:
     @cached_property
     def phi_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
         """The structure operator on tangent vectors, split over (tangent, N, L)."""
-        return self.splitting.split(self.model.structure.phi)
+        return self.splitting.split(self.structure.phi)
 
     @cached_property
     def phi_p(self) -> MultilinearForm:
@@ -232,12 +237,12 @@ class SubmanifoldFrame:
     @cached_property
     def phi_pairing(self) -> MultilinearForm:
         """Table of g(T_a, phi T_b) over the tangent basis."""
-        return self.restrict(self.model.structure.g_phi)
+        return self.restrict(self.structure.g_phi)
 
     @cached_property
     def phi_phi_pairing(self) -> MultilinearForm:
         """Table of g(phi T_a, phi T_b) over the tangent basis."""
-        return self.restrict(self.model.structure.g_phi_phi)
+        return self.restrict(self.structure.g_phi_phi)
 
     @cached_property
     def twin_form(self) -> MultilinearForm:
@@ -245,9 +250,10 @@ class SubmanifoldFrame:
         return self.phi_pairing + outer(self.eta_bar, self.eta_bar)
 
 
-def build_frame(model: LieModel, screen_labels, screen, rad, l_vec,
-                n_vec: Optional[MultilinearForm] = None) -> SubmanifoldFrame:
-    return SubmanifoldFrame(model, tuple(screen_labels), tuple(screen),
+def build_frame(algebra: LieAlgebra, structure: ACBMStructure, screen_labels,
+                screen, rad, l_vec, n_vec: Optional[MultilinearForm] = None
+                ) -> SubmanifoldFrame:
+    return SubmanifoldFrame(algebra, structure, tuple(screen_labels), tuple(screen),
                             rad, l_vec, n_vec)
 
 
@@ -256,7 +262,7 @@ def frame_conditions(f: SubmanifoldFrame) -> tuple:
     catalog order.  Each condition reads what the ones before it certify
     (N is solved on a certified frame, the brackets are split with N), so
     the suite decides each as a blocking step."""
-    g = f.model.metric
+    g = f.structure.metric
     tf = f.tangent_frame
     zero_form = MultilinearForm.zero(tf, 1)
     anchor = "sec-2-splitting"
@@ -289,9 +295,9 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, tuple]
     phi(xi) = mu L gives mu = eps g(phi(xi), L) without a solve.
     radical-phi-image compares phi(xi) with mu L and requires mu != 0; it
     is the one precondition of the other nine, which divide by mu."""
-    s = f.model.structure
+    s = f.structure
     phi_xi = s.phi.apply(f.rad)
-    mu = f.epsilon * f.model.metric.value(phi_xi, f.l_vec)
+    mu = f.epsilon * s.metric.value(phi_xi, f.l_vec)
     half_inv = None if mu.is_zero() else ONE / (mu + mu)
     anchor = "sec-2-ascreen"
     # phi(S_a) against its screen part: the residual is its part along the
@@ -299,7 +305,7 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, tuple]
     phi_t = f.phi_parts[0]
     screen_parts = tuple(
         sum((v.scale(phi_t.entry(a, c)) for c, v in enumerate(f.screen)),
-            MultilinearForm.zero(f.model.frame, 1))
+            MultilinearForm.zero(s.frame, 1))
         for a in range(len(f.screen)))
     return mu, ((
         ("radical-phi-image", anchor, lambda: (
@@ -331,13 +337,13 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, tuple]
 class InducedObjects:
     """Induced connection, fundamental forms and shape operators."""
 
-    def __init__(self, conn: Connection, screen_gamma: MultilinearForm,
+    def __init__(self, gamma: MultilinearForm, screen_gamma: MultilinearForm,
                  b_form: MultilinearForm, c_form: MultilinearForm,
                  d_form: MultilinearForm, shape_rad: MultilinearForm,
                  shape_n: MultilinearForm, shape_l: MultilinearForm,
                  tau: MultilinearForm, rho: MultilinearForm,
                  phi_form: MultilinearForm, frame: SubmanifoldFrame):
-        self.conn = conn
+        self.gamma = gamma  # the induced connection
         self.screen_gamma = screen_gamma  # screen_gamma.cell(a, b) = nabla*_{T_a} P T_b
         self.b_form = b_form
         self.c_form = c_form
@@ -357,7 +363,7 @@ class InducedObjects:
 
     @cached_property
     def cd_b(self) -> MultilinearForm:
-        return covariant_derivative(self.conn, self.b_form)
+        return covariant_derivative(self.gamma, self.b_form)
 
     @cached_property
     def cd_b_phi(self) -> MultilinearForm:
@@ -366,32 +372,30 @@ class InducedObjects:
 
     @cached_property
     def cd_d(self) -> MultilinearForm:
-        return covariant_derivative(self.conn, self.d_form)
+        return covariant_derivative(self.gamma, self.d_form)
 
 
-def gauss_weingarten(f: SubmanifoldFrame, ambient_conn: Connection) -> InducedObjects:
+def gauss_weingarten(f: SubmanifoldFrame, ambient_gamma: MultilinearForm) -> InducedObjects:
     """Split the ambient connection (Gauss) and its derivatives of N and L
     (Weingarten) over (tangent, N, L)."""
     tf = f.tangent_frame
     xi_t = f.radical_tangent()
-    gamma, b_form, d_form = f.splitting.split(ambient_conn.gamma)
-    conn = Connection(tf, gamma)
-    along_n, tau, rho = f.splitting.split(ambient_conn.derivative(f.n_vec))
     # the L part of nabla_X L is eps g(nabla_X L, L) = (eps/2) X g(L, L) = 0
-    along_l, phi_form, _ = f.splitting.split(ambient_conn.derivative(f.l_vec))
+    (gamma, b_form, d_form), (along_n, tau, rho), (along_l, phi_form, _) = \
+        f.splitting.connection_parts(ambient_gamma)
     shape_n, shape_l = -along_n, -along_l
 
     rad = f.radical_index
     c_form = MultilinearForm.from_function(
-        tf, 2, lambda a, b: conn.gamma.entry(a, b, rad) if b != rad else ZERO)
+        tf, 2, lambda a, b: gamma.entry(a, b, rad) if b != rad else ZERO)
     screen_gamma = MultilinearForm.from_cells(
         tf, 3,
-        lambda a, b: conn.gamma.cell(a, b) - xi_t.scale(c_form.entry(a, b))
+        lambda a, b: gamma.cell(a, b) - xi_t.scale(c_form.entry(a, b))
         if b != rad else MultilinearForm.zero(tf, 1))
     shape_rad = MultilinearForm.from_cells(
-        tf, 2, lambda a: -conn.gamma.cell(a, rad) - xi_t.scale(tau.entry(a)))
+        tf, 2, lambda a: -gamma.cell(a, rad) - xi_t.scale(tau.entry(a)))
 
-    return InducedObjects(conn=conn, screen_gamma=screen_gamma,
+    return InducedObjects(gamma=gamma, screen_gamma=screen_gamma,
                           b_form=b_form, c_form=c_form, d_form=d_form,
                           shape_rad=shape_rad, shape_n=shape_n, shape_l=shape_l,
                           tau=tau, rho=rho, phi_form=phi_form, frame=f)
@@ -412,14 +416,14 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
 
     g_rad = g.pull_slots(obj.shape_rad, (0,))  # g(A*_xi T_a, T_b)
     g_l_proj = g.pull_slots(obj.shape_l, (0,)).pull_slots(proj, (1,))  # g(A_L T_a, P T_b)
-    low = obj.conn.gamma.pull_slots(g, (2,))  # g(nabla_{T_a} T_b, T_c)
+    low = obj.gamma.pull_slots(g, (2,))  # g(nabla_{T_a} T_b, T_c)
     b_eta = outer(obj.b_form, f.eta)  # B(X, Y) eta(Z)
     brackets = f.tangent_algebra.brackets
     # tau([T_a, T_b]) = -d tau(T_a, T_b) for invariant data
     tau_brackets = MultilinearForm.from_function(
         tf, 2, lambda a, b: obj.tau.value(brackets.cell(a, b)))
     return [
-        compare("induced-torsion-free", anchor, obj.conn.gamma.skew(), brackets,
+        compare("induced-torsion-free", anchor, obj.gamma.skew(), brackets,
                 "the induced connection has the tangent brackets as torsion defect zero"),
         compare("b-symmetric", anchor, obj.b_form, obj.b_form.permute((1, 0)),
                 "the N-valued fundamental form is symmetric"),
@@ -570,10 +574,10 @@ def screen_umbilical_entries(f: SubmanifoldFrame, obj: InducedObjects,
 
 
 def induced_curvature(f: SubmanifoldFrame, obj: InducedObjects) -> CurvatureTensor:
-    return curvature(obj.conn, f.tangent_algebra)
+    return curvature(obj.gamma, f.tangent_algebra)
 
 
-def covariant_derivative(conn: Connection, form: MultilinearForm) -> MultilinearForm:
+def covariant_derivative(gamma: MultilinearForm, form: MultilinearForm) -> MultilinearForm:
     """Derivative table (direction, slot 1, slot 2) of a bilinear form.
 
     For invariant data the scalar derivative term drops out and only the
@@ -581,7 +585,7 @@ def covariant_derivative(conn: Connection, form: MultilinearForm) -> Multilinear
     """
     if form.arity != 2:
         raise ValueError("only bilinear forms are differentiated here")
-    return derivation_action(conn.gamma, form)
+    return derivation_action(gamma, form)
 
 
 def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,
@@ -717,11 +721,11 @@ def eta_einstein_solve(f: SubmanifoldFrame, ric: MultilinearForm
     try:
         k, c = solve_combination(ric, f.induced_form, outer(f.eta_bar, f.eta_bar))
     except InconsistentSystem as exc:
-        raise NotEtaEinstein(
+        raise InconsistentSystem(
             "the Ricci tensor is not a combination of the metric and the "
             "squared dual form") from exc
     except UnderdeterminedSystem as exc:
-        raise NotEtaEinstein(
+        raise UnderdeterminedSystem(
             "the metric and the squared dual form are linearly dependent "
             "on this frame") from exc
     return k, c

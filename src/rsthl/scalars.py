@@ -519,10 +519,14 @@ MAX_POWER_DEGREE = 1000
 MAX_GCD_DEGREE = 60
 MAX_GCD_SIZE = 4096
 
-# A product or power of multi-term values has at most this degree times
-# coefficient bits: schoolbook multiplication takes time that grows with
-# both.  (mu+1)^1000 is 1,000,000 and (2^4*mu+1)^1000 5,000,000.
+# The products and powers of multi-term values in one entry have at most
+# this degree times coefficient bits in sum: schoolbook multiplication
+# takes time that grows with both.  (mu+1)^1000 is 1,000,000 and
+# (2^4*mu+1)^1000 5,000,000.
 MAX_PRODUCT_SIZE = 2_000_000
+
+
+_OPERATION_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
 
 
 class _Parser:
@@ -535,11 +539,14 @@ class _Parser:
     atom  := integer | 'mu' | '(' expr ')'
 
     Each rule takes the nesting depth: the parentheses and signs around it.
+    The products and powers of multi-term values share one allowance of
+    MAX_PRODUCT_SIZE, so an entry's work is bounded, not each operation's.
     """
 
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
         self._k = 0
+        self._spent = 0  # degree times bits of the products and powers so far
 
     def _peek(self):
         return self._tokens[self._k]
@@ -567,7 +574,7 @@ class _Parser:
         while self._peek()[0] in ("+", "-"):
             op, _, pos = self._next()
             rhs = self._term(depth)
-            _check_operation(op, value, rhs, pos)
+            self._check_operation(op, value, rhs, pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -578,7 +585,7 @@ class _Parser:
             rhs = self._unary(depth)
             if op == "/" and rhs.is_zero():
                 raise ScalarParseError("division by the zero polynomial", pos)
-            _check_operation(op, value, rhs, pos)
+            self._check_operation(op, value, rhs, pos)
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -605,7 +612,7 @@ class _Parser:
         exponent = sign * value
         if exponent < 0 and base.is_zero():
             raise ScalarParseError("zero raised to a negative power", pos)
-        _check_power(base, value, pos)
+        self._check_power(base, value, pos)
         return base ** exponent
 
     def _atom(self, depth: int) -> RationalFunction:
@@ -624,76 +631,74 @@ class _Parser:
             return inner
         raise ScalarParseError("expected a number, 'mu', or '('", pos)
 
+    def _check_power(self, base: RationalFunction, exponent: int, pos: int) -> None:
+        """Reject base^(+-exponent) before computing it when its degree is
+        over MAX_POWER_DEGREE, a multi-term base takes the entry over
+        MAX_PRODUCT_SIZE, or a coefficient of it has more digits than
+        ``str`` prints.  The power raises the leading and trailing
+        coefficients of num and den exactly to the exponent, so each of
+        them gives a lower bound."""
+        degree = exponent * (max(len(base.num), len(base.den)) - 1)
+        if degree > MAX_POWER_DEGREE:
+            raise ScalarParseError(
+                f"a power of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
+        if base.num and base._k is None:
+            bits = exponent * max(abs(c).bit_length() for c in base.num + base.den)
+            self._spend("power", degree, bits, pos)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        ends = (base.num[0], base.num[-1], base.den[0], base.den[-1]) if base.num else (0,)
+        bits = exponent * (max(abs(c).bit_length() for c in ends) - 1)
+        # 2^bits has more than bits * 0.30102 decimal digits
+        if limit and bits * 30102 // 100000 >= limit:
+            raise ScalarParseError(
+                "the value has a coefficient too long to print", 0)
 
-def _check_power(base: RationalFunction, exponent: int, pos: int) -> None:
-    """Reject base^(+-exponent) before computing it when its degree is over
-    MAX_POWER_DEGREE, a multi-term base makes it over MAX_PRODUCT_SIZE, or
-    a coefficient of it has more digits than ``str`` prints.  The power
-    raises the leading and trailing coefficients of num and den exactly to
-    the exponent, so each of them gives a lower bound."""
-    degree = exponent * (max(len(base.num), len(base.den)) - 1)
-    if degree > MAX_POWER_DEGREE:
-        raise ScalarParseError(
-            f"a power of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
-    if base.num and base._k is None:
-        bits = exponent * max(abs(c).bit_length() for c in base.num + base.den)
-        _check_size("power", degree, bits, pos)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    ends = (base.num[0], base.num[-1], base.den[0], base.den[-1]) if base.num else (0,)
-    bits = exponent * (max(abs(c).bit_length() for c in ends) - 1)
-    # 2^bits has more than bits * 0.30102 decimal digits
-    if limit and bits * 30102 // 100000 >= limit:
-        raise ScalarParseError(
-            "the value has a coefficient too long to print", 0)
+    def _check_operation(self, op: str, a: RationalFunction, b: RationalFunction,
+                         pos: int) -> None:
+        """Reject a op b before computing it when the numerator or
+        denominator it forms is of degree over MAX_POWER_DEGREE, or when both
+        are of degree 1 or more, so that the constructor takes their gcd, and
+        over MAX_GCD_DEGREE or MAX_GCD_SIZE, or when it multiplies two
+        multi-term values and takes the entry over MAX_PRODUCT_SIZE.  Two
+        single terms never take the gcd."""
+        if not (a.num and b.num):
+            return
+        parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
+        same_den = op in "+-" and a.den == b.den
+        num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
+        name = _OPERATION_NAMES[op]
+        degree = max(num, den)
+        if degree > MAX_POWER_DEGREE:
+            raise ScalarParseError(
+                f"a {name} of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
+        product = op in "*/" and a._k is None and b._k is None
+        gcd = num and den and not (a._k is not None and b._k is not None
+                                   and (op in "*/" or a._k == b._k))
+        if not (product or gcd):
+            return
+        if gcd and degree > MAX_GCD_DEGREE:
+            raise ScalarParseError(
+                f"a {name} of degree {degree} to reduce by the polynomial gcd is over "
+                f"the bound of {MAX_GCD_DEGREE}", pos)
+        bits = max(_formed(op, same_den, 1, *(
+            max(abs(c).bit_length() for c in cs) for cs in parts)))
+        if gcd and degree * bits > MAX_GCD_SIZE:
+            raise ScalarParseError(
+                f"a {name} of degree {degree} with {bits}-bit coefficients to reduce by "
+                f"the polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree "
+                f"times bits", pos)
+        if product:
+            self._spend(name, degree, bits, pos)
 
-
-_OPERATION_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
-
-
-def _check_operation(op: str, a: RationalFunction, b: RationalFunction,
-                     pos: int) -> None:
-    """Reject a op b before computing it when the numerator or denominator
-    it forms is of degree over MAX_POWER_DEGREE, or when both are of
-    degree 1 or more, so that the constructor takes their gcd, and over
-    MAX_GCD_DEGREE or MAX_GCD_SIZE, or when it multiplies two multi-term
-    values over MAX_PRODUCT_SIZE.  Two single terms never take the gcd."""
-    if not (a.num and b.num):
-        return
-    parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
-    same_den = op in "+-" and a.den == b.den
-    num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
-    name = _OPERATION_NAMES[op]
-    degree = max(num, den)
-    if degree > MAX_POWER_DEGREE:
-        raise ScalarParseError(
-            f"a {name} of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
-    product = op in "*/" and a._k is None and b._k is None
-    gcd = num and den and not (a._k is not None and b._k is not None
-                               and (op in "*/" or a._k == b._k))
-    if not (product or gcd):
-        return
-    if gcd and degree > MAX_GCD_DEGREE:
-        raise ScalarParseError(
-            f"a {name} of degree {degree} to reduce by the polynomial gcd is over "
-            f"the bound of {MAX_GCD_DEGREE}", pos)
-    bits = max(_formed(op, same_den, 1, *(
-        max(abs(c).bit_length() for c in cs) for cs in parts)))
-    if gcd and degree * bits > MAX_GCD_SIZE:
-        raise ScalarParseError(
-            f"a {name} of degree {degree} with {bits}-bit coefficients to reduce by "
-            f"the polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree "
-            f"times bits", pos)
-    if product:
-        _check_size(name, degree, bits, pos)
-
-
-def _check_size(name: str, degree: int, bits: int, pos: int) -> None:
-    """Reject a product or power of multi-term values whose degree times
-    coefficient bits is over MAX_PRODUCT_SIZE."""
-    if degree * bits > MAX_PRODUCT_SIZE:
-        raise ScalarParseError(
-            f"a {name} of degree {degree} with {bits}-bit coefficients is over the "
-            f"bound of {MAX_PRODUCT_SIZE} on degree times bits", pos)
+    def _spend(self, name: str, degree: int, bits: int, pos: int) -> None:
+        """Reject a product or power of multi-term values whose degree times
+        coefficient bits takes the entry's sum over MAX_PRODUCT_SIZE."""
+        self._spent += degree * bits
+        if self._spent > MAX_PRODUCT_SIZE:
+            over = "is over" if degree * bits > MAX_PRODUCT_SIZE else "takes the entry over"
+            raise ScalarParseError(
+                f"a {name} of degree {degree} with {bits}-bit coefficients {over} the "
+                f"bound of {MAX_PRODUCT_SIZE} on degree times bits", pos)
 
 
 def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,

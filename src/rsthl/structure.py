@@ -11,7 +11,9 @@ zero class when the fundamental tensor F(X,Y,Z) = g_bar((nabla_X phi)Y, Z)
 vanishes; then the Levi-Civita connections of g_bar and of the associated
 metric g_bar(X, phi Y) + eta_bar(X) eta_bar(Y) coincide.  The sectional
 invariants (nu, nu_tilde) are one exact solve of the lowered curvature
-against the two basic curvature tensors.
+against the two basic curvature tensors A and B, which
+``basic_curvature_tensors`` builds from curvature products of g_bar
+twisted by phi.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import report
-from .errors import InconsistentSystem, UnderdeterminedSystem
-from .liegeom import Connection, InvariantMetric, LieAlgebra
+from .errors import GeometryError, InconsistentSystem, UnderdeterminedSystem
+from .liegeom import InvariantMetric
 from .scalars import ONE, RationalFunction
 from .tensors import (
     Frame,
@@ -36,7 +38,7 @@ class ACBMStructure:
     def __init__(self, frame: Frame, phi: MultilinearForm, xi_bar: MultilinearForm,
                  eta_bar: MultilinearForm, metric: InvariantMetric):
         if frame.dimension % 2 == 0:
-            raise ValueError("an almost contact structure needs odd dimension")
+            raise GeometryError("an almost contact structure needs odd dimension")
         self.frame = frame
         self.phi = phi  # an operator: phi.cell(j) = phi(e_j)
         self.xi_bar = xi_bar  # a vector
@@ -66,26 +68,6 @@ class ACBMStructure:
     def g_tilde(self) -> InvariantMetric:
         """The associated B-metric."""
         return associated_metric(self)
-
-
-class LieModel:
-    """A Lie algebra with an invariant metric and a compatible structure."""
-
-    __slots__ = ("algebra", "structure")
-
-    def __init__(self, algebra: LieAlgebra, structure: ACBMStructure):
-        if algebra.frame != structure.frame:
-            raise ValueError("algebra and structure frames differ")
-        self.algebra = algebra
-        self.structure = structure
-
-    @property
-    def frame(self) -> Frame:
-        return self.algebra.frame
-
-    @property
-    def metric(self) -> InvariantMetric:
-        return self.structure.metric
 
 
 class CurvaturePair:
@@ -154,40 +136,36 @@ def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
         "twisting the associated metric recovers -g_bar + 2 eta_bar^2")
 
 
-def fundamental_tensor(s: ACBMStructure, conn: Connection) -> MultilinearForm:
+def fundamental_tensor(s: ACBMStructure, gamma: MultilinearForm) -> MultilinearForm:
     """F(X,Y,Z) = g_bar((nabla_X phi) Y, Z) on the frame."""
     # (nabla_X phi) Y = nabla_X (phi Y) - phi (nabla_X Y)
-    nabla_phi_y = compose(s.phi, conn.gamma.permute((1, 0, 2))).permute((1, 0, 2))
-    phi_nabla_y = compose(conn.gamma, s.phi)
+    nabla_phi_y = compose(s.phi, gamma.permute((1, 0, 2))).permute((1, 0, 2))
+    phi_nabla_y = compose(gamma, s.phi)
     return (nabla_phi_y - phi_nabla_y).pull_slots(s.metric.form, (2,))
 
 
-def constant_curvature_form(s: ACBMStructure, pair: CurvaturePair) -> MultilinearForm:
-    """The two-curvature closed form of the lowered curvature:
+def basic_curvature_tensors(s: ACBMStructure) -> tuple[MultilinearForm, MultilinearForm]:
+    """The basic curvature tensors of thm-4.1,
 
-        nu [pi_1 after phi - pi_2] + nu_tilde [pi_3 after phi],
+        A = pi_1 after phi - pi_2,   B = pi_3 after phi,
 
     where pi_1 = P(g, g), pi_2 = P(g phi, g phi) and
-    pi_3 = -P(g phi, g) - P(g, g phi) for the curvature product P.  Phi
-    pulled into every slot of P(a, b) is P of a and b with phi pulled into
-    both of their slots.  At (1, 0) and (0, 1) it is the basic curvature
-    tensor A, respectively B.
+    pi_3 = -P(g phi, g) - P(g, g phi) for the curvature product P, with
+    g phi = g_bar(X, phi Y).  Phi pulled into every slot of P(a, b) is P of
+    a and b with phi pulled into both of their slots.
     """
-    nu, nu_tilde = pair.nu, pair.nu_tilde
     g_phi, g_2 = s.g_phi, s.g_phi_phi
     g_phi_2 = g_phi.pull_all(s.phi)
-    return (curvature_product(g_2.scale(nu), g_2)
-            - curvature_product(g_phi.scale(nu), g_phi)
-            - curvature_product(g_phi_2.scale(nu_tilde), g_2)
-            - curvature_product(g_2.scale(nu_tilde), g_phi_2))
+    return (curvature_product(g_2, g_2) - curvature_product(g_phi, g_phi),
+            -curvature_product(g_phi_2, g_2) - curvature_product(g_2, g_phi_2))
 
 
 def constant_curvature_residual(r4: MultilinearForm,
                                 basis: tuple[MultilinearForm, MultilinearForm],
                                 pair: CurvaturePair) -> report.CheckEntry:
-    """The lowered curvature r4 against nu A + nu_tilde B for the basis
-    (A, B) of ``constant_curvature_form`` at (1, 0) and (0, 1); on a
-    mismatch the entry reports the residual r4 minus the form.
+    """The lowered curvature r4 against nu A + nu_tilde B for the basic
+    curvature tensors (A, B); on a mismatch the entry reports the residual
+    r4 minus the form.
 
     ``bench/tracing.py`` times this step by this name.
     """

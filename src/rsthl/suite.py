@@ -22,15 +22,8 @@ from . import associated
 from . import lightlike
 from . import report
 from .builtin import factor_signature_entry
-from .errors import (
-    GeometryError,
-    InconsistentSystem,
-    NotEinstein,
-    NotEtaEinstein,
-    UnderdeterminedSystem,
-)
+from .errors import GeometryError, InconsistentSystem, UnderdeterminedSystem
 from .liegeom import (
-    Connection,
     CurvatureTensor,
     InvariantMetric,
     curvature,
@@ -40,13 +33,11 @@ from .liegeom import (
     validate_lie_algebra,
 )
 from .model import ModelFile
-from .scalars import ONE, ZERO
 from .structure import (
     ACBMStructure,
     CurvaturePair,
-    LieModel,
     associated_compat_entry,
-    constant_curvature_form,
+    basic_curvature_tensors,
     constant_curvature_residual,
     fit_curvature_pair,
     fundamental_tensor,
@@ -60,15 +51,6 @@ SUITES = ("ambient", "submanifold", "theorem46", "all")
 _NO_PAIR = "the ambient sectional invariants are unavailable"
 _NO_GAMMA = "the screen distribution is not totally umbilical"
 _NO_SUB = "the model declares no submanifold"
-
-_THEOREM_NAMES = (
-    "assertion-ricci-semisymmetric",
-    "assertion-twin-ricci-semisymmetric",
-    "assertion-eta-einstein",
-    "assertion-einstein",
-    "assertion-scalar-identity",
-    "assertion-equivalence",
-)
 
 
 class Geometry:
@@ -89,17 +71,14 @@ class Geometry:
         return InvariantMetric(self.model.metric_form)
 
     @cached_property
-    def conn(self) -> Connection:
+    def conn(self) -> MultilinearForm:
+        """The Levi-Civita connection, as its Christoffel table."""
         return levi_civita(self.model.algebra, self.metric)
 
     @cached_property
     def structure(self) -> ACBMStructure:
         m = self.model
         return ACBMStructure(m.frame, m.phi, m.xi_bar, m.eta_bar, self.metric)
-
-    @cached_property
-    def lie_model(self) -> LieModel:
-        return LieModel(self.model.algebra, self.structure)
 
     @cached_property
     def curv(self) -> CurvatureTensor:
@@ -111,16 +90,13 @@ class Geometry:
 
     @cached_property
     def curvature_basis(self) -> tuple[MultilinearForm, MultilinearForm]:
-        """The basic curvature tensors A and B of thm-4.1: the constant
-        curvature form at (nu, nu_tilde) = (1, 0) and at (0, 1)."""
-        return (constant_curvature_form(self.structure, CurvaturePair(ONE, ZERO)),
-                constant_curvature_form(self.structure, CurvaturePair(ZERO, ONE)))
+        """The basic curvature tensors A and B of thm-4.1."""
+        return basic_curvature_tensors(self.structure)
 
     @cached_property
     def sectional(self):
         """(nu, nu_tilde) with r4 = nu A + nu_tilde B, or None, and the reason."""
-        return _solved(lambda: fit_curvature_pair(self.r4, self.curvature_basis),
-                       (InconsistentSystem, UnderdeterminedSystem))
+        return _solved(lambda: fit_curvature_pair(self.r4, self.curvature_basis))
 
     @property
     def pair(self) -> Optional[CurvaturePair]:
@@ -130,8 +106,9 @@ class Geometry:
     @cached_property
     def frame(self) -> lightlike.SubmanifoldFrame:
         sub = self.model.submanifold
-        return lightlike.build_frame(self.lie_model, sub.screen_labels,
-                                     sub.screen, sub.rad, sub.l_vec, sub.n_vec)
+        return lightlike.build_frame(self.model.algebra, self.structure,
+                                     sub.screen_labels, sub.screen, sub.rad,
+                                     sub.l_vec, sub.n_vec)
 
     @cached_property
     def certification(self):
@@ -177,20 +154,21 @@ class Geometry:
     def eta_einstein(self):
         """(k, c) with Ric = k g + c eta x eta, or None, and the reason."""
         return _solved(lambda: lightlike.eta_einstein_solve(
-            self.frame, self.curv_ind.ricci), NotEtaEinstein)
+            self.frame, self.curv_ind.ricci))
 
     @cached_property
     def einstein(self):
         """lambda with Ric~ = lambda g~, or None, and the reason."""
         return _solved(lambda: associated.einstein_solve(
-            self.frame, self.assoc, self.tcurv.ricci), NotEinstein)
+            self.frame, self.assoc, self.tcurv.ricci))
 
 
-def _solved(solve, error):
-    """(solve(), None), or (None, the message) when solve raises error."""
+def _solved(solve):
+    """(solve(), None), or (None, the message) when the exact solve has no
+    unique solution."""
     try:
         return solve(), None
-    except error as exc:
+    except (InconsistentSystem, UnderdeterminedSystem) as exc:
         return None, str(exc)
 
 
@@ -267,10 +245,7 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
            block_on_fail=True)
 
     def structure_step():
-        try:
-            s = geo.structure
-        except ValueError as exc:
-            return [report.failed("structure-axioms", "sec-2-structure", str(exc))]
+        s = geo.structure  # raises on an even-dimensional frame
         axioms = _Stage()
         axioms.run("structure-axioms", "sec-2-structure", lambda: validate_acbm(s),
                    block_on_fail=True)
@@ -296,7 +271,7 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
     st.run("lc-coincide", "sec-2-f0",
            lambda g_tilde, conn: [report.compare(
                "connections-coincide", "sec-2-f0",
-               levi_civita(model.algebra, g_tilde).gamma, conn.gamma,
+               levi_civita(model.algebra, g_tilde), conn,
                "both ambient metrics share one torsion free metric connection")],
            reads=lambda: (geo.structure.g_tilde, geo.conn))
 
@@ -463,11 +438,10 @@ def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
             reason = ("the sectional invariant nu vanishes, the theorem "
                       "hypothesis fails")
         else:
-            agg = associated.theorem_aggregate(
+            return associated.theorem_aggregate(
                 geo.curv_ind, geo.tcurv, geo.pair, geo.gamma, geo.mu,
                 geo.eta_einstein[0], geo.einstein[0])
-            return associated.theorem_entries(agg)
-        return [report.skipped(n, "thm-4.6", reason) for n in _THEOREM_NAMES]
+        return [report.skipped(n, "thm-4.6", reason) for n in associated.THEOREM_NAMES]
     st.run("theorem-aggregate", "thm-4.6", step)
     return st
 

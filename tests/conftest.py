@@ -39,8 +39,13 @@ def geometry(model):
 
 
 @pytest.fixture(scope="session")
-def lm(geometry):
-    return geometry.lie_model
+def algebra(model):
+    return model.algebra
+
+
+@pytest.fixture(scope="session")
+def structure(geometry):
+    return geometry.structure
 
 
 @pytest.fixture(scope="session")

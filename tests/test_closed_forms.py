@@ -263,3 +263,19 @@ def test_ricci_forms_match_reference(n, frame, mu):
     literal = ricci_reference(frame, PAIR, GAMMA, mu, n, True, rf(-2 * (n - 1)))
     assert [e.status for e in tilde_ricci_22_entries(
         frame, literal, PAIR, GAMMA, mu, n)] == [FAIL, FAIL]
+
+
+def test_twin_ricci_reading_details(frame, mu):
+    """At nu = 1 the two readings of eq-22's last coefficient coincide; a
+    Ricci tensor off both readings matches neither."""
+    unit = CurvaturePair(ONE, rf(0))
+    both = ricci_reference(frame, unit, GAMMA, mu, 2, True, rf(-2))
+    assert [(e.status, e.detail) for e in tilde_ricci_22_entries(
+        frame, both, unit, GAMMA, mu, 2)][1] == (
+        PASS, "the direct twin Ricci tensor matches both readings of the last "
+              "coefficient, they coincide because nu = 1")
+    neither = ricci_reference(frame, PAIR, GAMMA, mu, 2, True, rf(1))
+    entry = tilde_ricci_22_entries(frame, neither, PAIR, GAMMA, mu, 2)[1]
+    assert entry.status == FAIL
+    assert entry.detail.startswith(
+        "the direct twin Ricci tensor matches neither reading; the residual")

@@ -9,8 +9,8 @@ from rsthl.builtin import (EXPECTED_FACTOR_TABLE, FACTOR_LABELS,
                            example_model, factor_algebra,
                            factor_signature_entry)
 from rsthl.errors import DegenerateMetric
-from rsthl.liegeom import (Connection, CurvatureTensor, InvariantMetric,
-                           LieAlgebra, curvature, curvature_entries,
+from rsthl.liegeom import (CurvatureTensor, InvariantMetric, LieAlgebra,
+                           curvature, curvature_entries, derivative,
                            koszul_entries, levi_civita, validate_lie_algebra)
 from rsthl.report import PASS
 from rsthl.scalars import MU, ONE, ZERO, rf
@@ -164,7 +164,7 @@ def test_invariant_metric_validation():
 def test_abelian_connection_is_zero():
     g = InvariantMetric.diagonal(F3, (1, 1, -1))
     conn = levi_civita(LieAlgebra.from_table(F3, {}), g)
-    assert all(conn.gamma.cell(i, j).is_zero() for i in range(3) for j in range(3))
+    assert all(conn.cell(i, j).is_zero() for i in range(3) for j in range(3))
 
 
 def test_heisenberg_connection_and_curvature():
@@ -173,9 +173,9 @@ def test_heisenberg_connection_and_curvature():
     conn = levi_civita(alg, g)
     assert all_pass(koszul_entries(conn, alg, g))
     half = rf("1/2")
-    assert conn.gamma.cell(0, 1) == MultilinearForm.from_map(F3, {"e3": half})
-    assert conn.gamma.cell(0, 2) == MultilinearForm.from_map(F3, {"e2": -half})
-    assert conn.gamma.cell(2, 1) == MultilinearForm.from_map(F3, {"e1": half})
+    assert conn.cell(0, 1) == MultilinearForm.from_map(F3, {"e3": half})
+    assert conn.cell(0, 2) == MultilinearForm.from_map(F3, {"e2": -half})
+    assert conn.cell(2, 1) == MultilinearForm.from_map(F3, {"e1": half})
     # classical curvature of the Heisenberg group
     curv = curvature(conn, alg)
     assert curv.table.cell(0, 1, 1) == MultilinearForm.from_map(F3, {"e1": "-3/4"})
@@ -192,7 +192,7 @@ def test_nabla_is_bilinear_over_constants():
     conn = levi_civita(alg, InvariantMetric.diagonal(F3, (1, 1, 1)))
     v = MultilinearForm.from_map(F3, {"e1": 2})
     w = MultilinearForm.from_map(F3, {"e2": MU})
-    assert conn.gamma.apply(v, w) == conn.gamma.cell(0, 1).scale(2 * MU)
+    assert conn.apply(v, w) == conn.cell(0, 1).scale(2 * MU)
 
 
 def curvature_with(cells):
@@ -225,15 +225,15 @@ SYMMETRIES = "slot antisymmetries and the pair symmetry hold"
 def test_violation_reporting():
     alg = heisenberg()
     g = InvariantMetric.diagonal(F3, (1, 1, 1))
-    zero_conn = Connection(F3, MultilinearForm.zero(F3, 3))
+    zero_conn = MultilinearForm.zero(F3, 3)
     # nabla_e1 e2 - nabla_e2 e1 = 0 misses [e1, e2] = e3
     torsion, metric = koszul_entries(zero_conn, alg, g)
     assert suffix(torsion, TORSION) == \
         "; the residual at (e1, e2, e3) is -1, 2 of 27 components nonzero"
     assert metric.status == PASS
-    bad = Connection(F3, MultilinearForm.from_cells(
+    bad = MultilinearForm.from_cells(
         F3, 3, lambda i, j: F3.basis_vector(1) if (i, j) == (0, 0)
-        else MultilinearForm.zero(F3, 1)))
+        else MultilinearForm.zero(F3, 1))
     assert suffix(koszul_entries(bad, alg, g)[1], METRIC) == \
         "; the residual at (e1, e1, e2) is 1, 2 of 27 components nonzero"
 
@@ -275,7 +275,7 @@ def test_curvature_apply_matches_basis_values():
 def curvature_by_cells(conn, alg):
     """R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
     - nabla_[e_i, e_j] e_k, one cell at a time."""
-    frame, g, br = conn.frame, conn.gamma, alg.brackets
+    frame, g, br = conn.frame, conn, alg.brackets
     basis = [frame.basis_vector(i) for i in range(frame.dimension)]
     return MultilinearForm.from_cells(
         frame, 4, lambda i, j, k: (g.apply(basis[i], g.cell(j, k))
@@ -315,7 +315,7 @@ def test_factor_connection_matches_frozen_table():
     seen = {}
     for i in range(4):
         for j in range(4):
-            v = conn.gamma.cell(i, j)
+            v = conn.cell(i, j)
             if not v.is_zero():
                 seen[(frame.labels[i], frame.labels[j])] = {
                     frame.labels[k]: c for k, c in enumerate(v.entries)
@@ -329,7 +329,7 @@ def test_factor_connection_rejects_alternating_signs():
     alg = factor_algebra()
     conn = levi_civita(alg, InvariantMetric.diagonal(alg.frame, (1, -1, 1, -1)))
     # nabla_{X2} X1 = 2 X4 fails under the alternating signature
-    assert conn.gamma.cell(1, 0) != MultilinearForm.from_map(alg.frame, {"X4": 2})
+    assert conn.cell(1, 0) != MultilinearForm.from_map(alg.frame, {"X4": 2})
 
 
 def test_factor_signature_adjudication_entry():
@@ -345,23 +345,23 @@ def test_direct_sum_builds_the_ambient_algebra(model):
     assert direct_sum(factor_algebra(), center) == model.algebra
 
 
-def test_ambient_connection_kills_the_central_direction(lm, ambient_conn):
-    dim = lm.frame.dimension
-    e_idx = lm.frame.index("E")
+def test_ambient_connection_kills_the_central_direction(model, structure, ambient_conn):
+    dim = model.frame.dimension
+    e_idx = model.frame.index("E")
     for i in range(dim):
-        assert ambient_conn.gamma.cell(e_idx, i).is_zero()
-        assert ambient_conn.gamma.cell(i, e_idx).is_zero()
-    assert all_pass(koszul_entries(ambient_conn, lm.algebra, lm.metric))
+        assert ambient_conn.cell(e_idx, i).is_zero()
+        assert ambient_conn.cell(i, e_idx).is_zero()
+    assert all_pass(koszul_entries(ambient_conn, model.algebra, structure.metric))
 
 
-def test_connection_derivative_of_a_vector(lm, ambient_conn):
-    v = MultilinearForm.from_map(lm.frame, {"X1": 1, "X3": MU, "E": -2})
-    nabla_v = ambient_conn.derivative(v)
-    for i in range(lm.frame.dimension):
-        x = lm.frame.basis_vector(i)
-        assert nabla_v.apply(x) == ambient_conn.gamma.apply(x, v)
+def test_connection_derivative_of_a_vector(model, ambient_conn):
+    v = MultilinearForm.from_map(model.frame, {"X1": 1, "X3": MU, "E": -2})
+    nabla_v = derivative(ambient_conn, v)
+    for i in range(model.frame.dimension):
+        x = model.frame.basis_vector(i)
+        assert nabla_v.apply(x) == ambient_conn.apply(x, v)
 
 
-def test_ambient_curvature_invariants(lm, ambient_conn, ambient_r4):
-    curv = curvature(ambient_conn, lm.algebra)
+def test_ambient_curvature_invariants(algebra, ambient_conn, ambient_r4):
+    curv = curvature(ambient_conn, algebra)
     assert all_pass(curvature_entries(curv, ambient_r4))

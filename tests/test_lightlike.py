@@ -7,7 +7,7 @@ import pytest
 
 from rsthl.builtin import example_model
 from rsthl.cli import main
-from rsthl.errors import InvalidFrame, NotEtaEinstein
+from rsthl.errors import InconsistentSystem, InvalidFrame
 from rsthl.liegeom import curvature, curvature_entries, ricci_action
 from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
@@ -22,7 +22,7 @@ from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              solve_transversal, umbilicity)
 from rsthl.model import dumps_model, model_from_json_obj
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.structure import ACBMStructure, LieModel
+from rsthl.structure import ACBMStructure
 from rsthl.suite import decided
 from rsthl.tensors import MultilinearForm
 
@@ -56,9 +56,9 @@ def ambient(model, entries):
     return MultilinearForm.from_map(model.frame, entries)
 
 
-def test_solve_transversal_recovers_n(model, lm):
+def test_solve_transversal_recovers_n(model, structure):
     sub = model.submanifold
-    n = solve_transversal(lm, sub.screen, sub.rad, sub.l_vec)
+    n = solve_transversal(structure.metric, sub.screen, sub.rad, sub.l_vec)
     half = ONE / (2 * MU)
     assert n == ambient(model, {"X3": half, "E": half})
 
@@ -81,14 +81,14 @@ def assert_frame_fails(f, name, suffix):
     assert {e.detail for e in entries[at + 1:]} <= {f"blocked by {name} (fail)"}
 
 
-def test_explicit_transversal_is_verified(model, lm, frame):
+def test_explicit_transversal_is_verified(model, algebra, structure, frame):
     sub = model.submanifold
-    good = build_frame(lm, sub.screen_labels, sub.screen, sub.rad,
+    good = build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
                        sub.l_vec, frame.n_vec)
     assert good.n_vec == frame.n_vec
     assert all(e.status == "pass" for e in decided(frame_conditions(good)).entries)
-    bad = build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec,
-                      ambient(model, {"X3": 1}))
+    bad = build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                      sub.l_vec, ambient(model, {"X3": 1}))
     assert_frame_fails(bad, "transversal-duality",
                        "; the residual at (xi) is mu - 1, 1 of 3 components nonzero")
 
@@ -159,16 +159,16 @@ def test_tangent_brackets_close(frame):
 
 
 def test_induced_connection_table(frame, induced):
-    conn = induced.conn
+    gamma = induced.gamma
     inv_mu = ONE / MU
-    assert conn.gamma.cell(0, 0) == tangent(frame, {"xi": inv_mu})
-    assert conn.gamma.cell(1, 1) == tangent(frame, {"xi": -inv_mu})
-    assert conn.gamma.cell(0, 1).is_zero()
-    assert conn.gamma.cell(1, 0).is_zero()
-    assert conn.gamma.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
-    assert conn.gamma.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
+    assert gamma.cell(0, 0) == tangent(frame, {"xi": inv_mu})
+    assert gamma.cell(1, 1) == tangent(frame, {"xi": -inv_mu})
+    assert gamma.cell(0, 1).is_zero()
+    assert gamma.cell(1, 0).is_zero()
+    assert gamma.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
+    assert gamma.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
     for j in range(3):
-        assert conn.gamma.cell(2, j).is_zero()
+        assert gamma.cell(2, j).is_zero()
 
 
 def test_fundamental_form_tables(induced):
@@ -278,12 +278,12 @@ def test_eta_einstein_solve_rejects_other_tensors(frame, iric):
     bump = MultilinearForm.from_function(
         frame.tangent_frame, 2,
         lambda a, b: ONE if a == b == 0 else ZERO)
-    with pytest.raises(NotEtaEinstein):
+    with pytest.raises(InconsistentSystem, match="not a combination"):
         eta_einstein_solve(frame, iric + bump)
 
 
-def test_gauss_relation(lm, frame, induced, ambient_conn, icurv):
-    ambient_curv = curvature(ambient_conn, lm.algebra)
+def test_gauss_relation(algebra, frame, induced, ambient_conn, icurv):
+    ambient_curv = curvature(ambient_conn, algebra)
     entry = gauss_relation_entry(frame, induced, ambient_curv, icurv)
     assert entry.status == "pass"
     assert entry.anchor == "sec-4-gauss"
@@ -311,39 +311,42 @@ def test_ricci_action_vanishes(icurv, iric):
 
 
 def test_covariant_derivative_convention(frame, induced):
-    cd_b = covariant_derivative(induced.conn, induced.b_form)
+    cd_b = covariant_derivative(induced.gamma, induced.b_form)
     # (nabla_{E1} B)(E1, xi) = -B(E1, nabla_{E1} xi) = -B(E1, 2 mu E1)
     assert cd_b.entry(0, 0, 2) == 4 * MU * MU
     assert cd_b.entry(2, 0, 0) == ZERO
     with pytest.raises(ValueError):
-        covariant_derivative(induced.conn, MultilinearForm.zero(
+        covariant_derivative(induced.gamma, MultilinearForm.zero(
             frame.tangent_frame, 3))
 
 
-def test_radical_must_be_isotropic(model, lm):
+def test_radical_must_be_isotropic(model, algebra, structure):
     sub = model.submanifold
-    f = build_frame(lm, sub.screen_labels, sub.screen,
+    f = build_frame(algebra, structure, sub.screen_labels, sub.screen,
                     ambient(model, {"X3": 1}), sub.l_vec)
     assert_frame_fails(f, "radical-isotropy",
                        "; the residual at (xi) is -1, 1 of 3 components nonzero")
 
 
-def test_screen_must_be_nondegenerate(model, lm):
+def test_screen_must_be_nondegenerate(model, algebra, structure):
     sub = model.submanifold
     screen = (ambient(model, {"X1": 1, "X4": 1}), ambient(model, {"X2": 1}))
     # a truth value: the statement carries it, with no residual suffix
-    assert_frame_fails(build_frame(lm, sub.screen_labels, screen, sub.rad, sub.l_vec),
+    assert_frame_fails(build_frame(algebra, structure, sub.screen_labels, screen,
+                                   sub.rad, sub.l_vec),
                        "screen-nondegeneracy", "")
 
 
-def test_transversal_vector_constraints(model, lm):
+def test_transversal_vector_constraints(model, algebra, structure):
     sub = model.submanifold
     # g(L, L) = 4: the residual is g(L, L)^2 - 1
     assert_frame_fails(
-        build_frame(lm, sub.screen_labels, sub.screen, sub.rad, ambient(model, {"X1": 2})),
+        build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                    ambient(model, {"X1": 2})),
         "transversal-normalization", "; the residual is 15")
     assert_frame_fails(
-        build_frame(lm, sub.screen_labels, sub.screen, sub.rad, ambient(model, {"X2": 1})),
+        build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                    ambient(model, {"X2": 1})),
         "transversal-normalization",
         "; the residual at (E1) is 1, 1 of 3 components nonzero")
 
@@ -398,45 +401,44 @@ def test_frame_errors_in_the_submanifold_report(tmp_path, capsys, edit, name, su
         ("skipped", f"blocked by {name} (fail)")}
 
 
-def test_frame_shape_validation(model, lm):
+def test_frame_shape_validation(model, algebra, structure):
     sub = model.submanifold
     with pytest.raises(InvalidFrame, match="screen vectors"):
-        build_frame(lm, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
+        build_frame(algebra, structure, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="reserved"):
-        build_frame(lm, ("xi", "E2"), sub.screen, sub.rad, sub.l_vec)
+        build_frame(algebra, structure, ("xi", "E2"), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="distinct"):
-        build_frame(lm, ("E1", "E1"), sub.screen, sub.rad, sub.l_vec)
+        build_frame(algebra, structure, ("E1", "E1"), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="linearly dependent"):
-        build_frame(lm, sub.screen_labels, (sub.screen[0], sub.screen[0]),
+        build_frame(algebra, structure, sub.screen_labels, (sub.screen[0], sub.screen[0]),
                     sub.rad, sub.l_vec)
 
 
-def test_brackets_must_stay_tangent(model, lm):
+def test_brackets_must_stay_tangent(model, algebra, structure):
     screen = (ambient(model, {"X1": 1}), ambient(model, {"X2": 1}))
     sub = model.submanifold
-    f = build_frame(lm, ("E1", "E2"), screen, sub.rad, ambient(model, {"X4": 1}))
+    f = build_frame(algebra, structure, ("E1", "E2"), screen, sub.rad,
+                    ambient(model, {"X4": 1}))
     assert_frame_fails(f, "tangent-closure",
                        "; the residual at (E1, E2) is -2, 2 of 9 components nonzero")
 
 
-def modified_structure(lm, phi=None, xi_bar=None):
-    s = lm.structure
-    return LieModel(lm.algebra, ACBMStructure(
+def modified_structure(s, phi=None, xi_bar=None):
+    return ACBMStructure(
         s.frame, phi if phi is not None else s.phi,
-        xi_bar if xi_bar is not None else s.xi_bar, s.eta_bar, s.metric))
+        xi_bar if xi_bar is not None else s.xi_bar, s.eta_bar, s.metric)
 
 
-def certification_with(model, lm, **changes):
+def certification_with(model, algebra, structure, **changes):
     """The decided sec-2-ascreen entries of the worked frame under the
     structure with phi or xi-bar changed."""
     sub = model.submanifold
-    f = build_frame(modified_structure(lm, **changes), sub.screen_labels,
-                    sub.screen, sub.rad, sub.l_vec)
+    f = build_frame(algebra, modified_structure(structure, **changes),
+                    sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     return decided(*certify_ascreen_rsthl(f)[1]).entries
 
 
-def phi_with_radical_image(model, lm, image):
-    s = lm.structure
+def phi_with_radical_image(model, s, image):
     cols = [s.phi.cell(j) for j in range(5)]
     cols[model.frame.index("X3")] = image
     return MultilinearForm.from_cells(model.frame, 2, cols.__getitem__)
@@ -451,25 +453,26 @@ def assert_radical_phi_image_fails(entries, detail):
         ("skipped", "blocked by radical-phi-image (fail)")}
 
 
-def test_not_rsthl_when_radical_image_leaves_the_line(model, lm):
+def test_not_rsthl_when_radical_image_leaves_the_line(model, algebra, structure):
     # phi(xi) = mu (X1 + X2) has the part mu X2 off the line of L = X1
-    phi = phi_with_radical_image(model, lm, ambient(model, {"X1": -1, "X2": -1}))
+    phi = phi_with_radical_image(model, structure, ambient(model, {"X1": -1, "X2": -1}))
     assert_radical_phi_image_fails(
-        certification_with(model, lm, phi=phi),
+        certification_with(model, algebra, structure, phi=phi),
         "phi(xi) = (mu) L; the residual at (X2) is mu, 1 of 5 components nonzero")
 
 
-def test_not_rsthl_when_phi_kills_the_radical(model, lm):
+def test_not_rsthl_when_phi_kills_the_radical(model, algebra, structure):
     # phi(xi) = 0 = 0 L, and mu = 0 is the truth value that fails
-    phi = phi_with_radical_image(model, lm, MultilinearForm.zero(model.frame, 1))
-    assert_radical_phi_image_fails(certification_with(model, lm, phi=phi),
+    phi = phi_with_radical_image(model, structure, MultilinearForm.zero(model.frame, 1))
+    assert_radical_phi_image_fails(certification_with(model, algebra, structure, phi=phi),
                                    "phi(xi) = (0) L")
 
 
-def test_not_ascreen_when_xi_bar_has_a_screen_part(model, lm):
+def test_not_ascreen_when_xi_bar_has_a_screen_part(model, algebra, structure):
     # reeb-split is no precondition: it fails alone, and in a suite run it
     # blocks the later steps (see test_screen_radical_mixing_breaks_ascreen)
-    entries = certification_with(model, lm, xi_bar=ambient(model, {"X2": 1, "E": 1}))
+    entries = certification_with(model, algebra, structure,
+                                 xi_bar=ambient(model, {"X2": 1, "E": 1}))
     assert [(e.name, e.status) for e in entries] == [
         (name, "fail" if name == "reeb-split" else "pass")
         for name in CERTIFICATION_NAMES]

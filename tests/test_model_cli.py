@@ -217,7 +217,7 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     count(lightlike.Splitting, "split", "split")
     # the basic curvature tensors A and B, and the one solve fitting the
     # sectional invariants against them
-    count(suite, "constant_curvature_form", "curvature_basis")
+    count(suite, "basic_curvature_tensors", "curvature_basis")
     count(structure, "solve_combination", "fit_solve")
     run_suite(model, "all")
     # proportionality_factor: b, d and c against g, then h1 and h2 against g~
@@ -225,7 +225,7 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
                      "ricci_action": 2, "phi_pairing": 1, "build_frame": 1,
                      "proportionality_factor": 5, "eta_einstein_solve": 1,
                      "einstein_solve": 1, "adapted_inverse": 2, "split": 9,
-                     "curvature_basis": 2, "fit_solve": 1}
+                     "curvature_basis": 1, "fit_solve": 1}
     calls.update(dict.fromkeys(calls, 0))
     run_suite(model, "ambient")
     assert calls["build_frame"] == 0
@@ -426,9 +426,13 @@ def metric_model(entry: str) -> bytes:
      "metric.X1,X1: a power of degree 500 with 4500-bit coefficients is over"),
     (metric_model("(2^4*mu+1)^1000"),
      "metric.X1,X1: a power of degree 1000 with 5000-bit coefficients is over"),
+    # (mu+2)^1000 alone loads; after (mu+1)^1000 it is over the entry's bound
+    (metric_model("(mu+1)^1000 + (mu+2)^1000"),
+     "metric.X1,X1: a power of degree 1000 with 2000-bit coefficients takes the "
+     "entry over the bound of 2000000 on degree times bits (at position 21)"),
 ], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power",
         "high-degree-power", "huge-power", "high-degree-product", "large-gcd",
-        "wide-power", "wide-product", "wide-small-power"])
+        "wide-power", "wide-product", "wide-small-power", "entry-over-product-bound"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
     """Each is rejected before its value is built, in well under a second."""
     path = tmp_path / "model.json"

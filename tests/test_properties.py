@@ -15,8 +15,8 @@ from rsthl.builtin import example_model
 from rsthl.cli import main
 from rsthl.lightlike import Splitting
 from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
-                           curvature_entries, koszul_entries, levi_civita,
-                           validate_lie_algebra)
+                           curvature_entries, derivative, koszul_entries,
+                           levi_civita, validate_lie_algebra)
 from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
@@ -55,7 +55,7 @@ def test_abelian_family_is_flat(dim, diag):
     conn = levi_civita(alg, metric)
     for i in range(dim):
         for j in range(dim):
-            assert conn.gamma.cell(i, j).is_zero()
+            assert conn.cell(i, j).is_zero()
     assert_koszul_clean(alg, metric)
 
 
@@ -265,9 +265,9 @@ def assert_splits_reconstruct(geo):
     f = geo.frame
     twin_pair = twin_normals(geo)
     splittings = ((f.splitting, (f.n_vec, f.l_vec)),
-                  (Splitting(f.tangent_frame, f.tangent_vectors, twin_pair), twin_pair))
+                  (Splitting(f, twin_pair), twin_pair))
     m = f.dim
-    for table in (geo.conn.gamma, geo.model.algebra.brackets, geo.model.phi,
+    for table in (geo.conn, geo.model.algebra.brackets, geo.model.phi,
                   geo.curv.table):
         want = [table.apply(*args)
                 for args in product(f.tangent_vectors, repeat=table.arity - 1)]
@@ -320,13 +320,13 @@ def test_whole_table_split_and_restrict_match_the_cell_reading(build):
     geo = Geometry(build())
     f, s, g = geo.frame, geo.structure, geo.metric.form
     normals = twin_normals(geo)
-    twin = Splitting(f.tangent_frame, f.tangent_vectors, normals)
-    for table in (geo.model.phi, geo.conn.derivative(f.n_vec),
-                  geo.model.algebra.brackets, geo.conn.gamma, geo.curv.table):
+    twin = Splitting(f, normals)
+    for table in (geo.model.phi, derivative(geo.conn, f.n_vec),
+                  geo.model.algebra.brackets, geo.conn, geo.curv.table):
         for splitting, pair in ((f.splitting, (f.n_vec, f.l_vec)), (twin, normals)):
             assert splitting.split(table) == split_by_cells(pair, f, table), \
                 table.arity
-    for form in (s.eta_bar, g, geo.conn.gamma.pull_slots(g, (2,)), geo.r4):
+    for form in (s.eta_bar, g, geo.conn.pull_slots(g, (2,)), geo.r4):
         assert f.restrict(form) == restrict_by_cells(f, form), form.arity
 
 

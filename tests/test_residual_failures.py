@@ -22,7 +22,7 @@ from rsthl.associated import (build_associated, tilde_form_21_entry,
 from rsthl.builtin import (_anti_compatible, _factor_j,
                            _matches_expected_table, factor_algebra)
 from rsthl.cli import main
-from rsthl.liegeom import Connection, CurvatureTensor, InvariantMetric, LieAlgebra
+from rsthl.liegeom import CurvatureTensor, InvariantMetric, LieAlgebra
 from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
@@ -30,7 +30,7 @@ from rsthl.lightlike import (ascreen_f0_entries, build_frame,
                              induced_invariant_entries)
 from rsthl.report import FAIL, PASS
 from rsthl.scalars import HALF, ONE
-from rsthl.structure import (ACBMStructure, CurvaturePair, LieModel,
+from rsthl.structure import (ACBMStructure, CurvaturePair,
                              associated_compat_entry, validate_acbm)
 from rsthl.suite import decided, run_suite
 from rsthl.tensors import MultilinearForm
@@ -73,8 +73,8 @@ def induced_with(geo, **changes):
 def frame_under(geo, structure):
     """The worked frame over the structure changed by structure(s)."""
     sub = geo.model.submanifold
-    lm = LieModel(geo.lie_model.algebra, structure(geo.structure))
-    return build_frame(lm, sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
+    return build_frame(geo.model.algebra, structure(geo.structure), sub.screen_labels,
+                       sub.screen, sub.rad, sub.l_vec)
 
 
 def certification(name, structure):
@@ -98,7 +98,7 @@ def frame_condition(name, **changes):
         fields = dict(screen_labels=sub.screen_labels, screen=sub.screen,
                       rad=sub.rad, l_vec=sub.l_vec, n_vec=None)
         fields.update({k: fn(geo) for k, fn in changes.items()})
-        f = build_frame(geo.lie_model, **fields)
+        f = build_frame(geo.model.algebra, geo.structure, **fields)
         return entry_named(decided(frame_conditions(f)).entries, name)
     return case
 
@@ -150,7 +150,7 @@ def induced_invariant(name, **changes):
 
 def skewed_induced_connection(obj):
     # nabla_{T_0} T_0 gains a T_0 part
-    return Connection(obj.conn.frame, bump_form(obj.conn.gamma, 0, 0, 0))
+    return bump_form(obj.gamma, 0, 0, 0)
 
 
 def screen_phi_parallel(geo):
@@ -207,7 +207,7 @@ def twin_shape_duality(geo):
     # normals see it, since no tangent vector has an X1 component
     frame = geo.model.frame
     x1, x2 = frame.index("X1"), frame.index("X2")
-    conn = Connection(frame, bump_form(geo.conn.gamma, x2, x1, x2))
+    conn = bump_form(geo.conn, x2, x1, x2)
     return entry_named(decided(*geometry_with(geo, conn=conn).twin[1]).entries,
                        "twin-shape-duality")
 
@@ -283,7 +283,7 @@ CASES = {
     "twin-connection-formula": twin_entry(
         "twin-connection-formula",
         induced=lambda geo: induced_with(
-            geo, conn=skewed_induced_connection(geo.induced))),
+            geo, gamma=skewed_induced_connection(geo.induced))),
     # phi(X2) = X2 + X4 keeps the five twin conditions; of the three
     # connection routes only the Koszul one reads the g~ it changes
     "twin-connection-koszul": twin_entry(
@@ -361,7 +361,7 @@ CASES = {
     "d-split": induced_invariant(
         "d-split", d_form=lambda obj: bump_form(obj.d_form, 0, 2)),
     "metric-deviation": induced_invariant(
-        "metric-deviation", conn=skewed_induced_connection),
+        "metric-deviation", gamma=skewed_induced_connection),
     "tau-closed": induced_invariant(
         "tau-closed",
         tau=lambda obj: MultilinearForm(obj.tau.frame, 1, (ONE,) + obj.tau.entries[1:])),
@@ -532,7 +532,7 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
     class Perturbed(suite.Geometry):
         @cached_property
         def twin(self):
-            obj = induced_with(self, conn=skewed_induced_connection(self.induced))
+            obj = induced_with(self, gamma=skewed_induced_connection(self.induced))
             return build_associated(self.frame, obj, self.mu, self.conn)
 
     with mock.patch.object(suite, "Geometry", Perturbed):

@@ -592,10 +592,11 @@ def test_parse_bounds_products_and_sums():
     """A product, quotient or cross-multiplied sum is rejected before it is
     computed when its degree is over MAX_POWER_DEGREE; one that the
     polynomial gcd would reduce, over MAX_GCD_DEGREE or MAX_GCD_SIZE; a
-    product or power of multi-term values, over MAX_PRODUCT_SIZE."""
+    product or power of multi-term values that takes the entry's sum of
+    degree times bits over MAX_PRODUCT_SIZE."""
     assert MAX_GCD_DEGREE < MAX_POWER_DEGREE
     for text in ("(mu+1)^1000", "(mu+1)^500*(mu+1)^500", "(mu+1)^1000/3",
-                 "(mu+1)^1000 + (mu+2)^1000", "mu^600/mu^300",
+                 "(mu+2)^1000", "(mu+1)^1000 + (mu+1)^1000", "mu^600/mu^300",
                  "(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20",
                  "((mu^2+3*mu+1)/(mu^2+2))^100", "2^2000*(mu+1)^1000"):
         RationalFunction.parse(text)
@@ -615,6 +616,8 @@ def test_parse_bounds_products_and_sums():
          f"is over the bound of {MAX_PRODUCT_SIZE} on degree times bits"),
         ("(2*mu+3)^500*(2*mu+3)^500", 12,
          "a product of degree 1000 with 2314-bit coefficients is over the bound"),
+        ("(mu+1)^1000 + (mu+2)^1000", 21, "a power of degree 1000 with 2000-bit "
+         f"coefficients takes the entry over the bound of {MAX_PRODUCT_SIZE}"),
     ]:
         with pytest.raises(ScalarParseError) as err:
             RationalFunction.parse(text)

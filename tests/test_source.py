@@ -179,7 +179,9 @@ def test_loading_a_model_imports_neither_dataclasses_nor_inspect(tmp_path):
 # hash, the parser's token cursor and a stage's blocker, set once.
 ATTRIBUTE_WRITERS = {
     "tensors.py": {"MultilinearForm._of"},
-    "scalars.py": {"RationalFunction._of", "RationalFunction.__hash__", "_Parser._next"},
+    # the parser's cursor and the allowance its entry has spent
+    "scalars.py": {"RationalFunction._of", "RationalFunction.__hash__", "_Parser._next",
+                   "_Parser._spend"},
     "suite.py": {"_Stage.run"},
 }
 

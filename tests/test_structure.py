@@ -3,13 +3,12 @@ constant sectional invariants."""
 
 import pytest
 
-from rsthl.errors import UnderdeterminedSystem
+from rsthl.errors import GeometryError, UnderdeterminedSystem
 from rsthl.liegeom import InvariantMetric, levi_civita
 from rsthl.model import model_from_json_obj
-from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.structure import (ACBMStructure, CurvaturePair,
-                             associated_compat_entry, associated_metric,
-                             constant_curvature_form,
+from rsthl.scalars import ONE, ZERO, rf
+from rsthl.structure import (ACBMStructure, associated_compat_entry,
+                             associated_metric, basic_curvature_tensors,
                              constant_curvature_residual, fit_curvature_pair,
                              fundamental_tensor, metric_signature_entry,
                              validate_acbm)
@@ -59,33 +58,33 @@ AXIOM_NAMES = ("phi-squared", "eta-of-xi", "eta-after-phi", "phi-of-xi",
                "phi-rank", "b-metric", "eta-is-metric-dual", "xi-unit")
 
 
-def test_validate_acbm_all_axioms_pass(lm):
-    entries = validate_acbm(lm.structure)
+def test_validate_acbm_all_axioms_pass(structure):
+    entries = validate_acbm(structure)
     assert tuple(e.name for e in entries) == AXIOM_NAMES
     assert all(e.status == "pass" for e in entries)
     assert all(e.anchor == "sec-2-structure" for e in entries)
     by_name = {e.name: e for e in entries}
     assert by_name["phi-rank"].detail == "rank phi = 4, expected 4"
-    signature = metric_signature_entry(lm.structure)
+    signature = metric_signature_entry(structure)
     assert (signature.status, signature.anchor) == ("pass", "sec-2-structure")
     assert signature.detail.startswith("signature (3,2): ")
 
 
 def test_structure_needs_odd_dimension():
     frame = Frame(("a", "b"))
-    with pytest.raises(ValueError, match="odd dimension"):
+    with pytest.raises(GeometryError, match="odd dimension"):
         ACBMStructure(frame, MultilinearForm.zero(frame, 2),
                       MultilinearForm.zero(frame, 1),
                       MultilinearForm(frame, 1, (ZERO, ZERO)),
                       InvariantMetric.diagonal(frame, (1, 1)))
 
 
-def test_n_counts_structure_planes(lm):
-    assert lm.structure.n == 2
+def test_n_counts_structure_planes(structure):
+    assert structure.n == 2
 
 
-def test_perturbed_phi_fails_phi_squared(lm):
-    s = lm.structure
+def test_perturbed_phi_fails_phi_squared(structure):
+    s = structure
     frame = s.frame
     cols = list(s.phi.cell(j) for j in range(frame.dimension))
     cols[0] = cols[0] + frame.basis_vector(0)
@@ -107,8 +106,8 @@ def test_wrong_signature_is_reported(model):
         "skipped", "blocked by b-metric (fail)")
 
 
-def test_associated_metric_values(lm):
-    s = lm.structure
+def test_associated_metric_values(structure):
+    s = structure
     gt = associated_metric(s)
     frame = s.frame
     x1, x2, x3, x4, e = (frame.index(l) for l in ("X1", "X2", "X3", "X4", "E"))
@@ -124,29 +123,28 @@ def test_associated_metric_values(lm):
     assert gt.determinant() == ONE
 
 
-def test_associated_compat_entry(lm):
-    entry = associated_compat_entry(lm.structure)
+def test_associated_compat_entry(structure):
+    entry = associated_compat_entry(structure)
     assert entry.status == "pass"
     assert entry.name == "associated-metric-twist"
 
 
-def test_fundamental_tensor_vanishes(lm, ambient_conn):
-    assert fundamental_tensor(lm.structure, ambient_conn).is_zero()
-    assert is_f0(lm.structure, ambient_conn)
+def test_fundamental_tensor_vanishes(structure, ambient_conn):
+    assert fundamental_tensor(structure, ambient_conn).is_zero()
+    assert is_f0(structure, ambient_conn)
 
 
-def test_twin_connection_coincides(lm, ambient_conn):
-    gt = associated_metric(lm.structure)
-    twin_conn = levi_civita(lm.algebra, gt)
-    dim = lm.frame.dimension
+def test_twin_connection_coincides(algebra, structure, ambient_conn):
+    gt = associated_metric(structure)
+    twin_conn = levi_civita(algebra, gt)
+    dim = structure.frame.dimension
     for i in range(dim):
         for j in range(dim):
-            assert (twin_conn.gamma.cell(i, j)
-                    - ambient_conn.gamma.cell(i, j)).is_zero()
+            assert (twin_conn.cell(i, j) - ambient_conn.cell(i, j)).is_zero()
 
 
-def test_non_parallel_phi_is_not_f0(lm, ambient_conn):
-    s = lm.structure
+def test_non_parallel_phi_is_not_f0(structure, ambient_conn):
+    s = structure
     frame = s.frame
     cols = list(s.phi.cell(j) for j in range(frame.dimension))
     cols[frame.index("X2")] = cols[frame.index("X2")].scale(2)
@@ -158,9 +156,9 @@ def test_non_parallel_phi_is_not_f0(lm, ambient_conn):
     assert f.entry(x2, x2, x1) == rf(2)
 
 
-def test_pi_tensor_values(lm):
-    p1, p2, p3 = pi_tensors(lm.structure)
-    frame = lm.frame
+def test_pi_tensor_values(structure):
+    p1, p2, p3 = pi_tensors(structure)
+    frame = structure.frame
     x1, x2, x3 = frame.index("X1"), frame.index("X2"), frame.index("X3")
     # pi_1(X1, X2, X2, X1) = g(X2,X2) g(X1,X1)
     assert p1.entry(x1, x2, x2, x1) == ONE
@@ -173,24 +171,19 @@ def test_pi_tensor_values(lm):
 @pytest.mark.parametrize("build", [None, reeb_sheared],
                          ids=["example47", "reeb_sheared"])
 def test_closed_form_matches_pi_tensors(build, geometry):
-    """At invariants the worked model does not have, the closed form
-    equals nu (pi_1 o phi - pi_2) + nu~ (pi_3 o phi) from the reference
-    tensors, so every curvature product carries its own sign."""
-    geo = geometry if build is None else Geometry(build())
-    s, r4 = geo.structure, geo.r4
+    """The basic curvature tensors are A = pi_1 o phi - pi_2 and
+    B = pi_3 o phi from the reference tensors, so every curvature product
+    carries its own sign."""
+    s = (geometry if build is None else Geometry(build())).structure
     p1, p2, p3 = pi_tensors(s)
-    nu_part = p1.pull_all(s.phi) - p2
-    nu_tilde_part = p3.pull_all(s.phi)
-    for nu, nu_tilde in ((3, "5/7"), (0, 1), (MU, "-1/2")):
-        pair = CurvaturePair(rf(nu), rf(nu_tilde))
-        expected = nu_part.scale(pair.nu) + nu_tilde_part.scale(pair.nu_tilde)
-        assert constant_curvature_form(s, pair) == expected
+    assert basic_curvature_tensors(s) == (p1.pull_all(s.phi) - p2, p3.pull_all(s.phi))
 
 
-def test_fit_curvature_pair_and_closed_form(lm, ambient_r4, pair, geometry):
+def test_fit_curvature_pair_and_closed_form(ambient_r4, pair, geometry):
     assert pair.nu == rf(4)
     assert pair.nu_tilde == ZERO
-    assert constant_curvature_form(lm.structure, pair) == ambient_r4
+    a, b = geometry.curvature_basis
+    assert a.scale(pair.nu) + b.scale(pair.nu_tilde) == ambient_r4
     entry = constant_curvature_residual(ambient_r4, geometry.curvature_basis, pair)
     assert (entry.name, entry.status) == ("constant-curvature-form", "pass")
 

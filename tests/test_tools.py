@@ -39,3 +39,29 @@ def test_interleaved_ab_mixes_the_four_suites():
                         r"all \d+\.\d\d\d", lines[4])
     assert re.fullmatch(r"change faster in [012] of 2 pairs", lines[5])
     assert lines[6] == "last reports byte-identical: yes"
+
+
+def test_linecov_lists_only_the_lines_no_test_runs(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "mod.py").write_text(
+        "def called():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def uncalled():\n"
+        "    x = 2\n"
+        "    return x\n", encoding="utf-8")
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg.mod import called\n\n\n"
+        "def test_called():\n"
+        "    assert called() == 1\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "linecov.py"), "--package", str(package),
+         "-q", "-p", "no:cacheprovider", "test_mod.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout
+    assert run.stdout.splitlines()[-3:] == [
+        "pkg/mod.py:6", "pkg/mod.py:7", "2 of 5 executable lines never ran"]

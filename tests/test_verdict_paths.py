@@ -1,0 +1,138 @@
+"""Verdict paths that no catalogued model reaches.
+
+The worked model fits the sectional invariants, has a screen umbilical
+frame and solves both Einstein-type systems, so the suites alone never
+take the branches where one of those fails.  Each case below reaches one
+through a model file, a direct call, or a ``Geometry`` whose one value is
+replaced, and pins the statuses and details it reports.
+"""
+
+import json
+from types import SimpleNamespace
+
+import pytest
+
+from rsthl import suite
+from rsthl.associated import einstein_solve
+from rsthl.cli import main
+from rsthl.errors import InconsistentSystem, UnderdeterminedSystem
+from rsthl.lightlike import eta_einstein_solve, umbilicity
+from rsthl.report import FAIL, PASS, SKIP
+from rsthl.structure import fit_curvature_pair
+from rsthl.suite import run_suite
+from rsthl.tensors import outer
+
+from conftest import replaced
+from test_residual_failures import bump_form
+
+NO_PAIR = "the ambient sectional invariants are unavailable"
+NO_GAMMA = "the screen distribution is not totally umbilical"
+
+# the entries of the submanifold stage that read the sectional invariants,
+# and those of them that also read the screen umbilicity factor
+PAIR_READERS = ("curvature-from-shape-terms", "b-derivative-balance")
+GAMMA_READERS = ("twisted-sectional-vanishes", "umbilic-factor-identity",
+                 "umbilic-curvature-form", "umbilic-ricci-form",
+                 "ricci-action-closed-form", "twin-umbilic-curvature-form",
+                 "twin-umbilic-ricci-form", "twin-ricci-last-term",
+                 "twin-ricci-action-closed-form")
+THEOREM = ("assertion-ricci-semisymmetric", "assertion-twin-ricci-semisymmetric",
+           "assertion-eta-einstein", "assertion-einstein",
+           "assertion-scalar-identity", "assertion-equivalence")
+
+
+def outcomes(rep):
+    """name -> (status, detail) for every entry that did not pass."""
+    return {e.name: (e.status, e.detail) for e in rep.entries if e.status != PASS}
+
+
+def with_value(monkeypatch, **values):
+    """Make every Geometry read the given values under the given names."""
+    for name, value in values.items():
+        monkeypatch.setattr(suite.Geometry, name, property(lambda self, v=value: v))
+
+
+def test_even_dimension_fails_the_structure_axioms(tmp_path, capsys):
+    """A four-dimensional frame carries no almost contact structure: the
+    axioms step fails with the reason and blocks the rest of the ambient
+    stage; the model declares no submanifold."""
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps({
+        "frame": {"labels": ["X1", "X2", "X3", "X4"]},
+        "brackets": {},
+        "metric": {"X1,X1": "1", "X2,X2": "1", "X3,X3": "-1", "X4,X4": "-1"},
+        "structure": {
+            "phi": {"X1": {"X3": "1"}, "X2": {"X4": "1"},
+                    "X3": {"X1": "-1"}, "X4": {"X2": "-1"}},
+            "xi": {"X1": "1"}, "eta": {"X1": "1"}},
+    }), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verdict: fail (4 passed, 1 failed, 15 skipped)"
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] structure-axioms                    sec-2-structure  "
+        "(an almost contact structure needs odd dimension)"]
+    assert sum("(blocked by structure-axioms (fail))" in line for line in lines) == 8
+
+
+def test_failed_sectional_fit_skips_what_reads_it(model, monkeypatch):
+    with_value(monkeypatch, sectional=(None, "no fit"))
+    assert outcomes(run_suite(model)) == {
+        "sectional-fit": (FAIL, "no fit"),
+        "constant-curvature-form": (SKIP, NO_PAIR),
+        **{n: (SKIP, NO_PAIR) for n in PAIR_READERS + GAMMA_READERS + THEOREM}}
+
+
+def test_screen_that_is_not_umbilical_skips_what_reads_gamma(
+        model, geometry, monkeypatch):
+    obj = replaced(geometry.induced, c_form=bump_form(geometry.induced.c_form, 0, 0))
+    rep = umbilicity(geometry.frame, obj)
+    assert rep.gamma_screen is None
+    with_value(monkeypatch, umbilicity=rep)
+    got = run_suite(model)
+    assert outcomes(got) == {
+        "n-shape-umbilic": (SKIP, NO_GAMMA), "b-umbilic-multiple": (SKIP, NO_GAMMA),
+        **{n: (SKIP, NO_GAMMA) for n in GAMMA_READERS},
+        **{n: (SKIP, NO_GAMMA + ", the theorem hypothesis fails") for n in THEOREM}}
+    assert {e.name: e.detail for e in got.entries}["umbilicity"] == \
+        "not totally umbilical; screen not umbilical"
+
+
+@pytest.mark.parametrize("suite_name", ["all", "theorem46"])
+def test_failed_einstein_solves_fail_their_assertions(model, monkeypatch, suite_name):
+    with_value(monkeypatch, eta_einstein=(None, "no eta fit"),
+               einstein=(None, "no lambda"))
+    got = outcomes(run_suite(model, suite_name))
+    theorem = {
+        "assertion-eta-einstein":
+            (FAIL, "(iii) the induced Ricci tensor admits no such decomposition"),
+        "assertion-einstein":
+            (FAIL, "(iv) the twin Ricci tensor is not proportional to the twin metric"),
+        "assertion-equivalence":
+            (FAIL, "all five assertions carry the same truth value: "
+                   "true, true, false, false, true")}
+    if suite_name == "all":
+        theorem.update({"eta-einstein-solve": (FAIL, "no eta fit"),
+                        "einstein-solve": (FAIL, "no lambda")})
+    assert got == theorem
+
+
+def test_fit_of_a_curvature_off_the_basis_is_inconsistent(geometry):
+    with pytest.raises(InconsistentSystem, match="^the lowered curvature is no "
+                       "combination nu A [+] nu~ B of the basic curvature tensors$"):
+        fit_curvature_pair(bump_form(geometry.r4, 0, 1, 0, 1), geometry.curvature_basis)
+
+
+def test_einstein_solves_over_a_dependent_basis_are_underdetermined(frame, tric):
+    """Both solves name the dependence; no certified frame reaches it, as
+    the induced metric and eta-bar x eta-bar are independent there and the
+    twin metric is nondegenerate."""
+    eta = frame.eta_bar
+    dependent = SimpleNamespace(induced_form=outer(eta, eta).scale(2), eta_bar=eta)
+    with pytest.raises(UnderdeterminedSystem, match="^the metric and the squared "
+                       "dual form are linearly dependent on this frame$"):
+        eta_einstein_solve(dependent, outer(eta, eta))
+    vanishing = SimpleNamespace(metric=SimpleNamespace(form=tric.scale(0)))
+    with pytest.raises(UnderdeterminedSystem,
+                       match="^the twin metric vanishes on this frame$"):
+        einstein_solve(frame, vanishing, tric.scale(0))
