@@ -18,8 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional
 
-from .errors import InconsistentSystem, UnderdeterminedSystem
-from .liegeom import CurvatureTensor, InvariantMetric, curvature, levi_civita
+from .liegeom import CurvatureTensor, InvariantMetric, levi_civita
 from .lightlike import (
     InducedObjects,
     SubmanifoldFrame,
@@ -35,7 +34,6 @@ from .tensors import (
     curvature_product,
     determinant,
     outer,
-    solve_combination,
 )
 
 
@@ -176,10 +174,6 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     ))
 
 
-def tilde_curvature(f: SubmanifoldFrame, assoc: AssociatedObjects) -> CurvatureTensor:
-    return curvature(assoc.gamma, f.tangent_algebra)
-
-
 def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
                             mu: RationalFunction, curv: CurvatureTensor,
                             tilde_curv: CurvatureTensor) -> CheckEntry:
@@ -269,19 +263,6 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
         "Ric~ = 2(n-2)(nu - 4mu^2 gamma^2) g - [nu + 4(2n-3) mu^2 gamma^2] "
         "g(., phi .) - 2(n-1) nu eta x eta"),
         compare("twin-ricci-last-term", "eq-22", tilde_ric, adopted, detail)]
-
-
-def einstein_solve(f: SubmanifoldFrame, assoc: AssociatedObjects,
-                   tilde_ric: MultilinearForm) -> RationalFunction:
-    """Solve Ric~ = lambda g~ exactly over the tangent frame."""
-    try:
-        (lam,) = solve_combination(tilde_ric, assoc.metric.form)
-    except InconsistentSystem as exc:
-        raise InconsistentSystem(
-            "the twin Ricci tensor is not proportional to the twin metric") from exc
-    except UnderdeterminedSystem as exc:
-        raise UnderdeterminedSystem("the twin metric vanishes on this frame") from exc
-    return lam
 
 
 def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
@@ -375,9 +356,10 @@ def theorem_aggregate(curv: CurvatureTensor, tilde_curv: CurvatureTensor,
     and their equivalence, as six entries.
 
     eta_constants and einstein_constant are the solutions of the two
-    Einstein-type systems (``eta_einstein_solve``, ``einstein_solve``), None
-    where a system has none.  Every invariant scalar is constant on each
-    group of the family, so exact solvability alone decides those assertions.
+    Einstein-type systems (``Geometry.eta_einstein`` and ``einstein`` in
+    ``suite``), None where a system has none.  Every invariant scalar is
+    constant on each group of the family, so exact solvability alone
+    decides those assertions.
     """
     truths = (curv.ricci_action.is_zero(), tilde_curv.ricci_action.is_zero(),
               eta_constants is not None, einstein_constant is not None,

@@ -29,7 +29,6 @@ from .tensors import (
     Frame,
     MultilinearForm,
     compose,
-    determinant,
     matrix_inverse,
 )
 
@@ -133,14 +132,8 @@ class InvariantMetric:
             )
         )
 
-    def entry(self, i: int, j: int) -> RationalFunction:
-        return self.form.entry(i, j)
-
     def value(self, v: MultilinearForm, w: MultilinearForm) -> RationalFunction:
         return self.form.value(v, w)
-
-    def determinant(self) -> RationalFunction:
-        return determinant(self.form.rows())
 
     def lower(self, v: MultilinearForm) -> MultilinearForm:
         """The one-form g(v, .)."""

@@ -26,11 +26,10 @@ from .liegeom import (
     CurvatureTensor,
     InvariantMetric,
     LieAlgebra,
-    curvature,
     derivation_action,
     derivative,
 )
-from .report import CheckEntry, compare, skipped
+from .report import CheckEntry, compare
 from .scalars import HALF, ONE, RationalFunction, ZERO
 from .structure import ACBMStructure, CurvaturePair
 from .tensors import (
@@ -248,13 +247,6 @@ class SubmanifoldFrame:
     def twin_form(self) -> MultilinearForm:
         """Table of the twin metric g(T_a, phi T_b) + eta(T_a) eta(T_b)."""
         return self.phi_pairing + outer(self.eta_bar, self.eta_bar)
-
-
-def build_frame(algebra: LieAlgebra, structure: ACBMStructure, screen_labels,
-                screen, rad, l_vec, n_vec: Optional[MultilinearForm] = None
-                ) -> SubmanifoldFrame:
-    return SubmanifoldFrame(algebra, structure, tuple(screen_labels), tuple(screen),
-                            rad, l_vec, n_vec)
 
 
 def frame_conditions(f: SubmanifoldFrame) -> tuple:
@@ -530,9 +522,8 @@ class UmbilicityReport:
         if self.totally_geodesic:
             flags.append("totally geodesic")
         elif self.totally_umbilical:
-            kind = "proper totally umbilical" if self.proper_totally_umbilical \
-                else "totally umbilical"
-            flags.append(f"{kind} (beta = {self.beta}, delta = {self.delta})")
+            flags.append(f"proper totally umbilical (beta = {self.beta}, "
+                         f"delta = {self.delta})")
         else:
             flags.append("not totally umbilical")
         if self.screen_totally_geodesic:
@@ -554,27 +545,14 @@ def proportionality_factor(table: MultilinearForm, metric: MultilinearForm
     return factor
 
 
-def umbilicity(f: SubmanifoldFrame, obj: InducedObjects) -> UmbilicityReport:
-    return UmbilicityReport(f, obj)
-
-
 def screen_umbilical_entries(f: SubmanifoldFrame, obj: InducedObjects,
-                             rep: UmbilicityReport,
+                             gamma: RationalFunction,
                              mu: RationalFunction) -> list[CheckEntry]:
-    if rep.gamma_screen is None:
-        reason = "the screen distribution is not totally umbilical"
-        return [skipped("n-shape-umbilic", "eq-17", reason),
-                skipped("b-umbilic-multiple", "eq-17", reason)]
-    gam = rep.gamma_screen
-    return [compare("n-shape-umbilic", "eq-17", obj.shape_n, f.projector.scale(gam),
+    return [compare("n-shape-umbilic", "eq-17", obj.shape_n, f.projector.scale(gamma),
                     "A_N X = gamma PX"),
             compare("b-umbilic-multiple", "eq-17", obj.b_form,
-                    f.induced_form.scale(-(mu * mu * gam * 2)),
+                    f.induced_form.scale(-(mu * mu * gamma * 2)),
                     "B(X, Y) = -2 mu^2 gamma g(X, Y)")]
-
-
-def induced_curvature(f: SubmanifoldFrame, obj: InducedObjects) -> CurvatureTensor:
-    return curvature(obj.gamma, f.tangent_algebra)
 
 
 def covariant_derivative(gamma: MultilinearForm, form: MultilinearForm) -> MultilinearForm:
@@ -713,19 +691,3 @@ def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
     return compare(
         "ricci-action-closed-form", "eq-23", direct, closed,
         "the curvature action on Ric matches its closed form")
-
-
-def eta_einstein_solve(f: SubmanifoldFrame, ric: MultilinearForm
-                       ) -> tuple[RationalFunction, RationalFunction]:
-    """Solve Ric = k g + c (eta x eta) exactly over the tangent frame."""
-    try:
-        k, c = solve_combination(ric, f.induced_form, outer(f.eta_bar, f.eta_bar))
-    except InconsistentSystem as exc:
-        raise InconsistentSystem(
-            "the Ricci tensor is not a combination of the metric and the "
-            "squared dual form") from exc
-    except UnderdeterminedSystem as exc:
-        raise UnderdeterminedSystem(
-            "the metric and the squared dual form are linearly dependent "
-            "on this frame") from exc
-    return k, c

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import report
-from .errors import GeometryError, InconsistentSystem, UnderdeterminedSystem
+from .errors import GeometryError
 from .liegeom import InvariantMetric
 from .scalars import ONE, RationalFunction
 from .tensors import (
@@ -30,7 +30,6 @@ from .tensors import (
     compose,
     curvature_product,
     outer,
-    solve_combination,
 )
 
 
@@ -175,24 +174,3 @@ def constant_curvature_residual(r4: MultilinearForm,
         a.scale(pair.nu) + b.scale(pair.nu_tilde),
         "the lowered curvature is the two-invariant combination of the "
         "basic curvature tensors")
-
-
-def fit_curvature_pair(r4: MultilinearForm,
-                       basis: tuple[MultilinearForm, MultilinearForm]
-                       ) -> CurvaturePair:
-    """Solve r4 = nu A + nu_tilde B exactly for the basis (A, B).
-
-    The pair does not depend on the frame.  Raises InconsistentSystem when
-    r4 is no such combination and UnderdeterminedSystem when A and B are
-    linearly dependent, as they are in dimension 3.
-    """
-    try:
-        return CurvaturePair(*solve_combination(r4, *basis))
-    except InconsistentSystem as exc:
-        raise InconsistentSystem(
-            "the lowered curvature is no combination nu A + nu~ B of the "
-            "basic curvature tensors") from exc
-    except UnderdeterminedSystem as exc:
-        raise UnderdeterminedSystem(
-            "the basic curvature tensors A and B are linearly dependent, "
-            "so nu and nu~ are not determined") from exc

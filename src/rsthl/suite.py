@@ -5,12 +5,19 @@ extracts the sectional invariants, the submanifold stage rebuilds both
 induced geometries and evaluates every catalogued identity, and the final
 stage aggregates the five equivalent assertions.  A suite runs the stages
 up to the last one it reports and builds only the geometry their steps
-read.  Geometry exceptions never escape a stage; they become failing
-entries, and the steps whose inputs are gone report one skipped entry
-each, naming the first failing entry that blocked them.  The frame,
-ascreen and twin conditions are the steps of a stage of their own.
-Under ``theorem46`` the earlier stages decide only the steps that can
-block the theorem or that it reads; the others just read their geometry.
+read.
+
+Every step has one form, ``_Stage.run(name, anchor, reads, build,
+blocks)``: ``reads()`` returns the geometry the step reads, and
+``build(*values)`` returns its entry, its entries or a stage of its own.
+Geometry exceptions never escape a stage; they become failing entries,
+and the steps whose inputs are gone report one skipped entry each,
+naming the first failing entry that blocked them.  The frame, ascreen
+and twin conditions are the steps of a stage of their own.  Under
+``theorem46`` the earlier stages build only the steps that can block the
+theorem; the others just read their geometry.  The three exact solves
+whose failure is a verdict (the sectional invariants, eta-Einstein and
+Einstein) go through ``_fit`` and one step builder.
 """
 
 from __future__ import annotations
@@ -39,12 +46,11 @@ from .structure import (
     associated_compat_entry,
     basic_curvature_tensors,
     constant_curvature_residual,
-    fit_curvature_pair,
     fundamental_tensor,
     metric_signature_entry,
     validate_acbm,
 )
-from .tensors import MultilinearForm
+from .tensors import MultilinearForm, outer, solve_combination
 
 SUITES = ("ambient", "submanifold", "theorem46", "all")
 
@@ -95,8 +101,16 @@ class Geometry:
 
     @cached_property
     def sectional(self):
-        """(nu, nu_tilde) with r4 = nu A + nu_tilde B, or None, and the reason."""
-        return _solved(lambda: fit_curvature_pair(self.r4, self.curvature_basis))
+        """(nu, nu_tilde) with r4 = nu A + nu_tilde B, or None, and the
+        reason.  The pair does not depend on the frame; A and B are
+        linearly dependent in dimension 3."""
+        coefficients, reason = _fit(
+            self.r4, self.curvature_basis,
+            "the lowered curvature is no combination nu A + nu~ B of the "
+            "basic curvature tensors",
+            "the basic curvature tensors A and B are linearly dependent, "
+            "so nu and nu~ are not determined")
+        return CurvaturePair(*coefficients) if coefficients else None, reason
 
     @property
     def pair(self) -> Optional[CurvaturePair]:
@@ -106,9 +120,9 @@ class Geometry:
     @cached_property
     def frame(self) -> lightlike.SubmanifoldFrame:
         sub = self.model.submanifold
-        return lightlike.build_frame(self.model.algebra, self.structure,
-                                     sub.screen_labels, sub.screen, sub.rad,
-                                     sub.l_vec, sub.n_vec)
+        return lightlike.SubmanifoldFrame(self.model.algebra, self.structure,
+                                          sub.screen_labels, sub.screen, sub.rad,
+                                          sub.l_vec, sub.n_vec)
 
     @cached_property
     def certification(self):
@@ -125,7 +139,7 @@ class Geometry:
 
     @cached_property
     def umbilicity(self) -> lightlike.UmbilicityReport:
-        return lightlike.umbilicity(self.frame, self.induced)
+        return lightlike.UmbilicityReport(self.frame, self.induced)
 
     @property
     def gamma(self):
@@ -134,7 +148,7 @@ class Geometry:
 
     @cached_property
     def curv_ind(self) -> CurvatureTensor:
-        return lightlike.induced_curvature(self.frame, self.induced)
+        return curvature(self.induced.gamma, self.frame.tangent_algebra)
 
     @cached_property
     def twin(self):
@@ -148,71 +162,94 @@ class Geometry:
 
     @cached_property
     def tcurv(self) -> CurvatureTensor:
-        return associated.tilde_curvature(self.frame, self.assoc)
+        return curvature(self.assoc.gamma, self.frame.tangent_algebra)
 
     @cached_property
     def eta_einstein(self):
         """(k, c) with Ric = k g + c eta x eta, or None, and the reason."""
-        return _solved(lambda: lightlike.eta_einstein_solve(
-            self.frame, self.curv_ind.ricci))
+        f = self.frame
+        return _fit(
+            self.curv_ind.ricci, (f.induced_form, outer(f.eta_bar, f.eta_bar)),
+            "the Ricci tensor is not a combination of the metric and the "
+            "squared dual form",
+            "the metric and the squared dual form are linearly dependent "
+            "on this frame")
 
     @cached_property
     def einstein(self):
         """lambda with Ric~ = lambda g~, or None, and the reason."""
-        return _solved(lambda: associated.einstein_solve(
-            self.frame, self.assoc, self.tcurv.ricci))
+        coefficients, reason = _fit(
+            self.tcurv.ricci, (self.assoc.metric.form,),
+            "the twin Ricci tensor is not proportional to the twin metric",
+            "the twin metric vanishes on this frame")
+        return coefficients[0] if coefficients else None, reason
 
 
-def _solved(solve):
-    """(solve(), None), or (None, the message) when the exact solve has no
-    unique solution."""
+def _fit(target: MultilinearForm, basis: tuple, inconsistent: str,
+         underdetermined: str):
+    """(the coefficients of target over basis, None), or (None, the
+    reason) when the exact solve has no solution or more than one."""
     try:
-        return solve(), None
-    except (InconsistentSystem, UnderdeterminedSystem) as exc:
-        return None, str(exc)
+        return solve_combination(target, *basis), None
+    except InconsistentSystem:
+        return None, inconsistent
+    except UnderdeterminedSystem:
+        return None, underdetermined
 
 
 class _Stage:
-    """Ordered steps with blocking: a step that blows up fails and all
-    later steps of the stage degrade to one skipped entry each, whose
-    reason names the first failing entry of the blocking step.  A step
-    may return a stage of its own: its entries join this one, and it
-    blocks this stage where it blocked itself.
+    """Ordered steps with blocking.
 
-    A step given ``reads`` builds its entries from the values reads()
-    returns (``reads=tuple`` reads nothing).  A stage that does not report
-    runs only reads() for such a step unless it blocks on failure, so a
-    read that raises still blocks under the step's name; its build must
-    raise nothing once its reads have succeeded."""
+    ``run(name, anchor, reads, build, blocks)`` is the one step form:
+    ``reads()`` returns the geometry the step reads (``reads=tuple``
+    reads nothing) and ``build(*values)`` returns an entry, a list of
+    entries or a stage of its own, whose entries join this one and which
+    blocks this stage where it blocked itself.  A step that raises a
+    ``GeometryError`` fails and blocks; a blocking step whose entries
+    fail blocks.  Once blocked, every later step of the stage degrades to
+    one skipped entry, whose reason names the first failing entry.
+
+    A stage that does not report runs reads() for every step, so a read
+    that raises still blocks under the step's name, and build only for a
+    blocking step; the build of any other step must raise nothing once
+    its reads have succeeded."""
 
     def __init__(self, blocker: Optional[str] = None, reports: bool = True):
         self.entries: list[report.CheckEntry] = []
         self.blocker = blocker  # the skip reason once a step has blocked
         self.reports = reports
 
-    def run(self, name: str, anchor: str, fn: Callable[..., list], block_on_fail=False,
-            reads: Optional[Callable[[], tuple]] = None) -> None:
+    def run(self, name: str, anchor: str, reads: Callable[[], tuple],
+            build: Callable, blocks: bool = False) -> None:
         if self.blocker:
             self.entries.append(report.skipped(name, anchor, self.blocker))
             return
         try:
-            values = () if reads is None else reads()
-            new = fn(*values) if self.reports or block_on_fail or not reads else []
+            values = reads()
+            if not (self.reports or blocks):
+                return
+            new = build(*values)
         except GeometryError as exc:
-            new, block_on_fail = [report.failed(name, anchor, str(exc))], True
+            new, blocks = report.failed(name, anchor, str(exc)), True
         if isinstance(new, _Stage):
             self.entries.extend(new.entries)
             self.blocker = new.blocker
             return
+        if isinstance(new, report.CheckEntry):
+            new = [new]
         self.entries.extend(new)
         failed = [e for e in new if e.status == report.FAIL]
-        if block_on_fail and failed:
+        if blocks and failed:
             self.blocker = f"blocked by {failed[0].name} (fail)"
 
 
-def _one(check: Callable[..., report.CheckEntry]) -> Callable[..., list]:
-    """The step whose one entry is check(*values)."""
-    return lambda *values: [check(*values)]
+def _solve_step(st: _Stage, name: str, anchor: str, solved: Callable[[], tuple],
+                describe: Callable[..., str]) -> None:
+    """The step reporting an exact solve: solved() returns (value, None),
+    which passes with describe(value), or (None, reason), which fails."""
+    st.run(name, anchor, solved, lambda value, reason: (
+        report.failed(name, anchor, reason) if value is None
+        else report.passed(name, anchor, describe(value))))
 
 
 def decided(preconditions, conditions=(), reports: bool = True) -> _Stage:
@@ -223,8 +260,8 @@ def decided(preconditions, conditions=(), reports: bool = True) -> _Stage:
     st = _Stage(reports=reports)
     for group, blocks in ((preconditions, True), (conditions, False)):
         for name, anchor, sides in group:
-            st.run(name, anchor, lambda: [report.compare(name, anchor, *sides())],
-                   blocks, reads=tuple)
+            st.run(name, anchor, tuple,
+                   lambda: report.compare(name, anchor, *sides()), blocks)
     return st
 
 
@@ -232,97 +269,89 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
     st = _Stage(reports=reports)
     model = geo.model
 
-    st.run("lie-algebra", "plumbing",
-           lambda: [validate_lie_algebra(model.algebra)], block_on_fail=True)
+    st.run("lie-algebra", "plumbing", lambda: (model.algebra,),
+           validate_lie_algebra, blocks=True)
 
     # reading the metric raises on a degenerate table
-    st.run("invariant-metric", "plumbing", lambda metric: [report.passed(
-        "invariant-metric", "plumbing", "the metric table is symmetric and nondegenerate")],
-        reads=lambda: (geo.metric,))
+    st.run("invariant-metric", "plumbing", lambda: (geo.metric,),
+           lambda metric: report.passed(
+               "invariant-metric", "plumbing",
+               "the metric table is symmetric and nondegenerate"))
 
-    st.run("koszul", "plumbing",
-           lambda: koszul_entries(geo.conn, model.algebra, geo.metric),
-           block_on_fail=True)
+    st.run("koszul", "plumbing", lambda: (geo.conn, model.algebra, geo.metric),
+           koszul_entries, blocks=True)
 
-    def structure_step():
-        s = geo.structure  # raises on an even-dimensional frame
+    def structure_axioms(s):
         axioms = _Stage()
-        axioms.run("structure-axioms", "sec-2-structure", lambda: validate_acbm(s),
-                   block_on_fail=True)
+        axioms.run("structure-axioms", "sec-2-structure", lambda: (s,),
+                   validate_acbm, blocks=True)
         # a degenerate table has blocked the stage at invariant-metric, so
         # the axioms force the signature
-        axioms.run("metric-signature", "sec-2-structure",
-                   lambda: [metric_signature_entry(s)])
+        axioms.run("metric-signature", "sec-2-structure", lambda: (s,),
+                   metric_signature_entry)
         return axioms
-    st.run("structure-axioms", "sec-2-structure", structure_step,
-           block_on_fail=True)
+    # reading the structure raises on an even-dimensional frame
+    st.run("structure-axioms", "sec-2-structure", lambda: (geo.structure,),
+           structure_axioms, blocks=True)
 
-    st.run("associated-metric", "sec-2-structure",
-           lambda: [associated_compat_entry(geo.structure)], block_on_fail=True)
+    st.run("associated-metric", "sec-2-structure", lambda: (geo.structure,),
+           associated_compat_entry, blocks=True)
 
-    st.run("fundamental-tensor", "sec-2-f0",
-           lambda: [report.compare(
+    st.run("fundamental-tensor", "sec-2-f0", lambda: (geo.structure, geo.conn),
+           lambda s, conn: report.compare(
                "fundamental-tensor-vanishes", "sec-2-f0",
-               fundamental_tensor(geo.structure, geo.conn),
-               MultilinearForm.zero(model.frame, 3),
-               "the covariant derivative of the structure operator vanishes")],
-           block_on_fail=True)
+               fundamental_tensor(s, conn), MultilinearForm.zero(model.frame, 3),
+               "the covariant derivative of the structure operator vanishes"),
+           blocks=True)
 
-    st.run("lc-coincide", "sec-2-f0",
-           lambda g_tilde, conn: [report.compare(
+    st.run("lc-coincide", "sec-2-f0", lambda: (geo.structure.g_tilde, geo.conn),
+           lambda g_tilde, conn: report.compare(
                "connections-coincide", "sec-2-f0",
                levi_civita(model.algebra, g_tilde), conn,
-               "both ambient metrics share one torsion free metric connection")],
-           reads=lambda: (geo.structure.g_tilde, geo.conn))
+               "both ambient metrics share one torsion free metric connection"))
 
-    st.run("curvature", "plumbing", lambda: curvature_entries(geo.curv, geo.r4),
-           block_on_fail=True)
+    st.run("curvature", "plumbing", lambda: (geo.curv, geo.r4),
+           curvature_entries, blocks=True)
 
-    def twist_step(r4, curv, g_tilde):
+    def twisted_lowering(r4, curv, g_tilde):
         twisted = r4.pull_slots(model.phi, (3,))
-        return [report.compare(
+        return report.compare(
             "twisted-lowering", "sec-4-twist",
             (curv.lower(g_tilde), twisted),
             (twisted, r4.pull_slots(model.phi, (2,))),
             "lowering the curvature with the twin metric twists either of "
-            "the last two slots")]
-    st.run("twisted-lowering", "sec-4-twist", twist_step,
-           reads=lambda: (geo.r4, geo.curv, geo.structure.g_tilde))
+            "the last two slots")
+    st.run("twisted-lowering", "sec-4-twist",
+           lambda: (geo.r4, geo.curv, geo.structure.g_tilde), twisted_lowering)
 
-    def fit_step():
-        pair, reason = geo.sectional
-        if pair is None:
-            return [report.failed("sectional-fit", "thm-4.1", reason)]
-        return [report.passed(
-            "sectional-fit", "thm-4.1",
-            f"nu = {pair.nu}, nu_tilde = {pair.nu_tilde}")]
-    st.run("sectional-fit", "thm-4.1", fit_step)
+    _solve_step(st, "sectional-fit", "thm-4.1", lambda: geo.sectional,
+                lambda pair: f"nu = {pair.nu}, nu_tilde = {pair.nu_tilde}")
 
-    def form_step(pair, r4, basis):
-        if pair is None:
-            return [report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)]
-        return [constant_curvature_residual(r4, basis, pair)]
-    st.run("constant-curvature-form", "thm-4.1", form_step,
-           reads=lambda: (geo.pair, geo.r4, geo.curvature_basis))
+    st.run("constant-curvature-form", "thm-4.1",
+           lambda: (geo.pair, geo.r4, geo.curvature_basis),
+           lambda pair, r4, basis: (
+               report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)
+               if pair is None else constant_curvature_residual(r4, basis, pair)))
 
-    st.run("signature-audit", "example-4.7", _one(factor_signature_entry),
-           reads=tuple)
+    st.run("signature-audit", "example-4.7", tuple, factor_signature_entry)
     return st
 
 
 def _submanifold_stage(geo: Geometry, blocker: Optional[str],
                        reports: bool) -> _Stage:
-    st = _Stage(blocker, reports)
     if geo.model.submanifold is None:
+        st = _Stage(_NO_SUB, reports)
         st.entries.append(report.skipped("submanifold-frame", "plumbing", _NO_SUB))
         return st
+    st = _Stage(blocker, reports)
 
-    def closed_form(name, anchor, build, reads, gamma=True, names=None):
-        """A step whose identity needs the sectional invariants, and the
-        umbilical factor gamma unless gamma is False; build takes what
-        reads() returns once they are there."""
+    def closed_form(name, anchor, reads, build, pair=True, gamma=True, names=None):
+        """A step whose identity needs the sectional invariants unless pair
+        is False, and the umbilical factor gamma unless gamma is False;
+        build takes what reads() returns once they are there, and each of
+        the names is skipped with the reason otherwise."""
         def gated():
-            if geo.pair is None:
+            if pair and geo.pair is None:
                 return (_NO_PAIR,)
             if gamma and geo.gamma is None:
                 return (_NO_GAMMA,)
@@ -332,93 +361,86 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
             if reason:
                 return [report.skipped(n, anchor, reason) for n in names or (name,)]
             return build(*values)
-        st.run(name, anchor, step, reads=gated)
+        st.run(name, anchor, gated, step)
 
-    st.run("submanifold-frame", "sec-2-splitting",
-           lambda: decided(lightlike.frame_conditions(geo.frame)))
+    st.run("submanifold-frame", "sec-2-splitting", lambda: (geo.frame,),
+           lambda f: decided(lightlike.frame_conditions(f)), blocks=True)
     # any failure among the ten conditions blocks the stage
-    st.run("ascreen-certification", "sec-2-ascreen",
-           lambda: decided(*geo.certification[1]).entries, block_on_fail=True)
-    st.run("gauss-weingarten", "sec-2-induced", lightlike.induced_invariant_entries,
-           reads=lambda: (geo.frame, geo.induced))
-    st.run("structure-transfer", "eq-2.7", lightlike.ascreen_f0_entries,
-           reads=lambda: (geo.frame, geo.induced, geo.mu))
-    st.run("umbilicity", "def-3.1",
-           lambda umbilicity: [report.passed("umbilicity", "def-3.1",
-                                             umbilicity.describe())],
-           reads=lambda: (geo.umbilicity,))
-    st.run("screen-umbilicity", "eq-17", lightlike.screen_umbilical_entries,
-           reads=lambda: (geo.frame, geo.induced, geo.umbilicity, geo.mu))
-    st.run("induced-curvature", "sec-3-ricci", _one(lightlike.ricci_symmetric_entry),
-           reads=lambda: (geo.curv_ind.ricci,))
-    st.run("gauss-relation", "sec-4-gauss", _one(lightlike.gauss_relation_entry),
-           reads=lambda: (geo.frame, geo.induced, geo.curv, geo.curv_ind))
+    st.run("ascreen-certification", "sec-2-ascreen", lambda: (geo.certification,),
+           lambda certification: decided(*certification[1]).entries, blocks=True)
+    st.run("gauss-weingarten", "sec-2-induced", lambda: (geo.frame, geo.induced),
+           lightlike.induced_invariant_entries)
+    st.run("structure-transfer", "eq-2.7", lambda: (geo.frame, geo.induced, geo.mu),
+           lightlike.ascreen_f0_entries)
+    st.run("umbilicity", "def-3.1", lambda: (geo.umbilicity,),
+           lambda umbilicity: report.passed("umbilicity", "def-3.1",
+                                            umbilicity.describe()))
+    closed_form("screen-umbilicity", "eq-17",
+                lambda: (geo.frame, geo.induced, geo.gamma, geo.mu),
+                lightlike.screen_umbilical_entries, pair=False,
+                names=("n-shape-umbilic", "b-umbilic-multiple"))
+    st.run("induced-curvature", "sec-3-ricci", lambda: (geo.curv_ind.ricci,),
+           lightlike.ricci_symmetric_entry)
+    st.run("gauss-relation", "sec-4-gauss",
+           lambda: (geo.frame, geo.induced, geo.curv, geo.curv_ind),
+           lightlike.gauss_relation_entry)
     closed_form("curvature-from-shape-terms", "eq-15",
-                _one(lightlike.curvature_form_15_entry),
-                lambda: (geo.frame, geo.induced, geo.curv_ind, geo.pair), gamma=False)
-    closed_form("b-derivative-balance", "eq-16", _one(lightlike.codazzi_16_entry),
-                lambda: (geo.frame, geo.induced, geo.pair, geo.mu), gamma=False)
-    closed_form("twisted-sectional-vanishes", "thm-4.4",
-                _one(lightlike.nu_tilde_vanishes_entry), lambda: (geo.pair,))
+                lambda: (geo.frame, geo.induced, geo.curv_ind, geo.pair),
+                lightlike.curvature_form_15_entry, gamma=False)
+    closed_form("b-derivative-balance", "eq-16",
+                lambda: (geo.frame, geo.induced, geo.pair, geo.mu),
+                lightlike.codazzi_16_entry, gamma=False)
+    closed_form("twisted-sectional-vanishes", "thm-4.4", lambda: (geo.pair,),
+                lightlike.nu_tilde_vanishes_entry)
     closed_form("umbilic-factor-identity", "eq-18",
-                _one(lightlike.gamma_identity_18_entry),
-                lambda: (geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu))
+                lambda: (geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu),
+                lightlike.gamma_identity_18_entry)
     closed_form("umbilic-curvature-form", "eq-19",
-                _one(lightlike.curvature_form_19_entry),
-                lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu))
-    closed_form("umbilic-ricci-form", "eq-20", _one(lightlike.ricci_form_20_entry),
+                lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu),
+                lightlike.curvature_form_19_entry)
+    closed_form("umbilic-ricci-form", "eq-20",
                 lambda: (geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
-                         geo.mu, geo.structure.n))
-
-    def eta_step():
-        values, reason = geo.eta_einstein
-        if values is None:
-            return [report.failed("eta-einstein-solve", "sec-4-einstein", reason)]
-        k, c = values
-        return [report.passed(
-            "eta-einstein-solve", "sec-4-einstein",
-            f"Ric = ({k}) g + ({c}) eta x eta")]
-    st.run("eta-einstein-solve", "sec-4-einstein", eta_step)
-
-    closed_form("ricci-action-closed-form", "eq-23", _one(lightlike.semisym_23_entry),
+                         geo.mu, geo.structure.n),
+                lightlike.ricci_form_20_entry)
+    _solve_step(st, "eta-einstein-solve", "sec-4-einstein", lambda: geo.eta_einstein,
+                lambda kc: "Ric = ({}) g + ({}) eta x eta".format(*kc))
+    closed_form("ricci-action-closed-form", "eq-23",
                 lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
-                         geo.structure.n))
-    st.run("umbilical-flatness", "cor-4.3", _one(associated.umbilical_flatness_entry),
-           reads=lambda: (geo.umbilicity, geo.curv_ind, geo.curv))
+                         geo.structure.n),
+                lightlike.semisym_23_entry)
+    st.run("umbilical-flatness", "cor-4.3",
+           lambda: (geo.umbilicity, geo.curv_ind, geo.curv),
+           associated.umbilical_flatness_entry)
     # the conditions after the five preconditions raise nothing once those
     # have passed (see AssociatedObjects)
-    st.run("twin-geometry", "thm-1.1", lambda: decided(*geo.twin[1], reports))
-    st.run("twin-curvature-transfer", "eq-13", _one(associated.tilde_relation_13_entry),
-           reads=lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind, geo.tcurv))
-    st.run("twin-ricci-transfer", "eq-14", _one(associated.tilde_ricci_14_entry),
-           reads=lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind.ricci,
-                          geo.tcurv.ricci))
+    st.run("twin-geometry", "thm-1.1", lambda: (geo.twin,),
+           lambda twin: decided(*twin[1], reports), blocks=True)
+    st.run("twin-curvature-transfer", "eq-13",
+           lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind, geo.tcurv),
+           associated.tilde_relation_13_entry)
+    st.run("twin-ricci-transfer", "eq-14",
+           lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind.ricci,
+                    geo.tcurv.ricci),
+           associated.tilde_ricci_14_entry)
     closed_form("twin-umbilic-curvature-form", "eq-21",
-                _one(associated.tilde_form_21_entry),
-                lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu))
-    closed_form("twin-umbilic-ricci-form", "eq-22", associated.tilde_ricci_22_entries,
+                lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu),
+                associated.tilde_form_21_entry)
+    closed_form("twin-umbilic-ricci-form", "eq-22",
                 lambda: (geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma, geo.mu,
                          geo.structure.n),
+                associated.tilde_ricci_22_entries,
                 names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
-
-    def einstein_step():
-        lam, reason = geo.einstein
-        if lam is None:
-            return [report.failed("einstein-solve", "sec-4-einstein", reason)]
-        return [report.passed(
-            "einstein-solve", "sec-4-einstein", f"Ric~ = ({lam}) g~")]
-    st.run("einstein-solve", "sec-4-einstein", einstein_step)
-
+    _solve_step(st, "einstein-solve", "sec-4-einstein", lambda: geo.einstein,
+                lambda lam: f"Ric~ = ({lam}) g~")
     closed_form("twin-ricci-action-closed-form", "eq-24",
-                _one(associated.semisym_24_entry),
                 lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
-                         geo.structure.n))
-    st.run("geodesic-correspondence", "prop-3.3",
-           associated.geodesic_correspondence_entries,
-           reads=lambda: (geo.assoc, geo.umbilicity))
+                         geo.structure.n),
+                associated.semisym_24_entry)
+    st.run("geodesic-correspondence", "prop-3.3", lambda: (geo.assoc, geo.umbilicity),
+           associated.geodesic_correspondence_entries)
     st.run("umbilical-curvature-transfer", "cor-3.5",
-           _one(associated.curvature_transfer_entry),
-           reads=lambda: (geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv))
+           lambda: (geo.umbilicity, geo.assoc, geo.curv_ind, geo.tcurv),
+           associated.curvature_transfer_entry)
     return st
 
 
@@ -426,9 +448,7 @@ def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
     st = _Stage()
 
     def step():
-        if geo.model.submanifold is None:
-            reason = _NO_SUB
-        elif blocker:
+        if blocker:
             reason = blocker
         elif geo.pair is None:
             reason = _NO_PAIR
@@ -442,7 +462,7 @@ def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
                 geo.curv_ind, geo.tcurv, geo.pair, geo.gamma, geo.mu,
                 geo.eta_einstein[0], geo.einstein[0])
         return [report.skipped(n, "thm-4.6", reason) for n in associated.THEOREM_NAMES]
-    st.run("theorem-aggregate", "thm-4.6", step)
+    st.run("theorem-aggregate", "thm-4.6", tuple, step)
     return st
 
 

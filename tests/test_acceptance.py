@@ -11,22 +11,21 @@ from fractions import Fraction
 import pytest
 
 from rsthl.associated import (build_associated, curvature_transfer_entry,
-                              einstein_solve, geodesic_correspondence_entries,
+                              geodesic_correspondence_entries,
                               semisym_24_entry, theorem_aggregate,
-                              tilde_curvature, umbilical_flatness_entry)
+                              umbilical_flatness_entry)
 from rsthl.builtin import (EXPECTED_FACTOR_TABLE, example_model,
                            factor_algebra, factor_signature_entry)
 from rsthl.errors import DegenerateMetric
 from rsthl.liegeom import (InvariantMetric, LieAlgebra, curvature,
                            curvature_entries, koszul_entries, levi_civita,
                            ricci_action)
-from rsthl.lightlike import (ascreen_f0_entries, build_frame,
-                             certify_ascreen_rsthl, curvature_form_19_entry,
-                             frame_conditions,
-                             eta_einstein_solve, gamma_identity_18_entry,
-                             gauss_relation_entry, gauss_weingarten,
-                             induced_curvature, ricci_form_20_entry,
-                             semisym_23_entry, umbilicity)
+from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
+                             ascreen_f0_entries, certify_ascreen_rsthl,
+                             curvature_form_19_entry, frame_conditions,
+                             gamma_identity_18_entry, gauss_relation_entry,
+                             gauss_weingarten, ricci_form_20_entry,
+                             semisym_23_entry)
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import (associated_metric, basic_curvature_tensors,
                              fundamental_tensor)
@@ -89,8 +88,8 @@ def test_criterion_03_vanishing_fundamental_tensor(algebra, structure, ambient_c
 def test_criterion_04_frame_reconstruction_and_certification(
         model, algebra, structure, ambient_conn):
     sub = model.submanifold
-    f = build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
-                    sub.l_vec)
+    f = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                         sub.l_vec)
     half = ONE / (rf(2) * MU)
     expected_n = MultilinearForm.from_map(model.frame, {"X3": half, "E": half})
     value, cert = certify_ascreen_rsthl(f)
@@ -143,24 +142,25 @@ def test_criterion_05_screen_umbilicity_closed_forms(
     record(5, "screen umbilicity and its closed-form consequences", checks)
 
 
-def test_criterion_06_eta_einstein_structure(frame, iric):
+def test_criterion_06_eta_einstein_structure(geometry, frame, iric):
     tf = frame.tangent_frame
     g = frame.induced_form
     eta_bar = frame.eta_bar
     eta_sq = MultilinearForm.from_function(
         tf, 2, lambda a, b: eta_bar.entries[a] * eta_bar.entries[b])
     expected = g.scale(rf(4)) - eta_sq.scale(rf(8))
-    k, c = eta_einstein_solve(frame, iric)
+    (k, c), reason = geometry.eta_einstein
     checks = [
         ("Ric equals 4 g - 8 eta x eta", (iric - expected).is_zero()),
         ("solved coefficient k equals 4", k == rf(4)),
         ("solved coefficient c equals -8", c == rf(-8)),
+        ("the solve gives no failing reason", reason is None),
     ]
     record(6, "induced Ricci tensor is eta-Einstein with (4, -8)", checks)
 
 
-def test_criterion_07_twin_metric_geometry(frame, induced, mu, ambient_conn,
-                                           twin, tric):
+def test_criterion_07_twin_metric_geometry(geometry, frame, induced, mu,
+                                           ambient_conn, twin, tric):
     entries = decided(*build_associated(frame, induced, mu, ambient_conn)[1]).entries
     by_name = {e.name: e for e in entries}
     expected = twin.metric.form.scale(rf(-8))
@@ -175,18 +175,16 @@ def test_criterion_07_twin_metric_geometry(frame, induced, mu, ambient_conn,
         ("twin Ricci equals -8 times the twin metric",
          (tric - expected).is_zero()),
         ("Einstein constant solves to -8",
-         einstein_solve(frame, twin, tric) == rf(-8)),
+         geometry.einstein == (rf(-8), None)),
     ]
     record(7, "twin metric construction and its Einstein constant", checks)
 
 
-def test_criterion_08_semisymmetry_both_metrics(frame, icurv, iric, tcurv,
-                                                tric, twin, pair, ureport,
-                                                mu):
+def test_criterion_08_semisymmetry_both_metrics(geometry, frame, icurv, iric,
+                                                tcurv, tric, pair, ureport, mu):
     gamma = ureport.gamma_screen
     entries = theorem_aggregate(icurv, tcurv, pair, gamma, mu,
-                                eta_einstein_solve(frame, iric),
-                                einstein_solve(frame, twin, tric))
+                                geometry.eta_einstein[0], geometry.einstein[0])
     checks = [
         ("curvature action on Ric vanishes",
          ricci_action(icurv, iric).is_zero()),
@@ -234,11 +232,11 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, algebra, structu
     # rescaled bracket table: every identity is homogeneous in the brackets
     scaled = LieAlgebra(model.frame, algebra.brackets.scale(rf(3)))
     conn3 = levi_civita(scaled, structure.metric)
-    f3 = build_frame(scaled, structure, sub.screen_labels, sub.screen, sub.rad,
-                     sub.l_vec)
+    f3 = SubmanifoldFrame(scaled, structure, sub.screen_labels, sub.screen, sub.rad,
+                          sub.l_vec)
     obj3 = gauss_weingarten(f3, conn3)
     gauss3 = gauss_relation_entry(f3, obj3, curvature(conn3, scaled),
-                                  induced_curvature(f3, obj3))
+                                  curvature(obj3.gamma, f3.tangent_algebra))
     checks.append(
         ("Gauss relation on a rescaled bracket table",
          gauss3.status == "pass"))
@@ -246,19 +244,19 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, algebra, structu
     # abelian variant: all second forms vanish, curvature transfer is exact
     abelian = LieAlgebra.from_table(model.frame, {})
     conn0 = levi_civita(abelian, structure.metric)
-    f0 = build_frame(abelian, structure, sub.screen_labels, sub.screen, sub.rad,
-                     sub.l_vec)
+    f0 = SubmanifoldFrame(abelian, structure, sub.screen_labels, sub.screen, sub.rad,
+                          sub.l_vec)
     mu0, _ = certify_ascreen_rsthl(f0)
     obj0 = gauss_weingarten(f0, conn0)
-    curv0 = induced_curvature(f0, obj0)
+    curv0 = curvature(obj0.gamma, f0.tangent_algebra)
     gauss0 = gauss_relation_entry(f0, obj0, curvature(conn0, abelian), curv0)
     checks.append(
         ("Gauss relation on the abelian variant", gauss0.status == "pass"))
     assoc0, _ = build_associated(f0, obj0, mu0, conn0)
-    tcurv0 = tilde_curvature(f0, assoc0)
+    tcurv0 = curvature(assoc0.gamma, f0.tangent_algebra)
     ric0 = curv0.ricci
     tric0 = tcurv0.ricci
-    rep0 = umbilicity(f0, obj0)
+    rep0 = UmbilicityReport(f0, obj0)
     geo0 = geodesic_correspondence_entries(assoc0, rep0)
     transfer0 = curvature_transfer_entry(rep0, assoc0, curv0, tcurv0)
     flat0 = umbilical_flatness_entry(rep0, curv0, curvature(conn0, abelian))

@@ -1,18 +1,17 @@
 """The twin metric geometry: normals, induced objects, curvature transfer,
 and the equivalence aggregate, on the worked model and on a flat variant."""
 
+from types import SimpleNamespace
 
 import pytest
 
 from rsthl.associated import (curvature_transfer_entry,
-                              einstein_solve, geodesic_correspondence_entries,
+                              geodesic_correspondence_entries,
                               semisym_24_entry, theorem_aggregate,
                               tilde_form_21_entry, tilde_relation_13_entry,
                               tilde_ricci_14_entry, tilde_ricci_22_entries,
                               umbilical_flatness_entry)
-from rsthl.errors import InconsistentSystem
 from rsthl.liegeom import LieAlgebra, curvature, ricci_action
-from rsthl.lightlike import eta_einstein_solve
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.suite import Geometry, decided
 from rsthl.tensors import MultilinearForm
@@ -51,7 +50,7 @@ def test_twin_normals(model, twin):
 
 
 def test_twin_metric_table(twin):
-    gt = twin.metric
+    gt = twin.metric.form
     assert gt.entry(0, 0) == ZERO
     assert gt.entry(0, 1) == rf(-1)
     assert gt.entry(1, 1) == ZERO
@@ -102,18 +101,20 @@ def test_twin_curvature_values(frame, tcurv):
     assert tcurv.table.cell(0, 2, 2) == tangent(frame, {"E1": -4 * MU * MU})
 
 
-def test_twin_ricci_is_einstein(frame, twin, tric):
+def test_twin_ricci_is_einstein(geometry, twin, tric):
     expected = twin.metric.form.scale(rf(-8))
     assert (tric - expected).is_zero()
-    assert einstein_solve(frame, twin, tric) == rf(-8)
+    assert geometry.einstein == (rf(-8), None)
 
 
-def test_einstein_solve_rejects_other_tensors(frame, twin, tric):
+def test_einstein_solve_rejects_other_tensors(model, frame, tric, monkeypatch):
     bump = MultilinearForm.from_function(
         frame.tangent_frame, 2,
         lambda a, b: ONE if a == b == 0 else ZERO)
-    with pytest.raises(InconsistentSystem, match="not proportional"):
-        einstein_solve(frame, twin, tric + bump)
+    monkeypatch.setattr(Geometry, "tcurv",
+                        property(lambda self: SimpleNamespace(ricci=tric + bump)))
+    assert Geometry(model).einstein == (
+        None, "the twin Ricci tensor is not proportional to the twin metric")
 
 
 def test_curvature_and_ricci_transfer(frame, induced, mu, icurv, iric,
@@ -166,10 +167,9 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
     assert flatness.detail == "vacuous, the first metric is not totally umbilical"
 
 
-def test_theorem_aggregate(frame, icurv, tcurv, twin, pair, ureport, mu):
+def test_theorem_aggregate(geometry, icurv, tcurv, pair, ureport, mu):
     entries = theorem_aggregate(icurv, tcurv, pair, ureport.gamma_screen, mu,
-                                eta_einstein_solve(frame, icurv.ricci),
-                                einstein_solve(frame, twin, tcurv.ricci))
+                                geometry.eta_einstein[0], geometry.einstein[0])
     assert [e.name for e in entries] == [
         "assertion-ricci-semisymmetric", "assertion-twin-ricci-semisymmetric",
         "assertion-eta-einstein", "assertion-einstein",
@@ -193,7 +193,8 @@ def flat(model):
             "obj": geo.induced, "rep": geo.umbilicity, "assoc": geo.assoc,
             "build_entries": decided(*geo.twin[1]).entries, "curv": geo.curv_ind,
             "ric": geo.curv_ind.ricci, "tcurv": geo.tcurv,
-            "tric": geo.tcurv.ricci, "pair": geo.pair}
+            "tric": geo.tcurv.ricci, "pair": geo.pair,
+            "solves": (geo.eta_einstein[0], geo.einstein[0])}
 
 
 def test_flat_variant_is_totally_geodesic(flat):
@@ -250,8 +251,7 @@ def test_flat_variant_curvature_agrees(flat):
 def test_flat_variant_theorem(flat):
     entries = theorem_aggregate(
         flat["curv"], flat["tcurv"], flat["pair"], flat["rep"].gamma_screen,
-        flat["mu"], eta_einstein_solve(flat["frame"], flat["curv"].ricci),
-        einstein_solve(flat["frame"], flat["assoc"], flat["tcurv"].ricci))
+        flat["mu"], *flat["solves"])
     assert all(e.status == "pass" for e in entries)
     assert "k = 0, c = 0" in entries[2].detail
     assert "lambda = 0" in entries[3].detail

@@ -14,7 +14,7 @@ from rsthl.liegeom import (CurvatureTensor, InvariantMetric, LieAlgebra,
                            koszul_entries, levi_civita, validate_lie_algebra)
 from rsthl.report import PASS
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import Frame, MultilinearForm
+from rsthl.tensors import Frame, MultilinearForm, determinant
 from test_properties import dense_frame, transported
 
 F3 = Frame(("e1", "e2", "e3"))
@@ -154,9 +154,9 @@ def test_invariant_metric_validation():
         InvariantMetric.diagonal(F3, (1, 1, 0))
     assert "e1" in str(err.value)
     g = InvariantMetric.diagonal(F3, (1, -1, MU))
-    assert g.entry(1, 1) == rf(-1)
+    assert g.form.entry(1, 1) == rf(-1)
     assert g.inverse.entry(2, 2) == ONE / MU
-    assert g.determinant() == -MU
+    assert determinant(g.form.rows()) == -MU
     eta = g.lower(MultilinearForm.from_map(F3, {"e3": 1}))
     assert eta.entries == (ZERO, ZERO, MU)
 

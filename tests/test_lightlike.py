@@ -2,28 +2,28 @@
 identities, pinned against independently derived tables."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from rsthl.builtin import example_model
 from rsthl.cli import main
-from rsthl.errors import InconsistentSystem, InvalidFrame
+from rsthl.errors import InvalidFrame
 from rsthl.liegeom import curvature, curvature_entries, ricci_action
-from rsthl.lightlike import (ascreen_f0_entries, build_frame,
-                             certify_ascreen_rsthl, codazzi_16_entry,
-                             covariant_derivative, curvature_form_15_entry,
-                             curvature_form_19_entry, eta_einstein_solve,
-                             frame_conditions,
-                             gamma_identity_18_entry, gauss_relation_entry,
-                             induced_invariant_entries, nu_tilde_vanishes_entry,
-                             proportionality_factor,
+from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
+                             ascreen_f0_entries, certify_ascreen_rsthl,
+                             codazzi_16_entry, covariant_derivative,
+                             curvature_form_15_entry, curvature_form_19_entry,
+                             frame_conditions, gamma_identity_18_entry,
+                             gauss_relation_entry, induced_invariant_entries,
+                             nu_tilde_vanishes_entry, proportionality_factor,
                              ricci_form_20_entry, ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
-                             solve_transversal, umbilicity)
+                             solve_transversal)
 from rsthl.model import dumps_model, model_from_json_obj
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.structure import ACBMStructure
-from rsthl.suite import decided
+from rsthl.suite import Geometry, decided
 from rsthl.tensors import MultilinearForm
 
 from conftest import replaced
@@ -83,12 +83,12 @@ def assert_frame_fails(f, name, suffix):
 
 def test_explicit_transversal_is_verified(model, algebra, structure, frame):
     sub = model.submanifold
-    good = build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
-                       sub.l_vec, frame.n_vec)
+    good = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                            sub.l_vec, frame.n_vec)
     assert good.n_vec == frame.n_vec
     assert all(e.status == "pass" for e in decided(frame_conditions(good)).entries)
-    bad = build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
-                      sub.l_vec, ambient(model, {"X3": 1}))
+    bad = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                           sub.l_vec, ambient(model, {"X3": 1}))
     assert_frame_fails(bad, "transversal-duality",
                        "; the residual at (xi) is mu - 1, 1 of 3 components nonzero")
 
@@ -242,14 +242,17 @@ def test_proportionality_factor(frame, induced):
 
 
 def test_screen_umbilical_entries(frame, induced, ureport, mu):
-    entries = screen_umbilical_entries(frame, induced, ureport, mu)
+    gamma = ureport.gamma_screen
+    entries = screen_umbilical_entries(frame, induced, gamma, mu)
     assert [e.name for e in entries] == ["n-shape-umbilic", "b-umbilic-multiple"]
     assert all(e.status == "pass" for e in entries)
+    # another factor fits neither form; the suite skips both entries when
+    # the screen is not umbilical (test_verdict_paths.py)
+    wrong = screen_umbilical_entries(frame, induced, gamma + ONE, mu)
+    assert [e.status for e in wrong] == ["fail", "fail"]
     # D is no multiple of g, so C = D is not screen umbilical
-    bare = umbilicity(frame, replaced(induced, c_form=induced.d_form))
+    bare = UmbilicityReport(frame, replaced(induced, c_form=induced.d_form))
     assert bare.gamma_screen is None
-    skips = screen_umbilical_entries(frame, induced, bare, mu)
-    assert [e.status for e in skips] == ["skipped", "skipped"]
 
 
 def test_induced_curvature_values(frame, icurv):
@@ -261,7 +264,7 @@ def test_induced_curvature_values(frame, icurv):
     assert curvature_entries(icurv, lowered)[0].status == "pass"
 
 
-def test_induced_ricci_is_eta_einstein(frame, iric):
+def test_induced_ricci_is_eta_einstein(geometry, frame, iric):
     g = frame.induced_form
     eb = frame.eta_bar.entries
     expected = MultilinearForm.from_function(
@@ -269,17 +272,18 @@ def test_induced_ricci_is_eta_einstein(frame, iric):
         lambda a, b: 4 * g.entry(a, b) - 8 * eb[a] * eb[b])
     assert (iric - expected).is_zero()
     assert ricci_symmetric_entry(iric).status == "pass"
-    k, c = eta_einstein_solve(frame, iric)
-    assert k == rf(4)
-    assert c == rf(-8)
+    assert geometry.eta_einstein == ((rf(4), rf(-8)), None)
 
 
-def test_eta_einstein_solve_rejects_other_tensors(frame, iric):
+def test_eta_einstein_solve_rejects_other_tensors(model, frame, iric, monkeypatch):
     bump = MultilinearForm.from_function(
         frame.tangent_frame, 2,
         lambda a, b: ONE if a == b == 0 else ZERO)
-    with pytest.raises(InconsistentSystem, match="not a combination"):
-        eta_einstein_solve(frame, iric + bump)
+    monkeypatch.setattr(Geometry, "curv_ind",
+                        property(lambda self: SimpleNamespace(ricci=iric + bump)))
+    assert Geometry(model).eta_einstein == (
+        None, "the Ricci tensor is not a combination of the metric and the "
+        "squared dual form")
 
 
 def test_gauss_relation(algebra, frame, induced, ambient_conn, icurv):
@@ -322,8 +326,8 @@ def test_covariant_derivative_convention(frame, induced):
 
 def test_radical_must_be_isotropic(model, algebra, structure):
     sub = model.submanifold
-    f = build_frame(algebra, structure, sub.screen_labels, sub.screen,
-                    ambient(model, {"X3": 1}), sub.l_vec)
+    f = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen,
+                         ambient(model, {"X3": 1}), sub.l_vec)
     assert_frame_fails(f, "radical-isotropy",
                        "; the residual at (xi) is -1, 1 of 3 components nonzero")
 
@@ -332,8 +336,8 @@ def test_screen_must_be_nondegenerate(model, algebra, structure):
     sub = model.submanifold
     screen = (ambient(model, {"X1": 1, "X4": 1}), ambient(model, {"X2": 1}))
     # a truth value: the statement carries it, with no residual suffix
-    assert_frame_fails(build_frame(algebra, structure, sub.screen_labels, screen,
-                                   sub.rad, sub.l_vec),
+    assert_frame_fails(SubmanifoldFrame(algebra, structure, sub.screen_labels, screen,
+                                        sub.rad, sub.l_vec),
                        "screen-nondegeneracy", "")
 
 
@@ -341,12 +345,12 @@ def test_transversal_vector_constraints(model, algebra, structure):
     sub = model.submanifold
     # g(L, L) = 4: the residual is g(L, L)^2 - 1
     assert_frame_fails(
-        build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
-                    ambient(model, {"X1": 2})),
+        SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                         ambient(model, {"X1": 2})),
         "transversal-normalization", "; the residual is 15")
     assert_frame_fails(
-        build_frame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
-                    ambient(model, {"X2": 1})),
+        SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+                         ambient(model, {"X2": 1})),
         "transversal-normalization",
         "; the residual at (E1) is 1, 1 of 3 components nonzero")
 
@@ -404,21 +408,21 @@ def test_frame_errors_in_the_submanifold_report(tmp_path, capsys, edit, name, su
 def test_frame_shape_validation(model, algebra, structure):
     sub = model.submanifold
     with pytest.raises(InvalidFrame, match="screen vectors"):
-        build_frame(algebra, structure, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
+        SubmanifoldFrame(algebra, structure, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="reserved"):
-        build_frame(algebra, structure, ("xi", "E2"), sub.screen, sub.rad, sub.l_vec)
+        SubmanifoldFrame(algebra, structure, ("xi", "E2"), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="distinct"):
-        build_frame(algebra, structure, ("E1", "E1"), sub.screen, sub.rad, sub.l_vec)
+        SubmanifoldFrame(algebra, structure, ("E1", "E1"), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="linearly dependent"):
-        build_frame(algebra, structure, sub.screen_labels, (sub.screen[0], sub.screen[0]),
-                    sub.rad, sub.l_vec)
+        SubmanifoldFrame(algebra, structure, sub.screen_labels,
+                         (sub.screen[0], sub.screen[0]), sub.rad, sub.l_vec)
 
 
 def test_brackets_must_stay_tangent(model, algebra, structure):
     screen = (ambient(model, {"X1": 1}), ambient(model, {"X2": 1}))
     sub = model.submanifold
-    f = build_frame(algebra, structure, ("E1", "E2"), screen, sub.rad,
-                    ambient(model, {"X4": 1}))
+    f = SubmanifoldFrame(algebra, structure, ("E1", "E2"), screen, sub.rad,
+                         ambient(model, {"X4": 1}))
     assert_frame_fails(f, "tangent-closure",
                        "; the residual at (E1, E2) is -2, 2 of 9 components nonzero")
 
@@ -433,8 +437,8 @@ def certification_with(model, algebra, structure, **changes):
     """The decided sec-2-ascreen entries of the worked frame under the
     structure with phi or xi-bar changed."""
     sub = model.submanifold
-    f = build_frame(algebra, modified_structure(structure, **changes),
-                    sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
+    f = SubmanifoldFrame(algebra, modified_structure(structure, **changes),
+                         sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     return decided(*certify_ascreen_rsthl(f)[1]).entries
 
 

@@ -204,31 +204,30 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     count(lightlike, "covariant_derivative", "covariant_derivative")
     count(liegeom, "ricci_action", "ricci_action")
     count(lightlike.SubmanifoldFrame.phi_pairing, "func", "phi_pairing")
-    count(lightlike, "build_frame", "build_frame")
+    count(lightlike.SubmanifoldFrame, "__init__", "frame")
     # associated imports the function by name, so both bindings count
     count(lightlike, "proportionality_factor", "proportionality_factor")
     count(associated, "proportionality_factor", "proportionality_factor")
-    # solved once for their suite steps and reused by the theorem stage
-    count(lightlike, "eta_einstein_solve", "eta_einstein_solve")
-    count(associated, "einstein_solve", "einstein_solve")
+    # the three exact solves of the suite: the sectional invariants, and the
+    # two Einstein-type systems, solved once for their suite steps and
+    # reused by the theorem stage
+    count(suite, "solve_combination", "fit_solve")
     # the (N, L) splitting of the frame and the (N1, N2) one of the twin
     count(lightlike, "matrix_inverse", "adapted_inverse")
     # phi is split over (N, L) once, for the ascreen check and for phi P
     count(lightlike.Splitting, "split", "split")
-    # the basic curvature tensors A and B, and the one solve fitting the
-    # sectional invariants against them
+    # the basic curvature tensors A and B
     count(suite, "basic_curvature_tensors", "curvature_basis")
-    count(structure, "solve_combination", "fit_solve")
     run_suite(model, "all")
     # proportionality_factor: b, d and c against g, then h1 and h2 against g~
     assert calls == {"associated_metric": 1, "covariant_derivative": 2,
-                     "ricci_action": 2, "phi_pairing": 1, "build_frame": 1,
-                     "proportionality_factor": 5, "eta_einstein_solve": 1,
-                     "einstein_solve": 1, "adapted_inverse": 2, "split": 9,
-                     "curvature_basis": 1, "fit_solve": 1}
+                     "ricci_action": 2, "phi_pairing": 1, "frame": 1,
+                     "proportionality_factor": 5, "adapted_inverse": 2, "split": 9,
+                     "curvature_basis": 1, "fit_solve": 3}
     calls.update(dict.fromkeys(calls, 0))
     run_suite(model, "ambient")
-    assert calls["build_frame"] == 0
+    assert calls["frame"] == 0
+    assert calls["fit_solve"] == 1
     assert calls["adapted_inverse"] == 0
 
 

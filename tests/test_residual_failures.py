@@ -15,15 +15,15 @@ from unittest import mock
 import pytest
 
 import test_properties
-from rsthl import associated, suite
+from rsthl import suite
 from rsthl.associated import (build_associated, tilde_form_21_entry,
                               tilde_relation_13_entry, tilde_ricci_14_entry,
                               umbilical_flatness_entry)
 from rsthl.builtin import (_anti_compatible, _factor_j,
                            _matches_expected_table, factor_algebra)
 from rsthl.cli import main
-from rsthl.liegeom import CurvatureTensor, InvariantMetric, LieAlgebra
-from rsthl.lightlike import (ascreen_f0_entries, build_frame,
+from rsthl.liegeom import CurvatureTensor, InvariantMetric, LieAlgebra, curvature
+from rsthl.lightlike import (SubmanifoldFrame, ascreen_f0_entries,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
                              frame_conditions, gauss_relation_entry,
@@ -73,8 +73,8 @@ def induced_with(geo, **changes):
 def frame_under(geo, structure):
     """The worked frame over the structure changed by structure(s)."""
     sub = geo.model.submanifold
-    return build_frame(geo.model.algebra, structure(geo.structure), sub.screen_labels,
-                       sub.screen, sub.rad, sub.l_vec)
+    return SubmanifoldFrame(geo.model.algebra, structure(geo.structure),
+                            sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
 
 
 def certification(name, structure):
@@ -98,7 +98,7 @@ def frame_condition(name, **changes):
         fields = dict(screen_labels=sub.screen_labels, screen=sub.screen,
                       rad=sub.rad, l_vec=sub.l_vec, n_vec=None)
         fields.update({k: fn(geo) for k, fn in changes.items()})
-        f = build_frame(geo.model.algebra, geo.structure, **fields)
+        f = SubmanifoldFrame(geo.model.algebra, geo.structure, **fields)
         return entry_named(decided(frame_conditions(f)).entries, name)
     return case
 
@@ -218,7 +218,7 @@ def curvature_transfer(geo):
     class Perturbed(suite.Geometry):
         @cached_property
         def tcurv(self):
-            return bump_curvature(associated.tilde_curvature(self.frame, self.assoc))
+            return bump_curvature(curvature(self.assoc.gamma, self.frame.tangent_algebra))
 
     flat = replaced(
         geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {}))

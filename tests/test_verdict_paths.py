@@ -3,7 +3,7 @@
 The worked model fits the sectional invariants, has a screen umbilical
 frame and solves both Einstein-type systems, so the suites alone never
 take the branches where one of those fails.  Each case below reaches one
-through a model file, a direct call, or a ``Geometry`` whose one value is
+through a model file, a direct call, or a ``Geometry`` whose values are
 replaced, and pins the statuses and details it reports.
 """
 
@@ -12,13 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from rsthl import suite
-from rsthl.associated import einstein_solve
+from rsthl import builtin, suite
+from rsthl.builtin import factor_signature_entry
 from rsthl.cli import main
-from rsthl.errors import InconsistentSystem, UnderdeterminedSystem
-from rsthl.lightlike import eta_einstein_solve, umbilicity
+from rsthl.lightlike import UmbilicityReport
 from rsthl.report import FAIL, PASS, SKIP
-from rsthl.structure import fit_curvature_pair
 from rsthl.suite import run_suite
 from rsthl.tensors import outer
 
@@ -86,7 +84,7 @@ def test_failed_sectional_fit_skips_what_reads_it(model, monkeypatch):
 def test_screen_that_is_not_umbilical_skips_what_reads_gamma(
         model, geometry, monkeypatch):
     obj = replaced(geometry.induced, c_form=bump_form(geometry.induced.c_form, 0, 0))
-    rep = umbilicity(geometry.frame, obj)
+    rep = UmbilicityReport(geometry.frame, obj)
     assert rep.gamma_screen is None
     with_value(monkeypatch, umbilicity=rep)
     got = run_suite(model)
@@ -117,22 +115,52 @@ def test_failed_einstein_solves_fail_their_assertions(model, monkeypatch, suite_
     assert got == theorem
 
 
-def test_fit_of_a_curvature_off_the_basis_is_inconsistent(geometry):
-    with pytest.raises(InconsistentSystem, match="^the lowered curvature is no "
-                       "combination nu A [+] nu~ B of the basic curvature tensors$"):
-        fit_curvature_pair(bump_form(geometry.r4, 0, 1, 0, 1), geometry.curvature_basis)
+def test_fit_of_a_curvature_off_the_basis_is_inconsistent(model, geometry,
+                                                          monkeypatch):
+    with_value(monkeypatch, r4=bump_form(geometry.r4, 0, 1, 0, 1))
+    assert suite.Geometry(model).sectional == (
+        None, "the lowered curvature is no combination nu A + nu~ B of the "
+        "basic curvature tensors")
 
 
-def test_einstein_solves_over_a_dependent_basis_are_underdetermined(frame, tric):
+def test_einstein_solves_over_a_dependent_basis_are_underdetermined(
+        model, frame, tric, monkeypatch):
     """Both solves name the dependence; no certified frame reaches it, as
     the induced metric and eta-bar x eta-bar are independent there and the
-    twin metric is nondegenerate."""
+    twin metric is nondegenerate.  Each solve reads a replaced target and
+    a replaced, dependent basis."""
     eta = frame.eta_bar
-    dependent = SimpleNamespace(induced_form=outer(eta, eta).scale(2), eta_bar=eta)
-    with pytest.raises(UnderdeterminedSystem, match="^the metric and the squared "
-                       "dual form are linearly dependent on this frame$"):
-        eta_einstein_solve(dependent, outer(eta, eta))
-    vanishing = SimpleNamespace(metric=SimpleNamespace(form=tric.scale(0)))
-    with pytest.raises(UnderdeterminedSystem,
-                       match="^the twin metric vanishes on this frame$"):
-        einstein_solve(frame, vanishing, tric.scale(0))
+    with_value(monkeypatch,
+               frame=SimpleNamespace(induced_form=outer(eta, eta).scale(2), eta_bar=eta),
+               curv_ind=SimpleNamespace(ricci=outer(eta, eta)),
+               assoc=SimpleNamespace(metric=SimpleNamespace(form=tric.scale(0))),
+               tcurv=SimpleNamespace(ricci=tric.scale(0)))
+    geo = suite.Geometry(model)
+    assert geo.eta_einstein == (None, "the metric and the squared dual form are "
+                                "linearly dependent on this frame")
+    assert geo.einstein == (None, "the twin metric vanishes on this frame")
+
+
+def test_a_totally_umbilical_frame_names_its_factors(frame, induced, ureport):
+    """B = 2g and D = 3g: proper totally umbilical, the screen factor kept."""
+    g = frame.induced_form
+    rep = UmbilicityReport(frame, replaced(induced, b_form=g.scale(2),
+                                           d_form=g.scale(3)))
+    assert rep.proper_totally_umbilical
+    assert rep.describe() == (
+        "proper totally umbilical (beta = 2, delta = 3); "
+        f"screen totally umbilical (gamma = {ureport.gamma_screen})")
+
+
+def test_factor_signature_fails_when_both_sign_candidates_fit(monkeypatch):
+    """The adjudication needs the second candidate to fail; with the
+    fitting one given twice it fails and names both verdicts."""
+    fitting = builtin.SIGN_CANDIDATES[0]
+    monkeypatch.setattr(builtin, "SIGN_CANDIDATES", (fitting, fitting))
+    factor_signature_entry.cache_clear()
+    try:
+        entry = factor_signature_entry()
+    finally:
+        factor_signature_entry.cache_clear()
+    verdict = f"signs {fitting}: table=True, anti-compatibility=True"
+    assert (entry.status, entry.detail) == (FAIL, f"{verdict}; {verdict}")
