@@ -151,7 +151,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
             "the twin connection equals the induced connection plus the "
             "radical correction term")),
         ("twin-connection-koszul", "eq-2.11", lambda: (
-            levi_civita(f.tangent_algebra, assoc.metric), assoc.gamma,
+            levi_civita(f.tangent_brackets, assoc.metric), assoc.gamma,
             "the Koszul formula for the restricted twin metric returns the "
             "same connection")),
         ("twin-second-form-one", "eq-2.12", lambda: (
@@ -337,8 +337,8 @@ def umbilical_flatness_entry(rep: UmbilicityReport, curv: CurvatureTensor,
             "vacuous, the first metric is not totally umbilical")
     return compare(
         "umbilical-flatness", "cor-4.3", (curv.table, ambient_curv.table),
-        (MultilinearForm.zero(curv.frame, 4),
-         MultilinearForm.zero(ambient_curv.frame, 4)),
+        (MultilinearForm.zero(curv.table.frame, 4),
+         MultilinearForm.zero(ambient_curv.table.frame, 4)),
         "a totally umbilical submanifold and its ambient space are flat")
 
 

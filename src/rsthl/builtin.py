@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import report
-from .liegeom import InvariantMetric, LieAlgebra, levi_civita
+from .liegeom import InvariantMetric, bracket_table, levi_civita
 from .model import ModelFile, model_from_json_obj
 from .tensors import Frame, MultilinearForm
 
@@ -57,13 +57,13 @@ EXPECTED_FACTOR_TABLE = {
 SIGN_CANDIDATES = ((1, 1, -1, -1), (1, -1, 1, -1))
 
 
-def factor_algebra() -> LieAlgebra:
+def factor_algebra() -> MultilinearForm:
     frame = Frame(FACTOR_LABELS)
     table = {}
     for key, entries in FACTOR_BRACKETS.items():
         li, lj = key.split(",")
         table[(li, lj)] = entries
-    return LieAlgebra.from_table(frame, table)
+    return bracket_table(frame, table)
 
 
 def _factor_j(frame: Frame) -> MultilinearForm:
@@ -72,14 +72,14 @@ def _factor_j(frame: Frame) -> MultilinearForm:
         lambda j: MultilinearForm.from_map(frame, FACTOR_J.get(frame.labels[j], {})))
 
 
-def _matches_expected_table(alg: LieAlgebra,
+def _matches_expected_table(brackets: MultilinearForm,
                             metric: InvariantMetric) -> report.CheckEntry:
-    frame = alg.frame
+    frame = brackets.frame
     expected = MultilinearForm.from_cells(
         frame, 3, lambda i, j: MultilinearForm.from_map(
             frame, EXPECTED_FACTOR_TABLE.get((frame.labels[i], frame.labels[j]), {})))
     return report.compare("factor-table", "example-4.7",
-                          levi_civita(alg, metric), expected,
+                          levi_civita(brackets, metric), expected,
                           "the connection table is the fixed one")
 
 
@@ -99,13 +99,14 @@ def factor_signature_entry() -> report.CheckEntry:
     The verdict depends on built-in constants only, so it is derived once
     per process.
     """
-    alg = factor_algebra()
-    frame = alg.frame
+    brackets = factor_algebra()
+    frame = brackets.frame
     j_op = _factor_j(frame)
     verdicts = []
     for signs in SIGN_CANDIDATES:
         metric = InvariantMetric.diagonal(frame, signs)
-        entries = (_matches_expected_table(alg, metric), _anti_compatible(metric, j_op))
+        entries = (_matches_expected_table(brackets, metric),
+                   _anti_compatible(metric, j_op))
         verdicts.append(tuple(e.status == report.PASS for e in entries))
     first_ok = verdicts[0] == (True, True)
     second_out = verdicts[1] != (True, True)

@@ -78,10 +78,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 save_model(model, args.emit)
         rep = run_suite(model, args.suite)
         return _finish(rep, args.report)
-    except (ModelError, ScalarParseError, ScalarDomainError, MuZero) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModelError, ScalarParseError, ScalarDomainError, MuZero, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

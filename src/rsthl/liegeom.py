@@ -1,7 +1,8 @@
 """Left-invariant geometry from structure constants.
 
-A Lie algebra is given by brackets [e_i, e_j] = sum_k c^k_ij e_k with exact
-scalar constants.  For a left-invariant metric the Koszul formula loses its
+A Lie algebra is its bracket table, an arity-3 table with
+brackets.cell(i, j) = [e_i, e_j] = sum_k c^k_ij e_k in exact scalar
+constants.  For a left-invariant metric the Koszul formula loses its
 derivative terms and reduces to
 
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j], e_k) - g([e_j,e_k], e_i)
@@ -20,11 +21,11 @@ X -> R(X, Y) Z, which is basis independent.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import report
 from .errors import DegenerateMetric
-from .scalars import HALF, ZERO, RationalFunction, rf
+from .scalars import HALF, ZERO, rf
 from .tensors import (
     Frame,
     MultilinearForm,
@@ -33,71 +34,33 @@ from .tensors import (
 )
 
 
-class LieAlgebra:
-    """A frame with its bracket table; equal when frame and table agree."""
-
-    __slots__ = ("frame", "brackets")
-
-    def __init__(self, frame: Frame, brackets: MultilinearForm):
-        if brackets.frame != frame or brackets.arity != 3:
-            raise ValueError("bracket table shape does not match the frame")
-        self.frame = frame
-        self.brackets = brackets  # brackets.cell(i, j) = [e_i, e_j]
-
-    def __eq__(self, other):
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return self.frame == other.frame and self.brackets == other.brackets
-
-    @classmethod
-    def from_table(cls, frame: Frame, table: dict) -> "LieAlgebra":
-        """Build from {(label_i, label_j): {label_k: scalar}} with i-j given
-        in either order; the antisymmetric counterpart is filled in."""
-        dim = frame.dimension
-        zero = MultilinearForm.zero(frame, 1)
-        rows = [[zero] * dim for _ in range(dim)]
-        for (li, lj), entries in table.items():
-            i, j = frame.index(li), frame.index(lj)
-            if i == j:
-                raise ValueError(f"bracket of {li} with itself must be omitted")
-            v = MultilinearForm.from_map(frame, entries)
-            rows[i][j] = rows[i][j] + v
-            rows[j][i] = rows[j][i] - v
-        return cls(frame, MultilinearForm.from_cells(
-            frame, 3, lambda i, j: rows[i][j]))
-
-
-def validate_lie_algebra(alg: LieAlgebra) -> report.CheckEntry:
-    """Antisymmetry and the Jacobi identity, each one whole-table residual;
-    names the first violation.
-
-    The first nonzero offset of a residual, in row-major order, locates it.
-    With antisymmetry in place the jacobiator is alternating, so its first
-    nonzero offset starts with an increasing triple.
-    """
-    br = alg.brackets
-    at = _first_slots(br + br.permute((1, 0, 2)), alg.frame)
-    if at is not None:
-        return report.failed("lie-algebra", "plumbing", f"antisymmetry fails at ({at})")
-    x = compose(br, br)  # x(i, j, k) = [[e_i, e_j], e_k]
-    at = _first_slots(x + x.permute((1, 2, 0, 3)) + x.permute((2, 0, 1, 3)), alg.frame)
-    if at is not None:
-        return report.failed("lie-algebra", "plumbing", f"Jacobi fails at ({at})")
-    return report.passed("lie-algebra", "plumbing", "antisymmetry and Jacobi hold")
-
-
-def _first_slots(residual: MultilinearForm, frame: Frame) -> Optional[str]:
-    """The labels of the argument slots of the first nonzero offset of a
-    vector-valued residual, or None when it vanishes."""
-    if residual.is_zero():
-        return None
+def bracket_table(frame: Frame, table: dict) -> MultilinearForm:
+    """The bracket table of {(label_i, label_j): {label_k: scalar}}, with i-j
+    given in either order; the antisymmetric counterpart is filled in."""
     dim = frame.dimension
-    off = min(residual.nonzero) // dim
-    labels = []
-    for _ in range(residual.arity - 1):
-        off, i = divmod(off, dim)
-        labels.insert(0, frame.labels[i])
-    return ", ".join(labels)
+    zero = MultilinearForm.zero(frame, 1)
+    rows = [[zero] * dim for _ in range(dim)]
+    for (li, lj), entries in table.items():
+        i, j = frame.index(li), frame.index(lj)
+        if i == j:
+            raise ValueError(f"bracket of {li} with itself must be omitted")
+        v = MultilinearForm.from_map(frame, entries)
+        rows[i][j] = rows[i][j] + v
+        rows[j][i] = rows[j][i] - v
+    return MultilinearForm.from_cells(frame, 3, lambda i, j: rows[i][j])
+
+
+def validate_lie_algebra(brackets: MultilinearForm) -> report.CheckEntry:
+    """Antisymmetry and the Jacobi identity, as one pair of whole-table
+    residuals; a failure names the first nonzero component."""
+    x = compose(brackets, brackets)  # x(i, j, k) = [[e_i, e_j], e_k]
+    frame = brackets.frame
+    return report.compare(
+        "lie-algebra", "plumbing",
+        (brackets + brackets.permute((1, 0, 2)),
+         x + x.permute((1, 2, 0, 3)) + x.permute((2, 0, 1, 3))),
+        (MultilinearForm.zero(frame, 3), MultilinearForm.zero(frame, 4)),
+        "antisymmetry and Jacobi hold")
 
 
 class InvariantMetric:
@@ -109,7 +72,6 @@ class InvariantMetric:
         if not form.is_symmetric():
             raise ValueError("a metric must be symmetric")
         self.form = form
-        self.frame = form.frame
         try:
             inverse = matrix_inverse(form.rows())
         except DegenerateMetric:
@@ -118,7 +80,7 @@ class InvariantMetric:
                 f"{form.frame.labels}"
             ) from None
         self.inverse = MultilinearForm(
-            self.frame, 2, tuple(c for row in inverse for c in row))
+            form.frame, 2, tuple(c for row in inverse for c in row))
 
     @classmethod
     def diagonal(cls, frame: Frame, diag: Sequence) -> "InvariantMetric":
@@ -132,30 +94,20 @@ class InvariantMetric:
             )
         )
 
-    def value(self, v: MultilinearForm, w: MultilinearForm) -> RationalFunction:
-        return self.form.value(v, w)
-
-    def lower(self, v: MultilinearForm) -> MultilinearForm:
-        """The one-form g(v, .)."""
-        return self.form.apply(v)
-
-    def __eq__(self, other):
-        return isinstance(other, InvariantMetric) and self.form == other.form
-
 
 def derivative(gamma: MultilinearForm, v: MultilinearForm) -> MultilinearForm:
     """The operator X -> nabla_X v of the connection gamma."""
     return compose(v, gamma.permute((1, 0, 2)))
 
 
-def koszul_entries(gamma: MultilinearForm, alg: LieAlgebra,
+def koszul_entries(gamma: MultilinearForm, brackets: MultilinearForm,
                    metric: InvariantMetric) -> list[report.CheckEntry]:
     """Torsion freedom, nabla_X Y - nabla_Y X = [X, Y], and metric
     compatibility, g(nabla_X Y, Z) + g(Y, nabla_X Z) = 0."""
     low = gamma.pull_slots(metric.form, (2,))  # g(nabla_i e_j, e_k)
     return [
         report.compare("ambient-torsion-free", "plumbing",
-                       gamma.skew(), alg.brackets,
+                       gamma.skew(), brackets,
                        "the Koszul connection is torsion free"),
         report.compare("ambient-metric-compatible", "plumbing",
                        low + low.permute((0, 2, 1)),
@@ -164,17 +116,19 @@ def koszul_entries(gamma: MultilinearForm, alg: LieAlgebra,
     ]
 
 
-def levi_civita(alg: LieAlgebra, metric: InvariantMetric) -> MultilinearForm:
+def levi_civita(brackets: MultilinearForm, metric: InvariantMetric) -> MultilinearForm:
     """Unique torsion-free metric connection via the reduced Koszul formula."""
-    low = alg.brackets.pull_slots(metric.form, (2,))  # g([e_i, e_j], e_k)
+    low = brackets.pull_slots(metric.form, (2,))  # g([e_i, e_j], e_k)
     # g(nabla_i e_j, e_k) = (low(i, j, k) - low(j, k, i) + low(k, i, j)) / 2
     koszul = (low - low.permute((1, 2, 0)) + low.permute((2, 0, 1))).scale(HALF)
     return koszul.pull_slots(metric.inverse, (2,))
 
 
 class CurvatureTensor:
-    def __init__(self, frame: Frame, table: MultilinearForm):
-        self.frame = frame
+    """A curvature table with its Ricci tensor and Ricci action, each
+    derived on first read."""
+
+    def __init__(self, table: MultilinearForm):
         self.table = table  # table.cell(i, j, k) = R(e_i, e_j) e_k
 
     def lower(self, metric: InvariantMetric) -> MultilinearForm:
@@ -184,21 +138,15 @@ class CurvatureTensor:
     @cached_property
     def ricci(self) -> MultilinearForm:
         """Frame-coefficient trace over the first slot."""
-        dim = self.frame.dimension
+        t = self.table
+        dim = t.frame.dimension
         return MultilinearForm.from_function(
-            self.frame, 2,
-            lambda j, k: sum((self.table.entry(i, j, k, i) for i in range(dim)),
-                             ZERO))
+            t.frame, 2, lambda j, k: sum((t.entry(i, j, k, i) for i in range(dim)), ZERO))
 
     @cached_property
     def ricci_action(self) -> MultilinearForm:
         """The derivation action of this curvature on its own Ricci tensor."""
-        return ricci_action(self, self.ricci)
-
-
-def ricci_action(curv: CurvatureTensor, ric: MultilinearForm) -> MultilinearForm:
-    """The derivation action of the curvature on the Ricci tensor."""
-    return derivation_action(curv.table, ric)
+        return derivation_action(self.table, self.ricci)
 
 
 def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> MultilinearForm:
@@ -210,13 +158,12 @@ def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> Multilinea
     return -(first + second.permute(tuple(range(arity - 2)) + (arity - 1, arity - 2)))
 
 
-def curvature(gamma: MultilinearForm, alg: LieAlgebra) -> CurvatureTensor:
+def curvature(gamma: MultilinearForm, brackets: MultilinearForm) -> CurvatureTensor:
     """R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
     - nabla_[e_i, e_j] e_k, composed from whole tables."""
     # compose(gamma, gamma') at (i, j, x) is nabla_x nabla_i e_j
     nn = compose(gamma, gamma.permute((1, 0, 2))).permute((1, 2, 0, 3))
-    return CurvatureTensor(gamma.frame, nn - nn.permute((1, 0, 2, 3))
-                           - compose(alg.brackets, gamma))
+    return CurvatureTensor(nn - nn.permute((1, 0, 2, 3)) - compose(brackets, gamma))
 
 
 def curvature_entries(curv: CurvatureTensor,
@@ -224,7 +171,7 @@ def curvature_entries(curv: CurvatureTensor,
     """The first Bianchi identity and the symmetries of the lowered table:
     antisymmetry in the first pair, in the last pair, and pair exchange."""
     t = curv.table
-    zero = MultilinearForm.zero(curv.frame, 4)
+    zero = MultilinearForm.zero(t.frame, 4)
     return [
         report.compare("first-bianchi", "plumbing",
                        t + t.permute((1, 2, 0, 3)) + t.permute((2, 0, 1, 3)), zero,

@@ -25,7 +25,6 @@ from .errors import InconsistentSystem, InvalidFrame, UnderdeterminedSystem
 from .liegeom import (
     CurvatureTensor,
     InvariantMetric,
-    LieAlgebra,
     derivation_action,
     derivative,
 )
@@ -64,10 +63,10 @@ def solve_transversal(g: InvariantMetric, screen: tuple[MultilinearForm, ...],
     orthogonal to all of them), g is nondegenerate, and rad is null and
     orthogonal to the screen, L and itself.
     """
-    rows = [g.lower(w).entries for w in (*screen, l_vec, rad)]
+    rows = [g.form.apply(w).entries for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
-    n0 = MultilinearForm(g.frame, 1, solve_affine(rows, rhs))
-    t = g.value(n0, n0) * -HALF
+    n0 = MultilinearForm(g.form.frame, 1, solve_affine(rows, rhs))
+    t = g.form.value(n0, n0) * -HALF
     return n0 + rad.scale(t)
 
 
@@ -130,14 +129,14 @@ class SubmanifoldFrame:
     distinct labels, dimension and independent tangent vectors.  The four
     conditions of the half lightlike splitting and the closure of the
     brackets are decided once, as the ``frame_conditions``.  N,
-    the splitting, eta, eta-bar and the tangent algebra are built on first
+    the splitting, eta, eta-bar and the tangent brackets are built on first
     read, which comes after those entries pass: g(N, xi) = 1 puts N
     outside the span of the tangent space and L, and g(L, L) = +-1 with L
     orthogonal to the tangent space puts L outside that span, so the
     splitting cannot fail.
     """
 
-    def __init__(self, algebra: LieAlgebra, structure: ACBMStructure,
+    def __init__(self, brackets: MultilinearForm, structure: ACBMStructure,
                  screen_labels: tuple[str, ...],
                  screen: tuple[MultilinearForm, ...], rad: MultilinearForm,
                  l_vec: MultilinearForm, n_vec: Optional[MultilinearForm] = None):
@@ -147,7 +146,7 @@ class SubmanifoldFrame:
             raise InvalidFrame(f"screen label {RADICAL_LABEL!r} is reserved")
         if len(set(screen_labels)) != len(screen_labels):
             raise InvalidFrame("screen labels must be distinct")
-        self.algebra = algebra
+        self.brackets = brackets
         self.structure = structure
         self.screen_labels = tuple(screen_labels)
         self.screen = tuple(screen)
@@ -166,7 +165,7 @@ class SubmanifoldFrame:
         if rank([v.entries for v in self.tangent_vectors]) != m:
             raise InvalidFrame("the tangent vectors are linearly dependent")
         self.induced_form = self.restrict(structure.metric.form)
-        self.epsilon = structure.metric.value(l_vec, l_vec)
+        self.epsilon = structure.metric.form.value(l_vec, l_vec)
 
     def restrict(self, form: MultilinearForm) -> MultilinearForm:
         """A scalar-valued ambient form on tangent arguments."""
@@ -196,7 +195,7 @@ class SubmanifoldFrame:
 
     @cached_property
     def eta(self) -> MultilinearForm:
-        return self.restrict(self.structure.metric.lower(self.n_vec))
+        return self.restrict(self.structure.metric.form.apply(self.n_vec))
 
     @cached_property
     def eta_bar(self) -> MultilinearForm:
@@ -205,11 +204,12 @@ class SubmanifoldFrame:
     @cached_property
     def bracket_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
         """The brackets of tangent vectors, split over (tangent, N, L)."""
-        return self.splitting.split(self.algebra.brackets)
+        return self.splitting.split(self.brackets)
 
-    @cached_property
-    def tangent_algebra(self) -> LieAlgebra:
-        return LieAlgebra(self.tangent_frame, self.bracket_parts[0])
+    @property
+    def tangent_brackets(self) -> MultilinearForm:
+        """The brackets of the tangent frame."""
+        return self.bracket_parts[0]
 
     @cached_property
     def projector(self) -> MultilinearForm:
@@ -254,7 +254,7 @@ def frame_conditions(f: SubmanifoldFrame) -> tuple:
     catalog order.  Each condition reads what the ones before it certify
     (N is solved on a certified frame, the brackets are split with N), so
     the suite decides each as a blocking step."""
-    g = f.structure.metric
+    g = f.structure.metric.form
     tf = f.tangent_frame
     zero_form = MultilinearForm.zero(tf, 1)
     anchor = "sec-2-splitting"
@@ -267,7 +267,7 @@ def frame_conditions(f: SubmanifoldFrame) -> tuple:
             True, "the induced metric restricts without kernel to the screen")),
         # L is a unit normal: g(L, L) = +-1 and g(L, T_a) = 0
         ("transversal-normalization", anchor, lambda: (
-            (f.epsilon * f.epsilon, f.restrict(g.lower(f.l_vec))), (ONE, zero_form),
+            (f.epsilon * f.epsilon, f.restrict(g.apply(f.l_vec))), (ONE, zero_form),
             f"g(L, L) = {f.epsilon}")),
         # g(N, T_a) is 1 on xi and 0 on the screen
         ("transversal-duality", anchor, lambda: (
@@ -289,7 +289,7 @@ def certify_ascreen_rsthl(f: SubmanifoldFrame) -> tuple[RationalFunction, tuple]
     is the one precondition of the other nine, which divide by mu."""
     s = f.structure
     phi_xi = s.phi.apply(f.rad)
-    mu = f.epsilon * s.metric.value(phi_xi, f.l_vec)
+    mu = f.epsilon * s.metric.form.value(phi_xi, f.l_vec)
     half_inv = None if mu.is_zero() else ONE / (mu + mu)
     anchor = "sec-2-ascreen"
     # phi(S_a) against its screen part: the residual is its part along the
@@ -410,7 +410,7 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
     g_l_proj = g.pull_slots(obj.shape_l, (0,)).pull_slots(proj, (1,))  # g(A_L T_a, P T_b)
     low = obj.gamma.pull_slots(g, (2,))  # g(nabla_{T_a} T_b, T_c)
     b_eta = outer(obj.b_form, f.eta)  # B(X, Y) eta(Z)
-    brackets = f.tangent_algebra.brackets
+    brackets = f.tangent_brackets
     # tau([T_a, T_b]) = -d tau(T_a, T_b) for invariant data
     tau_brackets = MultilinearForm.from_function(
         tf, 2, lambda a, b: obj.tau.value(brackets.cell(a, b)))
@@ -508,14 +508,8 @@ class UmbilicityReport:
         self.gamma_screen = proportionality_factor(obj.c_form, g)
         self.totally_geodesic = obj.b_form.is_zero() and obj.d_form.is_zero()
         self.totally_umbilical = self.beta is not None and self.delta is not None
-        self.mean_curvature = (  # a vector
-            f.n_vec.scale(self.beta) + f.l_vec.scale(self.delta)
-            if self.totally_umbilical else None)
-        self.proper_totally_umbilical = self.totally_umbilical and not self.totally_geodesic
         self.screen_totally_geodesic = obj.c_form.is_zero()
         self.screen_umbilical = self.gamma_screen is not None
-        self.proper_screen_umbilical = (self.screen_umbilical
-                                        and not self.screen_totally_geodesic)
 
     def describe(self) -> str:
         flags = []

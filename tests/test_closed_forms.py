@@ -53,8 +53,7 @@ def bumped(induced):
 
 
 def curvature_table(f, cell):
-    return CurvatureTensor(f.tangent_frame,
-                           MultilinearForm.from_cells(f.tangent_frame, 4, cell))
+    return CurvatureTensor(MultilinearForm.from_cells(f.tangent_frame, 4, cell))
 
 
 def eq13_reference(f, obj, mu, curv):

@@ -9,7 +9,7 @@ import pytest
 from rsthl.builtin import example_model
 from rsthl.cli import main
 from rsthl.errors import InvalidFrame
-from rsthl.liegeom import curvature, curvature_entries, ricci_action
+from rsthl.liegeom import curvature, curvature_entries
 from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
                              ascreen_f0_entries, certify_ascreen_rsthl,
                              codazzi_16_entry, covariant_derivative,
@@ -81,13 +81,13 @@ def assert_frame_fails(f, name, suffix):
     assert {e.detail for e in entries[at + 1:]} <= {f"blocked by {name} (fail)"}
 
 
-def test_explicit_transversal_is_verified(model, algebra, structure, frame):
+def test_explicit_transversal_is_verified(model, brackets, structure, frame):
     sub = model.submanifold
-    good = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+    good = SubmanifoldFrame(brackets, structure, sub.screen_labels, sub.screen, sub.rad,
                             sub.l_vec, frame.n_vec)
     assert good.n_vec == frame.n_vec
     assert all(e.status == "pass" for e in decided(frame_conditions(good)).entries)
-    bad = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+    bad = SubmanifoldFrame(brackets, structure, sub.screen_labels, sub.screen, sub.rad,
                            sub.l_vec, ambient(model, {"X3": 1}))
     assert_frame_fails(bad, "transversal-duality",
                        "; the residual at (xi) is mu - 1, 1 of 3 components nonzero")
@@ -152,10 +152,10 @@ def test_induced_metric_and_pairings(frame):
 
 
 def test_tangent_brackets_close(frame):
-    alg = frame.tangent_algebra
-    assert alg.brackets.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
-    assert alg.brackets.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
-    assert alg.brackets.cell(0, 1).is_zero()
+    alg = frame.tangent_brackets
+    assert alg.cell(0, 2) == tangent(frame, {"E1": 2 * MU})
+    assert alg.cell(1, 2) == tangent(frame, {"E2": 2 * MU})
+    assert alg.cell(0, 1).is_zero()
 
 
 def test_induced_connection_table(frame, induced):
@@ -223,12 +223,11 @@ def test_umbilicity_report(frame, induced, ureport):
     assert ureport.beta == -2 * MU
     assert ureport.delta is None
     assert ureport.gamma_screen == ONE / MU
-    assert ureport.mean_curvature is None
+    # no mean curvature vector, since delta is None; properly screen umbilical
     assert not ureport.totally_geodesic
     assert not ureport.totally_umbilical
     assert not ureport.screen_totally_geodesic
     assert ureport.screen_umbilical
-    assert ureport.proper_screen_umbilical
     assert ureport.describe() == ("not totally umbilical; "
                                   "screen totally umbilical (gamma = 1/(mu))")
 
@@ -286,8 +285,8 @@ def test_eta_einstein_solve_rejects_other_tensors(model, frame, iric, monkeypatc
         "squared dual form")
 
 
-def test_gauss_relation(algebra, frame, induced, ambient_conn, icurv):
-    ambient_curv = curvature(ambient_conn, algebra)
+def test_gauss_relation(brackets, frame, induced, ambient_conn, icurv):
+    ambient_curv = curvature(ambient_conn, brackets)
     entry = gauss_relation_entry(frame, induced, ambient_curv, icurv)
     assert entry.status == "pass"
     assert entry.anchor == "sec-4-gauss"
@@ -310,8 +309,8 @@ def test_curvature_identities(frame, induced, icurv, iric, pair, mu):
         "eq-15", "eq-16", "thm-4.4", "eq-18", "eq-19", "eq-20", "eq-23"]
 
 
-def test_ricci_action_vanishes(icurv, iric):
-    assert ricci_action(icurv, iric).is_zero()
+def test_ricci_action_vanishes(icurv):
+    assert icurv.ricci_action.is_zero()
 
 
 def test_covariant_derivative_convention(frame, induced):
@@ -324,32 +323,32 @@ def test_covariant_derivative_convention(frame, induced):
             frame.tangent_frame, 3))
 
 
-def test_radical_must_be_isotropic(model, algebra, structure):
+def test_radical_must_be_isotropic(model, brackets, structure):
     sub = model.submanifold
-    f = SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen,
+    f = SubmanifoldFrame(brackets, structure, sub.screen_labels, sub.screen,
                          ambient(model, {"X3": 1}), sub.l_vec)
     assert_frame_fails(f, "radical-isotropy",
                        "; the residual at (xi) is -1, 1 of 3 components nonzero")
 
 
-def test_screen_must_be_nondegenerate(model, algebra, structure):
+def test_screen_must_be_nondegenerate(model, brackets, structure):
     sub = model.submanifold
     screen = (ambient(model, {"X1": 1, "X4": 1}), ambient(model, {"X2": 1}))
     # a truth value: the statement carries it, with no residual suffix
-    assert_frame_fails(SubmanifoldFrame(algebra, structure, sub.screen_labels, screen,
+    assert_frame_fails(SubmanifoldFrame(brackets, structure, sub.screen_labels, screen,
                                         sub.rad, sub.l_vec),
                        "screen-nondegeneracy", "")
 
 
-def test_transversal_vector_constraints(model, algebra, structure):
+def test_transversal_vector_constraints(model, brackets, structure):
     sub = model.submanifold
     # g(L, L) = 4: the residual is g(L, L)^2 - 1
     assert_frame_fails(
-        SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+        SubmanifoldFrame(brackets, structure, sub.screen_labels, sub.screen, sub.rad,
                          ambient(model, {"X1": 2})),
         "transversal-normalization", "; the residual is 15")
     assert_frame_fails(
-        SubmanifoldFrame(algebra, structure, sub.screen_labels, sub.screen, sub.rad,
+        SubmanifoldFrame(brackets, structure, sub.screen_labels, sub.screen, sub.rad,
                          ambient(model, {"X2": 1})),
         "transversal-normalization",
         "; the residual at (E1) is 1, 1 of 3 components nonzero")
@@ -405,23 +404,23 @@ def test_frame_errors_in_the_submanifold_report(tmp_path, capsys, edit, name, su
         ("skipped", f"blocked by {name} (fail)")}
 
 
-def test_frame_shape_validation(model, algebra, structure):
+def test_frame_shape_validation(model, brackets, structure):
     sub = model.submanifold
     with pytest.raises(InvalidFrame, match="screen vectors"):
-        SubmanifoldFrame(algebra, structure, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
+        SubmanifoldFrame(brackets, structure, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="reserved"):
-        SubmanifoldFrame(algebra, structure, ("xi", "E2"), sub.screen, sub.rad, sub.l_vec)
+        SubmanifoldFrame(brackets, structure, ("xi", "E2"), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="distinct"):
-        SubmanifoldFrame(algebra, structure, ("E1", "E1"), sub.screen, sub.rad, sub.l_vec)
+        SubmanifoldFrame(brackets, structure, ("E1", "E1"), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="linearly dependent"):
-        SubmanifoldFrame(algebra, structure, sub.screen_labels,
+        SubmanifoldFrame(brackets, structure, sub.screen_labels,
                          (sub.screen[0], sub.screen[0]), sub.rad, sub.l_vec)
 
 
-def test_brackets_must_stay_tangent(model, algebra, structure):
+def test_brackets_must_stay_tangent(model, brackets, structure):
     screen = (ambient(model, {"X1": 1}), ambient(model, {"X2": 1}))
     sub = model.submanifold
-    f = SubmanifoldFrame(algebra, structure, ("E1", "E2"), screen, sub.rad,
+    f = SubmanifoldFrame(brackets, structure, ("E1", "E2"), screen, sub.rad,
                          ambient(model, {"X4": 1}))
     assert_frame_fails(f, "tangent-closure",
                        "; the residual at (E1, E2) is -2, 2 of 9 components nonzero")
@@ -433,11 +432,11 @@ def modified_structure(s, phi=None, xi_bar=None):
         xi_bar if xi_bar is not None else s.xi_bar, s.eta_bar, s.metric)
 
 
-def certification_with(model, algebra, structure, **changes):
+def certification_with(model, brackets, structure, **changes):
     """The decided sec-2-ascreen entries of the worked frame under the
     structure with phi or xi-bar changed."""
     sub = model.submanifold
-    f = SubmanifoldFrame(algebra, modified_structure(structure, **changes),
+    f = SubmanifoldFrame(brackets, modified_structure(structure, **changes),
                          sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
     return decided(*certify_ascreen_rsthl(f)[1]).entries
 
@@ -457,25 +456,25 @@ def assert_radical_phi_image_fails(entries, detail):
         ("skipped", "blocked by radical-phi-image (fail)")}
 
 
-def test_not_rsthl_when_radical_image_leaves_the_line(model, algebra, structure):
+def test_not_rsthl_when_radical_image_leaves_the_line(model, brackets, structure):
     # phi(xi) = mu (X1 + X2) has the part mu X2 off the line of L = X1
     phi = phi_with_radical_image(model, structure, ambient(model, {"X1": -1, "X2": -1}))
     assert_radical_phi_image_fails(
-        certification_with(model, algebra, structure, phi=phi),
+        certification_with(model, brackets, structure, phi=phi),
         "phi(xi) = (mu) L; the residual at (X2) is mu, 1 of 5 components nonzero")
 
 
-def test_not_rsthl_when_phi_kills_the_radical(model, algebra, structure):
+def test_not_rsthl_when_phi_kills_the_radical(model, brackets, structure):
     # phi(xi) = 0 = 0 L, and mu = 0 is the truth value that fails
     phi = phi_with_radical_image(model, structure, MultilinearForm.zero(model.frame, 1))
-    assert_radical_phi_image_fails(certification_with(model, algebra, structure, phi=phi),
+    assert_radical_phi_image_fails(certification_with(model, brackets, structure, phi=phi),
                                    "phi(xi) = (0) L")
 
 
-def test_not_ascreen_when_xi_bar_has_a_screen_part(model, algebra, structure):
+def test_not_ascreen_when_xi_bar_has_a_screen_part(model, brackets, structure):
     # reeb-split is no precondition: it fails alone, and in a suite run it
     # blocks the later steps (see test_screen_radical_mixing_breaks_ascreen)
-    entries = certification_with(model, algebra, structure,
+    entries = certification_with(model, brackets, structure,
                                  xi_bar=ambient(model, {"X2": 1, "E": 1}))
     assert [(e.name, e.status) for e in entries] == [
         (name, "fail" if name == "reeb-split" else "pass")

@@ -202,7 +202,7 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
 
     count(structure, "associated_metric", "associated_metric")
     count(lightlike, "covariant_derivative", "covariant_derivative")
-    count(liegeom, "ricci_action", "ricci_action")
+    count(liegeom.CurvatureTensor.ricci_action, "func", "ricci_action")
     count(lightlike.SubmanifoldFrame.phi_pairing, "func", "phi_pairing")
     count(lightlike.SubmanifoldFrame, "__init__", "frame")
     # associated imports the function by name, so both bindings count
@@ -362,6 +362,16 @@ def test_cli_emit_then_check(tmp_path, capsys):
         assert handle.read() == dumps_model(example_model())
     assert main(["check", path]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_emit_into_a_missing_directory_exits_2(tmp_path, capsys):
+    """The operating system's error is printed, and no report: the model
+    is written before the suite runs."""
+    assert main(["example47", "--emit", str(tmp_path / "missing" / "model.json")]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("error: [Errno 2] ")
+    assert "Traceback" not in got.err
 
 
 def test_cli_check_suite_flag(tmp_path, capsys):

@@ -22,7 +22,7 @@ from rsthl.associated import (build_associated, tilde_form_21_entry,
 from rsthl.builtin import (_anti_compatible, _factor_j,
                            _matches_expected_table, factor_algebra)
 from rsthl.cli import main
-from rsthl.liegeom import CurvatureTensor, InvariantMetric, LieAlgebra, curvature
+from rsthl.liegeom import CurvatureTensor, InvariantMetric, bracket_table, curvature
 from rsthl.lightlike import (SubmanifoldFrame, ascreen_f0_entries,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
@@ -54,7 +54,7 @@ def bump_form(form, *idx):
 
 def bump_curvature(curv):
     """curv with R(T_0, T_1) T_0 moved by T_1, which keeps its Ricci trace."""
-    return CurvatureTensor(curv.frame, bump_form(curv.table, 0, 1, 0, 1))
+    return CurvatureTensor(bump_form(curv.table, 0, 1, 0, 1))
 
 
 def with_phi_column(s, label, image):
@@ -73,7 +73,7 @@ def induced_with(geo, **changes):
 def frame_under(geo, structure):
     """The worked frame over the structure changed by structure(s)."""
     sub = geo.model.submanifold
-    return SubmanifoldFrame(geo.model.algebra, structure(geo.structure),
+    return SubmanifoldFrame(geo.model.brackets, structure(geo.structure),
                             sub.screen_labels, sub.screen, sub.rad, sub.l_vec)
 
 
@@ -98,7 +98,7 @@ def frame_condition(name, **changes):
         fields = dict(screen_labels=sub.screen_labels, screen=sub.screen,
                       rad=sub.rad, l_vec=sub.l_vec, n_vec=None)
         fields.update({k: fn(geo) for k, fn in changes.items()})
-        f = SubmanifoldFrame(geo.model.algebra, geo.structure, **fields)
+        f = SubmanifoldFrame(geo.model.brackets, geo.structure, **fields)
         return entry_named(decided(frame_conditions(f)).entries, name)
     return case
 
@@ -218,10 +218,10 @@ def curvature_transfer(geo):
     class Perturbed(suite.Geometry):
         @cached_property
         def tcurv(self):
-            return bump_curvature(curvature(self.assoc.gamma, self.frame.tangent_algebra))
+            return bump_curvature(curvature(self.assoc.gamma, self.frame.tangent_brackets))
 
     flat = replaced(
-        geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {}))
+        geo.model, brackets=bracket_table(geo.model.frame, {}))
     with mock.patch.object(suite, "Geometry", Perturbed):
         entries = run_suite(flat, "submanifold").entries
     return entry_named(entries, "umbilical-curvature-transfer")
@@ -229,7 +229,7 @@ def curvature_transfer(geo):
 
 def umbilical_flatness(geo):
     flat = suite.Geometry(replaced(
-        geo.model, algebra=LieAlgebra.from_table(geo.model.frame, {})))
+        geo.model, brackets=bracket_table(geo.model.frame, {})))
     entry = umbilical_flatness_entry(flat.umbilicity,
                                      bump_curvature(flat.curv_ind), flat.curv)
     return entry

@@ -322,6 +322,51 @@ def test_unreferenced_definitions_are_found():
     assert unreferenced_definitions([source], {"main"}) == ["dead", "stale"]
 
 
+def unread_attributes(sources: list[str]) -> list[str]:
+    """The attributes an ``__init__`` of the sources assigns to ``self``
+    and no source reads as an attribute.  A read is matched by name alone,
+    on any object, so a dead attribute whose name another object's
+    attribute shares goes unseen."""
+    assigned, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                assigned |= {child.attr for child in ast.walk(node)
+                             if isinstance(child, ast.Attribute)
+                             and isinstance(child.ctx, ast.Store)
+                             and isinstance(child.value, ast.Name)
+                             and child.value.id == "self"}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(assigned - read)
+
+
+def test_unread_attributes_are_found():
+    source = ("class A:\n"
+              "    def __init__(self, x):\n"
+              "        self.used = x\n        self.dead = x\n"
+              "        self.shared = x\n        self.written = x\n"
+              "    def move(self):\n"
+              "        return self.used\n"
+              "class B:\n"
+              "    def __init__(self):\n        self.stale = 1\n"
+              "other.shared\nother.written = 2\n")
+    assert unread_attributes([source]) == ["dead", "stale", "written"]
+
+
+# The attributes read only outside the package on purpose: the offending
+# field path of a ``ModelError`` and the offset of a ``ScalarParseError``,
+# for a caller that catches them.
+CALLER_ATTRIBUTES = ["path", "position"]
+
+
+def test_every_attribute_is_read_in_the_package():
+    """An attribute that ``__init__`` sets and no package code reads is
+    dead state, built on every construction."""
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert unread_attributes(sources) == CALLER_ATTRIBUTES
+
+
 def test_every_definition_has_a_caller_in_the_package():
     """A function, method or class that only tests use is dead code: the
     package has no caller for it.  The console script's function is the

@@ -133,9 +133,9 @@ def test_fundamental_tensor_vanishes(structure, ambient_conn):
     assert is_f0(structure, ambient_conn)
 
 
-def test_twin_connection_coincides(algebra, structure, ambient_conn):
+def test_twin_connection_coincides(brackets, structure, ambient_conn):
     gt = associated_metric(structure)
-    twin_conn = levi_civita(algebra, gt)
+    twin_conn = levi_civita(brackets, gt)
     dim = structure.frame.dimension
     for i in range(dim):
         for j in range(dim):

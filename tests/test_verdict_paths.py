@@ -146,7 +146,7 @@ def test_a_totally_umbilical_frame_names_its_factors(frame, induced, ureport):
     g = frame.induced_form
     rep = UmbilicityReport(frame, replaced(induced, b_form=g.scale(2),
                                            d_form=g.scale(3)))
-    assert rep.proper_totally_umbilical
+    assert rep.totally_umbilical and not rep.totally_geodesic
     assert rep.describe() == (
         "proper totally umbilical (beta = 2, delta = 3); "
         f"screen totally umbilical (gamma = {ureport.gamma_screen})")
