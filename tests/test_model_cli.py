@@ -178,6 +178,103 @@ def test_load_model_errors(tmp_path):
     assert "invalid JSON" in str(info.value)
 
 
+DROP = object()
+
+
+def edited(changes):
+    """The emitted model with each dotted path set to its value, or removed
+    for DROP, in order; the path "$" replaces the whole object."""
+    obj = fresh_obj()
+    for dotted, value in changes.items():
+        if dotted == "$":
+            obj = value
+            continue
+        *parents, last = dotted.split(".")
+        node = obj
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return obj
+
+
+# One malformed object for each way the reader rejects a model, and inputs
+# with several faults, which report the first in reading order.
+@pytest.mark.parametrize("changes, message", [
+    ({"$": []}, "$: expected an object"),
+    ({"zzz": 1}, "$: unknown key 'zzz'"),
+    ({"metric": DROP}, "$: missing required key 'metric'"),
+    ({"metric": DROP, "zzz": 1}, "$: unknown key 'zzz'"),
+    ({"frame": ["X1"]}, "frame: expected an object"),
+    ({"frame.labels": DROP}, "frame.labels: expected a list of strings"),
+    ({"frame.labels": ["X1", 2]}, "frame.labels: expected a list of strings"),
+    ({"frame.extra": 1}, "frame: unknown key 'extra'"),
+    ({"frame.labels": 5, "frame.x": 1}, "frame.labels: expected a list of strings"),
+    ({"frame.labels": []}, "frame.labels: a frame needs at least one label"),
+    ({"frame.labels": ["X1", "X1", "X3", "X4", "E"]},
+     "frame.labels: duplicate frame labels: ('X1', 'X1', 'X3', 'X4', 'E')"),
+    ({"parameters": "mu"}, "parameters: expected a list of strings"),
+    ({"parameters": ["mu", "nu"]}, "parameters: unsupported parameter 'nu'"),
+    ({"parameters": []},
+     "submanifold.xi.X3: uses the parameter mu, which is not declared"),
+    ({"parameters": [], "metric.X1,X1": "mu"},
+     "metric.X1,X1: uses the parameter mu, which is not declared"),
+    ({"brackets": []}, "brackets: expected an object"),
+    ({"brackets.X1": {"X2": 1}}, "brackets.X1: expected a key of the form 'A,B'"),
+    ({"brackets.X1,X2,X3": {}},
+     "brackets.X1,X2,X3: expected a key of the form 'A,B'"),
+    ({"brackets.X1,BOGUS": {}}, "brackets.X1,BOGUS: unknown frame label 'BOGUS'"),
+    ({"brackets.Q,R": {}}, "brackets.Q,R: unknown frame label 'Q'"),
+    ({"brackets.X1,X1": {"X2": 1}}, "brackets.X1,X1: bracket of a label with itself"),
+    ({"brackets.X2,X1": {"X4": 1}, "brackets.X3,X3": {}},
+     "brackets.X2,X1: duplicate bracket pair"),
+    ({"brackets.X3,X3": {}, "brackets.X2,X1": {"X4": 1}},
+     "brackets.X3,X3: bracket of a label with itself"),
+    ({"brackets.X1,X2": 1}, "brackets.X1,X2: expected an object"),
+    ({"brackets.X1,X2": {"BOGUS": 1}}, "brackets.X1,X2.BOGUS: unknown frame label"),
+    ({"brackets.X1,X2": {"X4": 1.5}},
+     "brackets.X1,X2.X4: expected an integer or a scalar string"),
+    ({"metric": "1"}, "metric: expected an object"),
+    ({"metric.X1": "1"}, "metric.X1: expected a key of the form 'A,B'"),
+    ({"metric.X1,Q": "1"}, "metric.X1,Q: unknown frame label 'Q'"),
+    ({"metric.X1, X1": "1"}, "metric.X1, X1: duplicate metric pair"),
+    ({"metric.X2,X1": "1", "metric.X1,X2": "1"}, "metric.X1,X2: duplicate metric pair"),
+    ({"metric.X1,X1": True}, "metric.X1,X1: expected an integer or a scalar string"),
+    ({"metric.X1,X1": "mu +"},
+     "metric.X1,X1: expected a number, 'mu', or '(' (at position 4)"),
+    ({"structure": []}, "structure: expected an object"),
+    ({"structure.extra": {}}, "structure: unknown key 'extra'"),
+    ({"structure.eta": DROP}, "structure: missing required key 'eta'"),
+    ({"structure.eta": DROP, "structure.extra": {}},
+     "structure: unknown key 'extra'"),
+    ({"structure.phi": []}, "structure.phi: expected an object"),
+    ({"structure.phi.BOGUS": {"X1": 1}}, "structure.phi.BOGUS: unknown frame label"),
+    ({"structure.phi.X1": 1}, "structure.phi.X1: expected an object"),
+    ({"structure.phi.X1": {"Q": 1}}, "structure.phi.X1.Q: unknown frame label"),
+    ({"structure.xi.Q": 1}, "structure.xi.Q: unknown frame label"),
+    ({"structure.eta.E": "1/0"},
+     "structure.eta.E: division by the zero polynomial (at position 1)"),
+    ({"structure.xi.Q": 1, "submanifold.xi.Q": 1},
+     "structure.xi.Q: unknown frame label"),
+    ({"submanifold": []}, "submanifold: expected an object"),
+    ({"submanifold.Q": {}}, "submanifold: unknown key 'Q'"),
+    ({"submanifold.L": DROP}, "submanifold: missing required key 'L'"),
+    ({"submanifold.screen": []}, "submanifold.screen: expected an object"),
+    ({"submanifold.screen.E1": {"Q": 1}},
+     "submanifold.screen.E1.Q: unknown frame label"),
+    ({"submanifold.xi.Q": 1}, "submanifold.xi.Q: unknown frame label"),
+    ({"submanifold.L.Q": 1}, "submanifold.L.Q: unknown frame label"),
+    ({"submanifold.N": 1}, "submanifold.N: expected an object"),
+    ({"submanifold.N": {"Q": 1}}, "submanifold.N.Q: unknown frame label"),
+])
+def test_model_error_corpus(changes, message):
+    """Each malformed model is rejected with exactly this path and message."""
+    error = reject(edited(changes), message.split(": ", 1)[0])
+    assert str(error) == message
+
+
 def test_suite_sizes(model):
     assert len(run_suite(model, "ambient").entries) == 22
     assert len(run_suite(model, "submanifold").entries) == 108
