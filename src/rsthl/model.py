@@ -2,8 +2,10 @@
 
 A model file carries a frame, structure constants, a metric, the contact
 structure data and optionally a submanifold frame.  Scalars are written
-as strings in the exact scalar grammar (integers are also accepted);
-every schema violation raises ModelError naming the offending path.
+as strings in the exact scalar grammar (integers are also accepted).  The
+reader takes the top keys, frame, parameters, brackets, metric, structure
+and submanifold in that order; a schema violation raises ModelError naming
+the path of the first fault in that order.
 """
 
 from __future__ import annotations
@@ -71,9 +73,17 @@ class ModelFile:
                    for name in self.__slots__)
 
 
-def _expect_mapping(obj, path: str) -> dict:
+def _expect_mapping(obj, path: str, allowed: Optional[tuple[str, ...]] = None,
+                    required: tuple[str, ...] = ()) -> dict:
+    """obj as an object with only allowed keys (any when None) and all required."""
     if not isinstance(obj, dict):
         raise ModelError(path, "expected an object")
+    for key in obj if allowed is not None else ():
+        if key not in allowed:
+            raise ModelError(path, f"unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ModelError(path, f"missing required key {key!r}")
     return obj
 
 
@@ -81,6 +91,13 @@ def _expect_string_list(obj, path: str) -> list[str]:
     if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
         raise ModelError(path, "expected a list of strings")
     return obj
+
+
+def _index(frame: Frame, label: str, path: str, message="unknown frame label") -> int:
+    try:
+        return frame.index(label)
+    except KeyError:
+        raise ModelError(path, message) from None
 
 
 def _parse_scalar(value, path: str, mu_allowed: bool) -> RationalFunction:
@@ -98,45 +115,45 @@ def _parse_scalar(value, path: str, mu_allowed: bool) -> RationalFunction:
 
 
 def _parse_vector(obj, frame: Frame, path: str, mu_allowed: bool) -> MultilinearForm:
-    mapping = _expect_mapping(obj, path)
     components = [ZERO] * frame.dimension
-    for label, value in mapping.items():
-        if label not in frame.labels:
-            raise ModelError(f"{path}.{label}", "unknown frame label")
-        components[frame.index(label)] = _parse_scalar(
-            value, f"{path}.{label}", mu_allowed)
+    for label, value in _expect_mapping(obj, path).items():
+        where = f"{path}.{label}"
+        components[_index(frame, label, where)] = _parse_scalar(value, where, mu_allowed)
     return MultilinearForm(frame, 1, tuple(components))
 
 
-def _parse_pair_key(key: str, frame: Frame, path: str) -> tuple[int, int]:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ModelError(f"{path}.{key}", "expected a key of the form 'A,B'")
-    labels = [p.strip() for p in parts]
-    for label in labels:
-        if label not in frame.labels:
-            raise ModelError(f"{path}.{key}", f"unknown frame label {label!r}")
-    return frame.index(labels[0]), frame.index(labels[1])
+def _pair_cells(obj, frame: Frame, path: str, antisymmetric: bool, read) -> dict:
+    """The cells read(value, path) of an "A,B"-keyed map, each also under
+    its mirror (B, A): negated when antisymmetric, as it is otherwise."""
+    kind = "bracket" if antisymmetric else "metric"
+    cells = {}
+    for key, value in _expect_mapping(obj, path).items():
+        where = f"{path}.{key}"
+        parts = [part.strip() for part in key.split(",")]
+        if len(parts) != 2:
+            raise ModelError(where, "expected a key of the form 'A,B'")
+        i, j = (_index(frame, label, where, f"unknown frame label {label!r}")
+                for label in parts)
+        if antisymmetric and i == j:
+            raise ModelError(where, "bracket of a label with itself")
+        if (i, j) in cells:
+            raise ModelError(where, f"duplicate {kind} pair")
+        cells[i, j] = read(value, where)
+        cells[j, i] = -cells[i, j] if antisymmetric else cells[i, j]
+    return cells
 
 
 def model_from_json_obj(obj) -> ModelFile:
-    top = _expect_mapping(obj, "$")
-    for key in top:
-        if key not in _TOP_KEYS:
-            raise ModelError("$", f"unknown key {key!r}")
-    for key in ("frame", "brackets", "metric", "structure"):
-        if key not in top:
-            raise ModelError("$", f"missing required key {key!r}")
-
+    top = _expect_mapping(obj, "$", _TOP_KEYS,
+                          ("frame", "brackets", "metric", "structure"))
     frame_obj = _expect_mapping(top["frame"], "frame")
     labels = _expect_string_list(frame_obj.get("labels"), "frame.labels")
-    for key in frame_obj:
-        if key != "labels":
-            raise ModelError("frame", f"unknown key {key!r}")
+    _expect_mapping(frame_obj, "frame", ("labels",))  # checked after the labels
     try:
         frame = Frame(tuple(labels))
     except ValueError as exc:
         raise ModelError("frame.labels", str(exc)) from exc
+    dim = frame.dimension
 
     parameters = tuple(_expect_string_list(top.get("parameters", []), "parameters"))
     for p in parameters:
@@ -144,83 +161,39 @@ def model_from_json_obj(obj) -> ModelFile:
             raise ModelError("parameters", f"unsupported parameter {p!r}")
     mu_allowed = "mu" in parameters
 
-    brackets_obj = _expect_mapping(top["brackets"], "brackets")
-    table: dict[tuple[int, int], MultilinearForm] = {}
-    for key, value in brackets_obj.items():
-        i, j = _parse_pair_key(key, frame, "brackets")
-        if i == j:
-            raise ModelError(f"brackets.{key}", "bracket of a label with itself")
-        pair = (min(i, j), max(i, j))
-        if pair in table:
-            raise ModelError(f"brackets.{key}", "duplicate bracket pair")
-        vec = _parse_vector(value, frame, f"brackets.{key}", mu_allowed)
-        table[pair] = vec if i < j else -vec
+    def vector(value, where: str) -> MultilinearForm:
+        return _parse_vector(value, frame, where, mu_allowed)
 
-    def bracket(i: int, j: int) -> MultilinearForm:
-        v = table.get((min(i, j), max(i, j)))
-        if v is None:
-            return MultilinearForm.zero(frame, 1)
-        return v if i < j else -v
-    brackets = MultilinearForm.from_cells(frame, 3, bracket)
+    zero = MultilinearForm.zero(frame, 1)
+    bracket_cells = _pair_cells(top["brackets"], frame, "brackets", True, vector)
+    brackets = MultilinearForm.from_cells(
+        frame, 3, lambda i, j: bracket_cells.get((i, j), zero))
+    metric_cells = _pair_cells(top["metric"], frame, "metric", False,
+                               lambda value, where: _parse_scalar(value, where, mu_allowed))
+    metric_form = MultilinearForm(frame, 2, tuple(
+        metric_cells.get(divmod(n, dim), ZERO) for n in range(dim * dim)))
 
-    metric_obj = _expect_mapping(top["metric"], "metric")
-    entries = [[ZERO] * frame.dimension for _ in range(frame.dimension)]
-    seen = set()
-    for key, value in metric_obj.items():
-        i, j = _parse_pair_key(key, frame, "metric")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ModelError(f"metric.{key}", "duplicate metric pair")
-        seen.add(pair)
-        scalar = _parse_scalar(value, f"metric.{key}", mu_allowed)
-        entries[i][j] = scalar
-        entries[j][i] = scalar
-    metric_form = MultilinearForm(
-        frame, 2,
-        tuple(entries[i][j] for i in range(frame.dimension)
-              for j in range(frame.dimension)))
-
-    structure_obj = _expect_mapping(top["structure"], "structure")
-    for key in structure_obj:
-        if key not in ("phi", "xi", "eta"):
-            raise ModelError("structure", f"unknown key {key!r}")
-    for key in ("phi", "xi", "eta"):
-        if key not in structure_obj:
-            raise ModelError("structure", f"missing required key {key!r}")
-    phi_obj = _expect_mapping(structure_obj["phi"], "structure.phi")
-    columns = [MultilinearForm.zero(frame, 1)] * frame.dimension
-    for label, value in phi_obj.items():
-        if label not in frame.labels:
-            raise ModelError(f"structure.phi.{label}", "unknown frame label")
-        columns[frame.index(label)] = _parse_vector(
-            value, frame, f"structure.phi.{label}", mu_allowed)
+    structure_obj = _expect_mapping(top["structure"], "structure",
+                                    ("phi", "xi", "eta"), ("phi", "xi", "eta"))
+    columns = [zero] * dim
+    for label, value in _expect_mapping(structure_obj["phi"], "structure.phi").items():
+        where = f"structure.phi.{label}"
+        columns[_index(frame, label, where)] = vector(value, where)
     phi = MultilinearForm.from_cells(frame, 2, lambda j: columns[j])
-    xi_bar = _parse_vector(structure_obj["xi"], frame, "structure.xi", mu_allowed)
-    eta_bar = _parse_vector(structure_obj["eta"], frame, "structure.eta", mu_allowed)
+    xi_bar = vector(structure_obj["xi"], "structure.xi")
+    eta_bar = vector(structure_obj["eta"], "structure.eta")
 
     submanifold = None
     if "submanifold" in top:
-        sub_obj = _expect_mapping(top["submanifold"], "submanifold")
-        for key in sub_obj:
-            if key not in ("screen", "xi", "L", "N"):
-                raise ModelError("submanifold", f"unknown key {key!r}")
-        for key in ("screen", "xi", "L"):
-            if key not in sub_obj:
-                raise ModelError("submanifold", f"missing required key {key!r}")
+        sub_obj = _expect_mapping(top["submanifold"], "submanifold",
+                                  ("screen", "xi", "L", "N"), ("screen", "xi", "L"))
         screen_obj = _expect_mapping(sub_obj["screen"], "submanifold.screen")
-        screen_labels = []
-        screen = []
-        for label, value in screen_obj.items():
-            screen_labels.append(label)
-            screen.append(_parse_vector(
-                value, frame, f"submanifold.screen.{label}", mu_allowed))
-        rad = _parse_vector(sub_obj["xi"], frame, "submanifold.xi", mu_allowed)
-        l_vec = _parse_vector(sub_obj["L"], frame, "submanifold.L", mu_allowed)
-        n_vec = None
-        if "N" in sub_obj:
-            n_vec = _parse_vector(sub_obj["N"], frame, "submanifold.N", mu_allowed)
-        submanifold = SubmanifoldData(tuple(screen_labels), tuple(screen),
-                                      rad, l_vec, n_vec)
+        screen = tuple(vector(value, f"submanifold.screen.{label}")
+                       for label, value in screen_obj.items())
+        rad = vector(sub_obj["xi"], "submanifold.xi")
+        l_vec = vector(sub_obj["L"], "submanifold.L")
+        n_vec = vector(sub_obj["N"], "submanifold.N") if "N" in sub_obj else None
+        submanifold = SubmanifoldData(tuple(screen_obj), screen, rad, l_vec, n_vec)
 
     return ModelFile(frame=frame, parameters=parameters, brackets=brackets,
                      metric_form=metric_form, phi=phi, xi_bar=xi_bar,

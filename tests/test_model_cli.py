@@ -52,6 +52,11 @@ def test_save_and_load(tmp_path):
     assert load_model(path) == m
 
 
+def test_model_records_differ_from_other_types():
+    """A model record compared with another type defers, so it is unequal."""
+    assert example_model() != 0
+    assert example_model().submanifold != 0
+
 def test_specialized_model():
     m = example_model(Fraction(3, 2))
     assert m.parameters == ()

@@ -349,6 +349,29 @@ CASES = {
     "screen-phi-invariance": certification(
         "screen-phi-invariance",
         lambda s: with_phi_column(s, "X2", {"X4": 1, "E": 1})),
+    # nabla_{E1} E2 gains an E1 part
+    "induced-torsion-free": induced_invariant(
+        "induced-torsion-free", gamma=lambda obj: bump_form(obj.gamma, 0, 1, 0)),
+    "b-symmetric": induced_invariant(
+        "b-symmetric", b_form=lambda obj: bump_form(obj.b_form, 0, 1)),
+    "d-symmetric": induced_invariant(
+        "d-symmetric", d_form=lambda obj: bump_form(obj.d_form, 0, 1)),
+    "b-kills-radical": induced_invariant(
+        "b-kills-radical", b_form=lambda obj: bump_form(obj.b_form, 0, 2)),
+    "d-radical-slot": induced_invariant(
+        "d-radical-slot", d_form=lambda obj: bump_form(obj.d_form, 0, 2)),
+    # A*_xi xi gains an E1 part
+    "radical-shape-kills-radical": induced_invariant(
+        "radical-shape-kills-radical",
+        shape_rad=lambda obj: bump_form(obj.shape_rad, 2, 0)),
+    # A*_xi E1 and A_N E1 gain a xi part
+    "radical-shape-screen-valued": induced_invariant(
+        "radical-shape-screen-valued",
+        shape_rad=lambda obj: bump_form(obj.shape_rad, 0, 2)),
+    "n-shape-screen-valued": induced_invariant(
+        "n-shape-screen-valued", shape_n=lambda obj: bump_form(obj.shape_n, 0, 2)),
+    "l-shape-duality": induced_invariant(
+        "l-shape-duality", rho=lambda obj: bump_form(obj.rho, 0)),
     "radical-shape-self-adjoint": induced_invariant(
         "radical-shape-self-adjoint",
         shape_rad=lambda obj: bump_form(obj.shape_rad, 1, 0)),
@@ -438,6 +461,18 @@ SUFFIXES = {
         "; the residual at (E1) is 1, 1 of 3 components nonzero",
     "screen-phi-invariance":
         "; the residual at (E) is 1, 1 of 5 components nonzero",
+    "induced-torsion-free":
+        "; the residual at (E1, E2, E1) is 1, 2 of 27 components nonzero",
+    "b-symmetric": "; the residual at (E1, E2) is 1, 2 of 9 components nonzero",
+    "d-symmetric": "; the residual at (E1, E2) is 1, 2 of 9 components nonzero",
+    "b-kills-radical": "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "d-radical-slot": "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "radical-shape-kills-radical":
+        "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "radical-shape-screen-valued":
+        "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "n-shape-screen-valued": "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "l-shape-duality": "; the residual at (E1) is -1, 1 of 3 components nonzero",
     "radical-shape-self-adjoint":
         "; the residual at (E1, E2) is -1, 2 of 9 components nonzero",
     "b-from-radical-shape":
@@ -550,9 +585,9 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
 CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it"}
 
 # the structure axioms, the half lightlike splitting, the ascreen
-# conditions and the twin geometry of thm-1.1 and eq-2.11
+# conditions, the induced objects and the twin geometry of thm-1.1 and eq-2.11
 GUARDED_ANCHORS = ("sec-2-structure", "sec-2-splitting", "sec-2-ascreen",
-                   "eq-2.11", "thm-1.1")
+                   "sec-2-induced", "eq-2.11", "thm-1.1")
 
 
 def catalog_section(anchor):
