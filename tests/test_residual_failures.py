@@ -148,16 +148,18 @@ def induced_invariant(name, **changes):
     return case
 
 
+def structure_transfer(name, **changes):
+    """The structure-transfer entry name with the worked induced objects
+    changed."""
+    def case(geo):
+        obj = induced_with(geo, **{k: fn(geo.induced) for k, fn in changes.items()})
+        return entry_named(ascreen_f0_entries(geo.frame, obj, geo.mu), name)
+    return case
+
+
 def skewed_induced_connection(obj):
     # nabla_{T_0} T_0 gains a T_0 part
     return bump_form(obj.gamma, 0, 0, 0)
-
-
-def screen_phi_parallel(geo):
-    # nabla*_{T_0} T_0 gains a T_1 part
-    obj = induced_with(geo, screen_gamma=bump_form(geo.induced.screen_gamma, 0, 0, 1))
-    return entry_named(ascreen_f0_entries(geo.frame, obj, geo.mu),
-                       "screen-phi-parallel")
 
 
 def gauss_relation(geo):
@@ -388,7 +390,33 @@ CASES = {
     "tau-closed": induced_invariant(
         "tau-closed",
         tau=lambda obj: MultilinearForm(obj.tau.frame, 1, (ONE,) + obj.tau.entries[1:])),
-    "screen-phi-parallel": screen_phi_parallel,
+    "n-shape-from-radical-shape": structure_transfer(
+        "n-shape-from-radical-shape", shape_n=lambda obj: bump_form(obj.shape_n, 0, 0)),
+    "l-shape-from-radical-shape": structure_transfer(
+        "l-shape-from-radical-shape", shape_l=lambda obj: bump_form(obj.shape_l, 0, 0)),
+    "d-from-b": structure_transfer(
+        "d-from-b", d_form=lambda obj: bump_form(obj.d_form, 0, 0)),
+    "c-from-b": structure_transfer(
+        "c-from-b", c_form=lambda obj: bump_form(obj.c_form, 0, 0)),
+    "tau-vanishes": structure_transfer(
+        "tau-vanishes", tau=lambda obj: bump_form(obj.tau, 0)),
+    "phi-form-vanishes": structure_transfer(
+        "phi-form-vanishes", phi_form=lambda obj: bump_form(obj.phi_form, 0)),
+    "rho-vanishes": structure_transfer(
+        "rho-vanishes", rho=lambda obj: bump_form(obj.rho, 0)),
+    # nabla*_{T_0} T_0 gains a T_1 part
+    "screen-phi-parallel": structure_transfer(
+        "screen-phi-parallel",
+        screen_gamma=lambda obj: bump_form(obj.screen_gamma, 0, 0, 1)),
+    "radical-shape-phi-commute": structure_transfer(
+        "radical-shape-phi-commute",
+        shape_rad=lambda obj: bump_form(obj.shape_rad, 0, 0)),
+    "n-shape-phi-commute": structure_transfer(
+        "n-shape-phi-commute", shape_n=lambda obj: bump_form(obj.shape_n, 0, 0)),
+    "l-shape-phi-commute": structure_transfer(
+        "l-shape-phi-commute", shape_l=lambda obj: bump_form(obj.shape_l, 0, 0)),
+    "b-phi-antisymmetry": structure_transfer(
+        "b-phi-antisymmetry", b_form=lambda obj: bump_form(obj.b_form, 0, 0)),
     "gauss-relation": gauss_relation,
     "curvature-from-shape-terms": curvature_form_15,
     "b-derivative-balance": codazzi_16,
@@ -487,8 +515,25 @@ SUFFIXES = {
         "; the residual at (E1, E1, E1) is -2, 1 of 27 components nonzero",
     "tau-closed":
         "; the residual at (E1, xi) is 2*mu, 2 of 9 components nonzero",
+    "n-shape-from-radical-shape":
+        "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "l-shape-from-radical-shape":
+        "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "d-from-b": "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "c-from-b": "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "tau-vanishes": "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "phi-form-vanishes": "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    "rho-vanishes": "; the residual at (E1) is 1, 1 of 3 components nonzero",
     "screen-phi-parallel":
         "; the residual at (E1, E1, E1) is 1, 2 of 27 components nonzero",
+    "radical-shape-phi-commute":
+        "; the residual at (E1, E2) is -1, 2 of 9 components nonzero",
+    "n-shape-phi-commute":
+        "; the residual at (E1, E2) is -1, 2 of 9 components nonzero",
+    "l-shape-phi-commute":
+        "; the residual at (E1, E2) is -1, 2 of 9 components nonzero",
+    "b-phi-antisymmetry":
+        "; the residual at (E1, E1) is 1, 2 of 9 components nonzero",
     "gauss-relation":
         "; the residual at (E1, E2, E1, E2) is -1, 1 of 81 components nonzero",
     "curvature-from-shape-terms":
@@ -585,9 +630,11 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
 CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it"}
 
 # the structure axioms, the half lightlike splitting, the ascreen
-# conditions, the induced objects and the twin geometry of thm-1.1 and eq-2.11
+# conditions, the induced objects, the structure transfer of eq-2.7 to
+# eq-2.10 and sec-2-commuting, and the twin geometry of thm-1.1 and eq-2.11
 GUARDED_ANCHORS = ("sec-2-structure", "sec-2-splitting", "sec-2-ascreen",
-                   "sec-2-induced", "eq-2.11", "thm-1.1")
+                   "sec-2-induced", "eq-2.7", "eq-2.8", "eq-2.9", "eq-2.10",
+                   "sec-2-commuting", "eq-2.11", "thm-1.1")
 
 
 def catalog_section(anchor):

@@ -541,6 +541,55 @@ def test_solve_combination_rejects_targets_outside_a_dependent_span(target, basi
         solve_combination(target, *basis)
 
 
+# Half the drawn components vanish, so dependent bases and targets outside
+# the span turn up often.
+SPARSE_ENTRIES = st.one_of(st.just(ZERO), st.sampled_from(SOLVER_ENTRIES))
+
+
+@given(data=st.data(), arity=st.integers(1, 2), k=st.integers(1, 3),
+       dependent=st.booleans(), bump=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_solve_combination_against_the_minor_oracle(data, arity, k, dependent, bump):
+    """InconsistentSystem exactly when the target lies outside the span of
+    the basis, UnderdeterminedSystem exactly when it lies inside the span
+    of a dependent basis, and otherwise coefficients that rebuild the
+    target table exactly."""
+    size = F3.dimension ** arity
+
+    def table():
+        return MultilinearForm(F3, arity, tuple(data.draw(
+            st.lists(SPARSE_ENTRIES, min_size=size, max_size=size))))
+
+    def combination(tables, coeffs):
+        return sum((t.scale(c) for t, c in zip(tables, coeffs)),
+                   MultilinearForm.zero(F3, arity))
+
+    def scalars(n):
+        return data.draw(st.lists(st.sampled_from(SOLVER_ENTRIES), min_size=n, max_size=n))
+
+    basis = [table() for _ in range(k)]
+    if dependent and k > 1:
+        basis[-1] = combination(basis[:-1], scalars(k - 1))
+    target = combination(basis, scalars(k))
+    if bump:
+        at = data.draw(st.integers(0, size - 1))
+        moved = list(target.entries)
+        moved[at] = moved[at] + data.draw(st.sampled_from(SOLVER_ENTRIES[1:]))
+        target = MultilinearForm(F3, arity, tuple(moved))
+    a = [[b.entries[off] for b in basis] for off in range(size)]
+    rank_a = largest_nonzero_minor(a)
+    in_span = rank_a == largest_nonzero_minor(
+        [row + [t] for row, t in zip(a, target.entries)])
+    if not in_span:
+        with pytest.raises(InconsistentSystem):
+            solve_combination(target, *basis)
+    elif rank_a < k:
+        with pytest.raises(UnderdeterminedSystem):
+            solve_combination(target, *basis)
+    else:
+        assert combination(basis, solve_combination(target, *basis)) == target
+
+
 @given(st.integers(-5, 5), st.integers(-5, 5))
 def test_solve_affine_particular_solution(s, t):
     """One solution of an underdetermined system, its free variable zero."""
