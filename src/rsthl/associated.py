@@ -32,8 +32,8 @@ from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
     curvature_product,
-    determinant,
     outer,
+    rank,
 )
 
 
@@ -129,7 +129,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
             (f.restrict(gt.apply(n1)), f.restrict(gt.apply(n2))), (zero_form, zero_form),
             "both normals are g~-orthogonal to the tangent space")),
         ("twin-metric-nondegenerate", "thm-1.1", lambda: (
-            not determinant(gt_form.rows()).is_zero(), True,
+            rank(gt_form.rows()) == f.tangent_frame.dimension, True,
             "the twin metric restricts without kernel to the tangent space")),
     ), (
         ("twin-splitting-orthogonal", "thm-1.1", lambda: (

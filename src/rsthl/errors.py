@@ -14,7 +14,7 @@ class ScalarParseError(GeometryError):
 
 
 class ScalarDomainError(GeometryError):
-    """Division by zero, evaluation at a pole, or a malformed scalar."""
+    """Division by zero, a negative power of zero, or a malformed scalar."""
 
 
 class DegenerateMetric(GeometryError):
@@ -35,7 +35,8 @@ class InvalidFrame(GeometryError):
 
 
 class MuZero(GeometryError):
-    """The scalar mu extracted from the frame vanishes."""
+    """``example47`` was asked for at mu = 0.  A model whose frame gives
+    mu = 0 fails its radical-phi-image entry instead."""
 
 
 class ModelError(GeometryError):

@@ -69,7 +69,7 @@ class InvariantMetric:
     def __init__(self, form: MultilinearForm):
         if form.arity != 2:
             raise ValueError("a metric is an arity-2 form")
-        if not form.is_symmetric():
+        if form != form.permute((1, 0)):
             raise ValueError("a metric must be symmetric")
         self.form = form
         try:

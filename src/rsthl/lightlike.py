@@ -36,12 +36,11 @@ from .tensors import (
     MultilinearForm,
     compose,
     curvature_product,
-    determinant,
     matrix_inverse,
     onto_frame,
     outer,
     rank,
-    solve_affine,
+    solve,
     solve_combination,
 )
 
@@ -65,7 +64,7 @@ def solve_transversal(g: InvariantMetric, screen: tuple[MultilinearForm, ...],
     """
     rows = [g.form.apply(w).entries for w in (*screen, l_vec, rad)]
     rhs = [ZERO] * (len(screen) + 1) + [ONE]
-    n0 = MultilinearForm(g.form.frame, 1, solve_affine(rows, rhs))
+    n0 = MultilinearForm(g.form.frame, 1, solve(rows, rhs)[0])
     t = g.form.value(n0, n0) * -HALF
     return n0 + rad.scale(t)
 
@@ -172,12 +171,8 @@ class SubmanifoldFrame:
         return onto_frame(form.pull_all(self.embedding), self.tangent_frame)[0]
 
     @property
-    def dim(self) -> int:
-        return self.tangent_frame.dimension
-
-    @property
     def radical_index(self) -> int:
-        return self.dim - 1
+        return self.tangent_frame.dimension - 1
 
     def radical_tangent(self) -> MultilinearForm:
         return self.tangent_frame.basis_vector(self.radical_index)
@@ -263,7 +258,7 @@ def frame_conditions(f: SubmanifoldFrame) -> tuple:
             f.induced_form.cell(f.radical_index), zero_form,
             "the radical direction is orthogonal to the whole tangent space")),
         ("screen-nondegeneracy", anchor, lambda: (
-            not determinant([row[:-1] for row in f.induced_form.rows()[:-1]]).is_zero(),
+            rank([row[:-1] for row in f.induced_form.rows()[:-1]]) == len(f.screen),
             True, "the induced metric restricts without kernel to the screen")),
         # L is a unit normal: g(L, L) = +-1 and g(L, T_a) = 0
         ("transversal-normalization", anchor, lambda: (
@@ -355,7 +350,8 @@ class InducedObjects:
 
     @cached_property
     def cd_b(self) -> MultilinearForm:
-        return covariant_derivative(self.gamma, self.b_form)
+        """(nabla_X B)(Y, Z); for invariant data only the connection terms survive."""
+        return derivation_action(self.gamma, self.b_form)
 
     @cached_property
     def cd_b_phi(self) -> MultilinearForm:
@@ -364,7 +360,7 @@ class InducedObjects:
 
     @cached_property
     def cd_d(self) -> MultilinearForm:
-        return covariant_derivative(self.gamma, self.d_form)
+        return derivation_action(self.gamma, self.d_form)
 
 
 def gauss_weingarten(f: SubmanifoldFrame, ambient_gamma: MultilinearForm) -> InducedObjects:
@@ -547,17 +543,6 @@ def screen_umbilical_entries(f: SubmanifoldFrame, obj: InducedObjects,
             compare("b-umbilic-multiple", "eq-17", obj.b_form,
                     f.induced_form.scale(-(mu * mu * gamma * 2)),
                     "B(X, Y) = -2 mu^2 gamma g(X, Y)")]
-
-
-def covariant_derivative(gamma: MultilinearForm, form: MultilinearForm) -> MultilinearForm:
-    """Derivative table (direction, slot 1, slot 2) of a bilinear form.
-
-    For invariant data the scalar derivative term drops out and only the
-    connection terms survive.
-    """
-    if form.arity != 2:
-        raise ValueError("only bilinear forms are differentiated here")
-    return derivation_action(gamma, form)
 
 
 def gauss_relation_entry(f: SubmanifoldFrame, obj: InducedObjects,

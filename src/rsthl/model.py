@@ -153,6 +153,10 @@ def model_from_json_obj(obj) -> ModelFile:
         frame = Frame(tuple(labels))
     except ValueError as exc:
         raise ModelError("frame.labels", str(exc)) from exc
+    for label in labels:  # _pair_cells splits each key at "," and strips it
+        if "," in label or label != label.strip():
+            raise ModelError("frame.labels",
+                             f"label {label!r} cannot be named in an 'A,B' key")
     dim = frame.dimension
 
     parameters = tuple(_expect_string_list(top.get("parameters", []), "parameters"))

@@ -114,10 +114,6 @@ class CheckReport:
     def __init__(self, entries: Optional[list[CheckEntry]] = None):
         self.entries = [] if entries is None else entries
 
-    def extend(self, entries) -> None:
-        for e in entries:
-            self.entries.append(e)
-
     @property
     def ok(self) -> bool:
         return all(e.status != FAIL for e in self.entries)

@@ -480,13 +480,13 @@ def run_suite(model: ModelFile, suite: str = "all") -> report.CheckReport:
     reports = suite != "theorem46"
     st = _ambient_stage(geo, reports)
     if reports:
-        rep.extend(st.entries)
+        rep.entries.extend(st.entries)
     if suite == "ambient":
         return rep
     st = _submanifold_stage(geo, st.blocker, reports)
     if reports:
-        rep.extend(st.entries)
+        rep.entries.extend(st.entries)
     if suite == "submanifold":
         return rep
-    rep.extend(_theorem_stage(geo, st.blocker).entries)
+    rep.entries.extend(_theorem_stage(geo, st.blocker).entries)
     return rep

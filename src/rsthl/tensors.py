@@ -45,11 +45,12 @@ the first two slots and ``at`` fixes the first slot at a frame vector.
 
 Only this module eliminates or solves.  One Gauss-Jordan reduction,
 pivoting on the nonzero entry with the fewest terms, serves the rank,
-the determinant (the signed product of the pivots) and every solver.
-Each coefficient of one table over others (the umbilicity factors, the
-Einstein constants, the sectional invariants) is one
-``solve_combination``: k basis tables are fitted on the first k offsets
-that raise the rank, and one whole-table comparison checks the rest.
+the inverse and the one solver, ``solve``, which returns the solution
+whose free variables are zero together with the rank.  Each coefficient
+of one table over others (the umbilicity factors, the Einstein
+constants, the sectional invariants) is one ``solve_combination``: one
+solve over every offset where some table is nonzero, unique when the
+rank is the number of basis tables.
 """
 
 from __future__ import annotations
@@ -311,11 +312,6 @@ class MultilinearForm:
     def is_zero(self) -> bool:
         return not self.nonzero
 
-    def is_symmetric(self) -> bool:
-        if self.arity != 2:
-            raise ValueError("symmetry test is for arity 2")
-        return self == self.permute((1, 0))
-
     def permute(self, order: Sequence[int]) -> "MultilinearForm":
         """The table whose entry at (i_0, ..., i_(k-1)) is this table's
         entry at (i_order[0], ..., i_order[k-1]).
@@ -386,9 +382,6 @@ class MultilinearForm:
     def trace(self) -> RationalFunction:
         """The trace of an operator."""
         return sum((self.entry(i, i) for i in range(self.frame.dimension)), ZERO)
-
-    def rank(self) -> int:
-        return rank(self.rows())
 
 
 def _same_frame(a, b):
@@ -508,16 +501,14 @@ def curvature_product(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm
 
 def _reduce(rows: list[list[RationalFunction]], ncols: int):
     """Gauss-Jordan reduction in place, pivots only in the first ncols
-    columns: (rows, pivot column list, determinant of a square part).
+    columns: (rows, pivot column list).
 
     A column's pivot is its nonzero entry with the fewest terms at or
     below the next pivot row; that row moves up, is divided by it and
     clears the column in every other row that is nonzero there.  Row r
-    ends with a 1 in column pivots[r].  The determinant is the signed
-    product of the pivots, 0 when a column has none."""
+    ends with a 1 in column pivots[r]."""
     nrows = len(rows)
     pivots = []
-    det = ONE
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -528,14 +519,10 @@ def _reduce(rows: list[list[RationalFunction]], ncols: int):
             if not x.is_zero() and (best is None or x.terms() < fewest):
                 best, fewest = i, x.terms()
         if best is None:
-            det = ZERO
             continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-            det = -det
+        rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
         pivot = prow[c]
-        det = det * pivot
         width = range(c + 1, len(prow))
         for j in width:
             if not prow[j].is_zero():
@@ -552,7 +539,7 @@ def _reduce(rows: list[list[RationalFunction]], ncols: int):
             row[c] = ZERO
         pivots.append(c)
         r += 1
-    return rows, pivots, det
+    return rows, pivots
 
 
 def rank(rows: Sequence[Sequence[RationalFunction]]) -> int:
@@ -561,37 +548,20 @@ def rank(rows: Sequence[Sequence[RationalFunction]]) -> int:
     return len(_reduce([list(r) for r in rows], ncols)[1])
 
 
-def determinant(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
-    """The determinant, the signed product of the pivots; 1 for the empty
-    matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    return _reduce([list(r) for r in rows], n)[2]
-
-
-def _particular(a_rows, b) -> tuple[tuple[RationalFunction, ...], int]:
+def solve(
+    a_rows: Sequence[Sequence[RationalFunction]],
+    b: Sequence[RationalFunction],
+) -> tuple[tuple[RationalFunction, ...], int]:
     """The solution of A x = b whose free variables are zero, and the rank
     of A; raises InconsistentSystem when there is none."""
     n = len(a_rows[0])
-    red, pivots, _ = _reduce([list(row) + [bv] for row, bv in zip(a_rows, b)], n)
+    red, pivots = _reduce([list(row) + [bv] for row, bv in zip(a_rows, b)], n)
     if any(not row[n].is_zero() for row in red[len(pivots):]):
         raise InconsistentSystem("linear system has no solution")
     x = [ZERO] * n
     for row, c in zip(red, pivots):
         x[c] = row[n]
     return tuple(x), len(pivots)
-
-
-def solve_unique(
-    a_rows: Sequence[Sequence[RationalFunction]],
-    b: Sequence[RationalFunction],
-) -> tuple[RationalFunction, ...]:
-    """Solve A x = b, demanding exactly one solution."""
-    x, r = _particular(a_rows, b)
-    if r < len(x):
-        raise UnderdeterminedSystem("linear system has a free variable")
-    return x
 
 
 def solve_combination(target: MultilinearForm,
@@ -603,45 +573,27 @@ def solve_combination(target: MultilinearForm,
     UnderdeterminedSystem when the basis is linearly dependent.  Only the
     offsets where some table is nonzero give equations; the others read
     0 = 0 (offset 0 stands in when there is none, so the system keeps
-    its columns).  An independent basis of k tables is solved on the
-    first k offsets that raise the rank, and the whole-table equality of
-    target and combination decides the other offsets: those k equations
-    span all of them, so a consistent system satisfies every one.
+    its columns).  One solve over them decides both: it is inconsistent,
+    or its rank falls short of the number of basis tables.
     """
     for b in basis:
         _same_frame(target, b)
         if b.arity != target.arity:
             raise ValueError("the target and the basis terms differ in size")
     offsets = sorted(set(target.nonzero).union(*(b.nonzero for b in basis))) or [0]
-    rows = [[b.nonzero.get(off, ZERO) for b in basis] for off in offsets]
-    rhs = [target.nonzero.get(off, ZERO) for off in offsets]
-    kept = []
-    for i, row in enumerate(rows):
-        if len(kept) < len(basis) and rank([rows[j] for j in kept] + [row]) > len(kept):
-            kept.append(i)
-    if len(kept) < len(basis):
-        return solve_unique(rows, rhs)
-    coeffs = solve_unique([rows[i] for i in kept], [rhs[i] for i in kept])
-    if target != sum((b.scale(c) for b, c in zip(basis, coeffs)),
-                     MultilinearForm.zero(target.frame, target.arity)):
-        raise InconsistentSystem("linear system has no solution")
+    coeffs, r = solve([[b.nonzero.get(off, ZERO) for b in basis] for off in offsets],
+                      [target.nonzero.get(off, ZERO) for off in offsets])
+    if r < len(basis):
+        raise UnderdeterminedSystem("linear system has a free variable")
     return coeffs
-
-
-def solve_affine(
-    a_rows: Sequence[Sequence[RationalFunction]],
-    b: Sequence[RationalFunction],
-) -> tuple[RationalFunction, ...]:
-    """One solution of A x = b, the one whose free variables are zero."""
-    return _particular(a_rows, b)[0]
 
 
 def matrix_inverse(
     rows: Sequence[Sequence[RationalFunction]],
 ) -> list[list[RationalFunction]]:
     n = len(rows)
-    red, pivots, _ = _reduce([list(row) + [ONE if i == j else ZERO for j in range(n)]
-                              for i, row in enumerate(rows)], n)
+    red, pivots = _reduce([list(row) + [ONE if i == j else ZERO for j in range(n)]
+                           for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         raise DegenerateMetric("matrix is singular")
     return [row[n:] for row in red]

@@ -26,8 +26,7 @@ from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
                              gauss_weingarten, ricci_form_20_entry,
                              semisym_23_entry)
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.structure import (associated_metric, basic_curvature_tensors,
-                             fundamental_tensor)
+from rsthl.structure import basic_curvature_tensors, fundamental_tensor
 from rsthl.suite import decided, run_suite
 from rsthl.tensors import Frame, MultilinearForm
 
@@ -72,7 +71,7 @@ def test_criterion_02_ambient_constant_sectional_form(structure, ambient_r4, pai
 def test_criterion_03_vanishing_fundamental_tensor(brackets, structure, ambient_conn):
     s = structure
     f_tensor = fundamental_tensor(s, ambient_conn)
-    other = levi_civita(brackets, associated_metric(s))
+    other = levi_civita(brackets, s.g_tilde)
     dim = s.frame.dimension
     same = all(
         other.cell(i, j) == ambient_conn.cell(i, j)
@@ -95,7 +94,7 @@ def test_criterion_04_frame_reconstruction_and_certification(
     obj = gauss_weingarten(f, ambient_conn)
     s = structure
     checks = [
-        ("submanifold dimension is 3", f.dim == 3),
+        ("submanifold dimension is 3", f.tangent_frame.dimension == 3),
         ("stored transversal block is absent", sub.n_vec is None),
         ("solved transversal equals (X3 + E)/(2 mu)", f.n_vec == expected_n),
         ("certified factor equals the symbolic parameter", value == MU),
@@ -259,7 +258,7 @@ def test_criterion_09_invariants_beyond_the_worked_model(model, brackets, struct
     geo0 = geodesic_correspondence_entries(assoc0, rep0)
     transfer0 = curvature_transfer_entry(rep0, assoc0, curv0, tcurv0)
     flat0 = umbilical_flatness_entry(rep0, curv0, curvature(conn0, abelian))
-    dim0 = f0.dim
+    dim0 = f0.tangent_frame.dimension
     same_curv = all(
         curv0.table.cell(a, b, c) == tcurv0.table.cell(a, b, c)
         for a in range(dim0) for b in range(dim0) for c in range(dim0))

@@ -235,7 +235,7 @@ def test_flat_variant_collapse_statements(flat):
 
 
 def test_flat_variant_curvature_agrees(flat):
-    m = flat["frame"].dim
+    m = flat["frame"].tangent_frame.dimension
     for a in range(m):
         for b in range(m):
             for c in range(m):

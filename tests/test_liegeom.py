@@ -14,8 +14,9 @@ from rsthl.liegeom import (CurvatureTensor, InvariantMetric, bracket_table,
                            koszul_entries, levi_civita, validate_lie_algebra)
 from rsthl.report import PASS
 from rsthl.scalars import MU, ONE, ZERO, rf
-from rsthl.tensors import Frame, MultilinearForm, determinant
+from rsthl.tensors import Frame, MultilinearForm
 from test_properties import dense_frame, transported
+from test_tensors import leibniz
 
 F3 = Frame(("e1", "e2", "e3"))
 
@@ -170,7 +171,7 @@ def test_invariant_metric_validation():
     g = InvariantMetric.diagonal(F3, (1, -1, MU))
     assert g.form.entry(1, 1) == rf(-1)
     assert g.inverse.entry(2, 2) == ONE / MU
-    assert determinant(g.form.rows()) == -MU
+    assert leibniz(g.form.rows()) == -MU
     eta = g.form.apply(MultilinearForm.from_map(F3, {"e3": 1}))
     assert eta.entries == (ZERO, ZERO, MU)
 

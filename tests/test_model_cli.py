@@ -273,6 +273,21 @@ def edited(changes):
     ({"submanifold.L.Q": 1}, "submanifold.L.Q: unknown frame label"),
     ({"submanifold.N": 1}, "submanifold.N: expected an object"),
     ({"submanifold.N": {"Q": 1}}, "submanifold.N.Q: unknown frame label"),
+    # labels that no "A,B" key can name, rejected before any key is read
+    ({"frame.labels": ["X1", "X,2", "X3", "X4", "E"]},
+     "frame.labels: label 'X,2' cannot be named in an 'A,B' key"),
+    ({"frame.labels": ["X1", " X2", "X3", "X4", "E"]},
+     "frame.labels: label ' X2' cannot be named in an 'A,B' key"),
+    ({"frame.labels": ["X1", "X2", "X3", "X4", "E\t"]},
+     "frame.labels: label 'E\\t' cannot be named in an 'A,B' key"),
+    ({"frame.labels": ["X1", ",", "X1"]},
+     "frame.labels: duplicate frame labels: ('X1', ',', 'X1')"),
+    ({"frame.labels": ["X1", "X,2"], "frame.x": 1}, "frame: unknown key 'x'"),
+    # a superscript digit is no decimal digit
+    ({"metric.X1,X1": "1²"}, "metric.X1,X1: unexpected character '²' (at position 1)"),
+    ({"metric.X1,X1": "mu^²"},
+     "metric.X1,X1: unexpected character '²' (at position 3)"),
+    ({"metric.X1,X1": "²"}, "metric.X1,X1: unexpected character '²' (at position 0)"),
 ])
 def test_model_error_corpus(changes, message):
     """Each malformed model is rejected with exactly this path and message."""
@@ -302,8 +317,10 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
         calls[key] = 0
         monkeypatch.setattr(owner, attr, counted)
 
-    count(structure, "associated_metric", "associated_metric")
-    count(lightlike, "covariant_derivative", "covariant_derivative")
+    count(structure.ACBMStructure.g_tilde, "func", "g_tilde")
+    # B and D, each differentiated once
+    count(lightlike.InducedObjects.cd_b, "func", "covariant_derivative")
+    count(lightlike.InducedObjects.cd_d, "func", "covariant_derivative")
     count(liegeom.CurvatureTensor.ricci_action, "func", "ricci_action")
     count(lightlike.SubmanifoldFrame.phi_pairing, "func", "phi_pairing")
     count(lightlike.SubmanifoldFrame, "__init__", "frame")
@@ -322,7 +339,7 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     count(suite, "basic_curvature_tensors", "curvature_basis")
     run_suite(model, "all")
     # proportionality_factor: b, d and c against g, then h1 and h2 against g~
-    assert calls == {"associated_metric": 1, "covariant_derivative": 2,
+    assert calls == {"g_tilde": 1, "covariant_derivative": 2,
                      "ricci_action": 2, "phi_pairing": 1, "frame": 1,
                      "proportionality_factor": 5, "adapted_inverse": 2, "split": 9,
                      "curvature_basis": 1, "fit_solve": 3}

@@ -21,10 +21,10 @@ from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import Geometry, run_suite
-from rsthl.tensors import (Frame, MultilinearForm, determinant, matrix_inverse,
-                           solve_unique)
+from rsthl.tensors import Frame, MultilinearForm, matrix_inverse, solve
 
 from conftest import replaced
+from test_tensors import leibniz
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,7 +222,7 @@ def dense_frame(seed):
     rng = random.Random(seed)
     while True:
         p = [[rf(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
-        if not determinant(p).is_zero():
+        if not leibniz(p).is_zero():
             return p
 
 
@@ -265,7 +265,7 @@ def assert_splits_reconstruct(geo):
     twin_pair = twin_normals(geo)
     splittings = ((f.splitting, (f.n_vec, f.l_vec)),
                   (Splitting(f, twin_pair), twin_pair))
-    m = f.dim
+    m = f.tangent_frame.dimension
     for table in (geo.conn, geo.model.brackets, geo.model.phi,
                   geo.curv.table):
         want = [table.apply(*args)
@@ -287,13 +287,13 @@ def split_by_cells(transversals, f, table):
     """The reference split: each tangent tuple substituted vector by
     vector, each value solved over the adapted basis (tangent vectors,
     then the two transversals)."""
-    m = f.dim
+    m = f.tangent_frame.dimension
     basis = f.tangent_vectors + transversals
     a_rows = [[v.entry(i) for v in basis] for i in range(len(basis))]
     cells = [table]
     for _ in range(table.arity - 1):
         cells = [t.apply(v) for t in cells for v in f.tangent_vectors]
-    rows = [solve_unique(a_rows, cell.entries) for cell in cells]
+    rows = [solve(a_rows, cell.entries)[0] for cell in cells]
     tf = f.tangent_frame
     return (MultilinearForm(tf, table.arity, tuple(c for row in rows for c in row[:m])),
             *(MultilinearForm(tf, table.arity - 1, tuple(row[k] for row in rows))

@@ -19,8 +19,7 @@ from rsthl import suite
 from rsthl.associated import (build_associated, tilde_form_21_entry,
                               tilde_relation_13_entry, tilde_ricci_14_entry,
                               umbilical_flatness_entry)
-from rsthl.builtin import (_anti_compatible, _factor_j,
-                           _matches_expected_table, factor_algebra)
+from rsthl import builtin
 from rsthl.cli import main
 from rsthl.liegeom import CurvatureTensor, InvariantMetric, bracket_table, curvature
 from rsthl.lightlike import (SubmanifoldFrame, ascreen_f0_entries,
@@ -251,21 +250,6 @@ def associated_twist(geo):
     return associated_compat_entry(doubled_phi(geo.structure))
 
 
-ALTERNATING = (1, -1, 1, -1)
-
-
-def factor_table(geo):
-    alg = factor_algebra()
-    return _matches_expected_table(
-        alg, InvariantMetric.diagonal(alg.frame, ALTERNATING))
-
-
-def factor_anti_compatibility(geo):
-    frame = factor_algebra().frame
-    return _anti_compatible(InvariantMetric.diagonal(frame, ALTERNATING),
-                            _factor_j(frame))
-
-
 CASES = {
     "radical-isotropy": frame_condition(
         "radical-isotropy", rad=lambda geo: vector(geo, {"X3": 1})),
@@ -441,8 +425,6 @@ CASES = {
         "xi-unit", lambda s: ACBMStructure(s.frame, s.phi, s.xi_bar.scale(2),
                                            s.eta_bar, s.metric)),
     "associated-metric-twist": associated_twist,
-    "factor-table": factor_table,
-    "factor-anti-compatibility": factor_anti_compatibility,
 }
 
 
@@ -569,10 +551,6 @@ SUFFIXES = {
     "xi-unit": "; the residual is 3",
     "associated-metric-twist":
         "; the residual at (X1, X1) is -3, 4 of 25 components nonzero",
-    "factor-table":
-        "; the residual at (X1, X2, X4) is -2, 7 of 64 components nonzero",
-    "factor-anti-compatibility":
-        "; the residual at (X1, X1) is 2, 4 of 16 components nonzero",
 }
 
 
@@ -582,6 +560,26 @@ def test_perturbed_input_fails_the_check(name, geometry):
     assert entry.status == FAIL
     _, sep, residual = entry.detail.partition("; the residual")
     assert sep + residual == SUFFIXES[name]
+
+
+@pytest.mark.parametrize("second, verdicts", [
+    ((1, -1, 1, -1), "table=False, anti-compatibility=False"),
+    # anti-commutes with J, and the connection table moves
+    ((1, -1, -1, 1), "table=False, anti-compatibility=True"),
+], ids=["alternating", "table-only"])
+def test_factor_signature_decides_each_comparison(monkeypatch, second, verdicts):
+    """The detail of factor-signature carries the table and the
+    anti-compatibility verdict of each candidate, each decided on its own."""
+    first = builtin.SIGN_CANDIDATES[0]
+    monkeypatch.setattr(builtin, "SIGN_CANDIDATES", (first, second))
+    builtin.factor_signature_entry.cache_clear()
+    try:
+        entry = builtin.factor_signature_entry()
+    finally:
+        builtin.factor_signature_entry.cache_clear()
+    assert (entry.status, entry.detail) == (
+        PASS, f"signs {first}: table=True, anti-compatibility=True; "
+        f"signs {second}: {verdicts}")
 
 
 def test_twin_ricci_transfer_reads_the_tau_terms(geometry):

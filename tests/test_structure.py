@@ -8,13 +8,14 @@ from rsthl.liegeom import InvariantMetric, levi_civita
 from rsthl.model import model_from_json_obj
 from rsthl.scalars import ONE, ZERO, rf
 from rsthl.structure import (ACBMStructure, associated_compat_entry,
-                             associated_metric, basic_curvature_tensors,
+                             basic_curvature_tensors,
                              constant_curvature_residual, fundamental_tensor,
                              metric_signature_entry, validate_acbm)
 from rsthl.suite import Geometry, run_suite
-from rsthl.tensors import Frame, MultilinearForm, determinant
+from rsthl.tensors import Frame, MultilinearForm
 from conftest import replaced
 from test_properties import reeb_sheared
+from test_tensors import leibniz
 
 
 def operator(frame, columns):
@@ -107,7 +108,7 @@ def test_wrong_signature_is_reported(model):
 
 def test_associated_metric_values(structure):
     s = structure
-    gt = associated_metric(s).form
+    gt = s.g_tilde.form
     frame = s.frame
     x1, x2, x3, x4, e = (frame.index(l) for l in ("X1", "X2", "X3", "X4", "E"))
     assert gt.entry(x1, x3) == rf(-1)
@@ -119,7 +120,7 @@ def test_associated_metric_values(structure):
         assert gt.entry(i, e) == ZERO
     assert gt.entry(x1, x2) == ZERO
     # the twin pairing is nondegenerate
-    assert determinant(gt.rows()) == ONE
+    assert leibniz(gt.rows()) == ONE
 
 
 def test_associated_compat_entry(structure):
@@ -134,7 +135,7 @@ def test_fundamental_tensor_vanishes(structure, ambient_conn):
 
 
 def test_twin_connection_coincides(brackets, structure, ambient_conn):
-    gt = associated_metric(structure)
+    gt = structure.g_tilde
     twin_conn = levi_civita(brackets, gt)
     dim = structure.frame.dimension
     for i in range(dim):
