@@ -14,8 +14,8 @@ from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
                              ascreen_f0_entries, certify_ascreen_rsthl,
                              codazzi_16_entry, curvature_form_15_entry,
                              curvature_form_19_entry, frame_conditions,
-                             gamma_identity_18_entry,
-                             gauss_relation_entry, induced_invariant_entries,
+                             gamma_identity_18_entry, gauss_relation_entry,
+                             induced_invariant_entries,
                              nu_tilde_vanishes_entry, proportionality_factor,
                              ricci_form_20_entry, ricci_symmetric_entry,
                              screen_umbilical_entries, semisym_23_entry,
