@@ -16,17 +16,19 @@ import pytest
 
 import test_properties
 from rsthl import suite
-from rsthl.associated import (build_associated, tilde_form_21_entry,
-                              tilde_relation_13_entry, tilde_ricci_14_entry,
-                              umbilical_flatness_entry)
+from rsthl.associated import (build_associated, semisym_24_entry,
+                              tilde_form_21_entry, tilde_relation_13_entry,
+                              tilde_ricci_14_entry, umbilical_flatness_entry)
 from rsthl import builtin
 from rsthl.cli import main
 from rsthl.liegeom import CurvatureTensor, InvariantMetric, bracket_table, curvature
 from rsthl.lightlike import (SubmanifoldFrame, ascreen_f0_entries,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
-                             frame_conditions, gauss_relation_entry,
-                             induced_invariant_entries)
+                             frame_conditions, gamma_identity_18_entry,
+                             gauss_relation_entry, induced_invariant_entries,
+                             nu_tilde_vanishes_entry, ricci_form_20_entry,
+                             semisym_23_entry)
 from rsthl.report import FAIL, PASS
 from rsthl.scalars import HALF, ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair,
@@ -176,6 +178,30 @@ def curvature_form_15(geo):
 def codazzi_16(geo):
     pair = CurvaturePair(geo.pair.nu + 1, geo.pair.nu_tilde)
     return codazzi_16_entry(geo.frame, geo.induced, pair, geo.mu)
+
+
+def twisted_sectional(geo):
+    return nu_tilde_vanishes_entry(CurvaturePair(geo.pair.nu, geo.pair.nu_tilde + 1))
+
+
+def gamma_identity_18(geo):
+    pair = CurvaturePair(geo.pair.nu + 1, geo.pair.nu_tilde)
+    return gamma_identity_18_entry(geo.induced, geo.frame, pair, geo.gamma, geo.mu)
+
+
+def ricci_form_20(geo):
+    return ricci_form_20_entry(geo.frame, bump_form(geo.curv_ind.ricci, 0, 0),
+                               geo.pair, geo.gamma, geo.mu, geo.structure.n)
+
+
+def semisym_23(geo):
+    return semisym_23_entry(geo.frame, bump_curvature(geo.curv_ind), geo.pair,
+                            geo.gamma, geo.mu, geo.structure.n)
+
+
+def semisym_24(geo):
+    return semisym_24_entry(geo.frame, bump_curvature(geo.tcurv), geo.pair,
+                            geo.gamma, geo.mu, geo.structure.n)
 
 
 def curvature_form_19(geo):
@@ -404,7 +430,12 @@ CASES = {
     "gauss-relation": gauss_relation,
     "curvature-from-shape-terms": curvature_form_15,
     "b-derivative-balance": codazzi_16,
+    "twisted-sectional-vanishes": twisted_sectional,
+    "umbilic-factor-identity": gamma_identity_18,
     "umbilic-curvature-form": curvature_form_19,
+    "umbilic-ricci-form": ricci_form_20,
+    "ricci-action-closed-form": semisym_23,
+    "twin-ricci-action-closed-form": semisym_24,
     "twin-curvature-transfer": tilde_relation_13,
     "twin-ricci-transfer": tilde_ricci_14,
     "twin-umbilic-curvature-form": tilde_form_21,
@@ -522,8 +553,16 @@ SUFFIXES = {
         "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
     "b-derivative-balance":
         "; the residual at (E1, xi, E1) is -mu^2, 4 of 27 components nonzero",
+    "twisted-sectional-vanishes": "; the residual is 1",
+    "umbilic-factor-identity": "; the residual is 1",
     "umbilic-curvature-form":
         "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
+    "umbilic-ricci-form":
+        "; the residual at (E1, E1) is 1, 1 of 9 components nonzero",
+    "ricci-action-closed-form":
+        "; the residual at (E1, E2, E1, E2) is 4, 2 of 81 components nonzero",
+    "twin-ricci-action-closed-form":
+        "; the residual at (E1, E2, E1, E1) is -16, 1 of 81 components nonzero",
     "twin-curvature-transfer":
         "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
     "twin-ricci-transfer":
@@ -625,14 +664,20 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
 
 
 # catalogued names that no perturbed input makes fail, each with the reason
-CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it"}
+CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it",
+               "umbilicity": "it names the class the frame is in, and every "
+                             "class passes; the steps that need a class skip"}
 
 # the structure axioms, the half lightlike splitting, the ascreen
 # conditions, the induced objects, the structure transfer of eq-2.7 to
-# eq-2.10 and sec-2-commuting, and the twin geometry of thm-1.1 and eq-2.11
+# eq-2.10 and sec-2-commuting, the twin geometry of thm-1.1 and eq-2.11,
+# and the screen umbilical closed forms of thm-4.4, eq-18, eq-20, eq-23
+# and eq-24; the eq-18 section speaks of the umbilicity factor, so the
+# umbilicity entry of def-3.1 is guarded too
 GUARDED_ANCHORS = ("sec-2-structure", "sec-2-splitting", "sec-2-ascreen",
                    "sec-2-induced", "eq-2.7", "eq-2.8", "eq-2.9", "eq-2.10",
-                   "sec-2-commuting", "eq-2.11", "thm-1.1")
+                   "sec-2-commuting", "eq-2.11", "thm-1.1", "def-3.1", "thm-4.4",
+                   "eq-18", "eq-20", "eq-23", "eq-24")
 
 
 def catalog_section(anchor):

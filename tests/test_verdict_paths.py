@@ -16,8 +16,8 @@ from rsthl import builtin, suite
 from rsthl.builtin import factor_signature_entry
 from rsthl.cli import main
 from rsthl.lightlike import UmbilicityReport
-from rsthl.report import FAIL, PASS, SKIP
-from rsthl.suite import run_suite
+from rsthl.report import FAIL, PASS, SKIP, CheckReport
+from rsthl.suite import SUITES, run_suite
 from rsthl.tensors import outer
 
 from conftest import replaced
@@ -73,21 +73,51 @@ def test_even_dimension_fails_the_structure_axioms(tmp_path, capsys):
     assert sum("(blocked by structure-axioms (fail))" in line for line in lines) == 8
 
 
-def test_failed_sectional_fit_skips_what_reads_it(model, monkeypatch):
-    with_value(monkeypatch, sectional=(None, "no fit"))
-    assert outcomes(run_suite(model)) == {
-        "sectional-fit": (FAIL, "no fit"),
-        "constant-curvature-form": (SKIP, NO_PAIR),
-        **{n: (SKIP, NO_PAIR) for n in PAIR_READERS + GAMMA_READERS + THEOREM}}
+def full_report_sliced(model, suite_name):
+    """The ``all`` report of model, once the suite has reported its slice
+    of it, details included: the ambient entries, all but the theorem's
+    six, or those six."""
+    full = run_suite(model).entries
+    got = run_suite(model, suite_name).entries
+    want = {"ambient": full[:len(got)], "submanifold": full[:-6],
+            "theorem46": full[-6:], "all": full}[suite_name]
+    assert CheckReport(got).to_json() == CheckReport(want).to_json()
+    return CheckReport(full)
 
 
-def test_screen_that_is_not_umbilical_skips_what_reads_gamma(
-        model, geometry, monkeypatch):
+def not_umbilical(geometry):
+    """The worked umbilicity report with C moved off the screen umbilical
+    class."""
     obj = replaced(geometry.induced, c_form=bump_form(geometry.induced.c_form, 0, 0))
     rep = UmbilicityReport(geometry.frame, obj)
     assert rep.gamma_screen is None
-    with_value(monkeypatch, umbilicity=rep)
-    got = run_suite(model)
+    return rep
+
+
+@pytest.mark.parametrize("umbilical", [True, False], ids=["umbilical", "not-umbilical"])
+@pytest.mark.parametrize("suite_name", SUITES)
+def test_failed_sectional_fit_skips_what_reads_it(model, geometry, monkeypatch,
+                                                  suite_name, umbilical):
+    """Every reader of the sectional invariants skips naming them, also
+    where the screen umbilicity factor is missing too: the pair is the
+    first hypothesis of each closed form that reads both."""
+    with_value(monkeypatch, sectional=(None, "no fit"))
+    no_gamma = {}
+    if not umbilical:
+        with_value(monkeypatch, umbilicity=not_umbilical(geometry))
+        no_gamma = {n: (SKIP, NO_GAMMA) for n in ("n-shape-umbilic", "b-umbilic-multiple")}
+    assert outcomes(full_report_sliced(model, suite_name)) == {
+        "sectional-fit": (FAIL, "no fit"),
+        "constant-curvature-form": (SKIP, NO_PAIR),
+        **no_gamma,
+        **{n: (SKIP, NO_PAIR) for n in PAIR_READERS + GAMMA_READERS + THEOREM}}
+
+
+@pytest.mark.parametrize("suite_name", SUITES)
+def test_screen_that_is_not_umbilical_skips_what_reads_gamma(
+        model, geometry, monkeypatch, suite_name):
+    with_value(monkeypatch, umbilicity=not_umbilical(geometry))
+    got = full_report_sliced(model, suite_name)
     assert outcomes(got) == {
         "n-shape-umbilic": (SKIP, NO_GAMMA), "b-umbilic-multiple": (SKIP, NO_GAMMA),
         **{n: (SKIP, NO_GAMMA) for n in GAMMA_READERS},
