@@ -8,12 +8,14 @@ up to the last one it reports and builds only the geometry their steps
 read.
 
 Every step has one form, ``_Stage.run(name, anchor, reads, build,
-blocks)``: ``reads()`` returns the geometry the step reads, and
+blocks, names)``: ``reads()`` returns the geometry the step reads, and
 ``build(*values)`` returns its entry, its entries or a stage of its own.
 Geometry exceptions never escape a stage; they become failing entries,
 and the steps whose inputs are gone report one skipped entry each,
-naming the first failing entry that blocked them.  The frame, ascreen
-and twin conditions are the steps of a stage of their own.  Under
+naming the first failing entry that blocked them.  A missing hypothesis
+is raised by its read (``Geometry.pair``, ``Geometry.gamma``), and a
+step that reads it skips, naming it, and blocks nothing.  The frame,
+ascreen and twin conditions are the steps of a stage of their own.  Under
 ``theorem46`` the earlier stages build only the steps that can block the
 theorem; the others just read their geometry.  The three exact solves
 whose failure is a verdict (the sectional invariants, eta-Einstein and
@@ -54,9 +56,11 @@ from .tensors import MultilinearForm, outer, solve_combination
 
 SUITES = ("ambient", "submanifold", "theorem46", "all")
 
-_NO_PAIR = "the ambient sectional invariants are unavailable"
-_NO_GAMMA = "the screen distribution is not totally umbilical"
 _NO_SUB = "the model declares no submanifold"
+
+
+class _Unavailable(Exception):
+    """A value a step reads is missing; the step skips with this reason."""
 
 
 class Geometry:
@@ -113,8 +117,10 @@ class Geometry:
         return CurvaturePair(*coefficients) if coefficients else None, reason
 
     @property
-    def pair(self) -> Optional[CurvaturePair]:
-        """The sectional invariants, None when the fit fails."""
+    def pair(self) -> CurvaturePair:
+        """The sectional invariants; ``_Unavailable`` when the fit fails."""
+        if self.sectional[0] is None:
+            raise _Unavailable("the ambient sectional invariants are unavailable")
         return self.sectional[0]
 
     @cached_property
@@ -143,7 +149,10 @@ class Geometry:
 
     @property
     def gamma(self):
-        """The screen umbilicity factor, None off the screen umbilical class."""
+        """The screen umbilicity factor (ZERO on a screen totally geodesic
+        frame); ``_Unavailable`` off the screen umbilical class."""
+        if self.umbilicity.gamma_screen is None:
+            raise _Unavailable("the screen distribution is not totally umbilical")
         return self.umbilicity.gamma_screen
 
     @cached_property
@@ -200,14 +209,17 @@ def _fit(target: MultilinearForm, basis: tuple, inconsistent: str,
 class _Stage:
     """Ordered steps with blocking.
 
-    ``run(name, anchor, reads, build, blocks)`` is the one step form:
-    ``reads()`` returns the geometry the step reads (``reads=tuple``
+    ``run(name, anchor, reads, build, blocks, names)`` is the one step
+    form: ``reads()`` returns the geometry the step reads (``reads=tuple``
     reads nothing) and ``build(*values)`` returns an entry, a list of
     entries or a stage of its own, whose entries join this one and which
     blocks this stage where it blocked itself.  A step that raises a
     ``GeometryError`` fails and blocks; a blocking step whose entries
-    fail blocks.  Once blocked, every later step of the stage degrades to
-    one skipped entry, whose reason names the first failing entry.
+    fail blocks.  A step whose reads or build raise ``_Unavailable``
+    reports one skipped entry with its reason for each of ``names`` (the
+    step name by default) and blocks nothing.  Once blocked, every later
+    step of the stage degrades to one skipped entry, whose reason names
+    the first failing entry.
 
     A stage that does not report runs reads() for every step, so a read
     that raises still blocks under the step's name, and build only for a
@@ -220,7 +232,7 @@ class _Stage:
         self.reports = reports
 
     def run(self, name: str, anchor: str, reads: Callable[[], tuple],
-            build: Callable, blocks: bool = False) -> None:
+            build: Callable, blocks: bool = False, names: tuple = ()) -> None:
         if self.blocker:
             self.entries.append(report.skipped(name, anchor, self.blocker))
             return
@@ -229,6 +241,8 @@ class _Stage:
             if not (self.reports or blocks):
                 return
             new = build(*values)
+        except _Unavailable as exc:
+            new = [report.skipped(n, anchor, str(exc)) for n in names or (name,)]
         except GeometryError as exc:
             new, blocks = report.failed(name, anchor, str(exc)), True
         if isinstance(new, _Stage):
@@ -328,10 +342,8 @@ def _ambient_stage(geo: Geometry, reports: bool) -> _Stage:
                 lambda pair: f"nu = {pair.nu}, nu_tilde = {pair.nu_tilde}")
 
     st.run("constant-curvature-form", "thm-4.1",
-           lambda: (geo.pair, geo.r4, geo.curvature_basis),
-           lambda pair, r4, basis: (
-               report.skipped("constant-curvature-form", "thm-4.1", _NO_PAIR)
-               if pair is None else constant_curvature_residual(r4, basis, pair)))
+           lambda: (geo.r4, geo.curvature_basis, geo.pair),
+           constant_curvature_residual)
 
     st.run("signature-audit", "example-4.7", tuple, factor_signature_entry)
     return st
@@ -345,24 +357,6 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
         return st
     st = _Stage(blocker, reports)
 
-    def closed_form(name, anchor, reads, build, pair=True, gamma=True, names=None):
-        """A step whose identity needs the sectional invariants unless pair
-        is False, and the umbilical factor gamma unless gamma is False;
-        build takes what reads() returns once they are there, and each of
-        the names is skipped with the reason otherwise."""
-        def gated():
-            if pair and geo.pair is None:
-                return (_NO_PAIR,)
-            if gamma and geo.gamma is None:
-                return (_NO_GAMMA,)
-            return (None, *reads())
-
-        def step(reason, *values):
-            if reason:
-                return [report.skipped(n, anchor, reason) for n in names or (name,)]
-            return build(*values)
-        st.run(name, anchor, gated, step)
-
     st.run("submanifold-frame", "sec-2-splitting", lambda: (geo.frame,),
            lambda f: decided(lightlike.frame_conditions(f)), blocks=True)
     # any failure among the ten conditions blocks the stage
@@ -375,39 +369,40 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
     st.run("umbilicity", "def-3.1", lambda: (geo.umbilicity,),
            lambda umbilicity: report.passed("umbilicity", "def-3.1",
                                             umbilicity.describe()))
-    closed_form("screen-umbilicity", "eq-17",
-                lambda: (geo.frame, geo.induced, geo.gamma, geo.mu),
-                lightlike.screen_umbilical_entries, pair=False,
-                names=("n-shape-umbilic", "b-umbilic-multiple"))
+    st.run("screen-umbilicity", "eq-17",
+           lambda: (geo.frame, geo.induced, geo.gamma, geo.mu),
+           lightlike.screen_umbilical_entries,
+           names=("n-shape-umbilic", "b-umbilic-multiple"))
     st.run("induced-curvature", "sec-3-ricci", lambda: (geo.curv_ind.ricci,),
            lightlike.ricci_symmetric_entry)
     st.run("gauss-relation", "sec-4-gauss",
            lambda: (geo.frame, geo.induced, geo.curv, geo.curv_ind),
            lightlike.gauss_relation_entry)
-    closed_form("curvature-from-shape-terms", "eq-15",
-                lambda: (geo.frame, geo.induced, geo.curv_ind, geo.pair),
-                lightlike.curvature_form_15_entry, gamma=False)
-    closed_form("b-derivative-balance", "eq-16",
-                lambda: (geo.frame, geo.induced, geo.pair, geo.mu),
-                lightlike.codazzi_16_entry, gamma=False)
-    closed_form("twisted-sectional-vanishes", "thm-4.4", lambda: (geo.pair,),
-                lightlike.nu_tilde_vanishes_entry)
-    closed_form("umbilic-factor-identity", "eq-18",
-                lambda: (geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu),
-                lightlike.gamma_identity_18_entry)
-    closed_form("umbilic-curvature-form", "eq-19",
-                lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu),
-                lightlike.curvature_form_19_entry)
-    closed_form("umbilic-ricci-form", "eq-20",
-                lambda: (geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
-                         geo.mu, geo.structure.n),
-                lightlike.ricci_form_20_entry)
+    st.run("curvature-from-shape-terms", "eq-15",
+           lambda: (geo.frame, geo.induced, geo.curv_ind, geo.pair),
+           lightlike.curvature_form_15_entry)
+    st.run("b-derivative-balance", "eq-16",
+           lambda: (geo.frame, geo.induced, geo.pair, geo.mu),
+           lightlike.codazzi_16_entry)
+    # the hypothesis of thm-4.4 is a screen umbilical frame
+    st.run("twisted-sectional-vanishes", "thm-4.4", lambda: (geo.pair, geo.gamma),
+           lambda pair, gamma: lightlike.nu_tilde_vanishes_entry(pair))
+    st.run("umbilic-factor-identity", "eq-18",
+           lambda: (geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu),
+           lightlike.gamma_identity_18_entry)
+    st.run("umbilic-curvature-form", "eq-19",
+           lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu),
+           lightlike.curvature_form_19_entry)
+    st.run("umbilic-ricci-form", "eq-20",
+           lambda: (geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
+                    geo.mu, geo.structure.n),
+           lightlike.ricci_form_20_entry)
     _solve_step(st, "eta-einstein-solve", "sec-4-einstein", lambda: geo.eta_einstein,
                 lambda kc: "Ric = ({}) g + ({}) eta x eta".format(*kc))
-    closed_form("ricci-action-closed-form", "eq-23",
-                lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
-                         geo.structure.n),
-                lightlike.semisym_23_entry)
+    st.run("ricci-action-closed-form", "eq-23",
+           lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
+                    geo.structure.n),
+           lightlike.semisym_23_entry)
     st.run("umbilical-flatness", "cor-4.3",
            lambda: (geo.umbilicity, geo.curv_ind, geo.curv),
            associated.umbilical_flatness_entry)
@@ -422,20 +417,20 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
            lambda: (geo.frame, geo.induced, geo.mu, geo.curv_ind.ricci,
                     geo.tcurv.ricci),
            associated.tilde_ricci_14_entry)
-    closed_form("twin-umbilic-curvature-form", "eq-21",
-                lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu),
-                associated.tilde_form_21_entry)
-    closed_form("twin-umbilic-ricci-form", "eq-22",
-                lambda: (geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma, geo.mu,
-                         geo.structure.n),
-                associated.tilde_ricci_22_entries,
-                names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
+    st.run("twin-umbilic-curvature-form", "eq-21",
+           lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu),
+           associated.tilde_form_21_entry)
+    st.run("twin-umbilic-ricci-form", "eq-22",
+           lambda: (geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma, geo.mu,
+                    geo.structure.n),
+           associated.tilde_ricci_22_entries,
+           names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
     _solve_step(st, "einstein-solve", "sec-4-einstein", lambda: geo.einstein,
                 lambda lam: f"Ric~ = ({lam}) g~")
-    closed_form("twin-ricci-action-closed-form", "eq-24",
-                lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
-                         geo.structure.n),
-                associated.semisym_24_entry)
+    st.run("twin-ricci-action-closed-form", "eq-24",
+           lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
+                    geo.structure.n),
+           associated.semisym_24_entry)
     st.run("geodesic-correspondence", "prop-3.3", lambda: (geo.assoc, geo.umbilicity),
            associated.geodesic_correspondence_entries)
     st.run("umbilical-curvature-transfer", "cor-3.5",
@@ -447,22 +442,22 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
 def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
     st = _Stage()
 
-    def step():
+    def reads():
+        # an earlier block skips each of the six assertions, naming it
         if blocker:
-            reason = blocker
-        elif geo.pair is None:
-            reason = _NO_PAIR
-        elif geo.gamma is None:
-            reason = _NO_GAMMA + ", the theorem hypothesis fails"
-        elif geo.pair.nu.is_zero():
-            reason = ("the sectional invariant nu vanishes, the theorem "
-                      "hypothesis fails")
-        else:
-            return associated.theorem_aggregate(
-                geo.curv_ind, geo.tcurv, geo.pair, geo.gamma, geo.mu,
-                geo.eta_einstein[0], geo.einstein[0])
-        return [report.skipped(n, "thm-4.6", reason) for n in associated.THEOREM_NAMES]
-    st.run("theorem-aggregate", "thm-4.6", tuple, step)
+            raise _Unavailable(blocker)
+        pair = geo.pair
+        try:
+            gamma = geo.gamma
+        except _Unavailable as exc:
+            raise _Unavailable(f"{exc}, the theorem hypothesis fails")
+        if pair.nu.is_zero():
+            raise _Unavailable("the sectional invariant nu vanishes, the theorem "
+                               "hypothesis fails")
+        return (geo.curv_ind, geo.tcurv, pair, gamma, geo.mu, geo.eta_einstein[0],
+                geo.einstein[0])
+    st.run("theorem-aggregate", "thm-4.6", reads, associated.theorem_aggregate,
+           names=associated.THEOREM_NAMES)
     return st
 
 
