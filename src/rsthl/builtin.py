@@ -76,11 +76,10 @@ def _factor_j(frame: Frame) -> MultilinearForm:
 def factor_signature_entry() -> report.CheckEntry:
     """Adjudicates the factor metric signs against the fixed data.
 
-    Of the two listed diagonal sign patterns, the first must reproduce
-    the fixed connection table and anti-commute with J, and the second
-    must fail at least one of the two comparisons.  The overall sign is
-    not decided: the first pattern negated fits both, since -g has the
-    same connection and anti-compatibility.  The verdict depends on
+    Of the two listed diagonal sign patterns, the first must reproduce the
+    fixed connection table and anti-commute with J, and the second must
+    fail at least one of the two; the overall sign is not decided (-g has
+    the same connection and anti-compatibility).  The verdict depends on
     built-in constants only, so it is derived once per process.
     """
     brackets = factor_algebra()
