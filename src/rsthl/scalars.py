@@ -219,7 +219,7 @@ class RationalFunction:
     coefficients are equal.
     """
 
-    __slots__ = ("num", "den", "_k", "_hash")
+    __slots__ = ("num", "den", "_k")
 
     def __init__(self, num, den=_UNIT):
         num, den = _canonical_pair(num, den)
@@ -229,13 +229,12 @@ class RationalFunction:
         # every value of more than one term
         self._k = (len(num) - len(den) if num and not any(num[:-1])
                    and not any(den[:-1]) else None)
-        self._hash = None
 
     @classmethod
     def _of(cls, num: Coeffs, den: Coeffs, k) -> "RationalFunction":
         """The value of a pair that is already canonical, with its exponent."""
         value = object.__new__(cls)
-        value.num, value.den, value._k, value._hash = num, den, k, None
+        value.num, value.den, value._k = num, den, k
         return value
 
     @classmethod
@@ -388,9 +387,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()

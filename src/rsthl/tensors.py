@@ -42,6 +42,10 @@ of a table, so a symmetry T(X, Y) = T(Y, X) reads
 ``t == t.permute((1, 0))`` and the first Bianchi sum is the curvature
 table plus two cyclic permutations of it; ``skew`` subtracts the swap of
 the first two slots and ``at`` fixes the first slot at a frame vector.
+``permute`` and ``onto_frame`` read their moved offsets from one memo
+that lives for the process: a map per (dimension, base, slot order) in
+use, holding only offsets some table has held, so it grows with the
+nonzero entries seen, never with dim^arity.
 
 Only this module eliminates or solves.  One Gauss-Jordan reduction,
 pivoting on the nonzero entry with the fewest terms, serves the rank,
@@ -55,7 +59,6 @@ rank is the number of basis tables.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -119,14 +122,22 @@ def _accumulate(out: dict, key: int, term: RationalFunction) -> None:
         out[key] = acc
 
 
-@cache
-def _permuted_offsets(dim: int, arity: int, order: tuple[int, ...]) -> tuple[int, ...]:
-    """The offset each flat offset moves to under ``permute(order)``; one
-    tuple per frame dimension, arity and order, so the cache stays small."""
-    strides = [dim ** (arity - 1 - s) for s in range(arity)]
-    moved = [strides[o] for o in order]
-    return tuple(sum(i * st for i, st in zip(idx, moved))
-                 for idx in product(range(dim), repeat=arity))
+# the one re-index memo: (dim, base, order) -> {flat offset: re-indexed offset}
+_REINDEXED: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
+
+
+def _reindexed(dim: int, base: int, order: tuple[int, ...], offsets) -> dict[int, int]:
+    """The memo's map for (dim, base, order), holding each offset of
+    offsets: a flat offset over dim labels -> the offset over base labels of
+    the same indices with slot s moved to slot order[s], or -1 when an index
+    is base or more.  An offset is computed the first time a table holds it."""
+    memo = _REINDEXED.setdefault((dim, base, order), {})
+    k = len(order)
+    for off in set(offsets).difference(memo):
+        idx = [off // dim ** (k - 1 - s) % dim for s in range(k)]
+        memo[off] = (-1 if max(idx) >= base
+                     else sum(i * base ** (k - 1 - o) for i, o in zip(idx, order)))
+    return memo
 
 
 class MultilinearForm:
@@ -321,7 +332,8 @@ class MultilinearForm:
         """
         if sorted(order) != list(range(self.arity)):
             raise ValueError("order is not a permutation of the slots")
-        moved = _permuted_offsets(self.frame.dimension, self.arity, tuple(order))
+        dim = self.frame.dimension
+        moved = _reindexed(dim, dim, tuple(order), self.nonzero)
         return MultilinearForm._of(self.frame, self.arity, {
             moved[off]: c for off, c in self.nonzero.items()})
 
@@ -429,19 +441,6 @@ def compose(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
     return MultilinearForm._of(a.frame, a.arity + b.arity - 2, out)
 
 
-@cache
-def _onto_offsets(dim: int, m: int, arity: int) -> tuple[int, ...]:
-    """For each offset of an arity-``arity`` table over d = dim labels, the
-    offset of the same indices over m labels, or -1 when one is m or more."""
-    out = [-1] * dim ** arity
-    for idx in product(range(m), repeat=arity):
-        off = at = 0
-        for i in idx:
-            off, at = off * dim + i, at * m + i
-        out[off] = at
-    return tuple(out)
-
-
 def onto_frame(table: MultilinearForm, frame: Frame) -> tuple[MultilinearForm, ...]:
     """The components of a table over d labels whose leading indices all lie
     below m = frame.dimension, re-indexed over the m labels of frame.
@@ -454,8 +453,9 @@ def onto_frame(table: MultilinearForm, frame: Frame) -> tuple[MultilinearForm, .
     vector.  Raises ValueError for any other component.
     """
     dim, m, k = table.frame.dimension, frame.dimension, table.arity
-    whole = _onto_offsets(dim, m, k)
-    lower = _onto_offsets(dim, m, k - 1) if k > 1 else ()
+    whole = _reindexed(dim, m, tuple(range(k)), table.nonzero)
+    lower = _reindexed(dim, m, tuple(range(k - 1)),
+                       {off // dim for off in table.nonzero}) if k > 1 else None
     inside = {}
     beyond = [{} for _ in range(dim - m)] if k > 1 else []
     for off, c in table.nonzero.items():

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import tracemalloc
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -738,6 +739,86 @@ def test_onto_frame_matches_the_component_reading(data, arity):
                                                lambda *i: t.entry(*i, 2)),)
     assert got == want
     assert_canonical(*got)
+
+
+# --- re-indexing in any dimension, against dense index loops ---------------
+
+
+def labeled(dim):
+    return Frame(tuple(f"x{i}" for i in range(dim)))
+
+
+def dense(dim, arity, cells):
+    """The row-major entry tuple of the cells {index tuple: value}, read off
+    itertools.product alone."""
+    return tuple(cells.get(idx, ZERO) for idx in product(range(dim), repeat=arity))
+
+
+def index_cells(draw, dim, arity, allowed, max_size=12):
+    return draw(st.dictionaries(
+        st.tuples(*[st.integers(0, dim - 1)] * arity).filter(allowed),
+        st.sampled_from(CANCELLING), max_size=max_size))
+
+
+@given(data=st.data(), dim=st.integers(1, 6), arity=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_permute_in_any_dimension_matches_index_loops(data, dim, arity):
+    cells = index_cells(data.draw, dim, arity, lambda idx: True)
+    t = MultilinearForm(labeled(dim), arity, dense(dim, arity, cells))
+    for order in permutations(range(arity)):
+        # entry (i_0, ..., i_(k-1)) of the result is entry (i_order[0], ...)
+        want = {idx: cells[src] for idx in product(range(dim), repeat=arity)
+                if (src := tuple(idx[o] for o in order)) in cells}
+        assert t.permute(order).entries == dense(dim, arity, want), order
+
+
+@given(data=st.data(), dim=st.integers(2, 6), arity=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_onto_frame_in_any_dimension_matches_index_loops(data, dim, arity):
+    """Onto the first m < dim labels: the cells with every index below m,
+    then per last index r >= m the cells with leading indices below m, r
+    dropped.  One more cell outside both raises ValueError."""
+    m = data.draw(st.integers(1, dim - 1))
+
+    def inside(idx):
+        return all(i < m for i in idx[:-1]) and (arity > 1 or idx[0] < m)
+
+    cells = index_cells(data.draw, dim, arity, inside)
+    t = MultilinearForm(labeled(dim), arity, dense(dim, arity, cells))
+    if data.draw(st.booleans()):
+        stray = data.draw(st.tuples(*[st.integers(0, dim - 1)] * arity).filter(
+            lambda idx: not inside(idx)))
+        with pytest.raises(ValueError):
+            onto_frame(MultilinearForm(labeled(dim), arity,
+                                       dense(dim, arity, {**cells, stray: ONE})), labeled(m))
+    got = onto_frame(t, labeled(m))
+    want = [dense(m, arity, {idx: c for idx, c in cells.items() if max(idx) < m})]
+    if arity > 1:
+        want += [dense(m, arity - 1, {idx[:-1]: c for idx, c in cells.items()
+                                      if idx[-1] == r}) for r in range(m, dim)]
+    assert [part.entries for part in got] == want
+    assert all(part.frame == labeled(m) for part in got)
+    assert [part.arity for part in got] == [arity] + [arity - 1] * (len(want) - 1)
+
+
+def test_reindexing_a_sparse_table_costs_no_dense_offset_table():
+    """A 10-entry arity-4 table over 31 labels permutes and splits onto 30
+    labels within a 4 MB traced peak; a dense offset table for it would
+    hold 31^4 = 923,521 offsets per order."""
+    big = labeled(31)
+    e = big.basis_vector
+    t = MultilinearForm.zero(big, 4)
+    for i in range(10):
+        t = t + outer(outer(e(i), e(i + 1)), outer(e(i + 2), e(30 if i % 2 else i + 3)))
+    tracemalloc.start()
+    try:
+        moved = [t.permute(order) for order in ((1, 0, 2, 3), (3, 1, 0, 2))]
+        parts = onto_frame(t, labeled(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert [len(p.nonzero) for p in moved + list(parts)] == [10, 10, 5, 5]
 
 
 def test_compose_substitutes_values_into_the_first_slot():

@@ -1,5 +1,6 @@
 """The development scripts under ``tools/`` run and print what they claim."""
 
+import json
 import re
 import subprocess
 import sys
@@ -65,3 +66,24 @@ def test_linecov_lists_only_the_lines_no_test_runs(tmp_path):
     assert "1 passed" in run.stdout
     assert run.stdout.splitlines()[-3:] == [
         "pkg/mod.py:6", "pkg/mod.py:7", "2 of 5 executable lines never ran"]
+
+
+def test_neverfail_lists_the_catalogued_names_no_test_makes_fail(tmp_path):
+    (tmp_path / "test_entries.py").write_text(
+        "from rsthl.report import failed, passed\n\n\n"
+        "def test_entries():\n"
+        "    failed('lie-algebra', 'plumbing')\n"
+        "    passed('xi-unit', 'sec-2-structure')\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "neverfail.py"),
+         "-q", "-p", "no:cacheprovider", "test_entries.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout
+    known = json.loads((ROOT / "bench" / "known_answers.json").read_text(encoding="utf-8"))
+    names = [n for stage in known["stages"].values() for n in stage]
+    never = [n for n in names if n != "lie-algebra"]
+    assert "xi-unit" in never
+    assert run.stdout.splitlines()[-len(never) - 2:] == never + [
+        f"{len(never)} of {len(names)} catalogued names never reported fail",
+        "tests that run in a subprocess are not seen"]
