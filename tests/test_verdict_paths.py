@@ -8,6 +8,7 @@ replaced, and pins the statuses and details it reports.
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,8 @@ from rsthl.tensors import outer
 
 from conftest import replaced
 from test_residual_failures import bump_form
+
+DATA = Path(__file__).parent / "data"
 
 NO_PAIR = "the ambient sectional invariants are unavailable"
 NO_GAMMA = "the screen distribution is not totally umbilical"
@@ -71,6 +74,20 @@ def test_even_dimension_fails_the_structure_axioms(tmp_path, capsys):
         "[FAIL] structure-axioms                    sec-2-structure  "
         "(an almost contact structure needs odd dimension)"]
     assert sum("(blocked by structure-axioms (fail))" in line for line in lines) == 8
+
+
+def test_unequal_weights_fail_the_fundamental_tensor(capsys):
+    """The worked model with ad X3 of weight 3 and ad X1 = -2J is still a
+    Lie algebra, but phi is not parallel: the ambient stage fails at
+    F = 0 and blocks everything after it."""
+    assert main(["check", str(DATA / "unequal_weights.json")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verdict: fail (14 passed, 1 failed, 38 skipped)"
+    assert lines[0].startswith("[ok  ] lie-algebra ")
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] fundamental-tensor-vanishes         sec-2-f0  (the covariant "
+        "derivative of the structure operator vanishes; the residual at "
+        "(X2, X1, X2) is -1, 8 of 125 components nonzero)"]
 
 
 def full_report_sliced(model, suite_name):
