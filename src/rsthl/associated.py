@@ -112,12 +112,7 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     xi_idx = f.radical_index
     gt_form = f.twin_form
     rad_norm = gt_form.entry(xi_idx, xi_idx)
-    xi_t = f.radical_tangent()
     inv_mu = ONE / mu
-    b_phi = obj.b_phi
-    gamma_formula = obj.gamma + outer(
-        (obj.b_form.scale(HALF) + b_phi).scale(inv_mu * inv_mu), xi_t)
-    phi_rad = f.phi_p.pull_slots(obj.shape_rad, (0,))
     return assoc, ((
         ("twin-normal-one-unit", "thm-1.1", lambda: (
             gt.value(n1, n1), ONE, "g~(N1, N1) = 1")),
@@ -147,7 +142,8 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
             tuple(p for parts in assoc.parts[1:] for p in parts[1:]), (zero_form,) * 4,
             "the derivatives of both normals are purely tangent")),
         ("twin-connection-formula", "eq-2.11", lambda: (
-            gamma_formula, assoc.gamma,
+            obj.gamma + outer((obj.b_form.scale(HALF) + obj.b_phi).scale(inv_mu * inv_mu),
+                              f.radical_tangent), assoc.gamma,
             "the twin connection equals the induced connection plus the "
             "radical correction term")),
         ("twin-connection-koszul", "eq-2.11", lambda: (
@@ -157,11 +153,12 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
         ("twin-second-form-one", "eq-2.12", lambda: (
             assoc.h1, obj.b_form.scale(inv_mu), "h1 = (1/mu) B")),
         ("twin-second-form-two", "eq-2.12", lambda: (
-            assoc.h2, (obj.b_form + b_phi).scale(-inv_mu), "h2 = -(1/mu)(B + B(., phi P.))")),
+            assoc.h2, (obj.b_form + obj.b_phi).scale(-inv_mu),
+            "h2 = -(1/mu)(B + B(., phi P.))")),
         ("twin-shape-one", "eq-2.12", lambda: (
-            assoc.shape_n1, phi_rad.scale(-inv_mu), "A~_N1 = -(1/mu) phi A*_xi")),
+            assoc.shape_n1, obj.phi_shape_rad.scale(-inv_mu), "A~_N1 = -(1/mu) phi A*_xi")),
         ("twin-shape-two", "eq-2.12", lambda: (
-            assoc.shape_n2, (obj.shape_rad - phi_rad).scale(inv_mu),
+            assoc.shape_n2, (obj.shape_rad - obj.phi_shape_rad).scale(inv_mu),
             "A~_N2 = (1/mu)(A*_xi - phi A*_xi)")),
         ("twin-h1-symmetric", "sec-2-twin", lambda: (
             assoc.h1, assoc.h1.permute((1, 0)), "h1 is symmetric")),
@@ -181,10 +178,10 @@ def tilde_relation_13_entry(f: SubmanifoldFrame, obj: InducedObjects,
     inv_mu2 = ONE / (mu * mu)
     rhs = (curv.table
            + curvature_product(obj.shape_n, obj.b_form + b_phi.scale(2))
-           + curvature_product(outer(obj.tau, f.radical_tangent()),
+           + curvature_product(outer(obj.tau, f.radical_tangent),
                                (obj.b_form.scale(HALF) + b_phi).scale(inv_mu2))
            + outer((obj.cd_b.scale(HALF) + obj.cd_b_phi).skew().scale(inv_mu2),
-                   f.radical_tangent()))
+                   f.radical_tangent))
     return compare(
         "twin-curvature-transfer", "eq-13", tilde_curv.table, rhs,
         "the twin curvature equals the induced curvature plus shape and "
@@ -218,9 +215,9 @@ def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
     mg2 = mu * mu * gamma_screen * gamma_screen
     coeff = nu - mg2 * 4
     rhs = (curvature_product(f.projector, g.scale(coeff) - gp.scale(mg2 * 4)
-                             - outer(f.eta_bar, f.eta_bar).scale(nu))
+                             - f.eta_eta.scale(nu))
            - curvature_product(f.phi_p, gp.scale(coeff))
-           - curvature_product(outer(f.eta, f.radical_tangent()), gp.scale(nu)))
+           - curvature_product(f.radical_part, gp.scale(nu)))
     return compare(
         "twin-umbilic-curvature-form", "eq-21", tilde_curv.table, rhs,
         "the twin curvature collapses to the screen umbilical normal form")
@@ -243,10 +240,9 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
     k1 = (nu - mg2 * 4) * (2 * (n - 2))
     k2 = -(nu + mg2 * (4 * (2 * n - 3)))
     base = g.scale(k1) + gp.scale(k2)
-    eta_eta = outer(f.eta_bar, f.eta_bar)
-    adopted = base + eta_eta.scale(-(nu * (2 * (n - 1))))
+    adopted = base + f.eta_eta.scale(-(nu * (2 * (n - 1))))
     match_adopted = tilde_ric == adopted
-    match_literal = tilde_ric == base + eta_eta.scale(rf(-2 * (n - 1)))
+    match_literal = tilde_ric == base + f.eta_eta.scale(rf(-2 * (n - 1)))
     if match_adopted and match_literal:
         detail = ("the direct twin Ricci tensor matches both readings of the "
                   "last coefficient, they coincide because nu = 1")
@@ -273,9 +269,8 @@ def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     gap = nu - mg2 * 4
-    eta_eta = outer(f.eta_bar, f.eta_bar)
-    u = eta_eta.scale(nu * gap * (2 * n - 3))
-    v = (gp.scale(mg2 * 4) + eta_eta.scale(nu)).scale(gap * (2 * (n - 2)))
+    u = f.eta_eta.scale(nu * gap * (2 * n - 3))
+    v = (gp.scale(mg2 * 4) + f.eta_eta.scale(nu)).scale(gap * (2 * (n - 2)))
     return (curvature_product(gp, u) - curvature_product(u, gp)
             + curvature_product(g, v) - curvature_product(v, g))
 

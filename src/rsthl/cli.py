@@ -12,7 +12,7 @@ from functools import cache
 from typing import Optional
 
 from .builtin import example_model
-from .errors import ModelError, MuZero, ScalarDomainError, ScalarParseError
+from .errors import ModelError, ScalarDomainError, ScalarParseError
 from .model import load_model, save_model
 from .report import CheckReport
 from .scalars import RationalFunction
@@ -72,13 +72,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                 if mu is None or not mu.is_constant():
                     raise ModelError("--mu", f"not a rational number: {args.mu!r}")
                 if mu.is_zero():
-                    raise MuZero("the parameter mu must be nonzero")
+                    raise ScalarDomainError("the parameter mu must be nonzero")
             model = example_model(mu)
             if args.emit:
                 save_model(model, args.emit)
         rep = run_suite(model, args.suite)
         return _finish(rep, args.report)
-    except (ModelError, ScalarParseError, ScalarDomainError, MuZero, OSError) as exc:
+    except (ModelError, ScalarParseError, ScalarDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

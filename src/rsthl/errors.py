@@ -14,7 +14,8 @@ class ScalarParseError(GeometryError):
 
 
 class ScalarDomainError(GeometryError):
-    """Division by zero, a negative power of zero, or a malformed scalar."""
+    """Division by zero, a negative power of zero, a malformed scalar, or a
+    zero parameter mu for ``example47``."""
 
 
 class DegenerateMetric(GeometryError):
@@ -32,11 +33,6 @@ class UnderdeterminedSystem(GeometryError):
 class InvalidFrame(GeometryError):
     """A submanifold frame has the wrong shape: labels, dimension or
     dependent tangent vectors."""
-
-
-class MuZero(GeometryError):
-    """``example47`` was asked for at mu = 0.  A model whose frame gives
-    mu = 0 fails its radical-phi-image entry instead."""
 
 
 class ModelError(GeometryError):

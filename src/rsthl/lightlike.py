@@ -14,6 +14,8 @@ basis.  Ambient objects stay on the frame of the underlying model.
 Tangent-space objects are read from ambient tables through the frame's
 ``Splitting`` over (tangent, N, L), see "Splitting" in the catalog's
 Conventions; ``associated`` splits over the twin normals (N1, N2).
+The frame builds the tangent tables several identities share once (xi,
+X -> eta(X) xi, eta-bar (x) eta-bar); ``InducedObjects`` builds phi P A*_xi.
 """
 
 from __future__ import annotations
@@ -132,7 +134,9 @@ class SubmanifoldFrame:
     read, which comes after those entries pass: g(N, xi) = 1 puts N
     outside the span of the tangent space and L, and g(L, L) = +-1 with L
     orthogonal to the tangent space puts L outside that span, so the
-    splitting cannot fail.
+    splitting cannot fail.  It owns the tangent tables the closed forms
+    share: ``radical_tangent`` (xi), ``radical_part`` (X -> eta(X) xi, so
+    ``projector`` is the identity minus it) and ``eta_eta``.
     """
 
     def __init__(self, brackets: MultilinearForm, structure: ACBMStructure,
@@ -174,6 +178,7 @@ class SubmanifoldFrame:
     def radical_index(self) -> int:
         return self.tangent_frame.dimension - 1
 
+    @cached_property
     def radical_tangent(self) -> MultilinearForm:
         return self.tangent_frame.basis_vector(self.radical_index)
 
@@ -207,10 +212,19 @@ class SubmanifoldFrame:
         return self.bracket_parts[0]
 
     @cached_property
+    def radical_part(self) -> MultilinearForm:
+        """The operator X -> eta(X) xi: projection on the radical along the screen."""
+        return outer(self.eta, self.radical_tangent)
+
+    @cached_property
     def projector(self) -> MultilinearForm:
         """Projection on the screen distribution along the radical."""
-        return (MultilinearForm.identity(self.tangent_frame)
-                - outer(self.eta, self.radical_tangent()))
+        return MultilinearForm.identity(self.tangent_frame) - self.radical_part
+
+    @cached_property
+    def eta_eta(self) -> MultilinearForm:
+        """Table of eta-bar(T_a) eta-bar(T_b)."""
+        return outer(self.eta_bar, self.eta_bar)
 
     @cached_property
     def phi_parts(self) -> tuple[MultilinearForm, MultilinearForm, MultilinearForm]:
@@ -241,7 +255,7 @@ class SubmanifoldFrame:
     @cached_property
     def twin_form(self) -> MultilinearForm:
         """Table of the twin metric g(T_a, phi T_b) + eta(T_a) eta(T_b)."""
-        return self.phi_pairing + outer(self.eta_bar, self.eta_bar)
+        return self.phi_pairing + self.eta_eta
 
 
 def frame_conditions(f: SubmanifoldFrame) -> tuple:
@@ -267,7 +281,7 @@ def frame_conditions(f: SubmanifoldFrame) -> tuple:
         # g(N, T_a) is 1 on xi and 0 on the screen
         ("transversal-duality", anchor, lambda: (
             (f.eta, g.value(f.n_vec, f.n_vec), g.value(f.n_vec, f.l_vec)),
-            (f.radical_tangent(), ZERO, ZERO),
+            (f.radical_tangent, ZERO, ZERO),
             "N is null, pairs to 1 with the radical and annihilates screen and L")),
         ("tangent-closure", anchor, lambda: (
             f.bracket_parts[1:], (MultilinearForm.zero(tf, 2),) * 2,
@@ -349,6 +363,11 @@ class InducedObjects:
         return self.b_form.pull_slots(self.frame.phi_p, (1,))
 
     @cached_property
+    def phi_shape_rad(self) -> MultilinearForm:
+        """The operator phi P A*_xi."""
+        return self.frame.phi_p.pull_slots(self.shape_rad, (0,))
+
+    @cached_property
     def cd_b(self) -> MultilinearForm:
         """(nabla_X B)(Y, Z); for invariant data only the connection terms survive."""
         return derivation_action(self.gamma, self.b_form)
@@ -367,7 +386,7 @@ def gauss_weingarten(f: SubmanifoldFrame, ambient_gamma: MultilinearForm) -> Ind
     """Split the ambient connection (Gauss) and its derivatives of N and L
     (Weingarten) over (tangent, N, L)."""
     tf = f.tangent_frame
-    xi_t = f.radical_tangent()
+    xi_t = f.radical_tangent
     # the L part of nabla_X L is eps g(nabla_X L, L) = (eps/2) X g(L, L) = 0
     (gamma, b_form, d_form), (along_n, tau, rho), (along_l, phi_form, _) = \
         f.splitting.connection_parts(ambient_gamma)
@@ -408,8 +427,7 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
     b_eta = outer(obj.b_form, f.eta)  # B(X, Y) eta(Z)
     brackets = f.tangent_brackets
     # tau([T_a, T_b]) = -d tau(T_a, T_b) for invariant data
-    tau_brackets = MultilinearForm.from_function(
-        tf, 2, lambda a, b: obj.tau.value(brackets.cell(a, b)))
+    tau_brackets = compose(brackets, obj.tau)
     return [
         compare("induced-torsion-free", anchor, obj.gamma.skew(), brackets,
                 "the induced connection has the tangent brackets as torsion defect zero"),
@@ -462,8 +480,7 @@ def ascreen_f0_entries(f: SubmanifoldFrame, obj: InducedObjects,
         compare("n-shape-from-radical-shape", "eq-2.7", obj.shape_n,
                 obj.shape_rad.scale(-inv_two_mu2), "A_N = -(1/2mu^2) A*_xi"),
         compare("l-shape-from-radical-shape", "eq-2.7", obj.shape_l,
-                phi_p.pull_slots(obj.shape_rad, (0,)).scale(inv_mu),
-                "A_L = (1/mu) phi A*_xi"),
+                obj.phi_shape_rad.scale(inv_mu), "A_L = (1/mu) phi A*_xi"),
         compare("d-from-b", "eq-2.8", obj.d_form, obj.b_phi.scale(inv_mu),
                 "D(X, Y) = (1/mu) B(X, phi PY)"),
         compare("c-from-b", "eq-2.8", obj.c_form, obj.b_form.scale(-inv_two_mu2),
@@ -577,8 +594,7 @@ def curvature_form_15_entry(f: SubmanifoldFrame, obj: InducedObjects,
            - curvature_product(phi_an, obj.b_phi.scale(2))
            - curvature_product(f.projector, gpp.scale(nu) + gp.scale(nut))
            - curvature_product(f.phi_p, gp.scale(nu) - gpp.scale(nut))
-           + curvature_product(outer(f.eta, f.radical_tangent()),
-                               (g.scale(nu) - gp.scale(nut)).scale(HALF)))
+           + curvature_product(f.radical_part, (g.scale(nu) - gp.scale(nut)).scale(HALF)))
     return compare(
         "curvature-from-shape-terms", "eq-15", curv.table, rhs,
         "the induced curvature is rebuilt from shape operators and the "
@@ -620,11 +636,9 @@ def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
     g = f.induced_form
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
-    rhs = (curvature_product(f.projector, g.scale(nu - mg2 * 2)
-                             - outer(f.eta_bar, f.eta_bar).scale(nu))
+    rhs = (curvature_product(f.projector, g.scale(nu - mg2 * 2) - f.eta_eta.scale(nu))
            + curvature_product(f.phi_p, f.phi_pairing.scale(mg2 * 4 - nu))
-           + curvature_product(outer(f.eta, f.radical_tangent()),
-                               g.scale(HALF * nu)))
+           + curvature_product(f.radical_part, g.scale(HALF * nu)))
     return compare(
         "umbilic-curvature-form", "eq-19", curv.table, rhs,
         "the induced curvature collapses to the screen umbilical normal form")
@@ -638,7 +652,7 @@ def ricci_form_20_entry(f: SubmanifoldFrame, ric: MultilinearForm,
     mg2 = mu * mu * gamma_screen * gamma_screen
     k = nu * (4 * n - 7) * HALF - mg2 * (2 * (2 * n - 5))
     c = -(nu * (2 * (n - 1)))
-    expected = g.scale(k) + outer(f.eta_bar, f.eta_bar).scale(c)
+    expected = g.scale(k) + f.eta_eta.scale(c)
     return compare(
         "umbilic-ricci-form", "eq-20", ric, expected,
         "Ric = [((4n-7)/2) nu - 2(2n-5) mu^2 gamma^2] g - 2(n-1) nu eta x eta")
@@ -657,7 +671,7 @@ def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
     nu = pair.nu
     mg2 = mu * mu * gamma_screen * gamma_screen
     factor = nu * (nu * HALF - mg2 * 2) * (2 * n - 5)
-    eta_eta = outer(f.eta_bar, f.eta_bar).scale(factor)
+    eta_eta = f.eta_eta.scale(factor)
     return curvature_product(g, eta_eta) - curvature_product(eta_eta, g)
 
 

@@ -52,7 +52,7 @@ from .structure import (
     metric_signature_entry,
     validate_acbm,
 )
-from .tensors import MultilinearForm, outer, solve_combination
+from .tensors import MultilinearForm, solve_combination
 
 SUITES = ("ambient", "submanifold", "theorem46", "all")
 
@@ -178,7 +178,7 @@ class Geometry:
         """(k, c) with Ric = k g + c eta x eta, or None, and the reason."""
         f = self.frame
         return _fit(
-            self.curv_ind.ricci, (f.induced_form, outer(f.eta_bar, f.eta_bar)),
+            self.curv_ind.ricci, (f.induced_form, f.eta_eta),
             "the Ricci tensor is not a combination of the metric and the "
             "squared dual form",
             "the metric and the squared dual form are linearly dependent "

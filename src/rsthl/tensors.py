@@ -91,9 +91,6 @@ class Frame:
             return NotImplemented
         return self.labels == other.labels
 
-    def __hash__(self):
-        return hash(self.labels)
-
     def __repr__(self):
         return f"Frame(labels={self.labels!r})"
 
@@ -226,9 +223,6 @@ class MultilinearForm:
             return NotImplemented
         return (self.frame == other.frame and self.arity == other.arity
                 and self.nonzero == other.nonzero)
-
-    def __hash__(self):
-        return hash((self.frame, self.arity, frozenset(self.nonzero.items())))
 
     def __repr__(self):
         return (f"MultilinearForm({self.frame!r}, {self.arity}, "

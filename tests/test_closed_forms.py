@@ -57,7 +57,7 @@ def curvature_table(f, cell):
 
 
 def eq13_reference(f, obj, mu, curv):
-    xi_t = f.radical_tangent()
+    xi_t = f.radical_tangent
     b_phi, cd_b, cd_b_phi = obj.b_phi, obj.cd_b, obj.cd_b_phi
     inv_mu2 = ONE / (mu * mu)
     tau = obj.tau.entries
@@ -81,7 +81,7 @@ def eq13_reference(f, obj, mu, curv):
 
 def eq15_reference(f, obj, pair):
     g, gp, gpp = f.induced_form, f.phi_pairing, f.phi_phi_pairing
-    phi_p, proj, xi_t = f.phi_p, f.projector, f.radical_tangent()
+    phi_p, proj, xi_t = f.phi_p, f.projector, f.radical_tangent
     nu, nut = pair.nu, pair.nu_tilde
     b_phi = obj.b_phi
     phi_an = phi_p.pull_slots(obj.shape_n, (0,))
@@ -109,7 +109,7 @@ def eq15_reference(f, obj, pair):
 
 def eq19_reference(f, pair, gamma, mu):
     g, gp = f.induced_form, f.phi_pairing
-    phi_p, proj, xi_t = f.phi_p, f.projector, f.radical_tangent()
+    phi_p, proj, xi_t = f.phi_p, f.projector, f.radical_tangent
     nu = pair.nu
     mg2 = mu * mu * gamma * gamma
     coeff_a = nu - mg2 * 2
@@ -130,7 +130,7 @@ def eq19_reference(f, pair, gamma, mu):
 
 def eq21_reference(f, pair, gamma, mu):
     g, gp = f.induced_form, f.phi_pairing
-    phi_p, proj, xi_t = f.phi_p, f.projector, f.radical_tangent()
+    phi_p, proj, xi_t = f.phi_p, f.projector, f.radical_tangent
     nu = pair.nu
     mg2 = mu * mu * gamma * gamma
     coeff = nu - mg2 * 4

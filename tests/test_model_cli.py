@@ -350,6 +350,20 @@ def test_suite_builds_each_shared_table_once(model, monkeypatch):
     assert calls["adapted_inverse"] == 0
 
 
+def test_theorem46_builds_no_condition_only_table(model):
+    """Under ``theorem46`` the earlier stages build only their blocking
+    steps: phi P and B(X, phi P Y), which only non-blocking conditions and
+    closed forms read, are never built.  A reporting stage builds both."""
+    geo = suite.Geometry(model)
+    ambient = suite._ambient_stage(geo, False)
+    sub = suite._submanifold_stage(geo, ambient.blocker, False)
+    assert len(suite._theorem_stage(geo, sub.blocker).entries) == 6
+    assert "phi_p" not in vars(geo.frame) and "b_phi" not in vars(geo.induced)
+    geo = suite.Geometry(model)
+    suite._submanifold_stage(geo, None, True)
+    assert "phi_p" in vars(geo.frame) and "b_phi" in vars(geo.induced)
+
+
 def test_every_anchor_is_catalogued(model):
     catalog = Path(__file__).resolve().parents[1] / "docs" / "identities.md"
     headings = set(re.findall(r"^## (\S+)$",

@@ -19,7 +19,6 @@ from rsthl.cli import main
 from rsthl.lightlike import UmbilicityReport
 from rsthl.report import FAIL, PASS, SKIP, CheckReport
 from rsthl.suite import SUITES, run_suite
-from rsthl.tensors import outer
 
 from conftest import replaced
 from test_residual_failures import bump_form
@@ -176,10 +175,10 @@ def test_einstein_solves_over_a_dependent_basis_are_underdetermined(
     the induced metric and eta-bar x eta-bar are independent there and the
     twin metric is nondegenerate.  Each solve reads a replaced target and
     a replaced, dependent basis."""
-    eta = frame.eta_bar
+    eta_eta = frame.eta_eta
     with_value(monkeypatch,
-               frame=SimpleNamespace(induced_form=outer(eta, eta).scale(2), eta_bar=eta),
-               curv_ind=SimpleNamespace(ricci=outer(eta, eta)),
+               frame=SimpleNamespace(induced_form=eta_eta.scale(2), eta_eta=eta_eta),
+               curv_ind=SimpleNamespace(ricci=eta_eta),
                assoc=SimpleNamespace(metric=SimpleNamespace(form=tric.scale(0))),
                tcurv=SimpleNamespace(ricci=tric.scale(0)))
     geo = suite.Geometry(model)
