@@ -579,22 +579,24 @@ class _Parser:
         value = self._unary(depth)
         while self._peek()[0] in ("*", "/"):
             op, _, pos = self._next()
-            rhs = self._unary(depth)
+            rhs = self._unary(depth, (op, value, pos))
             if op == "/" and rhs.is_zero():
                 raise ScalarParseError("division by the zero polynomial", pos)
             self._check_operation(op, value, rhs, pos)
             value = value * rhs if op == "*" else value / rhs
         return value
 
-    def _unary(self, depth: int) -> RationalFunction:
+    def _unary(self, depth: int, pending=None) -> RationalFunction:
+        """pending is the (op, left operand, position) of the product or
+        quotient this value is the right operand of, or None."""
         kind = self._peek()[0]
         if kind == "-":
-            return -self._unary(_deeper(depth, self._next()[2]))
+            return -self._unary(_deeper(depth, self._next()[2]), pending)
         if kind == "+":
-            return self._unary(_deeper(depth, self._next()[2]))
-        return self._power(depth)
+            return self._unary(_deeper(depth, self._next()[2]), pending)
+        return self._power(depth, pending)
 
-    def _power(self, depth: int) -> RationalFunction:
+    def _power(self, depth: int, pending=None) -> RationalFunction:
         base = self._atom(depth)
         if self._peek()[0] != "^":
             return base
@@ -609,7 +611,7 @@ class _Parser:
         exponent = sign * value
         if exponent < 0 and base.is_zero():
             raise ScalarParseError("zero raised to a negative power", pos)
-        self._check_power(base, value, pos)
+        self._check_power(base, exponent, pos, pending)
         return base ** exponent
 
     def _atom(self, depth: int) -> RationalFunction:
@@ -628,13 +630,16 @@ class _Parser:
             return inner
         raise ScalarParseError("expected a number, 'mu', or '('", pos)
 
-    def _check_power(self, base: RationalFunction, exponent: int, pos: int) -> None:
-        """Reject base^(+-exponent) before computing it when its degree is
-        over MAX_POWER_DEGREE, a multi-term base takes the entry over
-        MAX_PRODUCT_SIZE, or a coefficient of it has more digits than
-        ``str`` prints.  The power raises the leading and trailing
-        coefficients of num and den exactly to the exponent, so each of
-        them gives a lower bound."""
+    def _check_power(self, base: RationalFunction, signed: int, pos: int,
+                     pending) -> None:
+        """Reject base^signed before computing it when its degree is over
+        MAX_POWER_DEGREE, a multi-term base takes the entry over
+        MAX_PRODUCT_SIZE, a coefficient of it has more digits than ``str``
+        prints, or the pending product or quotient it is the right operand
+        of has a degree over MAX_POWER_DEGREE.  The power raises the leading
+        and trailing coefficients of num and den exactly to the exponent, so
+        each of them gives a lower bound."""
+        exponent = abs(signed)
         degree = exponent * (max(len(base.num), len(base.den)) - 1)
         if degree > MAX_POWER_DEGREE:
             raise ScalarParseError(
@@ -649,6 +654,10 @@ class _Parser:
         if limit and bits * 30102 // 100000 >= limit:
             raise ScalarParseError(
                 "the value has a coefficient too long to print", 0)
+        if pending and pending[1].num and base.num:
+            op, a, at = pending
+            parts = (base.num, base.den) if signed > 0 else (base.den, base.num)
+            _formed_degree(op, False, a, *(exponent * (len(cs) - 1) for cs in parts), at)
 
     def _check_operation(self, op: str, a: RationalFunction, b: RationalFunction,
                          pos: int) -> None:
@@ -660,14 +669,11 @@ class _Parser:
         single terms never take the gcd."""
         if not (a.num and b.num):
             return
-        parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
         same_den = op in "+-" and a.den == b.den
-        num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
+        num, den = _formed_degree(op, same_den, a, len(b.num) - 1, len(b.den) - 1, pos)
+        parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
         name = _OPERATION_NAMES[op]
         degree = max(num, den)
-        if degree > MAX_POWER_DEGREE:
-            raise ScalarParseError(
-                f"a {name} of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
         product = op in "*/" and a._k is None and b._k is None
         gcd = num and den and not (a._k is not None and b._k is not None
                                    and (op in "*/" or a._k == b._k))
@@ -710,6 +716,19 @@ def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,
     if same_den:
         return max(an, bn) + carry, bd
     return max(an + bd, bn + ad) + carry, ad + bd
+
+
+def _formed_degree(op: str, same_den: bool, a: RationalFunction, bn: int, bd: int,
+                   pos: int) -> tuple[int, int]:
+    """The degrees of the numerator and denominator that a op b forms, from
+    the degrees bn and bd of b's; raises when one is over MAX_POWER_DEGREE."""
+    if op == "/":
+        bn, bd = bd, bn
+    num, den = _formed(op, same_den, 0, len(a.num) - 1, len(a.den) - 1, bn, bd)
+    if max(num, den) > MAX_POWER_DEGREE:
+        raise ScalarParseError(f"a {_OPERATION_NAMES[op]} of degree {max(num, den)} "
+                               f"is over the bound of {MAX_POWER_DEGREE}", pos)
+    return num, den
 
 
 def _deeper(depth: int, pos: int) -> int:

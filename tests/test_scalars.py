@@ -623,3 +623,21 @@ def test_parse_bounds_products_and_sums():
             RationalFunction.parse(text)
         assert err.value.position == position
         assert str(err.value).startswith(message)
+
+
+def test_over_degree_product_is_rejected_before_its_right_power(monkeypatch):
+    """The degree of a product whose right operand is a power is known
+    before that power is computed, so only the left power is built."""
+    powers = []
+    ppow = scalars._ppow
+
+    def counted(a, e):
+        if len(a) > 1:
+            powers.append(e)
+        return ppow(a, e)
+    monkeypatch.setattr(scalars, "_ppow", counted)
+    with pytest.raises(ScalarParseError,
+                       match=r"^a product of degree 2000 is over the bound of 1000 "
+                             r"\(at position 11\)$"):
+        RationalFunction.parse("(mu+1)^1000*(mu+1)^1000")
+    assert powers == [1000]
