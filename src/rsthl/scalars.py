@@ -408,8 +408,8 @@ class RationalFunction:
 
 
 def _coerce(value):
-    if isinstance(value, RationalFunction):
-        return value
+    """A rational value that is not a RationalFunction (every caller has
+    excluded that type) as one, or NotImplemented."""
     try:
         return _term(*_ratio(value), 0)
     except TypeError:

@@ -162,6 +162,10 @@ def test_lie_checks_match_the_per_cell_scans(cells, antisymmetrize):
 
 
 def test_invariant_metric_validation():
+    with pytest.raises(ValueError, match="arity-2"):
+        InvariantMetric(MultilinearForm.zero(F3, 3))
+    with pytest.raises(ValueError, match="one diagonal entry per label"):
+        InvariantMetric.diagonal(F3, (1, 1))
     with pytest.raises(ValueError):
         InvariantMetric(MultilinearForm.from_function(
             F3, 2, lambda i, j: ONE if (i, j) == (0, 1) else ZERO))

@@ -403,6 +403,8 @@ def test_frame_errors_in_the_submanifold_report(tmp_path, capsys, edit, name, su
 
 def test_frame_shape_validation(model, brackets, structure):
     sub = model.submanifold
+    with pytest.raises(InvalidFrame, match="differ in number"):
+        SubmanifoldFrame(brackets, structure, ("E1",), sub.screen, sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="screen vectors"):
         SubmanifoldFrame(brackets, structure, ("E1",), sub.screen[:1], sub.rad, sub.l_vec)
     with pytest.raises(InvalidFrame, match="reserved"):

@@ -5,10 +5,12 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -544,14 +546,16 @@ def metric_model(entry: str) -> bytes:
     return json.dumps(obj).encode("utf-8")
 
 
-# The last two pass CPython's default limit of 4,300 digits on int and str
-# conversion, one as a literal and one as a printed power.
+# Three pass CPython's default limit of 4,300 digits on int and str
+# conversion: a literal, a printed power and a printed product of literals.
 @pytest.mark.parametrize("content, fragment", [
     (b"\xff\xfe{}", "$: not UTF-8 text"),
     (b"[" * 100_000, "$: invalid JSON: nested too deeply"),
     (metric_model("(" * 5000 + "1" + ")" * 5000),
      "metric.X1,X1: parentheses and signs nested more than"),
     (metric_model("9" * 5000), "metric.X1,X1: a number of 5000 digits is too long"),
+    (metric_model("9" * 3000 + "*" + "9" * 3000),
+     "metric.X1,X1: the value has a coefficient too long to print"),
     (metric_model("2^20000"),
      "metric.X1,X1: the value has a coefficient too long to print"),
     (metric_model("(mu+1)^3000"),
@@ -572,7 +576,8 @@ def metric_model(entry: str) -> bytes:
     (metric_model("(mu+1)^1000 + (mu+2)^1000"),
      "metric.X1,X1: a power of degree 1000 with 2000-bit coefficients takes the "
      "entry over the bound of 2000000 on degree times bits (at position 21)"),
-], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-power",
+], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-product",
+        "unprintable-power",
         "high-degree-power", "huge-power", "high-degree-product", "large-gcd",
         "wide-power", "wide-product", "wide-small-power", "entry-over-product-bound"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment):
@@ -585,6 +590,20 @@ def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, content, fragment)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fragment}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["rsthl", "rsthl.cli"])
+def test_module_entry_points_exit_with_mains_code(module, monkeypatch, capsys):
+    """``python -m rsthl`` and ``python -m rsthl.cli`` run ``main`` on the
+    command line and exit with its code."""
+    monkeypatch.setattr(sys, "argv", ["rsthl", "example47", "--suite", "ambient"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+        # running the imported rsthl.cli again as __main__ warns about it
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(module, run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.endswith(
+        "verdict: pass (22 passed, 0 failed, 0 skipped)\n")
 
 
 def test_cli_calls_in_a_row_match_fresh_processes(tmp_path, capsys):

@@ -34,6 +34,12 @@ def test_passing_entry_keeps_its_statement():
     assert compare("x", "eq-1", (t, ONE), (t, ONE), "pair").status == PASS
 
 
+def test_entries_compare_by_their_fields():
+    entry = passed("x", "eq-1", "A = B")
+    assert entry == passed("x", "eq-1", "A = B") != passed("x", "eq-1", "A")
+    assert entry != ("x", "eq-1", "A = B") and entry.__eq__(None) is NotImplemented
+
+
 def test_scalar_suffix_is_got_minus_want():
     entry = compare("x", "eq-1", MU * 3, MU, "3 mu = mu")
     assert entry.status == FAIL

@@ -123,6 +123,8 @@ def test_parse_accepts_full_grammar():
     assert rf("((mu))") == MU
     assert rf("1/2") == HALF
     assert rf("3") == rf(3)
+    # a zero operand is never bounded: the result is zero
+    assert rf("0*(mu+1)^2 + (mu+1)*0") == ZERO
     assert RationalFunction((0, 1)) == MU
 
 
@@ -479,6 +481,22 @@ def test_integer_and_fraction_coercion():
     assert MU + Fraction(1, 2) == MU + HALF
     with pytest.raises(TypeError):
         rf(1.5)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv, operator.pow])
+def test_operators_refuse_values_that_are_not_rational(op):
+    """Each operator returns NotImplemented on a value with no int
+    numerator and denominator, either side, so Python raises TypeError."""
+    for a, b in ((MU, 1.5), (1.5, MU), (MU, "mu"), ("mu", MU)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+def test_equality_coerces_rationals_and_refuses_the_rest():
+    assert ONE == 1 and MU != 1 and HALF == Fraction(1, 2)
+    assert MU != "mu" and MU.__eq__("mu") is NotImplemented
+    assert repr(MU / (MU + 1)) == "RationalFunction(mu/(mu + 1))"
 
 
 def test_is_constant():

@@ -195,6 +195,30 @@ def test_cell_apply_and_value_follow_the_components(arity):
         t.cell(*range(arity))
 
 
+def test_argument_guards_raise():
+    """Each shape guard of the table type, and the type checks that let a
+    comparison with another type fall back to Python's default."""
+    v, op, t3 = F3.basis_vector(0), MultilinearForm.identity(F3), MultilinearForm.zero(F3, 3)
+    for call, message in [
+            (lambda: MultilinearForm(F3, 0, ()), "at least one slot"),
+            (lambda: MultilinearForm(F3, 2, (ONE,) * 3), "entry count"),
+            (lambda: MultilinearForm.from_cells(F3, 2, lambda j: F2.basis_vector(0)),
+             "different frames"),
+            (lambda: MultilinearForm.from_cells(F3, 3, lambda i, j: op), "a cell is a vector"),
+            (lambda: op.entry(0), "index count"),
+            (lambda: op.value(v), "argument count"),
+            (lambda: t3.pull_slots(v, (0,)), "only an arity-2 table"),
+            (lambda: op + t3, "arity mismatch"),
+            (lambda: t3.rows(), "arity 2")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert F3 != F3.labels and F3.__eq__(F3.labels) is NotImplemented
+    assert v != v.entries and v.__eq__(v.entries) is NotImplemented
+    assert repr(F2) == "Frame(labels=('f1', 'f2'))"
+    assert repr(F2.basis_vector(1)) == (
+        "MultilinearForm(Frame(labels=('f1', 'f2')), 1, {1: RationalFunction(1)})")
+
+
 def test_composition_by_pull_slots():
     # neither operator is symmetric, and they do not commute
     a = operator({"e1": 1, "e2": 2}, {"e3": 3}, {"e1": MU, "e2": -1})
