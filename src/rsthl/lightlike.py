@@ -16,6 +16,8 @@ Tangent-space objects are read from ambient tables through the frame's
 Conventions; ``associated`` splits over the twin normals (N1, N2).
 The frame builds the tangent tables several identities share once (xi,
 X -> eta(X) xi, eta-bar (x) eta-bar); ``InducedObjects`` builds phi P A*_xi.
+C, nabla*, A*_xi and phi P are compositions with P, eta and xi, valid once
+transversal-duality has made eta the radical coordinate.
 """
 
 from __future__ import annotations
@@ -235,12 +237,9 @@ class SubmanifoldFrame:
     def phi_p(self) -> MultilinearForm:
         """The tangent operator X -> phi(PX), read once screen-phi-invariance
         has passed: phi maps screen vectors to tangent ones."""
-        parts = self.phi_parts
-        # phi(xi) = mu L is transversal, and P kills xi
-        zero = MultilinearForm.zero(self.tangent_frame, 1)
-        return MultilinearForm.from_cells(
-            self.tangent_frame, 2,
-            lambda a: zero if a == self.radical_index else parts[0].cell(a))
+        # P kills xi (transversal-duality makes eta the radical coordinate),
+        # so the transversal phi(xi) = mu L is never read
+        return self.phi_parts[0].pull_slots(self.projector, (0,))
 
     @cached_property
     def phi_pairing(self) -> MultilinearForm:
@@ -385,22 +384,19 @@ class InducedObjects:
 def gauss_weingarten(f: SubmanifoldFrame, ambient_gamma: MultilinearForm) -> InducedObjects:
     """Split the ambient connection (Gauss) and its derivatives of N and L
     (Weingarten) over (tangent, N, L)."""
-    tf = f.tangent_frame
-    xi_t = f.radical_tangent
     # the L part of nabla_X L is eps g(nabla_X L, L) = (eps/2) X g(L, L) = 0
     (gamma, b_form, d_form), (along_n, tau, rho), (along_l, phi_form, _) = \
         f.splitting.connection_parts(ambient_gamma)
     shape_n, shape_l = -along_n, -along_l
 
-    rad = f.radical_index
-    c_form = MultilinearForm.from_function(
-        tf, 2, lambda a, b: gamma.entry(a, b, rad) if b != rad else ZERO)
-    screen_gamma = MultilinearForm.from_cells(
-        tf, 3,
-        lambda a, b: gamma.cell(a, b) - xi_t.scale(c_form.entry(a, b))
-        if b != rad else MultilinearForm.zero(tf, 1))
-    shape_rad = MultilinearForm.from_cells(
-        tf, 2, lambda a: -gamma.cell(a, rad) - xi_t.scale(tau.entry(a)))
+    # nabla_X PY, split along P: transversal-duality makes eta the radical
+    # coordinate, so C = eta(nabla_X PY) and nabla*_X PY = P nabla_X PY
+    gamma_p = gamma.pull_slots(f.projector, (1,))
+    c_form = compose(gamma_p, f.eta)
+    screen_gamma = compose(gamma_p, f.projector)
+    # A*_xi X = -nabla_X xi - tau(X) xi, with (X, Y) -> nabla_Y X fixed at xi
+    xi_t = f.radical_tangent
+    shape_rad = -gamma.permute((1, 0, 2)).apply(xi_t) - outer(tau, xi_t)
 
     return InducedObjects(gamma=gamma, screen_gamma=screen_gamma,
                           b_form=b_form, c_form=c_form, d_form=d_form,
@@ -416,11 +412,9 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
     eps = f.epsilon
     proj = f.projector
     zero_form = MultilinearForm.zero(tf, 1)
-
-    def radical_slot(t: MultilinearForm) -> MultilinearForm:
-        """The one-form X -> t(X, xi)."""
-        return t.permute((1, 0)).at(f.radical_index)
-
+    # compose(t, xi) is X -> t(X, xi) for a form t, and the xi coefficient
+    # of t(X) for an operator t
+    xi_t = f.radical_tangent
     g_rad = g.pull_slots(obj.shape_rad, (0,))  # g(A*_xi T_a, T_b)
     g_l_proj = g.pull_slots(obj.shape_l, (0,)).pull_slots(proj, (1,))  # g(A_L T_a, P T_b)
     low = obj.gamma.pull_slots(g, (2,))  # g(nabla_{T_a} T_b, T_c)
@@ -435,20 +429,20 @@ def induced_invariant_entries(f: SubmanifoldFrame, obj: InducedObjects) -> list[
                 "the N-valued fundamental form is symmetric"),
         compare("d-symmetric", anchor, obj.d_form, obj.d_form.permute((1, 0)),
                 "the L-valued fundamental form is symmetric"),
-        compare("b-kills-radical", anchor, radical_slot(obj.b_form), zero_form,
+        compare("b-kills-radical", anchor, compose(obj.b_form, xi_t), zero_form,
                 "B(X, xi) = 0"),
-        compare("d-radical-slot", anchor, radical_slot(obj.d_form), -obj.phi_form,
+        compare("d-radical-slot", anchor, compose(obj.d_form, xi_t), -obj.phi_form,
                 "D(X, xi) = -phi(X)"),
         compare("radical-shape-kills-radical", anchor,
-                obj.shape_rad.cell(f.radical_index), MultilinearForm.zero(tf, 1),
+                compose(xi_t, obj.shape_rad), zero_form,
                 "the radical shape operator annihilates xi"),
         compare("radical-shape-self-adjoint", anchor, g_rad, g_rad.permute((1, 0)),
                 "the radical shape operator is self-adjoint for the induced metric"),
         compare("b-from-radical-shape", anchor, obj.b_form, g_rad,
                 "B(X, Y) = g(A*_xi X, Y)"),
-        compare("radical-shape-screen-valued", anchor, radical_slot(obj.shape_rad),
+        compare("radical-shape-screen-valued", anchor, compose(obj.shape_rad, xi_t),
                 zero_form, "the radical shape operator takes values in the screen"),
-        compare("n-shape-screen-valued", anchor, radical_slot(obj.shape_n), zero_form,
+        compare("n-shape-screen-valued", anchor, compose(obj.shape_n, xi_t), zero_form,
                 "the null transversal shape operator takes values in the screen"),
         compare("c-from-n-shape", anchor, obj.c_form,
                 g.pull_slots(obj.shape_n, (0,)).pull_slots(proj, (1,)),

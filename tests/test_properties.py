@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rsthl.builtin import example_model
 from rsthl.cli import main
-from rsthl.lightlike import Splitting
+from rsthl.lightlike import Splitting, gauss_weingarten
 from rsthl.liegeom import (InvariantMetric, bracket_table, curvature,
                            curvature_entries, derivative, koszul_entries,
                            levi_civita, validate_lie_algebra)
@@ -21,7 +21,7 @@ from rsthl.model import SubmanifoldData, dumps_model, model_from_json_obj
 from rsthl.report import CheckReport
 from rsthl.scalars import ZERO, rf
 from rsthl.suite import Geometry, run_suite
-from rsthl.tensors import Frame, MultilinearForm, matrix_inverse, solve
+from rsthl.tensors import Frame, MultilinearForm, matrix_inverse, outer, solve
 
 from conftest import replaced
 from test_tensors import leibniz
@@ -470,3 +470,62 @@ def test_suites_slice_the_full_report(build):
     assert ambient.to_json() == sliced(full[:len(ambient.entries)])
     assert run_suite(m, "submanifold").to_json() == sliced(full[:-6])
     assert run_suite(m, "theorem46").to_json() == sliced(full[-6:])
+
+
+def tables_by_cells(f, obj):
+    """The reference C, nabla*, A*_xi and phi P, built cell by cell from the
+    split connection: C(T_a, T_b) is the xi component of nabla_{T_a} T_b
+    and nabla* its screen part, both zero at T_b = xi; A*_xi T_a is
+    -nabla_{T_a} xi - tau(T_a) xi; phi P is the tangent part of phi on the
+    screen and zero at xi."""
+    tf, rad, xi = f.tangent_frame, f.radical_index, f.radical_tangent
+    gamma, zero = obj.gamma, MultilinearForm.zero(tf, 1)
+    c_form = MultilinearForm.from_function(
+        tf, 2, lambda a, b: gamma.entry(a, b, rad) if b != rad else ZERO)
+    screen_gamma = MultilinearForm.from_cells(
+        tf, 3, lambda a, b: gamma.cell(a, b) - xi.scale(c_form.entry(a, b))
+        if b != rad else zero)
+    shape_rad = MultilinearForm.from_cells(
+        tf, 2, lambda a: -gamma.cell(a, rad) - xi.scale(obj.tau.entry(a)))
+    phi_p = MultilinearForm.from_cells(
+        tf, 2, lambda a: zero if a == rad else f.phi_parts[0].cell(a))
+    return c_form, screen_gamma, shape_rad, phi_p
+
+
+def assert_composed_tables_match_the_cells(f, obj):
+    assert (obj.c_form, obj.screen_gamma, obj.shape_rad, f.phi_p) == \
+        tables_by_cells(f, obj)
+
+
+@pytest.mark.parametrize("build", [
+    example_model, reeb_sheared, *(rebased(seed) for seed in (1, 2, 3))],
+    ids=lambda build: build.__name__)
+def test_composed_tables_match_the_cell_reading(build):
+    geo = Geometry(build())
+    assert_composed_tables_match_the_cells(geo.frame, geo.induced)
+
+
+@given(**FRAME_CHANGES)
+@settings(max_examples=5, deadline=None, phases=NO_SHRINK)
+def test_composed_tables_match_the_cells_under_adapted_frame_changes(p, q, r, s, c, t):
+    geo = Geometry(adapted_frame_change(p, q, r, s, c, t))
+    assert_composed_tables_match_the_cells(geo.frame, geo.induced)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_composed_tables_match_the_cells_off_the_class(seed):
+    """On invariant data tau = 0 and phi(xi) = mu L, which hide the xi
+    slot of C, the tau term of A*_xi and the xi row of phi P.  Here
+    phi(E) gains X2, so phi(xi) gains the tangent part mu E1, and a seeded
+    table added to the ambient connection makes tau nonzero.  Neither
+    touches the metric, so transversal-duality still holds."""
+    m = example_model()
+    e = m.frame.basis_vector
+    f = Geometry(replaced(m, phi=m.phi + outer(e(4), e(1)))).frame
+    rng = random.Random(seed)
+    noise = MultilinearForm(m.frame, 3, tuple(
+        rf(rng.randint(-2, 2)) for _ in range(m.frame.dimension ** 3)))
+    obj = gauss_weingarten(f, Geometry(m).conn + noise)
+    assert not obj.tau.is_zero()
+    assert not f.phi_parts[0].cell(f.radical_index).is_zero()
+    assert_composed_tables_match_the_cells(f, obj)

@@ -16,9 +16,10 @@ import pytest
 
 import test_properties
 from rsthl import suite
-from rsthl.associated import (build_associated, semisym_24_entry,
-                              tilde_form_21_entry, tilde_relation_13_entry,
-                              tilde_ricci_14_entry, umbilical_flatness_entry)
+from rsthl.associated import (build_associated, geodesic_correspondence_entries,
+                              semisym_24_entry, tilde_form_21_entry,
+                              tilde_relation_13_entry, tilde_ricci_14_entry,
+                              umbilical_flatness_entry)
 from rsthl import builtin
 from rsthl.cli import main
 from rsthl.liegeom import CurvatureTensor, InvariantMetric, bracket_table, curvature
@@ -34,7 +35,7 @@ from rsthl.scalars import HALF, ONE
 from rsthl.structure import (ACBMStructure, CurvaturePair,
                              associated_compat_entry, validate_acbm)
 from rsthl.suite import decided, run_suite
-from rsthl.tensors import MultilinearForm
+from rsthl.tensors import MultilinearForm, outer
 
 from conftest import replaced
 
@@ -114,9 +115,9 @@ def geometry_with(geo, **objects):
     return fresh
 
 
-def twin_entry(name, structure=None, mu=None, induced=None):
+def twin_entry(name, structure=None, mu=None, induced=None, conn=None):
     """The decided twin entry name with the worked frame's structure, the
-    invariant mu or the induced objects changed."""
+    invariant mu, the induced objects or the ambient connection changed."""
     def case(geo):
         objects = {}
         if structure:
@@ -125,6 +126,8 @@ def twin_entry(name, structure=None, mu=None, induced=None):
             objects["mu"] = mu(geo)
         if induced:
             objects["induced"] = induced(geo)
+        if conn:
+            objects["conn"] = conn(geo)
         return entry_named(decided(*geometry_with(geo, **objects).twin[1]).entries, name)
     return case
 
@@ -229,16 +232,6 @@ def tilde_form_21(geo):
     return entry
 
 
-def twin_shape_duality(geo):
-    # nabla_{X2} X1 gains an X2 part: only the derivatives of the twin
-    # normals see it, since no tangent vector has an X1 component
-    frame = geo.model.frame
-    x1, x2 = frame.index("X1"), frame.index("X2")
-    conn = bump_form(geo.conn, x2, x1, x2)
-    return entry_named(decided(*geometry_with(geo, conn=conn).twin[1]).entries,
-                       "twin-shape-duality")
-
-
 def curvature_transfer(geo):
     # on the abelian variant the statement is not vacuous; the twin
     # curvature is moved off the induced one
@@ -254,12 +247,53 @@ def curvature_transfer(geo):
     return entry_named(entries, "umbilical-curvature-transfer")
 
 
+def abelian_variant(geo):
+    """The geometry of the worked model with every bracket zero: both
+    induced metrics are totally geodesic there."""
+    return suite.Geometry(replaced(geo.model, brackets=bracket_table(geo.model.frame, {})))
+
+
 def umbilical_flatness(geo):
-    flat = suite.Geometry(replaced(
-        geo.model, brackets=bracket_table(geo.model.frame, {})))
+    flat = abelian_variant(geo)
     entry = umbilical_flatness_entry(flat.umbilicity,
                                      bump_curvature(flat.curv_ind), flat.curv)
     return entry
+
+
+def connection_term(geo, u, w, v):
+    """The ambient table with nabla-bar_u w = v, for frame labels u and w,
+    and zero elsewhere."""
+    return outer(vector(geo, {u: 1}), outer(vector(geo, {w: 1}), v))
+
+
+def skew_along(normal):
+    """The worked ambient connection where nabla-bar_{E1} E2 gains the twin
+    normal and nabla-bar_{E2} E1 loses it (E1 = X2, E2 = X4): the torsion
+    moves, and only the second form of that normal sees it."""
+    def conn(geo):
+        v = normal(geo.assoc)
+        return (geo.conn + connection_term(geo, "X2", "X4", v)
+                - connection_term(geo, "X4", "X2", v))
+    return conn
+
+
+def crossed_classes(name, flat_first):
+    """The prop-3.3 entry name on the first class of one geometry and the
+    twin class of another: the worked model, where neither metric is
+    totally umbilical, against its abelian variant, where both are
+    totally geodesic."""
+    def case(geo):
+        flat = abelian_variant(geo)
+        first, twin = (flat, geo) if flat_first else (geo, flat)
+        return entry_named(geodesic_correspondence_entries(twin.assoc, first.umbilicity),
+                           name)
+    return case
+
+
+def bumped_induced(field):
+    """The worked induced objects with the (E1, E1) entry of field raised."""
+    return lambda geo: induced_with(
+        geo, **{field: bump_form(getattr(geo.induced, field), 0, 0)})
 
 
 def doubled_phi(s):
@@ -439,7 +473,29 @@ CASES = {
     "twin-curvature-transfer": tilde_relation_13,
     "twin-ricci-transfer": tilde_ricci_14,
     "twin-umbilic-curvature-form": tilde_form_21,
-    "twin-shape-duality": twin_shape_duality,
+    # nabla_{X2} X1 gains an X2 part: only the derivatives of the twin
+    # normals see it, since no tangent vector has an X1 component
+    "twin-shape-duality": twin_entry(
+        "twin-shape-duality",
+        conn=lambda geo: geo.conn + connection_term(geo, "X2", "X1", vector(geo, {"X2": 1}))),
+    # B moves, the split of the ambient connection does not
+    "twin-second-form-one": twin_entry("twin-second-form-one",
+                                       induced=bumped_induced("b_form")),
+    "twin-second-form-two": twin_entry("twin-second-form-two",
+                                       induced=bumped_induced("b_form")),
+    "twin-shape-one": twin_entry("twin-shape-one", induced=bumped_induced("shape_rad")),
+    "twin-shape-two": twin_entry("twin-shape-two", induced=bumped_induced("shape_rad")),
+    "twin-h1-symmetric": twin_entry(
+        "twin-h1-symmetric", conn=skew_along(lambda assoc: assoc.n1)),
+    "twin-h2-symmetric": twin_entry(
+        "twin-h2-symmetric", conn=skew_along(lambda assoc: assoc.n2)),
+    # nabla-bar_{X2} E gains N1, so nabla-bar_{E1} N1 has an N1 part
+    "twin-weingarten-tangency": twin_entry(
+        "twin-weingarten-tangency",
+        conn=lambda geo: geo.conn + connection_term(geo, "X2", "E", geo.assoc.n1)),
+    "geodesic-correspondence": crossed_classes("geodesic-correspondence", True),
+    "umbilical-collapse": crossed_classes("umbilical-collapse", True),
+    "twin-umbilical-collapse": crossed_classes("twin-umbilical-collapse", False),
     "umbilical-curvature-transfer": curvature_transfer,
     "umbilical-flatness": umbilical_flatness,
     "phi-squared": axiom("phi-squared", doubled_phi),
@@ -571,6 +627,24 @@ SUFFIXES = {
         "; the residual at (E1, E2, E1, E2) is 1, 1 of 81 components nonzero",
     "twin-shape-duality":
         "; the residual at (E1, E2) is 1, 1 of 9 components nonzero",
+    "twin-second-form-one":
+        "; the residual at (E1, E1) is -1/(mu), 1 of 9 components nonzero",
+    "twin-second-form-two":
+        "; the residual at (E1, E1) is 1/(mu), 2 of 9 components nonzero",
+    "twin-shape-one":
+        "; the residual at (E1, E2) is 1/(mu), 1 of 9 components nonzero",
+    "twin-shape-two":
+        "; the residual at (E1, E1) is -1/(mu), 2 of 9 components nonzero",
+    "twin-h1-symmetric":
+        "; the residual at (E1, E2) is 2, 2 of 9 components nonzero",
+    "twin-h2-symmetric":
+        "; the residual at (E1, E2) is 2, 2 of 9 components nonzero",
+    "twin-weingarten-tangency":
+        "; the residual at (E1) is 1, 1 of 3 components nonzero",
+    # truth values: the statement carries them
+    "geodesic-correspondence": "",
+    "umbilical-collapse": "",
+    "twin-umbilical-collapse": "",
     "umbilical-curvature-transfer":
         "; the residual at (E1, E2, E1, E2) is -1, 1 of 81 components nonzero",
     "umbilical-flatness":
@@ -670,13 +744,15 @@ CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it",
 
 # the structure axioms, the half lightlike splitting, the ascreen
 # conditions, the induced objects, the structure transfer of eq-2.7 to
-# eq-2.10 and sec-2-commuting, the twin geometry of thm-1.1 and eq-2.11,
-# the umbilicity classes of def-3.1, and the screen umbilical closed forms
-# of thm-4.4, eq-18, eq-20, eq-23 and eq-24
+# eq-2.10 and sec-2-commuting, the twin geometry of thm-1.1, sec-2-twin,
+# eq-2.11 and eq-2.12, the umbilicity classes of def-3.1 and their
+# correspondence in prop-3.3, and the screen umbilical closed forms of
+# thm-4.4, eq-18, eq-20, eq-23 and eq-24
 GUARDED_ANCHORS = ("sec-2-structure", "sec-2-splitting", "sec-2-ascreen",
                    "sec-2-induced", "eq-2.7", "eq-2.8", "eq-2.9", "eq-2.10",
-                   "sec-2-commuting", "eq-2.11", "thm-1.1", "def-3.1", "thm-4.4",
-                   "eq-18", "eq-20", "eq-23", "eq-24")
+                   "sec-2-commuting", "eq-2.11", "eq-2.12", "sec-2-twin", "thm-1.1",
+                   "def-3.1", "prop-3.3", "thm-4.4", "eq-18", "eq-20", "eq-23",
+                   "eq-24")
 
 
 def catalog_section(anchor):
