@@ -107,7 +107,9 @@ def build_associated(f: SubmanifoldFrame, obj: InducedObjects,
     s = f.structure
     assoc = AssociatedObjects(f, mu, ambient_gamma)
     n1, n2 = assoc.n1, assoc.n2
-    gt = s.g_phi + s.eta_eta  # g~ as its table, read without inverting it
+    # g~ as its table: ACBMStructure.g_tilde also inverts it, so it rejects
+    # the asymmetric or singular g~ of a phi the twin entries still decide
+    gt = s.g_phi + s.eta_eta
     zero_form = MultilinearForm.zero(f.tangent_frame, 1)
     xi_idx = f.radical_index
     gt_form = f.twin_form

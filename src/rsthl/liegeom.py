@@ -97,7 +97,7 @@ class InvariantMetric:
 
 def derivative(gamma: MultilinearForm, v: MultilinearForm) -> MultilinearForm:
     """The operator X -> nabla_X v of the connection gamma."""
-    return compose(v, gamma.permute((1, 0, 2)))
+    return compose(v, gamma, 1)
 
 
 def koszul_entries(gamma: MultilinearForm, brackets: MultilinearForm,
@@ -161,8 +161,8 @@ def derivation_action(ops: MultilinearForm, form: MultilinearForm) -> Multilinea
 def curvature(gamma: MultilinearForm, brackets: MultilinearForm) -> CurvatureTensor:
     """R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k
     - nabla_[e_i, e_j] e_k, composed from whole tables."""
-    # compose(gamma, gamma') at (i, j, x) is nabla_x nabla_i e_j
-    nn = compose(gamma, gamma.permute((1, 0, 2))).permute((1, 2, 0, 3))
+    # compose(gamma, gamma, 1) at (x, i, j) is nabla_x nabla_i e_j
+    nn = compose(gamma, gamma, 1)
     return CurvatureTensor(nn - nn.permute((1, 0, 2, 3)) - compose(brackets, gamma))
 
 

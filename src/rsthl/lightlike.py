@@ -270,8 +270,10 @@ def frame_conditions(f: SubmanifoldFrame) -> tuple:
         ("radical-isotropy", anchor, lambda: (
             f.induced_form.cell(f.radical_index), zero_form,
             "the radical direction is orthogonal to the whole tangent space")),
+        # radical-isotropy made the radical row and column zero, so the rank
+        # of the induced metric is its rank on the screen
         ("screen-nondegeneracy", anchor, lambda: (
-            rank([row[:-1] for row in f.induced_form.rows()[:-1]]) == len(f.screen),
+            rank(f.induced_form.rows()) == len(f.screen),
             True, "the induced metric restricts without kernel to the screen")),
         # L is a unit normal: g(L, L) = +-1 and g(L, T_a) = 0
         ("transversal-normalization", anchor, lambda: (
@@ -394,9 +396,9 @@ def gauss_weingarten(f: SubmanifoldFrame, ambient_gamma: MultilinearForm) -> Ind
     gamma_p = gamma.pull_slots(f.projector, (1,))
     c_form = compose(gamma_p, f.eta)
     screen_gamma = compose(gamma_p, f.projector)
-    # A*_xi X = -nabla_X xi - tau(X) xi, with (X, Y) -> nabla_Y X fixed at xi
+    # A*_xi X = -nabla_X xi - tau(X) xi
     xi_t = f.radical_tangent
-    shape_rad = -gamma.permute((1, 0, 2)).apply(xi_t) - outer(tau, xi_t)
+    shape_rad = -derivative(gamma, xi_t) - outer(tau, xi_t)
 
     return InducedObjects(gamma=gamma, screen_gamma=screen_gamma,
                           b_form=b_form, c_form=c_form, d_form=d_form,

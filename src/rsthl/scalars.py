@@ -538,6 +538,13 @@ class _Parser:
     Each rule takes the nesting depth: the parentheses and signs around it.
     The products and powers of multi-term values share one allowance of
     MAX_PRODUCT_SIZE, so an entry's work is bounded, not each operation's.
+
+    A product or quotient whose right operand is a power is the pending
+    operation of that power: its degree is checked before the power is
+    built.  A parenthesized right operand is not predicted, since the sum
+    inside it can cancel its leading power: mu^500*((mu+1)^600-(mu+1)^600+1)
+    is of degree 500.  The work such an operand costs before the product
+    is checked is bounded by the allowance of MAX_PRODUCT_SIZE.
     """
 
     def __init__(self, text: str):

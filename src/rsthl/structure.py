@@ -135,7 +135,7 @@ def associated_compat_entry(s: ACBMStructure) -> report.CheckEntry:
 def fundamental_tensor(s: ACBMStructure, gamma: MultilinearForm) -> MultilinearForm:
     """F(X,Y,Z) = g_bar((nabla_X phi) Y, Z) on the frame."""
     # (nabla_X phi) Y = nabla_X (phi Y) - phi (nabla_X Y)
-    nabla_phi_y = compose(s.phi, gamma.permute((1, 0, 2))).permute((1, 0, 2))
+    nabla_phi_y = gamma.pull_slots(s.phi, (1,))
     phi_nabla_y = compose(gamma, s.phi)
     return (nabla_phi_y - phi_nabla_y).pull_slots(s.metric.form, (2,))
 

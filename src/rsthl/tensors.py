@@ -29,13 +29,20 @@ tables (``curvature_product``): with an operator a it is the tensor
 (X, Y, Z) -> b(Y, Z) aX - b(X, Z) aY, with a bilinear form a the same
 tensor lowered.  ``outer`` builds the rank-one tables u (x) v such
 products often take, for example the operator X -> eta(X) xi.
-``compose(a, b)`` contracts the last slot of a with the first slot of
-b, so the second covariant derivatives nabla_i nabla_j e_k and the
-bracket term of a curvature, and a derivation acting on a form, are one
-composition of whole tables each.  ``onto_frame`` re-indexes a table
-whose indices lie among the first m labels onto a frame of m labels, so
-splitting or restricting an ambient table over an adapted basis is a
-pull, a composition and one such pass.
+
+One kernel contracts: ``compose(a, b, slot)`` contracts the last slot of
+a with slot ``slot`` of b (the first by default), the other slots of a
+taking that slot's place.  Every substitution is a call of it:
+``pull_slots`` puts an operator into each given slot in turn, ``apply``
+puts vectors into the leading slots, ``value`` is ``apply`` and one last
+contraction, and ``at`` and ``cell`` put in ``Frame.basis_vector``s.  So
+the second covariant derivatives nabla_x nabla_i e_j (``compose(gamma,
+gamma, 1)``), the bracket term of a curvature and nabla_X (phi Y) are
+one composition of whole tables each, with no permutation around it,
+and a derivation acting on a form is two.  ``onto_frame`` re-indexes a
+table whose indices lie among the first m labels onto a frame of m
+labels, so splitting or restricting an ambient table over an adapted
+basis is a pull, a composition and one such pass.
 
 Identities are decided on whole tables.  ``permute`` reorders the slots
 of a table, so a symmetry T(X, Y) = T(Y, X) reads
@@ -101,9 +108,9 @@ class Frame:
             raise KeyError(f"no frame label {label!r}") from None
 
     def basis_vector(self, i: int) -> "MultilinearForm":
-        comps = [ZERO] * self.dimension
-        comps[i] = ONE
-        return MultilinearForm(self, 1, tuple(comps))
+        if not 0 <= i < self.dimension:
+            raise IndexError(f"no basis vector {i} in {self.dimension} labels")
+        return MultilinearForm._of(self, 1, {i: ONE})
 
 
 def _accumulate(out: dict, key: int, term: RationalFunction) -> None:
@@ -234,11 +241,6 @@ class MultilinearForm:
             off = off * self.frame.dimension + i
         return off
 
-    def _block(self, lo: int, size: int, arity: int) -> "MultilinearForm":
-        """The arity-``arity`` table held at the offsets lo, ..., lo + size - 1."""
-        return MultilinearForm._of(self.frame, arity, {
-            off - lo: c for off, c in self.nonzero.items() if lo <= off < lo + size})
-
     def entry(self, *idx: int) -> RationalFunction:
         if len(idx) != self.arity:
             raise ValueError("index count does not match arity")
@@ -248,33 +250,13 @@ class MultilinearForm:
         """The vector at (e_i1, ..., e_i(k-1)), the last slot read as upper."""
         if len(idx) != self.arity - 1:
             raise ValueError("index count does not match arity")
-        dim = self.frame.dimension
-        return self._block(self._offset(idx) * dim, dim, 1)
-
-    def _contract(self, vectors: Sequence["MultilinearForm"]) -> dict:
-        """The nonzero map left after substituting vectors into the leading
-        slots, one slot at a time; each term is a product of two nonzero
-        components."""
-        dim = self.frame.dimension
-        table = self.nonzero
-        block = dim ** self.arity
-        for v in vectors:
-            _same_frame(self, v)
-            block //= dim
-            comps = v.nonzero
-            out = {}
-            for off, t in table.items():
-                i, rest = divmod(off, block)
-                c = comps.get(i)
-                if c is not None:
-                    _accumulate(out, rest, t * c)
-            table = out
-        return table
+        return self.apply(*map(self.frame.basis_vector, idx))
 
     def value(self, *vectors: "MultilinearForm") -> RationalFunction:
         if len(vectors) != self.arity:
             raise ValueError("argument count does not match arity")
-        return self._contract(vectors).get(0, ZERO)
+        # the vector T(v1, ..., v(k-1)) against the last one: arity 0, offset 0
+        return _substituted(vectors[-1], self.apply(*vectors[:-1]), 0).get(0, ZERO)
 
     def apply(self, *vectors: "MultilinearForm") -> "MultilinearForm":
         """The table of arity k - n left by substituting n < k vectors into
@@ -282,8 +264,10 @@ class MultilinearForm:
         the last slot read as upper."""
         if len(vectors) >= self.arity:
             raise ValueError("argument count does not match arity")
-        return MultilinearForm._of(self.frame, self.arity - len(vectors),
-                                   self._contract(vectors))
+        table = self
+        for v in vectors:
+            table = compose(v, table)
+        return table
 
     def __add__(self, other: "MultilinearForm") -> "MultilinearForm":
         self._compatible(other)
@@ -339,8 +323,7 @@ class MultilinearForm:
         """The arity k-1 table T(e_i, ...), the first slot fixed."""
         if self.arity < 2:
             raise ValueError("fixing a slot needs arity 2 or more")
-        block = self.frame.dimension ** (self.arity - 1)
-        return self._block(i * block, block, self.arity - 1)
+        return compose(self.frame.basis_vector(i), self)
 
     def pull_slots(self, op: "MultilinearForm", slots: Iterable[int]) -> "MultilinearForm":
         """Substitute the operator op into the given slots:
@@ -353,22 +336,10 @@ class MultilinearForm:
         _same_frame(self, op)
         if op.arity != 2:
             raise ValueError("only an arity-2 table can be pulled into a slot")
-        dim = self.frame.dimension
-        by_column = [[] for _ in range(dim)]  # column a: the (i, op(i, a)) != 0
-        for off, m in op.nonzero.items():
-            i, a = divmod(off, dim)
-            by_column[a].append((i, m))
-        table = self.nonzero
+        table = self
         for slot in slots:
-            stride = dim ** (self.arity - 1 - slot)
-            out = {}
-            for off, t in table.items():
-                a = off // stride % dim
-                base = off - a * stride
-                for i, m in by_column[a]:
-                    _accumulate(out, base + i * stride, t * m)
-            table = out
-        return MultilinearForm._of(self.frame, self.arity, table)
+            table = compose(op, table, slot)
+        return table
 
     def pull_all(self, op: "MultilinearForm") -> "MultilinearForm":
         return self.pull_slots(op, range(self.arity))
@@ -408,31 +379,46 @@ def outer(u: MultilinearForm, v: MultilinearForm) -> MultilinearForm:
         for i, a in u.nonzero.items() for j, b in v.nonzero.items()})
 
 
-def compose(a: MultilinearForm, b: MultilinearForm) -> MultilinearForm:
-    """The table (I, J) -> sum_m a(I, m) b(m, J): the last slot of a
-    contracted with the first slot of b.
+def compose(a: MultilinearForm, b: MultilinearForm, slot: int = 0) -> MultilinearForm:
+    """The last slot of a contracted with slot ``slot`` of b, the other
+    slots of a taking that slot's place: the table (H, I, L) -> sum_m
+    a(I, m) b(H, m, L), with H the slots of b before it and L those after.
 
-    With vector-valued tables this substitutes the values of a into the
-    first slot of b: compose(gamma, gamma') with gamma'(m, x, l) = nabla_x
-    e_m gives (i, j, x) -> nabla_x (nabla_i e_j), and compose(v, b) is
-    b.apply(v) for a vector v.
+    This is the one contracting kernel; every other substitution is a call
+    of it.  With vector-valued tables it substitutes the values of a into
+    slot ``slot`` of b: compose(gamma, gamma, 1) at (x, i, j) is nabla_x
+    (nabla_i e_j), compose(v, b) is b.apply(v) for a vector v, and
+    compose(op, t, s) is t.pull_slots(op, (s,)) for an operator op.
     """
-    _same_frame(a, b)
     if a.arity + b.arity < 3:
         raise ValueError("composing two vectors leaves no slot")
+    if not 0 <= slot < b.arity:
+        raise ValueError(f"no slot {slot} in a table of arity {b.arity}")
+    return MultilinearForm._of(a.frame, a.arity + b.arity - 2, _substituted(a, b, slot))
+
+
+def _substituted(a: MultilinearForm, b: MultilinearForm, slot: int) -> dict:
+    """The nonzero map of compose(a, b, slot), of any arity, 0 included.
+
+    An offset (H * d + m) * stride + L of b, with H and L its digits above
+    and below the slot and stride = d^(len L), sends a(I, m) b(H, m, L) to
+    (H * d^(k_a - 1) + I) * stride + L: the offset of b moved by
+    (I - m) * stride and by H * shift, shift = (d^(k_a - 1) - d) * stride.
+    Each term is a product of two nonzero components."""
+    _same_frame(a, b)
     dim = a.frame.dimension
-    size = dim ** (b.arity - 1)
-    rows = [[] for _ in range(dim)]  # row m: the (J, b(m, J)) != 0
-    for off, c in b.nonzero.items():
-        m, j = divmod(off, size)
-        rows[m].append((j, c))
-    out = {}
+    stride = dim ** (b.arity - 1 - slot)
+    span, shift = dim * stride, (dim ** (a.arity - 1) - dim) * stride
+    by_last = [[] for _ in range(dim)]  # m: the ((I - m) * stride, a(I, m)) != 0
     for off, x in a.nonzero.items():
         i, m = divmod(off, dim)
-        base = i * size
-        for j, c in rows[m]:
-            _accumulate(out, base + j, x * c)
-    return MultilinearForm._of(a.frame, a.arity + b.arity - 2, out)
+        by_last[m].append(((i - m) * stride, x))
+    out = {}
+    for off, c in b.nonzero.items():
+        base = off + off // span * shift
+        for i, x in by_last[off // stride % dim]:
+            _accumulate(out, base + i, x * c)
+    return out
 
 
 def onto_frame(table: MultilinearForm, frame: Frame) -> tuple[MultilinearForm, ...]:

@@ -618,9 +618,13 @@ def test_parse_bounds_products_and_sums():
                  "(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20",
                  "((mu^2+3*mu+1)/(mu^2+2))^100", "2^2000*(mu+1)^1000"):
         RationalFunction.parse(text)
+    # a parenthesized right operand is not predicted: its sum can cancel
+    assert rf("mu^500*((mu+1)^600-(mu+1)^600+1)") == MU ** 500
     assert rf("(mu^2 - 1)/(mu - 1)") == MU + 1
     for text, position, message in [
         ("(mu+1)^1000*(mu+1)^1000", 11, "a product of degree 2000 is over the bound of 1000"),
+        ("(mu+1)^1000*((mu+1)^1000)", 11,
+         "a product of degree 2000 is over the bound of 1000"),
         ("(mu+1)^600*mu^401", 10, "a product of degree 1001"),
         ("mu^1000 + 1/mu", 8, "a sum of degree 1001"),
         ("(mu+1)^200/(mu+2)^200 + (mu+3)^200/(mu+4)^200", 10,

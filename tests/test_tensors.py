@@ -208,10 +208,13 @@ def test_argument_guards_raise():
             (lambda: op.entry(0), "index count"),
             (lambda: op.value(v), "argument count"),
             (lambda: t3.pull_slots(v, (0,)), "only an arity-2 table"),
+            (lambda: t3.pull_slots(op, (3,)), "no slot 3 in a table of arity 3"),
             (lambda: op + t3, "arity mismatch"),
             (lambda: t3.rows(), "arity 2")]:
         with pytest.raises(ValueError, match=message):
             call()
+    with pytest.raises(IndexError, match="no basis vector 3 in 3 labels"):
+        op.at(3)
     assert F3 != F3.labels and F3.__eq__(F3.labels) is NotImplemented
     assert v != v.entries and v.__eq__(v.entries) is NotImplemented
     assert repr(F2) == "Frame(labels=('f1', 'f2'))"
@@ -853,6 +856,43 @@ def test_compose_substitutes_values_into_the_first_slot():
     assert compose(op, sample_table(2)) == sample_table(2).pull_slots(op, (0,))
     with pytest.raises(ValueError):
         compose(v, v)
+
+
+@given(data=st.data(), dim=st.integers(1, 5), left=st.integers(1, 4),
+       right=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_compose_into_any_slot_matches_index_loops(data, dim, left, right):
+    """compose(a, b, slot) at (H, I, L) is sum_m a(I, m) b(H, m, L), with H
+    the indices of b before the slot and L those after, summed over one
+    itertools.product loop on the drawn cells."""
+    slot = data.draw(st.integers(0, right - 1))
+    a_cells = index_cells(data.draw, dim, left, lambda idx: True)
+    b_cells = index_cells(data.draw, dim, right, lambda idx: True)
+    a = MultilinearForm(labeled(dim), left, dense(dim, left, a_cells))
+    b = MultilinearForm(labeled(dim), right, dense(dim, right, b_cells))
+    if left + right < 3:
+        with pytest.raises(ValueError, match="leaves no slot"):
+            compose(a, b, slot)
+        return
+    want = {}
+    for idx in product(range(dim), repeat=left + right - 1):
+        h, i, (m, *l) = idx[:slot], idx[slot:slot + left - 1], idx[slot + left - 1:]
+        x, y = a_cells.get(i + (m,)), b_cells.get(h + (m, *l))
+        if x is not None and y is not None:
+            want[h + i + tuple(l)] = want.get(h + i + tuple(l), ZERO) + x * y
+    got = compose(a, b, slot)
+    assert got.entries == dense(dim, left + right - 2, want)
+    assert_canonical(got)
+
+
+def test_compose_puts_a_vector_into_the_last_slot_of_a_form():
+    t = sample_table(2)
+    v = SAMPLE_VECTORS[1]
+    one_form = compose(v, t, 1)  # X -> t(X, v)
+    assert one_form.arity == 1
+    for i in range(3):
+        assert one_form.entry(i) == t.value(F3.basis_vector(i), v)
+    assert compose(v, t, 1) == t.permute((1, 0)).apply(v)
 
 
 def test_zero_tables_spend_no_operator_in_pull_and_permute(monkeypatch):
