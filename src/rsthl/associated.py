@@ -10,7 +10,8 @@ closed-form curvature identities of the catalog as exact residuals.
 The direct route is the ``lightlike.Splitting`` over (tangent, N1, N2),
 the twin counterpart of the frame's splitting over (tangent, N, L).  The
 five equivalent assertions of thm-4.6 are decided from the induced and
-twin curvatures, as six report entries.
+twin curvatures, as six report entries.  They and the twin closed forms of
+eq-21, eq-22 and eq-24 read one ``lightlike.ScreenUmbilical`` value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional
 from .liegeom import CurvatureTensor, InvariantMetric, levi_civita
 from .lightlike import (
     InducedObjects,
+    ScreenUmbilical,
     SubmanifoldFrame,
     Splitting,
     UmbilicityReport,
@@ -28,7 +30,6 @@ from .lightlike import (
 )
 from .report import CheckEntry, compare, passed
 from .scalars import HALF, ONE, ZERO, RationalFunction, rf
-from .structure import CurvaturePair
 from .tensors import (
     MultilinearForm,
     curvature_product,
@@ -209,14 +210,11 @@ def tilde_ricci_14_entry(f: SubmanifoldFrame, obj: InducedObjects,
 
 
 def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
-                        pair: CurvaturePair, gamma_screen: RationalFunction,
-                        mu: RationalFunction) -> CheckEntry:
-    g = f.induced_form
+                        screen: ScreenUmbilical) -> CheckEntry:
     gp = f.phi_pairing
-    nu = pair.nu
-    mg2 = mu * mu * gamma_screen * gamma_screen
+    nu, mg2 = screen.nu, screen.mg2
     coeff = nu - mg2 * 4
-    rhs = (curvature_product(f.projector, g.scale(coeff) - gp.scale(mg2 * 4)
+    rhs = (curvature_product(f.projector, f.induced_form.scale(coeff) - gp.scale(mg2 * 4)
                              - f.eta_eta.scale(nu))
            - curvature_product(f.phi_p, gp.scale(coeff))
            - curvature_product(f.radical_part, gp.scale(nu)))
@@ -226,8 +224,7 @@ def tilde_form_21_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
 
 
 def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
-                           pair: CurvaturePair, gamma_screen: RationalFunction,
-                           mu: RationalFunction, n: int) -> list[CheckEntry]:
+                           screen: ScreenUmbilical) -> list[CheckEntry]:
     """The twin Ricci normal form, plus the adjudication of its last term.
 
     The catalog carries two candidate readings of the final coefficient:
@@ -235,13 +232,10 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
     -2(n-1) nu.  The direct computation is the referee; the second reading
     is the adopted one.
     """
-    g = f.induced_form
-    gp = f.phi_pairing
-    nu = pair.nu
-    mg2 = mu * mu * gamma_screen * gamma_screen
+    nu, mg2, n = screen.nu, screen.mg2, screen.n
     k1 = (nu - mg2 * 4) * (2 * (n - 2))
     k2 = -(nu + mg2 * (4 * (2 * n - 3)))
-    base = g.scale(k1) + gp.scale(k2)
+    base = f.induced_form.scale(k1) + f.phi_pairing.scale(k2)
     adopted = base + f.eta_eta.scale(-(nu * (2 * (n - 1))))
     match_adopted = tilde_ric == adopted
     match_literal = tilde_ric == base + f.eta_eta.scale(rf(-2 * (n - 1)))
@@ -263,13 +257,10 @@ def tilde_ricci_22_entries(f: SubmanifoldFrame, tilde_ric: MultilinearForm,
         compare("twin-ricci-last-term", "eq-22", tilde_ric, adopted, detail)]
 
 
-def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
-                      gamma_screen: RationalFunction, mu: RationalFunction,
-                      n: int) -> MultilinearForm:
+def semisym_closed_24(f: SubmanifoldFrame, screen: ScreenUmbilical) -> MultilinearForm:
     g = f.induced_form
     gp = f.phi_pairing
-    nu = pair.nu
-    mg2 = mu * mu * gamma_screen * gamma_screen
+    nu, mg2, n = screen.nu, screen.mg2, screen.n
     gap = nu - mg2 * 4
     u = f.eta_eta.scale(nu * gap * (2 * n - 3))
     v = (gp.scale(mg2 * 4) + f.eta_eta.scale(nu)).scale(gap * (2 * (n - 2)))
@@ -278,13 +269,11 @@ def semisym_closed_24(f: SubmanifoldFrame, pair: CurvaturePair,
 
 
 def semisym_24_entry(f: SubmanifoldFrame, tilde_curv: CurvatureTensor,
-                     pair: CurvaturePair, gamma_screen: RationalFunction,
-                     mu: RationalFunction, n: int) -> CheckEntry:
+                     screen: ScreenUmbilical) -> CheckEntry:
     """The action of tilde_curv on its own Ricci tensor against eq. (24)."""
-    direct = tilde_curv.ricci_action
-    closed = semisym_closed_24(f, pair, gamma_screen, mu, n)
     return compare(
-        "twin-ricci-action-closed-form", "eq-24", direct, closed,
+        "twin-ricci-action-closed-form", "eq-24", tilde_curv.ricci_action,
+        semisym_closed_24(f, screen),
         "the twin curvature action on Ric~ matches its closed form")
 
 
@@ -345,8 +334,7 @@ THEOREM_NAMES = ("assertion-ricci-semisymmetric", "assertion-twin-ricci-semisymm
 
 
 def theorem_aggregate(curv: CurvatureTensor, tilde_curv: CurvatureTensor,
-                      pair: CurvaturePair, gamma_screen: RationalFunction,
-                      mu: RationalFunction,
+                      screen: ScreenUmbilical,
                       eta_constants: Optional[tuple[RationalFunction, RationalFunction]],
                       einstein_constant: Optional[RationalFunction]) -> list[CheckEntry]:
     """The five assertions for curv, tilde_curv and their Ricci tensors,
@@ -360,7 +348,7 @@ def theorem_aggregate(curv: CurvatureTensor, tilde_curv: CurvatureTensor,
     """
     truths = (curv.ricci_action.is_zero(), tilde_curv.ricci_action.is_zero(),
               eta_constants is not None, einstein_constant is not None,
-              pair.nu == mu * mu * gamma_screen * gamma_screen * 4)
+              screen.nu == screen.mg2 * 4)
     if eta_constants is not None:
         k, c = eta_constants
         eta_detail = f"(iii) Ric = k g + c eta x eta with k = {k}, c = {c}"

@@ -17,7 +17,9 @@ Conventions; ``associated`` splits over the twin normals (N1, N2).
 The frame builds the tangent tables several identities share once (xi,
 X -> eta(X) xi, eta-bar (x) eta-bar); ``InducedObjects`` builds phi P A*_xi.
 C, nabla*, A*_xi and phi P are compositions with P, eta and xi, valid once
-transversal-duality has made eta the radical coordinate.
+transversal-duality has made eta the radical coordinate.  The screen
+umbilical closed forms (thm-4.4, eq-18 to eq-20, eq-23) read one
+``ScreenUmbilical`` value, which forms mu^2 gamma^2 once.
 """
 
 from __future__ import annotations
@@ -538,6 +540,20 @@ class UmbilicityReport:
         return "; ".join(flags)
 
 
+class ScreenUmbilical:
+    """The data every screen umbilical closed form reads (thm-4.4, eq-18 to
+    eq-24, thm-4.6): the ambient sectional invariants nu and nu~, the
+    screen factor gamma, n of the ambient dimension 2n + 1, and
+    mg2 = mu^2 gamma^2, formed once here."""
+
+    def __init__(self, pair: CurvaturePair, gamma: RationalFunction,
+                 mu: RationalFunction, n: int):
+        self.nu, self.nu_tilde = pair.nu, pair.nu_tilde
+        self.gamma = gamma
+        self.n = n
+        self.mg2 = mu * mu * gamma * gamma
+
+
 def proportionality_factor(table: MultilinearForm, metric: MultilinearForm
                            ) -> Optional[RationalFunction]:
     """The exact factor making table = factor * metric, or None."""
@@ -608,30 +624,27 @@ def codazzi_16_entry(f: SubmanifoldFrame, obj: InducedObjects,
         "the skew derivative of B matches mu^2 times the sectional terms")
 
 
-def nu_tilde_vanishes_entry(pair: CurvaturePair) -> CheckEntry:
+def nu_tilde_vanishes_entry(screen: ScreenUmbilical) -> CheckEntry:
     return compare(
-        "twisted-sectional-vanishes", "thm-4.4", pair.nu_tilde, ZERO,
+        "twisted-sectional-vanishes", "thm-4.4", screen.nu_tilde, ZERO,
         "a screen umbilical submanifold forces the twisted sectional "
         "curvature to vanish")
 
 
-def gamma_identity_18_entry(obj: InducedObjects, f: SubmanifoldFrame,
-                            pair: CurvaturePair, gamma_screen: RationalFunction,
-                            mu: RationalFunction) -> CheckEntry:
+def gamma_identity_18_entry(f: SubmanifoldFrame, obj: InducedObjects,
+                            screen: ScreenUmbilical) -> CheckEntry:
     tau_xi = obj.tau.entry(f.radical_index)
     return compare(
-        "umbilic-factor-identity", "eq-18", pair.nu + tau_xi * gamma_screen * 2,
-        mu * mu * gamma_screen * gamma_screen * 4,
+        "umbilic-factor-identity", "eq-18", screen.nu + tau_xi * screen.gamma * 2,
+        screen.mg2 * 4,
         "nu + 2 tau(xi) gamma - 4 mu^2 gamma^2 = 0, derivative terms vanish "
         "for invariant data")
 
 
 def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
-                            pair: CurvaturePair, gamma_screen: RationalFunction,
-                            mu: RationalFunction) -> CheckEntry:
+                            screen: ScreenUmbilical) -> CheckEntry:
     g = f.induced_form
-    nu = pair.nu
-    mg2 = mu * mu * gamma_screen * gamma_screen
+    nu, mg2 = screen.nu, screen.mg2
     rhs = (curvature_product(f.projector, g.scale(nu - mg2 * 2) - f.eta_eta.scale(nu))
            + curvature_product(f.phi_p, f.phi_pairing.scale(mg2 * 4 - nu))
            + curvature_product(f.radical_part, g.scale(HALF * nu)))
@@ -641,14 +654,11 @@ def curvature_form_19_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
 
 
 def ricci_form_20_entry(f: SubmanifoldFrame, ric: MultilinearForm,
-                        pair: CurvaturePair, gamma_screen: RationalFunction,
-                        mu: RationalFunction, n: int) -> CheckEntry:
-    g = f.induced_form
-    nu = pair.nu
-    mg2 = mu * mu * gamma_screen * gamma_screen
+                        screen: ScreenUmbilical) -> CheckEntry:
+    nu, mg2, n = screen.nu, screen.mg2, screen.n
     k = nu * (4 * n - 7) * HALF - mg2 * (2 * (2 * n - 5))
     c = -(nu * (2 * (n - 1)))
-    expected = g.scale(k) + f.eta_eta.scale(c)
+    expected = f.induced_form.scale(k) + f.eta_eta.scale(c)
     return compare(
         "umbilic-ricci-form", "eq-20", ric, expected,
         "Ric = [((4n-7)/2) nu - 2(2n-5) mu^2 gamma^2] g - 2(n-1) nu eta x eta")
@@ -660,23 +670,17 @@ def ricci_symmetric_entry(ric: MultilinearForm) -> CheckEntry:
         "closedness of tau makes the induced Ricci tensor symmetric")
 
 
-def semisym_closed_23(f: SubmanifoldFrame, pair: CurvaturePair,
-                      gamma_screen: RationalFunction, mu: RationalFunction,
-                      n: int) -> MultilinearForm:
-    g = f.induced_form
-    nu = pair.nu
-    mg2 = mu * mu * gamma_screen * gamma_screen
-    factor = nu * (nu * HALF - mg2 * 2) * (2 * n - 5)
+def semisym_closed_23(f: SubmanifoldFrame, screen: ScreenUmbilical) -> MultilinearForm:
+    g, nu = f.induced_form, screen.nu
+    factor = nu * (nu * HALF - screen.mg2 * 2) * (2 * screen.n - 5)
     eta_eta = f.eta_eta.scale(factor)
     return curvature_product(g, eta_eta) - curvature_product(eta_eta, g)
 
 
 def semisym_23_entry(f: SubmanifoldFrame, curv: CurvatureTensor,
-                     pair: CurvaturePair, gamma_screen: RationalFunction,
-                     mu: RationalFunction, n: int) -> CheckEntry:
+                     screen: ScreenUmbilical) -> CheckEntry:
     """The action of curv on its own Ricci tensor against eq. (23)."""
-    direct = curv.ricci_action
-    closed = semisym_closed_23(f, pair, gamma_screen, mu, n)
     return compare(
-        "ricci-action-closed-form", "eq-23", direct, closed,
+        "ricci-action-closed-form", "eq-23", curv.ricci_action,
+        semisym_closed_23(f, screen),
         "the curvature action on Ric matches its closed form")

@@ -13,13 +13,14 @@ blocks, names)``: ``reads()`` returns the geometry the step reads, and
 Geometry exceptions never escape a stage; they become failing entries,
 and the steps whose inputs are gone report one skipped entry each,
 naming the first failing entry that blocked them.  A missing hypothesis
-is raised by its read (``Geometry.pair``, ``Geometry.gamma``), and a
-step that reads it skips, naming it, and blocks nothing.  The frame,
-ascreen and twin conditions are the steps of a stage of their own.  Under
-``theorem46`` the earlier stages build only the steps that can block the
-theorem; the others just read their geometry.  The three exact solves
-whose failure is a verdict (the sectional invariants, eta-Einstein and
-Einstein) go through ``_fit`` and one step builder.
+is raised by its read (``Geometry.pair``, ``Geometry.gamma``, or
+``Geometry.screen``, which reads both), and a step that reads it skips,
+naming it, and blocks nothing.  The frame, ascreen and twin conditions
+are the steps of a stage of their own.  Under ``theorem46`` the earlier
+stages build only the steps that can block the theorem; the others just
+read their geometry.  The three exact solves whose failure is a verdict
+(the sectional invariants, eta-Einstein and Einstein) go through
+``_fit`` and one step builder.
 """
 
 from __future__ import annotations
@@ -154,6 +155,13 @@ class Geometry:
         if self.umbilicity.gamma_screen is None:
             raise _Unavailable("the screen distribution is not totally umbilical")
         return self.umbilicity.gamma_screen
+
+    @cached_property
+    def screen(self) -> lightlike.ScreenUmbilical:
+        """The data of the screen umbilical closed forms; ``_Unavailable``
+        from ``pair``, then from ``gamma``."""
+        return lightlike.ScreenUmbilical(self.pair, self.gamma, self.mu,
+                                         self.structure.n)
 
     @cached_property
     def curv_ind(self) -> CurvatureTensor:
@@ -385,23 +393,21 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
            lambda: (geo.frame, geo.induced, geo.pair, geo.mu),
            lightlike.codazzi_16_entry)
     # the hypothesis of thm-4.4 is a screen umbilical frame
-    st.run("twisted-sectional-vanishes", "thm-4.4", lambda: (geo.pair, geo.gamma),
-           lambda pair, gamma: lightlike.nu_tilde_vanishes_entry(pair))
+    st.run("twisted-sectional-vanishes", "thm-4.4", lambda: (geo.screen,),
+           lightlike.nu_tilde_vanishes_entry)
     st.run("umbilic-factor-identity", "eq-18",
-           lambda: (geo.induced, geo.frame, geo.pair, geo.gamma, geo.mu),
+           lambda: (geo.frame, geo.induced, geo.screen),
            lightlike.gamma_identity_18_entry)
     st.run("umbilic-curvature-form", "eq-19",
-           lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu),
+           lambda: (geo.frame, geo.curv_ind, geo.screen),
            lightlike.curvature_form_19_entry)
     st.run("umbilic-ricci-form", "eq-20",
-           lambda: (geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma,
-                    geo.mu, geo.structure.n),
+           lambda: (geo.frame, geo.curv_ind.ricci, geo.screen),
            lightlike.ricci_form_20_entry)
     _solve_step(st, "eta-einstein-solve", "sec-4-einstein", lambda: geo.eta_einstein,
                 lambda kc: "Ric = ({}) g + ({}) eta x eta".format(*kc))
     st.run("ricci-action-closed-form", "eq-23",
-           lambda: (geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
-                    geo.structure.n),
+           lambda: (geo.frame, geo.curv_ind, geo.screen),
            lightlike.semisym_23_entry)
     st.run("umbilical-flatness", "cor-4.3",
            lambda: (geo.umbilicity, geo.curv_ind, geo.curv),
@@ -418,18 +424,16 @@ def _submanifold_stage(geo: Geometry, blocker: Optional[str],
                     geo.tcurv.ricci),
            associated.tilde_ricci_14_entry)
     st.run("twin-umbilic-curvature-form", "eq-21",
-           lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu),
+           lambda: (geo.frame, geo.tcurv, geo.screen),
            associated.tilde_form_21_entry)
     st.run("twin-umbilic-ricci-form", "eq-22",
-           lambda: (geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma, geo.mu,
-                    geo.structure.n),
+           lambda: (geo.frame, geo.tcurv.ricci, geo.screen),
            associated.tilde_ricci_22_entries,
            names=("twin-umbilic-ricci-form", "twin-ricci-last-term"))
     _solve_step(st, "einstein-solve", "sec-4-einstein", lambda: geo.einstein,
                 lambda lam: f"Ric~ = ({lam}) g~")
     st.run("twin-ricci-action-closed-form", "eq-24",
-           lambda: (geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
-                    geo.structure.n),
+           lambda: (geo.frame, geo.tcurv, geo.screen),
            associated.semisym_24_entry)
     st.run("geodesic-correspondence", "prop-3.3", lambda: (geo.assoc, geo.umbilicity),
            associated.geodesic_correspondence_entries)
@@ -446,15 +450,15 @@ def _theorem_stage(geo: Geometry, blocker: Optional[str]) -> _Stage:
         # an earlier block skips each of the six assertions, naming it
         if blocker:
             raise _Unavailable(blocker)
-        pair = geo.pair
+        geo.pair  # a missing pair skips without the hypothesis suffix
         try:
-            gamma = geo.gamma
+            screen = geo.screen
         except _Unavailable as exc:
             raise _Unavailable(f"{exc}, the theorem hypothesis fails")
-        if pair.nu.is_zero():
+        if screen.nu.is_zero():
             raise _Unavailable("the sectional invariant nu vanishes, the theorem "
                                "hypothesis fails")
-        return (geo.curv_ind, geo.tcurv, pair, gamma, geo.mu, geo.eta_einstein[0],
+        return (geo.curv_ind, geo.tcurv, screen, geo.eta_einstein[0],
                 geo.einstein[0])
     st.run("theorem-aggregate", "thm-4.6", reads, associated.theorem_aggregate,
            names=associated.THEOREM_NAMES)

@@ -84,6 +84,11 @@ def ureport(geometry):
 
 
 @pytest.fixture(scope="session")
+def screen(geometry):
+    return geometry.screen
+
+
+@pytest.fixture(scope="session")
 def icurv(geometry):
     return geometry.curv_ind
 

@@ -19,7 +19,7 @@ from rsthl.builtin import (EXPECTED_FACTOR_TABLE, example_model,
 from rsthl.errors import DegenerateMetric
 from rsthl.liegeom import (InvariantMetric, bracket_table, curvature,
                            curvature_entries, koszul_entries, levi_civita)
-from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
+from rsthl.lightlike import (ScreenUmbilical, SubmanifoldFrame, UmbilicityReport,
                              ascreen_f0_entries, certify_ascreen_rsthl,
                              curvature_form_19_entry, frame_conditions,
                              gamma_identity_18_entry, gauss_relation_entry,
@@ -116,6 +116,7 @@ def test_criterion_05_screen_umbilicity_closed_forms(
         frame, induced, ureport, icurv, iric, pair, mu):
     g = frame.induced_form
     gamma = ureport.gamma_screen
+    screen = ScreenUmbilical(pair, gamma, mu, 2)
     checks = [
         ("screen factor gamma equals 1/mu", gamma == ONE / MU),
         ("second form satisfies B = -2 mu g",
@@ -126,14 +127,11 @@ def test_criterion_05_screen_umbilicity_closed_forms(
         ("screen distribution is totally umbilical",
          ureport.screen_umbilical and not ureport.screen_totally_geodesic),
         ("umbilic factor identity",
-         gamma_identity_18_entry(induced, frame, pair, gamma,
-                                 mu).status == "pass"),
+         gamma_identity_18_entry(frame, induced, screen).status == "pass"),
         ("umbilic curvature closed form",
-         curvature_form_19_entry(frame, icurv, pair, gamma,
-                                 mu).status == "pass"),
+         curvature_form_19_entry(frame, icurv, screen).status == "pass"),
         ("umbilic ricci closed form",
-         ricci_form_20_entry(frame, iric, pair, gamma, mu,
-                             2).status == "pass"),
+         ricci_form_20_entry(frame, iric, screen).status == "pass"),
         ("scalar identity nu = 4 mu^2 gamma^2",
          (pair.nu - rf(4) * mu * mu * gamma * gamma).is_zero()),
     ]
@@ -180,8 +178,8 @@ def test_criterion_07_twin_metric_geometry(geometry, frame, induced, mu,
 
 def test_criterion_08_semisymmetry_both_metrics(geometry, frame, icurv, tcurv,
                                                 pair, ureport, mu):
-    gamma = ureport.gamma_screen
-    entries = theorem_aggregate(icurv, tcurv, pair, gamma, mu,
+    screen = ScreenUmbilical(pair, ureport.gamma_screen, mu, 2)
+    entries = theorem_aggregate(icurv, tcurv, screen,
                                 geometry.eta_einstein[0], geometry.einstein[0])
     checks = [
         ("curvature action on Ric vanishes",
@@ -189,9 +187,9 @@ def test_criterion_08_semisymmetry_both_metrics(geometry, frame, icurv, tcurv,
         ("twin curvature action on twin Ric vanishes",
          tcurv.ricci_action.is_zero()),
         ("closed-form consequence for the induced metric",
-         semisym_23_entry(frame, icurv, pair, gamma, mu, 2).status == "pass"),
+         semisym_23_entry(frame, icurv, screen).status == "pass"),
         ("closed-form consequence for the twin metric",
-         semisym_24_entry(frame, tcurv, pair, gamma, mu, 2).status == "pass"),
+         semisym_24_entry(frame, tcurv, screen).status == "pass"),
         ("all five equivalent assertions are true",
          all(e.status == "pass" for e in entries)),
         ("aggregate constants", "k = 4, c = -8" in entries[2].detail

@@ -127,21 +127,20 @@ def test_curvature_and_ricci_transfer(frame, induced, mu, icurv, iric,
     assert (e14.name, e14.anchor) == ("twin-ricci-transfer", "eq-14")
 
 
-def test_umbilic_normal_forms(frame, ureport, pair, mu, tcurv, tric):
-    gamma = ureport.gamma_screen
-    e21 = tilde_form_21_entry(frame, tcurv, pair, gamma, mu)
+def test_umbilic_normal_forms(frame, screen, tcurv, tric):
+    e21 = tilde_form_21_entry(frame, tcurv, screen)
     assert e21.status == "pass"
     assert (e21.name, e21.anchor) == ("twin-umbilic-curvature-form", "eq-21")
-    entries = tilde_ricci_22_entries(frame, tric, pair, gamma, mu, 2)
+    entries = tilde_ricci_22_entries(frame, tric, screen)
     assert [e.name for e in entries] == ["twin-umbilic-ricci-form",
                                          "twin-ricci-last-term"]
     assert all(e.status == "pass" for e in entries)
     assert "carries the sectional factor nu" in entries[1].detail
 
 
-def test_twin_ricci_action(frame, ureport, pair, mu, tcurv):
+def test_twin_ricci_action(frame, screen, tcurv):
     assert tcurv.ricci_action.is_zero()
-    entry = semisym_24_entry(frame, tcurv, pair, ureport.gamma_screen, mu, 2)
+    entry = semisym_24_entry(frame, tcurv, screen)
     assert entry.status == "pass"
     assert (entry.name, entry.anchor) == ("twin-ricci-action-closed-form",
                                           "eq-24")
@@ -167,8 +166,8 @@ def test_umbilical_statements_are_vacuous_here(frame, induced, ureport, twin,
     assert flatness.detail == "vacuous, the first metric is not totally umbilical"
 
 
-def test_theorem_aggregate(geometry, icurv, tcurv, pair, ureport, mu):
-    entries = theorem_aggregate(icurv, tcurv, pair, ureport.gamma_screen, mu,
+def test_theorem_aggregate(geometry, icurv, tcurv, screen):
+    entries = theorem_aggregate(icurv, tcurv, screen,
                                 geometry.eta_einstein[0], geometry.einstein[0])
     assert [e.name for e in entries] == [
         "assertion-ricci-semisymmetric", "assertion-twin-ricci-semisymmetric",
@@ -193,7 +192,7 @@ def flat(model):
             "obj": geo.induced, "rep": geo.umbilicity, "assoc": geo.assoc,
             "build_entries": decided(*geo.twin[1]).entries, "curv": geo.curv_ind,
             "ric": geo.curv_ind.ricci, "tcurv": geo.tcurv,
-            "tric": geo.tcurv.ricci, "pair": geo.pair,
+            "tric": geo.tcurv.ricci, "pair": geo.pair, "screen": geo.screen,
             "solves": (geo.eta_einstein[0], geo.einstein[0])}
 
 
@@ -249,8 +248,7 @@ def test_flat_variant_curvature_agrees(flat):
 
 def test_flat_variant_theorem(flat):
     entries = theorem_aggregate(
-        flat["curv"], flat["tcurv"], flat["pair"], flat["rep"].gamma_screen,
-        flat["mu"], *flat["solves"])
+        flat["curv"], flat["tcurv"], flat["screen"], *flat["solves"])
     assert all(e.status == "pass" for e in entries)
     assert "k = 0, c = 0" in entries[2].detail
     assert "lambda = 0" in entries[3].detail

@@ -19,8 +19,9 @@ import pytest
 from rsthl.associated import (semisym_closed_24, tilde_form_21_entry,
                               tilde_relation_13_entry, tilde_ricci_22_entries)
 from rsthl.liegeom import CurvatureTensor
-from rsthl.lightlike import (curvature_form_15_entry, curvature_form_19_entry,
-                             ricci_form_20_entry, semisym_closed_23)
+from rsthl.lightlike import (ScreenUmbilical, curvature_form_15_entry,
+                             curvature_form_19_entry, ricci_form_20_entry,
+                             semisym_closed_23)
 from rsthl.report import FAIL, PASS
 from rsthl.scalars import ONE, rf
 from rsthl.structure import CurvaturePair
@@ -31,6 +32,11 @@ from conftest import replaced
 PAIR = CurvaturePair(rf(3), rf("5/7"))
 GAMMA = rf("2/3")
 HALF = rf("1/2")
+
+
+def umbilical(mu, n=2, pair=PAIR):
+    """The screen umbilical data the closed forms read, at GAMMA."""
+    return ScreenUmbilical(pair, GAMMA, mu, n)
 
 
 def generic_form(frame, arity, seed):
@@ -231,23 +237,23 @@ def test_eq15_matches_reference(which, frame, induced, bumped):
 
 def test_eq19_matches_reference(frame, mu):
     expected = eq19_reference(frame, PAIR, GAMMA, mu)
-    assert curvature_form_19_entry(frame, expected, PAIR, GAMMA, mu).status == PASS
+    assert curvature_form_19_entry(frame, expected, umbilical(mu)).status == PASS
 
 
 def test_eq21_matches_reference(frame, mu):
     expected = eq21_reference(frame, PAIR, GAMMA, mu)
-    assert tilde_form_21_entry(frame, expected, PAIR, GAMMA, mu).status == PASS
+    assert tilde_form_21_entry(frame, expected, umbilical(mu)).status == PASS
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eq23_matches_reference(n, frame, mu):
-    assert semisym_closed_23(frame, PAIR, GAMMA, mu, n) == \
+    assert semisym_closed_23(frame, umbilical(mu, n)) == \
         eq23_reference(frame, PAIR, GAMMA, mu, n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eq24_matches_reference(n, frame, mu):
-    assert semisym_closed_24(frame, PAIR, GAMMA, mu, n) == \
+    assert semisym_closed_24(frame, umbilical(mu, n)) == \
         eq24_reference(frame, PAIR, GAMMA, mu, n)
 
 
@@ -255,13 +261,13 @@ def test_eq24_matches_reference(n, frame, mu):
 def test_ricci_forms_match_reference(n, frame, mu):
     last = -(PAIR.nu * (2 * (n - 1)))
     ric = ricci_reference(frame, PAIR, GAMMA, mu, n, False, last)
-    assert ricci_form_20_entry(frame, ric, PAIR, GAMMA, mu, n).status == PASS
+    assert ricci_form_20_entry(frame, ric, umbilical(mu, n)).status == PASS
     adopted = ricci_reference(frame, PAIR, GAMMA, mu, n, True, last)
     assert [e.status for e in tilde_ricci_22_entries(
-        frame, adopted, PAIR, GAMMA, mu, n)] == [PASS, PASS]
+        frame, adopted, umbilical(mu, n))] == [PASS, PASS]
     literal = ricci_reference(frame, PAIR, GAMMA, mu, n, True, rf(-2 * (n - 1)))
     assert [e.status for e in tilde_ricci_22_entries(
-        frame, literal, PAIR, GAMMA, mu, n)] == [FAIL, FAIL]
+        frame, literal, umbilical(mu, n))] == [FAIL, FAIL]
 
 
 def test_twin_ricci_reading_details(frame, mu):
@@ -270,11 +276,11 @@ def test_twin_ricci_reading_details(frame, mu):
     unit = CurvaturePair(ONE, rf(0))
     both = ricci_reference(frame, unit, GAMMA, mu, 2, True, rf(-2))
     assert [(e.status, e.detail) for e in tilde_ricci_22_entries(
-        frame, both, unit, GAMMA, mu, 2)][1] == (
+        frame, both, umbilical(mu, pair=unit))][1] == (
         PASS, "the direct twin Ricci tensor matches both readings of the last "
               "coefficient, they coincide because nu = 1")
     neither = ricci_reference(frame, PAIR, GAMMA, mu, 2, True, rf(1))
-    entry = tilde_ricci_22_entries(frame, neither, PAIR, GAMMA, mu, 2)[1]
+    entry = tilde_ricci_22_entries(frame, neither, umbilical(mu))[1]
     assert entry.status == FAIL
     assert entry.detail.startswith(
         "the direct twin Ricci tensor matches neither reading; the residual")

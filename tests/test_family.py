@@ -23,7 +23,7 @@ import pytest
 from rsthl.associated import semisym_24_entry, tilde_ricci_22_entries
 from rsthl.builtin import example_model
 from rsthl.cli import main
-from rsthl.lightlike import ricci_form_20_entry, semisym_23_entry
+from rsthl.lightlike import ScreenUmbilical, ricci_form_20_entry, semisym_23_entry
 from rsthl.model import dumps_model, model_from_json_obj, save_model
 from rsthl.report import FAIL, PASS, SKIP
 from rsthl.suite import Geometry, run_suite
@@ -91,11 +91,15 @@ def test_n3_geometry_reads_its_dimension(geometry3):
     assert (str(geometry3.pair.nu), str(geometry3.pair.nu_tilde)) == ("4", "0")
 
 
+def at_n2(geo):
+    """The screen umbilical data of geo with n = 2 in place of its n."""
+    return ScreenUmbilical(geo.pair, geo.gamma, geo.mu, 2)
+
+
 def test_eq20_coefficients_at_n2_fail_on_the_n3_geometry(geometry3):
     geo = geometry3
-    args = (geo.frame, geo.curv_ind.ricci, geo.pair, geo.gamma, geo.mu)
-    assert ricci_form_20_entry(*args, n=3).status == PASS
-    wrong = ricci_form_20_entry(*args, n=2)
+    assert ricci_form_20_entry(geo.frame, geo.curv_ind.ricci, geo.screen).status == PASS
+    wrong = ricci_form_20_entry(geo.frame, geo.curv_ind.ricci, at_n2(geo))
     assert wrong.status == FAIL
     assert wrong.detail.endswith(
         "; the residual at (E1, E1) is 4, 5 of 25 components nonzero")
@@ -103,9 +107,9 @@ def test_eq20_coefficients_at_n2_fail_on_the_n3_geometry(geometry3):
 
 def test_eq22_coefficients_at_n2_fail_on_the_n3_geometry(geometry3):
     geo = geometry3
-    args = (geo.frame, geo.tcurv.ricci, geo.pair, geo.gamma, geo.mu)
-    assert [e.status for e in tilde_ricci_22_entries(*args, n=3)] == [PASS, PASS]
-    wrong = tilde_ricci_22_entries(*args, n=2)
+    assert [e.status for e in tilde_ricci_22_entries(
+        geo.frame, geo.tcurv.ricci, geo.screen)] == [PASS, PASS]
+    wrong = tilde_ricci_22_entries(geo.frame, geo.tcurv.ricci, at_n2(geo))
     assert [e.status for e in wrong] == [FAIL, FAIL]
     for e in wrong:
         assert e.detail.endswith(
@@ -118,10 +122,9 @@ def test_eq23_and_eq24_cannot_see_n(geometry3, n):
     forces to zero on invariant data (tau = 0), so both closed forms pass
     with either n: no invariant model sees a wrong n-coefficient there."""
     geo = geometry3
-    assert semisym_23_entry(geo.frame, geo.curv_ind, geo.pair, geo.gamma, geo.mu,
-                            n).status == PASS
-    assert semisym_24_entry(geo.frame, geo.tcurv, geo.pair, geo.gamma, geo.mu,
-                            n).status == PASS
+    screen = ScreenUmbilical(geo.pair, geo.gamma, geo.mu, n)
+    assert semisym_23_entry(geo.frame, geo.curv_ind, screen).status == PASS
+    assert semisym_24_entry(geo.frame, geo.tcurv, screen).status == PASS
 
 
 def test_unequal_weights_fail_the_fits_through_a_model_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from rsthl.builtin import example_model
 from rsthl.cli import main
 from rsthl.errors import InvalidFrame
 from rsthl.liegeom import curvature, curvature_entries
-from rsthl.lightlike import (SubmanifoldFrame, UmbilicityReport,
+from rsthl.lightlike import (ScreenUmbilical, SubmanifoldFrame, UmbilicityReport,
                              ascreen_f0_entries, certify_ascreen_rsthl,
                              codazzi_16_entry, curvature_form_15_entry,
                              curvature_form_19_entry, frame_conditions,
@@ -293,15 +293,15 @@ def test_gauss_relation(brackets, frame, induced, ambient_conn, icurv):
 
 
 def test_curvature_identities(frame, induced, icurv, iric, pair, mu):
-    gamma = ONE / MU
+    screen = ScreenUmbilical(pair, ONE / MU, mu, 2)
     checks = [
         curvature_form_15_entry(frame, induced, icurv, pair),
         codazzi_16_entry(frame, induced, pair, mu),
-        nu_tilde_vanishes_entry(pair),
-        gamma_identity_18_entry(induced, frame, pair, gamma, mu),
-        curvature_form_19_entry(frame, icurv, pair, gamma, mu),
-        ricci_form_20_entry(frame, iric, pair, gamma, mu, 2),
-        semisym_23_entry(frame, icurv, pair, gamma, mu, 2),
+        nu_tilde_vanishes_entry(screen),
+        gamma_identity_18_entry(frame, induced, screen),
+        curvature_form_19_entry(frame, icurv, screen),
+        ricci_form_20_entry(frame, iric, screen),
+        semisym_23_entry(frame, icurv, screen),
     ]
     for entry in checks:
         assert entry.status == "pass", entry.name

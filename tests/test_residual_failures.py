@@ -23,7 +23,7 @@ from rsthl.associated import (build_associated, geodesic_correspondence_entries,
 from rsthl import builtin
 from rsthl.cli import main
 from rsthl.liegeom import CurvatureTensor, InvariantMetric, bracket_table, curvature
-from rsthl.lightlike import (SubmanifoldFrame, ascreen_f0_entries,
+from rsthl.lightlike import (ScreenUmbilical, SubmanifoldFrame, ascreen_f0_entries,
                              certify_ascreen_rsthl, codazzi_16_entry,
                              curvature_form_15_entry, curvature_form_19_entry,
                              frame_conditions, gamma_identity_18_entry,
@@ -183,33 +183,36 @@ def codazzi_16(geo):
     return codazzi_16_entry(geo.frame, geo.induced, pair, geo.mu)
 
 
+def with_pair(geo, nu, nu_tilde):
+    """The screen umbilical data of geo with the sectional invariants moved."""
+    return ScreenUmbilical(CurvaturePair(geo.pair.nu + nu, geo.pair.nu_tilde + nu_tilde),
+                           geo.gamma, geo.mu, geo.structure.n)
+
+
 def twisted_sectional(geo):
-    return nu_tilde_vanishes_entry(CurvaturePair(geo.pair.nu, geo.pair.nu_tilde + 1))
+    return nu_tilde_vanishes_entry(with_pair(geo, 0, 1))
 
 
 def gamma_identity_18(geo):
-    pair = CurvaturePair(geo.pair.nu + 1, geo.pair.nu_tilde)
-    return gamma_identity_18_entry(geo.induced, geo.frame, pair, geo.gamma, geo.mu)
+    return gamma_identity_18_entry(geo.frame, geo.induced, with_pair(geo, 1, 0))
 
 
 def ricci_form_20(geo):
     return ricci_form_20_entry(geo.frame, bump_form(geo.curv_ind.ricci, 0, 0),
-                               geo.pair, geo.gamma, geo.mu, geo.structure.n)
+                               geo.screen)
 
 
 def semisym_23(geo):
-    return semisym_23_entry(geo.frame, bump_curvature(geo.curv_ind), geo.pair,
-                            geo.gamma, geo.mu, geo.structure.n)
+    return semisym_23_entry(geo.frame, bump_curvature(geo.curv_ind), geo.screen)
 
 
 def semisym_24(geo):
-    return semisym_24_entry(geo.frame, bump_curvature(geo.tcurv), geo.pair,
-                            geo.gamma, geo.mu, geo.structure.n)
+    return semisym_24_entry(geo.frame, bump_curvature(geo.tcurv), geo.screen)
 
 
 def curvature_form_19(geo):
     entry = curvature_form_19_entry(geo.frame, bump_curvature(geo.curv_ind),
-                                    geo.pair, geo.gamma, geo.mu)
+                                    geo.screen)
     return entry
 
 
@@ -227,8 +230,7 @@ def tilde_ricci_14(geo):
 
 
 def tilde_form_21(geo):
-    entry = tilde_form_21_entry(geo.frame, bump_curvature(geo.tcurv),
-                                geo.pair, geo.gamma, geo.mu)
+    entry = tilde_form_21_entry(geo.frame, bump_curvature(geo.tcurv), geo.screen)
     return entry
 
 

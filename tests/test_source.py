@@ -115,6 +115,45 @@ def test_only_scalars_reads_num_or_den(path):
     assert scalar_part_reads(path.read_text(encoding="utf-8")) == []
 
 
+def umbilical_data_takers(source: str) -> list[str]:
+    """The functions and methods that take the sectional invariants
+    (``pair``), the screen factor (``gamma`` or ``gamma_screen``) and ``mu``
+    as separate parameters, by qualified name."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = scope + (child.name,)
+                params = ({a.arg for a in child.args.args + child.args.kwonlyargs}
+                          if isinstance(child, ast.FunctionDef) else set())
+                if {"pair", "mu"} <= params and params & {"gamma", "gamma_screen"}:
+                    found.append(".".join(name))
+                visit(child, name)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_umbilical_data_takers_are_found():
+    source = ("def f(pair, gamma_screen, mu, n): pass\n"
+              "def g(pair, mu): pass\n"
+              "class R:\n    def __init__(self, pair, gamma, mu): pass\n"
+              "    def h(self, screen): pass\n")
+    assert umbilical_data_takers(source) == ["f", "R.__init__"]
+
+
+def test_only_the_screen_umbilical_record_takes_its_data_apart():
+    """The closed forms of thm-4.4, eq-18 to eq-24 and thm-4.6 read one
+    ``ScreenUmbilical``: its constructor is the one function of ``lightlike``
+    and ``associated`` that takes the pair, gamma and mu apart, so
+    mu^2 gamma^2 is formed in one place."""
+    takers = [name for module in ("lightlike.py", "associated.py")
+              for name in umbilical_data_takers(
+                  (PACKAGE / module).read_text(encoding="utf-8"))]
+    assert takers == ["ScreenUmbilical.__init__"]
+
+
 def imported_modules(source: str) -> set[str]:
     """The top-level names of the modules a source imports, relative
     imports left out."""
