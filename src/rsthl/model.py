@@ -2,9 +2,10 @@
 
 A model file carries a frame, structure constants, a metric, the contact
 structure data and optionally a submanifold frame.  Scalars are written
-as strings in the exact scalar grammar (integers are also accepted).  The
-reader takes the top keys, frame, parameters, brackets, metric, structure
-and submanifold in that order; a schema violation raises ModelError naming
+as strings in the exact scalar grammar (integers are also accepted), and
+one ``scalars.SizeBudget`` bounds the size of them all.  The reader takes
+the top keys, frame, parameters, brackets, metric, structure and
+submanifold in that order; a schema violation raises ModelError naming
 the path of the first fault in that order.
 """
 
@@ -14,7 +15,7 @@ import json
 from typing import Optional
 
 from .errors import ModelError, ScalarParseError
-from .scalars import RationalFunction, ZERO, rf
+from .scalars import RationalFunction, SizeBudget, ZERO, rf
 from .tensors import Frame, MultilinearForm
 
 _TOP_KEYS = ("frame", "parameters", "brackets", "metric", "structure", "submanifold")
@@ -100,13 +101,16 @@ def _index(frame: Frame, label: str, path: str, message="unknown frame label") -
         raise ModelError(path, message) from None
 
 
-def _parse_scalar(value, path: str, mu_allowed: bool) -> RationalFunction:
+def _parse_scalar(value, path: str, mu_allowed: bool,
+                  budget: SizeBudget) -> RationalFunction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ModelError(path, "expected an integer or a scalar string")
-    if isinstance(value, int):
-        return rf(value)
     try:
-        scalar = RationalFunction.parse(value)
+        if isinstance(value, int):
+            scalar = rf(value)
+            budget.charge_value(scalar)
+        else:
+            scalar = RationalFunction.parse(value, budget)
     except ScalarParseError as exc:
         raise ModelError(path, str(exc)) from exc
     if not mu_allowed and not scalar.is_constant():
@@ -114,11 +118,11 @@ def _parse_scalar(value, path: str, mu_allowed: bool) -> RationalFunction:
     return scalar
 
 
-def _parse_vector(obj, frame: Frame, path: str, mu_allowed: bool) -> MultilinearForm:
+def _parse_vector(obj, frame: Frame, path: str, scalar) -> MultilinearForm:
     components = [ZERO] * frame.dimension
     for label, value in _expect_mapping(obj, path).items():
         where = f"{path}.{label}"
-        components[_index(frame, label, where)] = _parse_scalar(value, where, mu_allowed)
+        components[_index(frame, label, where)] = scalar(value, where)
     return MultilinearForm(frame, 1, tuple(components))
 
 
@@ -164,16 +168,19 @@ def model_from_json_obj(obj) -> ModelFile:
         if p not in _SUPPORTED_PARAMETERS:
             raise ModelError("parameters", f"unsupported parameter {p!r}")
     mu_allowed = "mu" in parameters
+    budget = SizeBudget()  # one for the whole model
+
+    def scalar(value, where: str) -> RationalFunction:
+        return _parse_scalar(value, where, mu_allowed, budget)
 
     def vector(value, where: str) -> MultilinearForm:
-        return _parse_vector(value, frame, where, mu_allowed)
+        return _parse_vector(value, frame, where, scalar)
 
     zero = MultilinearForm.zero(frame, 1)
     bracket_cells = _pair_cells(top["brackets"], frame, "brackets", True, vector)
     brackets = MultilinearForm.from_cells(
         frame, 3, lambda i, j: bracket_cells.get((i, j), zero))
-    metric_cells = _pair_cells(top["metric"], frame, "metric", False,
-                               lambda value, where: _parse_scalar(value, where, mu_allowed))
+    metric_cells = _pair_cells(top["metric"], frame, "metric", False, scalar)
     metric_form = MultilinearForm(frame, 2, tuple(
         metric_cells.get(divmod(n, dim), ZERO) for n in range(dim * dim)))
 
@@ -269,6 +276,8 @@ def load_model(path: str) -> ModelFile:
         raise ModelError("$", f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError("$", f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an int literal past the interpreter's digit limit
+        raise ModelError("$", "invalid JSON: an integer literal is too long") from exc
     except RecursionError as exc:
         raise ModelError("$", "invalid JSON: nested too deeply") from exc
     return model_from_json_obj(data)

@@ -47,12 +47,18 @@ canonical, so the operand it returns is already the canonical result.
 Single-term results, negations and powers are built by
 ``RationalFunction._of`` without the checks, so every pair given to it
 must already be canonical and carry its exponent.
+
+``RationalFunction.parse`` and ``rf`` read strings in the grammar of
+``_Parser``, which charges a ``SizeBudget`` for every value it returns and
+for the work of building it, each power, product or gcd reduction before
+it is computed.  A model load charges one budget for all its entries, so
+one constant, MAX_MODEL_SIZE, bounds both the parse and the degrees and
+coefficient bits that every later step of a check works on.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 from .errors import ScalarDomainError, ScalarParseError
@@ -238,8 +244,10 @@ class RationalFunction:
         return value
 
     @classmethod
-    def parse(cls, text: str) -> "RationalFunction":
-        return _Parser(text).parse()
+    def parse(cls, text: str, budget: SizeBudget | None = None) -> "RationalFunction":
+        """The value of text in the expression grammar of ``_Parser``,
+        charged to budget, or to a budget of its own when that is None."""
+        return _Parser(text, SizeBudget() if budget is None else budget).parse()
 
     def is_zero(self) -> bool:
         return not self.num
@@ -506,24 +514,50 @@ PRINTABLE_BITS = 2100
 # descent well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# A power, a product and a sum that cross-multiplies have at most this
-# degree in mu, which bounds the time and memory their evaluation takes.
-MAX_POWER_DEGREE = 1000
-
-# A result that needs the polynomial gcd has at most this degree, and at
-# most this degree times coefficient bits: the remainder sequence takes
-# time that grows with both.
-MAX_GCD_DEGREE = 60
-MAX_GCD_SIZE = 4096
-
-# The products and powers of multi-term values in one entry have at most
-# this degree times coefficient bits in sum: schoolbook multiplication
-# takes time that grows with both.  (mu+1)^1000 is 1,000,000 and
-# (2^4*mu+1)^1000 5,000,000.
-MAX_PRODUCT_SIZE = 2_000_000
+# One model load spends at most this much size (see SizeBudget).  The time
+# of every later product, gcd and suite step grows with the degree and the
+# coefficient bits of the model's entries; at this bound the check of each
+# calibrated model shape (README, "Model files") takes under 2 s on a 2-core
+# x86-64 VM.
+MAX_MODEL_SIZE = 50_000
 
 
-_OPERATION_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
+class SizeBudget:
+    """The size that one model load has spent: ``model_from_json_obj``
+    makes one for the whole model, and ``RationalFunction.parse`` one per
+    call that is given none.
+
+    The size of a value is its degree, numerator's and denominator's added,
+    plus one, times the bit length of its widest coefficient.  Each entry is
+    charged its size, and ``_Parser`` charges the work of parsing it.
+    ``charge`` raises ScalarParseError once the sum is over MAX_MODEL_SIZE.
+    """
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, what: str, num: int, den: int, bits: int, pos: int,
+               steps: int = 1) -> None:
+        """Charge a value of degrees num and den with coefficients of at
+        most bits bits, times steps."""
+        size = (num + den + 1) * bits * steps
+        self.spent += size
+        if self.spent > MAX_MODEL_SIZE:
+            raise ScalarParseError(
+                f"{what} of degree {max(num, den)} with {bits}-bit coefficients, of "
+                f"size {size}, takes the model over its size budget of "
+                f"{MAX_MODEL_SIZE}", pos)
+
+    def charge_value(self, value: RationalFunction) -> None:
+        """Charge an entry its size."""
+        if value.num:
+            self.charge("a value", len(value.num) - 1, len(value.den) - 1,
+                        max(map(int.bit_length, value.num + value.den)), 0)
+
+
+_OPERATION_NAMES = {"*": "a product", "/": "a quotient", "+": "a sum", "-": "a difference"}
 
 
 class _Parser:
@@ -536,21 +570,22 @@ class _Parser:
     atom  := integer | 'mu' | '(' expr ')'
 
     Each rule takes the nesting depth: the parentheses and signs around it.
-    The products and powers of multi-term values share one allowance of
-    MAX_PRODUCT_SIZE, so an entry's work is bounded, not each operation's.
-
-    A product or quotient whose right operand is a power is the pending
-    operation of that power: its degree is checked before the power is
-    built.  A parenthesized right operand is not predicted, since the sum
-    inside it can cancel its leading power: mu^500*((mu+1)^600-(mu+1)^600+1)
-    is of degree 500.  The work such an operand costs before the product
-    is checked is bounded by the allowance of MAX_PRODUCT_SIZE.
+    Each power and operation is charged to the budget before it is
+    computed, and the parsed value last.  A power, and a product or
+    quotient of two values that are not constants and not both single
+    terms, is charged its predicted size: schoolbook multiplication takes
+    time that grows with both its degree and its bits.  An operation whose
+    result the polynomial gcd reduces is charged that size times the lower
+    of its two degrees, since the remainder sequence takes up to that many
+    steps.  Any other operation takes time linear in its result, and is
+    charged the result's degree plus one, so that a long sum or product
+    cannot repeat it on a large value without limit.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, budget: SizeBudget):
         self._tokens = _tokenize(text)
         self._k = 0
-        self._spent = 0  # degree times bits of the products and powers so far
+        self._budget = budget
 
     def _peek(self):
         return self._tokens[self._k]
@@ -571,6 +606,7 @@ class _Parser:
             except ValueError:  # past the interpreter's int digit limit
                 raise ScalarParseError(
                     "the value has a coefficient too long to print", 0) from None
+        self._budget.charge_value(value)
         return value
 
     def _expr(self, depth: int) -> RationalFunction:
@@ -578,7 +614,7 @@ class _Parser:
         while self._peek()[0] in ("+", "-"):
             op, _, pos = self._next()
             rhs = self._term(depth)
-            self._check_operation(op, value, rhs, pos)
+            self._charge(op, value, rhs, pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -586,24 +622,22 @@ class _Parser:
         value = self._unary(depth)
         while self._peek()[0] in ("*", "/"):
             op, _, pos = self._next()
-            rhs = self._unary(depth, (op, value, pos))
+            rhs = self._unary(depth)
             if op == "/" and rhs.is_zero():
                 raise ScalarParseError("division by the zero polynomial", pos)
-            self._check_operation(op, value, rhs, pos)
+            self._charge(op, value, rhs, pos)
             value = value * rhs if op == "*" else value / rhs
         return value
 
-    def _unary(self, depth: int, pending=None) -> RationalFunction:
-        """pending is the (op, left operand, position) of the product or
-        quotient this value is the right operand of, or None."""
+    def _unary(self, depth: int) -> RationalFunction:
         kind = self._peek()[0]
         if kind == "-":
-            return -self._unary(_deeper(depth, self._next()[2]), pending)
+            return -self._unary(_deeper(depth, self._next()[2]))
         if kind == "+":
-            return self._unary(_deeper(depth, self._next()[2]), pending)
-        return self._power(depth, pending)
+            return self._unary(_deeper(depth, self._next()[2]))
+        return self._power(depth)
 
-    def _power(self, depth: int, pending=None) -> RationalFunction:
+    def _power(self, depth: int) -> RationalFunction:
         base = self._atom(depth)
         if self._peek()[0] != "^":
             return base
@@ -616,9 +650,15 @@ class _Parser:
         if kind != "num":
             raise ScalarParseError("expected an integer exponent", pos)
         exponent = sign * value
-        if exponent < 0 and base.is_zero():
+        if base.num:
+            # the coefficients of p^e are at most the e-th power of the sum
+            # of the magnitudes of p's
+            self._budget.charge("a power", value * (len(base.num) - 1),
+                                value * (len(base.den) - 1),
+                                value * max((sum(map(abs, cs)) - 1).bit_length()
+                                            for cs in (base.num, base.den)) + 1, pos)
+        elif exponent < 0:
             raise ScalarParseError("zero raised to a negative power", pos)
-        self._check_power(base, exponent, pos, pending)
         return base ** exponent
 
     def _atom(self, depth: int) -> RationalFunction:
@@ -637,78 +677,24 @@ class _Parser:
             return inner
         raise ScalarParseError("expected a number, 'mu', or '('", pos)
 
-    def _check_power(self, base: RationalFunction, signed: int, pos: int,
-                     pending) -> None:
-        """Reject base^signed before computing it when its degree is over
-        MAX_POWER_DEGREE, a multi-term base takes the entry over
-        MAX_PRODUCT_SIZE, a coefficient of it has more digits than ``str``
-        prints, or the pending product or quotient it is the right operand
-        of has a degree over MAX_POWER_DEGREE.  The power raises the leading
-        and trailing coefficients of num and den exactly to the exponent, so
-        each of them gives a lower bound."""
-        exponent = abs(signed)
-        degree = exponent * (max(len(base.num), len(base.den)) - 1)
-        if degree > MAX_POWER_DEGREE:
-            raise ScalarParseError(
-                f"a power of degree {degree} is over the bound of {MAX_POWER_DEGREE}", pos)
-        if base.num and base._k is None:
-            bits = exponent * max(abs(c).bit_length() for c in base.num + base.den)
-            self._spend("power", degree, bits, pos)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        ends = (base.num[0], base.num[-1], base.den[0], base.den[-1]) if base.num else (0,)
-        bits = exponent * (max(abs(c).bit_length() for c in ends) - 1)
-        # 2^bits has more than bits * 0.30102 decimal digits
-        if limit and bits * 30102 // 100000 >= limit:
-            raise ScalarParseError(
-                "the value has a coefficient too long to print", 0)
-        if pending and pending[1].num and base.num:
-            op, a, at = pending
-            parts = (base.num, base.den) if signed > 0 else (base.den, base.num)
-            _formed_degree(op, False, a, *(exponent * (len(cs) - 1) for cs in parts), at)
-
-    def _check_operation(self, op: str, a: RationalFunction, b: RationalFunction,
-                         pos: int) -> None:
-        """Reject a op b before computing it when the numerator or
-        denominator it forms is of degree over MAX_POWER_DEGREE, or when both
-        are of degree 1 or more, so that the constructor takes their gcd, and
-        over MAX_GCD_DEGREE or MAX_GCD_SIZE, or when it multiplies two
-        multi-term values and takes the entry over MAX_PRODUCT_SIZE.  Two
-        single terms never take the gcd."""
+    def _charge(self, op: str, a: RationalFunction, b: RationalFunction,
+                pos: int) -> None:
+        """Charge a op b as the class docstring says.  The constructor
+        reduces a result by the polynomial gcd when its numerator and
+        denominator are both of degree 1 or more, unless both operands are
+        single terms."""
         if not (a.num and b.num):
             return
         same_den = op in "+-" and a.den == b.den
-        num, den = _formed_degree(op, same_den, a, len(b.num) - 1, len(b.den) - 1, pos)
         parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
-        name = _OPERATION_NAMES[op]
-        degree = max(num, den)
-        product = op in "*/" and a._k is None and b._k is None
+        num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
         gcd = num and den and not (a._k is not None and b._k is not None
                                    and (op in "*/" or a._k == b._k))
-        if not (product or gcd):
-            return
-        if gcd and degree > MAX_GCD_DEGREE:
-            raise ScalarParseError(
-                f"a {name} of degree {degree} to reduce by the polynomial gcd is over "
-                f"the bound of {MAX_GCD_DEGREE}", pos)
+        product = op in "*/" and None in (a._k, b._k) and 0 not in (a._k, b._k)
         bits = max(_formed(op, same_den, 1, *(
-            max(abs(c).bit_length() for c in cs) for cs in parts)))
-        if gcd and degree * bits > MAX_GCD_SIZE:
-            raise ScalarParseError(
-                f"a {name} of degree {degree} with {bits}-bit coefficients to reduce by "
-                f"the polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree "
-                f"times bits", pos)
-        if product:
-            self._spend(name, degree, bits, pos)
-
-    def _spend(self, name: str, degree: int, bits: int, pos: int) -> None:
-        """Reject a product or power of multi-term values whose degree times
-        coefficient bits takes the entry's sum over MAX_PRODUCT_SIZE."""
-        self._spent += degree * bits
-        if self._spent > MAX_PRODUCT_SIZE:
-            over = "is over" if degree * bits > MAX_PRODUCT_SIZE else "takes the entry over"
-            raise ScalarParseError(
-                f"a {name} of degree {degree} with {bits}-bit coefficients {over} the "
-                f"bound of {MAX_PRODUCT_SIZE} on degree times bits", pos)
+            max(map(int.bit_length, cs)) for cs in parts))) if gcd or product else 1
+        self._budget.charge(_OPERATION_NAMES[op], num, den, bits, pos,
+                            min(num, den) if gcd else 1)
 
 
 def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,
@@ -723,19 +709,6 @@ def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,
     if same_den:
         return max(an, bn) + carry, bd
     return max(an + bd, bn + ad) + carry, ad + bd
-
-
-def _formed_degree(op: str, same_den: bool, a: RationalFunction, bn: int, bd: int,
-                   pos: int) -> tuple[int, int]:
-    """The degrees of the numerator and denominator that a op b forms, from
-    the degrees bn and bd of b's; raises when one is over MAX_POWER_DEGREE."""
-    if op == "/":
-        bn, bd = bd, bn
-    num, den = _formed(op, same_den, 0, len(a.num) - 1, len(a.den) - 1, bn, bd)
-    if max(num, den) > MAX_POWER_DEGREE:
-        raise ScalarParseError(f"a {_OPERATION_NAMES[op]} of degree {max(num, den)} "
-                               f"is over the bound of {MAX_POWER_DEGREE}", pos)
-    return num, den
 
 
 def _deeper(depth: int, pos: int) -> int:

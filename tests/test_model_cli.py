@@ -23,7 +23,9 @@ from rsthl.cli import main
 from rsthl.errors import ModelError
 from rsthl.model import (dumps_model, load_model, model_from_json_obj,
                          model_to_json_obj, save_model)
+from rsthl.scalars import MU, rf
 from rsthl.suite import run_suite
+from test_properties import dense_frame, transported
 
 
 def fresh_obj():
@@ -542,14 +544,39 @@ def test_cli_check_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def metric_model(entry: str) -> bytes:
+def watch_formed(monkeypatch) -> list:
+    """A one-item list that holds, from now on, the largest size, degree
+    plus one times coefficient bits, of a polynomial that ``scalars._pmul``
+    or ``scalars._ppow`` returns."""
+    largest = [0]
+
+    def recorded(op):
+        def call(*args):
+            out = op(*args)
+            largest[0] = max(largest[0], len(out) * max(map(int.bit_length, out)))
+            return out
+        return call
+    # _ppow squares and multiplies through the module's _pmul, so both count
+    for name in ("_pmul", "_ppow"):
+        monkeypatch.setattr(scalars, name, recorded(getattr(scalars, name)))
+    return largest
+
+
+def metric_models(*entries: str) -> bytes:
+    """The worked model with its metric entries X1,X1, X2,X2, ... replaced."""
     obj = fresh_obj()
-    obj["metric"]["X1,X1"] = entry
+    for k, entry in enumerate(entries, 1):
+        obj["metric"][f"X{k},X{k}"] = entry
     return json.dumps(obj).encode("utf-8")
 
 
-# Three pass CPython's default limit of 4,300 digits on int and str
-# conversion: a literal, a printed power and a printed product of literals.
+def metric_model(entry: str) -> bytes:
+    return metric_models(entry)
+
+
+# Four pass CPython's default limit of 4,300 digits on int and str
+# conversion: a literal, a printed power, a printed product of literals and
+# a JSON integer.
 @pytest.mark.parametrize("content, fragment", [
     (b"\xff\xfe{}", "$: not UTF-8 text"),
     (b"[" * 100_000, "$: invalid JSON: nested too deeply"),
@@ -561,54 +588,113 @@ def metric_model(entry: str) -> bytes:
     (metric_model("2^20000"),
      "metric.X1,X1: the value has a coefficient too long to print"),
     (metric_model("(mu+1)^3000"),
-     "metric.X1,X1: a power of degree 3000 is over the bound of 1000"),
+     "metric.X1,X1: a power of degree 3000 with 3001-bit coefficients, of size "
+     "9006001, takes the model over its size budget of 50000 (at position 7)"),
     (metric_model("2^100000000"),
-     "metric.X1,X1: the value has a coefficient too long to print"),
+     "metric.X1,X1: a power of degree 0 with 100000001-bit coefficients"),
     (metric_model("(mu+1)^1000*(mu+1)^1000"),
-     "metric.X1,X1: a product of degree 2000 is over the bound of 1000"),
+     "metric.X1,X1: a power of degree 1000 with 1001-bit coefficients"),
     (metric_model("(mu+1)^60/(mu+2)^60 + (mu+3)^60/(mu+4)^60"),
-     "metric.X1,X1: a quotient of degree 60 with 93-bit coefficients to reduce"),
+     "metric.X1,X1: a quotient of degree 60 with 93-bit coefficients, of size 675180"),
     (metric_model("(2^12*mu+1)^1000"),
-     "metric.X1,X1: a power of degree 1000 with 13000-bit coefficients is over"),
+     "metric.X1,X1: a power of degree 1000 with 13001-bit coefficients"),
     (metric_model("(2^8*mu+1)^500*(2^8*mu+3)^500"),
-     "metric.X1,X1: a power of degree 500 with 4500-bit coefficients is over"),
+     "metric.X1,X1: a power of degree 500 with 4501-bit coefficients"),
     (metric_model("(2^4*mu+1)^1000"),
-     "metric.X1,X1: a power of degree 1000 with 5000-bit coefficients is over"),
-    # (mu+2)^1000 alone loads; after (mu+1)^1000 it is over the entry's bound
+     "metric.X1,X1: a power of degree 1000 with 5001-bit coefficients"),
     (metric_model("(mu+1)^1000 + (mu+2)^1000"),
-     "metric.X1,X1: a power of degree 1000 with 2000-bit coefficients takes the "
-     "entry over the bound of 2000000 on degree times bits (at position 21)"),
+     "metric.X1,X1: a power of degree 1000 with 1001-bit coefficients, of size "
+     "1002001, takes the model over its size budget of 50000 (at position 7)"),
+    (metric_model("PLACE").replace(b'"PLACE"', b"9" * 5000),
+     "$: invalid JSON: an integer literal is too long"),
+    # each entry alone loads: the budget is the model's, not the entry's
+    (metric_models(*["(mu+1)^100"] * 3),
+     "metric.X3,X3: a power of degree 100 with 101-bit coefficients, of size 10201, "
+     "takes the model over its size budget of 50000 (at position 7)"),
 ], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-product",
         "unprintable-power",
         "high-degree-power", "huge-power", "high-degree-product", "large-gcd",
-        "wide-power", "wide-product", "wide-small-power", "entry-over-product-bound"])
+        "wide-power", "wide-product", "wide-small-power", "entry-over-product-bound",
+        "long-json-integer", "model-over-budget"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, monkeypatch, content,
                                             fragment):
     """Each is rejected before its value is built: no polynomial product or
-    power formed on the way has a degree over MAX_POWER_DEGREE, or a degree
-    times coefficient bits over MAX_PRODUCT_SIZE.  The bound is on the work,
-    so it holds on a host of any speed."""
-    largest = {"degree": 0, "bits": 0}
-
-    def recorded(op):
-        def call(*args):
-            out = op(*args)
-            largest["degree"] = max(largest["degree"], len(out) - 1)
-            largest["bits"] = max(largest["bits"], *(abs(c).bit_length() for c in out))
-            return out
-        return call
-    # _ppow squares and multiplies through the module's _pmul, so both count
-    for name in ("_pmul", "_ppow"):
-        monkeypatch.setattr(scalars, name, recorded(getattr(scalars, name)))
+    power formed on the way has a size, degree plus one times coefficient
+    bits, over MAX_MODEL_SIZE.  The bound is on the work, so it holds on a
+    host of any speed."""
     path = tmp_path / "model.json"
     path.write_bytes(content)
+    largest = watch_formed(monkeypatch)
     code = main(["check", str(path)])
-    assert largest["degree"] <= scalars.MAX_POWER_DEGREE
-    assert largest["degree"] * largest["bits"] <= scalars.MAX_PRODUCT_SIZE
+    assert largest[0] <= scalars.MAX_MODEL_SIZE
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fragment}")
     assert "Traceback" not in err
+
+
+def scaled_dense_model(spell) -> bytes:
+    """The worked model in the frame s * dense_frame(1), for a scale s, as
+    a model file.  A change of frame keeps every identity, so it passes
+    114 of 114.  Each entry is its entry c in dense_frame(1) times s^j:
+    j = 2 for the metric, 1 for the brackets and eta, 0 for phi and -1 for
+    xi and the submanifold vectors.  spell(c, j) writes it."""
+    obj = model_to_json_obj(transported(example_model(), dense_frame(1)))
+    axes = obj["structure"]
+
+    def scale(vectors, j):
+        for vector in vectors:
+            for label, c in vector.items():
+                vector[label] = spell(c, j)
+    scale([obj["metric"]], 2)
+    scale(list(obj["brackets"].values()) + [axes["eta"]], 1)
+    scale(list(axes["phi"].values()), 0)
+    sub = obj["submanifold"]
+    scale([axes["xi"], sub["xi"], sub["L"], *sub["screen"].values()], -1)
+    return json.dumps(obj).encode("utf-8")
+
+
+def power_spelled(k):
+    """c (mu+1)^(j k) as a power of mu + 1."""
+    return lambda c, j: (f"({c})*(mu+1)^{j * k}" if j > 0 else
+                         f"({c})/(mu+1)^{k}" if j < 0 else c)
+
+
+def expanded(s):
+    """c s^j written out, as ``save_model`` writes it."""
+    return lambda c, j: str(rf(c) * s ** j)
+
+
+def json_integers(s):
+    """c s^j as a JSON integer where it is one."""
+    def spell(c, j):
+        value = rf(c) * s ** j
+        return int(str(value)) if value.den == (1,) else str(value)
+    return spell
+
+
+# The largest scale of each spelling whose model the size budget admits:
+# s = (mu+1)^k spelled as powers and written out, and s = 2^b.
+@pytest.mark.parametrize("spell, edge", [
+    (power_spelled, 12), (lambda k: expanded((MU + 1) ** k), 10),
+    (lambda b: json_integers(rf(2) ** b), 446)],
+    ids=["power", "expanded", "json-integer"])
+def test_size_budget_edge(tmp_path, capsys, monkeypatch, spell, edge):
+    """At its edge a scaled dense model loads and passes every entry; one
+    step over, it exits 2 naming the budget.  No product or power formed
+    while loading either has a size over MAX_MODEL_SIZE."""
+    over, at = tmp_path / "over.json", tmp_path / "at.json"
+    over.write_bytes(scaled_dense_model(spell(edge + 1)))
+    at.write_bytes(scaled_dense_model(spell(edge)))
+    largest = watch_formed(monkeypatch)
+    assert main(["check", str(over)]) == 2
+    model = load_model(str(at))
+    assert largest[0] <= scalars.MAX_MODEL_SIZE
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert "takes the model over its size budget of 50000" in err
+    assert "Traceback" not in err
+    assert run_suite(model).counts == {"pass": 114, "fail": 0, "skipped": 0}
 
 
 @pytest.mark.parametrize("module", ["rsthl", "rsthl.cli"])

@@ -742,19 +742,25 @@ def test_twin_connection_mismatch_fails_one_entry_and_blocks_nothing(capsys):
 # catalogued names that no perturbed input makes fail, each with the reason
 CANNOT_FAIL = {"metric-signature": "forced by the axioms that block it",
                "umbilicity": "it names the class the frame is in, and every "
-                             "class passes; the steps that need a class skip"}
+                             "class passes; the steps that need a class skip",
+               "connections-coincide": "F = 0, which blocks it, makes phi and xi "
+                                       "parallel, so g~ is parallel (sec-2-f0)",
+               "twisted-lowering": "F = 0, which blocks it, makes R commute with "
+                                   "the g-symmetric phi and kill xi (sec-4-twist)"}
 
 # the structure axioms, the half lightlike splitting, the ascreen
 # conditions, the induced objects, the structure transfer of eq-2.7 to
 # eq-2.10 and sec-2-commuting, the twin geometry of thm-1.1, sec-2-twin,
 # eq-2.11 and eq-2.12, the umbilicity classes of def-3.1 and their
-# correspondence in prop-3.3, and the screen umbilical closed forms of
-# thm-4.4, eq-18, eq-20, eq-23 and eq-24
+# correspondence in prop-3.3, the curvature transfers of sec-4-twist,
+# sec-4-gauss and eq-13 to eq-16, and the screen umbilical closed forms of
+# thm-4.4, eq-18 to eq-21, eq-23, eq-24, cor-3.5 and cor-4.3
 GUARDED_ANCHORS = ("sec-2-structure", "sec-2-splitting", "sec-2-ascreen",
                    "sec-2-induced", "eq-2.7", "eq-2.8", "eq-2.9", "eq-2.10",
                    "sec-2-commuting", "eq-2.11", "eq-2.12", "sec-2-twin", "thm-1.1",
-                   "def-3.1", "prop-3.3", "thm-4.4", "eq-18", "eq-20", "eq-23",
-                   "eq-24")
+                   "def-3.1", "prop-3.3", "sec-4-twist", "sec-4-gauss", "eq-13",
+                   "eq-14", "eq-15", "eq-16", "thm-4.4", "eq-18", "eq-19", "eq-20",
+                   "eq-21", "eq-23", "eq-24", "cor-3.5", "cor-4.3")
 
 
 def catalog_section(anchor):

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rsthl import example_model, run_suite, scalars
 from rsthl.errors import ScalarDomainError, ScalarParseError
-from rsthl.scalars import (HALF, MAX_GCD_DEGREE, MAX_GCD_SIZE, MAX_NESTING,
-                           MAX_POWER_DEGREE, MAX_PRODUCT_SIZE, MU, ONE, ZERO,
-                           RationalFunction, rf)
+from rsthl.scalars import (HALF, MAX_MODEL_SIZE, MAX_NESTING, MU, ONE, ZERO,
+                           RationalFunction, SizeBudget, rf)
 from test_properties import dense_frame, rebased_frame, transported
 
 
@@ -607,39 +606,49 @@ def test_powers_of_multi_term_values_skip_the_gcd(request, text):
 
 
 def test_parse_bounds_products_and_sums():
-    """A product, quotient or cross-multiplied sum is rejected before it is
-    computed when its degree is over MAX_POWER_DEGREE; one that the
-    polynomial gcd would reduce, over MAX_GCD_DEGREE or MAX_GCD_SIZE; a
-    product or power of multi-term values that takes the entry's sum of
-    degree times bits over MAX_PRODUCT_SIZE."""
-    assert MAX_GCD_DEGREE < MAX_POWER_DEGREE
-    for text in ("(mu+1)^1000", "(mu+1)^500*(mu+1)^500", "(mu+1)^1000/3",
-                 "(mu+2)^1000", "(mu+1)^1000 + (mu+1)^1000", "mu^600/mu^300",
-                 "(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20",
-                 "((mu^2+3*mu+1)/(mu^2+2))^100", "2^2000*(mu+1)^1000"):
-        RationalFunction.parse(text)
-    # a parenthesized right operand is not predicted: its sum can cancel
-    assert rf("mu^500*((mu+1)^600-(mu+1)^600+1)") == MU ** 500
+    """Every power and operation is charged to one size budget before it is
+    computed, and the value last: a power, product or quotient its
+    predicted degree plus one times coefficient bits, a gcd reduction that
+    times its lower degree, any other operation its degree plus one.  A
+    parse is rejected once the sum is over MAX_MODEL_SIZE."""
+    spent = {}
+    for text in ("(mu+1)^158", "mu^24999", "mu^600/mu^300", "mu^1000 + 1/mu",
+                 "(mu+1)^8/(mu+2)^8 + (mu+3)^8/(mu+4)^8", "2^20000/2^19999"):
+        budget = SizeBudget()
+        RationalFunction.parse(text, budget)
+        spent[text] = budget.spent
+    # mu^24999 is charged 25,000 as a power and again as the value
+    assert spent["mu^24999"] == MAX_MODEL_SIZE
+    # the sum mu+1, the power, and the value of 155-bit coefficients
+    assert spent["(mu+1)^158"] == 2 + 159 * 159 + 159 * 155
+    # mu^1000, 1/mu, the sum reduced by a one-step gcd, and the value
+    assert spent["mu^1000 + 1/mu"] == 1001 + 2 + 1003 * 3 + 1003
     assert rf("(mu^2 - 1)/(mu - 1)") == MU + 1
     for text, position, message in [
-        ("(mu+1)^1000*(mu+1)^1000", 11, "a product of degree 2000 is over the bound of 1000"),
-        ("(mu+1)^1000*((mu+1)^1000)", 11,
-         "a product of degree 2000 is over the bound of 1000"),
-        ("(mu+1)^600*mu^401", 10, "a product of degree 1001"),
-        ("mu^1000 + 1/mu", 8, "a sum of degree 1001"),
-        ("(mu+1)^200/(mu+2)^200 + (mu+3)^200/(mu+4)^200", 10,
-         f"a quotient of degree 200 to reduce by the polynomial gcd is over "
-         f"the bound of {MAX_GCD_DEGREE}"),
+        ("(mu+1)^159", 0, "a value of degree 159 with 156-bit coefficients, of size "
+         "24960, takes the model over its size budget of 50000"),
+        ("mu^25000", 0, "a value of degree 25000 with 1-bit coefficients"),
+        ("(mu+1)^1000*(mu+1)^1000", 7, "a power of degree 1000 with 1001-bit "
+         "coefficients, of size 1002001, takes the model over"),
+        ("(mu+1)^1000*((mu+1)^1000)", 7, "a power of degree 1000"),
+        ("(mu+1)^600*mu^401", 7, "a power of degree 600"),
+        ("(mu+1)^100*(mu+1)^100", 10, "a product of degree 200 with 194-bit "
+         "coefficients, of size 38994"),
+        ("mu^30000 + 1/mu", 9, "a sum of degree 30001 with 3-bit coefficients, of size 90009"),
+        ("mu^24000" + "+1" * 20000, 10, "a sum of degree 24000 with 1-bit coefficients"),
+        ("*".join(["mu"] * 1000), 941, "a product of degree 315"),
+        ("(mu+1)^200/(mu+2)^200 + (mu+3)^200/(mu+4)^200", 18,
+         "a power of degree 200 with 401-bit coefficients"),
         ("(mu+1)^60/(mu+2)^60 + (mu+3)^60/(mu+4)^60", 9,
-         "a quotient of degree 60 with 93-bit coefficients to reduce by the "
-         f"polynomial gcd is over the bound of {MAX_GCD_SIZE} on degree times bits"),
-        ("(mu+1)^40/(mu+2)^40 - (mu+3)^40/(mu+4)^40", 20, "a difference of degree 80"),
-        ("(2^4*mu+1)^1000", 11, "a power of degree 1000 with 5000-bit coefficients "
-         f"is over the bound of {MAX_PRODUCT_SIZE} on degree times bits"),
-        ("(2*mu+3)^500*(2*mu+3)^500", 12,
-         "a product of degree 1000 with 2314-bit coefficients is over the bound"),
-        ("(mu+1)^1000 + (mu+2)^1000", 21, "a power of degree 1000 with 2000-bit "
-         f"coefficients takes the entry over the bound of {MAX_PRODUCT_SIZE}"),
+         "a quotient of degree 60 with 93-bit coefficients, of size 675180"),
+        ("(mu+1)^40/(mu+2)^40 - (mu+3)^40/(mu+4)^40", 9, "a quotient of degree 40"),
+        ("(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20", 31, "a quotient of degree 20"),
+        ("((mu^300 + mu + 1)^2 + 1)/((mu^299 + 3)^2 - mu)", 25,
+         "a quotient of degree 600 with 5-bit coefficients, of size 3585010"),
+        ("(2^4*mu+1)^1000", 11, "a power of degree 1000 with 5001-bit coefficients"),
+        ("(2*mu+3)^500*(2*mu+3)^500", 9, "a power of degree 500 with 1501-bit"),
+        ("(mu+1)^1000 + (mu+2)^1000", 7, "a power of degree 1000"),
+        ("2^100000000", 2, "a power of degree 0 with 100000001-bit coefficients"),
     ]:
         with pytest.raises(ScalarParseError) as err:
             RationalFunction.parse(text)
@@ -648,18 +657,29 @@ def test_parse_bounds_products_and_sums():
 
 
 def test_over_degree_product_is_rejected_before_its_right_power(monkeypatch):
-    """The degree of a product whose right operand is a power is known
-    before that power is computed, so only the left power is built."""
-    powers = []
-    ppow = scalars._ppow
+    """A power is charged before it is computed, and so is a product of
+    two powers: the first of (mu+1)^1000*(mu+1)^1000 is never built, and
+    of (mu+1)^100*(mu+1)^100 only the two powers are."""
+    powers, products = [], []
+    ppow, pmul = scalars._ppow, scalars._pmul
 
     def counted(a, e):
         if len(a) > 1:
             powers.append(e)
         return ppow(a, e)
+
+    def multiplied(a, b):
+        products.append((len(a), len(b)))
+        return pmul(a, b)
     monkeypatch.setattr(scalars, "_ppow", counted)
     with pytest.raises(ScalarParseError,
-                       match=r"^a product of degree 2000 is over the bound of 1000 "
-                             r"\(at position 11\)$"):
+                       match=r"^a power of degree 1000 with 1001-bit coefficients, of "
+                             r"size 1002001, takes the model over its size budget of "
+                             r"50000 \(at position 7\)$"):
         RationalFunction.parse("(mu+1)^1000*(mu+1)^1000")
-    assert powers == [1000]
+    assert powers == []
+    monkeypatch.setattr(scalars, "_pmul", multiplied)
+    with pytest.raises(ScalarParseError, match=r"^a product of degree 200 "):
+        RationalFunction.parse("(mu+1)^100*(mu+1)^100")
+    assert powers == [100, 100]
+    assert (101, 101) not in products

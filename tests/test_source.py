@@ -215,11 +215,11 @@ def test_loading_a_model_imports_neither_dataclasses_nor_inspect(tmp_path):
 
 # The functions that assign an attribute outside ``__init__`` on purpose,
 # by module: a table or a scalar built without ``__init__``, a memoized
-# hash, the parser's token cursor and a stage's blocker, set once.
+# hash, the parser's token cursor, the size a model load has spent and a
+# stage's blocker, set once.
 ATTRIBUTE_WRITERS = {
     "tensors.py": {"MultilinearForm._of"},
-    # the parser's cursor and the allowance its entry has spent
-    "scalars.py": {"RationalFunction._of", "_Parser._next", "_Parser._spend"},
+    "scalars.py": {"RationalFunction._of", "_Parser._next", "SizeBudget.charge"},
     "suite.py": {"_Stage.run"},
 }
 
