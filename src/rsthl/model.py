@@ -1,21 +1,21 @@
 """Loading and saving invariant models as JSON files.
 
 A model file carries a frame, structure constants, a metric, the contact
-structure data and optionally a submanifold frame.  Scalars are written
-as strings in the exact scalar grammar (integers are also accepted), and
-one ``scalars.SizeBudget`` bounds the size of them all.  The reader takes
-the top keys, frame, parameters, brackets, metric, structure and
-submanifold in that order; a schema violation raises ModelError naming
-the path of the first fault in that order.
+structure data and optionally a submanifold frame.  Scalars are strings
+in the exact scalar grammar, or integers, all charged to one SizeBudget.
+The reader takes the top keys, frame, parameters, brackets, metric,
+structure and submanifold in that order; a schema violation raises
+ModelError naming the path of the first fault in that order.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Optional
 
 from .errors import ModelError, ScalarParseError
-from .scalars import RationalFunction, SizeBudget, ZERO, rf
+from .scalars import RationalFunction, SizeBudget, ZERO
 from .tensors import Frame, MultilinearForm
 
 _TOP_KEYS = ("frame", "parameters", "brackets", "metric", "structure", "submanifold")
@@ -101,17 +101,12 @@ def _index(frame: Frame, label: str, path: str, message="unknown frame label") -
         raise ModelError(path, message) from None
 
 
-def _parse_scalar(value, path: str, mu_allowed: bool,
-                  budget: SizeBudget) -> RationalFunction:
+def _parse_scalar(value, path: str, mu_allowed: bool, budget) -> RationalFunction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ModelError(path, "expected an integer or a scalar string")
-    try:
-        if isinstance(value, int):
-            scalar = rf(value)
-            budget.charge_value(scalar)
-        else:
-            scalar = RationalFunction.parse(value, budget)
-    except ScalarParseError as exc:
+    try:  # an integer is charged as the literal it prints, if it prints
+        scalar = RationalFunction.parse(str(value), budget)
+    except (ScalarParseError, ValueError) as exc:
         raise ModelError(path, str(exc)) from exc
     if not mu_allowed and not scalar.is_constant():
         raise ModelError(path, "uses the parameter mu, which is not declared")
@@ -168,10 +163,7 @@ def model_from_json_obj(obj) -> ModelFile:
         if p not in _SUPPORTED_PARAMETERS:
             raise ModelError("parameters", f"unsupported parameter {p!r}")
     mu_allowed = "mu" in parameters
-    budget = SizeBudget()  # one for the whole model
-
-    def scalar(value, where: str) -> RationalFunction:
-        return _parse_scalar(value, where, mu_allowed, budget)
+    scalar = partial(_parse_scalar, mu_allowed=mu_allowed, budget=SizeBudget())
 
     def vector(value, where: str) -> MultilinearForm:
         return _parse_vector(value, frame, where, scalar)

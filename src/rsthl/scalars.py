@@ -48,17 +48,16 @@ Single-term results, negations and powers are built by
 ``RationalFunction._of`` without the checks, so every pair given to it
 must already be canonical and carry its exponent.
 
-``RationalFunction.parse`` and ``rf`` read strings in the grammar of
-``_Parser``, which charges a ``SizeBudget`` for every value it returns and
-for the work of building it, each power, product or gcd reduction before
-it is computed.  A model load charges one budget for all its entries, so
-one constant, MAX_MODEL_SIZE, bounds both the parse and the degrees and
-coefficient bits that every later step of a check works on.
+``RationalFunction.parse`` and ``rf`` read the grammar of ``_Parser``,
+which charges a ``SizeBudget`` for each value before building it.  A model
+load charges one budget for all its entries, so one constant bounds both
+the parse and the degrees and bits that every later step works on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .errors import ScalarDomainError, ScalarParseError
@@ -245,8 +244,7 @@ class RationalFunction:
 
     @classmethod
     def parse(cls, text: str, budget: SizeBudget | None = None) -> "RationalFunction":
-        """The value of text in the expression grammar of ``_Parser``,
-        charged to budget, or to a budget of its own when that is None."""
+        """text's value, charged to budget (by default a new one)."""
         return _Parser(text, SizeBudget() if budget is None else budget).parse()
 
     def is_zero(self) -> bool:
@@ -514,24 +512,23 @@ PRINTABLE_BITS = 2100
 # descent well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# One model load spends at most this much size (see SizeBudget).  The time
-# of every later product, gcd and suite step grows with the degree and the
-# coefficient bits of the model's entries; at this bound the check of each
-# calibrated model shape (README, "Model files") takes under 2 s on a 2-core
-# x86-64 VM.
+# One model load spends at most this much size (see SizeBudget): each
+# model shape calibrated in README, "Model files", checks in under 2 s at
+# this bound on a 2-core x86-64 VM.
 MAX_MODEL_SIZE = 50_000
 
 
-class SizeBudget:
-    """The size that one model load has spent: ``model_from_json_obj``
-    makes one for the whole model, and ``RationalFunction.parse`` one per
-    call that is given none.
+def _bits(cs) -> int:
+    """1 + ceil(log2 |c|) for the widest c of cs, not all zero: a unit has 1
+    bit, and a product at most its factors' bits added, less one."""
+    return (max(map(abs, cs)) - 1).bit_length() + 1
 
-    The size of a value is its degree, numerator's and denominator's added,
-    plus one, times the bit length of its widest coefficient.  Each entry is
-    charged its size, and ``_Parser`` charges the work of parsing it.
-    ``charge`` raises ScalarParseError once the sum is over MAX_MODEL_SIZE.
-    """
+
+class SizeBudget:
+    """The size one model load has spent, one per ``model_from_json_obj``
+    or budgetless ``RationalFunction.parse``.  A value's size is its degree,
+    numerator's and denominator's added, plus one, times the bits of its
+    widest coefficient; ``charge`` raises past MAX_MODEL_SIZE."""
 
     __slots__ = ("spent",)
 
@@ -540,8 +537,7 @@ class SizeBudget:
 
     def charge(self, what: str, num: int, den: int, bits: int, pos: int,
                steps: int = 1) -> None:
-        """Charge a value of degrees num and den with coefficients of at
-        most bits bits, times steps."""
+        """Charge a value of degrees num and den and bits bits, times steps."""
         size = (num + den + 1) * bits * steps
         self.spent += size
         if self.spent > MAX_MODEL_SIZE:
@@ -550,14 +546,9 @@ class SizeBudget:
                 f"size {size}, takes the model over its size budget of "
                 f"{MAX_MODEL_SIZE}", pos)
 
-    def charge_value(self, value: RationalFunction) -> None:
-        """Charge an entry its size."""
-        if value.num:
-            self.charge("a value", len(value.num) - 1, len(value.den) - 1,
-                        max(map(int.bit_length, value.num + value.den)), 0)
 
-
-_OPERATION_NAMES = {"*": "a product", "/": "a quotient", "+": "a sum", "-": "a difference"}
+_OPERATIONS = {"*": ("a product", operator.mul), "/": ("a quotient", operator.truediv),
+               "+": ("a sum", operator.add), "-": ("a difference", operator.sub)}
 
 
 class _Parser:
@@ -570,16 +561,15 @@ class _Parser:
     atom  := integer | 'mu' | '(' expr ')'
 
     Each rule takes the nesting depth: the parentheses and signs around it.
-    Each power and operation is charged to the budget before it is
-    computed, and the parsed value last.  A power, and a product or
-    quotient of two values that are not constants and not both single
-    terms, is charged its predicted size: schoolbook multiplication takes
-    time that grows with both its degree and its bits.  An operation whose
-    result the polynomial gcd reduces is charged that size times the lower
-    of its two degrees, since the remainder sequence takes up to that many
-    steps.  Any other operation takes time linear in its result, and is
-    charged the result's degree plus one, so that a long sum or product
-    cannot repeat it on a large value without limit.
+    A sum of single terms (n/d) mu^k stays sparse, a dict from k to n/d,
+    until it meets another value or is the parsed one.  Each value is
+    charged before it is built: a sparse sum built as a RationalFunction
+    its size, so a polynomial written out term by term costs its size once;
+    a power of a single term, or a sum of two of one exponent, its bits; a
+    product or quotient of two the bits of the narrower (the wider was
+    charged when built); any other power or operation its size predicted
+    from its operands', times its higher degree when the constructor takes
+    the gcd, since the remainder sequence takes up to twice that many steps.
     """
 
     def __init__(self, text: str, budget: SizeBudget):
@@ -600,44 +590,42 @@ class _Parser:
         kind, _, pos = self._peek()
         if kind != "end":
             raise ScalarParseError("unexpected trailing input", pos)
+        value = self._dense(value, 0)
         if any(c.bit_length() > PRINTABLE_BITS for c in value.num + value.den):
             try:
                 str(value)
             except ValueError:  # past the interpreter's int digit limit
                 raise ScalarParseError(
                     "the value has a coefficient too long to print", 0) from None
-        self._budget.charge_value(value)
         return value
 
-    def _expr(self, depth: int) -> RationalFunction:
+    def _expr(self, depth: int):
         value = self._term(depth)
         while self._peek()[0] in ("+", "-"):
             op, _, pos = self._next()
-            rhs = self._term(depth)
-            self._charge(op, value, rhs, pos)
-            value = value + rhs if op == "+" else value - rhs
+            value = self._apply(op, value, self._term(depth), pos)
         return value
 
-    def _term(self, depth: int) -> RationalFunction:
+    def _term(self, depth: int):
         value = self._unary(depth)
         while self._peek()[0] in ("*", "/"):
             op, _, pos = self._next()
             rhs = self._unary(depth)
-            if op == "/" and rhs.is_zero():
+            if op == "/" and not rhs:
                 raise ScalarParseError("division by the zero polynomial", pos)
-            self._charge(op, value, rhs, pos)
-            value = value * rhs if op == "*" else value / rhs
+            value = self._apply(op, value, rhs, pos)
         return value
 
-    def _unary(self, depth: int) -> RationalFunction:
+    def _unary(self, depth: int):
         kind = self._peek()[0]
         if kind == "-":
-            return -self._unary(_deeper(depth, self._next()[2]))
+            value = self._unary(_deeper(depth, self._next()[2]))
+            return {k: -c for k, c in value.items()} if type(value) is dict else -value
         if kind == "+":
             return self._unary(_deeper(depth, self._next()[2]))
         return self._power(depth)
 
-    def _power(self, depth: int) -> RationalFunction:
+    def _power(self, depth: int):
         base = self._atom(depth)
         if self._peek()[0] != "^":
             return base
@@ -650,24 +638,30 @@ class _Parser:
         if kind != "num":
             raise ScalarParseError("expected an integer exponent", pos)
         exponent = sign * value
-        if base.num:
-            # the coefficients of p^e are at most the e-th power of the sum
-            # of the magnitudes of p's
-            self._budget.charge("a power", value * (len(base.num) - 1),
-                                value * (len(base.den) - 1),
-                                value * max((sum(map(abs, cs)) - 1).bit_length()
-                                            for cs in (base.num, base.den)) + 1, pos)
-        elif exponent < 0:
-            raise ScalarParseError("zero raised to a negative power", pos)
+        if not base:
+            if exponent < 0:
+                raise ScalarParseError("zero raised to a negative power", pos)
+            return ZERO ** exponent
+        if type(base) is dict and len(base) == 1:
+            (k, c), = base.items()
+            self._budget.charge("a power", 0, 0, value * (_bits(c.num + c.den) - 1) + 1,
+                                pos)
+            return {k * exponent: c ** exponent}
+        base = self._dense(base, pos)
+        # p^e's coefficients are at most the e-th power of p's magnitudes' sum
+        self._budget.charge("a power", value * (len(base.num) - 1),
+                            value * (len(base.den) - 1),
+                            value * max((sum(map(abs, cs)) - 1).bit_length()
+                                        for cs in (base.num, base.den)) + 1, pos)
         return base ** exponent
 
-    def _atom(self, depth: int) -> RationalFunction:
+    def _atom(self, depth: int):
         kind, value, pos = self._next()
         if kind == "num":
-            return _term(value, 1, 0)
+            return {0: _term(value, 1, 0)} if value else {}
         if kind == "name":
             if value == "mu":
-                return MU
+                return {1: ONE}
             raise ScalarParseError(f"unknown symbol {value!r}", pos)
         if kind == "(":
             inner = self._expr(_deeper(depth, pos))
@@ -677,38 +671,68 @@ class _Parser:
             return inner
         raise ScalarParseError("expected a number, 'mu', or '('", pos)
 
-    def _charge(self, op: str, a: RationalFunction, b: RationalFunction,
-                pos: int) -> None:
-        """Charge a op b as the class docstring says.  The constructor
-        reduces a result by the polynomial gcd when its numerator and
-        denominator are both of degree 1 or more, unless both operands are
-        single terms."""
-        if not (a.num and b.num):
-            return
-        same_den = op in "+-" and a.den == b.den
-        parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
-        num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
-        gcd = num and den and not (a._k is not None and b._k is not None
-                                   and (op in "*/" or a._k == b._k))
-        product = op in "*/" and None in (a._k, b._k) and 0 not in (a._k, b._k)
-        bits = max(_formed(op, same_den, 1, *(
-            max(map(int.bit_length, cs)) for cs in parts))) if gcd or product else 1
-        self._budget.charge(_OPERATION_NAMES[op], num, den, bits, pos,
-                            min(num, den) if gcd else 1)
+    def _apply(self, op: str, a, b, pos: int):
+        """a op b, sparse when both are and it is a sum (added into a, which
+        is this parser's own) or a product or quotient by a single term."""
+        name, operation = _OPERATIONS[op]
+        if type(a) is dict and type(b) is dict:
+            if op in "+-":
+                for k, c in b.items():
+                    c = -c if op == "-" else c
+                    if k in a:
+                        self._budget.charge(name, 0, 0, _bits(c.num + c.den)
+                                            + _bits(a[k].num + a[k].den), pos)
+                        c += a.pop(k)
+                    if c:
+                        a[k] = c
+                return a
+            if op == "*" and len(a) == 1:
+                a, b = b, a
+            if len(b) == 1:
+                (j, d), = b.items()
+                width = _bits(d.num + d.den)
+                for k, c in a.items():
+                    self._budget.charge(name, 0, 0, min(_bits(c.num + c.den), width), pos)
+                return {k + j if op == "*" else k - j: operation(c, d) for k, c in a.items()}
+        a, b = self._dense(a, pos), self._dense(b, pos)
+        if a.num and b.num:  # the constructor takes the gcd if num and den are not constant
+            same_den = op in "+-" and a.den == b.den
+            parts = (a.num, a.den) + ((b.den, b.num) if op == "/" else (b.num, b.den))
+            num, den = _formed(op, same_den, 0, *(len(cs) - 1 for cs in parts))
+            self._budget.charge(name, num, den,
+                                max(_formed(op, same_den, 1, *map(_bits, parts))), pos,
+                                max(num, den) if num and den else 1)
+        return operation(a, b)
+
+    def _dense(self, value, pos: int) -> RationalFunction:
+        """value as a RationalFunction, charged its size if it is sparse."""
+        if type(value) is not dict or not value:
+            return value or ZERO
+        if len(value) == 1:
+            (k, c), = value.items()
+            self._budget.charge("a term", abs(k), 0, _bits(c.num + c.den), pos)
+            return _term(c.num[0], c.den[0], k) if k else c
+        shift = max(-min(value), 0)
+        scale = math.lcm(*(c.den[0] for c in value.values()))
+        ints = {k + shift: c.num[0] * (scale // c.den[0]) for k, c in value.items()}
+        num = max(ints)
+        # a den of mu^shift makes the constructor take the gcd
+        self._budget.charge("a sum", num, shift, _bits((*ints.values(), scale)), pos,
+                            max(num, shift) if shift else 1)
+        return RationalFunction([ints.get(k, 0) for k in range(num + 1)],
+                                (0,) * shift + (scale,))
 
 
-def _formed(op: str, same_den: bool, carry: int, an: int, ad: int, bn: int,
+def _formed(op: str, same_den: bool, one: int, an: int, ad: int, bn: int,
             bd: int) -> tuple[int, int]:
-    """The degrees (carry 0) or coefficient bit lengths (carry 1) of the
-    numerator and denominator that a op b forms, from those of its parts
-    (b's swapped for a quotient): a product adds them, a sum takes the
-    larger plus carry.  Cancellation can only lower the degrees; the bit
-    lengths leave out the few bits that a sum of many products carries."""
+    """The degrees (one = 0) or bits (one = 1) of the num and den that a op
+    b forms, from its parts' (b's swapped for a quotient).  Cancellation
+    only lowers them; the bits leave out a sum of products' few carries."""
     if op in "*/":
-        return an + bn, ad + bd
+        return an + bn - one, ad + bd - one
     if same_den:
-        return max(an, bn) + carry, bd
-    return max(an + bd, bn + ad) + carry, ad + bd
+        return max(an, bn) + one, bd
+    return max(an + bd, bn + ad), ad + bd - one
 
 
 def _deeper(depth: int, pos: int) -> int:

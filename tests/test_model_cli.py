@@ -134,6 +134,10 @@ def test_metric_schema():
     obj = fresh_obj()
     obj["metric"]["X1,X1"] = "mu +"
     reject(obj, "metric.X1,X1", "(at position 4)")
+    # an int past the interpreter's digit limit, which no JSON file yields
+    obj = fresh_obj()
+    obj["metric"]["X1,X1"] = 10 ** 5000
+    reject(obj, "metric.X1,X1", "integer string conversion")
 
 
 def test_structure_schema():
@@ -608,14 +612,21 @@ def metric_model(entry: str) -> bytes:
     (metric_model("PLACE").replace(b'"PLACE"', b"9" * 5000),
      "$: invalid JSON: an integer literal is too long"),
     # each entry alone loads: the budget is the model's, not the entry's
-    (metric_models(*["(mu+1)^100"] * 3),
-     "metric.X3,X3: a power of degree 100 with 101-bit coefficients, of size 10201, "
+    (metric_models(*["(mu+1)^130"] * 3),
+     "metric.X3,X3: a power of degree 130 with 131-bit coefficients, of size 17161, "
      "takes the model over its size budget of 50000 (at position 7)"),
+    # each product by a long literal is charged the size it forms
+    (metric_model("(mu+1)^150*" + "*".join(["9" * 4000] * 180)),
+     "metric.X1,X1: a product of degree 150 with 13436-bit coefficients, of size "
+     "2028836, takes the model over its size budget of 50000 (at position 10)"),
+    (metric_model("*".join(["9" * 4000] * 400)),
+     "metric.X1,X1: a product of degree 0 with 13289-bit coefficients"),
 ], ids=["not-utf8", "deep-json", "deep-scalar", "long-literal", "unprintable-product",
         "unprintable-power",
         "high-degree-power", "huge-power", "high-degree-product", "large-gcd",
         "wide-power", "wide-product", "wide-small-power", "entry-over-product-bound",
-        "long-json-integer", "model-over-budget"])
+        "long-json-integer", "model-over-budget", "polynomial-times-literals",
+        "literal-chain"])
 def test_cli_check_unreadable_model_exits_2(tmp_path, capsys, monkeypatch, content,
                                             fragment):
     """Each is rejected before its value is built: no polynomial product or
@@ -676,19 +687,24 @@ def json_integers(s):
 # The largest scale of each spelling whose model the size budget admits:
 # s = (mu+1)^k spelled as powers and written out, and s = 2^b.
 @pytest.mark.parametrize("spell, edge", [
-    (power_spelled, 12), (lambda k: expanded((MU + 1) ** k), 10),
-    (lambda b: json_integers(rf(2) ** b), 446)],
+    (power_spelled, 11), (lambda k: expanded((MU + 1) ** k), 13),
+    (lambda b: json_integers(rf(2) ** b), 445)],
     ids=["power", "expanded", "json-integer"])
 def test_size_budget_edge(tmp_path, capsys, monkeypatch, spell, edge):
     """At its edge a scaled dense model loads and passes every entry; one
     step over, it exits 2 naming the budget.  No product or power formed
-    while loading either has a size over MAX_MODEL_SIZE."""
-    over, at = tmp_path / "over.json", tmp_path / "at.json"
+    while loading either has a size over MAX_MODEL_SIZE.  The file that
+    ``save_model`` writes for the model at the edge loads too: an entry
+    written out term by term is charged no more than its value's size and
+    one per term."""
+    over, at, saved = tmp_path / "over.json", tmp_path / "at.json", tmp_path / "saved.json"
     over.write_bytes(scaled_dense_model(spell(edge + 1)))
     at.write_bytes(scaled_dense_model(spell(edge)))
     largest = watch_formed(monkeypatch)
     assert main(["check", str(over)]) == 2
     model = load_model(str(at))
+    save_model(model, str(saved))
+    assert load_model(str(saved)) == model
     assert largest[0] <= scalars.MAX_MODEL_SIZE
     monkeypatch.undo()
     err = capsys.readouterr().err

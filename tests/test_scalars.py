@@ -606,37 +606,47 @@ def test_powers_of_multi_term_values_skip_the_gcd(request, text):
 
 
 def test_parse_bounds_products_and_sums():
-    """Every power and operation is charged to one size budget before it is
-    computed, and the value last: a power, product or quotient its
-    predicted degree plus one times coefficient bits, a gcd reduction that
-    times its lower degree, any other operation its degree plus one.  A
-    parse is rejected once the sum is over MAX_MODEL_SIZE."""
+    """Every value the parser builds is charged to one size budget before
+    it is built: a sparse sum of single terms its size when it is built as
+    a RationalFunction, a power or operation on other values its predicted
+    degree plus one times coefficient bits, and a gcd reduction that times
+    its higher degree.  A parse is rejected once the sum is over
+    MAX_MODEL_SIZE."""
+    written = str((MU + 1) ** 20)
     spent = {}
-    for text in ("(mu+1)^158", "mu^24999", "mu^600/mu^300", "mu^1000 + 1/mu",
-                 "(mu+1)^8/(mu+2)^8 + (mu+3)^8/(mu+4)^8", "2^20000/2^19999"):
+    for text in ("(mu+1)^222", "mu^49998", "mu^600/mu^300", "*".join(["mu"] * 1000),
+                 "(mu+1)^8/(mu+2)^8 + (mu+3)^8/(mu+4)^8", written):
         budget = SizeBudget()
         RationalFunction.parse(text, budget)
         spent[text] = budget.spent
-    # mu^24999 is charged 25,000 as a power and again as the value
-    assert spent["mu^24999"] == MAX_MODEL_SIZE
-    # the sum mu+1, the power, and the value of 155-bit coefficients
-    assert spent["(mu+1)^158"] == 2 + 159 * 159 + 159 * 155
-    # mu^1000, 1/mu, the sum reduced by a one-step gcd, and the value
-    assert spent["mu^1000 + 1/mu"] == 1001 + 2 + 1003 * 3 + 1003
+    # the power mu^49998 is one 1-bit term, and its value of size 49,999
+    assert spent["mu^49998"] == MAX_MODEL_SIZE
+    # the sum mu+1 and the power, whose value it is
+    assert spent["(mu+1)^222"] == 2 + 223 * 223
+    # 999 products of single terms, 1 each, and the value
+    assert spent["*".join(["mu"] * 1000)] == 999 + 1001
+    # written out, the value of size 21 x 19 bits, and 1 for each of the
+    # 19 powers mu^k and 19 products c*mu^k
+    assert spent[written] == 21 * 19 + 19 + 19
     assert rf("(mu^2 - 1)/(mu - 1)") == MU + 1
     for text, position, message in [
-        ("(mu+1)^159", 0, "a value of degree 159 with 156-bit coefficients, of size "
-         "24960, takes the model over its size budget of 50000"),
-        ("mu^25000", 0, "a value of degree 25000 with 1-bit coefficients"),
+        ("(mu+1)^223", 7, "a power of degree 223 with 224-bit coefficients, of size "
+         "50176, takes the model over its size budget of 50000"),
+        ("mu^49999", 0, "a term of degree 49999 with 1-bit coefficients"),
         ("(mu+1)^1000*(mu+1)^1000", 7, "a power of degree 1000 with 1001-bit "
          "coefficients, of size 1002001, takes the model over"),
         ("(mu+1)^1000*((mu+1)^1000)", 7, "a power of degree 1000"),
         ("(mu+1)^600*mu^401", 7, "a power of degree 600"),
-        ("(mu+1)^100*(mu+1)^100", 10, "a product of degree 200 with 194-bit "
-         "coefficients, of size 38994"),
-        ("mu^30000 + 1/mu", 9, "a sum of degree 30001 with 3-bit coefficients, of size 90009"),
-        ("mu^24000" + "+1" * 20000, 10, "a sum of degree 24000 with 1-bit coefficients"),
-        ("*".join(["mu"] * 1000), 941, "a product of degree 315"),
+        # the gcd of mu^1001 + 1 and mu may take 1001 pseudo-division steps
+        ("mu^1000 + 1/mu", 0, "a sum of degree 1001 with 1-bit coefficients, of size "
+         "1004003"),
+        # the cancelling sum is not built: its first power is over the budget
+        ("mu^500*((mu+1)^600-(mu+1)^600+1)", 15, "a power of degree 600"),
+        ("(mu+1)^100*(mu+1)^100", 10, "a product of degree 200 with 195-bit "
+         "coefficients, of size 39195"),
+        ("mu^30000 + 1/mu", 0, "a sum of degree 30001"),
+        ("mu^24000" + "+1" * 20000, 7736, "a sum of degree 0 with 14-bit coefficients"),
+        ("*".join(["mu"] * 60000), 150002, "a product of degree 0 with 1-bit"),
         ("(mu+1)^200/(mu+2)^200 + (mu+3)^200/(mu+4)^200", 18,
          "a power of degree 200 with 401-bit coefficients"),
         ("(mu+1)^60/(mu+2)^60 + (mu+3)^60/(mu+4)^60", 9,
@@ -644,16 +654,29 @@ def test_parse_bounds_products_and_sums():
         ("(mu+1)^40/(mu+2)^40 - (mu+3)^40/(mu+4)^40", 9, "a quotient of degree 40"),
         ("(mu+1)^20/(mu+2)^20 + (mu+3)^20/(mu+4)^20", 31, "a quotient of degree 20"),
         ("((mu^300 + mu + 1)^2 + 1)/((mu^299 + 3)^2 - mu)", 25,
-         "a quotient of degree 600 with 5-bit coefficients, of size 3585010"),
+         "a quotient of degree 600 with 5-bit coefficients, of size 3597000"),
         ("(2^4*mu+1)^1000", 11, "a power of degree 1000 with 5001-bit coefficients"),
         ("(2*mu+3)^500*(2*mu+3)^500", 9, "a power of degree 500 with 1501-bit"),
         ("(mu+1)^1000 + (mu+2)^1000", 7, "a power of degree 1000"),
         ("2^100000000", 2, "a power of degree 0 with 100000001-bit coefficients"),
+        # each product of single terms is charged its narrower operand
+        ("*".join(["9" * 4000] * 400), 16003, "a product of degree 0 with 13289-bit"),
     ]:
         with pytest.raises(ScalarParseError) as err:
             RationalFunction.parse(text)
         assert err.value.position == position
         assert str(err.value).startswith(message)
+
+
+def test_parse_zero_operands():
+    """Zero, sparse or built by cancelling, is a value like any other to the
+    parser: its powers, products and sums are exact and charge nothing for
+    the zero operand."""
+    cancelled = "((mu+1)^2 - (mu+1)^2)"
+    for text, value in [("0^0", ONE), ("0^3", ZERO), (cancelled + "^0", ONE),
+                        (cancelled + "^2", ZERO), ("0*(mu+1)^2", ZERO),
+                        (cancelled + " + mu", MU), ("(mu+1)*0*(mu+2)", ZERO)]:
+        assert rf(text) == value
 
 
 def test_over_degree_product_is_rejected_before_its_right_power(monkeypatch):
